@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .geometry import Point2, Polygon
 from .kernels import RadialKernel
-from .oracle import OracleConfig, oracle_minimize
+from .oracle import _brute_force_minimize, oracle_minimize
 from .residuals import general_boundary_residual, mean_distance_certificate, polygon_residual
 from .solver import SolveConfig, degenerate_limit_study, solve_median, solve_medianoid
 from .svg import region_figure
@@ -217,45 +216,10 @@ def _parse_point(text: str) -> Point2:
         raise RegionFileError(f"bad --point {text!r}: {exc}") from exc
 
 
-def _oracle_config() -> OracleConfig:
-    seed = os.environ.get("REGION_MEDIAN_SEED")
-    if seed is not None:
-        try:
-            return OracleConfig(seed=int(seed))
-        except ValueError as exc:
-            raise RegionFileError(f"REGION_MEDIAN_SEED must be an integer: {exc}") from exc
-    return OracleConfig()
-
-
 # ---------------------------------------------------------------- commands
 
 def _solve_config(args) -> SolveConfig:
     return SolveConfig(tol_rel=args.tol, max_iter=args.max_iter)
-
-
-def _region_report(poly: Polygon, result, kernel: RadialKernel, quad_tol: float) -> dict:
-    if kernel.is_euclidean:
-        rep = polygon_residual(poly, result.median)
-    else:
-        rep = general_boundary_residual(poly, result.median, kernel, tol=quad_tol)
-    report = {
-        "median": [result.median.x, result.median.y],
-        "residual_norm": result.residual_norm,
-        "normalized_norm": result.normalized_norm,
-        "iterations": result.iterations,
-        "edge_means": list(rep.edge_means),
-    }
-    if result.certificate is not None:
-        report["certificate_spread"] = result.certificate
-    return report
-
-
-def _attach_oracle(report: dict, poly: Polygon, kernel: RadialKernel, median: Point2) -> None:
-    minimizer = oracle_minimize(poly, kernel, _oracle_config())
-    report["oracle_check"] = {
-        "minimizer": [minimizer.x, minimizer.y],
-        "distance_to_median": minimizer.distance_to(median),
-    }
 
 
 def _maybe_svg(args, outline, median, trace, points=None) -> None:
@@ -264,40 +228,48 @@ def _maybe_svg(args, outline, median, trace, points=None) -> None:
             fh.write(region_figure(outline, median, trace=trace, points=points))
 
 
-def cmd_median(args) -> int:
-    inp = load_region_file(args.file)
-    poly = _require_region(inp, "median")
-    cfg = _solve_config(args)
-    kernel = RadialKernel.euclidean()
-    result = solve_median(poly, cfg)
-    report = _region_report(poly, result, kernel, cfg.quad_tol)
+def _finish(args, result, brute_force, outline=None, points=None) -> int:
+    """Emit the report and figure of a solve; return its exit code.
+
+    ``brute_force()`` gives the independent minimizer for ``--oracle``.
+    """
+    report = {
+        "median": [result.median.x, result.median.y],
+        "residual_norm": result.residual_norm,
+        "normalized_norm": result.normalized_norm,
+        "iterations": result.iterations,
+        "edge_means": list(result.edge_means),
+    }
+    if result.certificate is not None:
+        report["certificate_spread"] = result.certificate
     if args.oracle:
-        _attach_oracle(report, poly, kernel, result.median)
+        minimizer = brute_force()
+        report["oracle_check"] = {
+            "minimizer": [minimizer.x, minimizer.y],
+            "distance_to_median": minimizer.distance_to(result.median),
+        }
     _emit(report, args.json_out)
-    _maybe_svg(args, poly.coords, result.median, result.trace)
+    _maybe_svg(args, outline, result.median, result.trace, points=points)
     return 0 if result.converged else 2
+
+
+def cmd_median(args) -> int:
+    poly = _require_region(load_region_file(args.file), "median")
+    result = solve_median(poly, _solve_config(args))
+    return _finish(args, result, lambda: oracle_minimize(poly, RadialKernel.euclidean()), poly.coords)
 
 
 def cmd_medianoid(args) -> int:
     inp = load_region_file(args.file)
     poly = _require_region(inp, "medianoid")
     kernel = _parse_kernel_arg(args.kernel) if args.kernel else (inp.kernel or RadialKernel.euclidean())
-    cfg = _solve_config(args)
-    result = solve_medianoid(poly, kernel, cfg)
-    report = _region_report(poly, result, kernel, cfg.quad_tol)
-    if args.oracle:
-        _attach_oracle(report, poly, kernel, result.median)
-    _emit(report, args.json_out)
-    _maybe_svg(args, poly.coords, result.median, result.trace)
-    return 0 if result.converged else 2
+    result = solve_medianoid(poly, kernel, _solve_config(args))
+    return _finish(args, result, lambda: oracle_minimize(poly, kernel), poly.coords)
 
 
 def _discrete_brute_force(ps: PointSet) -> Point2:
-    # independent minimizer for the point-set objective: Nelder-Mead from
-    # the weighted centroid plus shrinking grid passes, mirroring the
-    # region oracle's strategy
-    from scipy.optimize import minimize
-
+    # independent minimizer for the point-set objective, with the region
+    # oracle's strategy, started from the weighted centroid
     pts, w = ps.coords, ps.weights
 
     def objective(v):
@@ -306,19 +278,8 @@ def _discrete_brute_force(ps: PointSet) -> Point2:
     total = float(w.sum())
     start = np.array([np.sum(w * pts[:, 0]) / total, np.sum(w * pts[:, 1]) / total])
     diam = max(ps.diameter, 1e-12)
-    res = minimize(objective, start, method="Nelder-Mead",
-                   options={"xatol": 1e-12 * diam, "fatol": 1e-15, "maxiter": 2000, "maxfev": 3000})
-    best, fbest = np.asarray(res.x), float(res.fun)
-    half = 1e-3 * diam
-    for _ in range(3):
-        offs = np.linspace(-half, half, 11)
-        gx, gy = np.meshgrid(best[0] + offs, best[1] + offs)
-        for cand in np.stack([gx.ravel(), gy.ravel()], axis=1):
-            f = objective(cand)
-            if f < fbest:
-                best, fbest = cand.copy(), f
-        half /= 10.0
-    return Point2(float(best[0]), float(best[1]))
+    options = {"xatol": 1e-12 * diam, "fatol": 1e-15, "maxiter": 2000, "maxfev": 3000}
+    return _brute_force_minimize(objective, start, diam, options)
 
 
 def cmd_discrete(args) -> int:
@@ -327,22 +288,7 @@ def cmd_discrete(args) -> int:
         raise RegionFileError("the discrete command needs a 'points' region file")
     ps = inp.point_set
     result = weiszfeld(ps, tol=args.tol, max_iter=args.max_iter)
-    report = {
-        "median": [result.median.x, result.median.y],
-        "residual_norm": result.residual_norm,
-        "normalized_norm": result.normalized_norm,
-        "iterations": result.iterations,
-        "edge_means": [],
-    }
-    if args.oracle:
-        minimizer = _discrete_brute_force(ps)
-        report["oracle_check"] = {
-            "minimizer": [minimizer.x, minimizer.y],
-            "distance_to_median": minimizer.distance_to(result.median),
-        }
-    _emit(report, args.json_out)
-    _maybe_svg(args, None, result.median, result.trace, points=ps.coords)
-    return 0 if result.converged else 2
+    return _finish(args, result, lambda: _discrete_brute_force(ps), points=ps.coords)
 
 
 def cmd_degenerate(args) -> int:

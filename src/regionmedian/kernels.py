@@ -192,14 +192,8 @@ def segment_sigma_quadrature(
     if length == 0.0:
         return SegmentIntegral.from_value(0.0, 0.0)
 
-    if kernel.kind is KernelKind.CUSTOM:
-        ev = kernel.evaluator
-
-        def integrand(t: float) -> float:
-            return float(ev(Vector2(ax + t * ex - x.x, ay + t * ey - x.y)))
-    else:
-        def integrand(t: float) -> float:
-            return kernel(Vector2(ax + t * ex - x.x, ay + t * ey - x.y))
+    def integrand(t: float) -> float:
+        return kernel(Vector2(ax + t * ex - x.x, ay + t * ey - x.y))
 
     wx, wy = x.x - ax, x.y - ay
     sq = length * length

@@ -110,38 +110,12 @@ def oracle_sigma(
     return OracleValue(fine, abs(fine - coarse))
 
 
-def oracle_minimize(
-    poly: Polygon,
-    kernel: Optional[RadialKernel] = None,
-    cfg: Optional[OracleConfig] = None,
-) -> Point2:
-    """Brute-force minimizer of the area objective.
-
-    Nelder-Mead from the area centroid, then three local grid passes
-    (11 by 11, half-width shrinking by 10 each pass) around the incumbent
-    best. Fully deterministic.
+def _brute_force_minimize(objective, start: np.ndarray, diam: float, options: dict) -> Point2:
+    """Nelder-Mead from ``start`` with the given options, then three local
+    grid passes (11 by 11, half-width 1e-3 * diam shrinking by 10 each
+    pass) around the incumbent best. Fully deterministic.
     """
-    kernel = kernel or RadialKernel.euclidean()
-    cfg = cfg or OracleConfig()
-    diam = poly.diameter
-
-    def objective(p) -> float:
-        return float(oracle_sigma(poly, Point2(float(p[0]), float(p[1])), kernel, cfg))
-
-    c = poly.centroid
-    start = np.array([c.x, c.y])
-    f0 = objective(start)
-    res = minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-10 * diam,
-            "fatol": 1e-14 * (1.0 + abs(f0)),
-            "maxiter": 800,
-            "maxfev": 1200,
-        },
-    )
+    res = minimize(objective, start, method="Nelder-Mead", options=options)
     best = np.asarray(res.x, dtype=float)
     fbest = float(res.fun)
     half_width = 1e-3 * diam
@@ -155,6 +129,35 @@ def oracle_minimize(
                 best, fbest = cand.copy(), f
         half_width /= 10.0
     return Point2(float(best[0]), float(best[1]))
+
+
+def oracle_minimize(
+    poly: Polygon,
+    kernel: Optional[RadialKernel] = None,
+    cfg: Optional[OracleConfig] = None,
+) -> Point2:
+    """Brute-force minimizer of the area objective.
+
+    Nelder-Mead from the area centroid, then shrinking grid passes (see
+    ``_brute_force_minimize``).
+    """
+    kernel = kernel or RadialKernel.euclidean()
+    cfg = cfg or OracleConfig()
+    diam = poly.diameter
+
+    def objective(p) -> float:
+        return float(oracle_sigma(poly, Point2(float(p[0]), float(p[1])), kernel, cfg))
+
+    c = poly.centroid
+    start = np.array([c.x, c.y])
+    f0 = objective(start)
+    options = {
+        "xatol": 1e-10 * diam,
+        "fatol": 1e-14 * (1.0 + abs(f0)),
+        "maxiter": 800,
+        "maxfev": 1200,
+    }
+    return _brute_force_minimize(objective, start, diam, options)
 
 
 def oracle_sigma_mc(

@@ -9,17 +9,9 @@ Two assemblies of the same first-order condition:
 
 For the Euclidean kernel on the same polygon the two are 90 degree
 rotations of one another: normal form = rotate90(tangential form, -1).
-
-Sign conventions, fixed once for counterclockwise loops:
-
-* objective gradient = rotate90(tangential residual, +1), so the
-  ``gradient`` field of a ``polygon_residual`` report is the true
-  gradient of the area-integrated distance objective;
-* the normal form equals minus that gradient, so for reports produced
-  by ``general_boundary_residual`` the true objective gradient is
-  ``-residual`` (the ``gradient`` field is still the mechanical
-  rotate90(residual, +1), which for this form reproduces the
-  tangential residual).
+Either way the report's ``gradient`` is the true gradient of the
+area-integrated objective, for counterclockwise loops: rotate90 of the
+tangential residual by +1, and minus the normal-form residual.
 """
 from __future__ import annotations
 
@@ -46,7 +38,8 @@ __all__ = [
 class ResidualReport:
     """A residual vector at a query point, with derived quantities.
 
-    ``gradient`` is always rotate90(residual, +1). ``normalized_norm``
+    ``gradient`` is the objective gradient at the query point; it has the
+    residual's norm and roots. ``normalized_norm``
     is the residual norm divided by the squared region diameter, which
     makes solver tolerances scale-free for the Euclidean kernel.
     """
@@ -58,11 +51,13 @@ class ResidualReport:
     normalized_norm: float
 
     @classmethod
-    def assemble(cls, residual: Vector2, edge_means: Sequence[float], diam: float) -> "ResidualReport":
+    def assemble(
+        cls, residual: Vector2, gradient: Vector2, edge_means: Sequence[float], diam: float
+    ) -> "ResidualReport":
         norm = residual.norm
         return cls(
             residual=residual,
-            gradient=rotate90(residual, 1),
+            gradient=gradient,
             edge_means=tuple(float(m) for m in edge_means),
             norm=norm,
             normalized_norm=norm / (diam * diam),
@@ -86,7 +81,8 @@ def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
     for i in range(len(c)):
         rx += means[i] * e[i, 0]
         ry += means[i] * e[i, 1]
-    return ResidualReport.assemble(Vector2(rx, ry), means, poly.diameter)
+    r = Vector2(rx, ry)
+    return ResidualReport.assemble(r, rotate90(r, 1), means, poly.diameter)
 
 
 def general_boundary_residual(
@@ -101,8 +97,7 @@ def general_boundary_residual(
     polyline approximating a curved boundary); loops are normalized to
     counterclockwise order, for which the outward unit normal of an edge
     is rotate90(edge direction, -1). Each edge integral is evaluated by
-    adaptive quadrature to the given tolerance. The true objective
-    gradient for this form is ``-residual`` (see module docstring).
+    adaptive quadrature to the given tolerance.
     """
     poly = as_polygon(boundary)
     rx = 0.0
@@ -119,7 +114,7 @@ def general_boundary_residual(
             ny = -(b[0] - a[0]) / seg.segment_length
             rx += seg.value * nx
             ry += seg.value * ny
-    return ResidualReport.assemble(Vector2(rx, ry), means, poly.diameter)
+    return ResidualReport.assemble(Vector2(rx, ry), Vector2(-rx, -ry), means, poly.diameter)
 
 
 class CertificateResult(NamedTuple):

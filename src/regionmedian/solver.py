@@ -1,9 +1,9 @@
 """Damped Newton root-finding on boundary-integral residual fields.
 
-The median of a region is the unique root of the tangential residual
+The median of a region is the unique root of the objective gradient
 (strict convexity of the underlying objective guarantees uniqueness for
-the Euclidean kernel). The solver drives that residual, or the normal
-form for general kernels, with a finite-difference Jacobian, backtracking
+the Euclidean kernel). Both residual routes report that gradient; the
+solver drives it with a finite-difference Jacobian, backtracking
 damping, and a gradient-descent fallback when the Jacobian degenerates.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidTriangleError, SingularRegionError
-from .geometry import Point2, Polygon, as_polygon, rotate90
+from .geometry import Point2, Polygon, as_polygon
 from .kernels import KernelKind, RadialKernel
 from .residuals import (
     ResidualReport,
@@ -27,6 +27,10 @@ from .residuals import (
 __all__ = ["SolveConfig", "SolveResult", "solve_median", "solve_medianoid", "degenerate_limit_study"]
 
 _SINGULAR_COND = 1e12
+_BACKTRACK_FACTOR = 0.5
+_MIN_STEP = 1e-10
+# edge quadrature tolerance for general kernels
+_QUAD_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -35,16 +39,12 @@ class SolveConfig:
 
     tol_rel thresholds the scale-free normalized residual norm;
     fd_step_rel sets the Jacobian finite-difference step as a fraction of
-    the region diameter; quad_tol is forwarded to edge quadratures when a
-    general kernel is in play.
+    the region diameter.
     """
 
     tol_rel: float = 1e-12
     max_iter: int = 100
     fd_step_rel: float = 1e-7
-    backtrack_factor: float = 0.5
-    min_step: float = 1e-10
-    quad_tol: float = 1e-13
 
     def __post_init__(self) -> None:
         if not (self.tol_rel > 0.0):
@@ -53,12 +53,6 @@ class SolveConfig:
             raise ValueError("max_iter must be >= 1")
         if not (0.0 < self.fd_step_rel < 1.0):
             raise ValueError("fd_step_rel must be in (0, 1)")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if not (self.min_step > 0.0):
-            raise ValueError("min_step must be > 0")
-        if not (self.quad_tol > 0.0):
-            raise ValueError("quad_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,8 @@ class SolveResult:
     ``certificate`` carries the mean-distance spread for triangular
     regions under the Euclidean kernel, None otherwise. ``local`` marks
     results for custom kernels, where convexity (and thus global
-    uniqueness of the root) is not guaranteed.
+    uniqueness of the root) is not guaranteed. ``edge_means`` are the
+    mean kernel values along each boundary edge at the reported median.
     """
 
     median: Point2
@@ -81,61 +76,7 @@ class SolveResult:
     certificate: Optional[float] = None
     converged: bool = True
     local: bool = False
-
-
-def _newton_root(
-    residual_fn: Callable[[Point2], ResidualReport],
-    start: Point2,
-    diam: float,
-    cfg: SolveConfig,
-) -> Tuple[Point2, int, ResidualReport, List[Tuple[Point2, float]], bool]:
-    x = np.array([start.x, start.y], dtype=float)
-    h = cfg.fd_step_rel * diam
-
-    def rep_at(v: np.ndarray) -> ResidualReport:
-        return residual_fn(Point2(float(v[0]), float(v[1])))
-
-    rep = rep_at(x)
-    trace: List[Tuple[Point2, float]] = [(Point2(float(x[0]), float(x[1])), rep.normalized_norm)]
-    iterations = 0
-    converged = rep.normalized_norm <= cfg.tol_rel
-    while not converged and iterations < cfg.max_iter:
-        r = rep.residual.as_array()
-        jac = np.empty((2, 2), dtype=float)
-        for k, ek in enumerate((np.array([h, 0.0]), np.array([0.0, h]))):
-            plus = rep_at(x + ek).residual
-            minus = rep_at(x - ek).residual
-            jac[0, k] = (plus.dx - minus.dx) / (2.0 * h)
-            jac[1, k] = (plus.dy - minus.dy) / (2.0 * h)
-        use_fallback = not np.all(np.isfinite(jac))
-        if not use_fallback:
-            cond = np.linalg.cond(jac)
-            use_fallback = not math.isfinite(cond) or cond > _SINGULAR_COND
-        if use_fallback:
-            # descend along minus the gradient field; scale by the
-            # diameter to get a step with length units
-            g = rep.gradient.as_array()
-            gn = math.hypot(g[0], g[1])
-            step = -g / max(gn, 1e-300) * min(0.25 * diam, gn / diam)
-        else:
-            step = np.linalg.solve(jac, -r)
-
-        t = 1.0
-        accepted = None
-        while t >= cfg.min_step:
-            cand = x + t * step
-            cand_rep = rep_at(cand)
-            if cand_rep.norm < rep.norm:
-                accepted = (cand, cand_rep)
-                break
-            t *= cfg.backtrack_factor
-        if accepted is None:
-            break  # stagnation: no damped step reduces the residual
-        x, rep = accepted
-        iterations += 1
-        trace.append((Point2(float(x[0]), float(x[1])), rep.normalized_norm))
-        converged = rep.normalized_norm <= cfg.tol_rel
-    return Point2(float(x[0]), float(x[1])), iterations, rep, trace, converged
+    edge_means: Tuple[float, ...] = ()
 
 
 def _validated_region(region) -> Polygon:
@@ -145,59 +86,70 @@ def _validated_region(region) -> Polygon:
         raise SingularRegionError(f"not a usable region: {exc}") from exc
 
 
-def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
-    """Geometric median of a polygonal region (Euclidean kernel).
+def _newton_root(
+    region,
+    residual_fn: Callable[[Polygon, Point2], ResidualReport],
+    cfg: Optional[SolveConfig],
+    certify: bool,
+    local: bool = False,
+) -> SolveResult:
+    """Damped Newton on the report gradient, from the area centroid.
 
-    Newton on the tangential residual, initialized at the area centroid.
+    ``certify`` attaches the triangle certificate, which holds for the
+    Euclidean kernel only.
     """
     cfg = cfg or SolveConfig()
-    polygon = _validated_region(poly)
+    polygon = _validated_region(region)
     diam = polygon.diameter
+    x = polygon.centroid.as_array()
+    h = cfg.fd_step_rel * diam
 
-    def residual_fn(p: Point2) -> ResidualReport:
-        return polygon_residual(polygon, p)
+    def rep_at(v: np.ndarray) -> ResidualReport:
+        return residual_fn(polygon, Point2(float(v[0]), float(v[1])))
 
-    median, iterations, rep, trace, converged = _newton_root(
-        residual_fn, polygon.centroid, diam, cfg
-    )
-    certificate = (
-        mean_distance_certificate(polygon, median).spread if len(polygon) == 3 else None
-    )
-    return SolveResult(
-        median=median,
-        iterations=iterations,
-        residual_norm=rep.norm,
-        normalized_norm=rep.normalized_norm,
-        trace=tuple(trace),
-        certificate=certificate,
-        converged=converged,
-    )
+    rep = rep_at(x)
+    trace: List[Tuple[Point2, float]] = [(Point2(float(x[0]), float(x[1])), rep.normalized_norm)]
+    iterations = 0
+    converged = rep.normalized_norm <= cfg.tol_rel
+    while not converged and iterations < cfg.max_iter:
+        g = rep.gradient.as_array()
+        jac = np.empty((2, 2), dtype=float)
+        for k, ek in enumerate((np.array([h, 0.0]), np.array([0.0, h]))):
+            plus = rep_at(x + ek).gradient
+            minus = rep_at(x - ek).gradient
+            jac[0, k] = (plus.dx - minus.dx) / (2.0 * h)
+            jac[1, k] = (plus.dy - minus.dy) / (2.0 * h)
+        use_fallback = not np.all(np.isfinite(jac))
+        if not use_fallback:
+            cond = np.linalg.cond(jac)
+            use_fallback = not math.isfinite(cond) or cond > _SINGULAR_COND
+        if use_fallback:
+            # descend along minus the gradient; scale by the diameter to
+            # get a step with length units
+            gn = math.hypot(g[0], g[1])
+            step = -g / max(gn, 1e-300) * min(0.25 * diam, gn / diam)
+        else:
+            step = np.linalg.solve(jac, -g)
 
-
-def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] = None) -> SolveResult:
-    """Medianoid of a region for a general radial kernel.
-
-    Same Newton scheme, driven by the normal-form boundary residual.
-    Accepts a Polygon or a sampled polyline loop for the boundary.
-    """
-    cfg = cfg or SolveConfig()
-    polygon = _validated_region(boundary)
-    diam = polygon.diameter
-
-    def residual_fn(p: Point2) -> ResidualReport:
-        rep = general_boundary_residual(polygon, p, kernel, tol=cfg.quad_tol)
-        # rotate the normal-form residual into tangential convention so
-        # the report's gradient is the true objective gradient; the
-        # rotation is orthogonal, so it moves no roots and leaves the
-        # Newton system's conditioning alone
-        return ResidualReport.assemble(rotate90(rep.residual, 1), rep.edge_means, diam)
-
-    median, iterations, rep, trace, converged = _newton_root(
-        residual_fn, polygon.centroid, diam, cfg
-    )
+        t = 1.0
+        accepted = None
+        while t >= _MIN_STEP:
+            cand = x + t * step
+            cand_rep = rep_at(cand)
+            if cand_rep.norm < rep.norm:
+                accepted = (cand, cand_rep)
+                break
+            t *= _BACKTRACK_FACTOR
+        if accepted is None:
+            break  # stagnation: no damped step reduces the residual
+        x, rep = accepted
+        iterations += 1
+        trace.append((Point2(float(x[0]), float(x[1])), rep.normalized_norm))
+        converged = rep.normalized_norm <= cfg.tol_rel
+    median = Point2(float(x[0]), float(x[1]))
     certificate = (
         mean_distance_certificate(polygon, median).spread
-        if len(polygon) == 3 and kernel.is_euclidean
+        if certify and len(polygon) == 3
         else None
     )
     return SolveResult(
@@ -208,7 +160,32 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
         trace=tuple(trace),
         certificate=certificate,
         converged=converged,
-        local=kernel.kind is KernelKind.CUSTOM,
+        local=local,
+        edge_means=rep.edge_means,
+    )
+
+
+def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
+    """Geometric median of a polygonal region (Euclidean kernel).
+
+    Newton on the tangential residual's gradient, initialized at the
+    area centroid.
+    """
+    return _newton_root(poly, polygon_residual, cfg, certify=True)
+
+
+def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] = None) -> SolveResult:
+    """Medianoid of a region for a general radial kernel.
+
+    Same Newton scheme, driven by the normal-form boundary residual.
+    Accepts a Polygon or a sampled polyline loop for the boundary.
+    """
+
+    def residual_fn(polygon: Polygon, p: Point2) -> ResidualReport:
+        return general_boundary_residual(polygon, p, kernel, tol=_QUAD_TOL)
+
+    return _newton_root(
+        boundary, residual_fn, cfg, certify=kernel.is_euclidean, local=kernel.kind is KernelKind.CUSTOM
     )
 
 

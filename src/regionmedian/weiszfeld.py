@@ -80,7 +80,9 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     less than tol times the set diameter. An iterate that lands on a data
     point is resolved by the exact optimality test there (the pull of the
     remaining points against the point's own weight) and either stops at
-    the point or steps off along the descent direction. The reported
+    the point or steps off along the descent direction. A step that
+    raises the objective (rounding at most, in exact arithmetic none
+    does) stops the run unconverged at the previous iterate. The reported
     residual_norm is the norm of the objective's (sub)gradient at the
     result; normalized_norm divides it by the total weight.
     """
@@ -144,7 +146,10 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
                 [float(np.sum(inv * pts[:, 0]) / denom), float(np.sum(inv * pts[:, 1]) / denom)]
             )
         new_obj = _objective(ps, x_new)
-        assert new_obj <= obj * (1.0 + 1e-12) + 1e-300, "objective increased along Weiszfeld step"
+        if not new_obj <= obj * (1.0 + 1e-12) + 1e-300:
+            # the objective rose: stop unconverged at the last good iterate
+            iterations -= 1
+            break
         moved = math.hypot(x_new[0] - x[0], x_new[1] - x[1])
         x, obj = x_new, new_obj
         trace.append((Point2(x[0], x[1]), subgrad_norm(x) / total_w))

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regionmedian import Point2, Polygon, RadialKernel
 from regionmedian.cli import _fmt_number, main
+from regionmedian.oracle import oracle_sigma
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -82,21 +84,13 @@ def test_starved_iteration_budget_exits_two(capsys):
     assert report["normalized_norm"] > 1e-12
 
 
-def test_oracle_flag_cross_checks_the_median(capsys, monkeypatch):
-    monkeypatch.setenv("REGION_MEDIAN_SEED", "7")
+def test_oracle_flag_cross_checks_the_median(capsys):
     code, out, _ = run(capsys, "median", str(DATA / "t345.json"), "--oracle")
     assert code == 0
     report = json.loads(out)
     check = report["oracle_check"]
     assert len(check["minimizer"]) == 2
     assert check["distance_to_median"] < 1e-6 * 5.0
-
-
-def test_bad_seed_env_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("REGION_MEDIAN_SEED", "not-a-seed")
-    code, _, err = run(capsys, "median", str(DATA / "t345.json"), "--oracle")
-    assert code == 1
-    assert "REGION_MEDIAN_SEED" in err
 
 
 def test_medianoid_kernel_from_file(capsys):
@@ -170,6 +164,23 @@ def test_check_at_the_median_shows_balance(capsys):
     report = json.loads(out)
     assert report["normalized_norm"] < 1e-12
     assert report["certificate_spread"] < 1e-9
+
+
+def test_check_gradient_is_the_area_objective_slope(capsys):
+    # the file's power-2 kernel takes the normal-form residual route
+    code, out, _ = run(capsys, "check", str(DATA / "power2_region.json"), "--point", "1.5,1.0")
+    assert code == 0
+    grad = json.loads(out)["gradient"]
+    poly = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
+    kernel = RadialKernel.power(2.0)
+    h = 1e-5 * poly.diameter
+
+    def sigma(x, y):
+        return float(oracle_sigma(poly, Point2(x, y), kernel))
+
+    gx = (sigma(1.5 + h, 1.0) - sigma(1.5 - h, 1.0)) / (2 * h)
+    gy = (sigma(1.5, 1.0 + h) - sigma(1.5, 1.0 - h)) / (2 * h)
+    assert math.hypot(grad[0] - gx, grad[1] - gy) / math.hypot(gx, gy) < 1e-6
 
 
 def test_check_rejects_malformed_points(capsys):

@@ -65,16 +65,23 @@ def test_triangle_matches_hand_assembled_sum():
 def test_gradient_matches_area_integral_slope():
     """Central differences of the area objective reproduce the gradient.
 
-    The step is 1e-5 of the diameter; the area integrals come from the
-    independent triangulated quadrature route.
+    Both residual routes are checked: the closed-form tangential one and
+    the normal form under a power-3 kernel. The step is 1e-5 of the
+    diameter; the area integrals come from the independent triangulated
+    quadrature route.
     """
     c = T345.centroid
     h = 1e-5 * T345.diameter
-    rep = polygon_residual(T345, Point2(c.x, c.y))
-    gx = (oracle_sigma(T345, Point2(c.x + h, c.y)) - oracle_sigma(T345, Point2(c.x - h, c.y))) / (2 * h)
-    gy = (oracle_sigma(T345, Point2(c.x, c.y + h)) - oracle_sigma(T345, Point2(c.x, c.y - h))) / (2 * h)
-    dev = math.hypot(rep.gradient.dx - gx, rep.gradient.dy - gy)
-    assert dev / math.hypot(gx, gy) < 1e-5
+    power3 = RadialKernel.power(3.0)
+    routes = [
+        (polygon_residual(T345, c), None),
+        (general_boundary_residual(T345, c, power3, tol=1e-12), power3),
+    ]
+    for rep, kernel in routes:
+        gx = (oracle_sigma(T345, Point2(c.x + h, c.y), kernel) - oracle_sigma(T345, Point2(c.x - h, c.y), kernel)) / (2 * h)
+        gy = (oracle_sigma(T345, Point2(c.x, c.y + h), kernel) - oracle_sigma(T345, Point2(c.x, c.y - h), kernel)) / (2 * h)
+        dev = math.hypot(rep.gradient.dx - gx, rep.gradient.dy - gy)
+        assert dev / math.hypot(gx, gy) < 1e-5
 
 
 def test_gradient_slope_property_random_regions():

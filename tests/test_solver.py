@@ -177,8 +177,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(max_iter=0)
     with pytest.raises(ValueError):
-        SolveConfig(backtrack_factor=1.5)
-    with pytest.raises(ValueError):
         SolveConfig(fd_step_rel=0.0)
 
 

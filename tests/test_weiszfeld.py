@@ -1,5 +1,7 @@
 """Weighted point medians and the sampled-region fallback."""
 
+import importlib
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,9 @@ import pytest
 from regionmedian import EmptySampleError, Point2, Polygon
 from regionmedian.solver import solve_median
 from regionmedian.weiszfeld import PointSet, region_median_by_sampling, weiszfeld
+
+# the package re-exports the function under the module's name
+weiszfeld_module = importlib.import_module("regionmedian.weiszfeld")
 
 
 def _objective(ps, x, y):
@@ -133,3 +138,16 @@ def test_empty_sample_raises():
         region_median_by_sampling(sliver, 2)
     with pytest.raises(ValueError):
         region_median_by_sampling(sliver, 1)
+
+
+def test_rising_objective_stops_unconverged_at_the_last_good_iterate(monkeypatch):
+    # an objective that grows on every evaluation makes the first step
+    # an increase; the run must stop at its start, not raise
+    values = itertools.count()
+    monkeypatch.setattr(weiszfeld_module, "_objective", lambda ps, x: float(next(values)))
+    ps = PointSet([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (1.0, 1.0)])
+    res = weiszfeld(ps)
+    assert not res.converged
+    assert res.iterations == 0
+    assert (res.median.x, res.median.y) == (1.25, 1.0)
+    assert len(res.trace) == 1
