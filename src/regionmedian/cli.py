@@ -20,14 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    EmptySampleError,
-    InvalidPolygonError,
-    InvalidTriangleError,
-    NonConvergenceError,
-    RegionFileError,
-    SingularRegionError,
-)
+from .errors import RegionFileError, RegionMedianError
 from .geometry import Point2, Polygon
 from .kernels import RadialKernel
 from .oracle import _brute_force_minimize, oracle_minimize
@@ -35,15 +28,6 @@ from .residuals import general_boundary_residual, mean_distance_certificate, pol
 from .solver import SolveConfig, degenerate_limit_study, solve_median, solve_medianoid
 from .svg import region_figure
 from .weiszfeld import PointSet, weiszfeld
-
-_INPUT_ERRORS = (
-    RegionFileError,
-    InvalidPolygonError,
-    InvalidTriangleError,
-    SingularRegionError,
-    EmptySampleError,
-    NonConvergenceError,
-)
 
 
 # ---------------------------------------------------------------- JSON out
@@ -156,8 +140,7 @@ def _coord_list(raw, label: str) -> np.ndarray:
 class RegionInput:
     """Parsed content of a region file."""
 
-    def __init__(self, form: str, polygon: Optional[Polygon], point_set: Optional[PointSet], kernel: Optional[RadialKernel]):
-        self.form = form
+    def __init__(self, polygon: Optional[Polygon], point_set: Optional[PointSet], kernel: Optional[RadialKernel]):
         self.polygon = polygon
         self.point_set = point_set
         self.kernel = kernel
@@ -190,11 +173,11 @@ def load_region_file(path: str) -> RegionInput:
             ps = PointSet(coords, weights)
         except ValueError as exc:
             raise RegionFileError(str(exc)) from exc
-        return RegionInput(form, None, ps, kernel)
+        return RegionInput(None, ps, kernel)
 
     coords = _coord_list(data[form], form)
     poly = Polygon(coords)  # InvalidPolygonError propagates with its message
-    return RegionInput(form, poly, None, kernel)
+    return RegionInput(poly, None, kernel)
 
 
 def _require_region(inp: RegionInput, cmd: str) -> Polygon:
@@ -388,10 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (RegionMedianError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

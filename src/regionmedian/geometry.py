@@ -200,11 +200,12 @@ class Polygon:
     The constructor validates the loop (no repeated consecutive vertices,
     no self-intersection, strictly nonzero area) and normalizes the vertex
     order to counterclockwise. ``was_reversed`` records whether the input
-    arrived clockwise. Instances are immutable; derived quantities (area,
-    centroid, diameter) are computed once and cached.
+    arrived clockwise. Instances are immutable; derived quantities (edge
+    vectors and lengths, area, centroid, diameter) are computed once.
     """
 
-    __slots__ = ("_coords", "was_reversed", "_area", "_centroid", "_diameter", "_convex")
+    __slots__ = ("_coords", "_edge_vectors", "_edge_lengths", "was_reversed",
+                 "_area", "_centroid", "_diameter", "_convex")
 
     def __init__(self, vertices: Iterable) -> None:
         coords = _coerce_coords(vertices)
@@ -225,8 +226,13 @@ class Polygon:
         if reversed_input:
             coords = coords[::-1].copy()
             area = -area
-        coords.setflags(write=False)
+        edges = np.roll(coords, -1, axis=0) - coords
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        for arr in (coords, edges, lengths):
+            arr.setflags(write=False)
         self._coords = coords
+        self._edge_vectors = edges
+        self._edge_lengths = lengths
         self.was_reversed = reversed_input
         self._area = area
         self._centroid = None
@@ -237,6 +243,16 @@ class Polygon:
     def coords(self) -> np.ndarray:
         """Read-only (n, 2) float array of vertices, counterclockwise."""
         return self._coords
+
+    @property
+    def edge_vectors(self) -> np.ndarray:
+        """Read-only (n, 2) array; row i runs from vertex i to vertex i + 1."""
+        return self._edge_vectors
+
+    @property
+    def edge_lengths(self) -> np.ndarray:
+        """Read-only (n,) array of the lengths of ``edge_vectors``."""
+        return self._edge_lengths
 
     @property
     def vertices(self) -> tuple:
@@ -269,19 +285,11 @@ class Polygon:
     @property
     def is_convex(self) -> bool:
         if self._convex is None:
-            c = self._coords
-            e = np.roll(c, -1, axis=0) - c
+            e = self._edge_vectors
             en = np.roll(e, -1, axis=0)
             cross = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
             self._convex = bool(np.all(cross >= 0.0))
         return self._convex
-
-    def edges(self):
-        """Yield (a, b) coordinate pairs for each directed edge."""
-        c = self._coords
-        cn = np.roll(c, -1, axis=0)
-        for i in range(len(c)):
-            yield c[i], cn[i]
 
     def contains(self, point, strict: bool = True) -> bool:
         p = _point_xy(point)

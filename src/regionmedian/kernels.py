@@ -76,12 +76,16 @@ class RadialKernel:
                 raise ValueError(f"custom kernel evaluator returned a non-finite value at {probe}")
         return cls(KernelKind.CUSTOM, evaluator=evaluator)
 
-    def __call__(self, d: Vector2) -> float:
+    def _at(self, dx: float, dy: float) -> float:
+        # the one scalar evaluation; only custom evaluators see a Vector2
         if self.kind is KernelKind.EUCLIDEAN:
-            return math.hypot(d.dx, d.dy)
+            return math.hypot(dx, dy)
         if self.kind is KernelKind.POWER_LAW:
-            return math.hypot(d.dx, d.dy) ** self.p
-        return float(self.evaluator(d))
+            return math.hypot(dx, dy) ** self.p
+        return float(self.evaluator(Vector2(dx, dy)))
+
+    def __call__(self, d: Vector2) -> float:
+        return self._at(d.dx, d.dy)
 
     def evaluate_many(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on arrays of displacement components."""
@@ -92,9 +96,8 @@ class RadialKernel:
         flat_dx = np.ravel(dx)
         flat_dy = np.ravel(dy)
         out = np.empty(flat_dx.shape, dtype=float)
-        ev = self.evaluator
         for i in range(flat_dx.size):
-            out[i] = float(ev(Vector2(flat_dx[i], flat_dy[i])))
+            out[i] = self._at(flat_dx[i], flat_dy[i])
         return out.reshape(np.shape(dx))
 
     @property
@@ -193,7 +196,7 @@ def segment_sigma_quadrature(
         return SegmentIntegral.from_value(0.0, 0.0)
 
     def integrand(t: float) -> float:
-        return kernel(Vector2(ax + t * ex - x.x, ay + t * ey - x.y))
+        return kernel._at(ax + t * ex - x.x, ay + t * ey - x.y)
 
     wx, wy = x.x - ax, x.y - ay
     sq = length * length

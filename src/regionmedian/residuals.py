@@ -1,23 +1,21 @@
 """Boundary-integral residual fields whose roots are medians.
 
-Two assemblies of the same first-order condition:
+One rule for every kernel k: with m_i the mean of k(P - x) along edge i
+of the counterclockwise loop and e_i its edge vector, the gradient of
+the area objective (integral of k(P - x) dA) is rotate90(T, +1), where
+T = sum_i m_i e_i. The two routes differ only in how the means are
+evaluated: ``polygon_residual`` uses the closed form (Euclidean kernel)
+and reports T, the tangential form; ``general_boundary_residual`` uses
+adaptive quadrature (any kernel) and reports rotate90(T, -1), the normal
+form, which is the integral of k(P - x) times the outward unit normal.
 
-* ``polygon_residual`` sums mean-edge-distance weighted edge vectors
-  (the tangential form, Euclidean kernel, closed-form integrals).
-* ``general_boundary_residual`` integrates kernel(P - x) times the
-  outward unit normal over the loop (the normal form, any kernel).
-
-For the Euclidean kernel on the same polygon the two are 90 degree
-rotations of one another: normal form = rotate90(tangential form, -1).
-Either way the report's ``gradient`` is the true gradient of the
-area-integrated objective, for counterclockwise loops: rotate90 of the
-tangential residual by +1, and minus the normal-form residual.
+For a triangle T vanishes exactly when the three means are equal; that
+is the certificate of ``mean_distance_certificate``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -52,37 +50,39 @@ class ResidualReport:
 
     @classmethod
     def assemble(
-        cls, residual: Vector2, gradient: Vector2, edge_means: Sequence[float], diam: float
+        cls, residual: Vector2, gradient: Vector2, edge_means: np.ndarray, diam: float
     ) -> "ResidualReport":
         norm = residual.norm
         return cls(
             residual=residual,
             gradient=gradient,
-            edge_means=tuple(float(m) for m in edge_means),
+            edge_means=tuple(edge_means.tolist()),
             norm=norm,
             normalized_norm=norm / (diam * diam),
         )
 
 
-def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
-    """Tangential residual: sum of (mean edge distance) times edge vector.
-
-    Uses the closed-form segment integrals; edges are accumulated left to
-    right in storage order so results are bit-reproducible.
-    """
+def _closed_means(poly: Polygon, x: Point2) -> np.ndarray:
+    """Mean distance from x along each edge, from the closed form."""
     c = poly.coords
-    cn = np.roll(c, -1, axis=0)
-    values = closed_values_batch(c, cn, (x.x, x.y))
-    e = cn - c
-    lengths = np.hypot(e[:, 0], e[:, 1])
-    means = values / lengths
-    rx = 0.0
-    ry = 0.0
-    for i in range(len(c)):
-        rx += means[i] * e[i, 0]
-        ry += means[i] * e[i, 1]
-    r = Vector2(rx, ry)
-    return ResidualReport.assemble(r, rotate90(r, 1), means, poly.diameter)
+    return closed_values_batch(c, np.roll(c, -1, axis=0), (x.x, x.y)) / poly.edge_lengths
+
+
+def _report(poly: Polygon, means: np.ndarray, normal_form: bool) -> ResidualReport:
+    # T = sum of m_i e_i, accumulated left to right in storage order so
+    # results are bit-reproducible; the gradient is rotate90(T, +1)
+    t = np.cumsum(means[:, None] * poly.edge_vectors, axis=0)[-1]
+    tangential = Vector2(t[0], t[1])
+    residual = rotate90(tangential, -1) if normal_form else tangential
+    return ResidualReport.assemble(residual, rotate90(tangential, 1), means, poly.diameter)
+
+
+def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
+    """Tangential residual T: sum of (mean edge distance) times edge vector.
+
+    Uses the closed-form segment integrals of the Euclidean kernel.
+    """
+    return _report(poly, _closed_means(poly, x), normal_form=False)
 
 
 def general_boundary_residual(
@@ -91,30 +91,22 @@ def general_boundary_residual(
     kernel: RadialKernel,
     tol: float = 1e-10,
 ) -> ResidualReport:
-    """Normal-form residual: integral of kernel(P - x) times outward normal.
+    """Normal-form residual rotate90(T, -1), for any kernel.
 
+    This is the integral of kernel(P - x) times the outward unit normal.
     ``boundary`` may be a Polygon or any closed vertex loop (a sampled
     polyline approximating a curved boundary); loops are normalized to
-    counterclockwise order, for which the outward unit normal of an edge
-    is rotate90(edge direction, -1). Each edge integral is evaluated by
-    adaptive quadrature to the given tolerance.
+    counterclockwise order. Each edge mean is evaluated by adaptive
+    quadrature to the given tolerance.
     """
     poly = as_polygon(boundary)
-    rx = 0.0
-    ry = 0.0
-    means = []
-    for a, b in poly.edges():
-        seg = segment_sigma_quadrature(
-            Point2(a[0], a[1]), Point2(b[0], b[1]), x, kernel, tol=tol
-        )
-        means.append(seg.mean)
-        if seg.segment_length > 0.0:
-            # outward normal times edge length = rotate90(edge vector, -1)
-            nx = (b[1] - a[1]) / seg.segment_length
-            ny = -(b[0] - a[0]) / seg.segment_length
-            rx += seg.value * nx
-            ry += seg.value * ny
-    return ResidualReport.assemble(Vector2(rx, ry), Vector2(-rx, -ry), means, poly.diameter)
+    c = poly.coords
+    cn = np.roll(c, -1, axis=0)
+    means = np.array([
+        segment_sigma_quadrature(Point2(a[0], a[1]), Point2(b[0], b[1]), x, kernel, tol=tol).mean
+        for a, b in zip(c, cn)
+    ])
+    return _report(poly, means, normal_form=True)
 
 
 class CertificateResult(NamedTuple):
@@ -131,11 +123,7 @@ def mean_distance_certificate(tri: Polygon, x: Point2) -> CertificateResult:
     """
     if len(tri) != 3:
         raise InvalidTriangleError("certificate is defined for triangles only")
-    c = tri.coords
-    cn = np.roll(c, -1, axis=0)
-    values = closed_values_batch(c, cn, (x.x, x.y))
-    lengths = np.hypot(cn[:, 0] - c[:, 0], cn[:, 1] - c[:, 1])
-    means = values / lengths
+    means = _closed_means(tri, x)
     hi = float(means.max())
     lo = float(means.min())
     spread = (hi - lo) / hi if hi > 0.0 else 0.0

@@ -29,6 +29,8 @@ __all__ = ["SolveConfig", "SolveResult", "solve_median", "solve_medianoid", "deg
 _SINGULAR_COND = 1e12
 _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-10
+# Jacobian finite-difference step, as a fraction of the region diameter
+_FD_STEP_REL = 1e-7
 # edge quadrature tolerance for general kernels
 _QUAD_TOL = 1e-13
 
@@ -37,22 +39,17 @@ _QUAD_TOL = 1e-13
 class SolveConfig:
     """Newton iteration controls.
 
-    tol_rel thresholds the scale-free normalized residual norm;
-    fd_step_rel sets the Jacobian finite-difference step as a fraction of
-    the region diameter.
+    tol_rel thresholds the scale-free normalized residual norm.
     """
 
     tol_rel: float = 1e-12
     max_iter: int = 100
-    fd_step_rel: float = 1e-7
 
     def __post_init__(self) -> None:
         if not (self.tol_rel > 0.0):
             raise ValueError("tol_rel must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (0.0 < self.fd_step_rel < 1.0):
-            raise ValueError("fd_step_rel must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -79,9 +76,11 @@ class SolveResult:
     edge_means: Tuple[float, ...] = ()
 
 
-def _validated_region(region) -> Polygon:
+def _validated_region(region) -> Tuple[Polygon, float, np.ndarray]:
+    # overflow in the diameter or the centroid is an unusable region too
     try:
-        return as_polygon(region)
+        polygon = as_polygon(region)
+        return polygon, polygon.diameter, polygon.centroid.as_array()
     except Exception as exc:
         raise SingularRegionError(f"not a usable region: {exc}") from exc
 
@@ -99,10 +98,8 @@ def _newton_root(
     Euclidean kernel only.
     """
     cfg = cfg or SolveConfig()
-    polygon = _validated_region(region)
-    diam = polygon.diameter
-    x = polygon.centroid.as_array()
-    h = cfg.fd_step_rel * diam
+    polygon, diam, x = _validated_region(region)
+    h = _FD_STEP_REL * diam
 
     def rep_at(v: np.ndarray) -> ResidualReport:
         return residual_fn(polygon, Point2(float(v[0]), float(v[1])))

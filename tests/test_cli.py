@@ -62,6 +62,14 @@ def test_self_intersecting_region_exits_one(capsys):
     assert "self-intersecting" in err
 
 
+def test_overflowing_region_exits_one(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"polygon": [[0, 0], [3e150, 0], [3e150, 4e150]]}))
+    code, out, err = run(capsys, "median", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: not a usable region")
+
+
 def test_ambiguous_and_inconsistent_files_exit_one(capsys):
     code, _, err = run(capsys, "median", str(DATA / "both_forms.json"))
     assert code == 1 and "error:" in err

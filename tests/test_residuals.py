@@ -18,7 +18,7 @@ from regionmedian import (
     polygon_residual,
     rotate90,
 )
-from regionmedian.kernels import segment_sigma_closed
+from regionmedian.kernels import segment_sigma_closed, segment_sigma_quadrature
 from regionmedian.oracle import oracle_sigma
 
 
@@ -60,6 +60,34 @@ def test_triangle_matches_hand_assembled_sum():
     rep = polygon_residual(T345, x)
     assert rep.residual.dx == pytest.approx(rx, rel=1e-13)
     assert rep.residual.dy == pytest.approx(ry, rel=1e-13)
+
+
+def test_edge_means_and_gradient_follow_one_rule():
+    """Every route reports its edge means and the gradient rotate90(T, +1).
+
+    T is the sum of edge mean times edge vector. The closed-form route
+    and the quadrature route (Euclidean, power 1.5 and a custom kernel)
+    must agree with the single-segment integrals edge by edge.
+    """
+    poly = Polygon([(0.0, 0.0), (3.0, 0.0), (3.5, 2.0), (1.0, 4.0), (-0.5, 1.5)])
+    x = Point2(1.1, 1.3)
+    edges = list(zip(poly.vertices, poly.vertices[1:] + poly.vertices[:1]))
+    bowl = RadialKernel.custom(lambda v: 1.0 + v.dx * v.dx + 0.5 * v.dy * v.dy)
+    routes = [(polygon_residual(poly, x), [segment_sigma_closed(a, b, x) for a, b in edges])]
+    for kernel in (RadialKernel.euclidean(), RadialKernel.power(1.5), bowl):
+        rep = general_boundary_residual(poly, x, kernel, tol=1e-12)
+        routes.append((rep, [segment_sigma_quadrature(a, b, x, kernel, tol=1e-12) for a, b in edges]))
+    for rep, segs in routes:
+        assert rep.edge_means == pytest.approx([seg.mean for seg in segs], rel=1e-15)
+        tx = math.fsum(m * e[0] for m, e in zip(rep.edge_means, poly.edge_vectors))
+        ty = math.fsum(m * e[1] for m, e in zip(rep.edge_means, poly.edge_vectors))
+        want = rotate90(Vector2(tx, ty), 1)
+        dev = math.hypot(rep.gradient.dx - want.dx, rep.gradient.dy - want.dy)
+        assert dev <= 1e-13 * want.norm
+    for arr in (poly.edge_vectors, poly.edge_lengths):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_gradient_matches_area_integral_slope():

@@ -176,8 +176,6 @@ def test_config_validation():
         SolveConfig(tol_rel=0.0)
     with pytest.raises(ValueError):
         SolveConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolveConfig(fd_step_rel=0.0)
 
 
 def test_garbage_region_raises():
@@ -185,6 +183,16 @@ def test_garbage_region_raises():
         solve_median([(0.0, 0.0), (1.0, 1.0)])
     with pytest.raises(SingularRegionError):
         solve_median("not a region")
+
+
+def test_overflowing_region_is_a_singular_region():
+    # the 3-4-5 triangle scaled by 1e150 is a valid polygon, but its
+    # centroid overflows; that is a package error, not a bare ValueError
+    huge = [(0.0, 0.0), (3e150, 0.0), (3e150, 4e150)]
+    with pytest.raises(SingularRegionError, match="not a usable region"):
+        solve_median(huge)
+    with pytest.raises(SingularRegionError):
+        solve_medianoid(Polygon(huge), RadialKernel.power(3.0))
 
 
 def test_random_triangles_converge_with_tiny_spread():
