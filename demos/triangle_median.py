@@ -32,5 +32,5 @@ print("scan minimizer:    (%.9f, %.9f)" % (brute.x, brute.y))
 print("distance apart:    %.3e of a diameter-5 region" % gap)
 
 with open("triangle_median.svg", "w") as fh:
-    fh.write(region_figure(triangle.coords, result.median, trace=[p for p, _ in result.trace]))
+    fh.write(region_figure(triangle.coords, result.median, trace=result.trace))
 print("\nwrote triangle_median.svg (region, Newton trace, median cross)")

@@ -7,8 +7,8 @@ Subcommands:
   degenerate  flattening-limit study for triangles with shrinking third side
   check       evaluate the residual (and certificate) at a given point
 
-Exit codes: 0 success, 1 invalid input, 2 solver did not converge
-(the best iterate is still reported).
+Exit codes: 0 success, 1 invalid input or usage, 2 solver did not
+converge (the best iterate is still reported).
 """
 from __future__ import annotations
 
@@ -86,7 +86,7 @@ def dumps_report(obj) -> str:
     return "".join(out) + "\n"
 
 
-def _emit(report: dict, json_out: Optional[str]) -> None:
+def _emit(report: dict, json_out: Optional[str] = None) -> None:
     text = dumps_report(report)
     if json_out:
         with open(json_out, "w", encoding="utf-8") as fh:
@@ -98,15 +98,10 @@ def _emit(report: dict, json_out: Optional[str]) -> None:
 # ---------------------------------------------------------------- input
 
 def _parse_kernel_arg(text: str) -> RadialKernel:
+    # --kernel 'euclidean' or 'power:P' is the file's kernel object in short
     text = text.strip().lower()
-    if text == "euclidean":
-        return RadialKernel.euclidean()
-    if text.startswith("power:"):
-        try:
-            return RadialKernel.power(float(text.split(":", 1)[1]))
-        except ValueError as exc:
-            raise RegionFileError(f"bad kernel argument {text!r}: {exc}") from exc
-    raise RegionFileError(f"unknown kernel argument {text!r}; use 'euclidean' or 'power:P'")
+    kind, _, p = text.partition(":")
+    return _kernel_from_dict({"kind": kind, "p": p} if kind == "power" else {"kind": text})
 
 
 def _kernel_from_dict(d) -> RadialKernel:
@@ -206,7 +201,7 @@ def _solve_config(args) -> SolveConfig:
 
 
 def _maybe_svg(args, outline, median, trace, points=None) -> None:
-    if getattr(args, "svg_out", None):
+    if args.svg_out:
         with open(args.svg_out, "w", encoding="utf-8") as fh:
             fh.write(region_figure(outline, median, trace=trace, points=points))
 
@@ -292,7 +287,7 @@ def cmd_degenerate(args) -> int:
             for g, d in rows
         ],
     }
-    _emit(report, getattr(args, "json_out", None))
+    _emit(report)
     return 0
 
 
@@ -315,7 +310,7 @@ def cmd_check(args) -> int:
     }
     if len(poly) == 3 and kernel.is_euclidean:
         report["certificate_spread"] = mean_distance_certificate(poly, point).spread
-    _emit(report, getattr(args, "json_out", None))
+    _emit(report)
     return 0
 
 
@@ -329,8 +324,15 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--svg-out", metavar="PATH", help="write an SVG figure of the region and median")
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, but 2 means "did not converge"
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regionmedian",
         description="Geometric medians of planar regions via boundary-integral residuals.",
     )

@@ -1,10 +1,10 @@
 """Brute-force ground truth for region objectives.
 
-Evaluates the area integral of kernel(P - x) over a polygon by fixed
-order symmetric quadrature on a uniformly subdivided triangulation, with
-a Monte Carlo cross-check and a derivative-free minimizer. Slow and
-independent by design: nothing here shares code paths with the boundary
-residual solver it certifies.
+Evaluates the area integral of kernel(P - x) over a polygon by one
+degree-7 symmetric quadrature rule on a uniformly subdivided
+triangulation, with a Monte Carlo cross-check and a derivative-free
+minimizer. Slow and independent by design: nothing here shares code
+paths with the boundary residual solver it certifies.
 """
 from __future__ import annotations
 
@@ -17,32 +17,20 @@ from scipy.optimize import minimize
 
 from .geometry import Point2, Polygon
 from .kernels import RadialKernel
-from .triquad import (
-    SUPPORTED_ORDERS,
-    rule_points_weights,
-    signed_areas,
-    star_triangles,
-    subdivide4,
-    triangulate,
-)
+from .triquad import DEGREE7_RULE, signed_areas, star_triangles, subdivide4, triangulate
 
 __all__ = ["OracleConfig", "OracleValue", "MCEstimate", "oracle_sigma", "oracle_minimize", "oracle_sigma_mc"]
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    quad_order: int = 7
     refine_depth: int = 5
     mc_samples: int = 1_000_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.quad_order not in SUPPORTED_ORDERS:
-            raise ValueError(
-                f"quad_order must be one of {sorted(SUPPORTED_ORDERS)}, got {self.quad_order}"
-            )
-        if self.refine_depth < 0:
-            raise ValueError("refine_depth must be >= 0")
+        if self.refine_depth < 1:
+            raise ValueError("refine_depth must be >= 1")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be >= 2")
 
@@ -63,22 +51,31 @@ class MCEstimate(NamedTuple):
     stderr: float
 
 
-def _integrate_cells(tris: np.ndarray, x, kernel: RadialKernel, order: int) -> float:
+def _integrate_cells(tris: np.ndarray, x, kernel: RadialKernel) -> float:
     """Signed-area weighted quadrature sum over a stack of triangles."""
-    bary, weights = rule_points_weights(order)
+    bary, weights = DEGREE7_RULE
     areas = signed_areas(tris)
     pts = np.einsum("kj,mjc->mkc", bary, tris)
     vals = kernel.evaluate_many(pts[..., 0] - x[0], pts[..., 1] - x[1])
     return float(np.sum(areas * (vals @ weights)))
 
 
-def _base_triangulation(poly: Polygon, x) -> np.ndarray:
+def _cells(poly: Polygon, x, depth: int) -> np.ndarray:
+    """Base triangles of the polygon for query point x, each split into
+    4**depth cells by ``subdivide4``."""
     # a kink of |P - x| at an interior x ruins polynomial convergence if
     # it lands inside a cell; starring the polygon from x pins it to cell
     # corners, where symmetric rules behave best
-    if poly.contains(x, strict=True):
-        return star_triangles(poly, x)
-    return triangulate(poly)
+    tris = star_triangles(poly, x) if poly.contains(x, strict=True) else triangulate(poly)
+    for _ in range(depth):
+        tris = subdivide4(tris)
+    return tris
+
+
+def _probe(poly: Polygon, x, kernel: RadialKernel, depth: int) -> float:
+    """The value of ``oracle_sigma`` at refine_depth ``depth``, without
+    the coarser level that only its error estimate reads."""
+    return _integrate_cells(_cells(poly, x, depth), x, kernel)
 
 
 def oracle_sigma(
@@ -97,16 +94,9 @@ def oracle_sigma(
     kernel = kernel or RadialKernel.euclidean()
     cfg = cfg or OracleConfig()
     xv = (x.x, x.y) if isinstance(x, Point2) else (float(x[0]), float(x[1]))
-    tris = _base_triangulation(poly, xv)
-    coarse_depth = max(cfg.refine_depth - 1, 0)
-    for _ in range(coarse_depth):
-        tris = subdivide4(tris)
-    coarse = _integrate_cells(tris, xv, kernel, cfg.quad_order)
-    tris = subdivide4(tris)
-    fine = _integrate_cells(tris, xv, kernel, cfg.quad_order)
-    if cfg.refine_depth == 0:
-        # depth 0 has no coarser level; compare against depth 1 instead
-        return OracleValue(coarse, abs(fine - coarse))
+    tris = _cells(poly, xv, cfg.refine_depth - 1)
+    coarse = _integrate_cells(tris, xv, kernel)
+    fine = _integrate_cells(subdivide4(tris), xv, kernel)
     return OracleValue(fine, abs(fine - coarse))
 
 
@@ -146,7 +136,7 @@ def oracle_minimize(
     diam = poly.diameter
 
     def objective(p) -> float:
-        return float(oracle_sigma(poly, Point2(float(p[0]), float(p[1])), kernel, cfg))
+        return _probe(poly, (float(p[0]), float(p[1])), kernel, cfg.refine_depth)
 
     c = poly.centroid
     start = np.array([c.x, c.y])

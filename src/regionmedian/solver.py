@@ -77,10 +77,12 @@ class SolveResult:
 
 
 def _validated_region(region) -> Tuple[Polygon, float, np.ndarray]:
-    # overflow in the diameter or the centroid is an unusable region too
+    # overflow in the diameter or the centroid is an unusable region too;
+    # raising it keeps numpy's overflow warnings off stderr
     try:
         polygon = as_polygon(region)
-        return polygon, polygon.diameter, polygon.centroid.as_array()
+        with np.errstate(over="raise", invalid="raise"):
+            return polygon, polygon.diameter, polygon.centroid.as_array()
     except Exception as exc:
         raise SingularRegionError(f"not a usable region: {exc}") from exc
 

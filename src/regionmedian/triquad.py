@@ -1,8 +1,8 @@
-"""Symmetric triangle quadrature rules with subdivision and fan triangulation.
+"""A symmetric triangle quadrature rule with subdivision and fan triangulation.
 
-Rules are given in barycentric coordinates with weights summing to 1;
-integrating g over a triangle T of area A is A * sum(w_k * g(p_k)).
-Supported polynomial exactness degrees: 1, 2, 3, 4, 5, 7.
+The rule is exact for polynomials of degree 7. Its points are given in
+barycentric coordinates with weights summing to 1; integrating g over a
+triangle T of area A is A * sum(w_k * g(p_k)).
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from .geometry import Polygon
 
-__all__ = ["SUPPORTED_ORDERS", "rule_points_weights", "subdivide4", "triangulate", "star_triangles", "signed_areas"]
+__all__ = ["DEGREE7_RULE", "subdivide4", "triangulate", "star_triangles", "signed_areas"]
 
 
 def _orbit3(a: float, b: float):
@@ -21,58 +21,24 @@ def _orbit6(a: float, b: float, c: float):
     return [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]
 
 
-def _build_rules():
-    rules = {}
-    rules[1] = ([(1 / 3, 1 / 3, 1 / 3)], [1.0])
-
-    pts = _orbit3(2 / 3, 1 / 6)
-    rules[2] = (pts, [1 / 3] * 3)
-
-    pts = [(1 / 3, 1 / 3, 1 / 3)] + _orbit3(0.6, 0.2)
-    rules[3] = (pts, [-27 / 48] + [25 / 48] * 3)
-
-    pts = _orbit3(0.816847572980459, 0.091576213509771) + _orbit3(
-        0.108103018168070, 0.445948490915965
-    )
-    rules[4] = (pts, [0.109951743655322] * 3 + [0.223381589678011] * 3)
-
-    pts = (
-        [(1 / 3, 1 / 3, 1 / 3)]
-        + _orbit3(0.797426985353087, 0.101286507323456)
-        + _orbit3(0.059715871789770, 0.470142064105115)
-    )
-    rules[5] = (pts, [0.225] + [0.125939180544827] * 3 + [0.132394152788506] * 3)
-
-    pts = (
+# the 13-point rule exact to degree 7: barycentric points (13, 3) and
+# weights (13,)
+DEGREE7_RULE = (
+    np.array(
         [(1 / 3, 1 / 3, 1 / 3)]
         + _orbit3(0.479308067841920, 0.260345966079040)
         + _orbit3(0.869739794195568, 0.065130102902216)
-        + _orbit6(0.048690315425316, 0.312865496004874, 0.638444188569810)
-    )
-    w = (
+        + _orbit6(0.048690315425316, 0.312865496004874, 0.638444188569810),
+        dtype=float,
+    ),
+    np.array(
         [-0.149570044467682]
         + [0.175615257433208] * 3
         + [0.053347235608838] * 3
-        + [0.077113760890257] * 6
-    )
-    rules[7] = (pts, w)
-
-    return {
-        order: (np.array(p, dtype=float), np.array(w, dtype=float))
-        for order, (p, w) in rules.items()
-    }
-
-
-_RULES = _build_rules()
-SUPPORTED_ORDERS = frozenset(_RULES)
-
-
-def rule_points_weights(order: int):
-    """Barycentric points (K, 3) and weights (K,) for a supported degree."""
-    try:
-        return _RULES[order]
-    except KeyError:
-        raise ValueError(f"unsupported quadrature order {order}; supported: {sorted(SUPPORTED_ORDERS)}")
+        + [0.077113760890257] * 6,
+        dtype=float,
+    ),
+)
 
 
 def subdivide4(tris: np.ndarray) -> np.ndarray:

@@ -70,6 +70,37 @@ def test_overflowing_region_exits_one(capsys, tmp_path):
     assert err.startswith("error: not a usable region")
 
 
+def test_overflowing_region_prints_only_the_error_line(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"polygon": [[0, 0], [3e150, 0], [3e150, 4e150]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "regionmedian", "median", str(path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: not a usable region")
+
+
+@pytest.mark.parametrize("argv", [
+    ["median"],  # no file
+    ["check", str(DATA / "t345.json"), "--point", "1,1", "--json-out", "x.json"],  # no such flag
+])
+def test_usage_errors_exit_one(capsys, argv):
+    # exit 2 is reserved for a solve that did not converge
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["median", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_ambiguous_and_inconsistent_files_exit_one(capsys):
     code, _, err = run(capsys, "median", str(DATA / "both_forms.json"))
     assert code == 1 and "error:" in err

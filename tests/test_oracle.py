@@ -13,6 +13,7 @@ from regionmedian.oracle import (
     MCEstimate,
     OracleConfig,
     OracleValue,
+    _probe,
     oracle_minimize,
     oracle_sigma,
     oracle_sigma_mc,
@@ -110,6 +111,24 @@ def test_monte_carlo_translation_invariance_is_exact():
     assert base.stderr == shifted.stderr
 
 
+@pytest.mark.parametrize("depth", [3, OracleConfig().refine_depth])
+def test_minimizer_probe_is_oracle_sigma_bit_for_bit(depth):
+    # the probe skips the coarse level, which only the error estimate reads
+    pentagon = Polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (2.0, 1.0), (0.0, 3.0)])
+    cases = [
+        (T345, (2.0, 1.0)),  # interior
+        (T345, (3.0, 2.0)),  # on an edge
+        (T345, (0.0, 0.0)),  # a vertex
+        (T345, (-1.0, 2.5)),  # exterior
+        (pentagon, (2.0, 0.5)),  # interior, non-convex
+        (pentagon, (2.0, 2.0)),  # exterior, in the notch
+    ]
+    cfg = OracleConfig(refine_depth=depth)
+    kernel = RadialKernel.euclidean()
+    for poly, x in cases:
+        assert _probe(poly, x, kernel, depth) == float(oracle_sigma(poly, Point2(*x), kernel, cfg))
+
+
 def test_minimize_lands_on_symmetric_centers():
     eq = Polygon([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
     m = oracle_minimize(eq)
@@ -129,7 +148,7 @@ def test_minimize_is_vertex_order_invariant():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OracleConfig(quad_order=6)
+        OracleConfig(refine_depth=0)
     with pytest.raises(ValueError):
         OracleConfig(refine_depth=-1)
     with pytest.raises(ValueError):

@@ -5,8 +5,7 @@ import pytest
 
 from regionmedian import Polygon
 from regionmedian.triquad import (
-    SUPPORTED_ORDERS,
-    rule_points_weights,
+    DEGREE7_RULE,
     signed_areas,
     star_triangles,
     subdivide4,
@@ -22,27 +21,21 @@ def _monomial_exact(i, j):
     return math.factorial(i) * math.factorial(j) / math.factorial(i + j + 2)
 
 
-@pytest.mark.parametrize("order", sorted(SUPPORTED_ORDERS))
-def test_rule_weights_sum_to_one(order):
-    _, w = rule_points_weights(order)
+def test_rule_weights_sum_to_one():
+    _, w = DEGREE7_RULE
     assert math.isclose(w.sum(), 1.0, rel_tol=1e-13)
 
 
-@pytest.mark.parametrize("order", sorted(SUPPORTED_ORDERS))
-def test_rule_integrates_monomials_to_declared_degree(order):
-    bary, w = rule_points_weights(order)
+@pytest.mark.parametrize("degree", range(8))
+def test_rule_integrates_monomials_to_declared_degree(degree):
+    bary, w = DEGREE7_RULE
     pts = bary @ REF
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            got = 0.5 * float(np.sum(w * pts[:, 0] ** i * pts[:, 1] ** j))
-            assert math.isclose(got, _monomial_exact(i, j), rel_tol=5e-13, abs_tol=5e-15), (
-                f"order {order} fails on x^{i} y^{j}"
-            )
-
-
-def test_unsupported_order_raises():
-    with pytest.raises(ValueError):
-        rule_points_weights(6)
+    for i in range(degree + 1):
+        j = degree - i
+        got = 0.5 * float(np.sum(w * pts[:, 0] ** i * pts[:, 1] ** j))
+        assert math.isclose(got, _monomial_exact(i, j), rel_tol=5e-13, abs_tol=5e-15), (
+            f"the rule fails on x^{i} y^{j}"
+        )
 
 
 def test_subdivide4_preserves_signed_area():
