@@ -114,84 +114,190 @@ def _shoelace(coords: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
+def _antipodal_pairs(hull: np.ndarray) -> tuple:
+    """Vertex index pairs (i, j) of a convex counterclockwise polygon that
+    include every antipodal pair: rotating calipers, vectorized.
+
+    Rotating the two parallel supporting lines of an antipodal pair turns
+    one of them onto the edge leaving its vertex k, so the pair is
+    (k, vertex antipodal to edge k) for some k (Preparata & Shamos,
+    Computational Geometry, 1985, section 4.2.3). Edge k's antipodal vertex
+    is where the edge directions pass theta_k + pi; ``searchsorted`` on the
+    unwrapped edge angles finds it for all edges at once, and its
+    neighbours on either side cover a parallel opposite edge (two
+    antipodal vertices) and angles that rounding puts on the wrong side.
+    """
+    h = len(hull)
+    e = np.roll(hull, -1, axis=0) - hull
+    theta = np.maximum.accumulate(np.unwrap(np.arctan2(e[:, 1], e[:, 0])))
+    far = np.searchsorted(np.concatenate([theta, theta + 2.0 * np.pi]), theta + np.pi)
+    return np.repeat(np.arange(h), 3), (far[:, None] + np.array([-1, 0, 1])).ravel() % h
+
+
 def _max_pairwise_distance(coords: np.ndarray) -> float:
     """Largest distance between two rows of an (n, 2) array.
 
-    Uses the convex hull when it is available (the diameter of a polygon
-    is attained at hull vertices); falls back to a direct scan for tiny
-    or nearly collinear inputs where qhull refuses to run.
+    The diameter is attained at an antipodal pair of convex hull vertices,
+    so beyond 8 rows it is the largest of the same squared differences
+    over the rotating-calipers pairs of the hull, O(h log h). Tiny inputs,
+    and flat or repeated ones where qhull refuses to run, are scanned
+    directly.
     """
-    pts = coords
-    if len(pts) > 8:
-        try:
-            from scipy.spatial import ConvexHull
+    if len(coords) > 8:
+        from scipy.spatial import ConvexHull, QhullError
 
-            pts = coords[ConvexHull(coords).vertices]
-        except Exception:
-            pts = coords
+        try:
+            hull = coords[ConvexHull(coords).vertices]
+        except QhullError:
+            pass
+        else:
+            i, j = _antipodal_pairs(hull)
+            # dx * dx + dy * dy is the float that np.sum((q - p) ** 2) gives
+            x, y = hull.T
+            return math.sqrt(float(np.max((x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2)))
     best = 0.0
-    for i in range(len(pts) - 1):
-        d2 = np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)
+    for i in range(len(coords) - 1):
+        d2 = np.sum((coords[i + 1:] - coords[i]) ** 2, axis=1)
         best = max(best, float(d2.max()))
     return math.sqrt(best)
+
+
+# Candidate edge pairs go through the contact predicate in blocks of at
+# most this many, and the search stops at the first block with a contact,
+# so no loop allocates O(n^2) pair arrays at once.
+_PAIR_BLOCK = 1 << 13
+# Below this many edges, testing all pairs at once is cheaper than
+# building the grid (measured crossover: about 50 edges).
+_GRID_MIN_EDGES = 48
+# The grid is used while the edges' boxes cover at most this many cells
+# per edge on average. Loops whose long edges crowd the grid take all
+# pairs instead, block by block: quadratic time, but no more memory.
+_CELLS_PER_EDGE = 4
+
+
+def _all_edge_pairs(n: int):
+    """Every pair i < j of edges of a closed n-edge loop that are not
+    neighbours, in blocks of about ``_PAIR_BLOCK``."""
+    rows = max(1, _PAIR_BLOCK // n)
+    j = np.arange(n)
+    for r0 in range(0, n - 2, rows):
+        i = np.arange(r0, min(r0 + rows, n - 2))[:, None]
+        ii, jj = np.nonzero((j >= i + 2) & ((i > 0) | (j < n - 1)))
+        yield ii + r0, jj
+
+
+def _grid_edge_pairs(c0: np.ndarray, c1: np.ndarray, g: int):
+    """Pairs i < j of non-neighbour edges whose boxes share a cell of a
+    g x g grid, in blocks of at most ``_PAIR_BLOCK``.
+
+    Box m covers the cells c0[m] to c1[m] (column, row). Two boxes that
+    share several cells give their pair once per shared cell.
+    """
+    n = len(c0)
+    width = c1[:, 0] - c0[:, 0] + 1
+    count = width * (c1[:, 1] - c0[:, 1] + 1)
+    # one incidence per covered cell of each edge, sorted by cell, then edge
+    edge = np.repeat(np.arange(n), count)
+    k = np.arange(len(edge)) - np.repeat(np.cumsum(count) - count, count)
+    w = width[edge]
+    cell = (c0[edge, 1] + k // w) * g + c0[edge, 0] + k % w
+    order = np.lexsort((edge, cell))
+    edge, cell = edge[order], cell[order]
+    # incidence p pairs with the later[p] incidences after it in its cell;
+    # those are the pairs numbered start[p] .. stop[p] - 1
+    later = np.searchsorted(cell, cell, side="right") - np.arange(len(cell)) - 1
+    stop = np.cumsum(later)
+    start = stop - later
+    total = int(stop[-1])
+    for q0 in range(0, total, _PAIR_BLOCK):
+        q1 = min(q0 + _PAIR_BLOCK, total)
+        pa, pb = np.searchsorted(stop, (q0, q1 - 1), side="right")
+        p = np.repeat(np.arange(pa, pb + 1), later[pa:pb + 1])[q0 - start[pa]:q1 - start[pa]]
+        i, j = edge[p], edge[p + 1 + np.arange(q0, q1) - start[p]]
+        keep = (j - i >= 2) & ((i > 0) | (j < n - 1))
+        yield i[keep], j[keep]
+
+
+def _candidate_edge_pairs(lo: np.ndarray, hi: np.ndarray):
+    """Blocks of edge pairs i < j, not neighbours on the loop, that include
+    every pair whose bounding boxes ``lo``/``hi`` touch.
+
+    Edge boxes are bucketed into a uniform grid of about sqrt(n) x sqrt(n)
+    cells over the loop's box. A cell index is floor((v - origin) / h),
+    which is monotone in v: if two boxes touch, even at a single point on
+    a grid line, the low corner of their overlap lies in both, so its cell
+    lies in both boxes' cell ranges. Small loops, and loops whose boxes
+    would crowd the grid, take every non-neighbour pair.
+    """
+    n = len(lo)
+    if n >= _GRID_MIN_EDGES:
+        g = math.isqrt(n)
+        origin = lo.min(axis=0)
+        h = (hi.max(axis=0) - origin) / g
+        if np.all(np.isfinite(h)):
+            h[h == 0.0] = 1.0
+            c0 = np.minimum(np.floor((lo - origin) / h), g - 1).astype(np.int64)
+            c1 = np.minimum(np.floor((hi - origin) / h), g - 1).astype(np.int64)
+            if np.sum(np.prod(c1 - c0 + 1, axis=1)) <= _CELLS_PER_EDGE * n:
+                yield from _grid_edge_pairs(c0, c1, g)
+                return
+    yield from _all_edge_pairs(n)
 
 
 def _segments_intersect_any(coords: np.ndarray) -> bool:
     """True if any two non-adjacent edges of the closed loop touch.
 
-    Pairwise orientation tests, vectorized per edge. Quadratic in the
-    vertex count, which is fine at the scales this library targets.
+    Exact orientation tests, one array pass per block of candidate edge
+    pairs from a grid over the edges' bounding boxes: near-linear in the
+    vertex count for sampled curves. A triangle has no non-adjacent pair.
     """
     n = len(coords)
+    if n < 4:
+        return False
     a = coords
     b = np.roll(coords, -1, axis=0)
-    for i in range(n - 2):
-        # candidate partner edges j > i, skipping neighbours (and the
-        # wrap-around neighbour of edge 0)
-        j0 = i + 2
-        j1 = n - 1 if i == 0 else n
-        if j0 >= j1:
-            continue
-        c = a[j0:j1]
-        d = b[j0:j1]
-        ai, bi = a[i], b[i]
-        e = bi - ai
-        o1 = e[0] * (c[:, 1] - ai[1]) - e[1] * (c[:, 0] - ai[0])
-        o2 = e[0] * (d[:, 1] - ai[1]) - e[1] * (d[:, 0] - ai[0])
-        f = d - c
-        o3 = f[:, 0] * (ai[1] - c[:, 1]) - f[:, 1] * (ai[0] - c[:, 0])
-        o4 = f[:, 0] * (bi[1] - c[:, 1]) - f[:, 1] * (bi[0] - c[:, 0])
-        proper = (o1 * o2 < 0) & (o3 * o4 < 0)
-        if np.any(proper):
-            return True
-        # improper contact: an endpoint of one edge lying exactly on the
-        # other edge (including collinear overlap) also breaks simplicity
-        touch = np.zeros(len(c), dtype=bool)
-        for (oc, p) in ((o1, c), (o2, d)):
-            on_line = oc == 0
-            if np.any(on_line):
-                t = p[on_line]
-                within = (
-                    (np.minimum(ai[0], bi[0]) <= t[:, 0])
-                    & (t[:, 0] <= np.maximum(ai[0], bi[0]))
-                    & (np.minimum(ai[1], bi[1]) <= t[:, 1])
-                    & (t[:, 1] <= np.maximum(ai[1], bi[1]))
-                )
-                touch[on_line] |= within
-        for (of, p) in ((o3, ai), (o4, bi)):
-            on_line = of == 0
-            if np.any(on_line):
-                cc, dd = c[on_line], d[on_line]
-                within = (
-                    (np.minimum(cc[:, 0], dd[:, 0]) <= p[0])
-                    & (p[0] <= np.maximum(cc[:, 0], dd[:, 0]))
-                    & (np.minimum(cc[:, 1], dd[:, 1]) <= p[1])
-                    & (p[1] <= np.maximum(cc[:, 1], dd[:, 1]))
-                )
-                touch[on_line] |= within
-        if np.any(touch):
+    # one contiguous row per coordinate of the edge starts and ends
+    rows = np.concatenate([a, b], axis=1).T.copy()
+    for i, j in _candidate_edge_pairs(np.minimum(a, b), np.maximum(a, b)):
+        if len(i) and _edges_touch(rows, i, j):
             return True
     return False
+
+
+def _edges_touch(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
+    """True if edge i[k] touches edge j[k] for some k: they cross, or an
+    endpoint of one lies exactly on the other.
+
+    ``rows`` holds the x and y of every edge's start and end.
+    """
+    ax, ay, bx, by = (r[i] for r in rows)
+    cx, cy, dx, dy = (r[j] for r in rows)
+    ex, ey = bx - ax, by - ay
+    fx, fy = dx - cx, dy - cy
+    o1 = ex * (cy - ay) - ey * (cx - ax)
+    o2 = ex * (dy - ay) - ey * (dx - ax)
+    o3 = fx * (ay - cy) - fy * (ax - cx)
+    o4 = fx * (by - cy) - fy * (bx - cx)
+    if np.any((o1 * o2 < 0) & (o3 * o4 < 0)):
+        return True
+    # improper contact: an endpoint of one edge lying exactly on the other
+    # edge (including collinear overlap) also breaks simplicity
+    k = np.flatnonzero((o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0))
+    if len(k) == 0:
+        return False
+    ax, ay, bx, by, cx, cy, dx, dy = (v[k] for v in (ax, ay, bx, by, cx, cy, dx, dy))
+
+    def on(o, px, py, x0, y0, x1, y1):
+        return (
+            (o[k] == 0)
+            & (np.minimum(x0, x1) <= px) & (px <= np.maximum(x0, x1))
+            & (np.minimum(y0, y1) <= py) & (py <= np.maximum(y0, y1))
+        )
+
+    return bool(np.any(
+        on(o1, cx, cy, ax, ay, bx, by) | on(o2, dx, dy, ax, ay, bx, by)
+        | on(o3, ax, ay, cx, cy, dx, dy) | on(o4, bx, by, cx, cy, dx, dy)
+    ))
 
 
 class Polygon:
@@ -337,16 +443,18 @@ def _point_xy(point) -> tuple:
 
 
 def _coerce_coords(vertices: Iterable) -> np.ndarray:
-    rows = []
-    for v in vertices:
-        rows.append(_point_xy(v))
-    coords = np.asarray(rows, dtype=float)
+    if not isinstance(vertices, np.ndarray) or vertices.dtype == object:
+        vertices = [(v.x, v.y) if isinstance(v, Point2) else v for v in vertices]
+    try:
+        coords = np.array(vertices, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidPolygonError("vertices must be a sequence of (x, y) pairs") from exc
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise InvalidPolygonError("vertices must be a sequence of (x, y) pairs")
     # tolerate an explicitly closed loop (last vertex repeating the first)
     if len(coords) > 3 and np.all(coords[0] == coords[-1]):
         coords = coords[:-1]
-    return coords.copy()
+    return coords
 
 
 def as_polygon(region) -> Polygon:

@@ -1,5 +1,7 @@
 """Shared generators for randomized tests. All randomness flows through
 the caller's seeded Generator so every test is reproducible."""
+import math
+
 import numpy as np
 
 from regionmedian import Polygon
@@ -67,3 +69,77 @@ def interior_point(poly, rng):
         p = c + rng.uniform(0.05, 0.85) * (v - c)
         if poly.contains(p, strict=True):
             return p
+
+
+def quadratic_segments_intersect_any(coords):
+    """Reference contact test: every non-adjacent edge pair of the closed
+    loop, one edge at a time, with the same orientation and improper-contact
+    rules as ``geometry._segments_intersect_any``. Quadratic in n."""
+    coords = np.asarray(coords, dtype=float)
+    n = len(coords)
+    a = coords
+    b = np.roll(coords, -1, axis=0)
+    for i in range(n - 2):
+        # partner edges j > i, skipping neighbours (and the wrap-around
+        # neighbour of edge 0)
+        j0 = i + 2
+        j1 = n - 1 if i == 0 else n
+        if j0 >= j1:
+            continue
+        c = a[j0:j1]
+        d = b[j0:j1]
+        ai, bi = a[i], b[i]
+        e = bi - ai
+        o1 = e[0] * (c[:, 1] - ai[1]) - e[1] * (c[:, 0] - ai[0])
+        o2 = e[0] * (d[:, 1] - ai[1]) - e[1] * (d[:, 0] - ai[0])
+        f = d - c
+        o3 = f[:, 0] * (ai[1] - c[:, 1]) - f[:, 1] * (ai[0] - c[:, 0])
+        o4 = f[:, 0] * (bi[1] - c[:, 1]) - f[:, 1] * (bi[0] - c[:, 0])
+        proper = (o1 * o2 < 0) & (o3 * o4 < 0)
+        if np.any(proper):
+            return True
+        touch = np.zeros(len(c), dtype=bool)
+        for (oc, p) in ((o1, c), (o2, d)):
+            on_line = oc == 0
+            if np.any(on_line):
+                t = p[on_line]
+                within = (
+                    (np.minimum(ai[0], bi[0]) <= t[:, 0])
+                    & (t[:, 0] <= np.maximum(ai[0], bi[0]))
+                    & (np.minimum(ai[1], bi[1]) <= t[:, 1])
+                    & (t[:, 1] <= np.maximum(ai[1], bi[1]))
+                )
+                touch[on_line] |= within
+        for (of, p) in ((o3, ai), (o4, bi)):
+            on_line = of == 0
+            if np.any(on_line):
+                cc, dd = c[on_line], d[on_line]
+                within = (
+                    (np.minimum(cc[:, 0], dd[:, 0]) <= p[0])
+                    & (p[0] <= np.maximum(cc[:, 0], dd[:, 0]))
+                    & (np.minimum(cc[:, 1], dd[:, 1]) <= p[1])
+                    & (p[1] <= np.maximum(cc[:, 1], dd[:, 1]))
+                )
+                touch[on_line] |= within
+        if np.any(touch):
+            return True
+    return False
+
+
+def all_pairs_diameter(coords):
+    """Reference diameter: the largest np.sum((q - p) ** 2) over all pairs
+    of rows (of the convex hull's vertices when qhull accepts the rows,
+    as ``geometry._max_pairwise_distance`` does), square-rooted."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    pts = np.asarray(coords, dtype=float)
+    if len(pts) > 8:
+        try:
+            pts = pts[ConvexHull(pts).vertices]
+        except QhullError:
+            pass
+    best = 0.0
+    for i in range(len(pts) - 1):
+        d2 = np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)
+        best = max(best, float(d2.max()))
+    return math.sqrt(best)
