@@ -141,25 +141,33 @@ def _max_pairwise_distance(coords: np.ndarray) -> float:
     so beyond 8 rows it is the largest of the same squared differences
     over the rotating-calipers pairs of the hull, O(h log h). Tiny inputs,
     and flat or repeated ones where qhull refuses to run, are scanned
-    directly.
+    directly. Squares are taken of coordinates scaled by a power of two,
+    so they neither overflow nor underflow at extreme scales; the scaling
+    is exact, so in the normal range the result is the same float.
     """
+    pairs = None
     if len(coords) > 8:
         from scipy.spatial import ConvexHull, QhullError
 
         try:
-            hull = coords[ConvexHull(coords).vertices]
+            coords = coords[ConvexHull(coords).vertices]
         except QhullError:
             pass
         else:
-            i, j = _antipodal_pairs(hull)
-            # dx * dx + dy * dy is the float that np.sum((q - p) ** 2) gives
-            x, y = hull.T
-            return math.sqrt(float(np.max((x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2)))
-    best = 0.0
-    for i in range(len(coords) - 1):
-        d2 = np.sum((coords[i + 1:] - coords[i]) ** 2, axis=1)
-        best = max(best, float(d2.max()))
-    return math.sqrt(best)
+            pairs = _antipodal_pairs(coords)
+    exp = math.frexp(float(np.max(np.abs(coords))))[1]
+    coords = np.ldexp(coords, -exp)
+    if pairs is not None:
+        i, j = pairs
+        # dx * dx + dy * dy is the float that np.sum((q - p) ** 2) gives
+        x, y = coords.T
+        best = float(np.max((x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2))
+    else:
+        best = 0.0
+        for i in range(len(coords) - 1):
+            d2 = np.sum((coords[i + 1:] - coords[i]) ** 2, axis=1)
+            best = max(best, float(d2.max()))
+    return math.ldexp(math.sqrt(best), exp)
 
 
 # Candidate edge pairs go through the contact predicate in blocks of at

@@ -1,10 +1,11 @@
 """Brute-force ground truth for region objectives.
 
-Evaluates the area integral of kernel(P - x) over a polygon by one
-degree-7 symmetric quadrature rule on a uniformly subdivided
-triangulation, with a Monte Carlo cross-check and a derivative-free
-minimizer. Slow and independent by design: nothing here shares code
-paths with the boundary residual solver it certifies.
+Evaluates the area integral of kernel(P - x) over a polygon with one
+rule for every query point x: a tensor Gauss rule on the Duffy-mapped
+signed star triangles from x (``triquad.star_rule``). Adds a Monte Carlo
+cross-check and a derivative-free minimizer. Independent by design: the
+rule evaluates the kernel at real area nodes, and nothing here shares
+code paths with the boundary residual solver it certifies.
 """
 from __future__ import annotations
 
@@ -17,20 +18,20 @@ from scipy.optimize import minimize
 
 from .geometry import Point2, Polygon
 from .kernels import RadialKernel
-from .triquad import DEGREE7_RULE, signed_areas, star_triangles, subdivide4, triangulate
+from .triquad import signed_areas, star_rule, star_triangles, triangulate
 
 __all__ = ["OracleConfig", "OracleValue", "MCEstimate", "oracle_sigma", "oracle_minimize", "oracle_sigma_mc"]
+
+# t-panels of the rule; the error estimate compares against twice as many
+_PANELS = 4
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    refine_depth: int = 5
     mc_samples: int = 1_000_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.refine_depth < 1:
-            raise ValueError("refine_depth must be >= 1")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be >= 2")
 
@@ -51,53 +52,33 @@ class MCEstimate(NamedTuple):
     stderr: float
 
 
-def _integrate_cells(tris: np.ndarray, x, kernel: RadialKernel) -> float:
-    """Signed-area weighted quadrature sum over a stack of triangles."""
-    bary, weights = DEGREE7_RULE
-    areas = signed_areas(tris)
-    pts = np.einsum("kj,mjc->mkc", bary, tris)
-    vals = kernel.evaluate_many(pts[..., 0] - x[0], pts[..., 1] - x[1])
-    return float(np.sum(areas * (vals @ weights)))
+def _star_integral(poly: Polygon, x, kernel: RadialKernel, panels: int = _PANELS) -> float:
+    """Area integral of kernel(P - x) by ``star_rule(panels)`` over the
+    signed star triangles (x, a_i, a_i+1); valid for x inside, on the
+    boundary of or outside any simple polygon."""
+    s, t, w = star_rule(panels)
+    tris = star_triangles(poly, x)
+    q = tris[:, 1] - tris[:, 0]  # a_i - x
+    e = tris[:, 2] - tris[:, 1]  # a_i+1 - a_i
+    # P - x = s * (q + t * e), as (n, S, T) components
+    dx = s[:, None] * (q[:, 0, None] + t * e[:, 0, None])[:, None, :]
+    dy = s[:, None] * (q[:, 1, None] + t * e[:, 1, None])[:, None, :]
+    vals = kernel.evaluate_many(dx, dy).reshape(len(tris), -1)
+    return float(signed_areas(tris) @ (vals @ w.ravel()))
 
 
-def _cells(poly: Polygon, x, depth: int) -> np.ndarray:
-    """Base triangles of the polygon for query point x, each split into
-    4**depth cells by ``subdivide4``."""
-    # a kink of |P - x| at an interior x ruins polynomial convergence if
-    # it lands inside a cell; starring the polygon from x pins it to cell
-    # corners, where symmetric rules behave best
-    tris = star_triangles(poly, x) if poly.contains(x, strict=True) else triangulate(poly)
-    for _ in range(depth):
-        tris = subdivide4(tris)
-    return tris
-
-
-def _probe(poly: Polygon, x, kernel: RadialKernel, depth: int) -> float:
-    """The value of ``oracle_sigma`` at refine_depth ``depth``, without
-    the coarser level that only its error estimate reads."""
-    return _integrate_cells(_cells(poly, x, depth), x, kernel)
-
-
-def oracle_sigma(
-    poly: Polygon,
-    x: Point2,
-    kernel: Optional[RadialKernel] = None,
-    cfg: Optional[OracleConfig] = None,
-) -> OracleValue:
+def oracle_sigma(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None) -> OracleValue:
     """Area integral of kernel(P - x) over the polygon.
 
-    Returns the value at the configured refinement depth as an
-    ``OracleValue``; its ``error_estimate`` attribute is the absolute
-    difference against the next-coarser depth (Richardson style, a
-    conservative bound in practice).
+    Returns the value of the star rule as an ``OracleValue``; its
+    ``error_estimate`` attribute is the absolute difference against the
+    same rule with twice the t-panels.
     """
     kernel = kernel or RadialKernel.euclidean()
-    cfg = cfg or OracleConfig()
     xv = (x.x, x.y) if isinstance(x, Point2) else (float(x[0]), float(x[1]))
-    tris = _cells(poly, xv, cfg.refine_depth - 1)
-    coarse = _integrate_cells(tris, xv, kernel)
-    fine = _integrate_cells(subdivide4(tris), xv, kernel)
-    return OracleValue(fine, abs(fine - coarse))
+    value = _star_integral(poly, xv, kernel)
+    finer = _star_integral(poly, xv, kernel, 2 * _PANELS)
+    return OracleValue(value, abs(value - finer))
 
 
 def _brute_force_minimize(objective, start: np.ndarray, diam: float, options: dict) -> Point2:
@@ -121,22 +102,17 @@ def _brute_force_minimize(objective, start: np.ndarray, diam: float, options: di
     return Point2(float(best[0]), float(best[1]))
 
 
-def oracle_minimize(
-    poly: Polygon,
-    kernel: Optional[RadialKernel] = None,
-    cfg: Optional[OracleConfig] = None,
-) -> Point2:
+def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Point2:
     """Brute-force minimizer of the area objective.
 
     Nelder-Mead from the area centroid, then shrinking grid passes (see
     ``_brute_force_minimize``).
     """
     kernel = kernel or RadialKernel.euclidean()
-    cfg = cfg or OracleConfig()
     diam = poly.diameter
 
     def objective(p) -> float:
-        return _probe(poly, (float(p[0]), float(p[1])), kernel, cfg.refine_depth)
+        return _star_integral(poly, (float(p[0]), float(p[1])), kernel)
 
     c = poly.centroid
     start = np.array([c.x, c.y])

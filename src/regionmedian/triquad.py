@@ -1,51 +1,60 @@
-"""A symmetric triangle quadrature rule with subdivision and fan triangulation.
+"""Gauss quadrature on Duffy-mapped star triangles, and fan triangulation.
 
-The rule is exact for polynomials of degree 7. Its points are given in
-barycentric coordinates with weights summing to 1; integrating g over a
-triangle T of area A is A * sum(w_k * g(p_k)).
+A star triangle (x, a, b) is the image of the unit square under Duffy's
+map P = x + s * (a + t * (b - a) - x), with dA = 2 A s ds dt for its
+signed area A (Duffy, "Quadrature over a pyramid or cube of integrands
+with a singularity at a vertex", SIAM J. Numer. Anal. 1982). A radial
+integrand f(|P - x|) has its kink at s = 0, where the Jacobian cancels
+it, so a tensor Gauss-Legendre rule in (s, t) converges fast.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .geometry import Polygon
 
-__all__ = ["DEGREE7_RULE", "subdivide4", "triangulate", "star_triangles", "signed_areas"]
+__all__ = ["STAR_RULE_DEGREE", "star_rule", "subdivide4", "triangulate", "star_triangles", "signed_areas"]
+
+# Gauss-Legendre nodes in u, with s = u**2: then s**(p + 1) ds is a
+# polynomial in u for integer and half-integer p
+RADIAL_NODES = 10
+# Gauss-Legendre nodes per panel of t
+PANEL_NODES = 32
+# every polynomial in P of this degree is integrated exactly: it is a
+# polynomial of degree 2 * degree + 3 in u, and of degree `degree` in t
+STAR_RULE_DEGREE = RADIAL_NODES - 2
 
 
-def _orbit3(a: float, b: float):
-    return [(a, b, b), (b, a, b), (b, b, a)]
+@lru_cache(maxsize=None)
+def star_rule(panels: int):
+    """Nodes s (S,) and t (T,) and weights w (S, T) of the tensor rule on
+    the Duffy-mapped star triangle, with t split into ``panels`` equal
+    panels.
 
-
-def _orbit6(a: float, b: float, c: float):
-    return [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]
-
-
-# the 13-point rule exact to degree 7: barycentric points (13, 3) and
-# weights (13,)
-DEGREE7_RULE = (
-    np.array(
-        [(1 / 3, 1 / 3, 1 / 3)]
-        + _orbit3(0.479308067841920, 0.260345966079040)
-        + _orbit3(0.869739794195568, 0.065130102902216)
-        + _orbit6(0.048690315425316, 0.312865496004874, 0.638444188569810),
-        dtype=float,
-    ),
-    np.array(
-        [-0.149570044467682]
-        + [0.175615257433208] * 3
-        + [0.053347235608838] * 3
-        + [0.077113760890257] * 6,
-        dtype=float,
-    ),
-)
+    The weights sum to 1: integrating g over a star triangle (x, a, b) of
+    signed area A is A * sum(w[i, j] * g(x + s[i] * (a + t[j] * (b - a) - x))).
+    The arrays are shared between calls and read-only.
+    """
+    u, wu = np.polynomial.legendre.leggauss(RADIAL_NODES)
+    u, wu = 0.5 * (u + 1.0), 0.5 * wu
+    g, wg = np.polynomial.legendre.leggauss(PANEL_NODES)
+    t = ((np.arange(panels)[:, None] + 0.5 * (g + 1.0)) / panels).ravel()
+    wt = np.tile(0.5 * wg / panels, panels)
+    # 2 s ds = 4 u**3 du
+    s, w = u * u, np.outer(4.0 * u**3 * wu, wt)
+    for arr in (s, t, w):
+        arr.setflags(write=False)
+    return s, t, w
 
 
 def subdivide4(tris: np.ndarray) -> np.ndarray:
     """Split each triangle of an (M, 3, 2) stack into 4 at edge midpoints.
 
     Children keep the parent's orientation, so signed areas refine
-    consistently.
+    consistently. The package itself no longer subdivides; the
+    benchmark's traced run still wraps this function by name.
     """
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
@@ -69,8 +78,8 @@ def star_triangles(poly: Polygon, x) -> np.ndarray:
 
     The signed-area sum telescopes to the polygon area for any simple
     loop, so integrating with signed weights reproduces region integrals
-    even when the polygon is not star-shaped around x. Placing x at a
-    corner of every cell keeps integrand kinks at cell corners.
+    even when the polygon is not star-shaped around x. x is the apex of
+    every triangle, the s = 0 end of ``star_rule``.
     """
     c = poly.coords
     cn = np.roll(c, -1, axis=0)

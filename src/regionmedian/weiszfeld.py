@@ -100,7 +100,7 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
 
     def subgrad_norm(v: np.ndarray) -> float:
         d = np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])
-        hit = d <= _COINCIDENCE_REL * max(diam, 1.0)
+        hit = d <= _COINCIDENCE_REL * diam
         far = ~hit
         gx = float(np.sum(w[far] * (v[0] - pts[far, 0]) / d[far]))
         gy = float(np.sum(w[far] * (v[1] - pts[far, 1]) / d[far]))

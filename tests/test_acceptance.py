@@ -118,12 +118,12 @@ def test_criterion_04_solver_matches_brute_force_minimizer(capsys):
         rel = math.hypot(med.x - ora.x, med.y - ora.y) / poly.diameter
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 600.0
+    ok = worst <= 1e-7 and elapsed < 60.0
     _verdict(capsys, 4, ok,
              f"solver vs area-scan minimizer on 40 regions: worst {worst:.2e} of diameter "
-             f"(limit 1e-6), {elapsed:.1f}s (limit 600s)")
-    assert worst <= 1e-6
-    assert elapsed < 600.0
+             f"(limit 1e-7), {elapsed:.1f}s (limit 60s)")
+    assert worst <= 1e-7
+    assert elapsed < 60.0
 
 
 def test_criterion_05_degenerate_triangle_families(capsys):

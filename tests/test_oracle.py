@@ -1,4 +1,5 @@
-"""Area-integration oracle: anchors, refinement estimates, Monte Carlo."""
+"""Area-integration oracle: anchors, closed forms, refinement estimates,
+Monte Carlo."""
 
 import math
 
@@ -10,17 +11,25 @@ from helpers import interior_point, random_convex_polygon, random_star_polygon
 from regionmedian import Point2, Polygon, RadialKernel
 from regionmedian.kernels import segment_sigma_closed
 from regionmedian.oracle import (
+    _PANELS,
     MCEstimate,
     OracleConfig,
     OracleValue,
-    _probe,
+    _star_integral,
     oracle_minimize,
     oracle_sigma,
     oracle_sigma_mc,
 )
+from regionmedian.solver import solve_median
 
 UNIT_SQUARE_CENTERED = Polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
 T345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
+PENTAGON = Polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (2.0, 1.0), (0.0, 3.0)])
+# a triangle with a 6.8 degree corner, from the generator of acceptance
+# criteria 03 and 04
+THIN_TRIANGLE = Polygon([(-0.9886230807172642, 0.5339980559783439),
+                         (0.33518253610816773, -0.5554078978008608),
+                         (-0.8674080226710119, 0.7016887420013302)])
 
 # mean distance to a uniform point of the unit square, seen from its center,
 # times the area: (sqrt(2) + log(1 + sqrt(2))) / 6
@@ -34,7 +43,7 @@ def test_unit_square_center_anchor():
 
 
 def test_power_two_square_is_exact():
-    # polynomial integrand, inside the exactness degree of the cell rule
+    # polynomial integrand, inside the exactness degree of the star rule
     v = oracle_sigma(UNIT_SQUARE_CENTERED, Point2(0.0, 0.0), RadialKernel.power(2.0))
     assert float(v) == pytest.approx(1.0 / 6.0, abs=1e-13)
 
@@ -49,14 +58,52 @@ def test_constant_kernel_recovers_area():
 
 
 def test_error_estimate_covers_refinement():
-    """The reported estimate bounds the distance to a deeper refinement."""
+    """The reported estimate bounds the distance to the same rule with
+    four times the t-panels, up to rounding."""
     rng = np.random.default_rng(17)
-    for _ in range(3):
-        poly = random_convex_polygon(rng, n_max=6)
-        x = Point2(*interior_point(poly, rng))
-        coarse = oracle_sigma(poly, x, cfg=OracleConfig(refine_depth=3))
-        fine = oracle_sigma(poly, x, cfg=OracleConfig(refine_depth=5))
-        assert abs(float(coarse) - float(fine)) <= 2.0 * coarse.error_estimate
+    quad = random_convex_polygon(rng, n_max=4)
+    a, b, c = THIN_TRIANGLE.coords
+    q = quad.coords
+    cases = [
+        (THIN_TRIANGLE, (a + b + c) / 3.0),  # interior
+        (THIN_TRIANGLE, 0.5 * (a + b)),  # on an edge
+        (THIN_TRIANGLE, a),  # a vertex
+        (THIN_TRIANGLE, a + 0.3 * (a - b)),  # exterior, on an edge's line
+        (THIN_TRIANGLE, (1.0, 1.0)),  # exterior
+        (quad, np.asarray(interior_point(quad, rng))),  # interior
+        (quad, q[0] + 1e-3 * (q[1] - q[0]) + 1e-3 * (q[2] - q[1])),  # near a vertex
+        (quad, 0.3 * q[1] + 0.7 * q[2]),  # on an edge
+        (quad, 2.0 * q[2] - q[0]),  # exterior
+    ]
+    kernels = [RadialKernel.euclidean()] + [RadialKernel.power(p) for p in (1.3, 1.5, 3.0)]
+    for poly, x in cases:
+        for kernel in kernels:
+            v = oracle_sigma(poly, Point2(*x), kernel)
+            finer = _star_integral(poly, (float(x[0]), float(x[1])), kernel, 4 * _PANELS)
+            assert abs(float(v) - finer) <= 2.0 * v.error_estimate + 1e-14 * abs(finer), (poly, x, kernel)
+
+
+def _second_moment(coords, x):
+    """Integral of |P - x|**2 over the polygon: the polar moment about the
+    centroid plus area times the squared centroid offset, all from the
+    shoelace sums."""
+    px, py = coords[:, 0], coords[:, 1]
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    cross = px * qy - qx * py
+    area = 0.5 * cross.sum()
+    cx = ((px + qx) * cross).sum() / (6.0 * area)
+    cy = ((py + qy) * cross).sum() / (6.0 * area)
+    polar_origin = ((px * px + px * qx + qx * qx + py * py + py * qy + qy * qy) * cross).sum() / 12.0
+    polar_centroid = polar_origin - area * (cx * cx + cy * cy)
+    return polar_centroid + area * ((x[0] - cx) ** 2 + (x[1] - cy) ** 2)
+
+
+def test_power_two_matches_the_polar_moment():
+    kernel = RadialKernel.power(2.0)
+    for x in [(2.0, 0.5), (3.5, 2.0), (-1.0, 2.5), (6.0, -2.0), (2.0, 2.0), (1.0, 2.5)]:
+        got = float(oracle_sigma(PENTAGON, Point2(*x), kernel))
+        want = _second_moment(PENTAGON.coords, x)
+        assert abs(got - want) <= 1e-13 * want, x
 
 
 def test_sliver_limit_matches_segment_integral():
@@ -111,22 +158,19 @@ def test_monte_carlo_translation_invariance_is_exact():
     assert base.stderr == shifted.stderr
 
 
-@pytest.mark.parametrize("depth", [3, OracleConfig().refine_depth])
-def test_minimizer_probe_is_oracle_sigma_bit_for_bit(depth):
-    # the probe skips the coarse level, which only the error estimate reads
-    pentagon = Polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (2.0, 1.0), (0.0, 3.0)])
+def test_minimizer_probe_is_oracle_sigma_bit_for_bit():
+    # the probe skips the finer rule, which only the error estimate reads
     cases = [
         (T345, (2.0, 1.0)),  # interior
         (T345, (3.0, 2.0)),  # on an edge
         (T345, (0.0, 0.0)),  # a vertex
         (T345, (-1.0, 2.5)),  # exterior
-        (pentagon, (2.0, 0.5)),  # interior, non-convex
-        (pentagon, (2.0, 2.0)),  # exterior, in the notch
+        (PENTAGON, (2.0, 0.5)),  # interior, non-convex
+        (PENTAGON, (2.0, 2.0)),  # exterior, in the notch
     ]
-    cfg = OracleConfig(refine_depth=depth)
-    kernel = RadialKernel.euclidean()
-    for poly, x in cases:
-        assert _probe(poly, x, kernel, depth) == float(oracle_sigma(poly, Point2(*x), kernel, cfg))
+    for kernel in (RadialKernel.euclidean(), RadialKernel.power(1.5)):
+        for poly, x in cases:
+            assert _star_integral(poly, x, kernel) == float(oracle_sigma(poly, Point2(*x), kernel))
 
 
 def test_minimize_lands_on_symmetric_centers():
@@ -140,17 +184,18 @@ def test_minimize_lands_on_symmetric_centers():
 def test_minimize_is_vertex_order_invariant():
     tri = Polygon([(0.0, 0.0), (2.2, 0.1), (0.7, 1.9)])
     rolled = Polygon([(0.7, 1.9), (0.0, 0.0), (2.2, 0.1)])
-    cfg = OracleConfig(refine_depth=4)
-    a = oracle_minimize(tri, cfg=cfg)
-    b = oracle_minimize(rolled, cfg=cfg)
+    a = oracle_minimize(tri)
+    b = oracle_minimize(rolled)
     assert math.hypot(a.x - b.x, a.y - b.y) < 1e-6 * tri.diameter
 
 
+def test_minimize_finds_the_thin_triangle_median():
+    med = solve_median(THIN_TRIANGLE).median
+    ora = oracle_minimize(THIN_TRIANGLE)
+    assert math.hypot(med.x - ora.x, med.y - ora.y) <= 1e-7 * THIN_TRIANGLE.diameter
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(refine_depth=0)
-    with pytest.raises(ValueError):
-        OracleConfig(refine_depth=-1)
     with pytest.raises(ValueError):
         OracleConfig(mc_samples=1)
 

@@ -5,8 +5,9 @@ import pytest
 
 from regionmedian import Polygon
 from regionmedian.triquad import (
-    DEGREE7_RULE,
+    STAR_RULE_DEGREE,
     signed_areas,
+    star_rule,
     star_triangles,
     subdivide4,
     triangulate,
@@ -22,20 +23,24 @@ def _monomial_exact(i, j):
 
 
 def test_rule_weights_sum_to_one():
-    _, w = DEGREE7_RULE
-    assert math.isclose(w.sum(), 1.0, rel_tol=1e-13)
+    for panels in (1, 4):
+        _, _, w = star_rule(panels)
+        assert math.isclose(w.sum(), 1.0, rel_tol=1e-13)
 
 
-@pytest.mark.parametrize("degree", range(8))
+@pytest.mark.parametrize("degree", range(STAR_RULE_DEGREE + 1))
 def test_rule_integrates_monomials_to_declared_degree(degree):
-    bary, w = DEGREE7_RULE
-    pts = bary @ REF
-    for i in range(degree + 1):
-        j = degree - i
-        got = 0.5 * float(np.sum(w * pts[:, 0] ** i * pts[:, 1] ** j))
-        assert math.isclose(got, _monomial_exact(i, j), rel_tol=5e-13, abs_tol=5e-15), (
-            f"the rule fails on x^{i} y^{j}"
-        )
+    s, t, w = star_rule(4)
+    # the apex x at each corner of the reference triangle in turn
+    for k in range(3):
+        x, a, b = np.roll(REF, -k, axis=0)
+        pts = x + s[:, None, None] * (a + t[:, None] * (b - a) - x)
+        for i in range(degree + 1):
+            j = degree - i
+            got = 0.5 * float(np.sum(w * pts[..., 0] ** i * pts[..., 1] ** j))
+            assert math.isclose(got, _monomial_exact(i, j), rel_tol=5e-13, abs_tol=5e-15), (
+                f"the rule fails on x^{i} y^{j} from apex {k}"
+            )
 
 
 def test_subdivide4_preserves_signed_area():

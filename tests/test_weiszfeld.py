@@ -102,6 +102,19 @@ def test_objective_never_increases_along_the_trace():
         assert later <= earlier + 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 1e-300])
+def test_extreme_scales_give_the_scaled_median(scale):
+    # squared coordinate differences underflow or overflow at these
+    # scales; the diameter, and with it every stopping rule, must not
+    base = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 2))
+    unit = weiszfeld(PointSet(base))
+    res = weiszfeld(PointSet(base * scale))
+    assert unit.converged and res.converged
+    assert res.iterations == unit.iterations
+    assert math.isclose(res.median.x, unit.median.x * scale, rel_tol=1e-12)
+    assert math.isclose(res.median.y, unit.median.y * scale, rel_tol=1e-12)
+
+
 def test_point_set_validation():
     with pytest.raises(ValueError):
         PointSet([])
