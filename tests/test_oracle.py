@@ -158,18 +158,25 @@ def test_monte_carlo_translation_invariance_is_exact():
     assert base.stderr == shifted.stderr
 
 
-def test_minimizer_probe_is_oracle_sigma_bit_for_bit():
+@pytest.mark.parametrize("n_vertices", [3, 5])
+def test_minimizer_probe_is_oracle_sigma_bit_for_bit(n_vertices):
     # the probe skips the finer rule, which only the error estimate reads
-    cases = [
-        (T345, (2.0, 1.0)),  # interior
-        (T345, (3.0, 2.0)),  # on an edge
-        (T345, (0.0, 0.0)),  # a vertex
-        (T345, (-1.0, 2.5)),  # exterior
-        (PENTAGON, (2.0, 0.5)),  # interior, non-convex
-        (PENTAGON, (2.0, 2.0)),  # exterior, in the notch
-    ]
+    cases = {
+        3: (T345, [
+            (2.0, 1.0),  # interior
+            (3.0, 2.0),  # on an edge
+            (0.0, 0.0),  # a vertex
+            (-1.0, 2.5),  # exterior
+        ]),
+        5: (PENTAGON, [
+            (2.0, 0.5),  # interior, non-convex
+            (2.0, 2.0),  # exterior, in the notch
+        ]),
+    }
+    poly, points = cases[n_vertices]
+    assert len(poly) == n_vertices
     for kernel in (RadialKernel.euclidean(), RadialKernel.power(1.5)):
-        for poly, x in cases:
+        for x in points:
             assert _star_integral(poly, x, kernel) == float(oracle_sigma(poly, Point2(*x), kernel))
 
 
