@@ -24,7 +24,7 @@ from .errors import RegionFileError, RegionMedianError
 from .geometry import Point2, Polygon
 from .kernels import RadialKernel
 from .oracle import _brute_force_minimize, oracle_minimize
-from .residuals import general_boundary_residual, mean_distance_certificate, polygon_residual
+from .residuals import _spread, general_boundary_residual, polygon_residual
 from .solver import SolveConfig, degenerate_limit_study, solve_median, solve_medianoid
 from .svg import region_figure
 from .weiszfeld import PointSet, weiszfeld
@@ -39,7 +39,7 @@ def _fmt_number(v) -> str:
         return str(v)
     s = format(float(v), ".17g")
     # keep floats recognizably floats so reports parse back to the same types
-    if not any(ch in s for ch in ".eE") and s.lstrip("-").isdigit():
+    if s.lstrip("-").isdigit():
         s += ".0"
     return s
 
@@ -308,8 +308,8 @@ def cmd_check(args) -> int:
         "normalized_norm": rep.normalized_norm,
         "edge_means": list(rep.edge_means),
     }
-    if len(poly) == 3 and kernel.is_euclidean:
-        report["certificate_spread"] = mean_distance_certificate(poly, point).spread
+    if len(poly) == 3:
+        report["certificate_spread"] = _spread(rep.edge_means)
     _emit(report)
     return 0
 

@@ -1,16 +1,16 @@
 """Boundary-integral residual fields whose roots are medians.
 
 One rule for every kernel k: with m_i the mean of k(P - x) along edge i
-of the counterclockwise loop and e_i its edge vector, the gradient of
-the area objective (integral of k(P - x) dA) is rotate90(T, +1), where
-T = sum_i m_i e_i. The two routes differ only in how the means are
-evaluated: ``polygon_residual`` uses the closed form (Euclidean kernel)
-and reports T, the tangential form; ``general_boundary_residual`` uses
-adaptive quadrature (any kernel) and reports rotate90(T, -1), the normal
-form, which is the integral of k(P - x) times the outward unit normal.
+of the counterclockwise loop and e_i its edge vector, both routes report
+the residual T = sum_i m_i e_i, and the gradient of the area objective
+(integral of k(P - x) dA) is rotate90(T, +1). The routes differ only in
+how the means are evaluated: ``polygon_residual`` uses the closed form
+(Euclidean kernel), ``general_boundary_residual`` adaptive quadrature
+(any kernel).
 
-For a triangle T vanishes exactly when the three means are equal; that
-is the certificate of ``mean_distance_certificate``.
+For a triangle T vanishes exactly when the three means are equal, for
+any kernel; their spread is the certificate of
+``mean_distance_certificate``.
 """
 from __future__ import annotations
 
@@ -36,10 +36,11 @@ __all__ = [
 class ResidualReport:
     """A residual vector at a query point, with derived quantities.
 
-    ``gradient`` is the objective gradient at the query point; it has the
-    residual's norm and roots. ``normalized_norm``
-    is the residual norm divided by the squared region diameter, which
-    makes solver tolerances scale-free for the Euclidean kernel.
+    ``residual`` is T = sum_i m_i e_i on every route. ``gradient`` is the
+    objective gradient rotate90(T, +1), with the residual's norm and
+    roots. ``normalized_norm`` is the residual norm divided by the
+    squared region diameter, which makes solver tolerances scale-free for
+    the Euclidean kernel.
     """
 
     residual: Vector2
@@ -48,19 +49,6 @@ class ResidualReport:
     norm: float
     normalized_norm: float
 
-    @classmethod
-    def assemble(
-        cls, residual: Vector2, gradient: Vector2, edge_means: np.ndarray, diam: float
-    ) -> "ResidualReport":
-        norm = residual.norm
-        return cls(
-            residual=residual,
-            gradient=gradient,
-            edge_means=tuple(edge_means.tolist()),
-            norm=norm,
-            normalized_norm=norm / (diam * diam),
-        )
-
 
 def _closed_means(poly: Polygon, x: Point2) -> np.ndarray:
     """Mean distance from x along each edge, from the closed form."""
@@ -68,21 +56,35 @@ def _closed_means(poly: Polygon, x: Point2) -> np.ndarray:
     return closed_values_batch(c, np.roll(c, -1, axis=0), (x.x, x.y)) / poly.edge_lengths
 
 
-def _report(poly: Polygon, means: np.ndarray, normal_form: bool) -> ResidualReport:
+def _report(poly: Polygon, means: np.ndarray) -> ResidualReport:
     # T = sum of m_i e_i, accumulated left to right in storage order so
     # results are bit-reproducible; the gradient is rotate90(T, +1)
     t = np.cumsum(means[:, None] * poly.edge_vectors, axis=0)[-1]
-    tangential = Vector2(t[0], t[1])
-    residual = rotate90(tangential, -1) if normal_form else tangential
-    return ResidualReport.assemble(residual, rotate90(tangential, 1), means, poly.diameter)
+    residual = Vector2(t[0], t[1])
+    norm = residual.norm
+    diam = poly.diameter
+    return ResidualReport(
+        residual=residual,
+        gradient=rotate90(residual, 1),
+        edge_means=tuple(means.tolist()),
+        norm=norm,
+        normalized_norm=norm / (diam * diam),
+    )
+
+
+def _spread(means) -> float:
+    """(max - min)/max of the edge means; zero certifies a triangle's median."""
+    hi = float(np.max(means))
+    lo = float(np.min(means))
+    return (hi - lo) / hi if hi > 0.0 else 0.0
 
 
 def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
-    """Tangential residual T: sum of (mean edge distance) times edge vector.
+    """Residual T: sum of (mean edge distance) times edge vector.
 
     Uses the closed-form segment integrals of the Euclidean kernel.
     """
-    return _report(poly, _closed_means(poly, x), normal_form=False)
+    return _report(poly, _closed_means(poly, x))
 
 
 def general_boundary_residual(
@@ -91,9 +93,8 @@ def general_boundary_residual(
     kernel: RadialKernel,
     tol: float = 1e-10,
 ) -> ResidualReport:
-    """Normal-form residual rotate90(T, -1), for any kernel.
+    """Residual T: sum of (mean kernel value) times edge vector, any kernel.
 
-    This is the integral of kernel(P - x) times the outward unit normal.
     ``boundary`` may be a Polygon or any closed vertex loop (a sampled
     polyline approximating a curved boundary); loops are normalized to
     counterclockwise order. Each edge mean is evaluated by adaptive
@@ -106,7 +107,7 @@ def general_boundary_residual(
         segment_sigma_quadrature(Point2(a[0], a[1]), Point2(b[0], b[1]), x, kernel, tol=tol).mean
         for a, b in zip(c, cn)
     ])
-    return _report(poly, means, normal_form=True)
+    return _report(poly, means)
 
 
 class CertificateResult(NamedTuple):
@@ -124,7 +125,4 @@ def mean_distance_certificate(tri: Polygon, x: Point2) -> CertificateResult:
     if len(tri) != 3:
         raise InvalidTriangleError("certificate is defined for triangles only")
     means = _closed_means(tri, x)
-    hi = float(means.max())
-    lo = float(means.min())
-    spread = (hi - lo) / hi if hi > 0.0 else 0.0
-    return CertificateResult(means=(float(means[0]), float(means[1]), float(means[2])), spread=spread)
+    return CertificateResult(means=(float(means[0]), float(means[1]), float(means[2])), spread=_spread(means))

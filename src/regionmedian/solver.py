@@ -17,12 +17,7 @@ import numpy as np
 from .errors import InvalidTriangleError, SingularRegionError
 from .geometry import Point2, Polygon, as_polygon
 from .kernels import KernelKind, RadialKernel
-from .residuals import (
-    ResidualReport,
-    general_boundary_residual,
-    mean_distance_certificate,
-    polygon_residual,
-)
+from .residuals import ResidualReport, _spread, general_boundary_residual, polygon_residual
 
 __all__ = ["SolveConfig", "SolveResult", "solve_median", "solve_medianoid", "degenerate_limit_study"]
 
@@ -58,10 +53,10 @@ class SolveResult:
 
     ``converged`` is False when the iteration budget ran out or the line
     search stagnated; the best iterate found is still reported.
-    ``certificate`` carries the mean-distance spread for triangular
-    regions under the Euclidean kernel, None otherwise. ``local`` marks
-    results for custom kernels, where convexity (and thus global
-    uniqueness of the root) is not guaranteed. ``edge_means`` are the
+    ``certificate`` carries the spread (max - min)/max of the three edge
+    means for triangular regions under any kernel, None otherwise.
+    ``local`` marks results for custom kernels, where convexity (and thus
+    global uniqueness of the root) is not guaranteed. ``edge_means`` are the
     mean kernel values along each boundary edge at the reported median.
     """
 
@@ -91,13 +86,11 @@ def _newton_root(
     region,
     residual_fn: Callable[[Polygon, Point2], ResidualReport],
     cfg: Optional[SolveConfig],
-    certify: bool,
     local: bool = False,
 ) -> SolveResult:
     """Damped Newton on the report gradient, from the area centroid.
 
-    ``certify`` attaches the triangle certificate, which holds for the
-    Euclidean kernel only.
+    Triangles get the certificate of the final report's edge means.
     """
     cfg = cfg or SolveConfig()
     polygon, diam, x = _validated_region(region)
@@ -145,19 +138,13 @@ def _newton_root(
         iterations += 1
         trace.append((Point2(float(x[0]), float(x[1])), rep.normalized_norm))
         converged = rep.normalized_norm <= cfg.tol_rel
-    median = Point2(float(x[0]), float(x[1]))
-    certificate = (
-        mean_distance_certificate(polygon, median).spread
-        if certify and len(polygon) == 3
-        else None
-    )
     return SolveResult(
-        median=median,
+        median=Point2(float(x[0]), float(x[1])),
         iterations=iterations,
         residual_norm=rep.norm,
         normalized_norm=rep.normalized_norm,
         trace=tuple(trace),
-        certificate=certificate,
+        certificate=_spread(rep.edge_means) if len(polygon) == 3 else None,
         converged=converged,
         local=local,
         edge_means=rep.edge_means,
@@ -167,25 +154,23 @@ def _newton_root(
 def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
     """Geometric median of a polygonal region (Euclidean kernel).
 
-    Newton on the tangential residual's gradient, initialized at the
+    Newton on the closed-form residual's gradient, initialized at the
     area centroid.
     """
-    return _newton_root(poly, polygon_residual, cfg, certify=True)
+    return _newton_root(poly, polygon_residual, cfg)
 
 
 def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] = None) -> SolveResult:
     """Medianoid of a region for a general radial kernel.
 
-    Same Newton scheme, driven by the normal-form boundary residual.
+    Same Newton scheme, driven by the quadrature boundary residual.
     Accepts a Polygon or a sampled polyline loop for the boundary.
     """
 
     def residual_fn(polygon: Polygon, p: Point2) -> ResidualReport:
         return general_boundary_residual(polygon, p, kernel, tol=_QUAD_TOL)
 
-    return _newton_root(
-        boundary, residual_fn, cfg, certify=kernel.is_euclidean, local=kernel.kind is KernelKind.CUSTOM
-    )
+    return _newton_root(boundary, residual_fn, cfg, local=kernel.kind is KernelKind.CUSTOM)
 
 
 def degenerate_limit_study(

@@ -84,7 +84,7 @@ def star_triangles(poly: Polygon, x) -> np.ndarray:
     c = poly.coords
     cn = np.roll(c, -1, axis=0)
     xs = np.broadcast_to(np.asarray(x, dtype=float).reshape(1, 2), c.shape)
-    return np.stack([xs, c, cn], axis=1).astype(float)
+    return np.stack([xs, c, cn], axis=1)
 
 
 def _ear_clip(coords: np.ndarray) -> np.ndarray:
@@ -135,5 +135,5 @@ def triangulate(poly: Polygon) -> np.ndarray:
     if poly.is_convex:
         m = len(c) - 2
         a = np.broadcast_to(c[0], (m, 2))
-        return np.stack([a, c[1:-1], c[2:]], axis=1).astype(float)
+        return np.stack([a, c[1:-1], c[2:]], axis=1)
     return _ear_clip(c)

@@ -98,15 +98,25 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     converged = False
     iterations = 0
 
+    radius = _COINCIDENCE_REL * diam
+
+    def distances(v: np.ndarray) -> np.ndarray:
+        return np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])
+
+    def vertex_pull(v: np.ndarray, d: np.ndarray):
+        # the vertex optimality test at v: the points farther than radius
+        # pull with (rx, ry) against the weight anchored within it, and v
+        # is optimal when the pull is at most that weight; the pull is
+        # minus the smooth part of the subgradient, term by term
+        anchored = d <= radius
+        rest = ~anchored
+        rx = float(np.sum(w[rest] * (pts[rest, 0] - v[0]) / d[rest]))
+        ry = float(np.sum(w[rest] * (pts[rest, 1] - v[1]) / d[rest]))
+        return math.hypot(rx, ry), rx, ry, float(w[anchored].sum()), rest
+
     def subgrad_norm(v: np.ndarray) -> float:
-        d = np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])
-        hit = d <= _COINCIDENCE_REL * diam
-        far = ~hit
-        gx = float(np.sum(w[far] * (v[0] - pts[far, 0]) / d[far]))
-        gy = float(np.sum(w[far] * (v[1] - pts[far, 1]) / d[far]))
-        pull = math.hypot(gx, gy)
-        slack = float(w[hit].sum())
-        return max(pull - slack, 0.0)
+        pull, _, _, anchor, _ = vertex_pull(v, distances(v))
+        return max(pull - anchor, 0.0)
 
     trace.append((Point2(x[0], x[1]), subgrad_norm(x) / total_w))
     if diam == 0.0:
@@ -122,22 +132,13 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
         )
 
     for iterations in range(1, max_iter + 1):
-        d = np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1])
-        coincident = np.nonzero(d <= _COINCIDENCE_REL * diam)[0]
-        if len(coincident):
-            k = int(coincident[0])
-            others = np.ones(len(pts), dtype=bool)
-            others[coincident] = False
-            dk = d[others]
-            rx = float(np.sum(w[others] * (pts[others, 0] - x[0]) / dk))
-            ry = float(np.sum(w[others] * (pts[others, 1] - x[1]) / dk))
-            pull = math.hypot(rx, ry)
-            anchor = float(w[~others].sum())
+        d = distances(x)
+        if np.any(d <= radius):
+            pull, rx, ry, anchor, rest = vertex_pull(x, d)
             if pull <= anchor:
                 converged = True  # the data point itself is optimal
                 break
-            scale = float(np.sum(w[others] / dk))
-            step = (pull - anchor) / scale
+            step = (pull - anchor) / float(np.sum(w[rest] / d[rest]))
             x_new = np.array([x[0] + step * rx / pull, x[1] + step * ry / pull])
         else:
             inv = w / d
@@ -161,21 +162,15 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     # itself is the median; its optimality test is exact no matter how
     # close the stall happened, so a pass lets us report the point with
     # its true (zero) subgradient instead of a misleading smooth residual
-    near = np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1])
+    near = distances(x)
     k = int(np.argmin(near))
     if 0.0 < near[k] <= 1e-6 * diam:
-        vx, vy = float(pts[k, 0]), float(pts[k, 1])
-        dv = np.hypot(pts[:, 0] - vx, pts[:, 1] - vy)
-        anchored = dv <= _COINCIDENCE_REL * diam
-        rest = ~anchored
-        pull = math.hypot(
-            float(np.sum(w[rest] * (pts[rest, 0] - vx) / dv[rest])),
-            float(np.sum(w[rest] * (pts[rest, 1] - vy) / dv[rest])),
-        )
-        if pull <= float(w[anchored].sum()):
-            x = np.array([vx, vy])
+        v = pts[k]
+        pull, _, _, anchor, _ = vertex_pull(v, distances(v))
+        if pull <= anchor:
+            x = v.copy()
             converged = True
-            trace.append((Point2(vx, vy), 0.0))
+            trace.append((Point2(x[0], x[1]), 0.0))
 
     res_norm = subgrad_norm(x)
     return SolveResult(

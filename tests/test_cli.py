@@ -42,6 +42,14 @@ def test_golden_reports_are_reproduced_byte_for_byte(capsys, tmp_path):
         assert out_path.read_bytes() == (GOLDEN / f"{stem}_report.json").read_bytes()
 
 
+def test_discrete_golden_reports_are_reproduced_byte_for_byte(capsys, tmp_path):
+    for stem in ("obtuse_points", "weighted_points"):
+        out_path = tmp_path / f"{stem}.json"
+        code, _, _ = run(capsys, "discrete", str(DATA / f"{stem}.json"), "--json-out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == (GOLDEN / f"{stem}_discrete_report.json").read_bytes()
+
+
 def test_report_numbers_survive_a_parse_round_trip():
     rng = np.random.default_rng(88)
     values = list(rng.normal(size=200) * 10.0 ** rng.integers(-12, 12, 200))
@@ -138,6 +146,7 @@ def test_medianoid_kernel_from_file(capsys):
     report = json.loads(out)
     assert report["median"][0] == pytest.approx(2.0, abs=1e-8)
     assert report["median"][1] == pytest.approx(4.0 / 3.0, abs=1e-8)
+    assert report["certificate_spread"] < 1e-12
 
 
 def test_medianoid_kernel_flag_overrides(capsys):
@@ -206,7 +215,7 @@ def test_check_at_the_median_shows_balance(capsys):
 
 
 def test_check_gradient_is_the_area_objective_slope(capsys):
-    # the file's power-2 kernel takes the normal-form residual route
+    # the file's power-2 kernel takes the quadrature residual route
     code, out, _ = run(capsys, "check", str(DATA / "power2_region.json"), "--point", "1.5,1.0")
     assert code == 0
     grad = json.loads(out)["gradient"]
@@ -220,6 +229,22 @@ def test_check_gradient_is_the_area_objective_slope(capsys):
     gx = (sigma(1.5 + h, 1.0) - sigma(1.5 - h, 1.0)) / (2 * h)
     gy = (sigma(1.5, 1.0 + h) - sigma(1.5, 1.0 - h)) / (2 * h)
     assert math.hypot(grad[0] - gx, grad[1] - gy) / math.hypot(gx, gy) < 1e-6
+
+
+def test_check_reports_the_certificate_under_any_kernel(capsys):
+    # power-2 medianoid of a triangle is its centroid, where the three
+    # edge means balance; away from it they do not
+    code, out, _ = run(capsys, "check", str(DATA / "power2_region.json"), "--point", "2,1.3333333333333333")
+    assert code == 0
+    report = json.loads(out)
+    assert report["certificate_spread"] < 1e-12
+    means = report["edge_means"]
+    assert report["certificate_spread"] == (max(means) - min(means)) / max(means)
+    code, out, _ = run(capsys, "check", str(DATA / "power2_region.json"), "--point", "1.5,1.0")
+    report = json.loads(out)
+    assert report["certificate_spread"] > 0.1
+    tx, ty = report["residual"]
+    assert report["gradient"] == [-ty, tx]
 
 
 def test_check_rejects_malformed_points(capsys):

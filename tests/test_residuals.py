@@ -63,7 +63,8 @@ def test_triangle_matches_hand_assembled_sum():
 
 
 def test_edge_means_and_gradient_follow_one_rule():
-    """Every route reports its edge means and the gradient rotate90(T, +1).
+    """Every route reports its edge means, the residual T and the gradient
+    rotate90(T, +1).
 
     T is the sum of edge mean times edge vector. The closed-form route
     and the quadrature route (Euclidean, power 1.5 and a custom kernel)
@@ -84,6 +85,8 @@ def test_edge_means_and_gradient_follow_one_rule():
         want = rotate90(Vector2(tx, ty), 1)
         dev = math.hypot(rep.gradient.dx - want.dx, rep.gradient.dy - want.dy)
         assert dev <= 1e-13 * want.norm
+        dev = math.hypot(rep.residual.dx - tx, rep.residual.dy - ty)
+        assert dev <= 1e-13 * want.norm
     for arr in (poly.edge_vectors, poly.edge_lengths):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -93,8 +96,8 @@ def test_edge_means_and_gradient_follow_one_rule():
 def test_gradient_matches_area_integral_slope():
     """Central differences of the area objective reproduce the gradient.
 
-    Both residual routes are checked: the closed-form tangential one and
-    the normal form under a power-3 kernel. The step is 1e-5 of the
+    Both residual routes are checked: the closed-form one and the
+    quadrature one under a power-3 kernel. The step is 1e-5 of the
     diameter; the area integrals come from the independent triangulated
     quadrature route.
     """
@@ -125,18 +128,17 @@ def test_gradient_slope_property_random_regions():
         assert dev / max(math.hypot(gx, gy), 1e-30) < 1e-4
 
 
-def test_normal_and_tangential_routes_rotate_into_each_other():
+def test_closed_form_and_quadrature_routes_report_the_same_residual():
     rng = np.random.default_rng(77)
     kern = RadialKernel.euclidean()
     for _ in range(8):
         poly = random_convex_polygon(rng, n_max=6)
         x = Point2(*rng.uniform(-1.5, 1.5, 2))
-        tang = polygon_residual(poly, x)
-        norm = general_boundary_residual(poly, x, kern, tol=1e-13)
-        want = rotate90(tang.residual, -1)
-        scale = max(tang.norm, 1e-12)
-        assert abs(norm.residual.dx - want.dx) / scale < 1e-11
-        assert abs(norm.residual.dy - want.dy) / scale < 1e-11
+        closed = polygon_residual(poly, x)
+        quad = general_boundary_residual(poly, x, kern, tol=1e-13)
+        scale = max(closed.norm, 1e-12)
+        assert abs(quad.residual.dx - closed.residual.dx) / scale < 1e-11
+        assert abs(quad.residual.dy - closed.residual.dy) / scale < 1e-11
 
 
 def test_power_two_residual_vanishes_at_centroid():

@@ -14,7 +14,9 @@ from regionmedian import (
     RadialKernel,
     SingularRegionError,
 )
+from regionmedian.kernels import KernelKind
 from regionmedian.oracle import oracle_sigma
+from regionmedian.residuals import mean_distance_certificate
 from regionmedian.solver import (
     SolveConfig,
     SolveResult,
@@ -203,3 +205,31 @@ def test_random_triangles_converge_with_tiny_spread():
         assert res.converged
         assert res.normalized_norm <= 1e-12
         assert res.certificate < 1e-9
+
+
+def test_triangle_certificate_is_the_spread_at_the_median_bit_for_bit():
+    # the solver takes the spread from its final report, which was
+    # evaluated at the reported median with the same closed-form means
+    rng = np.random.default_rng(91)
+    for _ in range(40):
+        tri = random_triangle(rng)
+        res = solve_median(tri)
+        assert res.certificate == mean_distance_certificate(tri, res.median).spread
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        RadialKernel.power(1.5),
+        RadialKernel.power(2.0),
+        RadialKernel.power(3.0),
+        RadialKernel.custom(lambda w: w.norm + 0.1 * w.norm**2),
+    ],
+    ids=["power1.5", "power2", "power3", "custom"],
+)
+def test_medianoid_triangles_carry_the_certificate_for_every_kernel(kernel):
+    # equal edge means are the median-like point's balance for any kernel
+    res = solve_medianoid(T345, kernel)
+    assert res.converged
+    assert res.certificate is not None and res.certificate < 1e-12
+    assert res.local == (kernel.kind is KernelKind.CUSTOM)
