@@ -296,10 +296,16 @@ def cmd_check(args) -> int:
     poly = _require_region(inp, "check")
     point = _parse_point(args.point)
     kernel = inp.kernel or RadialKernel.euclidean()
-    if kernel.is_euclidean:
-        rep = polygon_residual(poly, point)
-    else:
-        rep = general_boundary_residual(poly, point, kernel)
+    # a point far enough out overflows the edge integrals; raising keeps
+    # numpy's warnings off stderr and names the point in the one error line
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if kernel.is_euclidean:
+                rep = polygon_residual(poly, point)
+            else:
+                rep = general_boundary_residual(poly, point, kernel)
+    except FloatingPointError as exc:
+        raise RegionFileError(f"the residual at --point {point.x!r},{point.y!r} is out of range: {exc}") from exc
     report = {
         "point": [point.x, point.y],
         "residual": [rep.residual.dx, rep.residual.dy],

@@ -2,8 +2,10 @@
 
 The central quantity is the arclength integral of f(P - x) over a segment,
 for f the Euclidean norm (closed form) or a general radial kernel
-(adaptive quadrature). Values carry the segment length and the mean so
-callers can assemble residuals without recomputing either.
+(Gauss-Kronrod quadrature: one batched pass over stacked segments, or
+scipy's ``quad`` on one segment as an independent reference). Values
+carry the segment length and the mean so callers can assemble residuals
+without recomputing either.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NonConvergenceError
 from .geometry import Point2, Vector2
@@ -161,6 +162,152 @@ def closed_values_batch(a: np.ndarray, b: np.ndarray, x) -> np.ndarray:
     return out
 
 
+def _ladder_panels(t0: np.ndarray, layer: np.ndarray):
+    """Initial panels of every edge, as (edge index, start, end) arrays.
+
+    The breakpoints are t0 when it lies in (0, 1), and the ladder
+    t0 +- layer*4^k that falls inside (0, 1), for every step layer*4^k in
+    (0, 2). ``segment_sigma_quadrature`` hands the same breakpoints to
+    ``quad``.
+    """
+    m = len(t0)
+    # layer*4^k < 2 fails once 2k exceeds 1 - exponent(layer); multiplying
+    # by a power of four is exact
+    k = (1 - int(np.frexp(layer)[1].min())) // 2 + 2
+    steps = layer[:, None] * (4.0 ** np.arange(k))
+    steps[~(steps < 2.0)] = np.inf
+    t0 = t0[:, None]
+    # ascending along each row; clamping to [0, 1] (NaN to 0) keeps the
+    # order and turns every breakpoint outside (0, 1) into an empty panel
+    cand = np.concatenate([np.zeros((m, 1)), t0 - steps[:, ::-1], t0, t0 + steps, np.ones((m, 1))], axis=1)
+    cand = np.fmin(np.fmax(cand, 0.0), 1.0)
+    lo, hi = cand[:, :-1], cand[:, 1:]
+    keep = hi > lo
+    return np.nonzero(keep)[0], lo[keep], hi[keep]
+
+
+# Gauss-Kronrod 10/21 pair (QUADPACK qk21): the nonnegative Kronrod nodes
+# of [-1, 1] and their weights; the Gauss nodes are the odd-indexed ones
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525520638, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# the 21 nodes on [-1, 1] in increasing order; columns of _GK_WEIGHTS are
+# the Kronrod and the Gauss weights
+_GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_GK_WEIGHTS = np.zeros((21, 2))
+_GK_WEIGHTS[:, 0] = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GK_WEIGHTS[1:10:2, 1] = _WG
+_GK_WEIGHTS[11:20:2, 1] = _WG[::-1]
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+# bisection passes before a segment that still fails is reported
+_MAX_PASSES = 50
+# panels a segment may gain by bisection (quad's limit on the reference
+# route); the roundoff floor of a panel's error does not shrink when it
+# is halved, so a tol below it would otherwise double the panels per pass
+_MAX_SPLITS = 200
+
+
+def _gk21(d: np.ndarray, e: np.ndarray, kernel: "RadialKernel", lo: np.ndarray, hi: np.ndarray):
+    """qk21 integral and error estimate of kernel(P - x) on each panel.
+
+    Panel j spans parameters [lo[j], hi[j]] of the displacement
+    d[j] + t e[j], where d[j] is its segment's start minus x; one
+    ``evaluate_many`` call covers every node of every panel.
+    """
+    hlgth = 0.5 * (hi - lo)
+    t = (0.5 * (lo + hi))[:, None] + hlgth[:, None] * _GK_NODES
+    f = kernel.evaluate_many(d[:, :1] + t * e[:, :1], d[:, 1:] + t * e[:, 1:])
+    kg = f @ _GK_WEIGHTS
+    resk = kg[:, 0]
+    resabs = np.abs(f) @ _GK_WEIGHTS[:, 0] * hlgth
+    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS[:, 0] * hlgth
+    abserr = np.abs((resk - kg[:, 1]) * hlgth)
+    # QUADPACK's scaling of |K - G|, floored at the roundoff of the sum
+    flat = resasc == 0.0
+    ratio = np.minimum(1.0, 200.0 * abserr / np.where(flat, 1.0, resasc))
+    abserr = np.where(flat, abserr, resasc * ratio * np.sqrt(ratio))
+    return resk * hlgth, np.maximum(_ROUNDOFF * resabs, abserr)
+
+
+def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _DEFAULT_QUAD_TOL) -> np.ndarray:
+    """Integrals of kernel(P - x) along stacked segments, any kernel.
+
+    a, e: (m, 2) arrays of segment starts and edge vectors, no edge
+    vector zero; x: query point (length-2). Returns the (m,) array of
+    arclength integrals.
+
+    Each segment is cut at the breakpoints of ``segment_sigma_quadrature``
+    and one Gauss-Kronrod 10/21 pass covers every panel of every segment.
+    A segment passes when its summed error estimate satisfies
+    err <= tol * (1 + |value|). The panels of failing segments whose
+    error exceeds their share of that budget are bisected, for at most
+    ``_MAX_PASSES`` passes and ``_MAX_SPLITS`` new panels per segment. A
+    segment that still fails, or a value that is not finite, raises
+    NonConvergenceError.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be > 0")
+    e = np.asarray(e, dtype=float)
+    d = np.asarray(a, dtype=float) - np.asarray(x, dtype=float).reshape(2)
+    m = len(d)
+    lengths = np.hypot(e[:, 0], e[:, 1])
+    sq = lengths * lengths
+    t0 = -(e[:, 0] * d[:, 0] + e[:, 1] * d[:, 1]) / sq
+    layer = np.abs(e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]) / sq
+    edge, lo, hi = _ladder_panels(t0, layer)
+    limit = np.bincount(edge, minlength=m) + _MAX_SPLITS
+    res, err = _gk21(d[edge], e[edge], kernel, lo, hi)
+    for passes in range(_MAX_PASSES + 1):
+        value = lengths * np.bincount(edge, weights=res, minlength=m)
+        abserr = lengths * np.bincount(edge, weights=err, minlength=m)
+        budget = tol * (1.0 + np.abs(value))
+        finite = np.isfinite(value) & np.isfinite(abserr)
+        bad = ~(finite & (abserr <= budget))
+        if not bad.any():
+            return value
+        # if a segment's error exceeds its budget, some panel's error
+        # exceeds its equal share of it
+        count = np.bincount(edge, minlength=m)
+        share = budget / (lengths * count)
+        split = bad[edge] & (err > share[edge])
+        stuck = ~finite | (count + np.bincount(edge[split], minlength=m) > limit)
+        if passes == _MAX_PASSES or stuck.any():
+            i = int(np.argmax(stuck)) if stuck.any() else int(np.argmax(bad))
+            raise NonConvergenceError(
+                f"segment quadrature error {abserr[i]:.3e} exceeds tol*(1+|value|) "
+                f"= {budget[i]:.3e}"
+            )
+        keep = ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        halves = np.concatenate([edge[split], edge[split]])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_res, new_err = _gk21(d[halves], e[halves], kernel, new_lo, new_hi)
+        edge = np.concatenate([edge[keep], halves])
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        res = np.concatenate([res[keep], new_res])
+        err = np.concatenate([err[keep], new_err])
+
+
 def segment_sigma_closed(a: Point2, b: Point2, x: Point2) -> SegmentIntegral:
     """Exact arclength integral of |P - x| over the segment from a to b.
 
@@ -188,6 +335,11 @@ def segment_sigma_quadrature(
     perpendicular (sharpest when x sits almost on the carrier line) is
     resolved instead of slipping between quadrature nodes.
     """
+    # imported here rather than with the package: no solve or CLI command
+    # takes this reference route, and scipy.integrate adds about 20 ms to
+    # the package import
+    from scipy.integrate import quad
+
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     ax, ay, ex, ey = a.x, a.y, b.x - a.x, b.y - a.y
@@ -205,16 +357,9 @@ def segment_sigma_quadrature(
     # it sets the width of the boundary layer around t0 where the radial
     # kernel bends fastest
     layer = abs(ex * wy - ey * wx) / sq
-    breakpoints = []
-    if 0.0 < t0 < 1.0:
-        breakpoints.append(t0)
-    step = layer
-    while 0.0 < step < 2.0:
-        for cand in (t0 - step, t0 + step):
-            if 0.0 < cand < 1.0:
-                breakpoints.append(cand)
-        step *= 4.0
-    points = sorted(set(breakpoints)) or None
+    # the panels' inner ends are the breakpoints of the batched route
+    _, starts, _ = _ladder_panels(np.array([t0]), np.array([layer]))
+    points = starts[1:].tolist() or None
     raw = quad(
         integrand,
         0.0,

@@ -5,8 +5,12 @@ of the counterclockwise loop and e_i its edge vector, both routes report
 the residual T = sum_i m_i e_i, and the gradient of the area objective
 (integral of k(P - x) dA) is rotate90(T, +1). The routes differ only in
 how the means are evaluated: ``polygon_residual`` uses the closed form
-(Euclidean kernel), ``general_boundary_residual`` adaptive quadrature
-(any kernel).
+(Euclidean kernel), ``general_boundary_residual`` (any kernel) one
+batched Gauss-Kronrod 10/21 pass over the panels of every edge
+(``kernels.quadrature_values_batch``). An edge passes when its QUADPACK
+error estimate err satisfies err <= tol * (1 + |value|) for its
+integral value; only the panels of failing edges are bisected, and an
+edge that does not pass raises NonConvergenceError.
 
 For a triangle T vanishes exactly when the three means are equal, for
 any kernel; their spread is the certificate of
@@ -14,6 +18,7 @@ any kernel; their spread is the certificate of
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
@@ -21,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidTriangleError
 from .geometry import Point2, Polygon, Vector2, as_polygon, rotate90
-from .kernels import RadialKernel, closed_values_batch, segment_sigma_quadrature
+from .kernels import RadialKernel, closed_values_batch, quadrature_values_batch
 
 __all__ = [
     "ResidualReport",
@@ -73,10 +78,17 @@ def _report(poly: Polygon, means: np.ndarray) -> ResidualReport:
 
 
 def _spread(means) -> float:
-    """(max - min)/max of the edge means; zero certifies a triangle's median."""
-    hi = float(np.max(means))
-    lo = float(np.min(means))
-    return (hi - lo) / hi if hi > 0.0 else 0.0
+    """(max - min) / largest |m| of the edge means; zero certifies a triangle's median.
+
+    The spread is 0.0 only for finite, equal means; means that are not
+    all finite give inf, which certifies nothing.
+    """
+    m = np.asarray(means, dtype=float)
+    if not np.all(np.isfinite(m)):
+        return math.inf
+    hi = float(np.max(m))
+    lo = float(np.min(m))
+    return (hi - lo) / max(hi, -lo) if hi != lo else 0.0
 
 
 def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
@@ -97,16 +109,12 @@ def general_boundary_residual(
 
     ``boundary`` may be a Polygon or any closed vertex loop (a sampled
     polyline approximating a curved boundary); loops are normalized to
-    counterclockwise order. Each edge mean is evaluated by adaptive
-    quadrature to the given tolerance.
+    counterclockwise order. All edge means come from one batched
+    Gauss-Kronrod quadrature to the given tolerance.
     """
     poly = as_polygon(boundary)
-    c = poly.coords
-    cn = np.roll(c, -1, axis=0)
-    means = np.array([
-        segment_sigma_quadrature(Point2(a[0], a[1]), Point2(b[0], b[1]), x, kernel, tol=tol).mean
-        for a, b in zip(c, cn)
-    ])
+    values = quadrature_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y), kernel, tol)
+    means = values / poly.edge_lengths
     return _report(poly, means)
 
 

@@ -279,3 +279,47 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["normalized_norm"] <= 1e-12
+
+
+@pytest.mark.parametrize("coords,point,through", [
+    ([[0, 0], [2, 0], [1, 1]], "0,0", (2, 0)),
+    ([[0, 0], [2, 0], [1, 1]], "1,1", (1, 2)),
+    ([[0, 0], [4, 0], [3, 2], [0, 1]], "3,2", (1, 2)),
+    ([[0, 0], [4, 0], [3, 2], [0, 1]], "0,1", (2, 3)),
+])
+def test_check_at_a_vertex_under_a_power_kernel(capsys, tmp_path, coords, point, through):
+    # the edges through the vertex have mean L^p/(p+1), 0.6727171322029717
+    # for the edge (1,1)->(0,0) under p = 1.5
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps({"polygon": coords, "kernel": {"kind": "power", "p": 1.5}}))
+    code, out, err = run(capsys, "check", str(path), "--point", point)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    a = np.asarray(coords, dtype=float)
+    lengths = np.hypot(*(np.roll(a, -1, axis=0) - a).T)
+    for j in through:
+        assert report["edge_means"][j] == pytest.approx(lengths[j] ** 1.5 / 2.5, rel=1e-12)
+    if len(coords) == 3:
+        assert report["edge_means"][2] == pytest.approx(0.6727171322029717, rel=1e-12)
+        assert "certificate_spread" in report
+
+
+@pytest.mark.parametrize("stem", ["t345", "power2_region"])
+def test_check_far_point_prints_one_error_line(stem):
+    proc = subprocess.run(
+        [sys.executable, "-m", "regionmedian", "check", str(DATA / f"{stem}.json"), "--point", "1e300,1e300"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: the residual at --point 1e+300,1e+300 is out of range")
+
+
+def test_no_scipy_quad_on_the_medianoid_and_check_paths(capsys, no_scipy_quad):
+    code, out, _ = run(capsys, "medianoid", str(DATA / "pentagon.json"), "--kernel", "power:1.5")
+    assert code == 0 and json.loads(out)["normalized_norm"] <= 1e-12
+    code, out, _ = run(capsys, "medianoid", str(DATA / "power2_region.json"))
+    assert code == 0
+    code, out, _ = run(capsys, "check", str(DATA / "power2_region.json"), "--point", "1.5,1.0")
+    assert code == 0 and len(json.loads(out)["edge_means"]) == 3

@@ -6,11 +6,15 @@ import pytest
 from regionmedian import (
     NonConvergenceError,
     Point2,
+    Polygon,
     RadialKernel,
     Vector2,
+    general_boundary_residual,
     segment_sigma_closed,
     segment_sigma_quadrature,
+    solve_medianoid,
 )
+from regionmedian.kernels import quadrature_values_batch
 
 SQRT2 = math.sqrt(2.0)
 
@@ -162,3 +166,91 @@ def test_segment_integral_nonnegative_for_nonnegative_kernel():
     for _ in range(100):
         pa, pb, px = (Point2(*rng.uniform(-2, 2, 2)) for _ in range(3))
         assert segment_sigma_closed(pa, pb, px).value >= 0.0
+
+
+QUAD = Polygon([(0.0, 0.0), (4.0, 0.0), (3.0, 2.0), (0.0, 1.0)])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_batched_quadrature_matches_the_per_segment_reference(p):
+    """One Gauss-Kronrod pass over all edges against scipy's quad per edge.
+
+    Query points sit inside, at vertices, at edge midpoints, 1e-9 off an
+    edge and outside the region.
+    """
+    a, e, lengths = QUAD.coords, QUAD.edge_vectors, QUAD.edge_lengths
+    kernel = RadialKernel.power(p)
+    normal = np.stack([-e[:, 1], e[:, 0]], axis=1) / lengths[:, None]
+    points = [np.array([1.7, 0.8]), np.array([-2.0, 3.5]), *a, *(a + 0.5 * e),
+              *(a + 0.3 * e + 1e-9 * normal)]
+    worst = 0.0
+    for x in points:
+        got = quadrature_values_batch(a, e, x, kernel, tol=1e-13)
+        for j in range(len(a)):
+            if np.array_equal(x, a[j]) or np.array_equal(x, a[j] + e[j]):
+                # quad cannot resolve the endpoint singularity of the
+                # derivative for p = 1.5; the integral is L^(p+1)/(p+1)
+                ref = lengths[j] ** (p + 1.0) / (p + 1.0)
+            else:
+                ref = segment_sigma_quadrature(Point2(*a[j]), Point2(*(a[j] + e[j])), Point2(*x), kernel, tol=1e-13).value
+            worst = max(worst, abs(got[j] - ref) / ref)
+    assert worst < 1e-13, f"worst relative mismatch {worst:.3e}"
+
+
+def test_batched_quadrature_uses_the_displacement_from_the_query_point():
+    # an odd term in dx flips sign under x - P; every kernel in the suite
+    # besides this one is even in (dx, dy)
+    kernel = RadialKernel.custom(lambda v: 1.0 + 0.3 * v.dx + v.dy * v.dy)
+    edges = list(zip(QUAD.vertices, QUAD.vertices[1:] + QUAD.vertices[:1]))
+    for x in (Point2(1.7, 0.8), Point2(-1.0, 2.5), QUAD.vertices[2]):
+        rep = general_boundary_residual(QUAD, x, kernel, tol=1e-13)
+        want = [segment_sigma_quadrature(a, b, x, kernel, tol=1e-13).mean for a, b in edges]
+        assert rep.edge_means == pytest.approx(want, rel=1e-13, abs=0.0)
+    # the edge (0,0)->(4,0) seen from (0,1): mean of 1 + 0.3*(4t) + 1
+    rep = general_boundary_residual(QUAD, Point2(0.0, 1.0), kernel, tol=1e-13)
+    assert rep.edge_means[0] == pytest.approx(2.6, rel=1e-14)
+
+
+def test_batched_quadrature_rejects_a_kernel_that_turns_nan():
+    # NaN on a band of dy that the spot-check probes of custom() miss
+    kernel = RadialKernel.custom(lambda v: float("nan") if 0.2 < v.dy < 1.0 else 1.0 + v.norm)
+    a, e = QUAD.coords, QUAD.edge_vectors
+    with pytest.raises(NonConvergenceError, match="segment quadrature error"):
+        quadrature_values_batch(a, e, (1.5, 0.5), kernel)
+    with pytest.raises(NonConvergenceError):
+        general_boundary_residual(QUAD, Point2(1.5, 0.5), kernel)
+    with pytest.raises(NonConvergenceError):
+        solve_medianoid(QUAD, kernel)
+
+
+def test_batched_quadrature_below_the_roundoff_floor_stops_refining(monkeypatch):
+    """A tol no bisection can meet raises instead of doubling the panels.
+
+    Each panel's error is floored at the roundoff of its sum, and that
+    floor does not shrink under bisection: tol = 1e-15 under p = 2, and a
+    sign-changing kernel whose integral of |f| dwarfs that of f, cannot
+    pass. Counting the kernel's nodes makes a runaway refinement fail
+    here instead of exhausting memory.
+    """
+    evaluate_many = RadialKernel.evaluate_many
+    nodes = [0]
+
+    def counted(self, dx, dy):
+        nodes[0] += np.size(dx)
+        assert nodes[0] < 100_000, "refinement does not stop"
+        return evaluate_many(self, dx, dy)
+
+    monkeypatch.setattr(RadialKernel, "evaluate_many", counted)
+    t345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
+    with pytest.raises(NonConvergenceError, match="segment quadrature error"):
+        general_boundary_residual(t345, Point2(1.0, 1.0), RadialKernel.power(2.0), tol=1e-15)
+    wave = RadialKernel.custom(lambda v: v.norm + 1e6 * math.sin(20.0 * v.dx))
+    nodes[0] = 0
+    with pytest.raises(NonConvergenceError, match="segment quadrature error"):
+        solve_medianoid(t345, wave)
+
+
+def test_batched_quadrature_rejects_bad_tol():
+    a, e = QUAD.coords, QUAD.edge_vectors
+    with pytest.raises(ValueError):
+        quadrature_values_batch(a, e, (1.0, 1.0), RadialKernel.power(2.0), tol=0.0)

@@ -20,6 +20,7 @@ from regionmedian import (
 )
 from regionmedian.kernels import segment_sigma_closed, segment_sigma_quadrature
 from regionmedian.oracle import oracle_sigma
+from regionmedian.residuals import _spread
 
 
 T345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
@@ -238,3 +239,49 @@ def test_boundary_loop_accepts_raw_vertex_list():
     want = general_boundary_residual(T345, Point2(1.0, 1.0), RadialKernel.euclidean(), tol=1e-12)
     assert got.residual.dx == pytest.approx(want.residual.dx, abs=1e-13)
     assert got.residual.dy == pytest.approx(want.residual.dy, abs=1e-13)
+
+
+@pytest.mark.parametrize("coords", [
+    [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)],
+    [(0.0, 0.0), (4.0, 0.0), (3.0, 2.0), (0.0, 1.0)],
+], ids=["triangle", "quadrilateral"])
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_quadrature_residual_at_every_vertex_gives_the_exact_means(coords, tol):
+    """At a vertex the edges through it have mean L^p/(p+1).
+
+    The power-1.5 kernel's derivative is singular where the edge meets
+    x; scipy's quad reports an error of about 7e-6 there and fails. Each
+    edge value L^(p+1)/(p+1) must be within tol * (1 + value).
+    """
+    p = 1.5
+    poly = Polygon(coords)
+    kernel = RadialKernel.power(p)
+    n = len(coords)
+    for i, v in enumerate(coords):
+        rep = general_boundary_residual(poly, Point2(*v), kernel, tol=tol)
+        for j in ((i - 1) % n, i):
+            length = poly.edge_lengths[j]
+            want = length ** (p + 1.0) / (p + 1.0)
+            assert abs(rep.edge_means[j] * length - want) <= tol * (1.0 + want)
+    if n == 3:
+        rep = general_boundary_residual(poly, Point2(0.0, 0.0), kernel, tol=tol)
+        assert rep.edge_means[2] == pytest.approx(0.6727171322029717, rel=1e-12)
+
+
+def test_spread_certifies_only_finite_equal_means():
+    assert _spread([2.5, 2.5, 2.5]) == 0.0
+    assert _spread([0.0, 0.0, 0.0]) == 0.0
+    assert _spread([1.0, 2.0, 4.0]) == 0.75
+    # a largest mean that is not positive still measures the imbalance
+    assert _spread([-3.0, -1.0, -2.0]) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert _spread([-1.0, 1.0, 0.0]) == 2.0
+    assert _spread([1.0, float("nan"), 1.0]) == math.inf
+    assert _spread([float("inf")] * 3) == math.inf
+
+
+def test_certificate_of_a_far_point_certifies_nothing():
+    tri = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
+    with np.errstate(all="ignore"):
+        cert = mean_distance_certificate(tri, Point2(1e300, 1e300))
+    assert not all(math.isfinite(m) for m in cert.means)
+    assert cert.spread == math.inf

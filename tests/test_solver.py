@@ -233,3 +233,21 @@ def test_medianoid_triangles_carry_the_certificate_for_every_kernel(kernel):
     assert res.converged
     assert res.certificate is not None and res.certificate < 1e-12
     assert res.local == (kernel.kind is KernelKind.CUSTOM)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        RadialKernel.power(1.5),
+        RadialKernel.power(2.0),
+        RadialKernel.power(3.0),
+        RadialKernel.custom(lambda w: w.norm + 0.1 * w.norm**2),
+    ],
+    ids=["power1.5", "power2", "power3", "custom"],
+)
+def test_medianoid_solves_without_scipy_quad(kernel, no_scipy_quad):
+    # the edge means come from one batched Gauss-Kronrod pass; the
+    # per-edge quad route is only the tests' reference
+    pentagon = Polygon([(0.0, 0.0), (3.0, 0.0), (3.5, 2.0), (1.0, 4.0), (-0.5, 1.5)])
+    for region in (T345, pentagon):
+        assert solve_medianoid(region, kernel).converged
