@@ -5,14 +5,15 @@ for f the Euclidean norm (closed form) or a general radial kernel
 (Gauss-Kronrod quadrature: one batched pass over stacked segments, or
 scipy's ``quad`` on one segment as an independent reference). Values
 carry the segment length and the mean so callers can assemble residuals
-without recomputing either.
+without recomputing either; the closed form also returns each
+integral's gradient in x.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -120,46 +121,55 @@ class SegmentIntegral:
         return cls(value=value, segment_length=length, mean=mean)
 
 
-def _closed_antiderivative(u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # antiderivative of sqrt(u^2 + c^2) in u, for c > 0
-    return 0.5 * (u * np.hypot(u, c) + c * c * np.arcsinh(u / c))
-
-
-def closed_values_batch(a: np.ndarray, b: np.ndarray, x) -> np.ndarray:
-    """Euclidean segment integrals for stacked segments.
+def closed_values_batch(a: np.ndarray, b: np.ndarray, x) -> Tuple[np.ndarray, np.ndarray]:
+    """Euclidean segment integrals and their gradients for stacked segments.
 
     a, b: (m, 2) arrays of segment endpoints; x: query point (length-2).
-    Returns the (m,) array of arclength integrals of |P - x| over each
-    segment. Parameterized by arclength fraction so conditioning does not
-    depend on absolute scale; a separate branch handles query points on
-    the carrier line of a segment, where the logarithm degenerates.
+    Returns the (m,) array of arclength integrals V_i of |P - x| over each
+    segment and the (m, 2) array of their gradients in x,
+    -integral of (P - x)/|P - x| ds. Parameterized by arclength fraction
+    so conditioning does not depend on absolute scale; a separate branch
+    handles query points on the carrier line of a segment, where the
+    logarithm degenerates. Zero-length segments give 0 and a zero gradient.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     xv = np.asarray(x, dtype=float).reshape(2)
     e = b - a
     L2 = np.sum(e * e, axis=1)
-    out = np.zeros(len(a), dtype=float)
     ok = L2 > 0.0
-    if not np.any(ok):
-        return out
-    eo = e[ok]
-    L2o = L2[ok]
-    w = xv - a[ok]
-    t0 = (eo[:, 0] * w[:, 0] + eo[:, 1] * w[:, 1]) / L2o
-    c = np.abs(eo[:, 0] * w[:, 1] - eo[:, 1] * w[:, 0]) / L2o
+    if not np.all(ok):
+        out = np.zeros(len(a), dtype=float)
+        grad = np.zeros((len(a), 2), dtype=float)
+        if np.any(ok):
+            out[ok], grad[ok] = closed_values_batch(a[ok], b[ok], xv)
+        return out, grad
+    w = xv - a
+    # with u = t - t0 and the signed offset cs, P - x = u e - cs rotate90(e)
+    # and |P - x| = L hypot(u, cs), all in parameter units
+    t0 = (e[:, 0] * w[:, 0] + e[:, 1] * w[:, 1]) / L2
+    cs = (e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]) / L2
+    c = np.abs(cs)
     u1 = -t0
     u2 = 1.0 - t0
-    vals = np.empty(len(eo), dtype=float)
     col = c < _COLLINEAR_EPS
-    if np.any(col):
-        v1, v2 = u1[col], u2[col]
-        vals[col] = 0.5 * (v2 * np.abs(v2) - v1 * np.abs(v1))
-    gen = ~col
-    if np.any(gen):
-        vals[gen] = _closed_antiderivative(u2[gen], c[gen]) - _closed_antiderivative(u1[gen], c[gen])
-    out[ok] = L2o * vals
-    return out
+    any_col = bool(np.any(col))
+    if any_col:
+        # stand-in offset; these rows take the piecewise formulas below
+        c = np.where(col, 1.0, c)
+    r1, r2 = np.hypot(u1, c), np.hypot(u2, c)
+    s1, s2 = np.arcsinh(u1 / c), np.arcsinh(u2 / c)
+    # antiderivative of hypot(u, c) in u: (u hypot(u, c) + c^2 asinh(u/c)) / 2
+    vals = 0.5 * (u2 * r2 + c * c * s2) - 0.5 * (u1 * r1 + c * c * s1)
+    # r2 - r1 without cancellation, since u2 - u1 = 1
+    along = (u1 + u2) / (r1 + r2)
+    normal = cs * (s2 - s1)
+    if any_col:
+        vals = np.where(col, 0.5 * (u2 * np.abs(u2) - u1 * np.abs(u1)), vals)
+        along = np.where(col, np.abs(u2) - np.abs(u1), along)
+        normal = np.where(col, 0.0, normal)
+    grad = np.stack((-(along * e[:, 0] + normal * e[:, 1]), normal * e[:, 0] - along * e[:, 1]), axis=1)
+    return L2 * vals, grad
 
 
 def _ladder_panels(t0: np.ndarray, layer: np.ndarray):
@@ -315,7 +325,8 @@ def segment_sigma_closed(a: Point2, b: Point2, x: Point2) -> SegmentIntegral:
     """
     av = np.array([[a.x, a.y]])
     bv = np.array([[b.x, b.y]])
-    value = float(closed_values_batch(av, bv, (x.x, x.y))[0])
+    values, _ = closed_values_batch(av, bv, (x.x, x.y))
+    value = float(values[0])
     return SegmentIntegral.from_value(value, a.distance_to(b))
 
 

@@ -10,7 +10,10 @@ batched Gauss-Kronrod 10/21 pass over the panels of every edge
 (``kernels.quadrature_values_batch``). An edge passes when its QUADPACK
 error estimate err satisfies err <= tol * (1 + |value|) for its
 integral value; only the panels of failing edges are bisected, and an
-edge that does not pass raises NonConvergenceError.
+edge that does not pass raises NonConvergenceError. The closed-form
+route also reports the Jacobian of the gradient, from the closed-form
+gradients of the edge integrals. T is summed correctly rounded
+(``math.fsum``), so it does not depend on where the loop starts.
 
 For a triangle T vanishes exactly when the three means are equal, for
 any kernel; their spread is the certificate of
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +48,10 @@ class ResidualReport:
     objective gradient rotate90(T, +1), with the residual's norm and
     roots. ``normalized_norm`` is the residual norm divided by the
     squared region diameter, which makes solver tolerances scale-free for
-    the Euclidean kernel.
+    the Euclidean kernel. ``jacobian`` is the derivative of the gradient
+    in x, R sum_i e_i (x) grad m_i with R the rotation by +90 degrees,
+    as rows ((dg_x/dx, dg_x/dy), (dg_y/dx, dg_y/dy)); the closed-form
+    route sets it, the quadrature route leaves it None.
     """
 
     residual: Vector2
@@ -53,19 +59,22 @@ class ResidualReport:
     edge_means: Tuple[float, ...]
     norm: float
     normalized_norm: float
+    jacobian: Optional[Tuple[Tuple[float, float], Tuple[float, float]]] = None
 
 
-def _closed_means(poly: Polygon, x: Point2) -> np.ndarray:
-    """Mean distance from x along each edge, from the closed form."""
+def _closed_means(poly: Polygon, x: Point2) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean distance from x along each edge and its (m, 2) gradient in x, from the closed form."""
     c = poly.coords
-    return closed_values_batch(c, np.roll(c, -1, axis=0), (x.x, x.y)) / poly.edge_lengths
+    values, grads = closed_values_batch(c, np.roll(c, -1, axis=0), (x.x, x.y))
+    lengths = poly.edge_lengths
+    return values / lengths, grads / lengths[:, None]
 
 
-def _report(poly: Polygon, means: np.ndarray) -> ResidualReport:
-    # T = sum of m_i e_i, accumulated left to right in storage order so
-    # results are bit-reproducible; the gradient is rotate90(T, +1)
-    t = np.cumsum(means[:, None] * poly.edge_vectors, axis=0)[-1]
-    residual = Vector2(t[0], t[1])
+def _report(poly: Polygon, means: np.ndarray, jacobian=None) -> ResidualReport:
+    # T = sum of m_i e_i, correctly rounded so it does not depend on the
+    # edge order; the gradient is rotate90(T, +1)
+    terms = means[:, None] * poly.edge_vectors
+    residual = Vector2(math.fsum(terms[:, 0].tolist()), math.fsum(terms[:, 1].tolist()))
     norm = residual.norm
     diam = poly.diameter
     return ResidualReport(
@@ -74,6 +83,7 @@ def _report(poly: Polygon, means: np.ndarray) -> ResidualReport:
         edge_means=tuple(means.tolist()),
         norm=norm,
         normalized_norm=norm / (diam * diam),
+        jacobian=jacobian,
     )
 
 
@@ -94,9 +104,15 @@ def _spread(means) -> float:
 def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
     """Residual T: sum of (mean edge distance) times edge vector.
 
-    Uses the closed-form segment integrals of the Euclidean kernel.
+    Uses the closed-form segment integrals of the Euclidean kernel, and
+    their closed-form gradients for the report's ``jacobian``.
     """
-    return _report(poly, _closed_means(poly, x))
+    means, grads = _closed_means(poly, x)
+    # s[a, b] = sum_i e_i[a] dm_i/dx_b; rotating its rows by +90 degrees
+    # gives the Jacobian of the gradient rotate90(T, +1)
+    (s00, s01), (s10, s11) = np.einsum("ia,ib->ab", poly.edge_vectors, grads).tolist()
+    jacobian = ((-s10, -s11), (s00, s01))
+    return _report(poly, means, jacobian)
 
 
 def general_boundary_residual(
@@ -132,5 +148,5 @@ def mean_distance_certificate(tri: Polygon, x: Point2) -> CertificateResult:
     """
     if len(tri) != 3:
         raise InvalidTriangleError("certificate is defined for triangles only")
-    means = _closed_means(tri, x)
+    means, _ = _closed_means(tri, x)
     return CertificateResult(means=(float(means[0]), float(means[1]), float(means[2])), spread=_spread(means))

@@ -323,3 +323,49 @@ def test_no_scipy_quad_on_the_medianoid_and_check_paths(capsys, no_scipy_quad):
     assert code == 0
     code, out, _ = run(capsys, "check", str(DATA / "power2_region.json"), "--point", "1.5,1.0")
     assert code == 0 and len(json.loads(out)["edge_means"]) == 3
+
+
+# `check` on t345.json at a vertex, on an edge and far out: the Jacobian
+# terms of the closed form run under check's raise-on-overflow error
+# state and must neither raise nor change a byte. At 1e150 the first and
+# last edge means read 0.0: with |t0| beyond 2**53 edge lengths, 1 - t0
+# rounds to -t0 and the segment vanishes in parameter units.
+CHECK_T345 = {
+    "0,0": """{
+  "point": [0.0, 0.0],
+  "residual": [-3.0, 4.9437552990064937],
+  "gradient": [-4.9437552990064937, -3.0],
+  "residual_norm": 5.78279486550014,
+  "normalized_norm": 0.23131179462000559,
+  "edge_means": [1.5, 3.7359388247516234, 2.5],
+  "certificate_spread": 0.59849449619943262
+}
+""",
+    "1.5,0": """{
+  "point": [1.5, 0.0],
+  "residual": [-4.5481927610476269, 1.400584596135884],
+  "gradient": [-1.400584596135884, -4.5481927610476269],
+  "residual_norm": 4.7589594033337956,
+  "normalized_norm": 0.19035837613335183,
+  "edge_means": [0.75, 2.6162104027165132, 2.2660642536825422],
+  "certificate_spread": 0.71332580926165345
+}
+""",
+    "1e150,0": """{
+  "point": [9.9999999999999998e+149, 0.0],
+  "residual": [0.0, 3.9999999999999999e+150],
+  "gradient": [-3.9999999999999999e+150, 0.0],
+  "residual_norm": 3.9999999999999999e+150,
+  "normalized_norm": 1.6000000000000001e+149,
+  "edge_means": [0.0, 9.9999999999999998e+149, 0.0],
+  "certificate_spread": 1.0
+}
+""",
+}
+
+
+@pytest.mark.parametrize("point", list(CHECK_T345), ids=["vertex", "edge", "far"])
+def test_check_output_is_byte_stable_at_a_vertex_an_edge_and_far_out(capsys, point):
+    code, out, err = run(capsys, "check", str(DATA / "t345.json"), "--point", point)
+    assert code == 0 and err == ""
+    assert out == CHECK_T345[point]

@@ -14,7 +14,7 @@ from regionmedian import (
     segment_sigma_quadrature,
     solve_medianoid,
 )
-from regionmedian.kernels import quadrature_values_batch
+from regionmedian.kernels import closed_values_batch, quadrature_values_batch
 
 SQRT2 = math.sqrt(2.0)
 
@@ -43,6 +43,34 @@ def test_closed_degenerate_segment():
     assert seg.value == 0.0
     assert seg.segment_length == 0.0
     assert seg.mean == 0.0
+
+
+@pytest.mark.parametrize("x, want", [
+    ((0.0, 1.0), (1.0 - SQRT2, math.asinh(1.0))),
+    ((0.0, 0.0), (-1.0, 0.0)),
+    ((0.5, 0.0), (0.0, 0.0)),
+    ((3.0, 0.0), (1.0, 0.0)),
+    ((-2.0, 0.0), (-1.0, 0.0)),
+], ids=["offset", "endpoint", "midpoint", "beyond", "before"])
+def test_closed_gradient_by_hand(x, want):
+    # grad of V = -integral of (P - x)/|P - x| ds over (0,0)->(1,0); the
+    # zero-length segment next to it contributes 0 and a zero gradient
+    values, grads = closed_values_batch([[0.0, 0.0], [2.0, 3.0]], [[1.0, 0.0], [2.0, 3.0]], x)
+    assert values[1] == 0.0 and grads[1].tolist() == [0.0, 0.0]
+    assert values[0] == segment_sigma_closed(Point2(0, 0), Point2(1, 0), Point2(*x)).value
+    np.testing.assert_allclose(grads[0], want, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("x", [(-1.3e8, 1.1e8), (3.1e8, -2.2e8)])
+def test_closed_gradient_along_the_edge_does_not_cancel_far_out(x):
+    # about 1e8 lengths away the gradient is -L times the unit vector
+    # towards the midpoint, up to (L/D)^2 ~ 1e-16; its component along the
+    # edge is L (r2 - r1), which errs by up to 1e-8 as a plain difference
+    # of the two endpoint distances
+    _, grads = closed_values_batch([[0.0, 0.0]], [[2.0, 0.0]], x)
+    towards = np.array([1.0, 0.0]) - np.array(x)
+    want = -2.0 * towards / np.hypot(*towards)
+    assert grads[0][0] == pytest.approx(want[0], rel=1e-14)
 
 
 def test_closed_orientation_free():

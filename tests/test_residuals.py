@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import interior_point, random_convex_polygon, random_triangle, similarity_transform
+from helpers import (
+    interior_point,
+    random_convex_polygon,
+    random_star_polygon,
+    random_triangle,
+    similarity_transform,
+)
 
 from regionmedian import (
     InvalidTriangleError,
@@ -285,3 +291,99 @@ def test_certificate_of_a_far_point_certifies_nothing():
         cert = mean_distance_certificate(tri, Point2(1e300, 1e300))
     assert not all(math.isfinite(m) for m in cert.means)
     assert cert.spread == math.inf
+
+
+def _distance_to_boundary(poly, p):
+    a = poly.coords
+    e = poly.edge_vectors
+    t = np.clip(np.sum((p - a) * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
+    return float(np.min(np.hypot(*(a + t[:, None] * e - p).T)))
+
+
+def _probe_points(poly, rng):
+    """Inside, outside, on an edge's carrier line beyond the segment (at
+    least 1e-2 diameters from the boundary), and 1e-9 diameters from a
+    vertex."""
+    diam = poly.diameter
+    centre = poly.centroid.as_array()
+    theta = rng.uniform(0.0, 2.0 * np.pi, 2)
+    outside = centre + diam * rng.uniform(1.0, 2.0) * np.array([np.cos(theta[0]), np.sin(theta[0])])
+    beyond = next(
+        q
+        for i in range(len(poly))
+        for t in (1.5, -0.5, 2.0, -1.0)
+        for q in [poly.coords[i] + t * poly.edge_vectors[i]]
+        if _distance_to_boundary(poly, q) > 1e-2 * diam
+    )
+    vertex = poly.coords[int(rng.integers(len(poly)))]
+    near_vertex = vertex + 1e-9 * diam * np.array([np.cos(theta[1]), np.sin(theta[1])])
+    return {"inside": interior_point(poly, rng), "outside": outside, "carrier line": beyond,
+            "near vertex": near_vertex}
+
+
+def _central_difference_jacobian(poly, p, h):
+    jac = np.empty((2, 2))
+    for k in range(2):
+        step = np.zeros(2)
+        step[k] = h
+        plus = polygon_residual(poly, Point2(*(p + step))).gradient.as_array()
+        minus = polygon_residual(poly, Point2(*(p - step))).gradient.as_array()
+        jac[:, k] = (plus - minus) / (2.0 * h)
+    return jac
+
+
+@pytest.mark.parametrize("make", [random_triangle, random_convex_polygon, random_star_polygon],
+                         ids=["triangle", "convex", "star"])
+def test_closed_form_jacobian_matches_central_differences(make):
+    """The report's Jacobian is the derivative of its gradient.
+
+    Steps are 1e-5 diameters, except 1e-9 diameters from a vertex: there
+    every step crosses the boundary, where the area objective's Hessian
+    is only log-Lipschitz, so a central difference of step h errs by
+    O(h) (about 2e-5 of |J| at h = 1e-5 diameters); 1e-8 diameters is
+    small enough and still far above the rounding of the gradient.
+    """
+    rng = np.random.default_rng(1729)
+    for _ in range(12):
+        poly = make(rng)
+        for where, p in _probe_points(poly, rng).items():
+            jac = np.array(polygon_residual(poly, Point2(*p)).jacobian)
+            h = (1e-8 if where == "near vertex" else 1e-5) * poly.diameter
+            want = _central_difference_jacobian(poly, p, h)
+            assert np.max(np.abs(jac - want)) < 1e-6 * np.max(np.abs(jac)), where
+
+
+@pytest.mark.parametrize("make", [random_triangle, random_convex_polygon, random_star_polygon],
+                         ids=["triangle", "convex", "star"])
+def test_closed_form_jacobian_is_symmetric_positive_definite(make):
+    """J is the Hessian of the strictly convex area objective."""
+    rng = np.random.default_rng(2718)
+    for _ in range(12):
+        poly = make(rng)
+        for where, p in _probe_points(poly, rng).items():
+            jac = np.array(polygon_residual(poly, Point2(*p)).jacobian)
+            scale = np.max(np.abs(jac))
+            assert abs(jac[0, 1] - jac[1, 0]) < 1e-13 * scale, where
+            assert np.linalg.eigvalsh(0.5 * (jac + jac.T))[0] > 1e-6 * scale, where
+
+
+def test_jacobian_only_on_the_closed_form_route():
+    x = Point2(1.2, 1.1)
+    rep = polygon_residual(T345, x)
+    assert len(rep.jacobian) == 2 and all(len(row) == 2 for row in rep.jacobian)
+    hash(rep)
+    assert general_boundary_residual(T345, x, RadialKernel.euclidean(), tol=1e-12).jacobian is None
+
+
+def test_residual_is_the_correctly_rounded_sum_in_any_edge_order():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        poly = random_star_polygon(rng, n=int(rng.integers(5, 40)))
+        x = Point2(*interior_point(poly, rng))
+        rep = polygon_residual(poly, x)
+        terms = np.asarray(rep.edge_means)[:, None] * poly.edge_vectors
+        assert rep.residual.dx == math.fsum(terms[:, 0].tolist())
+        assert rep.residual.dy == math.fsum(terms[:, 1].tolist())
+        shift = int(rng.integers(1, len(poly)))
+        rolled = polygon_residual(Polygon(np.roll(poly.coords, shift, axis=0)), x)
+        assert rolled.residual == rep.residual

@@ -1,11 +1,12 @@
 """Newton solves: known medians, invariances, degenerate families."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from helpers import random_convex_polygon, random_triangle, similarity_transform
+from helpers import random_convex_polygon, random_star_polygon, random_triangle, similarity_transform
 
 from regionmedian import (
     InvalidTriangleError,
@@ -14,6 +15,7 @@ from regionmedian import (
     RadialKernel,
     SingularRegionError,
 )
+import regionmedian.solver
 from regionmedian.kernels import KernelKind
 from regionmedian.oracle import oracle_sigma
 from regionmedian.residuals import mean_distance_certificate
@@ -251,3 +253,108 @@ def test_medianoid_solves_without_scipy_quad(kernel, no_scipy_quad):
     pentagon = Polygon([(0.0, 0.0), (3.0, 0.0), (3.5, 2.0), (1.0, 4.0), (-0.5, 1.5)])
     for region in (T345, pentagon):
         assert solve_medianoid(region, kernel).converged
+
+
+def _record_calls(monkeypatch, name, rewrite=None):
+    """Record (query point, report) for every call of the solver's residual
+    function ``name``; ``rewrite(index, report)`` may replace a report."""
+    calls = []
+    inner = getattr(regionmedian.solver, name)
+
+    def recorded(poly, x, *args, **kwargs):
+        rep = inner(poly, x, *args, **kwargs)
+        if rewrite is not None:
+            rep = rewrite(len(calls), rep)
+        calls.append((np.array([x.x, x.y]), rep))
+        return rep
+
+    monkeypatch.setattr(regionmedian.solver, name, recorded)
+    return calls
+
+
+def _sort_calls(calls, res, diam, fd_step=None):
+    """Sort a solve's residual calls into central-difference probes,
+    accepted steps and rejected backtracks; fail on any other call.
+
+    With ``fd_step`` every iteration starts with the probes x +- h e_k.
+    A rejected trial has no smaller norm than the current iterate and lies
+    on the step ray, at 2^j times the accepted step for its j-th halving.
+    """
+    iterates = [np.array([p.x, p.y]) for p, _ in res.trace]
+    assert np.array_equal(calls[0][0], iterates[0])
+    x, norm = iterates[0], calls[0][1].norm
+    probes = accepted = rejected = 0
+    i = 1
+    while i < len(calls):
+        if fd_step is not None:
+            for step in ((fd_step, 0.0), (-fd_step, 0.0), (0.0, fd_step), (0.0, -fd_step)):
+                assert np.array_equal(calls[i][0], x + np.array(step))
+                i += 1
+                probes += 1
+        trials = []
+        target = iterates[accepted + 1] if accepted + 1 < len(iterates) else None
+        while i < len(calls) and not (target is not None and np.array_equal(calls[i][0], target)):
+            trials.append(calls[i])
+            i += 1
+        for j, (p, rep) in enumerate(trials):
+            assert rep.norm >= norm
+            if target is not None:
+                np.testing.assert_allclose(p - x, (target - x) * 2.0 ** (len(trials) - j), rtol=1e-9, atol=1e-14 * diam)
+        rejected += len(trials)
+        if i < len(calls):
+            x, norm = target, calls[i][1].norm
+            accepted += 1
+            i += 1
+    assert accepted == res.iterations == len(iterates) - 1
+    return probes, accepted, rejected
+
+
+def _seeded_regions():
+    rng = np.random.default_rng(4242)
+    for make in (random_triangle, random_convex_polygon, random_star_polygon):
+        for _ in range(10):
+            yield make(rng)
+
+
+def test_median_makes_one_residual_call_per_trial_point(monkeypatch):
+    # the closed-form report carries the Jacobian, so the only calls are
+    # the start, the accepted steps and the rejected backtracks
+    calls = _record_calls(monkeypatch, "polygon_residual")
+    for poly in _seeded_regions():
+        calls.clear()
+        res = solve_median(poly)
+        assert res.converged
+        probes, accepted, rejected = _sort_calls(calls, res, poly.diameter)
+        assert probes == 0
+        assert len(calls) == 1 + accepted + rejected <= 5
+
+
+def test_median_steps_with_the_reported_jacobian(monkeypatch):
+    # a Jacobian scaled by 1/3 at the start triples the first Newton step:
+    # the full step is rejected and the half step accepted, so the solver
+    # must be stepping with the report's Jacobian
+    def rewrite(index, rep):
+        if index > 0:
+            return rep
+        return dataclasses.replace(rep, jacobian=tuple(tuple(v / 3.0 for v in row) for row in rep.jacobian))
+
+    calls = _record_calls(monkeypatch, "polygon_residual", rewrite)
+    poly = Polygon([(0.0, 0.0), (3.0, 0.0), (3.5, 2.0), (1.0, 4.0), (-0.5, 1.5)])
+    res = solve_median(poly)
+    assert res.converged
+    probes, accepted, rejected = _sort_calls(calls, res, poly.diameter)
+    assert probes == 0 and rejected >= 1
+    assert len(calls) == 1 + accepted + rejected
+
+
+def test_medianoid_keeps_the_central_difference_jacobian(monkeypatch):
+    calls = _record_calls(monkeypatch, "general_boundary_residual")
+    for poly in list(_seeded_regions())[::3]:
+        calls.clear()
+        res = solve_medianoid(poly, RadialKernel.power(1.5))
+        assert res.converged
+        assert all(rep.jacobian is None for _, rep in calls)
+        h = regionmedian.solver._FD_STEP_REL * poly.diameter
+        probes, accepted, rejected = _sort_calls(calls, res, poly.diameter, fd_step=h)
+        assert probes == 4 * res.iterations
+        assert len(calls) == 1 + 5 * res.iterations + rejected
