@@ -5,6 +5,8 @@ median, p=2 lands exactly on the area centroid, and large p chases the
 point minimizing the worst-case distance.
 """
 
+import numpy as np
+
 from regionmedian import Polygon, RadialKernel, solve_medianoid
 
 pentagon = Polygon([(0.0, 0.0), (2.0, 0.0), (2.8, 1.2), (1.2, 2.4), (-0.4, 1.0)])
@@ -20,7 +22,7 @@ res2 = solve_medianoid(pentagon, RadialKernel.power(2.0))
 drift = ((res2.median.x - centroid.x) ** 2 + (res2.median.y - centroid.y) ** 2) ** 0.5
 print("\np=2 distance from the centroid: %.3e (an exact identity, to solver tolerance)" % drift)
 
-custom = RadialKernel.custom(lambda w: w.norm + 0.25 * w.norm ** 2)
+custom = RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy) + 0.25 * (dx * dx + dy * dy))
 resc = solve_medianoid(pentagon, custom)
 print("\na custom kernel |w| + |w|^2/4 gives (%.9f, %.9f)" % (resc.median.x, resc.median.y))
 print("flagged local=%s: custom kernels promise a stationary point, not global optimality"

@@ -44,46 +44,35 @@ def _fmt_number(v) -> str:
     return s
 
 
-def _write_json(obj, out: list, indent: int) -> None:
-    pad = "  " * indent
+def _json(obj, pad: str) -> str:
+    # one level deeper indents by two spaces; lists of up to four numbers
+    # stay on one line, longer ones take one number per line
+    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            out.append(f'{pad}  {json.dumps(k)}: ')
-            _write_json(v, out, indent + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
+            return "{}"
+        body = ",\n".join(f"{inner}{json.dumps(k)}: {_json(v, inner)}" for k, v in obj.items())
+        return "{\n" + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
-            return
-        simple = all(isinstance(v, (int, float)) for v in obj)
-        if simple and len(obj) <= 4:
-            out.append("[" + ", ".join(_fmt_number(v) for v in obj) + "]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _write_json(v, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        out.append(_fmt_number(obj))
+            return "[]"
+        if all(isinstance(v, (int, float)) for v in obj):
+            if len(obj) <= 4:
+                return "[" + ", ".join(map(_fmt_number, obj)) + "]"
+            body = (",\n" + inner).join(map(_fmt_number, obj))
+        else:
+            body = (",\n" + inner).join(_json(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    return _fmt_number(obj)
 
 
 def dumps_report(obj) -> str:
     """Serialize a report with 17 significant digit numbers."""
-    out: list = []
-    _write_json(obj, out, 0)
-    return "".join(out) + "\n"
+    return _json(obj, "") + "\n"
 
 
 def _emit(report: dict, json_out: Optional[str] = None) -> None:

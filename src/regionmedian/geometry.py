@@ -109,9 +109,12 @@ def rotate90(v: Vector2, direction: int = 1) -> Vector2:
 
 
 def _shoelace(coords: np.ndarray) -> float:
+    # past about 1e154 the products overflow; callers see a non-finite
+    # area instead of numpy's warning
     x, y = coords[:, 0], coords[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * float(np.sum(x * yn - xn * y))
 
 
 def _antipodal_pairs(hull: np.ndarray) -> tuple:
@@ -336,6 +339,8 @@ class Polygon:
         area = _shoelace(coords)
         if area == 0.0:
             raise InvalidPolygonError("polygon has zero area")
+        if not math.isfinite(area):
+            raise InvalidPolygonError("polygon area overflows the float range")
         reversed_input = area < 0.0
         if reversed_input:
             coords = coords[::-1].copy()

@@ -3,10 +3,12 @@
 The central quantity is the arclength integral of f(P - x) over a segment,
 for f the Euclidean norm (closed form) or a general radial kernel
 (Gauss-Kronrod quadrature: one batched pass over stacked segments, or
-scipy's ``quad`` on one segment as an independent reference). Values
-carry the segment length and the mean so callers can assemble residuals
-without recomputing either; the closed form also returns each
-integral's gradient in x.
+scipy's ``quad`` on one segment as an independent reference). The
+per-segment values carry the segment length and the mean. Kernels
+evaluate whole arrays of displacement components, custom ones through
+an evaluator of (dx, dy) arrays. Both batched routes also return each
+integral's gradient in x: in closed form, or integrated at the same
+Gauss-Kronrod nodes as the values.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ class KernelKind(Enum):
 
 @dataclass(frozen=True)
 class RadialKernel:
-    """A cost kernel evaluated on displacement vectors.
+    """A cost kernel evaluated on arrays of displacement components.
 
     Use the factory classmethods; the constructor does not validate
     cross-field consistency beyond what they set up.
@@ -52,7 +54,7 @@ class RadialKernel:
 
     kind: KernelKind
     p: Optional[float] = None
-    evaluator: Optional[Callable[[Vector2], float]] = None
+    evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     @classmethod
     def euclidean(cls) -> "RadialKernel":
@@ -66,28 +68,25 @@ class RadialKernel:
         return cls(KernelKind.POWER_LAW, p=p)
 
     @classmethod
-    def custom(cls, evaluator: Callable[[Vector2], float]) -> "RadialKernel":
-        """Wrap an arbitrary continuous map Vector2 -> real.
+    def custom(cls, evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "RadialKernel":
+        """Wrap an arbitrary continuous map (dx, dy) -> real, applied elementwise.
 
-        The evaluator is spot-checked at a few displacements; it must be
-        finite on bounded sets and side-effect-free.
+        The evaluator takes two float arrays of one shape, the displacement
+        components, and returns an array of that shape; it must be finite
+        on bounded sets and side-effect-free. One call on four probe
+        displacements checks the shape and finiteness of its output.
         """
-        for probe in (Vector2(0.0, 0.0), Vector2(1.0, 0.0), Vector2(-0.5, 2.0), Vector2(3.0, -4.0)):
-            val = evaluator(probe)
-            if not math.isfinite(float(val)):
-                raise ValueError(f"custom kernel evaluator returned a non-finite value at {probe}")
+        dx, dy = np.array([0.0, 1.0, -0.5, 3.0]), np.array([0.0, 0.0, 2.0, -4.0])
+        val = np.asarray(evaluator(dx, dy), dtype=float)
+        if val.shape != dx.shape:
+            raise ValueError(f"custom kernel evaluator returned shape {val.shape} for inputs of shape {dx.shape}")
+        if not np.all(np.isfinite(val)):
+            raise ValueError(f"custom kernel evaluator returned non-finite values {val.tolist()} at probes "
+                             f"dx={dx.tolist()}, dy={dy.tolist()}")
         return cls(KernelKind.CUSTOM, evaluator=evaluator)
 
-    def _at(self, dx: float, dy: float) -> float:
-        # the one scalar evaluation; only custom evaluators see a Vector2
-        if self.kind is KernelKind.EUCLIDEAN:
-            return math.hypot(dx, dy)
-        if self.kind is KernelKind.POWER_LAW:
-            return math.hypot(dx, dy) ** self.p
-        return float(self.evaluator(Vector2(dx, dy)))
-
     def __call__(self, d: Vector2) -> float:
-        return self._at(d.dx, d.dy)
+        return float(self.evaluate_many(np.float64(d.dx), np.float64(d.dy)))
 
     def evaluate_many(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on arrays of displacement components."""
@@ -95,12 +94,23 @@ class RadialKernel:
             return np.hypot(dx, dy)
         if self.kind is KernelKind.POWER_LAW:
             return np.hypot(dx, dy) ** self.p
-        flat_dx = np.ravel(dx)
-        flat_dy = np.ravel(dy)
-        out = np.empty(flat_dx.shape, dtype=float)
-        for i in range(flat_dx.size):
-            out[i] = self._at(flat_dx[i], flat_dy[i])
-        return out.reshape(np.shape(dx))
+        return np.asarray(self.evaluator(dx, dy), dtype=float)
+
+    def gradient_many(self, dx: np.ndarray, dy: np.ndarray, values: np.ndarray, step: float):
+        """Kernel gradient (d/ddx, d/ddy) at the displacements, given the values there.
+
+        Power kernels use grad k(w) = p k(w) w / |w|^2, and 0 where w = 0;
+        custom kernels take central differences of ``step`` in one
+        evaluator call.
+        """
+        if self.kind is KernelKind.CUSTOM:
+            f = np.asarray(self.evaluator(np.stack([dx + step, dx - step, dx, dx]),
+                                          np.stack([dy, dy, dy + step, dy - step])), dtype=float)
+            return (f[0] - f[1]) / (2.0 * step), (f[2] - f[3]) / (2.0 * step)
+        r = np.hypot(dx, dy)
+        inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
+        s = (1.0 if self.kind is KernelKind.EUCLIDEAN else self.p) * (values * inv)
+        return s * (dx * inv), s * (dy * inv)
 
     @property
     def is_euclidean(self) -> bool:
@@ -121,10 +131,11 @@ class SegmentIntegral:
         return cls(value=value, segment_length=length, mean=mean)
 
 
-def closed_values_batch(a: np.ndarray, b: np.ndarray, x) -> Tuple[np.ndarray, np.ndarray]:
+def closed_values_batch(a: np.ndarray, e: np.ndarray, x) -> Tuple[np.ndarray, np.ndarray]:
     """Euclidean segment integrals and their gradients for stacked segments.
 
-    a, b: (m, 2) arrays of segment endpoints; x: query point (length-2).
+    a, e: (m, 2) arrays of segment starts and edge vectors; x: query
+    point (length-2).
     Returns the (m,) array of arclength integrals V_i of |P - x| over each
     segment and the (m, 2) array of their gradients in x,
     -integral of (P - x)/|P - x| ds. Parameterized by arclength fraction
@@ -133,16 +144,15 @@ def closed_values_batch(a: np.ndarray, b: np.ndarray, x) -> Tuple[np.ndarray, np
     logarithm degenerates. Zero-length segments give 0 and a zero gradient.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    e = np.asarray(e, dtype=float)
     xv = np.asarray(x, dtype=float).reshape(2)
-    e = b - a
     L2 = np.sum(e * e, axis=1)
     ok = L2 > 0.0
     if not np.all(ok):
         out = np.zeros(len(a), dtype=float)
         grad = np.zeros((len(a), 2), dtype=float)
         if np.any(ok):
-            out[ok], grad[ok] = closed_values_batch(a[ok], b[ok], xv)
+            out[ok], grad[ok] = closed_values_batch(a[ok], e[ok], xv)
         return out, grad
     w = xv - a
     # with u = t - t0 and the signed offset cs, P - x = u e - cs rotate90(e)
@@ -233,18 +243,26 @@ _MAX_PASSES = 50
 # route); the roundoff floor of a panel's error does not shrink when it
 # is halved, so a tol below it would otherwise double the panels per pass
 _MAX_SPLITS = 200
+# central-difference step of custom kernel gradients, as a fraction of the
+# longest segment of the pass
+_KERNEL_FD_STEP = 1e-5
 
 
-def _gk21(d: np.ndarray, e: np.ndarray, kernel: "RadialKernel", lo: np.ndarray, hi: np.ndarray):
-    """qk21 integral and error estimate of kernel(P - x) on each panel.
+def _gk21(d: np.ndarray, e: np.ndarray, kernel: "RadialKernel", lo: np.ndarray, hi: np.ndarray, step: float):
+    """qk21 integral, error estimate and integrated gradient of kernel(P - x) on each panel.
 
     Panel j spans parameters [lo[j], hi[j]] of the displacement
     d[j] + t e[j], where d[j] is its segment's start minus x; one
-    ``evaluate_many`` call covers every node of every panel.
+    ``evaluate_many`` call covers every node of every panel, and the
+    kernel gradient is taken at the same nodes (``step`` for custom
+    kernels). Returns an (n, 4) array: the integral of the kernel over t,
+    its error estimate, and the integral of each gradient component.
     """
     hlgth = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + hlgth[:, None] * _GK_NODES
-    f = kernel.evaluate_many(d[:, :1] + t * e[:, :1], d[:, 1:] + t * e[:, 1:])
+    dx, dy = d[:, :1] + t * e[:, :1], d[:, 1:] + t * e[:, 1:]
+    f = kernel.evaluate_many(dx, dy)
+    gx, gy = kernel.gradient_many(dx, dy, f, step)
     kg = f @ _GK_WEIGHTS
     resk = kg[:, 0]
     resabs = np.abs(f) @ _GK_WEIGHTS[:, 0] * hlgth
@@ -254,15 +272,17 @@ def _gk21(d: np.ndarray, e: np.ndarray, kernel: "RadialKernel", lo: np.ndarray, 
     flat = resasc == 0.0
     ratio = np.minimum(1.0, 200.0 * abserr / np.where(flat, 1.0, resasc))
     abserr = np.where(flat, abserr, resasc * ratio * np.sqrt(ratio))
-    return resk * hlgth, np.maximum(_ROUNDOFF * resabs, abserr)
+    return np.stack([resk * hlgth, np.maximum(_ROUNDOFF * resabs, abserr),
+                     gx @ _GK_WEIGHTS[:, 0] * hlgth, gy @ _GK_WEIGHTS[:, 0] * hlgth], axis=1)
 
 
-def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Integrals of kernel(P - x) along stacked segments, any kernel.
+def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _DEFAULT_QUAD_TOL) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrals of kernel(P - x) along stacked segments and their gradients, any kernel.
 
     a, e: (m, 2) arrays of segment starts and edge vectors, no edge
     vector zero; x: query point (length-2). Returns the (m,) array of
-    arclength integrals.
+    arclength integrals and the (m, 2) array of their gradients in x,
+    -integral of grad kernel(P - x) ds, as ``closed_values_batch`` does.
 
     Each segment is cut at the breakpoints of ``segment_sigma_quadrature``
     and one Gauss-Kronrod 10/21 pass covers every panel of every segment.
@@ -271,7 +291,9 @@ def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _DEFAU
     error exceeds their share of that budget are bisected, for at most
     ``_MAX_PASSES`` passes and ``_MAX_SPLITS`` new panels per segment. A
     segment that still fails, or a value that is not finite, raises
-    NonConvergenceError.
+    NonConvergenceError. The gradients are integrated on the panels the
+    values settle on; custom kernels differentiate with a step of
+    ``_KERNEL_FD_STEP`` times the longest segment.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
@@ -282,17 +304,20 @@ def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _DEFAU
     sq = lengths * lengths
     t0 = -(e[:, 0] * d[:, 0] + e[:, 1] * d[:, 1]) / sq
     layer = np.abs(e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]) / sq
+    step = _KERNEL_FD_STEP * float(lengths.max())
     edge, lo, hi = _ladder_panels(t0, layer)
     limit = np.bincount(edge, minlength=m) + _MAX_SPLITS
-    res, err = _gk21(d[edge], e[edge], kernel, lo, hi)
+    panels = _gk21(d[edge], e[edge], kernel, lo, hi, step)
     for passes in range(_MAX_PASSES + 1):
-        value = lengths * np.bincount(edge, weights=res, minlength=m)
+        err = panels[:, 1]
+        value = lengths * np.bincount(edge, weights=panels[:, 0], minlength=m)
         abserr = lengths * np.bincount(edge, weights=err, minlength=m)
         budget = tol * (1.0 + np.abs(value))
         finite = np.isfinite(value) & np.isfinite(abserr)
         bad = ~(finite & (abserr <= budget))
         if not bad.any():
-            return value
+            grads = [np.bincount(edge, weights=panels[:, k], minlength=m) for k in (2, 3)]
+            return value, -lengths[:, None] * np.stack(grads, axis=1)
         # if a segment's error exceeds its budget, some panel's error
         # exceeds its equal share of it
         count = np.bincount(edge, minlength=m)
@@ -310,12 +335,11 @@ def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _DEFAU
         halves = np.concatenate([edge[split], edge[split]])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_res, new_err = _gk21(d[halves], e[halves], kernel, new_lo, new_hi)
+        new_panels = _gk21(d[halves], e[halves], kernel, new_lo, new_hi, step)
         edge = np.concatenate([edge[keep], halves])
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
-        res = np.concatenate([res[keep], new_res])
-        err = np.concatenate([err[keep], new_err])
+        panels = np.concatenate([panels[keep], new_panels])
 
 
 def segment_sigma_closed(a: Point2, b: Point2, x: Point2) -> SegmentIntegral:
@@ -323,9 +347,7 @@ def segment_sigma_closed(a: Point2, b: Point2, x: Point2) -> SegmentIntegral:
 
     A zero-length segment yields value 0 and mean 0.
     """
-    av = np.array([[a.x, a.y]])
-    bv = np.array([[b.x, b.y]])
-    values, _ = closed_values_batch(av, bv, (x.x, x.y))
+    values, _ = closed_values_batch([[a.x, a.y]], [[b.x - a.x, b.y - a.y]], (x.x, x.y))
     value = float(values[0])
     return SegmentIntegral.from_value(value, a.distance_to(b))
 
@@ -359,7 +381,7 @@ def segment_sigma_quadrature(
         return SegmentIntegral.from_value(0.0, 0.0)
 
     def integrand(t: float) -> float:
-        return kernel._at(ax + t * ex - x.x, ay + t * ey - x.y)
+        return float(kernel.evaluate_many(np.float64(ax + t * ex - x.x), np.float64(ay + t * ey - x.y)))
 
     wx, wy = x.x - ax, x.y - ay
     sq = length * length

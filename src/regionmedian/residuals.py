@@ -10,10 +10,11 @@ batched Gauss-Kronrod 10/21 pass over the panels of every edge
 (``kernels.quadrature_values_batch``). An edge passes when its QUADPACK
 error estimate err satisfies err <= tol * (1 + |value|) for its
 integral value; only the panels of failing edges are bisected, and an
-edge that does not pass raises NonConvergenceError. The closed-form
-route also reports the Jacobian of the gradient, from the closed-form
-gradients of the edge integrals. T is summed correctly rounded
-(``math.fsum``), so it does not depend on where the loop starts.
+edge that does not pass raises NonConvergenceError. Both routes also
+report the Jacobian of the gradient, from the gradients of the edge
+integrals: closed-form, or integrated in the same Gauss-Kronrod pass
+as the values. T is summed correctly rounded (``math.fsum``), so it
+does not depend on where the loop starts.
 
 For a triangle T vanishes exactly when the three means are equal, for
 any kernel; their spread is the certificate of
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -50,8 +51,7 @@ class ResidualReport:
     squared region diameter, which makes solver tolerances scale-free for
     the Euclidean kernel. ``jacobian`` is the derivative of the gradient
     in x, R sum_i e_i (x) grad m_i with R the rotation by +90 degrees,
-    as rows ((dg_x/dx, dg_x/dy), (dg_y/dx, dg_y/dy)); the closed-form
-    route sets it, the quadrature route leaves it None.
+    as rows ((dg_x/dx, dg_x/dy), (dg_y/dx, dg_y/dy)), on both routes.
     """
 
     residual: Vector2
@@ -59,31 +59,29 @@ class ResidualReport:
     edge_means: Tuple[float, ...]
     norm: float
     normalized_norm: float
-    jacobian: Optional[Tuple[Tuple[float, float], Tuple[float, float]]] = None
+    jacobian: Tuple[Tuple[float, float], Tuple[float, float]]
 
 
-def _closed_means(poly: Polygon, x: Point2) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean distance from x along each edge and its (m, 2) gradient in x, from the closed form."""
-    c = poly.coords
-    values, grads = closed_values_batch(c, np.roll(c, -1, axis=0), (x.x, x.y))
+def _report(poly: Polygon, values: np.ndarray, grads: np.ndarray) -> ResidualReport:
+    """The report of the edge integrals ``values`` and their (m, 2) gradients in x."""
     lengths = poly.edge_lengths
-    return values / lengths, grads / lengths[:, None]
-
-
-def _report(poly: Polygon, means: np.ndarray, jacobian=None) -> ResidualReport:
+    means = values / lengths
     # T = sum of m_i e_i, correctly rounded so it does not depend on the
     # edge order; the gradient is rotate90(T, +1)
     terms = means[:, None] * poly.edge_vectors
     residual = Vector2(math.fsum(terms[:, 0].tolist()), math.fsum(terms[:, 1].tolist()))
     norm = residual.norm
     diam = poly.diameter
+    # s[a, b] = sum_i e_i[a] dm_i/dx_b; rotating its rows by +90 degrees
+    # gives the Jacobian of the gradient rotate90(T, +1)
+    (s00, s01), (s10, s11) = np.einsum("ia,ib->ab", poly.edge_vectors, grads / lengths[:, None]).tolist()
     return ResidualReport(
         residual=residual,
         gradient=rotate90(residual, 1),
         edge_means=tuple(means.tolist()),
         norm=norm,
         normalized_norm=norm / (diam * diam),
-        jacobian=jacobian,
+        jacobian=((-s10, -s11), (s00, s01)),
     )
 
 
@@ -107,12 +105,7 @@ def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
     Uses the closed-form segment integrals of the Euclidean kernel, and
     their closed-form gradients for the report's ``jacobian``.
     """
-    means, grads = _closed_means(poly, x)
-    # s[a, b] = sum_i e_i[a] dm_i/dx_b; rotating its rows by +90 degrees
-    # gives the Jacobian of the gradient rotate90(T, +1)
-    (s00, s01), (s10, s11) = np.einsum("ia,ib->ab", poly.edge_vectors, grads).tolist()
-    jacobian = ((-s10, -s11), (s00, s01))
-    return _report(poly, means, jacobian)
+    return _report(poly, *closed_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y)))
 
 
 def general_boundary_residual(
@@ -126,12 +119,11 @@ def general_boundary_residual(
     ``boundary`` may be a Polygon or any closed vertex loop (a sampled
     polyline approximating a curved boundary); loops are normalized to
     counterclockwise order. All edge means come from one batched
-    Gauss-Kronrod quadrature to the given tolerance.
+    Gauss-Kronrod quadrature to the given tolerance, and the report's
+    ``jacobian`` from the kernel gradients at the same nodes.
     """
     poly = as_polygon(boundary)
-    values = quadrature_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y), kernel, tol)
-    means = values / poly.edge_lengths
-    return _report(poly, means)
+    return _report(poly, *quadrature_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y), kernel, tol))
 
 
 class CertificateResult(NamedTuple):
@@ -148,5 +140,6 @@ def mean_distance_certificate(tri: Polygon, x: Point2) -> CertificateResult:
     """
     if len(tri) != 3:
         raise InvalidTriangleError("certificate is defined for triangles only")
-    means, _ = _closed_means(tri, x)
+    values, _ = closed_values_batch(tri.coords, tri.edge_vectors, (x.x, x.y))
+    means = values / tri.edge_lengths
     return CertificateResult(means=(float(means[0]), float(means[1]), float(means[2])), spread=_spread(means))

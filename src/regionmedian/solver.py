@@ -4,11 +4,9 @@ The median of a region is the unique root of the objective gradient
 (strict convexity of the underlying objective guarantees uniqueness for
 the Euclidean kernel). Both residual routes report that gradient; the
 solver drives it with Newton steps, backtracking damping, and a
-gradient-descent fallback when the Jacobian degenerates. The
-closed-form route reports the Jacobian with the residual, so Newton
-makes one residual call per trial point; on the quadrature route
-(``solve_medianoid``) the Jacobian comes from central differences, four
-more residual calls per iteration.
+gradient-descent fallback when the Jacobian degenerates. Both routes
+report the Jacobian with the residual, so Newton makes one residual
+call per trial point.
 """
 from __future__ import annotations
 
@@ -28,9 +26,6 @@ __all__ = ["SolveConfig", "SolveResult", "solve_median", "solve_medianoid", "deg
 _SINGULAR_COND = 1e12
 _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-10
-# central-difference step for the Jacobian on the quadrature route (where
-# the report carries none), as a fraction of the region diameter
-_FD_STEP_REL = 1e-7
 # edge quadrature tolerance for general kernels
 _QUAD_TOL = 1e-13
 
@@ -99,19 +94,9 @@ def _newton_root(
     """
     cfg = cfg or SolveConfig()
     polygon, diam, x = _validated_region(region)
-    h = _FD_STEP_REL * diam
 
     def rep_at(v: np.ndarray) -> ResidualReport:
         return residual_fn(polygon, Point2(float(v[0]), float(v[1])))
-
-    def fd_jacobian(v: np.ndarray) -> np.ndarray:
-        jac = np.empty((2, 2), dtype=float)
-        for k, ek in enumerate((np.array([h, 0.0]), np.array([0.0, h]))):
-            plus = rep_at(v + ek).gradient
-            minus = rep_at(v - ek).gradient
-            jac[0, k] = (plus.dx - minus.dx) / (2.0 * h)
-            jac[1, k] = (plus.dy - minus.dy) / (2.0 * h)
-        return jac
 
     rep = rep_at(x)
     trace: List[Tuple[Point2, float]] = [(Point2(float(x[0]), float(x[1])), rep.normalized_norm)]
@@ -119,7 +104,7 @@ def _newton_root(
     converged = rep.normalized_norm <= cfg.tol_rel
     while not converged and iterations < cfg.max_iter:
         g = rep.gradient.as_array()
-        jac = fd_jacobian(x) if rep.jacobian is None else np.array(rep.jacobian)
+        jac = np.array(rep.jacobian)
         use_fallback = not np.all(np.isfinite(jac))
         if not use_fallback:
             cond = np.linalg.cond(jac)
@@ -172,8 +157,8 @@ def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
 def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] = None) -> SolveResult:
     """Medianoid of a region for a general radial kernel.
 
-    Same Newton scheme, driven by the quadrature boundary residual, with a
-    central-difference Jacobian.
+    Same Newton scheme, driven by the quadrature boundary residual and
+    the Jacobian integrated in the same quadrature pass.
     Accepts a Polygon or a sampled polyline loop for the boundary.
     """
 

@@ -79,15 +79,22 @@ def test_overflowing_region_exits_one(capsys, tmp_path):
 
 
 def test_overflowing_region_prints_only_the_error_line(tmp_path):
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"polygon": [[0, 0], [3e150, 0], [3e150, 4e150]]}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "regionmedian", "median", str(path)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: not a usable region")
+    # past about 1e154 the shoelace area overflows as well, and numpy's
+    # warning stays off stderr
+    for scale, extra, message in [
+        (1e150, [], "error: not a usable region"),
+        (5e153, [], "error: polygon area overflows"),
+        (5e153, ["--point=1e153,1e153"], "error: polygon area overflows"),
+    ]:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"polygon": [[0, 0], [3 * scale, 0], [3 * scale, 4 * scale]]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "regionmedian", "check" if extra else "median", str(path), *extra],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), (scale, extra, proc.stderr)
 
 
 @pytest.mark.parametrize("argv", [

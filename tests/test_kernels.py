@@ -14,7 +14,7 @@ from regionmedian import (
     segment_sigma_quadrature,
     solve_medianoid,
 )
-from regionmedian.kernels import closed_values_batch, quadrature_values_batch
+from regionmedian.kernels import _ladder_panels, closed_values_batch, quadrature_values_batch
 
 SQRT2 = math.sqrt(2.0)
 
@@ -55,7 +55,7 @@ def test_closed_degenerate_segment():
 def test_closed_gradient_by_hand(x, want):
     # grad of V = -integral of (P - x)/|P - x| ds over (0,0)->(1,0); the
     # zero-length segment next to it contributes 0 and a zero gradient
-    values, grads = closed_values_batch([[0.0, 0.0], [2.0, 3.0]], [[1.0, 0.0], [2.0, 3.0]], x)
+    values, grads = closed_values_batch([[0.0, 0.0], [2.0, 3.0]], [[1.0, 0.0], [0.0, 0.0]], x)
     assert values[1] == 0.0 and grads[1].tolist() == [0.0, 0.0]
     assert values[0] == segment_sigma_closed(Point2(0, 0), Point2(1, 0), Point2(*x)).value
     np.testing.assert_allclose(grads[0], want, rtol=1e-15, atol=1e-15)
@@ -157,7 +157,7 @@ def test_quadrature_rejects_bad_tol():
 
 
 def test_custom_kernel_routes_through_quadrature():
-    kernel = RadialKernel.custom(lambda v: 1.0 + 0.5 * math.sin(v.dx) * math.cos(v.dy))
+    kernel = RadialKernel.custom(lambda dx, dy: 1.0 + 0.5 * np.sin(dx) * np.cos(dy))
     seg = segment_sigma_quadrature(Point2(0, 0), Point2(2, 0), Point2(0.5, 0.5), kernel)
     # reference by dense trapezoid
     t = np.linspace(0.0, 1.0, 20001)
@@ -167,8 +167,34 @@ def test_custom_kernel_routes_through_quadrature():
 
 
 def test_custom_kernel_spot_check_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        RadialKernel.custom(lambda v: float("inf") if v.dx > 2 else 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        RadialKernel.custom(lambda dx, dy: np.where(dx > 2, np.inf, 1.0))
+
+
+@pytest.mark.parametrize("evaluator", [
+    lambda dx, dy: 1.0,
+    lambda dx, dy: np.hypot(dx, dy)[:2],
+    lambda dx, dy: np.stack([dx, dy]),
+], ids=["scalar", "short", "stacked"])
+def test_custom_kernel_spot_check_rejects_the_wrong_shape(evaluator):
+    # the evaluator maps arrays of displacement components elementwise
+    with pytest.raises(ValueError, match="shape"):
+        RadialKernel.custom(evaluator)
+
+
+def test_custom_kernel_takes_one_evaluator_call_per_quadrature_pass():
+    calls = []
+
+    def evaluator(dx, dy):
+        calls.append(np.shape(dx))
+        return np.hypot(dx, dy) + 0.1 * (dx * dx + dy * dy)
+
+    kernel = RadialKernel.custom(evaluator)
+    assert calls == [(4,)]
+    calls.clear()
+    quadrature_values_batch(QUAD.coords, QUAD.edge_vectors, (1.7, 0.8), kernel)
+    # the values at the nodes, then the four shifted copies for the gradient
+    assert len(calls) % 2 == 0 and calls[1] == (4,) + calls[0]
 
 
 def test_power_kernel_validation():
@@ -181,7 +207,7 @@ def test_power_kernel_validation():
 def test_kernel_call_and_vectorized_agree():
     rng = np.random.default_rng(25)
     kernels = [RadialKernel.euclidean(), RadialKernel.power(2), RadialKernel.power(0.5),
-               RadialKernel.custom(lambda v: v.dx * v.dx + abs(v.dy))]
+               RadialKernel.custom(lambda dx, dy: dx * dx + np.abs(dy))]
     dx, dy = rng.uniform(-2, 2, 30), rng.uniform(-2, 2, 30)
     for k in kernels:
         batch = k.evaluate_many(dx, dy)
@@ -199,9 +225,32 @@ def test_segment_integral_nonnegative_for_nonnegative_kernel():
 QUAD = Polygon([(0.0, 0.0), (4.0, 0.0), (3.0, 2.0), (0.0, 1.0)])
 
 
+def _quad_gradient(a, e, x, p):
+    """-integral of grad |P - x|^p ds along a + t e by scipy's quad, one
+    component at a time, cut at the breakpoints of the batched route."""
+    from scipy.integrate import quad
+
+    d = a - x
+    sq = float(e @ e)
+    t0 = -float(e @ d) / sq
+    layer = abs(e[0] * d[1] - e[1] * d[0]) / sq
+    _, starts, _ = _ladder_panels(np.array([t0]), np.array([layer]))
+    points = starts[1:].tolist() or None
+
+    def integrand(t, k):
+        w = d + t * e
+        r = math.hypot(*w)
+        return p * r ** (p - 1.0) * (w[k] / r)
+
+    length = math.sqrt(sq)
+    return np.array([-length * quad(integrand, 0.0, 1.0, args=(k,), epsabs=1e-13 * length ** (p - 1.0),
+                                    epsrel=1e-13, limit=200, points=points)[0] for k in range(2)])
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
 def test_batched_quadrature_matches_the_per_segment_reference(p):
-    """One Gauss-Kronrod pass over all edges against scipy's quad per edge.
+    """One Gauss-Kronrod pass over all edges against scipy's quad per edge,
+    for the values and for their gradients in x.
 
     Query points sit inside, at vertices, at edge midpoints, 1e-9 off an
     edge and outside the region.
@@ -211,24 +260,34 @@ def test_batched_quadrature_matches_the_per_segment_reference(p):
     normal = np.stack([-e[:, 1], e[:, 0]], axis=1) / lengths[:, None]
     points = [np.array([1.7, 0.8]), np.array([-2.0, 3.5]), *a, *(a + 0.5 * e),
               *(a + 0.3 * e + 1e-9 * normal)]
-    worst = 0.0
+    worst = worst_grad = 0.0
     for x in points:
-        got = quadrature_values_batch(a, e, x, kernel, tol=1e-13)
+        got, grads = quadrature_values_batch(a, e, x, kernel, tol=1e-13)
+        assert grads.shape == (len(a), 2)
         for j in range(len(a)):
             if np.array_equal(x, a[j]) or np.array_equal(x, a[j] + e[j]):
                 # quad cannot resolve the endpoint singularity of the
-                # derivative for p = 1.5; the integral is L^(p+1)/(p+1)
+                # derivative for p = 1.5; the integral is L^(p+1)/(p+1),
+                # its gradient -+L^(p-1) e at the start and at the end
                 ref = lengths[j] ** (p + 1.0) / (p + 1.0)
+                sign = -1.0 if np.array_equal(x, a[j]) else 1.0
+                ref_grad = sign * lengths[j] ** (p - 1.0) * e[j]
             else:
                 ref = segment_sigma_quadrature(Point2(*a[j]), Point2(*(a[j] + e[j])), Point2(*x), kernel, tol=1e-13).value
+                ref_grad = _quad_gradient(a[j], e[j], x, p)
             worst = max(worst, abs(got[j] - ref) / ref)
+            # relative to L^p, the size of the gradient; it vanishes at a midpoint
+            worst_grad = max(worst_grad, np.max(np.abs(grads[j] - ref_grad)) / lengths[j] ** p)
     assert worst < 1e-13, f"worst relative mismatch {worst:.3e}"
+    # panels settle on the values' error only; at a vertex under p = 1.5
+    # the gradient's integrand goes as s^(1/2) and errs by about 2e-10
+    assert worst_grad < 1e-9, f"worst relative gradient mismatch {worst_grad:.3e}"
 
 
 def test_batched_quadrature_uses_the_displacement_from_the_query_point():
     # an odd term in dx flips sign under x - P; every kernel in the suite
     # besides this one is even in (dx, dy)
-    kernel = RadialKernel.custom(lambda v: 1.0 + 0.3 * v.dx + v.dy * v.dy)
+    kernel = RadialKernel.custom(lambda dx, dy: 1.0 + 0.3 * dx + dy * dy)
     edges = list(zip(QUAD.vertices, QUAD.vertices[1:] + QUAD.vertices[:1]))
     for x in (Point2(1.7, 0.8), Point2(-1.0, 2.5), QUAD.vertices[2]):
         rep = general_boundary_residual(QUAD, x, kernel, tol=1e-13)
@@ -241,7 +300,7 @@ def test_batched_quadrature_uses_the_displacement_from_the_query_point():
 
 def test_batched_quadrature_rejects_a_kernel_that_turns_nan():
     # NaN on a band of dy that the spot-check probes of custom() miss
-    kernel = RadialKernel.custom(lambda v: float("nan") if 0.2 < v.dy < 1.0 else 1.0 + v.norm)
+    kernel = RadialKernel.custom(lambda dx, dy: np.where((0.2 < dy) & (dy < 1.0), np.nan, 1.0 + np.hypot(dx, dy)))
     a, e = QUAD.coords, QUAD.edge_vectors
     with pytest.raises(NonConvergenceError, match="segment quadrature error"):
         quadrature_values_batch(a, e, (1.5, 0.5), kernel)
@@ -272,7 +331,7 @@ def test_batched_quadrature_below_the_roundoff_floor_stops_refining(monkeypatch)
     t345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
     with pytest.raises(NonConvergenceError, match="segment quadrature error"):
         general_boundary_residual(t345, Point2(1.0, 1.0), RadialKernel.power(2.0), tol=1e-15)
-    wave = RadialKernel.custom(lambda v: v.norm + 1e6 * math.sin(20.0 * v.dx))
+    wave = RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy) + 1e6 * np.sin(20.0 * dx))
     nodes[0] = 0
     with pytest.raises(NonConvergenceError, match="segment quadrature error"):
         solve_medianoid(t345, wave)

@@ -49,7 +49,7 @@ def test_power_two_square_is_exact():
 
 
 def test_constant_kernel_recovers_area():
-    ones = RadialKernel.custom(lambda w: 1.0)
+    ones = RadialKernel.custom(lambda dx, dy: np.ones_like(dx))
     rng = np.random.default_rng(9)
     for _ in range(4):
         poly = random_convex_polygon(rng)

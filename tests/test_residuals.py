@@ -80,7 +80,7 @@ def test_edge_means_and_gradient_follow_one_rule():
     poly = Polygon([(0.0, 0.0), (3.0, 0.0), (3.5, 2.0), (1.0, 4.0), (-0.5, 1.5)])
     x = Point2(1.1, 1.3)
     edges = list(zip(poly.vertices, poly.vertices[1:] + poly.vertices[:1]))
-    bowl = RadialKernel.custom(lambda v: 1.0 + v.dx * v.dx + 0.5 * v.dy * v.dy)
+    bowl = RadialKernel.custom(lambda dx, dy: 1.0 + dx * dx + 0.5 * dy * dy)
     routes = [(polygon_residual(poly, x), [segment_sigma_closed(a, b, x) for a, b in edges])]
     for kernel in (RadialKernel.euclidean(), RadialKernel.power(1.5), bowl):
         rep = general_boundary_residual(poly, x, kernel, tol=1e-12)
@@ -161,7 +161,7 @@ def test_power_two_residual_vanishes_at_centroid():
 
 def test_constant_kernel_closes_to_zero():
     # the outward normal integrated around any closed loop is zero
-    ones = RadialKernel.custom(lambda v: 1.0)
+    ones = RadialKernel.custom(lambda dx, dy: np.ones_like(dx))
     rep = general_boundary_residual(T345, Point2(0.9, 1.3), ones, tol=1e-12)
     assert rep.norm == 0.0
 
@@ -321,13 +321,13 @@ def _probe_points(poly, rng):
             "near vertex": near_vertex}
 
 
-def _central_difference_jacobian(poly, p, h):
+def _central_difference_jacobian(poly, p, h, residual=polygon_residual):
     jac = np.empty((2, 2))
     for k in range(2):
         step = np.zeros(2)
         step[k] = h
-        plus = polygon_residual(poly, Point2(*(p + step))).gradient.as_array()
-        minus = polygon_residual(poly, Point2(*(p - step))).gradient.as_array()
+        plus = residual(poly, Point2(*(p + step))).gradient.as_array()
+        minus = residual(poly, Point2(*(p - step))).gradient.as_array()
         jac[:, k] = (plus - minus) / (2.0 * h)
     return jac
 
@@ -367,12 +367,71 @@ def test_closed_form_jacobian_is_symmetric_positive_definite(make):
             assert np.linalg.eigvalsh(0.5 * (jac + jac.T))[0] > 1e-6 * scale, where
 
 
-def test_jacobian_only_on_the_closed_form_route():
+def test_jacobian_on_both_routes():
     x = Point2(1.2, 1.1)
-    rep = polygon_residual(T345, x)
-    assert len(rep.jacobian) == 2 and all(len(row) == 2 for row in rep.jacobian)
-    hash(rep)
-    assert general_boundary_residual(T345, x, RadialKernel.euclidean(), tol=1e-12).jacobian is None
+    for rep in (polygon_residual(T345, x), general_boundary_residual(T345, x, RadialKernel.power(1.5), tol=1e-12)):
+        assert len(rep.jacobian) == 2 and all(len(row) == 2 for row in rep.jacobian)
+        assert all(isinstance(v, float) for row in rep.jacobian for v in row)
+        hash(rep)
+
+
+QUADRATURE_KERNELS = {
+    "power1": RadialKernel.power(1.0),
+    "power1.5": RadialKernel.power(1.5),
+    "power2": RadialKernel.power(2.0),
+    "power3": RadialKernel.power(3.0),
+    "euclidean": RadialKernel.euclidean(),
+    "custom": RadialKernel.custom(lambda dx, dy: np.exp(0.3 * dx) + dy * dy + 0.2 * dx * dy),
+}
+
+
+@pytest.mark.parametrize("name", list(QUADRATURE_KERNELS))
+def test_quadrature_jacobian_matches_central_differences(name):
+    """The quadrature route's Jacobian is the derivative of its gradient.
+
+    Steps are 1e-5 diameters, as for the closed form: the difference
+    quotient then errs by at most about 1e-8 of |J| (p = 1), and the
+    residual's quadrature error of about 1e-13 of its size, divided by
+    the step, stays below that.
+    """
+    kernel = QUADRATURE_KERNELS[name]
+
+    def residual(poly, x):
+        return general_boundary_residual(poly, x, kernel, tol=1e-13)
+
+    rng = np.random.default_rng(4271)
+    for make in (random_triangle, random_convex_polygon, random_star_polygon):
+        for _ in range(3):
+            poly = make(rng)
+            p = interior_point(poly, rng)
+            jac = np.array(residual(poly, Point2(*p)).jacobian)
+            want = _central_difference_jacobian(poly, p, 1e-5 * poly.diameter, residual)
+            assert np.max(np.abs(jac - want)) < 1e-6 * np.max(np.abs(jac)), make.__name__
+
+
+def test_quadrature_jacobian_of_the_euclidean_kernel_is_the_closed_form_one():
+    rng = np.random.default_rng(3141)
+    kernel = RadialKernel.euclidean()
+    for make in (random_triangle, random_convex_polygon, random_star_polygon):
+        for _ in range(4):
+            poly = make(rng)
+            for where, p in _probe_points(poly, rng).items():
+                closed = np.array(polygon_residual(poly, Point2(*p)).jacobian)
+                quad = np.array(general_boundary_residual(poly, Point2(*p), kernel, tol=1e-13).jacobian)
+                assert np.max(np.abs(quad - closed)) < 1e-12 * np.max(np.abs(closed)), where
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
+def test_quadrature_jacobian_is_finite_on_the_boundary(p):
+    # at a vertex or on an edge a node may meet w = 0, where the kernel
+    # gradient is taken as 0, and |w|^(p-1) is singular for p < 1
+    quad = Polygon([(0.0, 0.0), (4.0, 0.0), (3.0, 2.0), (0.0, 1.0)])
+    kernel = RadialKernel.power(p)
+    a, e = quad.coords, quad.edge_vectors
+    for x in (*a, *(a + 0.5 * e), *(a + 0.3 * e)):
+        with np.errstate(all="raise"):
+            rep = general_boundary_residual(quad, Point2(*x), kernel, tol=1e-12)
+        assert np.all(np.isfinite(rep.jacobian)), x
 
 
 def test_residual_is_the_correctly_rounded_sum_in_any_edge_order():
