@@ -14,14 +14,8 @@ from .errors import (
     RegionMedianError,
     SingularRegionError,
 )
-from .geometry import Point2, Polygon, Vector2, as_polygon, diameter, rotate90, signed_area, wedge
-from .kernels import (
-    KernelKind,
-    RadialKernel,
-    SegmentIntegral,
-    segment_sigma_closed,
-    segment_sigma_quadrature,
-)
+from .geometry import Point2, Polygon, Vector2, as_polygon, rotate90
+from .kernels import KernelKind, RadialKernel
 from .oracle import MCEstimate, OracleConfig, OracleValue, oracle_minimize, oracle_sigma, oracle_sigma_mc
 from .residuals import (
     CertificateResult,
@@ -39,16 +33,10 @@ __all__ = [
     "Point2",
     "Vector2",
     "Polygon",
-    "wedge",
     "rotate90",
-    "signed_area",
-    "diameter",
     "as_polygon",
     "KernelKind",
     "RadialKernel",
-    "SegmentIntegral",
-    "segment_sigma_closed",
-    "segment_sigma_quadrature",
     "ResidualReport",
     "CertificateResult",
     "polygon_residual",

@@ -1,4 +1,4 @@
-"""Planar primitives: points, vectors, wedge product, simple polygons.
+"""Planar primitives: points, vectors, simple polygons.
 
 Coordinates are plain float64 throughout. Polygons are validated at
 construction (simple, nonzero area) and stored in counterclockwise
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -18,10 +18,7 @@ __all__ = [
     "Point2",
     "Vector2",
     "Polygon",
-    "wedge",
     "rotate90",
-    "signed_area",
-    "diameter",
     "as_polygon",
 ]
 
@@ -89,11 +86,6 @@ class Vector2:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy], dtype=float)
-
-
-def wedge(a: Vector2, b: Vector2) -> float:
-    """Oriented parallelogram area a.dx*b.dy - a.dy*b.dx."""
-    return a.dx * b.dy - a.dy * b.dx
 
 
 def rotate90(v: Vector2, direction: int = 1) -> Vector2:
@@ -373,10 +365,6 @@ class Polygon:
         """Read-only (n,) array of the lengths of ``edge_vectors``."""
         return self._edge_lengths
 
-    @property
-    def vertices(self) -> tuple:
-        return tuple(Point2(float(x), float(y)) for x, y in self._coords)
-
     def __len__(self) -> int:
         return len(self._coords)
 
@@ -475,13 +463,3 @@ def as_polygon(region) -> Polygon:
     if isinstance(region, Polygon):
         return region
     return Polygon(region)
-
-
-def signed_area(poly: Polygon) -> float:
-    """Shoelace area of the stored loop; positive because storage is CCW."""
-    return _shoelace(poly.coords)
-
-
-def diameter(poly: Polygon) -> float:
-    """Maximum pairwise vertex distance."""
-    return poly.diameter

@@ -3,8 +3,7 @@
 The central quantity is the arclength integral of f(P - x) over a segment,
 for f the Euclidean norm (closed form) or a general radial kernel
 (Gauss-Kronrod quadrature: one batched pass over stacked segments, or
-scipy's ``quad`` on one segment as an independent reference). The
-per-segment values carry the segment length and the mean. Kernels
+scipy's ``quad`` on one segment as an independent reference). Kernels
 evaluate whole arrays of displacement components, custom ones through
 an evaluator of (dx, dy) arrays. Both batched routes also return each
 integral's gradient in x: in closed form, or integrated at the same
@@ -20,22 +19,16 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import NonConvergenceError
-from .geometry import Point2, Vector2
 
-__all__ = [
-    "KernelKind",
-    "RadialKernel",
-    "SegmentIntegral",
-    "segment_sigma_closed",
-    "segment_sigma_quadrature",
-]
+__all__ = ["KernelKind", "RadialKernel"]
 
 # below this perpendicular offset (as a fraction of segment length) the
 # logarithmic term of the antiderivative degenerates; switch to the exact
 # piecewise formula for a query point on the segment's line
 _COLLINEAR_EPS = 1e-12
 
-_DEFAULT_QUAD_TOL = 1e-10
+# edge quadrature tolerance of every solve and CLI command
+_QUAD_TOL = 1e-13
 
 
 class KernelKind(Enum):
@@ -85,9 +78,6 @@ class RadialKernel:
                              f"dx={dx.tolist()}, dy={dy.tolist()}")
         return cls(KernelKind.CUSTOM, evaluator=evaluator)
 
-    def __call__(self, d: Vector2) -> float:
-        return float(self.evaluate_many(np.float64(d.dx), np.float64(d.dy)))
-
     def evaluate_many(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on arrays of displacement components."""
         if self.kind is KernelKind.EUCLIDEAN:
@@ -117,44 +107,21 @@ class RadialKernel:
         return self.kind is KernelKind.EUCLIDEAN
 
 
-@dataclass(frozen=True)
-class SegmentIntegral:
-    """Integral of a kernel along a segment, with its length and mean."""
-
-    value: float
-    segment_length: float
-    mean: float
-
-    @classmethod
-    def from_value(cls, value: float, length: float) -> "SegmentIntegral":
-        mean = value / length if length > 0.0 else 0.0
-        return cls(value=value, segment_length=length, mean=mean)
-
-
 def closed_values_batch(a: np.ndarray, e: np.ndarray, x) -> Tuple[np.ndarray, np.ndarray]:
     """Euclidean segment integrals and their gradients for stacked segments.
 
-    a, e: (m, 2) arrays of segment starts and edge vectors; x: query
-    point (length-2).
+    a, e: (m, 2) arrays of segment starts and edge vectors, no edge
+    vector zero; x: query point (length-2).
     Returns the (m,) array of arclength integrals V_i of |P - x| over each
     segment and the (m, 2) array of their gradients in x,
     -integral of (P - x)/|P - x| ds. Parameterized by arclength fraction
     so conditioning does not depend on absolute scale; a separate branch
     handles query points on the carrier line of a segment, where the
-    logarithm degenerates. Zero-length segments give 0 and a zero gradient.
+    logarithm degenerates.
     """
-    a = np.asarray(a, dtype=float)
     e = np.asarray(e, dtype=float)
-    xv = np.asarray(x, dtype=float).reshape(2)
+    w = np.asarray(x, dtype=float).reshape(2) - np.asarray(a, dtype=float)
     L2 = np.sum(e * e, axis=1)
-    ok = L2 > 0.0
-    if not np.all(ok):
-        out = np.zeros(len(a), dtype=float)
-        grad = np.zeros((len(a), 2), dtype=float)
-        if np.any(ok):
-            out[ok], grad[ok] = closed_values_batch(a[ok], e[ok], xv)
-        return out, grad
-    w = xv - a
     # with u = t - t0 and the signed offset cs, P - x = u e - cs rotate90(e)
     # and |P - x| = L hypot(u, cs), all in parameter units
     t0 = (e[:, 0] * w[:, 0] + e[:, 1] * w[:, 1]) / L2
@@ -276,7 +243,7 @@ def _gk21(d: np.ndarray, e: np.ndarray, kernel: "RadialKernel", lo: np.ndarray, 
                      gx @ _GK_WEIGHTS[:, 0] * hlgth, gy @ _GK_WEIGHTS[:, 0] * hlgth], axis=1)
 
 
-def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _DEFAULT_QUAD_TOL) -> Tuple[np.ndarray, np.ndarray]:
+def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _QUAD_TOL) -> Tuple[np.ndarray, np.ndarray]:
     """Integrals of kernel(P - x) along stacked segments and their gradients, any kernel.
 
     a, e: (m, 2) arrays of segment starts and edge vectors, no edge
@@ -342,31 +309,21 @@ def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _DEFAU
         panels = np.concatenate([panels[keep], new_panels])
 
 
-def segment_sigma_closed(a: Point2, b: Point2, x: Point2) -> SegmentIntegral:
-    """Exact arclength integral of |P - x| over the segment from a to b.
+def segment_sigma_quadrature(a, e, x, kernel: RadialKernel, tol: float = _QUAD_TOL) -> float:
+    """Integral of kernel(P - x) along the segment a + t e, 0 <= t <= 1, by scipy's ``quad``.
 
-    A zero-length segment yields value 0 and mean 0.
-    """
-    values, _ = closed_values_batch([[a.x, a.y]], [[b.x - a.x, b.y - a.y]], (x.x, x.y))
-    value = float(values[0])
-    return SegmentIntegral.from_value(value, a.distance_to(b))
+    The independent per-segment reference for ``quadrature_values_batch``:
+    a, e and x are length-2 arrays, e not zero. The reported absolute
+    error must satisfy err <= tol * (1 + |value|), otherwise
+    NonConvergenceError is raised. ``quad`` gets the breakpoints of the
+    batched route, so integrand curvature concentrated near the foot of
+    the perpendicular (sharpest when x sits almost on the carrier line)
+    is resolved instead of slipping between quadrature nodes.
 
-
-def segment_sigma_quadrature(
-    a: Point2,
-    b: Point2,
-    x: Point2,
-    kernel: RadialKernel,
-    tol: float = _DEFAULT_QUAD_TOL,
-) -> SegmentIntegral:
-    """Adaptive Gauss-Kronrod integral of kernel(P - x) along the segment.
-
-    The reported absolute error must satisfy err <= tol * (1 + |value|),
-    otherwise NonConvergenceError is raised. Breakpoints are supplied at
-    the closest-approach parameter and on a geometric ladder of scales
-    around it, so integrand curvature concentrated near the foot of the
-    perpendicular (sharpest when x sits almost on the carrier line) is
-    resolved instead of slipping between quadrature nodes.
+    Under p = 1.5, with x at an endpoint of the segment, ``quad`` cannot
+    meet the tolerance: the derivative of the kernel is singular there,
+    and it reports an error of 6.976e-06 for the edge (1,1)->(0,0) at
+    (0,0). The batched route gets these edges to 1e-15.
     """
     # imported here rather than with the package: no solve or CLI command
     # takes this reference route, and scipy.integrate adds about 20 ms to
@@ -375,15 +332,13 @@ def segment_sigma_quadrature(
 
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
-    ax, ay, ex, ey = a.x, a.y, b.x - a.x, b.y - a.y
+    (ax, ay), (ex, ey), (xx, xy) = (map(float, v) for v in (a, e, x))
     length = math.hypot(ex, ey)
-    if length == 0.0:
-        return SegmentIntegral.from_value(0.0, 0.0)
 
     def integrand(t: float) -> float:
-        return float(kernel.evaluate_many(np.float64(ax + t * ex - x.x), np.float64(ay + t * ey - x.y)))
+        return float(kernel.evaluate_many(np.float64(ax + t * ex - xx), np.float64(ay + t * ey - xy)))
 
-    wx, wy = x.x - ax, x.y - ay
+    wx, wy = xx - ax, xy - ay
     sq = length * length
     t0 = (ex * wx + ey * wy) / sq
     # perpendicular offset of x from the carrier line, in parameter units;
@@ -393,17 +348,7 @@ def segment_sigma_quadrature(
     # the panels' inner ends are the breakpoints of the batched route
     _, starts, _ = _ladder_panels(np.array([t0]), np.array([layer]))
     points = starts[1:].tolist() or None
-    raw = quad(
-        integrand,
-        0.0,
-        1.0,
-        epsabs=tol,
-        epsrel=tol,
-        limit=200,
-        points=points,
-        full_output=1,
-    )
-    estimate, abserr = raw[0], raw[1]
+    estimate, abserr = quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200, points=points, full_output=1)[:2]
     value = length * estimate
     err = length * abserr
     if not math.isfinite(value) or err > tol * (1.0 + abs(value)):
@@ -411,4 +356,4 @@ def segment_sigma_quadrature(
             f"segment quadrature error {err:.3e} exceeds tol*(1+|value|) "
             f"= {tol * (1.0 + abs(value)):.3e}"
         )
-    return SegmentIntegral.from_value(value, length)
+    return value

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .geometry import Point2, Polygon
 from .kernels import RadialKernel
-from .triquad import signed_areas, star_rule, star_triangles, triangulate
+from .triquad import signed_areas, star_rule, triangulate
 
 __all__ = ["OracleConfig", "OracleValue", "MCEstimate", "oracle_sigma", "oracle_minimize", "oracle_sigma_mc"]
 
@@ -57,14 +56,15 @@ def _star_integral(poly: Polygon, x, kernel: RadialKernel, panels: int = _PANELS
     signed star triangles (x, a_i, a_i+1); valid for x inside, on the
     boundary of or outside any simple polygon."""
     s, t, w = star_rule(panels)
-    tris = star_triangles(poly, x)
-    q = tris[:, 1] - tris[:, 0]  # a_i - x
-    e = tris[:, 2] - tris[:, 1]  # a_i+1 - a_i
+    q = poly.coords - np.asarray(x, dtype=float)  # a_i - x
+    e = poly.edge_vectors  # a_i+1 - a_i
+    qn = np.roll(q, -1, axis=0)
+    areas = 0.5 * (q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0])
     # P - x = s * (q + t * e), as (n, S, T) components
     dx = s[:, None] * (q[:, 0, None] + t * e[:, 0, None])[:, None, :]
     dy = s[:, None] * (q[:, 1, None] + t * e[:, 1, None])[:, None, :]
-    vals = kernel.evaluate_many(dx, dy).reshape(len(tris), -1)
-    return float(signed_areas(tris) @ (vals @ w.ravel()))
+    vals = kernel.evaluate_many(dx, dy).reshape(len(q), -1)
+    return float(areas @ (vals @ w.ravel()))
 
 
 def oracle_sigma(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None) -> OracleValue:
@@ -86,6 +86,10 @@ def _brute_force_minimize(objective, start: np.ndarray, diam: float, options: di
     grid passes (11 by 11, half-width 1e-3 * diam shrinking by 10 each
     pass) around the incumbent best. Fully deterministic.
     """
+    # imported here rather than with the package: scipy.optimize loads
+    # some 300 scipy modules, and only the oracle's minimizers use it
+    from scipy.optimize import minimize
+
     res = minimize(objective, start, method="Nelder-Mead", options=options)
     best = np.asarray(res.x, dtype=float)
     fbest = float(res.fun)

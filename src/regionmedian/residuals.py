@@ -9,7 +9,8 @@ how the means are evaluated: ``polygon_residual`` uses the closed form
 batched Gauss-Kronrod 10/21 pass over the panels of every edge
 (``kernels.quadrature_values_batch``). An edge passes when its QUADPACK
 error estimate err satisfies err <= tol * (1 + |value|) for its
-integral value; only the panels of failing edges are bisected, and an
+integral value, with the one tolerance tol = 1e-13 of every solve and
+CLI command; only the panels of failing edges are bisected, and an
 edge that does not pass raises NonConvergenceError. Both routes also
 report the Jacobian of the gradient, from the gradients of the edge
 integrals: closed-form, or integrated in the same Gauss-Kronrod pass
@@ -108,22 +109,17 @@ def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
     return _report(poly, *closed_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y)))
 
 
-def general_boundary_residual(
-    boundary,
-    x: Point2,
-    kernel: RadialKernel,
-    tol: float = 1e-10,
-) -> ResidualReport:
+def general_boundary_residual(boundary, x: Point2, kernel: RadialKernel) -> ResidualReport:
     """Residual T: sum of (mean kernel value) times edge vector, any kernel.
 
     ``boundary`` may be a Polygon or any closed vertex loop (a sampled
     polyline approximating a curved boundary); loops are normalized to
     counterclockwise order. All edge means come from one batched
-    Gauss-Kronrod quadrature to the given tolerance, and the report's
+    Gauss-Kronrod quadrature, and the report's
     ``jacobian`` from the kernel gradients at the same nodes.
     """
     poly = as_polygon(boundary)
-    return _report(poly, *quadrature_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y), kernel, tol))
+    return _report(poly, *quadrature_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y), kernel))
 
 
 class CertificateResult(NamedTuple):
@@ -142,4 +138,4 @@ def mean_distance_certificate(tri: Polygon, x: Point2) -> CertificateResult:
         raise InvalidTriangleError("certificate is defined for triangles only")
     values, _ = closed_values_batch(tri.coords, tri.edge_vectors, (x.x, x.y))
     means = values / tri.edge_lengths
-    return CertificateResult(means=(float(means[0]), float(means[1]), float(means[2])), spread=_spread(means))
+    return CertificateResult(means=tuple(means.tolist()), spread=_spread(means))

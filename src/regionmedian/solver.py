@@ -26,8 +26,6 @@ __all__ = ["SolveConfig", "SolveResult", "solve_median", "solve_medianoid", "deg
 _SINGULAR_COND = 1e12
 _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-10
-# edge quadrature tolerance for general kernels
-_QUAD_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
     """
 
     def residual_fn(polygon: Polygon, p: Point2) -> ResidualReport:
-        return general_boundary_residual(polygon, p, kernel, tol=_QUAD_TOL)
+        return general_boundary_residual(polygon, p, kernel)
 
     return _newton_root(boundary, residual_fn, cfg, local=kernel.kind is KernelKind.CUSTOM)
 

@@ -79,7 +79,10 @@ def star_triangles(poly: Polygon, x) -> np.ndarray:
     The signed-area sum telescopes to the polygon area for any simple
     loop, so integrating with signed weights reproduces region integrals
     even when the polygon is not star-shaped around x. x is the apex of
-    every triangle, the s = 0 end of ``star_rule``.
+    every triangle, the s = 0 end of ``star_rule``. The oracle takes the
+    same differences straight from ``Polygon.coords`` and
+    ``Polygon.edge_vectors``; the benchmark's traced run still wraps this
+    function by name.
     """
     c = poly.coords
     cn = np.roll(c, -1, axis=0)

@@ -58,10 +58,6 @@ class PointSet:
         return len(self.coords)
 
     @property
-    def points(self) -> list:
-        return [Point2(float(x), float(y)) for x, y in self.coords]
-
-    @property
     def diameter(self) -> float:
         if len(self.coords) == 1:
             return 0.0

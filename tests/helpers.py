@@ -5,6 +5,13 @@ import math
 import numpy as np
 
 from regionmedian import Polygon
+from regionmedian.kernels import closed_values_batch
+
+
+def closed_value(a, b, x):
+    """Closed-form integral of |P - x| along the segment from a to b."""
+    a = np.asarray(a, dtype=float)
+    return float(closed_values_batch([a], [np.asarray(b, dtype=float) - a], x)[0][0])
 
 
 def random_convex_polygon(rng, n_max=8, scale=1.0):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import regionmedian
 from regionmedian import Point2, Polygon, RadialKernel
 from regionmedian.cli import _fmt_number, main
 from regionmedian.oracle import oracle_sigma
@@ -330,6 +332,22 @@ def test_no_scipy_quad_on_the_medianoid_and_check_paths(capsys, no_scipy_quad):
     assert code == 0
     code, out, _ = run(capsys, "check", str(DATA / "power2_region.json"), "--point", "1.5,1.0")
     assert code == 0 and len(json.loads(out)["edge_means"]) == 3
+
+
+def test_a_solve_and_a_check_load_neither_scipy_optimize_nor_integrate():
+    # a fresh interpreter: the package imports scipy.optimize only for the
+    # oracle's minimizers and scipy.integrate only for the quad reference
+    code = "\n".join([
+        "import sys, regionmedian, regionmedian.cli",
+        "regionmedian.solve_median(regionmedian.Polygon([(0, 0), (3, 0), (3, 4)]))",
+        f"assert regionmedian.cli.main(['check', {str(DATA / 'power2_region.json')!r}, '--point', '1,1']) == 0",
+        "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])",
+    ])
+    src = str(Path(regionmedian.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # `check` on t345.json at a vertex, on an edge and far out: the Jacobian

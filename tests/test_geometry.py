@@ -11,10 +11,7 @@ from regionmedian import (
     Point2,
     Polygon,
     Vector2,
-    diameter,
     rotate90,
-    signed_area,
-    wedge,
 )
 from regionmedian import geometry
 from regionmedian.weiszfeld import PointSet
@@ -26,33 +23,6 @@ from helpers import (
 )
 
 DATA = Path(__file__).parent / "data"
-
-
-def test_wedge_unit_basis():
-    assert wedge(Vector2(1, 0), Vector2(0, 1)) == 1.0
-
-
-def test_wedge_parallel_is_zero():
-    assert wedge(Vector2(1, 0), Vector2(1, 0)) == 0.0
-
-
-def test_wedge_explicit_value():
-    assert wedge(Vector2(2, 1), Vector2(3, 4)) == 5.0
-
-
-def test_wedge_bilinear_antisymmetric():
-    rng = np.random.default_rng(101)
-    for _ in range(200):
-        ax, ay, bx, by, s = rng.uniform(-5, 5, 5)
-        a, b = Vector2(ax, ay), Vector2(bx, by)
-        assert wedge(a, b) == -wedge(b, a)
-        assert math.isclose(
-            wedge(Vector2(s * ax, s * ay), b), s * wedge(a, b), rel_tol=1e-12, abs_tol=1e-12
-        )
-        c = Vector2(bx + ax, by + ay)
-        assert math.isclose(
-            wedge(a, c), wedge(a, b) + wedge(a, a), rel_tol=1e-12, abs_tol=1e-12
-        )
 
 
 def test_rotate90_quarter_turns():
@@ -91,18 +61,18 @@ def test_point_vector_reject_nonfinite():
 
 def test_signed_area_unit_square():
     sq = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    assert signed_area(sq) == 1.0
+    assert sq.area == 1.0
     assert not sq.was_reversed
 
 
 def test_signed_area_reversed_input_normalized():
     sq = Polygon([(0, 1), (1, 1), (1, 0), (0, 0)])
-    assert signed_area(sq) == 1.0
+    assert sq.area == 1.0
     assert sq.was_reversed
 
 
 def test_signed_area_right_triangle():
-    assert signed_area(Polygon([(0, 0), (4, 0), (0, 3)])) == 6.0
+    assert Polygon([(0, 0), (4, 0), (0, 3)]).area == 6.0
 
 
 def test_signed_area_cyclic_and_translation_invariant():
@@ -112,18 +82,18 @@ def test_signed_area_cyclic_and_translation_invariant():
         coords = poly.coords
         k = int(rng.integers(0, len(coords)))
         rolled = Polygon(np.roll(coords, k, axis=0))
-        assert math.isclose(signed_area(rolled), signed_area(poly), rel_tol=1e-12)
+        assert math.isclose(rolled.area, poly.area, rel_tol=1e-12)
         shifted = Polygon(coords + rng.uniform(-100, 100, 2))
-        assert math.isclose(signed_area(shifted), signed_area(poly), rel_tol=1e-9)
+        assert math.isclose(shifted.area, poly.area, rel_tol=1e-9)
 
 
 def test_diameter_examples():
-    assert math.isclose(diameter(Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])), math.sqrt(2))
-    assert diameter(Polygon([(0, 0), (4, 0), (0, 3)])) == 5.0
+    assert math.isclose(Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]).diameter, math.sqrt(2))
+    assert Polygon([(0, 0), (4, 0), (0, 3)]).diameter == 5.0
     hexagon = [
         (math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)
     ]
-    assert math.isclose(diameter(Polygon(hexagon)), 2.0, rel_tol=1e-12)
+    assert math.isclose(Polygon(hexagon).diameter, 2.0, rel_tol=1e-12)
 
 
 def test_bowtie_rejected():
@@ -492,7 +462,7 @@ def test_polygon_diameter_equals_the_all_pairs_scan():
     for k in (4, 6, 50, 1024):
         t = np.arange(2 * k) * (np.pi / k)
         c = np.stack([np.cos(t), np.sin(t)], axis=1)
-        assert diameter(Polygon(c)) == all_pairs_diameter(c)
+        assert Polygon(c).diameter == all_pairs_diameter(c)
 
 
 def test_fine_sampled_curve_constructs_in_near_linear_time():

@@ -3,46 +3,34 @@ import math
 import numpy as np
 import pytest
 
+from helpers import closed_value
+
 from regionmedian import (
     NonConvergenceError,
     Point2,
     Polygon,
     RadialKernel,
-    Vector2,
     general_boundary_residual,
-    segment_sigma_closed,
-    segment_sigma_quadrature,
     solve_medianoid,
 )
-from regionmedian.kernels import _ladder_panels, closed_values_batch, quadrature_values_batch
+from regionmedian.kernels import _ladder_panels, closed_values_batch, quadrature_values_batch, segment_sigma_quadrature
 
 SQRT2 = math.sqrt(2.0)
 
 
 def test_closed_along_own_line():
     # distance grows linearly from an endpoint
-    seg = segment_sigma_closed(Point2(0, 0), Point2(1, 0), Point2(0, 0))
-    assert math.isclose(seg.value, 0.5, rel_tol=1e-15)
-    assert math.isclose(seg.mean, 0.5, rel_tol=1e-15)
+    assert math.isclose(closed_value((0, 0), (1, 0), (0, 0)), 0.5, rel_tol=1e-15)
 
 
 def test_closed_symmetric_halves():
-    seg = segment_sigma_closed(Point2(-1, 0), Point2(1, 0), Point2(0, 0))
-    assert math.isclose(seg.value, 1.0, rel_tol=1e-15)
+    assert math.isclose(closed_value((-1, 0), (1, 0), (0, 0)), 1.0, rel_tol=1e-15)
 
 
 def test_closed_perpendicular_offset():
     # crosscheck value: sqrt(2)/2 + log(1 + sqrt(2))/2
     expected = SQRT2 / 2.0 + math.log(1.0 + SQRT2) / 2.0
-    seg = segment_sigma_closed(Point2(0, 0), Point2(1, 0), Point2(0, 1))
-    assert math.isclose(seg.value, expected, rel_tol=1e-13)
-
-
-def test_closed_degenerate_segment():
-    seg = segment_sigma_closed(Point2(2, 3), Point2(2, 3), Point2(0, 0))
-    assert seg.value == 0.0
-    assert seg.segment_length == 0.0
-    assert seg.mean == 0.0
+    assert math.isclose(closed_value((0, 0), (1, 0), (0, 1)), expected, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("x, want", [
@@ -53,11 +41,8 @@ def test_closed_degenerate_segment():
     ((-2.0, 0.0), (-1.0, 0.0)),
 ], ids=["offset", "endpoint", "midpoint", "beyond", "before"])
 def test_closed_gradient_by_hand(x, want):
-    # grad of V = -integral of (P - x)/|P - x| ds over (0,0)->(1,0); the
-    # zero-length segment next to it contributes 0 and a zero gradient
-    values, grads = closed_values_batch([[0.0, 0.0], [2.0, 3.0]], [[1.0, 0.0], [0.0, 0.0]], x)
-    assert values[1] == 0.0 and grads[1].tolist() == [0.0, 0.0]
-    assert values[0] == segment_sigma_closed(Point2(0, 0), Point2(1, 0), Point2(*x)).value
+    # grad of V = -integral of (P - x)/|P - x| ds over (0,0)->(1,0)
+    _, grads = closed_values_batch([[0.0, 0.0]], [[1.0, 0.0]], x)
     np.testing.assert_allclose(grads[0], want, rtol=1e-15, atol=1e-15)
 
 
@@ -76,10 +61,10 @@ def test_closed_gradient_along_the_edge_does_not_cancel_far_out(x):
 def test_closed_orientation_free():
     rng = np.random.default_rng(21)
     for _ in range(300):
-        a, b, x = (Point2(*rng.uniform(-4, 4, 2)) for _ in range(3))
-        forward = segment_sigma_closed(a, b, x)
-        backward = segment_sigma_closed(b, a, x)
-        assert math.isclose(forward.value, backward.value, rel_tol=1e-12, abs_tol=1e-14)
+        a, b, x = rng.uniform(-4, 4, (3, 2))
+        forward = closed_value(a, b, x)
+        backward = closed_value(b, a, x)
+        assert math.isclose(forward, backward, rel_tol=1e-12, abs_tol=1e-14)
 
 
 def test_closed_similarity_equivariance():
@@ -91,8 +76,8 @@ def test_closed_similarity_equivariance():
         shift = rng.uniform(-10, 10, 2)
         rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
         moved = pts @ rot.T * lam + shift
-        base = segment_sigma_closed(*(Point2(*p) for p in pts)).value
-        scaled = segment_sigma_closed(*(Point2(*p) for p in moved)).value
+        base = closed_value(*pts)
+        scaled = closed_value(*moved)
         assert math.isclose(scaled, lam * lam * base, rel_tol=1e-11, abs_tol=1e-13)
 
 
@@ -100,15 +85,15 @@ def test_closed_mean_bounds():
     rng = np.random.default_rng(23)
     for _ in range(300):
         pa, pb, px = rng.uniform(-4, 4, (3, 2))
-        seg = segment_sigma_closed(Point2(*pa), Point2(*pb), Point2(*px))
+        mean = closed_value(pa, pb, px) / math.hypot(*(pb - pa))
         d_a = math.hypot(*(pa - px))
         d_b = math.hypot(*(pb - px))
         # distance from x to the segment (projection clamped to [0, 1])
         e = pb - pa
         t = float(np.clip(np.dot(px - pa, e) / np.dot(e, e), 0.0, 1.0))
         d_min = math.hypot(*(pa + t * e - px))
-        assert seg.mean <= max(d_a, d_b) + 1e-12
-        assert seg.mean >= d_min - 1e-12
+        assert mean <= max(d_a, d_b) + 1e-12
+        assert mean >= d_min - 1e-12
 
 
 def test_closed_vs_quadrature_including_near_collinear():
@@ -128,42 +113,31 @@ def test_closed_vs_quadrature_including_near_collinear():
             px = pa + t * e + off * n
         else:
             px = rng.uniform(-3, 3, 2)
-        closed = segment_sigma_closed(Point2(*pa), Point2(*pb), Point2(*px))
-        quad = segment_sigma_quadrature(Point2(*pa), Point2(*pb), Point2(*px), kernel, tol=1e-13)
-        rel = abs(closed.value - quad.value) / max(abs(quad.value), 1e-30)
+        closed = closed_value(pa, pb, px)
+        quad = segment_sigma_quadrature(pa, pb - pa, px, kernel, tol=1e-13)
+        rel = abs(closed - quad) / max(abs(quad), 1e-30)
         worst = max(worst, rel)
     assert worst < 1e-12, f"worst relative mismatch {worst:.3e}"
 
 
 def test_quadrature_power2_from_endpoint():
-    seg = segment_sigma_quadrature(
-        Point2(0, 0), Point2(1, 0), Point2(0, 0), RadialKernel.power(2), tol=1e-12
-    )
-    assert math.isclose(seg.value, 1.0 / 3.0, rel_tol=1e-12)
-
-
-def test_quadrature_degenerate_segment():
-    seg = segment_sigma_quadrature(
-        Point2(1, 1), Point2(1, 1), Point2(0, 0), RadialKernel.power(1), tol=1e-10
-    )
-    assert seg.value == 0.0 and seg.mean == 0.0
+    value = segment_sigma_quadrature((0, 0), (1, 0), (0, 0), RadialKernel.power(2), tol=1e-12)
+    assert math.isclose(value, 1.0 / 3.0, rel_tol=1e-12)
 
 
 def test_quadrature_rejects_bad_tol():
     with pytest.raises(ValueError):
-        segment_sigma_quadrature(
-            Point2(0, 0), Point2(1, 0), Point2(0, 1), RadialKernel.euclidean(), tol=0.0
-        )
+        segment_sigma_quadrature((0, 0), (1, 0), (0, 1), RadialKernel.euclidean(), tol=0.0)
 
 
 def test_custom_kernel_routes_through_quadrature():
     kernel = RadialKernel.custom(lambda dx, dy: 1.0 + 0.5 * np.sin(dx) * np.cos(dy))
-    seg = segment_sigma_quadrature(Point2(0, 0), Point2(2, 0), Point2(0.5, 0.5), kernel)
+    value = segment_sigma_quadrature((0, 0), (2, 0), (0.5, 0.5), kernel)
     # reference by dense trapezoid
     t = np.linspace(0.0, 1.0, 20001)
     vals = 1.0 + 0.5 * np.sin(2 * t - 0.5) * np.cos(-0.5)
     ref = 2.0 * np.trapezoid(vals, t)
-    assert math.isclose(seg.value, float(ref), rel_tol=1e-8)
+    assert math.isclose(value, float(ref), rel_tol=1e-8)
 
 
 def test_custom_kernel_spot_check_rejects_nonfinite():
@@ -204,22 +178,11 @@ def test_power_kernel_validation():
         RadialKernel.power(-1.0)
 
 
-def test_kernel_call_and_vectorized_agree():
-    rng = np.random.default_rng(25)
-    kernels = [RadialKernel.euclidean(), RadialKernel.power(2), RadialKernel.power(0.5),
-               RadialKernel.custom(lambda dx, dy: dx * dx + np.abs(dy))]
-    dx, dy = rng.uniform(-2, 2, 30), rng.uniform(-2, 2, 30)
-    for k in kernels:
-        batch = k.evaluate_many(dx, dy)
-        single = [k(Vector2(a, b)) for a, b in zip(dx, dy)]
-        assert np.allclose(batch, single, rtol=1e-14, atol=0)
-
-
 def test_segment_integral_nonnegative_for_nonnegative_kernel():
     rng = np.random.default_rng(26)
     for _ in range(100):
-        pa, pb, px = (Point2(*rng.uniform(-2, 2, 2)) for _ in range(3))
-        assert segment_sigma_closed(pa, pb, px).value >= 0.0
+        pa, pb, px = rng.uniform(-2, 2, (3, 2))
+        assert closed_value(pa, pb, px) >= 0.0
 
 
 QUAD = Polygon([(0.0, 0.0), (4.0, 0.0), (3.0, 2.0), (0.0, 1.0)])
@@ -273,7 +236,7 @@ def test_batched_quadrature_matches_the_per_segment_reference(p):
                 sign = -1.0 if np.array_equal(x, a[j]) else 1.0
                 ref_grad = sign * lengths[j] ** (p - 1.0) * e[j]
             else:
-                ref = segment_sigma_quadrature(Point2(*a[j]), Point2(*(a[j] + e[j])), Point2(*x), kernel, tol=1e-13).value
+                ref = segment_sigma_quadrature(a[j], e[j], x, kernel, tol=1e-13)
                 ref_grad = _quad_gradient(a[j], e[j], x, p)
             worst = max(worst, abs(got[j] - ref) / ref)
             # relative to L^p, the size of the gradient; it vanishes at a midpoint
@@ -288,13 +251,13 @@ def test_batched_quadrature_uses_the_displacement_from_the_query_point():
     # an odd term in dx flips sign under x - P; every kernel in the suite
     # besides this one is even in (dx, dy)
     kernel = RadialKernel.custom(lambda dx, dy: 1.0 + 0.3 * dx + dy * dy)
-    edges = list(zip(QUAD.vertices, QUAD.vertices[1:] + QUAD.vertices[:1]))
-    for x in (Point2(1.7, 0.8), Point2(-1.0, 2.5), QUAD.vertices[2]):
-        rep = general_boundary_residual(QUAD, x, kernel, tol=1e-13)
-        want = [segment_sigma_quadrature(a, b, x, kernel, tol=1e-13).mean for a, b in edges]
+    a, e, lengths = QUAD.coords, QUAD.edge_vectors, QUAD.edge_lengths
+    for x in ((1.7, 0.8), (-1.0, 2.5), tuple(a[2])):
+        rep = general_boundary_residual(QUAD, Point2(*x), kernel)
+        want = [segment_sigma_quadrature(a[j], e[j], x, kernel) / lengths[j] for j in range(len(a))]
         assert rep.edge_means == pytest.approx(want, rel=1e-13, abs=0.0)
     # the edge (0,0)->(4,0) seen from (0,1): mean of 1 + 0.3*(4t) + 1
-    rep = general_boundary_residual(QUAD, Point2(0.0, 1.0), kernel, tol=1e-13)
+    rep = general_boundary_residual(QUAD, Point2(0.0, 1.0), kernel)
     assert rep.edge_means[0] == pytest.approx(2.6, rel=1e-14)
 
 
@@ -330,7 +293,7 @@ def test_batched_quadrature_below_the_roundoff_floor_stops_refining(monkeypatch)
     monkeypatch.setattr(RadialKernel, "evaluate_many", counted)
     t345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
     with pytest.raises(NonConvergenceError, match="segment quadrature error"):
-        general_boundary_residual(t345, Point2(1.0, 1.0), RadialKernel.power(2.0), tol=1e-15)
+        quadrature_values_batch(t345.coords, t345.edge_vectors, (1.0, 1.0), RadialKernel.power(2.0), tol=1e-15)
     wave = RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy) + 1e6 * np.sin(20.0 * dx))
     nodes[0] = 0
     with pytest.raises(NonConvergenceError, match="segment quadrature error"):

@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import interior_point, random_convex_polygon, random_star_polygon
+from helpers import closed_value, interior_point, random_convex_polygon, random_star_polygon
 
 from regionmedian import Point2, Polygon, RadialKernel
-from regionmedian.kernels import segment_sigma_closed
 from regionmedian.oracle import (
     _PANELS,
     MCEstimate,
@@ -109,7 +108,7 @@ def test_power_two_matches_the_polar_moment():
 def test_sliver_limit_matches_segment_integral():
     """Thin rectangles approach the boundary-segment integral linearly."""
     x = Point2(0.0, 1.0)
-    closed = segment_sigma_closed(Point2(0.0, 0.0), Point2(1.0, 0.0), x).value
+    closed = closed_value((0.0, 0.0), (1.0, 0.0), (x.x, x.y))
     devs = []
     for w in (1e-3, 1e-4):
         sliver = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, w), (0.0, w)])

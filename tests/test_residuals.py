@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    closed_value,
     interior_point,
     random_convex_polygon,
     random_star_polygon,
@@ -24,7 +25,7 @@ from regionmedian import (
     polygon_residual,
     rotate90,
 )
-from regionmedian.kernels import segment_sigma_closed, segment_sigma_quadrature
+from regionmedian.kernels import quadrature_values_batch, segment_sigma_quadrature
 from regionmedian.oracle import oracle_sigma
 from regionmedian.residuals import _spread
 
@@ -61,9 +62,9 @@ def test_triangle_matches_hand_assembled_sum():
     verts = [(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)]
     for i in range(3):
         a, b = verts[i], verts[(i + 1) % 3]
-        seg = segment_sigma_closed(Point2(*a), Point2(*b), x)
-        rx += seg.mean * (b[0] - a[0])
-        ry += seg.mean * (b[1] - a[1])
+        mean = closed_value(a, b, (x.x, x.y)) / math.dist(a, b)
+        rx += mean * (b[0] - a[0])
+        ry += mean * (b[1] - a[1])
     rep = polygon_residual(T345, x)
     assert rep.residual.dx == pytest.approx(rx, rel=1e-13)
     assert rep.residual.dy == pytest.approx(ry, rel=1e-13)
@@ -79,14 +80,15 @@ def test_edge_means_and_gradient_follow_one_rule():
     """
     poly = Polygon([(0.0, 0.0), (3.0, 0.0), (3.5, 2.0), (1.0, 4.0), (-0.5, 1.5)])
     x = Point2(1.1, 1.3)
-    edges = list(zip(poly.vertices, poly.vertices[1:] + poly.vertices[:1]))
+    a, e, lengths, xy = poly.coords, poly.edge_vectors, poly.edge_lengths, (x.x, x.y)
+    b = np.roll(a, -1, axis=0)
     bowl = RadialKernel.custom(lambda dx, dy: 1.0 + dx * dx + 0.5 * dy * dy)
-    routes = [(polygon_residual(poly, x), [segment_sigma_closed(a, b, x) for a, b in edges])]
+    routes = [(polygon_residual(poly, x), [closed_value(a[j], b[j], xy) for j in range(len(a))])]
     for kernel in (RadialKernel.euclidean(), RadialKernel.power(1.5), bowl):
-        rep = general_boundary_residual(poly, x, kernel, tol=1e-12)
-        routes.append((rep, [segment_sigma_quadrature(a, b, x, kernel, tol=1e-12) for a, b in edges]))
-    for rep, segs in routes:
-        assert rep.edge_means == pytest.approx([seg.mean for seg in segs], rel=1e-15)
+        rep = general_boundary_residual(poly, x, kernel)
+        routes.append((rep, [segment_sigma_quadrature(a[j], e[j], xy, kernel) for j in range(len(a))]))
+    for rep, values in routes:
+        assert rep.edge_means == pytest.approx(list(values / lengths), rel=1e-15)
         tx = math.fsum(m * e[0] for m, e in zip(rep.edge_means, poly.edge_vectors))
         ty = math.fsum(m * e[1] for m, e in zip(rep.edge_means, poly.edge_vectors))
         want = rotate90(Vector2(tx, ty), 1)
@@ -113,7 +115,7 @@ def test_gradient_matches_area_integral_slope():
     power3 = RadialKernel.power(3.0)
     routes = [
         (polygon_residual(T345, c), None),
-        (general_boundary_residual(T345, c, power3, tol=1e-12), power3),
+        (general_boundary_residual(T345, c, power3), power3),
     ]
     for rep, kernel in routes:
         gx = (oracle_sigma(T345, Point2(c.x + h, c.y), kernel) - oracle_sigma(T345, Point2(c.x - h, c.y), kernel)) / (2 * h)
@@ -142,7 +144,7 @@ def test_closed_form_and_quadrature_routes_report_the_same_residual():
         poly = random_convex_polygon(rng, n_max=6)
         x = Point2(*rng.uniform(-1.5, 1.5, 2))
         closed = polygon_residual(poly, x)
-        quad = general_boundary_residual(poly, x, kern, tol=1e-13)
+        quad = general_boundary_residual(poly, x, kern)
         scale = max(closed.norm, 1e-12)
         assert abs(quad.residual.dx - closed.residual.dx) / scale < 1e-11
         assert abs(quad.residual.dy - closed.residual.dy) / scale < 1e-11
@@ -155,14 +157,14 @@ def test_power_two_residual_vanishes_at_centroid():
     for _ in range(6):
         poly = random_convex_polygon(rng, n_max=8)
         c = poly.centroid
-        rep = general_boundary_residual(poly, Point2(c.x, c.y), kern, tol=1e-12)
+        rep = general_boundary_residual(poly, Point2(c.x, c.y), kern)
         assert rep.norm < 1e-9 * poly.diameter**3
 
 
 def test_constant_kernel_closes_to_zero():
     # the outward normal integrated around any closed loop is zero
     ones = RadialKernel.custom(lambda dx, dy: np.ones_like(dx))
-    rep = general_boundary_residual(T345, Point2(0.9, 1.3), ones, tol=1e-12)
+    rep = general_boundary_residual(T345, Point2(0.9, 1.3), ones)
     assert rep.norm == 0.0
 
 
@@ -241,8 +243,8 @@ def test_zero_residual_is_equal_means_for_triangles():
 
 def test_boundary_loop_accepts_raw_vertex_list():
     loop = [(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)]
-    got = general_boundary_residual(loop, Point2(1.0, 1.0), RadialKernel.euclidean(), tol=1e-12)
-    want = general_boundary_residual(T345, Point2(1.0, 1.0), RadialKernel.euclidean(), tol=1e-12)
+    got = general_boundary_residual(loop, Point2(1.0, 1.0), RadialKernel.euclidean())
+    want = general_boundary_residual(T345, Point2(1.0, 1.0), RadialKernel.euclidean())
     assert got.residual.dx == pytest.approx(want.residual.dx, abs=1e-13)
     assert got.residual.dy == pytest.approx(want.residual.dy, abs=1e-13)
 
@@ -263,15 +265,15 @@ def test_quadrature_residual_at_every_vertex_gives_the_exact_means(coords, tol):
     poly = Polygon(coords)
     kernel = RadialKernel.power(p)
     n = len(coords)
+    a, e = poly.coords, poly.edge_vectors
     for i, v in enumerate(coords):
-        rep = general_boundary_residual(poly, Point2(*v), kernel, tol=tol)
+        values, _ = quadrature_values_batch(a, e, v, kernel, tol)
         for j in ((i - 1) % n, i):
-            length = poly.edge_lengths[j]
-            want = length ** (p + 1.0) / (p + 1.0)
-            assert abs(rep.edge_means[j] * length - want) <= tol * (1.0 + want)
+            want = poly.edge_lengths[j] ** (p + 1.0) / (p + 1.0)
+            assert abs(values[j] - want) <= tol * (1.0 + want)
     if n == 3:
-        rep = general_boundary_residual(poly, Point2(0.0, 0.0), kernel, tol=tol)
-        assert rep.edge_means[2] == pytest.approx(0.6727171322029717, rel=1e-12)
+        values, _ = quadrature_values_batch(a, e, (0.0, 0.0), kernel, tol)
+        assert values[2] / poly.edge_lengths[2] == pytest.approx(0.6727171322029717, rel=1e-12)
 
 
 def test_spread_certifies_only_finite_equal_means():
@@ -369,7 +371,7 @@ def test_closed_form_jacobian_is_symmetric_positive_definite(make):
 
 def test_jacobian_on_both_routes():
     x = Point2(1.2, 1.1)
-    for rep in (polygon_residual(T345, x), general_boundary_residual(T345, x, RadialKernel.power(1.5), tol=1e-12)):
+    for rep in (polygon_residual(T345, x), general_boundary_residual(T345, x, RadialKernel.power(1.5))):
         assert len(rep.jacobian) == 2 and all(len(row) == 2 for row in rep.jacobian)
         assert all(isinstance(v, float) for row in rep.jacobian for v in row)
         hash(rep)
@@ -397,7 +399,7 @@ def test_quadrature_jacobian_matches_central_differences(name):
     kernel = QUADRATURE_KERNELS[name]
 
     def residual(poly, x):
-        return general_boundary_residual(poly, x, kernel, tol=1e-13)
+        return general_boundary_residual(poly, x, kernel)
 
     rng = np.random.default_rng(4271)
     for make in (random_triangle, random_convex_polygon, random_star_polygon):
@@ -417,7 +419,7 @@ def test_quadrature_jacobian_of_the_euclidean_kernel_is_the_closed_form_one():
             poly = make(rng)
             for where, p in _probe_points(poly, rng).items():
                 closed = np.array(polygon_residual(poly, Point2(*p)).jacobian)
-                quad = np.array(general_boundary_residual(poly, Point2(*p), kernel, tol=1e-13).jacobian)
+                quad = np.array(general_boundary_residual(poly, Point2(*p), kernel).jacobian)
                 assert np.max(np.abs(quad - closed)) < 1e-12 * np.max(np.abs(closed)), where
 
 
@@ -430,7 +432,7 @@ def test_quadrature_jacobian_is_finite_on_the_boundary(p):
     a, e = quad.coords, quad.edge_vectors
     for x in (*a, *(a + 0.5 * e), *(a + 0.3 * e)):
         with np.errstate(all="raise"):
-            rep = general_boundary_residual(quad, Point2(*x), kernel, tol=1e-12)
+            rep = general_boundary_residual(quad, Point2(*x), kernel)
         assert np.all(np.isfinite(rep.jacobian)), x
 
 
