@@ -235,8 +235,8 @@ def cmd_medianoid(args) -> int:
 
 
 def _discrete_brute_force(ps: PointSet) -> Point2:
-    # independent minimizer for the point-set objective, with the region
-    # oracle's strategy, started from the weighted centroid
+    # independent minimizer for the point-set objective: the region
+    # oracle's Nelder-Mead, started from the weighted centroid
     pts, w = ps.coords, ps.weights
 
     def objective(v):
@@ -246,7 +246,7 @@ def _discrete_brute_force(ps: PointSet) -> Point2:
     start = np.array([np.sum(w * pts[:, 0]) / total, np.sum(w * pts[:, 1]) / total])
     diam = max(ps.diameter, 1e-12)
     options = {"xatol": 1e-12 * diam, "fatol": 1e-15, "maxiter": 2000, "maxfev": 3000}
-    return _brute_force_minimize(objective, start, diam, options)
+    return _brute_force_minimize(objective, start, options)
 
 
 def cmd_discrete(args) -> int:

@@ -41,12 +41,6 @@ class Point2:
         object.__setattr__(self, "y", float(self.y))
         _require_finite(self.x, self.y)
 
-    def __sub__(self, other: "Point2") -> "Vector2":
-        return Vector2(self.x - other.x, self.y - other.y)
-
-    def __add__(self, v: "Vector2") -> "Point2":
-        return Point2(self.x + v.dx, self.y + v.dy)
-
     def distance_to(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
@@ -66,20 +60,6 @@ class Vector2:
         object.__setattr__(self, "dy", float(self.dy))
         _require_finite(self.dx, self.dy)
 
-    def __add__(self, other: "Vector2") -> "Vector2":
-        return Vector2(self.dx + other.dx, self.dy + other.dy)
-
-    def __sub__(self, other: "Vector2") -> "Vector2":
-        return Vector2(self.dx - other.dx, self.dy - other.dy)
-
-    def __neg__(self) -> "Vector2":
-        return Vector2(-self.dx, -self.dy)
-
-    def __mul__(self, s: float) -> "Vector2":
-        return Vector2(self.dx * s, self.dy * s)
-
-    __rmul__ = __mul__
-
     @property
     def norm(self) -> float:
         return math.hypot(self.dx, self.dy)
@@ -88,23 +68,16 @@ class Vector2:
         return np.array([self.dx, self.dy], dtype=float)
 
 
-def rotate90(v: Vector2, direction: int = 1) -> Vector2:
-    """Rotate a vector by 90 degrees.
-
-    direction=+1 maps (x, y) to (-y, x); direction=-1 maps (x, y) to (y, -x).
-    """
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    if direction == 1:
-        return Vector2(-v.dy, v.dx)
-    return Vector2(v.dy, -v.dx)
+def rotate90(v: Vector2) -> Vector2:
+    """Rotate a vector counterclockwise by 90 degrees: (x, y) to (-y, x)."""
+    return Vector2(-v.dy, v.dx)
 
 
-def _shoelace(coords: np.ndarray) -> float:
-    # past about 1e154 the products overflow; callers see a non-finite
-    # area instead of numpy's warning
+def _shoelace(coords: np.ndarray, nxt: np.ndarray) -> float:
+    # nxt holds each vertex's successor; past about 1e154 the products
+    # overflow, and callers see a non-finite area instead of numpy's warning
     x, y = coords[:, 0], coords[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = nxt[:, 0], nxt[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         return 0.5 * float(np.sum(x * yn - xn * y))
 
@@ -247,8 +220,9 @@ def _candidate_edge_pairs(lo: np.ndarray, hi: np.ndarray):
     yield from _all_edge_pairs(n)
 
 
-def _segments_intersect_any(coords: np.ndarray) -> bool:
-    """True if any two non-adjacent edges of the closed loop touch.
+def _segments_intersect_any(coords: np.ndarray, nxt: np.ndarray) -> bool:
+    """True if any two non-adjacent edges of the closed loop touch; edge i
+    runs from ``coords[i]`` to ``nxt[i]``.
 
     Exact orientation tests, one array pass per block of candidate edge
     pairs from a grid over the edges' bounding boxes: near-linear in the
@@ -257,11 +231,9 @@ def _segments_intersect_any(coords: np.ndarray) -> bool:
     n = len(coords)
     if n < 4:
         return False
-    a = coords
-    b = np.roll(coords, -1, axis=0)
     # one contiguous row per coordinate of the edge starts and ends
-    rows = np.concatenate([a, b], axis=1).T.copy()
-    for i, j in _candidate_edge_pairs(np.minimum(a, b), np.maximum(a, b)):
+    rows = np.concatenate([coords, nxt], axis=1).T.copy()
+    for i, j in _candidate_edge_pairs(np.minimum(coords, nxt), np.maximum(coords, nxt)):
         if len(i) and _edges_touch(rows, i, j):
             return True
     return False
@@ -322,13 +294,14 @@ class Polygon:
             raise InvalidPolygonError("polygon needs at least 3 vertices")
         if not np.all(np.isfinite(coords)):
             raise InvalidPolygonError("polygon has non-finite coordinates")
-        if np.any(np.all(coords == np.roll(coords, -1, axis=0), axis=1)):
+        nxt = np.roll(coords, -1, axis=0)
+        if np.any(np.all(coords == nxt, axis=1)):
             raise InvalidPolygonError("polygon repeats a vertex on consecutive positions")
         # intersection before area: a symmetric bowtie nets out to zero
         # shoelace area, and the intersection diagnostic is the useful one
-        if _segments_intersect_any(coords):
+        if _segments_intersect_any(coords, nxt):
             raise InvalidPolygonError("polygon is self-intersecting")
-        area = _shoelace(coords)
+        area = _shoelace(coords, nxt)
         if area == 0.0:
             raise InvalidPolygonError("polygon has zero area")
         if not math.isfinite(area):
@@ -336,8 +309,9 @@ class Polygon:
         reversed_input = area < 0.0
         if reversed_input:
             coords = coords[::-1].copy()
+            nxt = np.roll(coords, -1, axis=0)
             area = -area
-        edges = np.roll(coords, -1, axis=0) - coords
+        edges = nxt - coords
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         for arr in (coords, edges, lengths):
             arr.setflags(write=False)

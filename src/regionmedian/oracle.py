@@ -3,9 +3,10 @@
 Evaluates the area integral of kernel(P - x) over a polygon with one
 rule for every query point x: a tensor Gauss rule on the Duffy-mapped
 signed star triangles from x (``triquad.star_rule``). Adds a Monte Carlo
-cross-check and a derivative-free minimizer. Independent by design: the
-rule evaluates the kernel at real area nodes, and nothing here shares
-code paths with the boundary residual solver it certifies.
+cross-check and a derivative-free minimizer (scipy's Nelder-Mead alone).
+Independent by design: the rule evaluates the kernel at real area nodes,
+and nothing here shares code paths with the boundary residual solver it
+certifies.
 """
 from __future__ import annotations
 
@@ -81,36 +82,21 @@ def oracle_sigma(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None
     return OracleValue(value, abs(value - finer))
 
 
-def _brute_force_minimize(objective, start: np.ndarray, diam: float, options: dict) -> Point2:
-    """Nelder-Mead from ``start`` with the given options, then three local
-    grid passes (11 by 11, half-width 1e-3 * diam shrinking by 10 each
-    pass) around the incumbent best. Fully deterministic.
-    """
+def _brute_force_minimize(objective, start: np.ndarray, options: dict) -> Point2:
+    """scipy's Nelder-Mead from ``start`` with the given options; fully
+    deterministic."""
     # imported here rather than with the package: scipy.optimize loads
     # some 300 scipy modules, and only the oracle's minimizers use it
     from scipy.optimize import minimize
 
     res = minimize(objective, start, method="Nelder-Mead", options=options)
-    best = np.asarray(res.x, dtype=float)
-    fbest = float(res.fun)
-    half_width = 1e-3 * diam
-    for _ in range(3):
-        offsets = np.linspace(-half_width, half_width, 11)
-        gx, gy = np.meshgrid(best[0] + offsets, best[1] + offsets)
-        candidates = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        for cand in candidates:
-            f = objective(cand)
-            if f < fbest:
-                best, fbest = cand.copy(), f
-        half_width /= 10.0
-    return Point2(float(best[0]), float(best[1]))
+    return Point2(float(res.x[0]), float(res.x[1]))
 
 
 def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Point2:
-    """Brute-force minimizer of the area objective.
-
-    Nelder-Mead from the area centroid, then shrinking grid passes (see
-    ``_brute_force_minimize``).
+    """Brute-force minimizer of the area objective: Nelder-Mead from the
+    area centroid, stopping once its simplex is within 1e-10 of the
+    diameter and its values agree to 1e-14 relative.
     """
     kernel = kernel or RadialKernel.euclidean()
     diam = poly.diameter
@@ -127,7 +113,7 @@ def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Poi
         "maxiter": 800,
         "maxfev": 1200,
     }
-    return _brute_force_minimize(objective, start, diam, options)
+    return _brute_force_minimize(objective, start, options)
 
 
 def oracle_sigma_mc(

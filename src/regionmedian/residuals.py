@@ -78,7 +78,7 @@ def _report(poly: Polygon, values: np.ndarray, grads: np.ndarray) -> ResidualRep
     (s00, s01), (s10, s11) = np.einsum("ia,ib->ab", poly.edge_vectors, grads / lengths[:, None]).tolist()
     return ResidualReport(
         residual=residual,
-        gradient=rotate90(residual, 1),
+        gradient=rotate90(residual),
         edge_means=tuple(means.tolist()),
         norm=norm,
         normalized_norm=norm / (diam * diam),

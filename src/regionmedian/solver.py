@@ -39,8 +39,8 @@ class SolveConfig:
     max_iter: int = 100
 
     def __post_init__(self) -> None:
-        if not (self.tol_rel > 0.0):
-            raise ValueError("tol_rel must be > 0")
+        if not 0.0 < self.tol_rel < math.inf:
+            raise ValueError("tol_rel must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

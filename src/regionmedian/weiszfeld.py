@@ -82,8 +82,10 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     residual_norm is the norm of the objective's (sub)gradient at the
     result; normalized_norm divides it by the total weight.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     pts = ps.coords
     w = ps.weights
     total_w = float(w.sum())

@@ -133,6 +133,22 @@ def test_points_file_rejected_by_region_commands(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["median", "t345.json", "--tol", "inf"],
+    ["discrete", "obtuse_points.json", "--tol", "nan"],
+    ["discrete", "obtuse_points.json", "--max-iter", "0"],
+    ["discrete", "obtuse_points.json", "--max-iter", "-5"],
+], ids=["median-tol-inf", "discrete-tol-nan", "discrete-max-iter-0", "discrete-max-iter-negative"])
+def test_unattainable_solver_settings_exit_one(capsys, argv):
+    # a tolerance that no finite residual can miss, or none at all, and an
+    # empty iteration budget are input errors, not solves
+    command, name, *flags = argv
+    code, out, err = run(capsys, command, str(DATA / name), *flags)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 def test_starved_iteration_budget_exits_two(capsys):
     code, out, _ = run(capsys, "median", str(DATA / "t345.json"), "--max-iter", "1")
     assert code == 2

@@ -2,13 +2,14 @@
 Monte Carlo."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import closed_value, interior_point, random_convex_polygon, random_star_polygon
 
-from regionmedian import Point2, Polygon, RadialKernel
+from regionmedian import Point2, Polygon, RadialKernel, cli, oracle
 from regionmedian.oracle import (
     _PANELS,
     MCEstimate,
@@ -20,6 +21,8 @@ from regionmedian.oracle import (
     oracle_sigma_mc,
 )
 from regionmedian.solver import solve_median
+
+DATA = Path(__file__).parent / "data"
 
 UNIT_SQUARE_CENTERED = Polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
 T345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
@@ -199,6 +202,31 @@ def test_minimize_finds_the_thin_triangle_median():
     med = solve_median(THIN_TRIANGLE).median
     ora = oracle_minimize(THIN_TRIANGLE)
     assert math.hypot(med.x - ora.x, med.y - ora.y) <= 1e-7 * THIN_TRIANGLE.diameter
+
+
+def test_minimizers_run_nelder_mead_alone(monkeypatch):
+    # objective evaluations, which do not drift with machine speed: three
+    # 11 by 11 grid passes after Nelder-Mead would make 363 by themselves
+    calls = []
+    star_integral = oracle._star_integral
+
+    def counted_star_integral(*args):
+        calls.append(args)
+        return star_integral(*args)
+
+    monkeypatch.setattr(oracle, "_star_integral", counted_star_integral)
+    oracle_minimize(cli.load_region_file(str(DATA / "t345.json")).polygon)
+    assert 0 < len(calls) < 363
+
+    calls.clear()
+    minimize = oracle._brute_force_minimize
+
+    def counted_minimize(objective, *rest):
+        return minimize(lambda v: calls.append(v) or objective(v), *rest)
+
+    monkeypatch.setattr(cli, "_brute_force_minimize", counted_minimize)
+    cli._discrete_brute_force(cli.load_region_file(str(DATA / "obtuse_points.json")).point_set)
+    assert 0 < len(calls) < 363
 
 
 def test_config_validation():

@@ -51,7 +51,7 @@ def test_report_fields_are_consistent():
     assert rep.norm == pytest.approx(math.hypot(rep.residual.dx, rep.residual.dy), rel=1e-15)
     assert rep.normalized_norm == pytest.approx(rep.norm / T345.diameter**2, rel=1e-15)
     assert len(rep.edge_means) == 3
-    got = rotate90(rep.residual, 1)
+    got = rotate90(rep.residual)
     assert rep.gradient.dx == got.dx and rep.gradient.dy == got.dy
 
 
@@ -91,7 +91,7 @@ def test_edge_means_and_gradient_follow_one_rule():
         assert rep.edge_means == pytest.approx(list(values / lengths), rel=1e-15)
         tx = math.fsum(m * e[0] for m, e in zip(rep.edge_means, poly.edge_vectors))
         ty = math.fsum(m * e[1] for m, e in zip(rep.edge_means, poly.edge_vectors))
-        want = rotate90(Vector2(tx, ty), 1)
+        want = rotate90(Vector2(tx, ty))
         dev = math.hypot(rep.gradient.dx - want.dx, rep.gradient.dy - want.dy)
         assert dev <= 1e-13 * want.norm
         dev = math.hypot(rep.residual.dx - tx, rep.residual.dy - ty)

@@ -180,6 +180,9 @@ def test_config_validation():
         SolveConfig(tol_rel=0.0)
     with pytest.raises(ValueError):
         SolveConfig(max_iter=0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SolveConfig(tol_rel=tol)
 
 
 def test_garbage_region_raises():

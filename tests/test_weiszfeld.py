@@ -126,6 +126,9 @@ def test_point_set_validation():
         PointSet([(0, 0), (1, 1)], weights=[1.0, -2.0])
     with pytest.raises(ValueError):
         weiszfeld(PointSet([(0, 0), (1, 1)]), tol=0.0)
+    for bad in ({"tol": math.inf}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -5}):
+        with pytest.raises(ValueError):
+            weiszfeld(PointSet([(0, 0), (1, 1)]), **bad)
 
 
 def test_sampled_square_finds_the_center():
