@@ -285,14 +285,18 @@ def cmd_check(args) -> int:
     poly = _require_region(inp, "check")
     point = _parse_point(args.point)
     kernel = inp.kernel or RadialKernel.euclidean()
+    # evaluated in the solver's frame, so the point a solve reports gives
+    # the edge means that the solve reported
+    local, ox, oy = poly._local_frame()
+    at = Point2(point.x - ox, point.y - oy)
     # a point far enough out overflows the edge integrals; raising keeps
     # numpy's warnings off stderr and names the point in the one error line
     try:
         with np.errstate(over="raise", invalid="raise"):
             if kernel.is_euclidean:
-                rep = polygon_residual(poly, point)
+                rep = polygon_residual(local, at)
             else:
-                rep = general_boundary_residual(poly, point, kernel)
+                rep = general_boundary_residual(local, at, kernel)
     except FloatingPointError as exc:
         raise RegionFileError(f"the residual at --point {point.x!r},{point.y!r} is out of range: {exc}") from exc
     report = {

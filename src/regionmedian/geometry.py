@@ -74,11 +74,15 @@ def rotate90(v: Vector2) -> Vector2:
 
 
 def _shoelace(coords: np.ndarray, nxt: np.ndarray) -> float:
-    # nxt holds each vertex's successor; past about 1e154 the products
-    # overflow, and callers see a non-finite area instead of numpy's warning
-    x, y = coords[:, 0], coords[:, 1]
-    xn, yn = nxt[:, 0], nxt[:, 1]
+    # nxt holds each vertex's successor. The products are taken relative
+    # to vertex 0, which is exact for nearby vertices (Sterbenz), so a
+    # region far from the origin does not cancel its own area. Past about
+    # 1e154 the products overflow, and callers see a non-finite area
+    # instead of numpy's warning
+    ox, oy = coords[0]
     with np.errstate(over="ignore", invalid="ignore"):
+        x, y = coords[:, 0] - ox, coords[:, 1] - oy
+        xn, yn = nxt[:, 0] - ox, nxt[:, 1] - oy
         return 0.5 * float(np.sum(x * yn - xn * y))
 
 
@@ -253,7 +257,10 @@ def _edges_touch(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
     o2 = ex * (dy - ay) - ey * (dx - ax)
     o3 = fx * (ay - cy) - fy * (ax - cx)
     o4 = fx * (by - cy) - fy * (bx - cx)
-    if np.any((o1 * o2 < 0) & (o3 * o4 < 0)):
+    # strictly opposite signs as min < 0 < max: the products o1 * o2 and
+    # o3 * o4 underflow to zero for tiny loops and overflow for huge ones
+    if np.any((np.minimum(o1, o2) < 0) & (np.maximum(o1, o2) > 0)
+              & (np.minimum(o3, o4) < 0) & (np.maximum(o3, o4) > 0)):
         return True
     # improper contact: an endpoint of one edge lying exactly on the other
     # edge (including collinear overlap) also breaks simplicity
@@ -273,6 +280,11 @@ def _edges_touch(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
         on(o1, cx, cy, ax, ay, bx, by) | on(o2, dx, dy, ax, ay, bx, by)
         | on(o3, ax, ay, cx, cy, dx, dy) | on(o4, bx, by, cx, cy, dx, dy)
     ))
+
+
+# a polygon whose vertex 0 lies within this many diameters of the origin
+# is its own solve frame (see ``Polygon._local_frame``)
+_NEAR_ORIGIN = 4.0
 
 
 class Polygon:
@@ -324,6 +336,34 @@ class Polygon:
         self._diameter = None
         self._convex = None
 
+    def _local_frame(self) -> tuple:
+        """(view, ox, oy): the polygon translated by minus (ox, oy), the
+        frame in which solves and checks evaluate.
+
+        (ox, oy) is vertex 0 once it lies more than ``_NEAR_ORIGIN``
+        diameters from the origin. The view then shares this polygon's
+        edge vectors and lengths, area, diameter and convexity, which do
+        not change under translation, without validating again. Nearer,
+        the frame is the polygon itself at (0, 0): its floats resolve it
+        within three bits of a translated copy, and every point evaluated
+        is then exactly a point that can be reported.
+        """
+        ox, oy = self._coords[0].tolist()
+        if max(abs(ox), abs(oy)) <= _NEAR_ORIGIN * self.diameter:
+            return self, 0.0, 0.0
+        view = Polygon.__new__(Polygon)
+        coords = self._coords - self._coords[0]
+        coords.setflags(write=False)
+        view._coords = coords
+        view._edge_vectors = self._edge_vectors
+        view._edge_lengths = self._edge_lengths
+        view.was_reversed = self.was_reversed
+        view._area = self._area
+        view._centroid = None
+        view._diameter = self._diameter
+        view._convex = self._convex
+        return view, ox, oy
+
     @property
     def coords(self) -> np.ndarray:
         """Read-only (n, 2) float array of vertices, counterclockwise."""
@@ -349,12 +389,14 @@ class Polygon:
     @property
     def centroid(self) -> Point2:
         if self._centroid is None:
-            c = self._coords
-            cn = np.roll(c, -1, axis=0)
-            cross = c[:, 0] * cn[:, 1] - cn[:, 0] * c[:, 1]
-            cx = float(np.sum((c[:, 0] + cn[:, 0]) * cross) / (6.0 * self._area))
-            cy = float(np.sum((c[:, 1] + cn[:, 1]) * cross) / (6.0 * self._area))
-            self._centroid = Point2(cx, cy)
+            # relative to vertex 0, like the area, then moved back
+            ox, oy = self._coords[0].tolist()
+            x, y = self._coords[:, 0] - ox, self._coords[:, 1] - oy
+            xn, yn = np.roll(x, -1), np.roll(y, -1)
+            cross = x * yn - xn * y
+            cx = float(np.sum((x + xn) * cross) / (6.0 * self._area))
+            cy = float(np.sum((y + yn) * cross) / (6.0 * self._area))
+            self._centroid = Point2(cx + ox, cy + oy)
         return self._centroid
 
     @property

@@ -132,10 +132,12 @@ def mean_distance_certificate(tri: Polygon, x: Point2) -> CertificateResult:
 
     Returns the three mean distances from x to the edges and their
     spread (max - min)/max. Zero spread certifies x as the geometric
-    median of the triangular region, independently of any solver.
+    median of the triangular region, independently of any solver. The
+    means are evaluated in the solver's frame (``Polygon._local_frame``).
     """
     if len(tri) != 3:
         raise InvalidTriangleError("certificate is defined for triangles only")
-    values, _ = closed_values_batch(tri.coords, tri.edge_vectors, (x.x, x.y))
-    means = values / tri.edge_lengths
+    local, ox, oy = tri._local_frame()
+    values, _ = closed_values_batch(local.coords, local.edge_vectors, (x.x - ox, x.y - oy))
+    means = values / local.edge_lengths
     return CertificateResult(means=tuple(means.tolist()), spread=_spread(means))

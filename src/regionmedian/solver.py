@@ -55,7 +55,9 @@ class SolveResult:
     means for triangular regions under any kernel, None otherwise.
     ``local`` marks results for custom kernels, where convexity (and thus
     global uniqueness of the root) is not guaranteed. ``edge_means`` are the
-    mean kernel values along each boundary edge at the reported median.
+    mean kernel values along each boundary edge at the final iterate.
+    ``median`` and ``trace`` are in absolute coordinates; far from the
+    origin they round the iterates of the translated solve frame.
     """
 
     median: Point2
@@ -69,13 +71,17 @@ class SolveResult:
     edge_means: Tuple[float, ...] = ()
 
 
-def _validated_region(region) -> Tuple[Polygon, float, np.ndarray]:
+def _validated_region(region) -> Tuple[Polygon, float, float, float, np.ndarray]:
+    """The region in its solve frame (``Polygon._local_frame``): the
+    translated polygon, the frame origin, the diameter and the area
+    centroid in that frame."""
     # overflow in the diameter or the centroid is an unusable region too;
     # raising it keeps numpy's overflow warnings off stderr
     try:
         polygon = as_polygon(region)
         with np.errstate(over="raise", invalid="raise"):
-            return polygon, polygon.diameter, polygon.centroid.as_array()
+            local, ox, oy = polygon._local_frame()
+            return local, ox, oy, local.diameter, local.centroid.as_array()
     except Exception as exc:
         raise SingularRegionError(f"not a usable region: {exc}") from exc
 
@@ -88,16 +94,24 @@ def _newton_root(
 ) -> SolveResult:
     """Damped Newton on the report gradient, from the area centroid.
 
-    Triangles get the certificate of the final report's edge means.
+    The median is translation-equivariant, so the iterate is x minus the
+    origin of the region's solve frame, and the residual sees the region
+    translated there: a region far from the origin keeps the precision
+    of one near it. The trace and the median are moved back by one add
+    per coordinate. Triangles get the certificate of the final report's
+    edge means.
     """
     cfg = cfg or SolveConfig()
-    polygon, diam, x = _validated_region(region)
+    polygon, ox, oy, diam, x = _validated_region(region)
 
     def rep_at(v: np.ndarray) -> ResidualReport:
         return residual_fn(polygon, Point2(float(v[0]), float(v[1])))
 
+    def absolute(v: np.ndarray) -> Point2:
+        return Point2(float(v[0]) + ox, float(v[1]) + oy)
+
     rep = rep_at(x)
-    trace: List[Tuple[Point2, float]] = [(Point2(float(x[0]), float(x[1])), rep.normalized_norm)]
+    trace: List[Tuple[Point2, float]] = [(absolute(x), rep.normalized_norm)]
     iterations = 0
     converged = rep.normalized_norm <= cfg.tol_rel
     while not converged and iterations < cfg.max_iter:
@@ -128,10 +142,10 @@ def _newton_root(
             break  # stagnation: no damped step reduces the residual
         x, rep = accepted
         iterations += 1
-        trace.append((Point2(float(x[0]), float(x[1])), rep.normalized_norm))
+        trace.append((absolute(x), rep.normalized_norm))
         converged = rep.normalized_norm <= cfg.tol_rel
     return SolveResult(
-        median=Point2(float(x[0]), float(x[1])),
+        median=absolute(x),
         iterations=iterations,
         residual_norm=rep.norm,
         normalized_norm=rep.normalized_norm,

@@ -99,6 +99,17 @@ def test_overflowing_region_prints_only_the_error_line(tmp_path):
         assert len(lines) == 1 and lines[0].startswith(message), (scale, extra, proc.stderr)
 
 
+def test_huge_square_prints_only_the_error_line(tmp_path):
+    # four vertices take the edge contact test, whose orientations near
+    # 1e153 are finite although their products are not
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"polygon": [[0, 0], [3e153, 0], [3e153, 4e153], [0, 4e153]]}))
+    proc = subprocess.run([sys.executable, "-m", "regionmedian", "median", str(path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: not a usable region: overflow encountered in multiply"]
+
+
 @pytest.mark.parametrize("argv", [
     ["median"],  # no file
     ["check", str(DATA / "t345.json"), "--point", "1,1", "--json-out", "x.json"],  # no such flag
@@ -237,6 +248,28 @@ def test_check_at_the_median_shows_balance(capsys):
     report = json.loads(out)
     assert report["normalized_norm"] < 1e-12
     assert report["certificate_spread"] < 1e-9
+
+
+@pytest.mark.parametrize("offset", [0.5, 1e6, 1e12])
+def test_check_at_a_reported_median_gives_the_solved_edge_means(capsys, tmp_path, offset):
+    # check evaluates in the solver's frame: near the origin at the very
+    # point the solver did, far out at that point moved by the rounding
+    # of the reported median, and a mean distance moves no more than its
+    # query point does
+    pentagon = json.loads((DATA / "pentagon.json").read_text())["polygon"]
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps({"polygon": [[x + offset, y + offset] for x, y in pentagon]}))
+    code, out, _ = run(capsys, "median", str(path))
+    solved = json.loads(out)
+    assert code == 0
+    code, out, _ = run(capsys, "check", str(path), "--point", "{!r},{!r}".format(*solved["median"]))
+    checked = json.loads(out)
+    assert code == 0
+    if offset < 1.0:
+        assert checked["edge_means"] == solved["edge_means"]
+    else:
+        dev = np.abs(np.subtract(checked["edge_means"], solved["edge_means"]))
+        assert np.all(dev <= np.spacing(offset) + 1e-14 * Polygon(pentagon).diameter)
 
 
 def test_check_gradient_is_the_area_objective_slope(capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,15 @@ def test_signed_area_cyclic_and_translation_invariant():
         assert math.isclose(shifted.area, poly.area, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("offset", [1e6, 1e12, 1e15])
+def test_far_triangle_keeps_its_area_and_centroid(offset):
+    # area and centroid are taken relative to vertex 0, where the
+    # differences of nearby coordinates are exact
+    tri = Polygon([(offset, offset), (offset + 3, offset), (offset + 3, offset + 4)])
+    assert tri.area == 6.0
+    assert tri.centroid == Point2(offset + 2.0, offset + 4.0 / 3.0)
+
+
 def test_diameter_examples():
     assert math.isclose(Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]).diameter, math.sqrt(2))
     assert Polygon([(0, 0), (4, 0), (0, 3)]).diameter == 5.0
@@ -92,6 +102,17 @@ def test_bowtie_rejected():
 def test_asymmetric_bowtie_rejected():
     with pytest.raises(InvalidPolygonError, match="self-intersecting"):
         Polygon([(0, 0), (2, 1), (2, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-160, 1.0, 1e100, 1e150])
+def test_bowtie_is_rejected_at_every_scale(scale):
+    # crossings are decided from orientation signs: the products of two
+    # orientations underflow to zero below about 1e-80 and overflow
+    # above about 1e77
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidPolygonError, match="self-intersecting"):
+            Polygon(np.array([(0, 0), (2, 1), (2, 0), (0, 2)]) * scale)
 
 
 def test_zero_area_rejected():

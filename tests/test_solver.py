@@ -101,6 +101,56 @@ def test_similarity_equivariance():
         assert dev < 1e-10 * moved.diameter
 
 
+def _offset_pair(coords, offset):
+    """(base, moved): a region with vertex 0 at the origin, and that region
+    moved by ``offset``. Both are representable, so each moved coordinate
+    is exactly its base coordinate plus the offset, and the moved region
+    seen from its vertex 0 is the base region, bit for bit."""
+    coords = np.asarray(coords, dtype=float)
+    moved = (coords - coords[0]) + offset
+    return Polygon(moved - offset), Polygon(moved)
+
+
+def _offset_cases():
+    for d in (1e6, 1e8, 1e12):
+        yield T345.coords, np.array([d, d])
+    rng = np.random.default_rng(2026)
+    regions = [T345.coords] + [make(rng).coords for make in (random_triangle, random_convex_polygon, random_star_polygon)
+                               for _ in range(3)]
+    for coords in regions:
+        diam = Polygon(coords).diameter
+        for distance in (1e4, 1e8, 1e12, 1e15):
+            yield coords, distance * diam * rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 1.0, 2)
+
+
+def test_far_regions_solve_as_their_copies_at_the_origin():
+    # translation equivariance in floats: a region 1e4 to 1e15 diameters
+    # out takes the iterations of its copy at the origin, and its median
+    # is that copy's, moved by one rounded add per coordinate
+    for coords, offset in _offset_cases():
+        base, moved = _offset_pair(coords, offset)
+        want, got = solve_median(base), solve_median(moved)
+        assert want.converged and got.converged and got.normalized_norm <= 1e-12
+        assert got.iterations == want.iterations
+        assert got.normalized_norm == want.normalized_norm
+        assert got.edge_means == want.edge_means
+        assert (got.median.x, got.median.y) == (want.median.x + offset[0], want.median.y + offset[1])
+        ulp = float(np.max(np.spacing(np.abs(offset))))
+        assert math.hypot(got.median.x - offset[0] - want.median.x,
+                          got.median.y - offset[1] - want.median.y) <= ulp + 1e-14 * base.diameter
+
+
+def test_map_grid_parcels_converge():
+    # unit regions 3e5 to 1e6 diameters from the origin, like UTM parcels
+    rng = np.random.default_rng(3000)
+    makers = (random_triangle, random_convex_polygon, random_star_polygon)
+    for j in range(200):
+        coords = makers[j % 3](rng).coords
+        diam = Polygon(coords).diameter
+        res = solve_median(Polygon(coords + rng.uniform(3e5, 1e6, 2) * diam))
+        assert res.converged and res.normalized_norm <= 1e-12, j
+
+
 def test_power_two_medianoid_is_the_centroid():
     rng = np.random.default_rng(14)
     kern = RadialKernel.power(2.0)
@@ -259,8 +309,9 @@ def test_medianoid_solves_without_scipy_quad(kernel, no_scipy_quad):
 
 
 def _record_calls(monkeypatch, name, rewrite=None):
-    """Record (query point, report) for every call of the solver's residual
-    function ``name``; ``rewrite(index, report)`` may replace a report."""
+    """Record (query point, report, region's vertex 0) for every call of
+    the solver's residual function ``name``; ``rewrite(index, report)``
+    may replace a report. The point and vertex 0 are in the solve frame."""
     calls = []
     inner = getattr(regionmedian.solver, name)
 
@@ -268,38 +319,43 @@ def _record_calls(monkeypatch, name, rewrite=None):
         rep = inner(poly, x, *args, **kwargs)
         if rewrite is not None:
             rep = rewrite(len(calls), rep)
-        calls.append((np.array([x.x, x.y]), rep))
+        calls.append((np.array([x.x, x.y]), rep, poly.coords[0]))
         return rep
 
     monkeypatch.setattr(regionmedian.solver, name, recorded)
     return calls
 
 
-def _sort_calls(calls, res, diam):
-    """Sort a solve's residual calls into accepted steps and rejected
-    backtracks; fail on any other call.
+def _sort_calls(calls, res, region):
+    """Sort a solve's residual calls on ``region`` into accepted steps and
+    rejected backtracks; fail on any other call.
 
-    A rejected trial has no smaller norm than the current iterate and lies
-    on the step ray, at 2^j times the accepted step for its j-th halving.
+    Recorded points meet the trace once moved back through the region's
+    vertex 0, as the solver moves its trace; the step ray is checked in
+    the solve frame. A rejected trial has no smaller norm than the
+    current iterate and lies on the step ray, at 2^j times the accepted
+    step for its j-th halving.
     """
+    diam = region.diameter
+    calls = [(p, rep, p + (region.coords[0] - v0)) for p, rep, v0 in calls]
     iterates = [np.array([p.x, p.y]) for p, _ in res.trace]
-    assert np.array_equal(calls[0][0], iterates[0])
-    x, norm = iterates[0], calls[0][1].norm
+    assert np.array_equal(calls[0][2], iterates[0])
+    x, norm = calls[0][0], calls[0][1].norm
     accepted = rejected = 0
     i = 1
     while i < len(calls):
         trials = []
         target = iterates[accepted + 1] if accepted + 1 < len(iterates) else None
-        while i < len(calls) and not (target is not None and np.array_equal(calls[i][0], target)):
+        while i < len(calls) and not (target is not None and np.array_equal(calls[i][2], target)):
             trials.append(calls[i])
             i += 1
-        for j, (p, rep) in enumerate(trials):
+        for j, (p, rep, _) in enumerate(trials):
             assert rep.norm >= norm
-            if target is not None:
-                np.testing.assert_allclose(p - x, (target - x) * 2.0 ** (len(trials) - j), rtol=1e-9, atol=1e-14 * diam)
+            if i < len(calls):
+                np.testing.assert_allclose(p - x, (calls[i][0] - x) * 2.0 ** (len(trials) - j), rtol=1e-9, atol=1e-14 * diam)
         rejected += len(trials)
         if i < len(calls):
-            x, norm = target, calls[i][1].norm
+            x, norm = calls[i][0], calls[i][1].norm
             accepted += 1
             i += 1
     assert accepted == res.iterations == len(iterates) - 1
@@ -308,9 +364,13 @@ def _sort_calls(calls, res, diam):
 
 def _seeded_regions():
     rng = np.random.default_rng(4242)
-    for make in (random_triangle, random_convex_polygon, random_star_polygon):
-        for _ in range(10):
-            yield make(rng)
+    near = [make(rng) for make in (random_triangle, random_convex_polygon, random_star_polygon) for _ in range(10)]
+    yield from near
+    # the same regions 3e5 to 1e6 diameters out, where the solve frame
+    # is translated to vertex 0
+    rng = np.random.default_rng(4243)
+    for poly in near:
+        yield Polygon(poly.coords + rng.uniform(3e5, 1e6, 2) * poly.diameter)
 
 
 def test_median_makes_one_residual_call_per_trial_point(monkeypatch):
@@ -321,7 +381,7 @@ def test_median_makes_one_residual_call_per_trial_point(monkeypatch):
         calls.clear()
         res = solve_median(poly)
         assert res.converged
-        accepted, rejected = _sort_calls(calls, res, poly.diameter)
+        accepted, rejected = _sort_calls(calls, res, poly)
         assert len(calls) == 1 + accepted + rejected <= 5
 
 
@@ -338,7 +398,7 @@ def test_median_steps_with_the_reported_jacobian(monkeypatch):
     poly = Polygon([(0.0, 0.0), (3.0, 0.0), (3.5, 2.0), (1.0, 4.0), (-0.5, 1.5)])
     res = solve_median(poly)
     assert res.converged
-    accepted, rejected = _sort_calls(calls, res, poly.diameter)
+    accepted, rejected = _sort_calls(calls, res, poly)
     assert rejected >= 1
     assert len(calls) == 1 + accepted + rejected
 
@@ -356,5 +416,5 @@ def test_medianoid_makes_one_residual_call_per_trial_point(monkeypatch, kernel):
         calls.clear()
         res = solve_medianoid(poly, kernel)
         assert res.converged
-        accepted, rejected = _sort_calls(calls, res, poly.diameter)
+        accepted, rejected = _sort_calls(calls, res, poly)
         assert len(calls) == 1 + accepted + rejected <= 6
