@@ -106,27 +106,33 @@ def _antipodal_pairs(hull: np.ndarray) -> tuple:
     return np.repeat(np.arange(h), 3), (far[:, None] + np.array([-1, 0, 1])).ravel() % h
 
 
-def _max_pairwise_distance(coords: np.ndarray) -> float:
+def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
     """Largest distance between two rows of an (n, 2) array.
 
     The diameter is attained at an antipodal pair of convex hull vertices,
     so beyond 8 rows it is the largest of the same squared differences
-    over the rotating-calipers pairs of the hull, O(h log h). Tiny inputs,
-    and flat or repeated ones where qhull refuses to run, are scanned
-    directly. Squares are taken of coordinates scaled by a power of two,
-    so they neither overflow nor underflow at extreme scales; the scaling
-    is exact, so in the normal range the result is the same float.
+    over the rotating-calipers pairs of the hull, O(h log h). With
+    ``convex`` the rows are a strictly convex counterclockwise loop, their
+    own hull, and the calipers run on them directly in O(n log n);
+    otherwise qhull finds the hull. Tiny inputs, and flat or repeated ones
+    where qhull refuses to run, are scanned directly. Squares are taken of
+    coordinates scaled by a power of two, so they neither overflow nor
+    underflow at extreme scales; the scaling is exact, so in the normal
+    range the result is the same float.
     """
     pairs = None
     if len(coords) > 8:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            coords = coords[ConvexHull(coords).vertices]
-        except QhullError:
-            pass
-        else:
+        if convex:
             pairs = _antipodal_pairs(coords)
+        else:
+            from scipy.spatial import ConvexHull, QhullError
+
+            try:
+                coords = coords[ConvexHull(coords).vertices]
+            except QhullError:
+                pass
+            else:
+                pairs = _antipodal_pairs(coords)
     exp = math.frexp(float(np.max(np.abs(coords))))[1]
     coords = np.ldexp(coords, -exp)
     if pairs is not None:
@@ -237,9 +243,12 @@ def _segments_intersect_any(coords: np.ndarray, nxt: np.ndarray) -> bool:
         return False
     # one contiguous row per coordinate of the edge starts and ends
     rows = np.concatenate([coords, nxt], axis=1).T.copy()
-    for i, j in _candidate_edge_pairs(np.minimum(coords, nxt), np.maximum(coords, nxt)):
-        if len(i) and _edges_touch(rows, i, j):
-            return True
+    # orientations past about 1e154 overflow; the callers then see a
+    # non-finite area instead of numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in _candidate_edge_pairs(np.minimum(coords, nxt), np.maximum(coords, nxt)):
+            if len(i) and _edges_touch(rows, i, j):
+                return True
     return False
 
 
@@ -282,6 +291,46 @@ def _edges_touch(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
     ))
 
 
+# Shewchuk's orient2d error bound (3 + 16 eps) eps, eps = 2**-53: a turn
+# cross l - r larger in magnitude than this times |l| + |r| has the sign
+# of the exact turn, because both edges are rounded differences from the
+# shared vertex ("Adaptive precision floating-point arithmetic and fast
+# robust geometric predicates", 1997)
+_TURN_ERRBOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+# below this |l| + |r| a product may have underflowed, and the relative
+# bound above no longer holds
+_TURN_FLOOR = 2.0 ** -969
+
+
+def _turns(edges: np.ndarray) -> tuple:
+    """(cross, certified) for the closed loop with edge vectors ``edges``.
+
+    cross[i] = edges[i] x edges[i + 1] is the turn at vertex i + 1.
+    ``certified`` is True when the loop has at least 4 vertices, every
+    turn passes the orient2d filter with one sign, and the turns add up to
+    one revolution. Such a loop is convex, and so simple.
+    """
+    en = np.concatenate((edges[1:], edges[:1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = edges[:, 0] * en[:, 1]
+        right = edges[:, 1] * en[:, 0]
+        cross = left - right
+        # min and max are NaN if any turn is, and NaN certifies nothing
+        if len(edges) < 4 or not (cross.min() > 0.0 or cross.max() < 0.0):
+            return cross, False
+        mag = np.abs(left) + np.abs(right)
+        if not np.all((np.abs(cross) > _TURN_ERRBOUND * mag) & (mag >= _TURN_FLOOR)):
+            return cross, False
+        # each exact turn lies strictly between 0 and pi, and together
+        # they make a whole number of revolutions: one for a convex loop,
+        # two for the pentagram. A dot product that overflowed to +inf
+        # would read as no turn at all, so it does not certify.
+        dot = edges[:, 0] * en[:, 0] + edges[:, 1] * en[:, 1]
+        if not np.all(np.isfinite(dot)):
+            return cross, False
+        return cross, float(np.sum(np.arctan2(np.abs(cross), dot))) < 3.0 * math.pi
+
+
 # a polygon whose vertex 0 lies within this many diameters of the origin
 # is its own solve frame (see ``Polygon._local_frame``)
 _NEAR_ORIGIN = 4.0
@@ -295,10 +344,18 @@ class Polygon:
     order to counterclockwise. ``was_reversed`` records whether the input
     arrived clockwise. Instances are immutable; derived quantities (edge
     vectors and lengths, area, centroid, diameter) are computed once.
+
+    One array pass over the turns at the vertices comes first. A loop of
+    4 or more vertices whose turns all have one exactly known sign and
+    make one revolution is convex, hence simple: it skips the search for
+    touching edge pairs, and beyond 8 vertices its diameter comes from
+    rotating calipers on its own vertices. Every other loop takes the
+    edge-pair search and, beyond 8 vertices, the calipers on its qhull
+    hull.
     """
 
     __slots__ = ("_coords", "_edge_vectors", "_edge_lengths", "was_reversed",
-                 "_area", "_centroid", "_diameter", "_convex")
+                 "_area", "_centroid", "_diameter", "_convex", "_certified_convex")
 
     def __init__(self, vertices: Iterable) -> None:
         coords = _coerce_coords(vertices)
@@ -309,9 +366,12 @@ class Polygon:
         nxt = np.roll(coords, -1, axis=0)
         if np.any(np.all(coords == nxt, axis=1)):
             raise InvalidPolygonError("polygon repeats a vertex on consecutive positions")
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = nxt - coords
+        turns, certified = _turns(edges)
         # intersection before area: a symmetric bowtie nets out to zero
         # shoelace area, and the intersection diagnostic is the useful one
-        if _segments_intersect_any(coords, nxt):
+        if not certified and _segments_intersect_any(coords, nxt):
             raise InvalidPolygonError("polygon is self-intersecting")
         area = _shoelace(coords, nxt)
         if area == 0.0:
@@ -321,9 +381,11 @@ class Polygon:
         reversed_input = area < 0.0
         if reversed_input:
             coords = coords[::-1].copy()
-            nxt = np.roll(coords, -1, axis=0)
+            edges = np.roll(coords, -1, axis=0) - coords
+            # the reversed loop turns the other way: the same crosses, in
+            # reverse order and negated exactly
+            turns = -turns
             area = -area
-        edges = nxt - coords
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         for arr in (coords, edges, lengths):
             arr.setflags(write=False)
@@ -334,7 +396,8 @@ class Polygon:
         self._area = area
         self._centroid = None
         self._diameter = None
-        self._convex = None
+        self._convex = bool(np.all(turns >= 0.0))
+        self._certified_convex = certified
 
     def _local_frame(self) -> tuple:
         """(view, ox, oy): the polygon translated by minus (ox, oy), the
@@ -362,6 +425,7 @@ class Polygon:
         view._centroid = None
         view._diameter = self._diameter
         view._convex = self._convex
+        view._certified_convex = self._certified_convex
         return view, ox, oy
 
     @property
@@ -402,16 +466,13 @@ class Polygon:
     @property
     def diameter(self) -> float:
         if self._diameter is None:
-            self._diameter = _max_pairwise_distance(self._coords)
+            self._diameter = _max_pairwise_distance(self._coords, convex=self._certified_convex)
         return self._diameter
 
     @property
     def is_convex(self) -> bool:
-        if self._convex is None:
-            e = self._edge_vectors
-            en = np.roll(e, -1, axis=0)
-            cross = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
-            self._convex = bool(np.all(cross >= 0.0))
+        """No turn of the counterclockwise loop is negative in floating
+        point (collinear vertices allowed)."""
         return self._convex
 
     def contains(self, point, strict: bool = True) -> bool:

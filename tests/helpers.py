@@ -133,14 +133,16 @@ def quadratic_segments_intersect_any(coords):
     return False
 
 
-def all_pairs_diameter(coords):
+def all_pairs_diameter(coords, hull=True):
     """Reference diameter: the largest np.sum((q - p) ** 2) over all pairs
-    of rows (of the convex hull's vertices when qhull accepts the rows,
-    as ``geometry._max_pairwise_distance`` does), square-rooted."""
+    of rows, square-rooted. With ``hull``, the rows are first cut to the
+    convex hull's vertices when qhull accepts them, as
+    ``geometry._max_pairwise_distance`` does for loops it cannot certify
+    convex."""
     from scipy.spatial import ConvexHull, QhullError
 
     pts = np.asarray(coords, dtype=float)
-    if len(pts) > 8:
+    if hull and len(pts) > 8:
         try:
             pts = pts[ConvexHull(pts).vertices]
         except QhullError:

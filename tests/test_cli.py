@@ -100,14 +100,17 @@ def test_overflowing_region_prints_only_the_error_line(tmp_path):
 
 
 def test_huge_square_prints_only_the_error_line(tmp_path):
-    # four vertices take the edge contact test, whose orientations near
-    # 1e153 are finite although their products are not
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"polygon": [[0, 0], [3e153, 0], [3e153, 4e153], [0, 4e153]]}))
-    proc = subprocess.run([sys.executable, "-m", "regionmedian", "median", str(path)],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.splitlines() == ["error: not a usable region: overflow encountered in multiply"]
+    # near 1e153 the square certifies convex, and its solve overflows;
+    # near 1e154 its turns overflow, so it takes the edge contact test,
+    # whose orientations overflow too, and then the area does
+    for scale, message in [(1e153, "error: not a usable region: overflow encountered in multiply"),
+                           (5e153, "error: polygon area overflows the float range")]:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"polygon": [[0, 0], [3 * scale, 0], [3 * scale, 4 * scale], [0, 4 * scale]]}))
+        proc = subprocess.run([sys.executable, "-m", "regionmedian", "median", str(path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [message]
 
 
 @pytest.mark.parametrize("argv", [
@@ -385,12 +388,14 @@ def test_no_scipy_quad_on_the_medianoid_and_check_paths(capsys, no_scipy_quad):
 
 def test_a_solve_and_a_check_load_neither_scipy_optimize_nor_integrate():
     # a fresh interpreter: the package imports scipy.optimize only for the
-    # oracle's minimizers and scipy.integrate only for the quad reference
+    # oracle's minimizers, scipy.integrate only for the quad reference and
+    # scipy.spatial only for the hull of a loop not certified convex
     code = "\n".join([
         "import sys, regionmedian, regionmedian.cli",
         "regionmedian.solve_median(regionmedian.Polygon([(0, 0), (3, 0), (3, 4)]))",
         f"assert regionmedian.cli.main(['check', {str(DATA / 'power2_region.json')!r}, '--point', '1,1']) == 0",
-        "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])",
+        f"assert regionmedian.cli.main(['median', {str(DATA / 'boundary_loop.json')!r}]) == 0",
+        "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.spatial') if m in sys.modules])",
     ])
     src = str(Path(regionmedian.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,

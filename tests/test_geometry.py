@@ -2,6 +2,7 @@ import json
 import math
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,20 @@ def test_centroid_matches_vertex_mean_for_triangles():
 def test_convexity_flag():
     assert Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]).is_convex
     assert not Polygon([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)]).is_convex
+    # construction reads the flag off the turns of the input order, negated
+    # for clockwise input: the turns of the stored counterclockwise loop
+    # must all be nonnegative exactly when the flag is set
+    rng = np.random.default_rng(70)
+    loops = [random_convex_polygon(rng).coords for _ in range(20)] + [_star(rng, 8) for _ in range(20)]
+    loops.append(np.array([(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)], dtype=float))
+    flags = []
+    for c in loops:
+        for loop in (c, c[::-1]):
+            poly = Polygon(loop)
+            cross, _ = geometry._turns(poly.edge_vectors)
+            assert poly.is_convex == bool(np.all(cross >= 0.0))
+            flags.append(poly.is_convex)
+    assert all(flags[:40]) and all(flags[-2:]) and not all(flags)
 
 
 def test_contains_basics():
@@ -436,6 +451,135 @@ def test_small_loops_take_every_non_adjacent_pair():
         assert sorted(zip(i.tolist(), j.tolist())) == expected
 
 
+# ---------------------------------------------------------------- convex loops
+#
+# A loop whose turns all pass the orient2d filter with one sign and make one
+# revolution is accepted without the edge-pair search; every other loop
+# still takes it. Either way the verdict is the quadratic reference's.
+
+def _ellipse(rng, n):
+    """n points of a rotated, shifted ellipse at sorted random angles."""
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    a, b = rng.uniform(0.2, 3.0, 2)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    x, y = a * np.cos(t), b * np.sin(t)
+    return np.stack([x * math.cos(phi) - y * math.sin(phi), x * math.sin(phi) + y * math.cos(phi)],
+                    axis=1) + rng.uniform(-3.0, 3.0, 2)
+
+
+def _exact_turn(a, b, c):
+    """The turn (b - a) x (c - b) in rational arithmetic."""
+    (ax, ay), (bx, by), (cx, cy) = ((Fraction(float(u)), Fraction(float(v))) for u, v in (a, b, c))
+    return (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+
+
+def _with_extra_vertex(c, inward):
+    """Counterclockwise loop c with the midpoint of its first edge inserted
+    or, with ``inward``, that midpoint moved one ulp to the inner side.
+
+    The edge's ends are first rounded to multiples of 2**-40, so the
+    midpoint is exact and lies on the edge; the loop's turns are far larger
+    than that rounding."""
+    c = c.copy()
+    c[:2] = np.round(c[:2] * 2.0 ** 40) / 2.0 ** 40
+    a, b = c[0], c[1]
+    m = (a + b) / 2.0
+    assert _exact_turn(a, m, b) == 0
+    if inward:
+        # the inner normal of a counterclockwise edge d is (-d_y, d_x)
+        d = b - a
+        if abs(d[1]) >= abs(d[0]):
+            m[0] = np.nextafter(m[0], -math.copysign(math.inf, d[1]))
+        else:
+            m[1] = np.nextafter(m[1], math.copysign(math.inf, d[0]))
+        assert _exact_turn(a, m, b) < 0
+    return np.insert(c, 1, m, axis=0)
+
+
+def _with_misrounded_vertex(c, rng):
+    """Counterclockwise loop c with a vertex inserted just inside one of its
+    edges, at a point where the rounded turn there has the convex sign."""
+    for k in range(len(c)):
+        a, b = c[k], c[(k + 1) % len(c)]
+        for t in rng.uniform(0.4, 0.6, 2000):
+            m = a + t * (b - a)
+            e, f = m - a, b - m
+            if _exact_turn(a, m, b) < 0 < e[0] * f[1] - e[1] * f[0]:
+                return np.insert(c, k + 1, m, axis=0)
+    raise AssertionError("no misrounded point found")
+
+
+def _star_polygon(n, k):
+    """The regular star polygon {n/k}: every turn has one sign, and the
+    turns add up to k revolutions."""
+    t = np.arange(n) * (2.0 * np.pi * k / n)
+    return np.stack([np.cos(t), np.sin(t)], axis=1)
+
+
+def test_convex_loops_skip_the_pair_search_and_keep_the_reference_verdict(monkeypatch):
+    real = geometry._segments_intersect_any
+    searched = []
+    monkeypatch.setattr(geometry, "_segments_intersect_any",
+                        lambda coords, nxt: searched.append(len(coords)) or real(coords, nxt))
+
+    def verdict(c, reverse=True):
+        """(simple, searched): the constructor's verdict on c and, with
+        ``reverse``, on c reversed, which must be the reference's on c, and
+        whether it searched the edge pairs."""
+        c = np.ascontiguousarray(c, dtype=float)
+        found = []
+        for loop in (c, c[::-1]) if reverse else (c,):
+            searched.clear()
+            try:
+                Polygon(loop)
+            except InvalidPolygonError as exc:
+                assert "self-intersecting" in str(exc)
+                found.append((False, bool(searched)))
+            else:
+                found.append((True, bool(searched)))
+        assert found[0] == found[-1]
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+            assert found[0][0] is not quadratic_segments_intersect_any(c)
+        return found[0]
+
+    rng = np.random.default_rng(71)
+    loops = [make(rng, n) for n in (4, 5, 8, 9, 64, 1000) for make in (_fourier_curve, _ellipse)]
+    for curve in loops + [_fourier_curve(rng, 4096)]:
+        assert verdict(curve) == (True, False), len(curve)
+        assert verdict(_with_extra_vertex(curve, False)) == (True, True), len(curve)
+        assert verdict(_with_extra_vertex(curve, True)) == (True, True), len(curve)
+    # on edges as long as the coordinates, rounding the differences that
+    # make the edges can give a reflex turn the convex sign: only the error
+    # bound sees it
+    for n in (5, 6, 7):
+        curve = _fourier_curve(rng, n)
+        assert verdict(_with_misrounded_vertex(curve - curve.mean(axis=0), rng)) == (True, True)
+    # below about 1e-146 the turns' products may underflow and certify nothing
+    curve = _fourier_curve(rng, 64)
+    for scale in (1e-160, 1e-150, 1e-140, 1e-100, 1.0, 1e100, 1e150):
+        assert verdict(curve * scale) == (True, scale < 1e-145), scale
+    for n, k in ((5, 2), (7, 3)):
+        c = _star_polygon(n, k)
+        cross, certified = geometry._turns(np.roll(c, -1, axis=0) - c)
+        assert np.all(cross > 0.0) and not certified
+        assert verdict(c) == (False, True)
+    assert verdict([(0, 0), (1, 1), (1, 0), (0, 1)]) == (False, True)
+    # a loop that turns twice, its edges 1.4e154 long where they run within
+    # 20 degrees of an axis: the dot products of those turns overflow and
+    # would read as no turn, so the loop would count one revolution
+    d = np.arange(48) * (np.pi / 12)
+    near = np.abs((d + np.pi / 4) % (np.pi / 2) - np.pi / 4) < math.radians(20)
+    e = np.stack([np.cos(d), np.sin(d)], axis=1) * np.where(near, 1.4e154, 1.4e151)[:, None]
+    assert verdict(np.cumsum(e, axis=0)) == (False, True)
+    # simple, with one certified reflex turn, and rejected by the rounded
+    # contact test in this orientation only (the FOUND pentagon of
+    # CHANGES.md); it must not take the convex route
+    pentagon = [(0.3582590031265157, 0.10386583068924533), (0.22250599769663765, 0.2432442588894879),
+                (0.21972123493478898, 0.24610339158734568), (0.14628812844575934, 0.3214976042450446),
+                (0.0, 0.0)]
+    assert verdict(pentagon, reverse=False) == (False, True)
+
+
 # ---------------------------------------------------------------- diameter
 
 def _point_sets(rng):
@@ -461,6 +605,17 @@ def test_diameter_equals_the_all_pairs_scan():
         d = all_pairs_diameter(pts)
         assert geometry._max_pairwise_distance(pts) == d
         assert PointSet(pts).diameter == d
+
+
+def test_convex_loops_take_the_calipers_diameter_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(72)
+    loops = [make(rng, n) for n in (9, 10, 33, 257, 2048, 4096) for make in (_fourier_curve, _ellipse)]
+    qhull = [geometry._max_pairwise_distance(c) for c in loops]
+    monkeypatch.setattr("scipy.spatial.ConvexHull", None)
+    for c, d in zip(loops, qhull):
+        poly = Polygon(c)
+        assert poly._certified_convex
+        assert poly.diameter == all_pairs_diameter(c, hull=False) == d
 
 
 def test_polygon_diameter_equals_the_all_pairs_scan():
