@@ -100,7 +100,7 @@ def _antipodal_pairs(hull: np.ndarray) -> tuple:
     antipodal vertices) and angles that rounding puts on the wrong side.
     """
     h = len(hull)
-    e = np.roll(hull, -1, axis=0) - hull
+    e = np.concatenate((hull[1:], hull[:1])) - hull
     theta = np.maximum.accumulate(np.unwrap(np.arctan2(e[:, 1], e[:, 0])))
     far = np.searchsorted(np.concatenate([theta, theta + 2.0 * np.pi]), theta + np.pi)
     return np.repeat(np.arange(h), 3), (far[:, None] + np.array([-1, 0, 1])).ravel() % h
@@ -114,11 +114,11 @@ def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
     over the rotating-calipers pairs of the hull, O(h log h). With
     ``convex`` the rows are a strictly convex counterclockwise loop, their
     own hull, and the calipers run on them directly in O(n log n);
-    otherwise qhull finds the hull. Tiny inputs, and flat or repeated ones
-    where qhull refuses to run, are scanned directly. Squares are taken of
-    coordinates scaled by a power of two, so they neither overflow nor
-    underflow at extreme scales; the scaling is exact, so in the normal
-    range the result is the same float.
+    otherwise qhull finds the hull. Up to 8 rows, all pairs are taken in
+    one broadcast; flat or repeated rows where qhull refuses to run are
+    scanned row by row. Squares are taken of coordinates scaled by a power
+    of two, so they neither overflow nor underflow at extreme scales; the
+    scaling is exact, so in the normal range the result is the same float.
     """
     pairs = None
     if len(coords) > 8:
@@ -135,11 +135,14 @@ def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
                 pairs = _antipodal_pairs(coords)
     exp = math.frexp(float(np.max(np.abs(coords))))[1]
     coords = np.ldexp(coords, -exp)
+    # dx * dx + dy * dy is the float that np.sum((q - p) ** 2) gives
+    x, y = coords.T
     if pairs is not None:
         i, j = pairs
-        # dx * dx + dy * dy is the float that np.sum((q - p) ** 2) gives
-        x, y = coords.T
         best = float(np.max((x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2))
+    elif len(coords) <= 8:
+        dx, dy = x[:, None] - x, y[:, None] - y
+        best = float(np.max(dx * dx + dy * dy))
     else:
         best = 0.0
         for i in range(len(coords) - 1):
@@ -363,7 +366,7 @@ class Polygon:
             raise InvalidPolygonError("polygon needs at least 3 vertices")
         if not np.all(np.isfinite(coords)):
             raise InvalidPolygonError("polygon has non-finite coordinates")
-        nxt = np.roll(coords, -1, axis=0)
+        nxt = np.concatenate((coords[1:], coords[:1]))
         if np.any(np.all(coords == nxt, axis=1)):
             raise InvalidPolygonError("polygon repeats a vertex on consecutive positions")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -381,7 +384,7 @@ class Polygon:
         reversed_input = area < 0.0
         if reversed_input:
             coords = coords[::-1].copy()
-            edges = np.roll(coords, -1, axis=0) - coords
+            edges = np.concatenate((coords[1:], coords[:1])) - coords
             # the reversed loop turns the other way: the same crosses, in
             # reverse order and negated exactly
             turns = -turns
@@ -456,7 +459,7 @@ class Polygon:
             # relative to vertex 0, like the area, then moved back
             ox, oy = self._coords[0].tolist()
             x, y = self._coords[:, 0] - ox, self._coords[:, 1] - oy
-            xn, yn = np.roll(x, -1), np.roll(y, -1)
+            xn, yn = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
             cross = x * yn - xn * y
             cx = float(np.sum((x + xn) * cross) / (6.0 * self._area))
             cy = float(np.sum((y + yn) * cross) / (6.0 * self._area))
@@ -491,7 +494,7 @@ class Polygon:
         inside = np.zeros(len(pts), dtype=bool)
         on_edge = np.zeros(len(pts), dtype=bool)
         c = self._coords
-        cn = np.roll(c, -1, axis=0)
+        cn = np.concatenate((c[1:], c[:1]))
         for (x1, y1), (x2, y2) in zip(c, cn):
             cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
             within = (

@@ -121,31 +121,37 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x) -> Tuple[np.ndarray, np
     """
     e = np.asarray(e, dtype=float)
     w = np.asarray(x, dtype=float).reshape(2) - np.asarray(a, dtype=float)
-    L2 = np.sum(e * e, axis=1)
+    ex, ey = e[:, 0], e[:, 1]
+    L2 = ex * ex + ey * ey
     # with u = t - t0 and the signed offset cs, P - x = u e - cs rotate90(e)
     # and |P - x| = L hypot(u, cs), all in parameter units
-    t0 = (e[:, 0] * w[:, 0] + e[:, 1] * w[:, 1]) / L2
-    cs = (e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]) / L2
+    t0 = (ex * w[:, 0] + ey * w[:, 1]) / L2
+    cs = (ex * w[:, 1] - ey * w[:, 0]) / L2
     c = np.abs(cs)
-    u1 = -t0
-    u2 = 1.0 - t0
+    # rows u1 = -t0 and u2 = 1 - t0: both segment ends in one pass
+    u = np.empty((2, len(t0)))
+    np.negative(t0, out=u[0])
+    np.subtract(1.0, t0, out=u[1])
     col = c < _COLLINEAR_EPS
     any_col = bool(np.any(col))
     if any_col:
         # stand-in offset; these rows take the piecewise formulas below
         c = np.where(col, 1.0, c)
-    r1, r2 = np.hypot(u1, c), np.hypot(u2, c)
-    s1, s2 = np.arcsinh(u1 / c), np.arcsinh(u2 / c)
+    r = np.hypot(u, c)
+    s = np.arcsinh(u / c)
     # antiderivative of hypot(u, c) in u: (u hypot(u, c) + c^2 asinh(u/c)) / 2
-    vals = 0.5 * (u2 * r2 + c * c * s2) - 0.5 * (u1 * r1 + c * c * s1)
+    f = 0.5 * (u * r + c * c * s)
+    vals = f[1] - f[0]
     # r2 - r1 without cancellation, since u2 - u1 = 1
-    along = (u1 + u2) / (r1 + r2)
-    normal = cs * (s2 - s1)
+    along = (u[0] + u[1]) / (r[0] + r[1])
+    normal = cs * (s[1] - s[0])
     if any_col:
-        vals = np.where(col, 0.5 * (u2 * np.abs(u2) - u1 * np.abs(u1)), vals)
-        along = np.where(col, np.abs(u2) - np.abs(u1), along)
+        au = np.abs(u)
+        vals = np.where(col, 0.5 * (u[1] * au[1] - u[0] * au[0]), vals)
+        along = np.where(col, au[1] - au[0], along)
         normal = np.where(col, 0.0, normal)
-    grad = np.stack((-(along * e[:, 0] + normal * e[:, 1]), normal * e[:, 0] - along * e[:, 1]), axis=1)
+    grad = np.empty((len(t0), 2))
+    grad[:, 0], grad[:, 1] = -(along * ex + normal * ey), normal * ex - along * ey
     return L2 * vals, grad
 
 

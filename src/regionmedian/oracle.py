@@ -59,7 +59,7 @@ def _star_integral(poly: Polygon, x, kernel: RadialKernel, panels: int = _PANELS
     s, t, w = star_rule(panels)
     q = poly.coords - np.asarray(x, dtype=float)  # a_i - x
     e = poly.edge_vectors  # a_i+1 - a_i
-    qn = np.roll(q, -1, axis=0)
+    qn = np.concatenate((q[1:], q[:1]))
     areas = 0.5 * (q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0])
     # P - x = s * (q + t * e), as (n, S, T) components
     dx = s[:, None] * (q[:, 0, None] + t * e[:, 0, None])[:, None, :]

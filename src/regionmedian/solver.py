@@ -86,6 +86,22 @@ def _validated_region(region) -> Tuple[Polygon, float, float, float, np.ndarray]
         raise SingularRegionError(f"not a usable region: {exc}") from exc
 
 
+def _ill_conditioned(jac) -> bool:
+    """True when the 2x2 ``jac`` has a non-finite entry, is singular or has
+    a condition number above ``_SINGULAR_COND``: s_max^2 / |det| = (F +
+    sqrt(F^2 - 4 det^2)) / (2 |det|), F the squared Frobenius norm, on the
+    entries scaled exactly by a power of two so none over- or underflows."""
+    (a, b), (c, d) = jac
+    m = max(abs(a), abs(b), abs(c), abs(d))
+    if m == 0.0 or not all(map(math.isfinite, (a, b, c, d))):
+        return True
+    k = 2.0 ** -math.frexp(m)[1]
+    a, b, c, d = a * k, b * k, c * k, d * k
+    det = abs(a * d - b * c)
+    f = a * a + b * b + c * c + d * d
+    return f + math.sqrt(max(f * f - 4.0 * det * det, 0.0)) > 2.0 * _SINGULAR_COND * det
+
+
 def _newton_root(
     region,
     residual_fn: Callable[[Polygon, Point2], ResidualReport],
@@ -116,18 +132,13 @@ def _newton_root(
     converged = rep.normalized_norm <= cfg.tol_rel
     while not converged and iterations < cfg.max_iter:
         g = rep.gradient.as_array()
-        jac = np.array(rep.jacobian)
-        use_fallback = not np.all(np.isfinite(jac))
-        if not use_fallback:
-            cond = np.linalg.cond(jac)
-            use_fallback = not math.isfinite(cond) or cond > _SINGULAR_COND
-        if use_fallback:
+        if _ill_conditioned(rep.jacobian):
             # descend along minus the gradient; scale by the diameter to
             # get a step with length units
             gn = math.hypot(g[0], g[1])
             step = -g / max(gn, 1e-300) * min(0.25 * diam, gn / diam)
         else:
-            step = np.linalg.solve(jac, -g)
+            step = np.linalg.solve(np.array(rep.jacobian), -g)
 
         t = 1.0
         accepted = None

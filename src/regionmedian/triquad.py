@@ -85,7 +85,7 @@ def star_triangles(poly: Polygon, x) -> np.ndarray:
     function by name.
     """
     c = poly.coords
-    cn = np.roll(c, -1, axis=0)
+    cn = np.concatenate((c[1:], c[:1]))
     xs = np.broadcast_to(np.asarray(x, dtype=float).reshape(1, 2), c.shape)
     return np.stack([xs, c, cn], axis=1)
 

@@ -5,13 +5,38 @@ import math
 import numpy as np
 
 from regionmedian import Polygon
-from regionmedian.kernels import closed_values_batch
+from regionmedian.kernels import _COLLINEAR_EPS, closed_values_batch
 
 
 def closed_value(a, b, x):
     """Closed-form integral of |P - x| along the segment from a to b."""
     a = np.asarray(a, dtype=float)
     return float(closed_values_batch([a], [np.asarray(b, dtype=float) - a], x)[0][0])
+
+
+def two_endpoint_closed_values(a, e, x):
+    """Reference for ``kernels.closed_values_batch``: the same elementwise
+    formulas, evaluated at each segment end by its own numpy calls."""
+    e = np.asarray(e, dtype=float)
+    w = np.asarray(x, dtype=float).reshape(2) - np.asarray(a, dtype=float)
+    L2 = np.sum(e * e, axis=1)
+    t0 = (e[:, 0] * w[:, 0] + e[:, 1] * w[:, 1]) / L2
+    cs = (e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]) / L2
+    c = np.abs(cs)
+    u1 = -t0
+    u2 = 1.0 - t0
+    col = c < _COLLINEAR_EPS
+    c = np.where(col, 1.0, c)
+    r1, r2 = np.hypot(u1, c), np.hypot(u2, c)
+    s1, s2 = np.arcsinh(u1 / c), np.arcsinh(u2 / c)
+    vals = 0.5 * (u2 * r2 + c * c * s2) - 0.5 * (u1 * r1 + c * c * s1)
+    along = (u1 + u2) / (r1 + r2)
+    normal = cs * (s2 - s1)
+    vals = np.where(col, 0.5 * (u2 * np.abs(u2) - u1 * np.abs(u1)), vals)
+    along = np.where(col, np.abs(u2) - np.abs(u1), along)
+    normal = np.where(col, 0.0, normal)
+    grad = np.stack((-(along * e[:, 0] + normal * e[:, 1]), normal * e[:, 0] - along * e[:, 1]), axis=1)
+    return L2 * vals, grad
 
 
 def random_convex_polygon(rng, n_max=8, scale=1.0):

@@ -607,6 +607,30 @@ def test_diameter_equals_the_all_pairs_scan():
         assert PointSet(pts).diameter == d
 
 
+def test_small_diameter_equals_the_scaled_double_loop_bit_for_bit():
+    # up to 8 rows: sqrt(max(dx * dx + dy * dy)) over every pair, one pair
+    # at a time in Python floats, under the same power-of-two scaling
+    def double_loop(pts):
+        exp = math.frexp(float(np.max(np.abs(pts))))[1]
+        q = np.ldexp(pts, -exp).tolist()
+        best = 0.0
+        for i in range(len(q)):
+            for j in range(i + 1, len(q)):
+                dx, dy = q[j][0] - q[i][0], q[j][1] - q[i][1]
+                best = max(best, dx * dx + dy * dy)
+        return math.ldexp(math.sqrt(best), exp)
+
+    rng = np.random.default_rng(161)
+    for n in range(3, 9):
+        for _ in range(40):
+            pts = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-5, 5) + rng.uniform(-5, 5, 2)
+            rep = pts[rng.integers(0, n, n)]
+            line = np.outer(rng.uniform(-1, 1, n), rng.normal(size=2)) + rng.normal(size=2)
+            for c in (pts, rep, line, np.repeat(pts[:1], n, axis=0)):
+                for scale in (1.0, 1e-300, 1e300):
+                    assert geometry._max_pairwise_distance(c * scale) == double_loop(c * scale)
+
+
 def test_convex_loops_take_the_calipers_diameter_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(72)
     loops = [make(rng, n) for n in (9, 10, 33, 257, 2048, 4096) for make in (_fourier_curve, _ellipse)]

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import closed_value
+from helpers import (
+    closed_value,
+    interior_point,
+    random_convex_polygon,
+    random_star_polygon,
+    random_triangle,
+    two_endpoint_closed_values,
+)
 
 from regionmedian import (
     NonConvergenceError,
@@ -13,7 +20,7 @@ from regionmedian import (
     general_boundary_residual,
     solve_medianoid,
 )
-from regionmedian.kernels import _ladder_panels, closed_values_batch, quadrature_values_batch, segment_sigma_quadrature
+from regionmedian.kernels import _COLLINEAR_EPS, _ladder_panels, closed_values_batch, quadrature_values_batch, segment_sigma_quadrature
 
 SQRT2 = math.sqrt(2.0)
 
@@ -94,6 +101,28 @@ def test_closed_mean_bounds():
         d_min = math.hypot(*(pa + t * e - px))
         assert mean <= max(d_a, d_b) + 1e-12
         assert mean >= d_min - 1e-12
+
+
+def test_closed_batch_equals_the_two_endpoint_reference_bit_for_bit():
+    # one pass over both segment ends changes no float: interior points,
+    # vertices, edge midpoints, points on an edge's carrier line (the
+    # collinear branch) and points a million diameters away
+    rng = np.random.default_rng(160)
+    polys = [make(rng) for _ in range(20)
+             for make in (random_triangle, random_convex_polygon, lambda r: random_star_polygon(r, int(r.integers(4, 9))))]
+    collinear_rows = 0
+    for k, poly in enumerate(polys):
+        a, e = poly.coords, poly.edge_vectors
+        inside = [interior_point(poly, rng) for _ in range(3)]
+        far = inside[0] + 1e6 * poly.diameter * np.array([math.cos(k), math.sin(k)])
+        points = [*inside, *a, *(a + 0.5 * e), *(a + rng.uniform(-3.0, 4.0, (len(a), 1)) * e), far]
+        for x in points:
+            got = closed_values_batch(a, e, x)
+            want = two_endpoint_closed_values(a, e, x)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            w = x - a
+            collinear_rows += int(np.sum(np.abs(e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]) / np.sum(e * e, axis=1) < _COLLINEAR_EPS))
+    assert collinear_rows > 1000
 
 
 def test_closed_vs_quadrature_including_near_collinear():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from regionmedian.kernels import KernelKind
 from regionmedian.oracle import oracle_sigma
 from regionmedian.residuals import mean_distance_certificate
 from regionmedian.solver import (
+    _SINGULAR_COND,
     SolveConfig,
     SolveResult,
+    _ill_conditioned,
     degenerate_limit_study,
     solve_median,
     solve_medianoid,
@@ -418,3 +421,87 @@ def test_medianoid_makes_one_residual_call_per_trial_point(monkeypatch, kernel):
         assert res.converged
         accepted, rejected = _sort_calls(calls, res, poly)
         assert len(calls) == 1 + accepted + rejected <= 6
+
+
+# ---------------------------------------------------------------- conditioning
+
+def _numpy_says_ill_conditioned(jac) -> bool:
+    """The fallback test the closed form replaced: an SVD condition number."""
+    jac = np.array(jac, dtype=float)
+    if not np.all(np.isfinite(jac)):
+        return True
+    with np.errstate(divide="ignore"):
+        cond = np.linalg.cond(jac)
+    return not math.isfinite(cond) or cond > _SINGULAR_COND
+
+
+def _exactly_above(jac, threshold) -> bool:
+    """cond(jac) > threshold, decided in rational arithmetic from
+    cond = (F + sqrt(F^2 - 4 det^2)) / (2 |det|)."""
+    (a, b), (c, d) = ([Fraction(v) for v in row] for row in jac)
+    det = abs(a * d - b * c)
+    if det == 0:
+        return True
+    f = a * a + b * b + c * c + d * d
+    rhs = 2 * Fraction(threshold) * det - f
+    return rhs < 0 or f * f - 4 * det * det > rhs * rhs
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def test_conditioning_takes_the_decision_of_numpy_cond():
+    rng = np.random.default_rng(162)
+    cases = [rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3) for _ in range(2000)]
+    # exactly singular, and the zero matrix
+    for _ in range(200):
+        u, v = rng.integers(-9, 10, 2), rng.integers(-9, 10, 2)
+        cases.append(np.outer(u, v) * rng.uniform(0.1, 10.0))
+    cases += [np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 3.0], [0.0, 5.0]])]
+    # a non-finite entry
+    for bad in (math.inf, -math.inf, math.nan):
+        for k in range(4):
+            j = rng.normal(size=(2, 2))
+            j.flat[k] = bad
+            cases.append(j)
+    # within 1e-3 of the threshold on either side, built so that both
+    # routes see exact singular values: upper triangular, then rows or
+    # columns swapped and signs flipped
+    for _ in range(2000):
+        d = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -3)
+        j = np.array([[1.0, rng.uniform(-1, 1) * rng.integers(0, 2)], [0.0, (1.0 + d) / _SINGULAR_COND]])
+        j = j * rng.choice([-1.0, 1.0], size=(2, 2))
+        cases.append(j[::-1] if rng.integers(0, 2) else j[:, ::-1] if rng.integers(0, 2) else j)
+    # every case again with entries scaled by 2^-900 and 2^900
+    cases += [np.ldexp(j, e) for j in cases for e in (-900, 900)]
+    near = 0
+    for j in cases:
+        jac = tuple(map(tuple, j.tolist()))
+        if _ill_conditioned(jac) != _numpy_says_ill_conditioned(jac):
+            assert abs(np.linalg.cond(j) / _SINGULAR_COND - 1.0) < 1e-9, jac
+        near += np.all(np.isfinite(j)) and abs(np.linalg.cond(j) / _SINGULAR_COND - 1.0) < 1e-3
+    assert near > 3000
+
+
+def test_conditioning_near_the_threshold_of_rotated_matrices():
+    # rotated near-singular matrices: rounding in det = ad - bc moves the
+    # closed form's condition number by up to about 2^-53 cond relative,
+    # 1.1e-4 here, and LAPACK's smallest singular value errs by ~3e-4 of
+    # itself; outside those bands the decisions agree with the exact one
+    rng = np.random.default_rng(163)
+    checked = exact_checked = 0
+    for _ in range(3000):
+        d = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, -1)
+        j = _rotation(rng.uniform(0, 7)) @ np.diag([1.0, (1.0 + d) / _SINGULAR_COND]) @ _rotation(rng.uniform(0, 7))
+        jac = tuple(map(tuple, j.tolist()))
+        got = _ill_conditioned(jac)
+        lo, hi = _exactly_above(jac, 0.9998 * _SINGULAR_COND), _exactly_above(jac, 1.0002 * _SINGULAR_COND)
+        if lo == hi:
+            assert got == lo, jac
+            exact_checked += 1
+        if abs(np.linalg.cond(j) / _SINGULAR_COND - 1.0) > 1e-3:
+            assert got == _numpy_says_ill_conditioned(jac), jac
+            checked += 1
+    assert exact_checked > 1400 and checked > 1000
