@@ -10,6 +10,7 @@ from .errors import (
     InvalidPolygonError,
     InvalidTriangleError,
     NonConvergenceError,
+    OutputFileError,
     RegionFileError,
     RegionMedianError,
     SingularRegionError,
@@ -63,5 +64,6 @@ __all__ = [
     "NonConvergenceError",
     "EmptySampleError",
     "RegionFileError",
+    "OutputFileError",
     "__version__",
 ]

@@ -7,12 +7,14 @@ Subcommands:
   degenerate  flattening-limit study for triangles with shrinking third side
   check       evaluate the residual (and certificate) at a given point
 
-Exit codes: 0 success, 1 invalid input or usage, 2 solver did not
-converge (the best iterate is still reported).
+Exit codes: 0 success, 1 invalid input or usage (or an output file that
+cannot be written), 2 solver did not converge (the best iterate is still
+reported).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import RegionFileError, RegionMedianError
+from .errors import OutputFileError, RegionFileError, RegionMedianError
 from .geometry import Point2, Polygon
 from .kernels import RadialKernel
 from .oracle import _brute_force_minimize, oracle_minimize
@@ -32,16 +34,21 @@ from .weiszfeld import PointSet, weiszfeld
 
 # ---------------------------------------------------------------- JSON out
 
+def _fmt_float(v: float) -> str:
+    s = "%.17g" % v
+    # keep floats recognizably floats so reports parse back to the same
+    # types; inf and nan carry an "n" and stay as they are
+    if "." in s or "e" in s or "n" in s:
+        return s
+    return s + ".0"
+
+
 def _fmt_number(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    s = format(float(v), ".17g")
-    # keep floats recognizably floats so reports parse back to the same types
-    if s.lstrip("-").isdigit():
-        s += ".0"
-    return s
+    return _fmt_float(float(v))
 
 
 def _json(obj, pad: str) -> str:
@@ -56,13 +63,16 @@ def _json(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(isinstance(v, (int, float)) for v in obj):
-            if len(obj) <= 4:
-                return "[" + ", ".join(map(_fmt_number, obj)) + "]"
-            body = (",\n" + inner).join(map(_fmt_number, obj))
+        # a list of plain floats (the edge means) is formatted in one pass
+        if set(map(type, obj)) == {float}:
+            items, numbers = map(_fmt_float, obj), True
+        elif all(isinstance(v, (int, float)) for v in obj):
+            items, numbers = map(_fmt_number, obj), True
         else:
-            body = (",\n" + inner).join(_json(v, inner) for v in obj)
-        return "[\n" + inner + body + "\n" + pad + "]"
+            items, numbers = (_json(v, inner) for v in obj), False
+        if numbers and len(obj) <= 4:
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -75,11 +85,18 @@ def dumps_report(obj) -> str:
     return _json(obj, "") + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputFileError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(report: dict, json_out: Optional[str] = None) -> None:
     text = dumps_report(report)
     if json_out:
-        with open(json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(json_out, text)
     else:
         sys.stdout.write(text)
 
@@ -191,8 +208,7 @@ def _solve_config(args) -> SolveConfig:
 
 def _maybe_svg(args, outline, median, trace, points=None) -> None:
     if args.svg_out:
-        with open(args.svg_out, "w", encoding="utf-8") as fh:
-            fh.write(region_figure(outline, median, trace=trace, points=points))
+        _write_text(args.svg_out, region_figure(outline, median, trace=trace, points=points))
 
 
 def _finish(args, result, brute_force, outline=None, points=None) -> int:
@@ -367,9 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was and returns a new namespace,
+    # so one parser serves every main() call of a process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (RegionMedianError, ValueError) as exc:

@@ -27,3 +27,7 @@ class EmptySampleError(RegionMedianError):
 
 class RegionFileError(RegionMedianError):
     """An input region file is malformed or inconsistent."""
+
+
+class OutputFileError(RegionMedianError):
+    """A report or figure file cannot be written."""

@@ -12,7 +12,8 @@ import pytest
 
 import regionmedian
 from regionmedian import Point2, Polygon, RadialKernel
-from regionmedian.cli import _fmt_number, main
+from regionmedian import cli
+from regionmedian.cli import _fmt_number, dumps_report, main
 from regionmedian.oracle import oracle_sigma
 
 DATA = Path(__file__).parent / "data"
@@ -37,7 +38,8 @@ def test_median_reports_a_converged_solve(capsys):
 
 
 def test_golden_reports_are_reproduced_byte_for_byte(capsys, tmp_path):
-    for stem in ("equilateral", "t345", "pentagon"):
+    # boundary_loop has 32 edge means, so its report pins the one-per-line layout
+    for stem in ("equilateral", "t345", "pentagon", "boundary_loop"):
         out_path = tmp_path / f"{stem}.json"
         code, _, _ = run(capsys, "median", str(DATA / f"{stem}.json"), "--json-out", str(out_path))
         assert code == 0
@@ -58,6 +60,49 @@ def test_report_numbers_survive_a_parse_round_trip():
     values += [0.0, -0.0, 1.0, -3.0, 0.1, 2.0 ** -52, math.pi]
     for v in values:
         assert float(_fmt_number(float(v))) == float(v)
+
+
+def _fmt_reference(v) -> str:
+    # the number format of every report so far, one value at a time
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    s = format(float(v), ".17g")
+    return s + ".0" if s.lstrip("-").isdigit() else s
+
+
+def _list_reference(values, pad: str) -> str:
+    texts = [_fmt_reference(v) for v in values]
+    if len(texts) <= 4:
+        return "[" + ", ".join(texts) + "]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+
+
+FLOAT_EDGE_CASES = [0.0, -0.0, 1.0, -3.0, 1e16, 2.0 ** 53 + 2, 1e17, 5e-324,
+                    1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def test_float_lists_are_written_as_value_by_value_formatting_would_write_them():
+    rng = np.random.default_rng(17)
+    spread = rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.uniform(-300.0, 300.0, 400)
+    values = [float(v) for v in spread] + FLOAT_EDGE_CASES
+    for v in values:
+        assert _fmt_number(v) == _fmt_reference(v)
+    # four values stay on one line, five take one line each
+    for lst in (values, FLOAT_EDGE_CASES, values[:4], values[:5], FLOAT_EDGE_CASES[-4:], FLOAT_EDGE_CASES[:5]):
+        expected = "{\n  \"edge_means\": " + _list_reference(lst, "  ") + "\n}\n"
+        assert dumps_report({"edge_means": lst}) == expected
+        assert dumps_report({"edge_means": tuple(lst)}) == expected
+
+
+def test_mixed_number_lists_keep_the_general_path():
+    mixed = [1, True, 2.5, np.float64(0.1), -0.0]
+    assert dumps_report(mixed) == "[\n  1,\n  true,\n  2.5,\n  0.10000000000000001,\n  -0.0\n]\n"
+    assert dumps_report(mixed[1:]) == "[true, 2.5, 0.10000000000000001, -0.0]\n"
+    for lst in (mixed, mixed[1:], [np.float64(3.0)] * 5, [False, 2]):
+        assert dumps_report(lst) == _list_reference(lst, "") + "\n"
 
 
 def test_malformed_file_exits_one(capsys):
@@ -331,6 +376,40 @@ def test_svg_output_is_deterministic(capsys, tmp_path):
     assert blob == b.read_bytes()
     text = blob.decode("utf-8")
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("flag", ["--json-out", "--svg-out"])
+def test_an_unwritable_output_path_exits_one_with_one_error_line(capsys, tmp_path, flag):
+    # a directory cannot be opened for writing
+    code, _, err = run(capsys, "median", str(DATA / "t345.json"), flag, str(tmp_path))
+    assert code == 1
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_repeated_main_calls_build_one_parser_and_stay_independent(capsys, tmp_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["median"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    golden = (GOLDEN / "t345_report.json").read_bytes()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code, _, _ = run(capsys, "median", str(DATA / "t345.json"), "--json-out", str(first))
+    assert code == 0 and first.read_bytes() == golden
+    code, out, err = run(capsys, "check", str(DATA / "t345.json"), "--point", "0,0")
+    assert code == 0 and err == "" and out == CHECK_T345["0,0"]
+    code, _, _ = run(capsys, "median", str(DATA / "t345.json"), "--json-out", str(second))
+    assert code == 0 and second.read_bytes() == golden
+    assert len(builds) <= 1
 
 
 def test_console_entry_point_runs():
