@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -93,12 +94,22 @@ def _write_text(path: str, text: str) -> None:
         raise OutputFileError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(report: dict, json_out: Optional[str] = None) -> None:
-    text = dumps_report(report)
-    if json_out:
-        _write_text(json_out, text)
-    else:
-        sys.stdout.write(text)
+def _write_files(files) -> None:
+    # (path, text) pairs: a failing write removes the files written before
+    # it, so a call that exits 1 leaves none of its output files behind
+    written = []
+    try:
+        for path, text in files:
+            _write_text(path, text)
+            written.append(path)
+    except OutputFileError:
+        for path in written:
+            os.remove(path)
+        raise
+
+
+def _emit(report: dict) -> None:
+    sys.stdout.write(dumps_report(report))
 
 
 # ---------------------------------------------------------------- input
@@ -206,11 +217,6 @@ def _solve_config(args) -> SolveConfig:
     return SolveConfig(tol_rel=args.tol, max_iter=args.max_iter)
 
 
-def _maybe_svg(args, outline, median, trace, points=None) -> None:
-    if args.svg_out:
-        _write_text(args.svg_out, region_figure(outline, median, trace=trace, points=points))
-
-
 def _finish(args, result, brute_force, outline=None, points=None) -> int:
     """Emit the report and figure of a solve; return its exit code.
 
@@ -231,8 +237,16 @@ def _finish(args, result, brute_force, outline=None, points=None) -> int:
             "minimizer": [minimizer.x, minimizer.y],
             "distance_to_median": minimizer.distance_to(result.median),
         }
-    _emit(report, args.json_out)
-    _maybe_svg(args, outline, result.median, result.trace, points=points)
+    # an empty path is a path that cannot be written, not a missing flag
+    text = dumps_report(report)
+    files = []
+    if args.json_out is not None:
+        files.append((args.json_out, text))
+    if args.svg_out is not None:
+        files.append((args.svg_out, region_figure(outline, result.median, trace=result.trace, points=points)))
+    _write_files(files)
+    if args.json_out is None:
+        sys.stdout.write(text)
     return 0 if result.converged else 2
 
 

@@ -3,7 +3,7 @@
 Evaluates the area integral of kernel(P - x) over a polygon with one
 rule for every query point x: a tensor Gauss rule on the Duffy-mapped
 signed star triangles from x (``triquad.star_rule``). Adds a Monte Carlo
-cross-check and a derivative-free minimizer (scipy's Nelder-Mead alone).
+cross-check and a derivative-free minimizer (Nelder-Mead).
 Independent by design: the rule evaluates the kernel at real area nodes,
 and nothing here shares code paths with the boundary residual solver it
 certifies.
@@ -82,15 +82,93 @@ def oracle_sigma(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None
     return OracleValue(value, abs(value - finer))
 
 
-def _brute_force_minimize(objective, start: np.ndarray, options: dict) -> Point2:
-    """scipy's Nelder-Mead from ``start`` with the given options; fully
-    deterministic."""
-    # imported here rather than with the package: scipy.optimize loads
-    # some 300 scipy modules, and only the oracle's minimizers use it
-    from scipy.optimize import minimize
+class _BudgetSpent(Exception):
+    """The objective-evaluation budget ran out."""
 
-    res = minimize(objective, start, method="Nelder-Mead", options=options)
-    return Point2(float(res.x[0]), float(res.x[1]))
+
+def _brute_force_minimize(objective, start: np.ndarray, options: dict) -> Point2:
+    """Nelder-Mead (Nelder & Mead, Comput. J. 1965) from ``start``; fully
+    deterministic.
+
+    ``options`` holds ``xatol``, ``fatol``, ``maxiter`` and ``maxfev``.
+    The loop is scipy's ``_minimize_neldermead`` without bounds, adaptive
+    coefficients or a given first simplex, step for step in the same
+    numpy arithmetic, so it returns the bits ``scipy.optimize.minimize``
+    would after the same objective evaluations (``tests/test_oracle.py``
+    pins this).
+    """
+    xatol, fatol = options["xatol"], options["fatol"]
+    maxiter, maxfev = options["maxiter"], options["maxfev"]
+    x0 = np.array(start, dtype=float).ravel()
+    n = len(x0)
+    # the first simplex: each coordinate in turn times 1.05, or 0.00025 if it is 0
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    fcalls = 0
+
+    def f(x):
+        # an evaluation past the budget ends the current step where it stands
+        nonlocal fcalls
+        if fcalls >= maxfev:
+            raise _BudgetSpent
+        fcalls += 1
+        return objective(x)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # sorted twice, as scipy does: the second sort may reorder ties
+    sim, fsim = ordered(*ordered(sim, fsim))
+    # coefficients: reflection 1, expansion 2, contraction 1/2, shrink 1/2
+    iterations = 1
+    while fcalls < maxfev and iterations < maxiter:
+        try:
+            if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                # contract outside the worst vertex if the reflection beat it, else inside
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return Point2(float(sim[0, 0]), float(sim[0, 1]))
 
 
 def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Point2:

@@ -387,6 +387,26 @@ def test_an_unwritable_output_path_exits_one_with_one_error_line(capsys, tmp_pat
     assert err.startswith(f"error: cannot write {tmp_path}: ")
 
 
+@pytest.mark.parametrize("flag", ["--json-out", "--svg-out"])
+def test_an_empty_output_path_exits_one_with_one_error_line(capsys, flag):
+    # "" names no file that can be written; it does not mean the flag is absent
+    code, out, err = run(capsys, "median", str(DATA / "t345.json"), flag, "")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith("error: cannot write : ")
+
+
+@pytest.mark.parametrize("failing", ["--json-out", "--svg-out"])
+def test_a_call_that_exits_one_leaves_no_output_file(capsys, tmp_path, failing):
+    # one path is a directory; the file the other flag names must not remain
+    argv = ["--json-out", str(tmp_path / "r.json"), "--svg-out", str(tmp_path / "f.svg")]
+    argv[argv.index(failing) + 1] = str(tmp_path)
+    code, out, err = run(capsys, "median", str(DATA / "t345.json"), *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_repeated_main_calls_build_one_parser_and_stay_independent(capsys, tmp_path, monkeypatch):
     builds = []
     build = cli.build_parser
@@ -466,14 +486,17 @@ def test_no_scipy_quad_on_the_medianoid_and_check_paths(capsys, no_scipy_quad):
 
 
 def test_a_solve_and_a_check_load_neither_scipy_optimize_nor_integrate():
-    # a fresh interpreter: the package imports scipy.optimize only for the
-    # oracle's minimizers, scipy.integrate only for the quad reference and
-    # scipy.spatial only for the hull of a loop not certified convex
+    # a fresh interpreter: the package never imports scipy.optimize (the
+    # oracle runs its own Nelder-Mead), scipy.integrate only for the quad
+    # reference and scipy.spatial only for the hull of a loop not certified
+    # convex
     code = "\n".join([
         "import sys, regionmedian, regionmedian.cli",
         "regionmedian.solve_median(regionmedian.Polygon([(0, 0), (3, 0), (3, 4)]))",
         f"assert regionmedian.cli.main(['check', {str(DATA / 'power2_region.json')!r}, '--point', '1,1']) == 0",
         f"assert regionmedian.cli.main(['median', {str(DATA / 'boundary_loop.json')!r}]) == 0",
+        f"assert regionmedian.cli.main(['median', {str(DATA / 't345.json')!r}, '--oracle']) == 0",
+        f"assert regionmedian.cli.main(['discrete', {str(DATA / 'obtuse_points.json')!r}, '--oracle']) == 0",
         "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.spatial') if m in sys.modules])",
     ])
     src = str(Path(regionmedian.__file__).resolve().parent.parent)

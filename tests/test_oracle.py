@@ -229,6 +229,58 @@ def test_minimizers_run_nelder_mead_alone(monkeypatch):
     assert 0 < len(calls) < 363
 
 
+OFFSET_QUAD = Polygon([(1e4, 1e4), (1e4 + 2.0, 1e4 + 0.3), (1e4 + 1.7, 1e4 + 1.9), (1e4 + 0.2, 1e4 + 1.4)])
+
+
+def _problem(monkeypatch, module, run):
+    """The (objective, start, options) that ``run()`` hands to ``module``'s
+    ``_brute_force_minimize``."""
+    seen = []
+    minimize = oracle._brute_force_minimize
+    monkeypatch.setattr(module, "_brute_force_minimize", lambda *args: seen.append(args) or minimize(*args))
+    run()
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _assert_nelder_mead_is_scipys(objective, start, options):
+    # the same points evaluated in the same order, and the same minimizer bits
+    from scipy.optimize import minimize
+
+    ours, theirs = [], []
+    point = oracle._brute_force_minimize(lambda v: ours.append(tuple(v)) or objective(v), start, options)
+    res = minimize(lambda v: theirs.append(tuple(v)) or objective(v), start, method="Nelder-Mead", options=options)
+    assert (point.x, point.y) == (float(res.x[0]), float(res.x[1]))
+    assert ours == theirs and len(ours) == res.nfev
+
+
+@pytest.mark.parametrize("kernel", [RadialKernel.euclidean(), RadialKernel.power(1.5)], ids=["euclidean", "p1.5"])
+@pytest.mark.parametrize("poly", [T345, THIN_TRIANGLE, PENTAGON, OFFSET_QUAD], ids=["t345", "thin", "pentagon", "offset"])
+def test_oracle_nelder_mead_is_scipys_bit_for_bit(monkeypatch, poly, kernel):
+    _assert_nelder_mead_is_scipys(*_problem(monkeypatch, oracle, lambda: oracle_minimize(poly, kernel)))
+
+
+@pytest.mark.parametrize("stem", ["obtuse_points", "weighted_points"])
+def test_discrete_nelder_mead_is_scipys_bit_for_bit(monkeypatch, stem):
+    ps = cli.load_region_file(str(DATA / f"{stem}.json")).point_set
+    objective, start, options = _problem(monkeypatch, cli, lambda: cli._discrete_brute_force(ps))
+    _assert_nelder_mead_is_scipys(objective, start, options)
+    # a zero coordinate steps to 0.00025 in the first simplex
+    _assert_nelder_mead_is_scipys(objective, np.array([0.0, start[1]]), options)
+    _assert_nelder_mead_is_scipys(objective, np.zeros(2), options)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 7, 40])
+def test_nelder_mead_spends_its_budgets_as_scipy_does(monkeypatch, budget):
+    # an evaluation budget can run out in the middle of a step
+    objective, start, options = _problem(monkeypatch, oracle, lambda: oracle_minimize(T345))
+    _assert_nelder_mead_is_scipys(objective, start, dict(options, maxfev=budget))
+    ps = cli.load_region_file(str(DATA / "obtuse_points.json")).point_set
+    objective, start, options = _problem(monkeypatch, cli, lambda: cli._discrete_brute_force(ps))
+    _assert_nelder_mead_is_scipys(objective, start, dict(options, maxfev=budget))
+    _assert_nelder_mead_is_scipys(objective, start, dict(options, maxiter=budget))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(mc_samples=1)
