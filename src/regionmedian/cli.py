@@ -27,7 +27,7 @@ from .errors import OutputFileError, RegionFileError, RegionMedianError
 from .geometry import Point2, Polygon
 from .kernels import RadialKernel
 from .oracle import _brute_force_minimize, oracle_minimize
-from .residuals import _spread, general_boundary_residual, polygon_residual
+from .residuals import general_boundary_residual, polygon_residual
 from .solver import SolveConfig, degenerate_limit_study, solve_median, solve_medianoid
 from .svg import region_figure
 from .weiszfeld import PointSet, weiszfeld
@@ -337,8 +337,8 @@ def cmd_check(args) -> int:
         "normalized_norm": rep.normalized_norm,
         "edge_means": list(rep.edge_means),
     }
-    if len(poly) == 3:
-        report["certificate_spread"] = _spread(rep.edge_means)
+    if rep.certificate is not None:
+        report["certificate_spread"] = rep.certificate
     _emit(report)
     return 0
 

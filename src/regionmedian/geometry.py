@@ -78,12 +78,10 @@ def _shoelace(coords: np.ndarray, nxt: np.ndarray) -> float:
     # to vertex 0, which is exact for nearby vertices (Sterbenz), so a
     # region far from the origin does not cancel its own area. Past about
     # 1e154 the products overflow, and callers see a non-finite area
-    # instead of numpy's warning
     ox, oy = coords[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, y = coords[:, 0] - ox, coords[:, 1] - oy
-        xn, yn = nxt[:, 0] - ox, nxt[:, 1] - oy
-        return 0.5 * float(np.sum(x * yn - xn * y))
+    x, y = coords[:, 0] - ox, coords[:, 1] - oy
+    xn, yn = nxt[:, 0] - ox, nxt[:, 1] - oy
+    return 0.5 * float(np.sum(x * yn - xn * y))
 
 
 def _antipodal_pairs(hull: np.ndarray) -> tuple:
@@ -106,6 +104,13 @@ def _antipodal_pairs(hull: np.ndarray) -> tuple:
     return np.repeat(np.arange(h), 3), (far[:, None] + np.array([-1, 0, 1])).ravel() % h
 
 
+# All-pairs scans (row pairs for a diameter, candidate edge pairs for the
+# contact predicate) go in blocks of at most this many pairs, and the
+# contact search stops at the first block with a contact, so no loop
+# allocates O(n^2) pair arrays at once.
+_PAIR_BLOCK = 1 << 13
+
+
 def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
     """Largest distance between two rows of an (n, 2) array.
 
@@ -114,11 +119,12 @@ def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
     over the rotating-calipers pairs of the hull, O(h log h). With
     ``convex`` the rows are a strictly convex counterclockwise loop, their
     own hull, and the calipers run on them directly in O(n log n);
-    otherwise qhull finds the hull. Up to 8 rows, all pairs are taken in
-    one broadcast; flat or repeated rows where qhull refuses to run are
-    scanned row by row. Squares are taken of coordinates scaled by a power
-    of two, so they neither overflow nor underflow at extreme scales; the
-    scaling is exact, so in the normal range the result is the same float.
+    otherwise qhull finds the hull. Up to 8 rows, and for flat or repeated
+    rows where qhull refuses to run, all pairs are taken by one broadcast
+    done in blocks of ``_PAIR_BLOCK // n`` rows. Squares are taken of
+    coordinates scaled by a power of two, so they neither overflow nor
+    underflow at extreme scales; the scaling is exact, so in the normal
+    range the result is the same float.
     """
     pairs = None
     if len(coords) > 8:
@@ -140,21 +146,13 @@ def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
     if pairs is not None:
         i, j = pairs
         best = float(np.max((x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2))
-    elif len(coords) <= 8:
-        dx, dy = x[:, None] - x, y[:, None] - y
-        best = float(np.max(dx * dx + dy * dy))
     else:
         best = 0.0
-        for i in range(len(coords) - 1):
-            d2 = np.sum((coords[i + 1:] - coords[i]) ** 2, axis=1)
-            best = max(best, float(d2.max()))
+        rows = max(1, _PAIR_BLOCK // len(coords))
+        for r0 in range(0, len(coords), rows):
+            dx, dy = x[r0:r0 + rows, None] - x[r0:], y[r0:r0 + rows, None] - y[r0:]
+            best = max(best, float(np.max(dx * dx + dy * dy)))
     return math.ldexp(math.sqrt(best), exp)
-
-
-# Candidate edge pairs go through the contact predicate in blocks of at
-# most this many, and the search stops at the first block with a contact,
-# so no loop allocates O(n^2) pair arrays at once.
-_PAIR_BLOCK = 1 << 13
 # Below this many edges, testing all pairs at once is cheaper than
 # building the grid (measured crossover: about 50 edges).
 _GRID_MIN_EDGES = 48
@@ -246,12 +244,9 @@ def _segments_intersect_any(coords: np.ndarray, nxt: np.ndarray) -> bool:
         return False
     # one contiguous row per coordinate of the edge starts and ends
     rows = np.concatenate([coords, nxt], axis=1).T.copy()
-    # orientations past about 1e154 overflow; the callers then see a
-    # non-finite area instead of numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, j in _candidate_edge_pairs(np.minimum(coords, nxt), np.maximum(coords, nxt)):
-            if len(i) and _edges_touch(rows, i, j):
-                return True
+    for i, j in _candidate_edge_pairs(np.minimum(coords, nxt), np.maximum(coords, nxt)):
+        if len(i) and _edges_touch(rows, i, j):
+            return True
     return False
 
 
@@ -314,24 +309,23 @@ def _turns(edges: np.ndarray) -> tuple:
     one revolution. Such a loop is convex, and so simple.
     """
     en = np.concatenate((edges[1:], edges[:1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        left = edges[:, 0] * en[:, 1]
-        right = edges[:, 1] * en[:, 0]
-        cross = left - right
-        # min and max are NaN if any turn is, and NaN certifies nothing
-        if len(edges) < 4 or not (cross.min() > 0.0 or cross.max() < 0.0):
-            return cross, False
-        mag = np.abs(left) + np.abs(right)
-        if not np.all((np.abs(cross) > _TURN_ERRBOUND * mag) & (mag >= _TURN_FLOOR)):
-            return cross, False
-        # each exact turn lies strictly between 0 and pi, and together
-        # they make a whole number of revolutions: one for a convex loop,
-        # two for the pentagram. A dot product that overflowed to +inf
-        # would read as no turn at all, so it does not certify.
-        dot = edges[:, 0] * en[:, 0] + edges[:, 1] * en[:, 1]
-        if not np.all(np.isfinite(dot)):
-            return cross, False
-        return cross, float(np.sum(np.arctan2(np.abs(cross), dot))) < 3.0 * math.pi
+    left = edges[:, 0] * en[:, 1]
+    right = edges[:, 1] * en[:, 0]
+    cross = left - right
+    # min and max are NaN if any turn is, and NaN certifies nothing
+    if len(edges) < 4 or not (cross.min() > 0.0 or cross.max() < 0.0):
+        return cross, False
+    mag = np.abs(left) + np.abs(right)
+    if not np.all((np.abs(cross) > _TURN_ERRBOUND * mag) & (mag >= _TURN_FLOOR)):
+        return cross, False
+    # each exact turn lies strictly between 0 and pi, and together they
+    # make a whole number of revolutions: one for a convex loop, two for
+    # the pentagram. A dot product that overflowed to +inf would read as
+    # no turn at all, so it does not certify.
+    dot = edges[:, 0] * en[:, 0] + edges[:, 1] * en[:, 1]
+    if not np.all(np.isfinite(dot)):
+        return cross, False
+    return cross, float(np.sum(np.arctan2(np.abs(cross), dot))) < 3.0 * math.pi
 
 
 # a polygon whose vertex 0 lies within this many diameters of the origin
@@ -355,6 +349,10 @@ class Polygon:
     rotating calipers on its own vertices. Every other loop takes the
     edge-pair search and, beyond 8 vertices, the calipers on its qhull
     hull.
+
+    The edges, turns, pair search and area run under one numpy error
+    state that ignores overflow: a loop past about 1e154 is rejected, at
+    the latest for its non-finite area, without a numpy warning.
     """
 
     __slots__ = ("_coords", "_edge_vectors", "_edge_lengths", "was_reversed",
@@ -371,12 +369,12 @@ class Polygon:
             raise InvalidPolygonError("polygon repeats a vertex on consecutive positions")
         with np.errstate(over="ignore", invalid="ignore"):
             edges = nxt - coords
-        turns, certified = _turns(edges)
-        # intersection before area: a symmetric bowtie nets out to zero
-        # shoelace area, and the intersection diagnostic is the useful one
-        if not certified and _segments_intersect_any(coords, nxt):
-            raise InvalidPolygonError("polygon is self-intersecting")
-        area = _shoelace(coords, nxt)
+            turns, certified = _turns(edges)
+            # intersection before area: a symmetric bowtie nets out to zero
+            # shoelace area, and the intersection diagnostic is the useful one
+            if not certified and _segments_intersect_any(coords, nxt):
+                raise InvalidPolygonError("polygon is self-intersecting")
+            area = _shoelace(coords, nxt)
         if area == 0.0:
             raise InvalidPolygonError("polygon has zero area")
         if not math.isfinite(area):
@@ -418,17 +416,11 @@ class Polygon:
         if max(abs(ox), abs(oy)) <= _NEAR_ORIGIN * self.diameter:
             return self, 0.0, 0.0
         view = Polygon.__new__(Polygon)
-        coords = self._coords - self._coords[0]
-        coords.setflags(write=False)
-        view._coords = coords
-        view._edge_vectors = self._edge_vectors
-        view._edge_lengths = self._edge_lengths
-        view.was_reversed = self.was_reversed
-        view._area = self._area
+        for name in Polygon.__slots__:
+            setattr(view, name, getattr(self, name))
+        view._coords = self._coords - self._coords[0]
+        view._coords.setflags(write=False)
         view._centroid = None
-        view._diameter = self._diameter
-        view._convex = self._convex
-        view._certified_convex = self._certified_convex
         return view, ox, oy
 
     @property

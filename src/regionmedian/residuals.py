@@ -18,14 +18,14 @@ as the values. T is summed correctly rounded (``math.fsum``), so it
 does not depend on where the loop starts.
 
 For a triangle T vanishes exactly when the three means are equal, for
-any kernel; their spread is the certificate of
-``mean_distance_certificate``.
+any kernel; their spread is the certificate, ``ResidualReport.certificate``
+on every report and ``mean_distance_certificate`` on its own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ class ResidualReport:
     the Euclidean kernel. ``jacobian`` is the derivative of the gradient
     in x, R sum_i e_i (x) grad m_i with R the rotation by +90 degrees,
     as rows ((dg_x/dx, dg_x/dy), (dg_y/dx, dg_y/dy)), on both routes.
+    ``certificate`` is the spread of a triangle's three edge means.
     """
 
     residual: Vector2
@@ -61,6 +62,11 @@ class ResidualReport:
     norm: float
     normalized_norm: float
     jacobian: Tuple[Tuple[float, float], Tuple[float, float]]
+
+    @property
+    def certificate(self) -> Optional[float]:
+        """``_spread`` of a triangle's three edge means; None for more edges."""
+        return _spread(self.edge_means) if len(self.edge_means) == 3 else None
 
 
 def _report(poly: Polygon, values: np.ndarray, grads: np.ndarray) -> ResidualReport:

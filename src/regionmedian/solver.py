@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidTriangleError, SingularRegionError
 from .geometry import Point2, Polygon, as_polygon
 from .kernels import KernelKind, RadialKernel
-from .residuals import ResidualReport, _spread, general_boundary_residual, polygon_residual
+from .residuals import ResidualReport, general_boundary_residual, polygon_residual
 
 __all__ = ["SolveConfig", "SolveResult", "solve_median", "solve_medianoid", "degenerate_limit_study"]
 
@@ -75,13 +75,12 @@ def _validated_region(region) -> Tuple[Polygon, float, float, float, np.ndarray]
     """The region in its solve frame (``Polygon._local_frame``): the
     translated polygon, the frame origin, the diameter and the area
     centroid in that frame."""
-    # overflow in the diameter or the centroid is an unusable region too;
-    # raising it keeps numpy's overflow warnings off stderr
+    # overflow in the diameter or the centroid, raised under the solve's
+    # error state, is an unusable region too
     try:
         polygon = as_polygon(region)
-        with np.errstate(over="raise", invalid="raise"):
-            local, ox, oy = polygon._local_frame()
-            return local, ox, oy, local.diameter, local.centroid.as_array()
+        local, ox, oy = polygon._local_frame()
+        return local, ox, oy, local.diameter, local.centroid.as_array()
     except Exception as exc:
         raise SingularRegionError(f"not a usable region: {exc}") from exc
 
@@ -102,26 +101,33 @@ def _ill_conditioned(jac) -> bool:
     return f + math.sqrt(max(f * f - 4.0 * det * det, 0.0)) > 2.0 * _SINGULAR_COND * det
 
 
-def _newton_root(
-    region,
-    residual_fn: Callable[[Polygon, Point2], ResidualReport],
-    cfg: Optional[SolveConfig],
-    local: bool = False,
-) -> SolveResult:
+# one numpy error state for a whole solve: an overflow or an invalid
+# operation raises, instead of a warning, and ends it as a package error
+@np.errstate(over="raise", invalid="raise")
+def _newton_root(region, kernel: Optional[RadialKernel], cfg: Optional[SolveConfig]) -> SolveResult:
     """Damped Newton on the report gradient, from the area centroid.
 
-    The median is translation-equivariant, so the iterate is x minus the
-    origin of the region's solve frame, and the residual sees the region
-    translated there: a region far from the origin keeps the precision
-    of one near it. The trace and the median are moved back by one add
-    per coordinate. Triangles get the certificate of the final report's
-    edge means.
+    Without a kernel the residual is ``polygon_residual`` (the Euclidean
+    closed form), with one ``general_boundary_residual``; both are looked
+    up in this module at every call. A custom kernel marks the result
+    ``local``. The median is translation-equivariant, so the iterate is x
+    minus the origin of the region's solve frame, and the residual sees
+    the region translated there: a region far from the origin keeps the
+    precision of one near it. The trace and the median are moved back by
+    one add per coordinate. Triangles get the certificate of the final
+    report (``ResidualReport.certificate``).
     """
     cfg = cfg or SolveConfig()
     polygon, ox, oy, diam, x = _validated_region(region)
 
     def rep_at(v: np.ndarray) -> ResidualReport:
-        return residual_fn(polygon, Point2(float(v[0]), float(v[1])))
+        p = Point2(float(v[0]), float(v[1]))
+        try:
+            if kernel is None:
+                return polygon_residual(polygon, p)
+            return general_boundary_residual(polygon, p, kernel)
+        except FloatingPointError as exc:
+            raise SingularRegionError(f"the kernel integrals overflow the float range: {exc}") from exc
 
     def absolute(v: np.ndarray) -> Point2:
         return Point2(float(v[0]) + ox, float(v[1]) + oy)
@@ -161,9 +167,9 @@ def _newton_root(
         residual_norm=rep.norm,
         normalized_norm=rep.normalized_norm,
         trace=tuple(trace),
-        certificate=_spread(rep.edge_means) if len(polygon) == 3 else None,
+        certificate=rep.certificate,
         converged=converged,
-        local=local,
+        local=kernel is not None and kernel.kind is KernelKind.CUSTOM,
         edge_means=rep.edge_means,
     )
 
@@ -174,7 +180,7 @@ def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
     Newton on the closed-form residual's gradient and its closed-form
     Jacobian, initialized at the area centroid.
     """
-    return _newton_root(poly, polygon_residual, cfg)
+    return _newton_root(poly, None, cfg)
 
 
 def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] = None) -> SolveResult:
@@ -184,11 +190,7 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
     the Jacobian integrated in the same quadrature pass.
     Accepts a Polygon or a sampled polyline loop for the boundary.
     """
-
-    def residual_fn(polygon: Polygon, p: Point2) -> ResidualReport:
-        return general_boundary_residual(polygon, p, kernel)
-
-    return _newton_root(boundary, residual_fn, cfg, local=kernel.kind is KernelKind.CUSTOM)
+    return _newton_root(boundary, kernel, cfg)
 
 
 def degenerate_limit_study(

@@ -21,7 +21,8 @@ class PointSet:
     """A weighted finite point set.
 
     Accepts a sequence of Point2 or an (n, 2) array-like; weights default
-    to 1 and must be positive, one per point.
+    to 1 and must be positive, one per point. ``diameter`` raises
+    ValueError when it overflows the float range.
     """
 
     __slots__ = ("coords", "weights")
@@ -61,14 +62,19 @@ class PointSet:
     def diameter(self) -> float:
         if len(self.coords) == 1:
             return 0.0
-        return _max_pairwise_distance(self.coords)
+        try:
+            return _max_pairwise_distance(self.coords)
+        except OverflowError:
+            raise ValueError("point set diameter overflows the float range") from None
 
 
-def _objective(ps: PointSet, x: np.ndarray) -> float:
-    d = np.hypot(ps.coords[:, 0] - x[0], ps.coords[:, 1] - x[1])
-    return float(np.sum(ps.weights * d))
+def _objective(w: np.ndarray, d: np.ndarray) -> float:
+    return float(np.sum(w * d))
 
 
+# a step that overflows (the weights 1/d of subnormal points do) fails the
+# objective test, so numpy's warnings about it are noise
+@np.errstate(over="ignore", invalid="ignore")
 def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveResult:
     """Weighted geometric median by Weiszfeld iteration.
 
@@ -78,9 +84,11 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     remaining points against the point's own weight) and either stops at
     the point or steps off along the descent direction. A step that
     raises the objective (rounding at most, in exact arithmetic none
-    does) stops the run unconverged at the previous iterate. The reported
-    residual_norm is the norm of the objective's (sub)gradient at the
-    result; normalized_norm divides it by the total weight.
+    does) or makes it non-finite stops the run unconverged at the previous
+    iterate. Each step's one distance pass serves its objective, the
+    trace's subgradient, the coincidence test and the next step. The
+    reported residual_norm is the norm of the objective's (sub)gradient at
+    the result; normalized_norm divides it by the total weight.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and > 0")
@@ -91,8 +99,6 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     total_w = float(w.sum())
     diam = ps.diameter
     x = np.array([float(np.sum(w * pts[:, 0]) / total_w), float(np.sum(w * pts[:, 1]) / total_w)])
-    trace = []
-    obj = _objective(ps, x)
     converged = False
     iterations = 0
 
@@ -112,11 +118,14 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
         ry = float(np.sum(w[rest] * (pts[rest, 1] - v[1]) / d[rest]))
         return math.hypot(rx, ry), rx, ry, float(w[anchored].sum()), rest
 
-    def subgrad_norm(v: np.ndarray) -> float:
-        pull, _, _, anchor, _ = vertex_pull(v, distances(v))
+    def subgrad_norm(v: np.ndarray, d: np.ndarray) -> float:
+        pull, _, _, anchor, _ = vertex_pull(v, d)
         return max(pull - anchor, 0.0)
 
-    trace.append((Point2(x[0], x[1]), subgrad_norm(x) / total_w))
+    # d holds the distances from the iterate x to the points throughout
+    d = distances(x)
+    obj = _objective(w, d)
+    trace = [(Point2(x[0], x[1]), subgrad_norm(x, d) / total_w)]
     if diam == 0.0:
         # all points coincide; the common location is the median
         return SolveResult(
@@ -130,7 +139,6 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
         )
 
     for iterations in range(1, max_iter + 1):
-        d = distances(x)
         if np.any(d <= radius):
             pull, rx, ry, anchor, rest = vertex_pull(x, d)
             if pull <= anchor:
@@ -144,14 +152,15 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
             x_new = np.array(
                 [float(np.sum(inv * pts[:, 0]) / denom), float(np.sum(inv * pts[:, 1]) / denom)]
             )
-        new_obj = _objective(ps, x_new)
+        d_new = distances(x_new)
+        new_obj = _objective(w, d_new)
         if not new_obj <= obj * (1.0 + 1e-12) + 1e-300:
             # the objective rose: stop unconverged at the last good iterate
             iterations -= 1
             break
         moved = math.hypot(x_new[0] - x[0], x_new[1] - x[1])
-        x, obj = x_new, new_obj
-        trace.append((Point2(x[0], x[1]), subgrad_norm(x) / total_w))
+        x, d, obj = x_new, d_new, new_obj
+        trace.append((Point2(x[0], x[1]), subgrad_norm(x, d) / total_w))
         if moved < tol * diam:
             converged = True
             break
@@ -160,17 +169,15 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     # itself is the median; its optimality test is exact no matter how
     # close the stall happened, so a pass lets us report the point with
     # its true (zero) subgradient instead of a misleading smooth residual
-    near = distances(x)
-    k = int(np.argmin(near))
-    if 0.0 < near[k] <= 1e-6 * diam:
-        v = pts[k]
-        pull, _, _, anchor, _ = vertex_pull(v, distances(v))
-        if pull <= anchor:
-            x = v.copy()
+    k = int(np.argmin(d))
+    if 0.0 < d[k] <= 1e-6 * diam:
+        dv = distances(pts[k])
+        if subgrad_norm(pts[k], dv) == 0.0:
+            x, d = pts[k].copy(), dv
             converged = True
             trace.append((Point2(x[0], x[1]), 0.0))
 
-    res_norm = subgrad_norm(x)
+    res_norm = subgrad_norm(x, d)
     return SolveResult(
         median=Point2(x[0], x[1]),
         iterations=iterations,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -550,3 +551,76 @@ def test_check_output_is_byte_stable_at_a_vertex_an_edge_and_far_out(capsys, poi
     code, out, err = run(capsys, "check", str(DATA / "t345.json"), "--point", point)
     assert code == 0 and err == ""
     assert out == CHECK_T345[point]
+
+
+# inputs that once printed numpy warnings or a traceback: a point set
+# whose diameter overflows, a kernel that overflows on a 50-wide
+# triangle, and subnormal points whose Weiszfeld weights 1/d overflow
+NUMPY_EDGE_INPUTS = {
+    "overflowing_points": {"points": [[1e308, 0], [-1e308, 0], [0, 1e308]]},
+    "kernel_overflow": {"polygon": [[0, 0], [30, 0], [30, 40]]},
+    "subnormal_points": {"points": [[1e-320, 0], [0, 1e-320], [3e-320, 2e-320]]},
+}
+
+
+def _warning_test_commands(path):
+    try:
+        data = json.loads(path.read_text())
+        coords = np.asarray(data.get("polygon") or data.get("boundary_samples") or data["points"], dtype=float)
+    except (ValueError, KeyError):
+        coords = np.zeros((1, 2))
+    vertex, inside = ("%r,%r" % tuple(p.tolist()) for p in (coords[0], coords.mean(axis=0)))
+    f = str(path)
+    commands = [
+        ["median", f], ["median", f, "--oracle"],
+        ["medianoid", f], ["medianoid", f, "--kernel", "euclidean"], ["medianoid", f, "--kernel", "power:1.5"],
+        ["discrete", f], ["discrete", f, "--oracle"],
+        ["check", f, "--point", vertex], ["check", f, "--point", inside], ["check", f, "--point", "1e150,0"],
+    ]
+    if path.stem == "kernel_overflow":
+        commands.append(["medianoid", f, "--kernel", "power:400"])
+    return commands
+
+
+def test_no_command_prints_a_numpy_warning(capsys, tmp_path):
+    # numpy's warnings go through the warnings module, so they are
+    # recorded rather than read from stderr; a traceback fails the test
+    for stem, data in NUMPY_EDGE_INPUTS.items():
+        (tmp_path / f"{stem}.json").write_text(json.dumps(data))
+    paths = sorted(DATA.glob("*.json")) + sorted(tmp_path.glob("*.json"))
+    runs = 0
+    for path in paths:
+        for argv in _warning_test_commands(path):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            out, err = capsys.readouterr()
+            assert [str(w.message) for w in caught] == [], argv
+            if err:
+                # usage and input errors: one line, exit 1, no report
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+                assert code == 1 and out == "", argv
+                continue
+            report = json.loads(out)
+            if argv[0] == "check":
+                assert code == 0, argv
+            elif argv[0] == "discrete":
+                assert code in (0, 2), argv
+            else:
+                # exit 2 reports a solve that did not reach the tolerance
+                assert code == (0 if report["normalized_norm"] <= 1e-12 else 2), argv
+            runs += 1
+    assert runs > 40
+
+
+@pytest.mark.parametrize("stem,argv,message", [
+    ("overflowing_points", ["discrete"], "point set diameter overflows the float range"),
+    ("overflowing_points", ["discrete", "--oracle"], "point set diameter overflows the float range"),
+    ("kernel_overflow", ["medianoid", "--kernel", "power:400"],
+     "the kernel integrals overflow the float range: overflow encountered in power"),
+])
+def test_an_overflowing_input_prints_one_error_line_naming_it(capsys, tmp_path, stem, argv, message):
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(NUMPY_EDGE_INPUTS[stem]))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -597,6 +597,10 @@ def _point_sets(rng):
         np.stack([0.1 * np.linspace(0.0, 1.0, 50), 0.3 * np.linspace(0.0, 1.0, 50)], axis=1),
         np.array([(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5)] * 3, dtype=float),
     ]
+    # flat sets that qhull refuses, scanned in several blocks of rows
+    for n in (100, 2000):
+        sets += [np.outer(rng.uniform(-1.0, 1.0, n), rng.normal(size=2)) + rng.normal(size=2),
+                 np.repeat(rng.normal(size=(2, 2)), [n // 2, n - n // 2], axis=0)]
     return sets
 
 

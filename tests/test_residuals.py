@@ -295,6 +295,23 @@ def test_certificate_of_a_far_point_certifies_nothing():
     assert cert.spread == math.inf
 
 
+def test_report_certificate_is_the_spread_of_a_triangles_edge_means():
+    # both routes carry it; mean_distance_certificate computes the same
+    # spread on its own path
+    rng = np.random.default_rng(63)
+    for _ in range(20):
+        tri = random_triangle(rng)
+        x = Point2(*interior_point(tri, rng))
+        rep = polygon_residual(tri, x)
+        assert rep.certificate == _spread(rep.edge_means) == mean_distance_certificate(tri, x).spread
+        rep = general_boundary_residual(tri, x, RadialKernel.power(1.5))
+        assert rep.certificate == _spread(rep.edge_means)
+    quad = random_convex_polygon(rng)
+    while len(quad) == 3:
+        quad = random_convex_polygon(rng)
+    assert polygon_residual(quad, quad.centroid).certificate is None
+
+
 def _distance_to_boundary(poly, p):
     a = poly.coords
     e = poly.edge_vectors

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -253,6 +254,18 @@ def test_overflowing_region_is_a_singular_region():
         solve_median(huge)
     with pytest.raises(SingularRegionError):
         solve_medianoid(Polygon(huge), RadialKernel.power(3.0))
+
+
+def test_an_overflowing_kernel_is_one_singular_region_error():
+    # 50**400 overflows: the solve raises one package error naming the
+    # overflow, prints no numpy warning and leaves numpy's state as it was
+    tri = Polygon([(0.0, 0.0), (30.0, 0.0), (30.0, 40.0)])
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularRegionError, match="overflow encountered in power"):
+            solve_medianoid(tri, RadialKernel.power(400.0))
+    assert np.geterr() == state
 
 
 def test_random_triangles_converge_with_tiny_spread():

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,11 +160,38 @@ def test_empty_sample_raises():
 def test_rising_objective_stops_unconverged_at_the_last_good_iterate(monkeypatch):
     # an objective that grows on every evaluation makes the first step
     # an increase; the run must stop at its start, not raise
+    # (the seam gets the weights and the distances of each step's one
+    # distance pass)
     values = itertools.count()
-    monkeypatch.setattr(weiszfeld_module, "_objective", lambda ps, x: float(next(values)))
+    monkeypatch.setattr(weiszfeld_module, "_objective", lambda w, d: float(next(values)))
     ps = PointSet([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (1.0, 1.0)])
     res = weiszfeld(ps)
     assert not res.converged
     assert res.iterations == 0
     assert (res.median.x, res.median.y) == (1.25, 1.0)
     assert len(res.trace) == 1
+
+
+def test_a_point_set_whose_diameter_overflows_is_rejected():
+    ps = PointSet([(1e308, 0.0), (-1e308, 0.0), (0.0, 1e308)])
+    for measure in (lambda: ps.diameter, lambda: weiszfeld(ps)):
+        with pytest.raises(ValueError, match="diameter overflows the float range"):
+            measure()
+    # a set just inside the float range keeps its diameter, also when the
+    # diagonal of its bounding box overflows
+    assert PointSet([(8e307, 0.0), (-8e307, 0.0)]).diameter == 1.6e308
+    assert PointSet([(1.2e308, 0.0), (-0.5e308, 0.0), (0.0, 1.2e308)]).diameter == 1.7e308
+
+
+def test_subnormal_points_stop_unconverged_without_a_numpy_warning():
+    # the weights 1/d of the first raw step overflow; the step fails the
+    # objective test, and the run stops at its start as before
+    pts = np.array([[1e-320, 0.0], [0.0, 1e-320], [3e-320, 2e-320]])
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = weiszfeld(PointSet(pts))
+        weiszfeld(PointSet(np.random.default_rng(1).normal(size=(5, 2)) * 1e-310))
+    assert np.geterr() == state
+    assert not res.converged and res.iterations == 0 and len(res.trace) == 1
+    assert (res.median.x, res.median.y) == (float(np.mean(pts[:, 0])), float(np.mean(pts[:, 1])))
