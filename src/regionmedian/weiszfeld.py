@@ -88,7 +88,9 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     iterate. Each step's one distance pass serves its objective, the
     trace's subgradient, the coincidence test and the next step. The
     reported residual_norm is the norm of the objective's (sub)gradient at
-    the result; normalized_norm divides it by the total weight.
+    the result; normalized_norm divides it by the total weight. A set
+    whose weighted centroid or objective there overflows the float range
+    raises ValueError.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and > 0")
@@ -125,6 +127,8 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     # d holds the distances from the iterate x to the points throughout
     d = distances(x)
     obj = _objective(w, d)
+    if not (math.isfinite(x[0]) and math.isfinite(x[1]) and math.isfinite(obj)):
+        raise ValueError("point set sums overflow the float range")
     trace = [(Point2(x[0], x[1]), subgrad_norm(x, d) / total_w)]
     if diam == 0.0:
         # all points coincide; the common location is the median

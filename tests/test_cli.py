@@ -553,11 +553,15 @@ def test_check_output_is_byte_stable_at_a_vertex_an_edge_and_far_out(capsys, poi
     assert out == CHECK_T345[point]
 
 
-# inputs that once printed numpy warnings or a traceback: a point set
-# whose diameter overflows, a kernel that overflows on a 50-wide
-# triangle, and subnormal points whose Weiszfeld weights 1/d overflow
+# inputs that once printed numpy warnings, a traceback or an error that
+# did not name the overflow: a point set whose diameter overflows, two
+# whose centroid or objective overflows, a kernel that overflows on a
+# 50-wide triangle, and subnormal points whose Weiszfeld weights 1/d
+# overflow
 NUMPY_EDGE_INPUTS = {
     "overflowing_points": {"points": [[1e308, 0], [-1e308, 0], [0, 1e308]]},
+    "overflowing_sums": {"points": [[1e308, 0], [0, 0], [0, 1e308], [1e308, 1e308]]},
+    "overflowing_objective": {"points": [[1.2e308, 0], [-0.5e308, 0], [0, 1.2e308]]},
     "kernel_overflow": {"polygon": [[0, 0], [30, 0], [30, 40]]},
     "subnormal_points": {"points": [[1e-320, 0], [0, 1e-320], [3e-320, 2e-320]]},
 }
@@ -569,7 +573,9 @@ def _warning_test_commands(path):
         coords = np.asarray(data.get("polygon") or data.get("boundary_samples") or data["points"], dtype=float)
     except (ValueError, KeyError):
         coords = np.zeros((1, 2))
-    vertex, inside = ("%r,%r" % tuple(p.tolist()) for p in (coords[0], coords.mean(axis=0)))
+    with np.errstate(over="ignore"):  # the mean of the overflowing sets
+        mean = coords.mean(axis=0)
+    vertex, inside = ("%r,%r" % tuple(p.tolist()) for p in (coords[0], mean))
     f = str(path)
     commands = [
         ["median", f], ["median", f, "--oracle"],
@@ -618,6 +624,8 @@ def test_no_command_prints_a_numpy_warning(capsys, tmp_path):
     ("overflowing_points", ["discrete", "--oracle"], "point set diameter overflows the float range"),
     ("kernel_overflow", ["medianoid", "--kernel", "power:400"],
      "the kernel integrals overflow the float range: overflow encountered in power"),
+    ("overflowing_sums", ["discrete"], "point set sums overflow the float range"),
+    ("overflowing_objective", ["discrete", "--oracle"], "point set sums overflow the float range"),
 ])
 def test_an_overflowing_input_prints_one_error_line_naming_it(capsys, tmp_path, stem, argv, message):
     path = tmp_path / f"{stem}.json"

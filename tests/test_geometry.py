@@ -244,9 +244,9 @@ def test_malformed_vertices_raise_invalid_polygon_error(vertices):
 
 # ---------------------------------------------------------------- contact test
 #
-# ``geometry._segments_intersect_any`` tests only candidate pairs from a grid
-# over the edge boxes; ``quadratic_segments_intersect_any`` tests every pair
-# with the same predicate. Their verdicts must agree on every loop.
+# ``geometry._segments_intersect_any`` tests only candidate pairs from a sort
+# and sweep over the edge boxes; ``quadratic_segments_intersect_any`` tests
+# every pair with the same predicate. Their verdicts must agree on every loop.
 
 def _boxes(coords):
     b = np.roll(coords, -1, axis=0)
@@ -283,8 +283,8 @@ def _random_loops(rng, count):
 def _lattice_loops(rng, count):
     """Loops on a coarse lattice: exact touches and collinear overlaps.
 
-    Half of them span [0, g] on both axes, g = isqrt(n), so the grid lines
-    fall on lattice values and boxes touch exactly on them."""
+    Half of them are integer points of [0, g]^2, g = isqrt(n), so many
+    boxes touch exactly along a shared coordinate or at a corner."""
     loops = []
     for k in range(count):
         n = int(rng.integers(4, 301))
@@ -318,10 +318,10 @@ def _comb(teeth, gap_rel, lean, height):
 
 def _slit_square(touch, gap=1.0, n=2048):
     """The square [0, 45]^2 with a slit of width ``gap`` from the top,
-    sampled at about n vertices with dyadic steps. A loop of 2048 edges
-    gets a 45 x 45 grid over this box, so grid lines fall on integers. With
-    ``touch``, the vertex of the slit's left wall nearest (20, 20) moves
-    onto the right wall, at x = 20 + gap."""
+    sampled at about n vertices with dyadic steps, so the boxes of the
+    slit's two walls come within ``gap`` of each other. With ``touch``, the
+    vertex of the slit's left wall nearest (20, 20) moves onto the right
+    wall, at x = 20 + gap."""
     corners = [(0, 0), (45, 0), (45, 45), (20 + gap, 45), (20 + gap, 5), (20, 5), (20, 45), (0, 45)]
     lengths = [math.dist(corners[k], corners[k - 7]) for k in range(8)]
     pts = []
@@ -338,6 +338,50 @@ def _slit_square(touch, gap=1.0, n=2048):
         k = wall[np.argmin(np.abs(c[wall, 1] - 20.0))]
         c[k, 0] = 20.0 + gap
     return c
+
+
+def _sliver(n, angle, height=1e-3):
+    """A thin loop of n edges, of length 1 along ``angle``: a side bowed
+    out by ``height`` and a side that zigzags between one and two times
+    ``height``, so that no two non-adjacent edges are nearly collinear."""
+    m = n // 2
+    s = np.concatenate([np.arange(m + 1) / m, np.arange(m - 1, 0, -1) / m])
+    w = height * np.sin(np.pi * s) * np.concatenate([-np.ones(m + 1), 1.0 + np.arange(m - 1) % 2])
+    d = np.array([math.cos(angle), math.sin(angle)])
+    return s[:, None] * d + w[:, None] * np.array([-d[1], d[0]])
+
+
+def _flower(n):
+    """n samples of the non-convex curve r = 1 + 0.4 cos(7 theta)."""
+    t = np.arange(n) * (2.0 * np.pi / n)
+    r = 1.0 + 0.4 * np.cos(7.0 * t)
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+
+
+def _pinched(c, rng):
+    """c with one vertex repeated at a non-adjacent position."""
+    c = c.copy()
+    n = len(c)
+    i = int(rng.integers(0, n))
+    c[(i + int(rng.integers(2, n - 1))) % n] = c[i]
+    return c
+
+
+def _figure_eight(m, offset):
+    """A loop of 8m edges through the vertex ``offset`` twice: its two
+    lobes meet only there, and the four edges at that vertex lie in
+    opposite quadrants of it, so their boxes touch only at that point."""
+    corners = np.array([(0, 0), (-1, -0.3), (-1, 2), (0.3, 1), (0, 0), (1, 0.3), (2, -1), (-0.3, -1)])
+    t = np.arange(m) / m
+    c = np.concatenate([p + t[:, None] * (q - p) for p, q in zip(corners, np.roll(corners, -1, axis=0))])
+    return c + offset
+
+
+def _huge_star():
+    """A 64-edge star loop of coordinates up to 1.7e308: finite, but the
+    extent hi - lo overflows, and so do some of its sweep intervals' ends."""
+    c = _star(np.random.default_rng(68), 64)
+    return c / np.abs(c).max() * 1.7e308
 
 
 def _assert_same_verdict(c):
@@ -398,48 +442,89 @@ def test_sampled_curves_with_one_contact_are_rejected():
                 Polygon(c)
 
 
+def _assert_candidates_cover_touching_boxes(c):
+    """The candidate pairs of loop c come in blocks of at most
+    ``_PAIR_BLOCK`` pairs i < j of non-neighbours and include every such
+    pair whose boxes touch. Returns how many there are."""
+    n = len(c)
+    lo, hi = _boxes(c)
+    found = set()
+    count = 0
+    for i, j in geometry._candidate_edge_pairs(lo, hi):
+        assert len(i) <= geometry._PAIR_BLOCK
+        assert np.all(j - i >= 2) and not np.any((i == 0) & (j == n - 1))
+        found.update(zip(i.tolist(), j.tolist()))
+        count += len(i)
+    for i in range(n - 2):
+        j = np.arange(i + 2, n - 1 if i == 0 else n)
+        touch = j[np.all((lo[i] <= hi[j]) & (lo[j] <= hi[i]), axis=1)]
+        assert {(i, k) for k in touch.tolist()} <= found, i
+    return count
+
+
 def test_candidate_pairs_cover_every_pair_of_touching_boxes():
     rng = np.random.default_rng(64)
     loops = _random_loops(rng, 30) + _lattice_loops(rng, 30) + [_slit_square(True, n=400)]
+    # both sides of the switch from every pair to the sweep
+    loops += [_star(rng, n) for n in (47, 48, 49) for _ in range(3)]
+    loops += [_sliver(int(n), angle) for n, angle in zip(rng.integers(48, 400, 8), rng.uniform(0, 2 * np.pi, 8))]
+    loops.append(_huge_star())
     for c in loops:
-        n = len(c)
-        lo, hi = _boxes(c)
-        found = set()
-        for i, j in geometry._candidate_edge_pairs(lo, hi):
-            assert len(i) <= geometry._PAIR_BLOCK
-            assert np.all(j - i >= 2) and not np.any((i == 0) & (j == n - 1))
-            found.update(zip(i.tolist(), j.tolist()))
-        i, j = np.triu_indices(n, 2)
-        keep = (i > 0) | (j < n - 1)
-        touch = keep & np.all((lo[i] <= hi[j]) & (lo[j] <= hi[i]), axis=1)
-        assert set(zip(i[touch].tolist(), j[touch].tolist())) <= found
+        with np.errstate(over="ignore"):
+            _assert_candidates_cover_touching_boxes(c)
 
 
 def test_candidate_pairs_stay_near_linear_on_sampled_curves():
-    c = _fourier_curve(np.random.default_rng(65), 4096)
-    blocks = list(geometry._candidate_edge_pairs(*_boxes(c)))
-    assert sum(len(i) for i, _ in blocks) < 16 * len(c)
+    # a count, not a timer, so a quadratic search fails on any machine:
+    # every non-neighbour pair would be 2,003,000 pairs for the comb and
+    # 8,382,464 for the sliver
+    for c in (_fourier_curve(np.random.default_rng(65), 4096), _comb(1000, 1e-12, 500, 10.0),
+              _sliver(4096, 0.0), _slit_square(False), _flower(16384)):
+        blocks = geometry._candidate_edge_pairs(*_boxes(c))
+        assert sum(len(i) for i, _ in blocks) < 16 * len(c), len(c)
 
 
 def test_crowded_loops_are_checked_in_bounded_blocks():
-    # every tooth flank crosses the whole grid, so all pairs are candidates
-    c = _comb(1000, -1e-12, 500, 10.0)
-    blocks = list(geometry._candidate_edge_pairs(*_boxes(c)))
-    n = len(c)
-    assert sum(len(i) for i, _ in blocks) == n * (n - 3) // 2
-    assert max(len(i) for i, _ in blocks) <= geometry._PAIR_BLOCK
+    # the box of every tooth flank spans the comb's height and overlaps
+    # those of a dozen teeth around it; every edge of a sliver
+    # perpendicular to (1, phi) projects into one short interval, the
+    # sweep's quadratic case
+    comb = _comb(1000, -1e-12, 500, 10.0)
+    sliver = _sliver(600, math.atan2(1.0, -geometry._PHI))
+    _assert_candidates_cover_touching_boxes(comb)
+    assert _assert_candidates_cover_touching_boxes(sliver) > 4 * geometry._PAIR_BLOCK
+    assert _assert_same_verdict(comb)
+    assert not _assert_same_verdict(sliver)
+    assert _assert_same_verdict(_pinched(sliver, np.random.default_rng(73)))
     with pytest.raises(InvalidPolygonError, match="self-intersecting"):
-        Polygon(c)
+        Polygon(comb)
+    Polygon(sliver)
 
 
-def test_loops_whose_extent_overflows_take_every_pair():
-    c = _star(np.random.default_rng(68), 64)
-    c = c / np.abs(c).max() * 1.7e308  # finite, but hi - lo overflows
+def test_loops_whose_extent_overflows_keep_the_reference_verdict():
+    c = _huge_star()
     assert np.all(np.isfinite(c))
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = list(geometry._candidate_edge_pairs(*_boxes(c)))
-        _assert_same_verdict(c)
-    assert sum(len(i) for i, _ in blocks) == 64 * 61 // 2
+        assert np.any(np.isinf(c[:, 0] + geometry._PHI * c[:, 1]))  # an interval end
+        for loop in (c, _pinched(c, np.random.default_rng(68))):
+            _assert_candidates_cover_touching_boxes(loop)
+            assert _assert_same_verdict(loop) is (loop is not c)
+
+
+def test_loops_that_repeat_a_vertex_are_rejected_at_every_scale():
+    # the repeated vertex is a corner of four edge boxes, and in the figure
+    # eight the only point where boxes of non-neighbours touch; it must
+    # project to the same float as a low and as a high end, which a
+    # projection rounded differently for lo and hi (a BLAS matrix product
+    # that fuses some multiply-adds, say) need not give
+    rng = np.random.default_rng(72)
+    loops = [_pinched(_star(rng, n), rng) for n in (48, 64, 200)]
+    loops += [_pinched(_lattice_loops(rng, 1)[0], rng) for _ in range(2)]
+    loops += [_figure_eight(m, rng.uniform(-2.0, 2.0, 2)) for m in (6, 7, 8, 25)]
+    for k in range(-900, 901, 50):
+        for c in loops:
+            with np.errstate(all="ignore"):
+                assert _assert_same_verdict(np.ldexp(c, k)), (k, len(c))
 
 
 def test_small_loops_take_every_non_adjacent_pair():

@@ -183,6 +183,19 @@ def test_a_point_set_whose_diameter_overflows_is_rejected():
     assert PointSet([(1.2e308, 0.0), (-0.5e308, 0.0), (0.0, 1.2e308)]).diameter == 1.7e308
 
 
+@pytest.mark.parametrize("points", [
+    [(1e308, 0.0), (0.0, 0.0), (0.0, 1e308), (1e308, 1e308)],  # the centroid's sums
+    [(1.2e308, 0.0), (-0.5e308, 0.0), (0.0, 1.2e308)],  # the objective at the centroid
+])
+def test_a_point_set_whose_sums_overflow_is_rejected(points):
+    # the diameter is finite, so only the sums can overflow; an infinite
+    # objective would let every step pass the rising-objective test
+    ps = PointSet(points)
+    assert math.isfinite(ps.diameter)
+    with pytest.raises(ValueError, match="^point set sums overflow the float range$"):
+        weiszfeld(ps)
+
+
 def test_subnormal_points_stop_unconverged_without_a_numpy_warning():
     # the weights 1/d of the first raw step overflow; the step fails the
     # objective test, and the run stops at its start as before
