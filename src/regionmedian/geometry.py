@@ -104,47 +104,70 @@ def _antipodal_pairs(hull: np.ndarray) -> tuple:
     return np.repeat(np.arange(h), 3), (far[:, None] + np.array([-1, 0, 1])).ravel() % h
 
 
-# All-pairs scans (row pairs for a diameter, candidate edge pairs for the
-# contact predicate) go in blocks of at most this many pairs, and the
-# contact search stops at the first block with a contact, so no loop
-# allocates O(n^2) pair arrays at once.
+# Pair scans (rows for a diameter, candidate edges for the contact test)
+# go in blocks of at most this many pairs, and the contact search stops at
+# the first block with a contact, so no O(n^2) pair array is allocated.
 _PAIR_BLOCK = 1 << 13
+
+
+def _convex_hull(pts: np.ndarray) -> np.ndarray:
+    """Row indices of the convex hull of an (n, 2) array, counterclockwise.
+
+    Quickhull (Barber, Dobkin & Huhdanpaa, "The quickhull algorithm for
+    convex hulls", ACM TOMS 1996), one array pass per level over all
+    pending hull edges: each edge is split at its farthest row outside
+    (strictly to its right, in floating point), new edge labels come from
+    a cumulative sum, and rows inside drop out. A flat or repeated set has
+    no row outside and gives a hull of 2 rows.
+    """
+    x, y = pts.T
+    left, right = np.flatnonzero(x == x.min()), np.flatnonzero(x == x.max())
+    # level 0 splits the one-vertex loop [a] at b into a -> b and b -> a,
+    # a and b the lexicographically least and greatest rows
+    hull, far = left[np.argmin(y[left])][None], right[np.argmax(y[right])][None]
+    rows, label = np.arange(len(pts)), np.zeros(len(pts), dtype=np.intp)
+    while True:
+        split = far >= 0
+        pos = np.cumsum(1 + split) - 1 - split  # where each vertex goes
+        s, f, t = hull[label], far[label], hull[(label + 1) % len(hull)]
+        hull = np.insert(hull, np.flatnonzero(split) + 1, far[split])
+        # a row outside s -> t is outside s -> f, outside f -> t or inside
+        px, py, fx, fy = x[rows], y[rows], x[f], y[f]
+        c1 = (px - x[s]) * (fy - y[s]) - (py - y[s]) * (fx - x[s])
+        c2 = (px - fx) * (y[t] - fy) - (py - fy) * (x[t] - fx)
+        first = c1 > 0.0
+        out = np.where(first, c1, c2)
+        keep = out > 0.0
+        rows, out, label = rows[keep], out[keep], (pos[label] + ~first)[keep]
+        if len(rows) == 0:
+            return hull
+        best = np.zeros(len(hull))
+        np.maximum.at(best, label, out)
+        hit = out == best[label]
+        far = np.full(len(hull), -1)
+        far[label[hit]] = rows[hit]
 
 
 def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
     """Largest distance between two rows of an (n, 2) array.
 
-    The diameter is attained at an antipodal pair of convex hull vertices,
-    so beyond 8 rows it is the largest of the same squared differences
-    over the rotating-calipers pairs of the hull, O(h log h). With
-    ``convex`` the rows are a strictly convex counterclockwise loop, their
-    own hull, and the calipers run on them directly in O(n log n);
-    otherwise qhull finds the hull. Up to 8 rows, and for flat or repeated
-    rows where qhull refuses to run, all pairs are taken by one broadcast
-    done in blocks of ``_PAIR_BLOCK // n`` rows. Squares are taken of
-    coordinates scaled by a power of two, so they neither overflow nor
-    underflow at extreme scales; the scaling is exact, so in the normal
-    range the result is the same float.
+    The rows are first scaled by a power of two, exactly, so squares
+    neither overflow nor underflow. Beyond 8 rows the diameter is the
+    largest of the same squared differences over the rotating-calipers
+    pairs of the hull: the rows themselves with ``convex`` (a strictly
+    convex counterclockwise loop), else the rows of ``_convex_hull`` when
+    ``_turns`` certifies them. Every other set of rows takes all pairs by
+    one broadcast in blocks of ``_PAIR_BLOCK // n`` rows.
     """
-    pairs = None
-    if len(coords) > 8:
-        if convex:
-            pairs = _antipodal_pairs(coords)
-        else:
-            from scipy.spatial import ConvexHull, QhullError
-
-            try:
-                coords = coords[ConvexHull(coords).vertices]
-            except QhullError:
-                pass
-            else:
-                pairs = _antipodal_pairs(coords)
     exp = math.frexp(float(np.max(np.abs(coords))))[1]
     coords = np.ldexp(coords, -exp)
+    if len(coords) > 8 and not convex:
+        coords = coords[_convex_hull(coords)]
+        convex = _turns(np.concatenate((coords[1:], coords[:1])) - coords)[1]
     # dx * dx + dy * dy is the float that np.sum((q - p) ** 2) gives
     x, y = coords.T
-    if pairs is not None:
-        i, j = pairs
+    if convex and len(coords) > 8:
+        i, j = _antipodal_pairs(coords)
         best = float(np.max((x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2))
     else:
         best = 0.0
@@ -155,24 +178,9 @@ def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
     return math.ldexp(math.sqrt(best), exp)
 
 
-# Below this many edges, testing all pairs at once is cheaper than the
-# sort and sweep (measured crossover of the whole contact test: 40 to 56
-# edges on random star loops, on a shared 2-core x86-64 machine).
-_SWEEP_MIN_EDGES = 48
 # the sweep's direction (1, phi): both components positive, and an
 # irrational slope, so no axis-parallel or lattice edge projects to a point
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _all_edge_pairs(n: int):
-    """Every pair i < j of edges of a closed n-edge loop that are not
-    neighbours, in blocks of about ``_PAIR_BLOCK``."""
-    rows = max(1, _PAIR_BLOCK // n)
-    j = np.arange(n)
-    for r0 in range(0, n - 2, rows):
-        i = np.arange(r0, min(r0 + rows, n - 2))[:, None]
-        ii, jj = np.nonzero((j >= i + 2) & ((i > 0) | (j < n - 1)))
-        yield ii + r0, jj
 
 
 def _candidate_edge_pairs(lo: np.ndarray, hi: np.ndarray):
@@ -180,8 +188,7 @@ def _candidate_edge_pairs(lo: np.ndarray, hi: np.ndarray):
     on the loop, that include every pair whose bounding boxes ``lo``/``hi``
     touch.
 
-    Loops of fewer than ``_SWEEP_MIN_EDGES`` edges take every pair.
-    Larger loops sort and sweep: each box projects onto (1, phi) as the
+    One sort and sweep: each box projects onto (1, phi) as the
     interval [lo_x + phi lo_y, hi_x + phi hi_y], and the candidates are
     the pairs whose intervals touch. Both ends are rounded by the same
     elementwise expression, monotone in each coordinate, so boxes that
@@ -189,9 +196,6 @@ def _candidate_edge_pairs(lo: np.ndarray, hi: np.ndarray):
     finite coordinates give no NaN end.
     """
     n = len(lo)
-    if n < _SWEEP_MIN_EDGES:
-        yield from _all_edge_pairs(n)
-        return
     a = lo[:, 0] + _PHI * lo[:, 1]
     order = np.argsort(a, kind="stable")
     a = a[order]
@@ -327,11 +331,8 @@ class Polygon:
     One array pass over the turns at the vertices comes first. A loop of
     4 or more vertices whose turns all have one exactly known sign and
     make one revolution is convex, hence simple: it skips the search for
-    touching edge pairs, and beyond 8 vertices its diameter comes from
-    rotating calipers on its own vertices. Every other loop takes the
-    edge-pair search (all pairs below 48 edges, a sort and sweep of the
-    edges' boxes from there on) and, beyond 8 vertices, the calipers on
-    its qhull hull.
+    touching edge pairs and, for its diameter, the hull. Every other loop
+    takes the sort and sweep of its edge boxes, and beyond 8 vertices a hull.
 
     The edges, turns, pair search and area run under one numpy error
     state that ignores overflow: a loop past about 1e154 is rejected, at

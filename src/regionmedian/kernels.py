@@ -326,14 +326,15 @@ def segment_sigma_quadrature(a, e, x, kernel: RadialKernel, tol: float = _QUAD_T
     the perpendicular (sharpest when x sits almost on the carrier line)
     is resolved instead of slipping between quadrature nodes.
 
+    It needs scipy, from the ``test`` extra. No solve or CLI command
+    takes it; it stays in the package only because ``bench/spans.py``
+    wraps it by name (ROADMAP item 1).
+
     Under p = 1.5, with x at an endpoint of the segment, ``quad`` cannot
     meet the tolerance: the derivative of the kernel is singular there,
     and it reports an error of 6.976e-06 for the edge (1,1)->(0,0) at
     (0,0). The batched route gets these edges to 1e-15.
     """
-    # imported here rather than with the package: no solve or CLI command
-    # takes this reference route, and scipy.integrate adds about 20 ms to
-    # the package import
     from scipy.integrate import quad
 
     if tol <= 0.0:

@@ -60,8 +60,6 @@ class PointSet:
 
     @property
     def diameter(self) -> float:
-        if len(self.coords) == 1:
-            return 0.0
         try:
             return _max_pairwise_distance(self.coords)
         except OverflowError:

@@ -177,3 +177,17 @@ def all_pairs_diameter(coords, hull=True):
         d2 = np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)
         best = max(best, float(d2.max()))
     return math.sqrt(best)
+
+
+def scaled_all_pairs_diameter(coords):
+    """Reference diameter without a hull: the largest dx * dx + dy * dy over
+    every pair of rows, square-rooted, with the rows first scaled by the
+    power of two that ``geometry._max_pairwise_distance`` uses."""
+    pts = np.asarray(coords, dtype=float)
+    exp = math.frexp(float(np.max(np.abs(pts))))[1]
+    pts = np.ldexp(pts, -exp)
+    best = 0.0
+    for i in range(len(pts) - 1):
+        d = pts[i + 1:] - pts[i]
+        best = max(best, float(np.max(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
+    return math.ldexp(math.sqrt(best), exp)

@@ -486,19 +486,28 @@ def test_no_scipy_quad_on_the_medianoid_and_check_paths(capsys, no_scipy_quad):
     assert code == 0 and len(json.loads(out)["edge_means"]) == 3
 
 
-def test_a_solve_and_a_check_load_neither_scipy_optimize_nor_integrate():
-    # a fresh interpreter: the package never imports scipy.optimize (the
-    # oracle runs its own Nelder-Mead), scipy.integrate only for the quad
-    # reference and scipy.spatial only for the hull of a loop not certified
-    # convex
+def test_solves_checks_and_oracles_run_with_scipy_unimportable(tmp_path):
+    # a fresh interpreter in which any scipy import fails: scipy is a test
+    # dependency only. The 12-gon and the 9 points are cut to their hull
+    # for the diameter, in the package
+    t = np.arange(12) * (np.pi / 6)
+    r = np.where(np.arange(12) % 2 == 0, 1.0, 0.5)  # non-convex
+    star = tmp_path / "star12.json"
+    star.write_text(json.dumps({"polygon": np.stack([r * np.cos(t), r * np.sin(t)], axis=1).tolist()}))
+    points = tmp_path / "points9.json"
+    points.write_text(json.dumps({"points": np.random.default_rng(5).normal(size=(9, 2)).tolist()}))
     code = "\n".join([
-        "import sys, regionmedian, regionmedian.cli",
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "import regionmedian, regionmedian.cli",
         "regionmedian.solve_median(regionmedian.Polygon([(0, 0), (3, 0), (3, 4)]))",
         f"assert regionmedian.cli.main(['check', {str(DATA / 'power2_region.json')!r}, '--point', '1,1']) == 0",
         f"assert regionmedian.cli.main(['median', {str(DATA / 'boundary_loop.json')!r}]) == 0",
+        f"assert regionmedian.cli.main(['median', {str(star)!r}]) == 0",
         f"assert regionmedian.cli.main(['median', {str(DATA / 't345.json')!r}, '--oracle']) == 0",
         f"assert regionmedian.cli.main(['discrete', {str(DATA / 'obtuse_points.json')!r}, '--oracle']) == 0",
-        "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.spatial') if m in sys.modules])",
+        f"assert regionmedian.cli.main(['discrete', {str(points)!r}, '--oracle']) == 0",
+        "print(sorted(m for m, mod in sys.modules.items() if m.startswith('scipy') and mod is not None))",
     ])
     src = str(Path(regionmedian.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,

@@ -22,6 +22,7 @@ from helpers import (
     quadratic_segments_intersect_any,
     random_convex_polygon,
     random_star_polygon,
+    scaled_all_pairs_diameter,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -465,7 +466,8 @@ def _assert_candidates_cover_touching_boxes(c):
 def test_candidate_pairs_cover_every_pair_of_touching_boxes():
     rng = np.random.default_rng(64)
     loops = _random_loops(rng, 30) + _lattice_loops(rng, 30) + [_slit_square(True, n=400)]
-    # both sides of the switch from every pair to the sweep
+    # stars of a few dozen edges and slivers at random angles: every loop
+    # of 4 or more edges takes the sweep
     loops += [_star(rng, n) for n in (47, 48, 49) for _ in range(3)]
     loops += [_sliver(int(n), angle) for n, angle in zip(rng.integers(48, 400, 8), rng.uniform(0, 2 * np.pi, 8))]
     loops.append(_huge_star())
@@ -527,13 +529,9 @@ def test_loops_that_repeat_a_vertex_are_rejected_at_every_scale():
                 assert _assert_same_verdict(np.ldexp(c, k)), (k, len(c))
 
 
-def test_small_loops_take_every_non_adjacent_pair():
+def test_a_triangle_has_no_edge_pair_to_test():
     tri = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     assert not geometry._segments_intersect_any(tri, np.roll(tri, -1, axis=0))
-    for n in (4, 5, 8, 20):
-        (i, j), = geometry._candidate_edge_pairs(*_boxes(_star(np.random.default_rng(n), n)))
-        expected = [(a, b) for a in range(n) for b in range(a + 2, n) if (a, b) != (0, n - 1)]
-        assert sorted(zip(i.tolist(), j.tolist())) == expected
 
 
 # ---------------------------------------------------------------- convex loops
@@ -682,7 +680,7 @@ def _point_sets(rng):
         np.stack([0.1 * np.linspace(0.0, 1.0, 50), 0.3 * np.linspace(0.0, 1.0, 50)], axis=1),
         np.array([(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5)] * 3, dtype=float),
     ]
-    # flat sets that qhull refuses, scanned in several blocks of rows
+    # flat sets that qhull refuses
     for n in (100, 2000):
         sets += [np.outer(rng.uniform(-1.0, 1.0, n), rng.normal(size=2)) + rng.normal(size=2),
                  np.repeat(rng.normal(size=(2, 2)), [n // 2, n - n // 2], axis=0)]
@@ -723,12 +721,53 @@ def test_small_diameter_equals_the_scaled_double_loop_bit_for_bit():
 def test_convex_loops_take_the_calipers_diameter_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(72)
     loops = [make(rng, n) for n in (9, 10, 33, 257, 2048, 4096) for make in (_fourier_curve, _ellipse)]
-    qhull = [geometry._max_pairwise_distance(c) for c in loops]
-    monkeypatch.setattr("scipy.spatial.ConvexHull", None)
-    for c, d in zip(loops, qhull):
+    hull = [geometry._max_pairwise_distance(c) for c in loops]
+
+    def refuse(pts):
+        raise AssertionError("a certified-convex loop took the hull")
+
+    monkeypatch.setattr(geometry, "_convex_hull", refuse)
+    for c, d in zip(loops, hull):
         poly = Polygon(c)
         assert poly._certified_convex
         assert poly.diameter == all_pairs_diameter(c, hull=False) == d
+
+
+def _seeded_diameter_sets(rng, count):
+    """(is_loop, k, rows) for count sets of 9 to 200 rows: normal clouds,
+    lattices, star loops, flat and nearly flat lines along an axis or at a
+    random angle and repeated rows, each offset and scaled by 2^k, k in
+    -900, 0, 900."""
+    def line(n):
+        angle = rng.choice([0.0, 0.5 * np.pi, rng.uniform(0.0, 2.0 * np.pi)])
+        return np.outer(rng.uniform(-1.0, 1.0, n), [math.cos(angle), math.sin(angle)])
+
+    makes = [
+        lambda n: rng.normal(size=(n, 2)),
+        lambda n: rng.integers(-3, 4, (n, 2)).astype(float),
+        lambda n: _star(rng, n),
+        line,
+        lambda n: line(n) + rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-16.0, -6.0),
+        lambda n: rng.normal(size=(3, 2))[rng.integers(0, rng.integers(1, 4), n)],
+    ]
+    for m in range(count):
+        pts = makes[m % len(makes)](int(rng.integers(9, 201)))
+        offset = rng.normal(size=2) * 10.0 ** rng.uniform(-2.0, 4.0)
+        k = int(rng.choice([-900, 0, 900]))
+        yield m % len(makes) == 2, k, np.ldexp(pts + offset, k)
+
+
+def test_diameter_equals_the_scaled_all_pairs_reference_bit_for_bit():
+    for loop, k, pts in _seeded_diameter_sets(np.random.default_rng(163), 1200):
+        d = scaled_all_pairs_diameter(pts)
+        assert geometry._max_pairwise_distance(pts) == d
+        if loop and k == 0:  # a Polygon's area leaves the float range at 2^+-900
+            assert Polygon(pts).diameter == d
+    # a flat set's rounding noise leaves a hull of a few dozen rows at most
+    rng = np.random.default_rng(164)
+    flat = np.outer(rng.uniform(-1.0, 1.0, 2000), rng.normal(size=2)) + rng.normal(size=2)
+    assert len(geometry._convex_hull(flat)) <= 30
+    assert geometry._max_pairwise_distance(flat) == scaled_all_pairs_diameter(flat)
 
 
 def test_polygon_diameter_equals_the_all_pairs_scan():
