@@ -314,19 +314,19 @@ def cmd_check(args) -> int:
     inp = load_region_file(args.file)
     poly = _require_region(inp, "check")
     point = _parse_point(args.point)
-    kernel = inp.kernel or RadialKernel.euclidean()
-    # evaluated in the solver's frame, so the point a solve reports gives
-    # the edge means that the solve reported
+    # evaluated in the solver's frame and by its route (closed form with no
+    # kernel in the file, as ``median``, else quadrature, as ``medianoid``),
+    # so the point a solve reports gives the edge means it reported
     local, ox, oy = poly._local_frame()
     at = Point2(point.x - ox, point.y - oy)
     # a point far enough out overflows the edge integrals; raising keeps
     # numpy's warnings off stderr and names the point in the one error line
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if kernel.is_euclidean:
+            if inp.kernel is None:
                 rep = polygon_residual(local, at)
             else:
-                rep = general_boundary_residual(local, at, kernel)
+                rep = general_boundary_residual(local, at, inp.kernel)
     except FloatingPointError as exc:
         raise RegionFileError(f"the residual at --point {point.x!r},{point.y!r} is out of range: {exc}") from exc
     report = {

@@ -218,30 +218,27 @@ def _candidate_edge_pairs(lo: np.ndarray, hi: np.ndarray):
 
 def _segments_intersect_any(coords: np.ndarray, nxt: np.ndarray) -> bool:
     """True if any two non-adjacent edges of the closed loop touch; edge i
-    runs from ``coords[i]`` to ``nxt[i]``.
-
-    Plain floating-point orientation tests, one array pass per block of
-    candidate edge pairs (``_candidate_edge_pairs``): near-linear in the
-    vertex count for sampled curves. The search stops at the first block
-    with a contact. A triangle has no non-adjacent pair.
-    """
-    n = len(coords)
-    if n < 4:
+    runs from ``coords[i]`` to ``nxt[i]``. The loop is first scaled exactly
+    to a largest coordinate in [2^499, 2^500): no orientation overflows (inf
+    times the zero orientation at a shared vertex is NaN and hides the
+    contact), and no feature above 2^-1000 of that coordinate underflows.
+    The search stops at the first block of candidate pairs with a contact."""
+    if len(coords) < 4:
         return False
+    exp = 500 - math.frexp(float(np.max(np.abs(coords))))[1]
+    coords, nxt = np.ldexp(coords, exp), np.ldexp(nxt, exp)
     # one contiguous row per coordinate of the edge starts and ends
     rows = np.concatenate([coords, nxt], axis=1).T.copy()
-    for i, j in _candidate_edge_pairs(np.minimum(coords, nxt), np.maximum(coords, nxt)):
-        if len(i) and _edges_touch(rows, i, j):
-            return True
-    return False
+    return any(len(i) > 0 and _edges_touch(rows, i, j)
+               for i, j in _candidate_edge_pairs(np.minimum(coords, nxt), np.maximum(coords, nxt)))
 
 
 def _edges_touch(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
-    """True if edge i[k] touches edge j[k] for some k: they cross, or an
-    endpoint of one lies exactly on the other.
-
-    ``rows`` holds the x and y of every edge's start and end.
-    """
+    """True if edge i[k] touches edge j[k] for some k: each edge meets the
+    other's carrier line (min <= 0 <= max, as products of orientations can
+    underflow) and their boxes overlap, which decides collinear pairs and
+    keeps disjoint boxes apart however orientations round (Cormen et al.,
+    Introduction to Algorithms, 33.1). ``rows``: x, y of starts and ends."""
     ax, ay, bx, by = (r[i] for r in rows)
     cx, cy, dx, dy = (r[j] for r in rows)
     ex, ey = bx - ax, by - ay
@@ -250,28 +247,11 @@ def _edges_touch(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
     o2 = ex * (dy - ay) - ey * (dx - ax)
     o3 = fx * (ay - cy) - fy * (ax - cx)
     o4 = fx * (by - cy) - fy * (bx - cx)
-    # strictly opposite signs as min < 0 < max: the products o1 * o2 and
-    # o3 * o4 underflow to zero for tiny loops and overflow for huge ones
-    if np.any((np.minimum(o1, o2) < 0) & (np.maximum(o1, o2) > 0)
-              & (np.minimum(o3, o4) < 0) & (np.maximum(o3, o4) > 0)):
-        return True
-    # improper contact: an endpoint of one edge lying exactly on the other
-    # edge (including collinear overlap) also breaks simplicity
-    k = np.flatnonzero((o1 == 0) | (o2 == 0) | (o3 == 0) | (o4 == 0))
-    if len(k) == 0:
-        return False
-    ax, ay, bx, by, cx, cy, dx, dy = (v[k] for v in (ax, ay, bx, by, cx, cy, dx, dy))
-
-    def on(o, px, py, x0, y0, x1, y1):
-        return (
-            (o[k] == 0)
-            & (np.minimum(x0, x1) <= px) & (px <= np.maximum(x0, x1))
-            & (np.minimum(y0, y1) <= py) & (py <= np.maximum(y0, y1))
-        )
-
     return bool(np.any(
-        on(o1, cx, cy, ax, ay, bx, by) | on(o2, dx, dy, ax, ay, bx, by)
-        | on(o3, ax, ay, cx, cy, dx, dy) | on(o4, bx, by, cx, cy, dx, dy)
+        (np.minimum(o1, o2) <= 0.0) & (np.maximum(o1, o2) >= 0.0)
+        & (np.minimum(o3, o4) <= 0.0) & (np.maximum(o3, o4) >= 0.0)
+        & (np.minimum(ax, bx) <= np.maximum(cx, dx)) & (np.minimum(cx, dx) <= np.maximum(ax, bx))
+        & (np.minimum(ay, by) <= np.maximum(cy, dy)) & (np.minimum(cy, dy) <= np.maximum(ay, by))
     ))
 
 
@@ -333,10 +313,11 @@ class Polygon:
     make one revolution is convex, hence simple: it skips the search for
     touching edge pairs and, for its diameter, the hull. Every other loop
     takes the sort and sweep of its edge boxes, and beyond 8 vertices a hull.
+    Two edges touch when each meets the other's line and their boxes meet.
 
-    The edges, turns, pair search and area run under one numpy error
-    state that ignores overflow: a loop past about 1e154 is rejected, at
-    the latest for its non-finite area, without a numpy warning.
+    The edges, turns and area run under one numpy error state that ignores
+    overflow: a loop past about 1e154 is rejected, at the latest for its
+    non-finite area, without a numpy warning.
     """
 
     __slots__ = ("_coords", "_edge_vectors", "_edge_lengths", "was_reversed",

@@ -102,10 +102,6 @@ class RadialKernel:
         s = (1.0 if self.kind is KernelKind.EUCLIDEAN else self.p) * (values * inv)
         return s * (dx * inv), s * (dy * inv)
 
-    @property
-    def is_euclidean(self) -> bool:
-        return self.kind is KernelKind.EUCLIDEAN
-
 
 def closed_values_batch(a: np.ndarray, e: np.ndarray, x) -> Tuple[np.ndarray, np.ndarray]:
     """Euclidean segment integrals and their gradients for stacked segments.

@@ -53,8 +53,10 @@ class SolveResult:
     search stagnated; the best iterate found is still reported.
     ``certificate`` carries the spread (max - min)/max of the three edge
     means for triangular regions under any kernel, None otherwise.
-    ``local`` marks results for custom kernels, where convexity (and thus
-    global uniqueness of the root) is not guaranteed. ``edge_means`` are the
+    ``local`` marks results for custom kernels and powers p < 1, where
+    convexity (and thus global uniqueness of the root) is not guaranteed;
+    unless the kernel is custom, a result more than one diameter from the
+    area centroid is not converged. ``edge_means`` are the
     mean kernel values along each boundary edge at the final iterate.
     ``median`` and ``trace`` are in absolute coordinates; far from the
     origin they round the iterates of the translated solve frame.
@@ -109,13 +111,13 @@ def _newton_root(region, kernel: Optional[RadialKernel], cfg: Optional[SolveConf
 
     Without a kernel the residual is ``polygon_residual`` (the Euclidean
     closed form), with one ``general_boundary_residual``; both are looked
-    up in this module at every call. A custom kernel marks the result
-    ``local``. The median is translation-equivariant, so the iterate is x
-    minus the origin of the region's solve frame, and the residual sees
-    the region translated there: a region far from the origin keeps the
-    precision of one near it. The trace and the median are moved back by
-    one add per coordinate. Triangles get the certificate of the final
-    report (``ResidualReport.certificate``).
+    up in this module at every call. A custom kernel or a power p < 1
+    marks the result ``local``. The median is translation-equivariant, so
+    the iterate is x minus the origin of the region's solve frame, and the
+    residual sees the region translated there: a region far from the
+    origin keeps the precision of one near it. The trace and the median
+    are moved back by one add per coordinate. Triangles get the
+    certificate of the final report (``ResidualReport.certificate``).
     """
     cfg = cfg or SolveConfig()
     polygon, ox, oy, diam, x = _validated_region(region)
@@ -161,6 +163,10 @@ def _newton_root(region, kernel: Optional[RadialKernel], cfg: Optional[SolveConf
         iterations += 1
         trace.append((absolute(x), rep.normalized_norm))
         converged = rep.normalized_norm <= cfg.tol_rel
+    # an increasing radial kernel's roots lie in the hull, within diam of the centroid
+    custom = kernel is not None and kernel.kind is KernelKind.CUSTOM
+    if not custom and absolute(x).distance_to(trace[0][0]) > diam:
+        converged = False
     return SolveResult(
         median=absolute(x),
         iterations=iterations,
@@ -169,7 +175,7 @@ def _newton_root(region, kernel: Optional[RadialKernel], cfg: Optional[SolveConf
         trace=tuple(trace),
         certificate=rep.certificate,
         converged=converged,
-        local=kernel is not None and kernel.kind is KernelKind.CUSTOM,
+        local=custom or (kernel is not None and kernel.kind is KernelKind.POWER_LAW and kernel.p < 1.0),
         edge_means=rep.edge_means,
     )
 

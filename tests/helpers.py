@@ -1,6 +1,7 @@
 """Shared generators for randomized tests. All randomness flows through
 the caller's seeded Generator so every test is reproducible."""
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -105,12 +106,16 @@ def interior_point(poly, rng):
 
 def quadratic_segments_intersect_any(coords):
     """Reference contact test: every non-adjacent edge pair of the closed
-    loop, one edge at a time, with the same orientation and improper-contact
-    rules as ``geometry._segments_intersect_any``. Quadratic in n."""
+    loop, one edge at a time, with the same rules as
+    ``geometry._segments_intersect_any``: the loop scaled by the same power
+    of two, then each edge meets the other's carrier line (min <= 0 <= max
+    over its two orientations) and the bounding boxes overlap. Quadratic
+    in n."""
     coords = np.asarray(coords, dtype=float)
-    n = len(coords)
-    a = coords
-    b = np.roll(coords, -1, axis=0)
+    exp = 500 - math.frexp(float(np.max(np.abs(coords))))[1]
+    a = np.ldexp(coords, exp)
+    b = np.roll(a, -1, axis=0)
+    n = len(a)
     for i in range(n - 2):
         # partner edges j > i, skipping neighbours (and the wrap-around
         # neighbour of edge 0)
@@ -127,35 +132,29 @@ def quadratic_segments_intersect_any(coords):
         f = d - c
         o3 = f[:, 0] * (ai[1] - c[:, 1]) - f[:, 1] * (ai[0] - c[:, 0])
         o4 = f[:, 0] * (bi[1] - c[:, 1]) - f[:, 1] * (bi[0] - c[:, 0])
-        proper = (o1 * o2 < 0) & (o3 * o4 < 0)
-        if np.any(proper):
-            return True
-        touch = np.zeros(len(c), dtype=bool)
-        for (oc, p) in ((o1, c), (o2, d)):
-            on_line = oc == 0
-            if np.any(on_line):
-                t = p[on_line]
-                within = (
-                    (np.minimum(ai[0], bi[0]) <= t[:, 0])
-                    & (t[:, 0] <= np.maximum(ai[0], bi[0]))
-                    & (np.minimum(ai[1], bi[1]) <= t[:, 1])
-                    & (t[:, 1] <= np.maximum(ai[1], bi[1]))
-                )
-                touch[on_line] |= within
-        for (of, p) in ((o3, ai), (o4, bi)):
-            on_line = of == 0
-            if np.any(on_line):
-                cc, dd = c[on_line], d[on_line]
-                within = (
-                    (np.minimum(cc[:, 0], dd[:, 0]) <= p[0])
-                    & (p[0] <= np.maximum(cc[:, 0], dd[:, 0]))
-                    & (np.minimum(cc[:, 1], dd[:, 1]) <= p[1])
-                    & (p[1] <= np.maximum(cc[:, 1], dd[:, 1]))
-                )
-                touch[on_line] |= within
-        if np.any(touch):
+        straddle = ((np.minimum(o1, o2) <= 0) & (np.maximum(o1, o2) >= 0)
+                    & (np.minimum(o3, o4) <= 0) & (np.maximum(o3, o4) >= 0))
+        boxes = np.all((np.minimum(ai, bi) <= np.maximum(c, d)) & (np.minimum(c, d) <= np.maximum(ai, bi)), axis=1)
+        if np.any(straddle & boxes):
             return True
     return False
+
+
+def exact_segments_touch(a, b, c, d):
+    """Exact reference for one pair of closed segments ab and cd: the same
+    four-sign and box rule as ``quadratic_segments_intersect_any``, with
+    the orientations in rational arithmetic. Comparing floats is exact, so
+    the boxes are compared as given."""
+    a, b, c, d = (tuple(map(float, p)) for p in (a, b, c, d))
+    if any(min(a[k], b[k]) > max(c[k], d[k]) or min(c[k], d[k]) > max(a[k], b[k]) for k in (0, 1)):
+        return False
+    a, b, c, d = ((Fraction(x), Fraction(y)) for x, y in (a, b, c, d))
+
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    o1, o2, o3, o4 = orient(a, b, c), orient(a, b, d), orient(c, d, a), orient(c, d, b)
+    return min(o1, o2) <= 0 <= max(o1, o2) and min(o3, o4) <= 0 <= max(o3, o4)
 
 
 def all_pairs_diameter(coords, hull=True):

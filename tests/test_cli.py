@@ -242,6 +242,17 @@ def test_medianoid_kernel_flag_overrides(capsys):
     assert report["median"][1] == pytest.approx(4.0 / 3.0, abs=1e-8)
 
 
+def test_medianoid_that_runs_off_to_infinity_exits_two(capsys, tmp_path):
+    # p < 1 is not convex, and on this dumbbell Newton meets the tolerance
+    # about 1e15 away, which is no median
+    path = tmp_path / "dumbbell.json"
+    path.write_text(json.dumps({"polygon": [[0, 0], [2, 0], [2, 0.95], [6, 0.95], [6, 0], [7, 0], [7, 1],
+                                            [6, 1], [6, 1.05], [2, 1.05], [2, 2], [0, 2]]}))
+    code, out, err = run(capsys, "medianoid", str(path), "--kernel", "power:0.3")
+    assert code == 2 and err == ""
+    assert abs(json.loads(out)["median"][0]) > 1e12
+
+
 def test_medianoid_rejects_bad_kernel_arguments(capsys):
     for bad in ("power:-1", "power:x", "splines", "power:"):
         code, _, err = run(capsys, "medianoid", str(DATA / "t345.json"), "--kernel", bad)
@@ -319,6 +330,25 @@ def test_check_at_a_reported_median_gives_the_solved_edge_means(capsys, tmp_path
     else:
         dev = np.abs(np.subtract(checked["edge_means"], solved["edge_means"]))
         assert np.all(dev <= np.spacing(offset) + 1e-14 * Polygon(pentagon).diameter)
+
+
+def test_check_takes_the_route_of_the_solve_it_checks(capsys, tmp_path):
+    # no kernel in the file: the closed form, as median; a kernel, the
+    # Euclidean one too: quadrature, as medianoid. Either way check at the
+    # reported median prints the solve's bits
+    plain = DATA / "pentagon.json"
+    explicit = tmp_path / "euclidean.json"
+    explicit.write_text(json.dumps({**json.loads(plain.read_text()), "kernel": {"kind": "euclidean"}}))
+    for command, path in (("median", plain), ("medianoid", explicit)):
+        code, out, _ = run(capsys, command, str(path))
+        solved = json.loads(out)
+        assert code == 0
+        code, out, _ = run(capsys, "check", str(path), "--point", "{!r},{!r}".format(*solved["median"]))
+        checked = json.loads(out)
+        assert code == 0
+        assert checked["edge_means"] == solved["edge_means"]
+        assert checked["residual_norm"] == solved["residual_norm"]
+        assert checked["normalized_norm"] == solved["normalized_norm"]
 
 
 def test_check_gradient_is_the_area_objective_slope(capsys):

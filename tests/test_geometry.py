@@ -19,6 +19,7 @@ from regionmedian import geometry
 from regionmedian.weiszfeld import PointSet
 from helpers import (
     all_pairs_diameter,
+    exact_segments_touch,
     quadratic_segments_intersect_any,
     random_convex_polygon,
     random_star_polygon,
@@ -513,6 +514,15 @@ def test_loops_whose_extent_overflows_keep_the_reference_verdict():
             assert _assert_same_verdict(loop) is (loop is not c)
 
 
+def test_a_far_vertex_leaves_the_contacts_of_small_features_alone():
+    # a comb of teeth about 1e-200 of a far vertex's distance: scaled to
+    # coordinates below 1, the teeth's orientations would underflow to zero
+    # and leave near-touching teeth to their overlapping boxes
+    for gap in (1e-3, -1e-3):
+        c = np.insert(_comb(30, gap, 1, 10.0), 1, (15.0, -1e200), axis=0)
+        assert _assert_same_verdict(c) is (gap < 0)
+
+
 def test_loops_that_repeat_a_vertex_are_rejected_at_every_scale():
     # the repeated vertex is a corner of four edge boxes, and in the figure
     # eight the only point where boxes of non-neighbours touch; it must
@@ -532,6 +542,33 @@ def test_loops_that_repeat_a_vertex_are_rejected_at_every_scale():
 def test_a_triangle_has_no_edge_pair_to_test():
     tri = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     assert not geometry._segments_intersect_any(tri, np.roll(tri, -1, axis=0))
+
+
+# simple, with four nearly collinear vertices: the rounded orientations of
+# its edges 0 and 2, whose boxes are disjoint, have opposite signs
+NEARLY_COLLINEAR_PENTAGON = np.array([
+    (0.3582590031265157, 0.10386583068924533), (0.22250599769663765, 0.2432442588894879),
+    (0.21972123493478898, 0.24610339158734568), (0.14628812844575934, 0.3214976042450446),
+    (0.0, 0.0)])
+
+
+def test_no_disjoint_pair_reads_as_touching():
+    for c in (NEARLY_COLLINEAR_PENTAGON, NEARLY_COLLINEAR_PENTAGON[::-1]):
+        n = len(c)
+        assert not any(exact_segments_touch(c[i], c[(i + 1) % n], c[j], c[(j + 1) % n])
+                       for i in range(n) for j in range(i + 2, n - (i == 0)))
+        assert not geometry._segments_intersect_any(c, np.roll(c, -1, axis=0))
+    # pairs of disjoint segments a -> b and c -> d on one random line each,
+    # at four sorted parameters, rounded to floats
+    rng = np.random.default_rng(0)
+    m = 20000
+    angle = rng.uniform(0.0, 2.0 * np.pi, m)
+    t = np.sort(rng.uniform(-1.0, 1.0, (m, 4)), axis=1)
+    pts = rng.uniform(-1.0, 1.0, (m, 1, 2)) + t[:, :, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)[:, None]
+    assert not any(exact_segments_touch(*q) for q in pts)
+    # edge 2k runs from a to b, edge 2k + 1 from c to d
+    rows = np.concatenate([pts[:, 0::2], pts[:, 1::2]], axis=2).reshape(2 * m, 4).T.copy()
+    assert not geometry._edges_touch(rows, np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2))
 
 
 # ---------------------------------------------------------------- convex loops
@@ -654,13 +691,10 @@ def test_convex_loops_skip_the_pair_search_and_keep_the_reference_verdict(monkey
     near = np.abs((d + np.pi / 4) % (np.pi / 2) - np.pi / 4) < math.radians(20)
     e = np.stack([np.cos(d), np.sin(d)], axis=1) * np.where(near, 1.4e154, 1.4e151)[:, None]
     assert verdict(np.cumsum(e, axis=0)) == (False, True)
-    # simple, with one certified reflex turn, and rejected by the rounded
-    # contact test in this orientation only (the FOUND pentagon of
-    # CHANGES.md); it must not take the convex route
-    pentagon = [(0.3582590031265157, 0.10386583068924533), (0.22250599769663765, 0.2432442588894879),
-                (0.21972123493478898, 0.24610339158734568), (0.14628812844575934, 0.3214976042450446),
-                (0.0, 0.0)]
-    assert verdict(pentagon, reverse=False) == (False, True)
+    # simple, with one certified reflex turn and four nearly collinear
+    # vertices, whose rounded orientations read as a crossing of two edges
+    # with disjoint boxes; it must not take the convex route
+    assert verdict(NEARLY_COLLINEAR_PENTAGON) == (True, True)
 
 
 # ---------------------------------------------------------------- diameter

@@ -194,6 +194,30 @@ def test_custom_kernel_result_is_marked_local():
     assert res.converged
 
 
+# two squares joined by a bar 0.1 wide and 4 long
+DUMBBELL = [(0, 0), (2, 0), (2, 0.95), (6, 0.95), (6, 0), (7, 0), (7, 1), (6, 1), (6, 1.05), (2, 1.05),
+            (2, 2), (0, 2)]
+
+
+@pytest.mark.parametrize("p,local", [(0.3, True), (0.9, True), (1.0, False), (1.5, False)])
+def test_power_kernels_below_one_are_marked_local(p, local):
+    # for p < 1 the objective need not be convex
+    res = solve_medianoid(T345, RadialKernel.power(p))
+    assert res.converged
+    assert res.local is local
+
+
+def test_a_solve_that_runs_off_to_infinity_is_not_converged():
+    # under p = 0.3 the gradient fades far out, and Newton meets the
+    # tolerance 1e15 away; every root lies in the convex hull, within one
+    # diameter of the area centroid, so that is no root
+    region = Polygon(DUMBBELL)
+    res = solve_medianoid(region, RadialKernel.power(0.3))
+    assert res.normalized_norm <= SolveConfig().tol_rel
+    assert res.median.distance_to(region.centroid) > 1e12 * region.diameter
+    assert res.local and not res.converged
+
+
 def test_degenerate_family_closes_on_the_limit():
     """Flattening triangles walk their medians toward sqrt(alpha*beta/2).
 
