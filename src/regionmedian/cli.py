@@ -266,16 +266,21 @@ def cmd_medianoid(args) -> int:
 
 def _discrete_brute_force(ps: PointSet) -> Point2:
     # independent minimizer for the point-set objective: the region
-    # oracle's Nelder-Mead, started from the weighted centroid
+    # oracle's Nelder-Mead, started from the weighted centroid, with a
+    # scale-free stop (simplex within 1e-12 of the diameter, values within
+    # 1e-15 of the starting value); a set of one repeated point is its own
+    # minimizer
     pts, w = ps.coords, ps.weights
+    diam = ps.diameter
+    if diam == 0.0:
+        return Point2(float(pts[0, 0]), float(pts[0, 1]))
 
     def objective(v):
         return float(np.sum(w * np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])))
 
     total = float(w.sum())
     start = np.array([np.sum(w * pts[:, 0]) / total, np.sum(w * pts[:, 1]) / total])
-    diam = max(ps.diameter, 1e-12)
-    options = {"xatol": 1e-12 * diam, "fatol": 1e-15, "maxiter": 2000, "maxfev": 3000}
+    options = {"xatol": 1e-12 * diam, "fatol": 1e-15 * objective(start), "maxiter": 2000, "maxfev": 3000}
     return _brute_force_minimize(objective, start, options)
 
 

@@ -2,22 +2,26 @@
 
 Evaluates the area integral of kernel(P - x) over a polygon with one
 rule for every query point x: a tensor Gauss rule on the Duffy-mapped
-signed star triangles from x (``triquad.star_rule``). Adds a Monte Carlo
-cross-check and a derivative-free minimizer (Nelder-Mead).
-Independent by design: the rule evaluates the kernel at real area nodes,
-and nothing here shares code paths with the boundary residual solver it
-certifies.
+signed star triangles from x (``triquad.star_rule``), summed in closed
+form along the radial direction for the homogeneous Euclidean and power
+kernels. Adds a Monte Carlo cross-check and a derivative-free minimizer
+(Nelder-Mead). Independent by design: nothing here shares code paths
+with the boundary residual solver it certifies, and the Monte Carlo
+estimate samples the area itself.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .errors import SingularRegionError
 from .geometry import Point2, Polygon
-from .kernels import RadialKernel
+from .kernels import KernelKind, RadialKernel
 from .triquad import signed_areas, star_rule, triangulate
 
 __all__ = ["OracleConfig", "OracleValue", "MCEstimate", "oracle_sigma", "oracle_minimize", "oracle_sigma_mc"]
@@ -52,20 +56,39 @@ class MCEstimate(NamedTuple):
     stderr: float
 
 
+@lru_cache(maxsize=None)
+def _radial_weights(panels: int, p: float) -> np.ndarray:
+    """Weights (T,) of ``star_rule(panels)`` summed over its radial
+    nodes for a kernel homogeneous of degree p: sum_k w[k, j] * s[k]**p."""
+    s, _, w = star_rule(panels)
+    c = s**p @ w
+    c.setflags(write=False)
+    return c
+
+
 def _star_integral(poly: Polygon, x, kernel: RadialKernel, panels: int = _PANELS) -> float:
     """Area integral of kernel(P - x) by ``star_rule(panels)`` over the
     signed star triangles (x, a_i, a_i+1); valid for x inside, on the
-    boundary of or outside any simple polygon."""
+    boundary of or outside any simple polygon.
+
+    The Euclidean and power kernels are homogeneous, k(s * b) = s**p * k(b),
+    so the rule evaluates them once per boundary node b = a_i + t * e_i - x
+    and weights each by its radial sum (Chin, Lasserre & Sukumar, Comput.
+    Mech. 2015). A custom kernel is evaluated at every node of the rule.
+    """
     s, t, w = star_rule(panels)
     q = poly.coords - np.asarray(x, dtype=float)  # a_i - x
     e = poly.edge_vectors  # a_i+1 - a_i
     qn = np.concatenate((q[1:], q[:1]))
     areas = 0.5 * (q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0])
-    # P - x = s * (q + t * e), as (n, S, T) components
-    dx = s[:, None] * (q[:, 0, None] + t * e[:, 0, None])[:, None, :]
-    dy = s[:, None] * (q[:, 1, None] + t * e[:, 1, None])[:, None, :]
-    vals = kernel.evaluate_many(dx, dy).reshape(len(q), -1)
-    return float(areas @ (vals @ w.ravel()))
+    # boundary nodes b = q + t * e, as (n, 2, T); P - x = s * b
+    b = q[:, :, None] + t * e[:, :, None]
+    if kernel.kind is KernelKind.CUSTOM:
+        # (n, S, T) components
+        vals = kernel.evaluate_many(s[:, None] * b[:, 0, None, :], s[:, None] * b[:, 1, None, :])
+        return float(areas @ (vals.reshape(len(q), -1) @ w.ravel()))
+    p = 1.0 if kernel.kind is KernelKind.EUCLIDEAN else kernel.p
+    return float(areas @ (kernel.evaluate_many(b[:, 0], b[:, 1]) @ _radial_weights(panels, p)))
 
 
 def oracle_sigma(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None) -> OracleValue:
@@ -175,6 +198,12 @@ def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Poi
     """Brute-force minimizer of the area objective: Nelder-Mead from the
     area centroid, stopping once its simplex is within 1e-10 of the
     diameter and its values agree to 1e-14 relative.
+
+    Raises ``SingularRegionError`` when the objective at the centroid is
+    below the smallest normal float: on regions that small the objective
+    has lost its digits and its minimizer would be noise. Lifting this
+    limit needs a scale-free frame for the oracle and for
+    ``Polygon.centroid``.
     """
     kernel = kernel or RadialKernel.euclidean()
     diam = poly.diameter
@@ -185,6 +214,8 @@ def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Poi
     c = poly.centroid
     start = np.array([c.x, c.y])
     f0 = objective(start)
+    if abs(f0) < sys.float_info.min:
+        raise SingularRegionError(f"the oracle's objective underflows on this region: {f0!r} at the area centroid")
     options = {
         "xatol": 1e-10 * diam,
         "fatol": 1e-14 * (1.0 + abs(f0)),

@@ -7,6 +7,7 @@ import numpy as np
 
 from regionmedian import Polygon
 from regionmedian.kernels import _COLLINEAR_EPS, closed_values_batch
+from regionmedian.triquad import star_rule
 
 
 def closed_value(a, b, x):
@@ -38,6 +39,22 @@ def two_endpoint_closed_values(a, e, x):
     normal = np.where(col, 0.0, normal)
     grad = np.stack((-(along * e[:, 0] + normal * e[:, 1]), normal * e[:, 0] - along * e[:, 1]), axis=1)
     return L2 * vals, grad
+
+
+def tensor_star_integral(poly, x, kernel, panels=4):
+    """Reference for ``oracle._star_integral``: the area integral of
+    kernel(P - x) by ``star_rule(panels)`` with the kernel evaluated at
+    every node of the tensor rule, S * T per edge, as for any kernel."""
+    s, t, w = star_rule(panels)
+    q = poly.coords - np.asarray(x, dtype=float)  # a_i - x
+    e = poly.edge_vectors  # a_i+1 - a_i
+    qn = np.concatenate((q[1:], q[:1]))
+    areas = 0.5 * (q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0])
+    # P - x = s * (q + t * e), as (n, S, T) components
+    dx = s[:, None] * (q[:, 0, None] + t * e[:, 0, None])[:, None, :]
+    dy = s[:, None] * (q[:, 1, None] + t * e[:, 1, None])[:, None, :]
+    vals = kernel.evaluate_many(dx, dy).reshape(len(q), -1)
+    return float(areas @ (vals @ w.ravel()))
 
 
 def random_convex_polygon(rng, n_max=8, scale=1.0):

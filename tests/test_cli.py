@@ -282,6 +282,39 @@ def test_discrete_oracle_agrees(capsys):
     assert report["oracle_check"]["distance_to_median"] < 1e-6
 
 
+@pytest.mark.parametrize("k", list(range(-1000, 1001, 50)) + [1023])
+def test_discrete_oracle_stop_is_scale_free(capsys, tmp_path, k):
+    # the stop is relative to the set's diameter and to the objective at
+    # the start, so the oracle lands as close at 2**k as at unit scale
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [[math.ldexp(x, k), math.ldexp(y, k)]
+                                           for x, y in [(0.0, 0.0), (1.0, 0.0), (0.5, 0.1)]]}))
+    code, out, _ = run(capsys, "discrete", str(path), "--oracle")
+    assert code == 0
+    assert json.loads(out)["oracle_check"]["distance_to_median"] <= math.ldexp(1e-13, k)
+
+
+def test_discrete_oracle_returns_the_point_of_a_zero_diameter_set(capsys, tmp_path):
+    for data in ({"points": [[1.5, 2.0]]}, {"points": [[0.1, 0.7], [0.1, 0.7]], "weights": [3.0, 1.0]}):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "discrete", str(path), "--oracle")
+        check = json.loads(out)["oracle_check"]
+        assert code == 0 and check == {"minimizer": data["points"][0], "distance_to_median": 0.0}
+
+
+def test_median_oracle_on_an_underflowing_region_exits_one(capsys, tmp_path):
+    # at 2**-366 the solve is fine but the oracle's objective is 0.0 at the
+    # centroid; its minimizer once landed 4e106 diameters off
+    path = tmp_path / "tiny.json"
+    coords = [(0.0, 0.0), (3.0, 0.0), (3.0, 4.0), (0.5, 3.0)]
+    path.write_text(json.dumps({"polygon": [[math.ldexp(x, -366), math.ldexp(y, -366)] for x, y in coords]}))
+    assert run(capsys, "median", str(path))[0] == 0
+    code, out, err = run(capsys, "median", str(path), "--oracle")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the oracle's objective underflows") and err.count("\n") == 1
+
+
 def test_degenerate_distances_approach_the_limit(capsys):
     code, out, _ = run(
         capsys, "degenerate", "--alpha", "2", "--beta", "1", "--gammas", "1.1,1.01,1.001"

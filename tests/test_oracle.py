@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import closed_value, interior_point, random_convex_polygon, random_star_polygon
+from helpers import closed_value, interior_point, random_convex_polygon, random_star_polygon, tensor_star_integral
 
-from regionmedian import Point2, Polygon, RadialKernel, cli, oracle
+from regionmedian import Point2, Polygon, RadialKernel, SingularRegionError, cli, oracle
 from regionmedian.oracle import (
     _PANELS,
     MCEstimate,
@@ -27,6 +27,7 @@ DATA = Path(__file__).parent / "data"
 UNIT_SQUARE_CENTERED = Polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
 T345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
 PENTAGON = Polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (2.0, 1.0), (0.0, 3.0)])
+OFFSET_QUAD = Polygon([(1e4, 1e4), (1e4 + 2.0, 1e4 + 0.3), (1e4 + 1.7, 1e4 + 1.9), (1e4 + 0.2, 1e4 + 1.4)])
 # a triangle with a 6.8 degree corner, from the generator of acceptance
 # criteria 03 and 04
 THIN_TRIANGLE = Polygon([(-0.9886230807172642, 0.5339980559783439),
@@ -182,6 +183,76 @@ def test_minimizer_probe_is_oracle_sigma_bit_for_bit(n_vertices):
             assert _star_integral(poly, x, kernel) == float(oracle_sigma(poly, Point2(*x), kernel))
 
 
+HOMOGENEOUS_KERNELS = [RadialKernel.euclidean()] + [RadialKernel.power(p) for p in (0.5, 1.3, 1.5, 2.0, 3.0)]
+
+
+def _query_points(poly, seed):
+    """Interior, vertex, edge and exterior points, and seeded random ones
+    in the bounding box grown by half its size."""
+    c = poly.coords
+    rng = np.random.default_rng(seed)
+    lo, hi = c.min(axis=0), c.max(axis=0)
+    points = [poly.centroid.as_array(), c[0], c[2], 0.5 * (c[0] + c[1]), 0.3 * c[1] + 0.7 * c[2],
+              2.0 * c[2] - c[0], c[0] + 0.3 * (c[0] - c[1])]
+    points += list(lo + rng.uniform(-0.5, 1.5, (8, 2)) * (hi - lo))
+    return [(float(x), float(y)) for x, y in points]
+
+
+@pytest.mark.parametrize("kernel", HOMOGENEOUS_KERNELS, ids=["euclidean", "p0.5", "p1.3", "p1.5", "p2", "p3"])
+@pytest.mark.parametrize("poly", [T345, PENTAGON, OFFSET_QUAD], ids=["t345", "pentagon", "offset"])
+def test_factored_rule_matches_the_tensor_rule(poly, kernel):
+    # a homogeneous kernel is evaluated once per boundary node and weighted
+    # by its radial sum: the same rule, up to rounding
+    for seed, panels in enumerate((_PANELS, 2 * _PANELS)):
+        for x in _query_points(poly, seed):
+            want = tensor_star_integral(poly, x, kernel, panels)
+            assert abs(_star_integral(poly, x, kernel, panels) - want) <= 1e-14 * abs(want), (x, panels)
+
+
+def test_custom_kernel_keeps_the_tensor_rule_bit_for_bit():
+    kernel = RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy) + 0.25 * dx * dx * np.exp(-dy))
+    for poly in (T345, PENTAGON, OFFSET_QUAD):
+        for x in _query_points(poly, 3):
+            for panels in (_PANELS, 2 * _PANELS):
+                assert _star_integral(poly, x, kernel, panels) == tensor_star_integral(poly, x, kernel, panels)
+
+
+def test_kernel_evaluations_per_rule(monkeypatch):
+    # 128 boundary nodes per edge for homogeneous kernels; all 10 * 128
+    # nodes of the tensor rule for a custom kernel
+    seen = []
+    evaluate_many = RadialKernel.evaluate_many
+
+    def counted(self, dx, dy):
+        seen.append(np.size(dx))
+        return evaluate_many(self, dx, dy)
+
+    custom = RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy))
+    monkeypatch.setattr(RadialKernel, "evaluate_many", counted)
+    for poly in (T345, PENTAGON):
+        n = len(poly)
+        for kernel, per_edge in [(RadialKernel.euclidean(), 128), (RadialKernel.power(1.5), 128), (custom, 1280)]:
+            seen.clear()
+            _star_integral(poly, (1.0, 0.5), kernel)
+            assert seen == [n * per_edge]
+            seen.clear()
+            oracle_sigma(poly, Point2(1.0, 0.5), kernel)
+            assert seen == [n * per_edge, 2 * n * per_edge]
+
+
+def test_minimize_refuses_an_underflowing_objective():
+    # the objective scales as the cube of the size: at 2**-349 it is
+    # subnormal, at 2**-366 it is 0.0
+    coords = np.array([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0), (0.5, 3.0)])
+    for k in (-349, -366):
+        with pytest.raises(SingularRegionError, match="underflows"):
+            oracle_minimize(Polygon(np.ldexp(coords, k)))
+    tiny = Polygon(np.ldexp(coords, -340))
+    med = solve_median(tiny).median
+    ora = oracle_minimize(tiny)
+    assert math.hypot(med.x - ora.x, med.y - ora.y) <= 1e-7 * tiny.diameter
+
+
 def test_minimize_lands_on_symmetric_centers():
     eq = Polygon([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
     m = oracle_minimize(eq)
@@ -228,8 +299,6 @@ def test_minimizers_run_nelder_mead_alone(monkeypatch):
     cli._discrete_brute_force(cli.load_region_file(str(DATA / "obtuse_points.json")).point_set)
     assert 0 < len(calls) < 363
 
-
-OFFSET_QUAD = Polygon([(1e4, 1e4), (1e4 + 2.0, 1e4 + 0.3), (1e4 + 1.7, 1e4 + 1.9), (1e4 + 0.2, 1e4 + 1.4)])
 
 
 def _problem(monkeypatch, module, run):
