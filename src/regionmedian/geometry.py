@@ -183,6 +183,15 @@ def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _sorted_intervals(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(order, later) for the intervals [a, b]: the order of their starts,
+    and for each sorted interval k how many after it start at or before
+    its end, later[k]."""
+    order = np.argsort(a, kind="stable")
+    later = np.searchsorted(a[order], b[order], side="right") - np.arange(1, len(a) + 1)
+    return order, later
+
+
 def _candidate_edge_pairs(lo: np.ndarray, hi: np.ndarray):
     """Blocks of at most ``_PAIR_BLOCK`` edge pairs i < j, not neighbours
     on the loop, that include every pair whose bounding boxes ``lo``/``hi``
@@ -190,19 +199,22 @@ def _candidate_edge_pairs(lo: np.ndarray, hi: np.ndarray):
 
     One sort and sweep: each box projects onto (1, phi) as the
     interval [lo_x + phi lo_y, hi_x + phi hi_y], and the candidates are
-    the pairs whose intervals touch. Both ends are rounded by the same
-    elementwise expression, monotone in each coordinate, so boxes that
-    touch give intervals that touch, also when an end overflows to inf;
-    finite coordinates give no NaN end.
+    the pairs whose intervals touch. When that gives more than 16 pairs
+    per edge (as for a sliver perpendicular to (1, phi)), the boxes are
+    also counted along (1, -phi), as [lo_x - phi hi_y, hi_x - phi lo_y],
+    and the direction with fewer pairs is swept. Both ends are rounded by the same elementwise
+    expression, monotone in each coordinate, so boxes that touch give
+    intervals that touch, also when an end overflows to inf; finite
+    coordinates give no NaN end.
     """
     n = len(lo)
-    a = lo[:, 0] + _PHI * lo[:, 1]
-    order = np.argsort(a, kind="stable")
-    a = a[order]
-    b = (hi[:, 0] + _PHI * hi[:, 1])[order]
+    order, later = _sorted_intervals(lo[:, 0] + _PHI * lo[:, 1], hi[:, 0] + _PHI * hi[:, 1])
+    if later.sum() > 16 * n:
+        across = _sorted_intervals(lo[:, 0] - _PHI * hi[:, 1], hi[:, 0] - _PHI * lo[:, 1])
+        if across[1].sum() < later.sum():
+            order, later = across
     # sorted interval k touches the later[k] intervals after it; those are
     # the pairs numbered start[k] .. stop[k] - 1
-    later = np.searchsorted(a, b, side="right") - np.arange(1, n + 1)
     stop = np.cumsum(later)
     start = stop - later
     total = int(stop[-1])

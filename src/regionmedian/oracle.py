@@ -66,29 +66,59 @@ def _radial_weights(panels: int, p: float) -> np.ndarray:
     return c
 
 
-def _star_integral(poly: Polygon, x, kernel: RadialKernel, panels: int = _PANELS) -> float:
-    """Area integral of kernel(P - x) by ``star_rule(panels)`` over the
+class _StarLayout(NamedTuple):
+    """A polygon's boundary laid out for ``star_rule(panels)`` under one
+    kernel: per edge i, the x and y of vertex i and of vertex i + 1, and
+    t_j * e_i per component as (n, T), e_i the edge vector. ``weights`` is
+    the radial sum (T,) of the rule for a homogeneous kernel; a custom
+    kernel keeps the radial nodes ``s`` and the tensor weights (S * T,)."""
+
+    kernel: RadialKernel
+    ax: np.ndarray
+    ay: np.ndarray
+    bx: np.ndarray
+    by: np.ndarray
+    tex: np.ndarray
+    tey: np.ndarray
+    s: Optional[np.ndarray]
+    weights: np.ndarray
+
+
+def _star_layout(poly: Polygon, kernel: RadialKernel, panels: int = _PANELS) -> _StarLayout:
+    s, t, w = star_rule(panels)
+    a, e = poly.coords, poly.edge_vectors
+    ax, ay = a[:, 0].copy(), a[:, 1].copy()
+    bx, by = np.concatenate((ax[1:], ax[:1])), np.concatenate((ay[1:], ay[:1]))
+    tex, tey = t * e[:, 0, None], t * e[:, 1, None]
+    if kernel.kind is KernelKind.CUSTOM:
+        return _StarLayout(kernel, ax, ay, bx, by, tex, tey, s, w.ravel())
+    p = 1.0 if kernel.kind is KernelKind.EUCLIDEAN else kernel.p
+    return _StarLayout(kernel, ax, ay, bx, by, tex, tey, None, _radial_weights(panels, p))
+
+
+def _star_integral(layout: _StarLayout, x) -> float:
+    """Area integral of kernel(P - x) by the rule of ``layout`` over the
     signed star triangles (x, a_i, a_i+1); valid for x inside, on the
     boundary of or outside any simple polygon.
 
-    The Euclidean and power kernels are homogeneous, k(s * b) = s**p * k(b),
-    so the rule evaluates them once per boundary node b = a_i + t * e_i - x
-    and weights each by its radial sum (Chin, Lasserre & Sukumar, Comput.
-    Mech. 2015). A custom kernel is evaluated at every node of the rule.
+    Each call forms q = a_i - x, the signed areas and the boundary nodes
+    b = q + t * e_i from the layout (``_star_layout``). The Euclidean and
+    power kernels are homogeneous, k(s * b) = s**p * k(b), so the rule
+    evaluates them once per boundary node and weights each by its radial
+    sum (Chin, Lasserre & Sukumar, Comput. Mech. 2015). A custom kernel is
+    evaluated at every node P - x = s * b of the rule.
     """
-    s, t, w = star_rule(panels)
-    q = poly.coords - np.asarray(x, dtype=float)  # a_i - x
-    e = poly.edge_vectors  # a_i+1 - a_i
-    qn = np.concatenate((q[1:], q[:1]))
-    areas = 0.5 * (q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0])
-    # boundary nodes b = q + t * e, as (n, 2, T); P - x = s * b
-    b = q[:, :, None] + t * e[:, :, None]
-    if kernel.kind is KernelKind.CUSTOM:
+    qx, qy = layout.ax - x[0], layout.ay - x[1]
+    qnx, qny = layout.bx - x[0], layout.by - x[1]
+    areas = 0.5 * (qx * qny - qy * qnx)
+    bx = qx[:, None] + layout.tex
+    by = qy[:, None] + layout.tey
+    if layout.s is not None:
         # (n, S, T) components
-        vals = kernel.evaluate_many(s[:, None] * b[:, 0, None, :], s[:, None] * b[:, 1, None, :])
-        return float(areas @ (vals.reshape(len(q), -1) @ w.ravel()))
-    p = 1.0 if kernel.kind is KernelKind.EUCLIDEAN else kernel.p
-    return float(areas @ (kernel.evaluate_many(b[:, 0], b[:, 1]) @ _radial_weights(panels, p)))
+        s = layout.s[:, None]
+        vals = layout.kernel.evaluate_many(s * bx[:, None, :], s * by[:, None, :])
+        return float(areas @ (vals.reshape(len(qx), -1) @ layout.weights))
+    return float(areas @ (layout.kernel.evaluate_many(bx, by) @ layout.weights))
 
 
 def oracle_sigma(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None) -> OracleValue:
@@ -100,8 +130,8 @@ def oracle_sigma(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None
     """
     kernel = kernel or RadialKernel.euclidean()
     xv = (x.x, x.y) if isinstance(x, Point2) else (float(x[0]), float(x[1]))
-    value = _star_integral(poly, xv, kernel)
-    finer = _star_integral(poly, xv, kernel, 2 * _PANELS)
+    value = _star_integral(_star_layout(poly, kernel), xv)
+    finer = _star_integral(_star_layout(poly, kernel, 2 * _PANELS), xv)
     return OracleValue(value, abs(value - finer))
 
 
@@ -109,95 +139,105 @@ class _BudgetSpent(Exception):
     """The objective-evaluation budget ran out."""
 
 
-def _brute_force_minimize(objective, start: np.ndarray, options: dict) -> Point2:
-    """Nelder-Mead (Nelder & Mead, Comput. J. 1965) from ``start``; fully
-    deterministic.
+def _ordered(sim: list, fsim: list) -> tuple:
+    """The vertices and values by value, as numpy's argsort orders three:
+    stably, with NaN last."""
+    order = sorted(range(3), key=lambda k: (fsim[k] != fsim[k], fsim[k]))
+    return [sim[k] for k in order], [fsim[k] for k in order]
+
+
+def _brute_force_minimize(objective, start, options: dict) -> Point2:
+    """Nelder-Mead (Nelder & Mead, Comput. J. 1965) in the plane from
+    ``start``; fully deterministic. ``objective`` receives each point as a
+    tuple (x, y) of floats.
 
     ``options`` holds ``xatol``, ``fatol``, ``maxiter`` and ``maxfev``.
-    The loop is scipy's ``_minimize_neldermead`` without bounds, adaptive
-    coefficients or a given first simplex, step for step in the same
-    numpy arithmetic, so it returns the bits ``scipy.optimize.minimize``
-    would after the same objective evaluations (``tests/test_oracle.py``
-    pins this).
+    The loop is scipy's ``_minimize_neldermead`` in two variables without
+    bounds, adaptive coefficients or a given first simplex, on Python
+    floats: every step is the float expression scipy's numpy step rounds
+    to, the vertices are ordered as its argsort orders them, and a NaN
+    fails the stop test as it fails ``np.max``. So it returns the bits
+    ``scipy.optimize.minimize`` would after the same objective evaluations
+    (``tests/test_oracle.py`` pins this).
     """
     xatol, fatol = options["xatol"], options["fatol"]
     maxiter, maxfev = options["maxiter"], options["maxfev"]
-    x0 = np.array(start, dtype=float).ravel()
-    n = len(x0)
+    x0, y0 = (float(v) for v in start)
     # the first simplex: each coordinate in turn times 1.05, or 0.00025 if it is 0
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full(n + 1, np.inf)
+    sim = [(x0, y0), (1.05 * x0 if x0 != 0 else 0.00025, y0), (x0, 1.05 * y0 if y0 != 0 else 0.00025)]
+    fsim = [math.inf] * 3
     fcalls = 0
 
-    def f(x):
+    def f(p):
         # an evaluation past the budget ends the current step where it stands
         nonlocal fcalls
         if fcalls >= maxfev:
             raise _BudgetSpent
         fcalls += 1
-        return objective(x)
-
-    def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        return float(objective(p))
 
     try:
-        for k in range(n + 1):
+        for k in range(3):
             fsim[k] = f(sim[k])
     except _BudgetSpent:
         pass
-    # sorted twice, as scipy does: the second sort may reorder ties
-    sim, fsim = ordered(*ordered(sim, fsim))
+    # scipy sorts twice here; a stable sort leaves the second a no-op
+    sim, fsim = _ordered(sim, fsim)
     # coefficients: reflection 1, expansion 2, contraction 1/2, shrink 1/2
     iterations = 1
     while fcalls < maxfev and iterations < maxiter:
         try:
-            if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            (ax, ay), (bx, by), (cx, cy) = sim
+            # each difference within its tolerance: false on a NaN, as np.max is
+            if (abs(bx - ax) <= xatol and abs(by - ay) <= xatol and abs(cx - ax) <= xatol
+                    and abs(cy - ay) <= xatol and abs(fsim[0] - fsim[1]) <= fatol
+                    and abs(fsim[0] - fsim[2]) <= fatol):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
+            xbar, ybar = (ax + bx) / 2, (ay + by) / 2
+            xr = (2 * xbar - cx, 2 * ybar - cy)
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
+                xe = (3 * xbar - 2 * cx, 3 * ybar - 2 * cy)
                 fxe = f(xe)
                 if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
+                    sim[2], fsim[2] = xe, fxe
                 else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+                    sim[2], fsim[2] = xr, fxr
+            elif fxr < fsim[1]:
+                sim[2], fsim[2] = xr, fxr
             else:
                 # contract outside the worst vertex if the reflection beat it, else inside
-                if fxr < fsim[-1]:
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                if fxr < fsim[2]:
+                    xc = (1.5 * xbar - 0.5 * cx, 1.5 * ybar - 0.5 * cy)
                     fxc = f(xc)
                     accept = fxc <= fxr
                 else:
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    xc = (0.5 * xbar + 0.5 * cx, 0.5 * ybar + 0.5 * cy)
                     fxc = f(xc)
-                    accept = fxc < fsim[-1]
+                    accept = fxc < fsim[2]
                 if accept:
-                    sim[-1], fsim[-1] = xc, fxc
+                    sim[2], fsim[2] = xc, fxc
                 else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    for j in (1, 2):
+                        sx, sy = sim[j]
+                        sim[j] = (ax + 0.5 * (sx - ax), ay + 0.5 * (sy - ay))
                         fsim[j] = f(sim[j])
             iterations += 1
         except _BudgetSpent:
             pass
-        sim, fsim = ordered(sim, fsim)
-    return Point2(float(sim[0, 0]), float(sim[0, 1]))
+        sim, fsim = _ordered(sim, fsim)
+    return Point2(*sim[0])
 
 
 def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Point2:
     """Brute-force minimizer of the area objective: Nelder-Mead from the
     area centroid, stopping once its simplex is within 1e-10 of the
     diameter and its values agree to 1e-14 relative.
+
+    It runs in the polygon's solve frame (``Polygon._local_frame``), a
+    translation only, so a region far from the origin keeps its float
+    resolution; the frame's origin is added back to the result once. The
+    boundary layout of the star rule is built once per call.
 
     Raises ``SingularRegionError`` when the objective at the centroid is
     below the smallest normal float: on regions that small the objective
@@ -206,23 +246,25 @@ def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Poi
     ``Polygon.centroid``.
     """
     kernel = kernel or RadialKernel.euclidean()
-    diam = poly.diameter
+    frame, ox, oy = poly._local_frame()
+    layout = _star_layout(frame, kernel)
 
     def objective(p) -> float:
-        return _star_integral(poly, (float(p[0]), float(p[1])), kernel)
+        return _star_integral(layout, p)
 
-    c = poly.centroid
-    start = np.array([c.x, c.y])
+    c = frame.centroid
+    start = (c.x, c.y)
     f0 = objective(start)
     if abs(f0) < sys.float_info.min:
         raise SingularRegionError(f"the oracle's objective underflows on this region: {f0!r} at the area centroid")
     options = {
-        "xatol": 1e-10 * diam,
+        "xatol": 1e-10 * frame.diameter,
         "fatol": 1e-14 * (1.0 + abs(f0)),
         "maxiter": 800,
         "maxfev": 1200,
     }
-    return _brute_force_minimize(objective, start, options)
+    m = _brute_force_minimize(objective, start, options)
+    return m if frame is poly else Point2(m.x + ox, m.y + oy)
 
 
 def oracle_sigma_mc(

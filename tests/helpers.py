@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 
 from regionmedian import Polygon
-from regionmedian.kernels import _COLLINEAR_EPS, closed_values_batch
+from regionmedian.kernels import _COLLINEAR_EPS, KernelKind, closed_values_batch
+from regionmedian.oracle import _radial_weights
 from regionmedian.triquad import star_rule
 
 
@@ -55,6 +56,25 @@ def tensor_star_integral(poly, x, kernel, panels=4):
     dy = s[:, None] * (q[:, 1, None] + t * e[:, 1, None])[:, None, :]
     vals = kernel.evaluate_many(dx, dy).reshape(len(q), -1)
     return float(areas @ (vals @ w.ravel()))
+
+
+def star_integral_reference(poly, x, kernel, panels=4):
+    """Reference for ``oracle._star_integral`` over ``oracle._star_layout``:
+    the rule as one routine that forms the boundary nodes
+    b = q[:, :, None] + t * e[:, :, None] from the polygon on every call."""
+    s, t, w = star_rule(panels)
+    q = poly.coords - np.asarray(x, dtype=float)  # a_i - x
+    e = poly.edge_vectors  # a_i+1 - a_i
+    qn = np.concatenate((q[1:], q[:1]))
+    areas = 0.5 * (q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0])
+    # boundary nodes b = q + t * e, as (n, 2, T); P - x = s * b
+    b = q[:, :, None] + t * e[:, :, None]
+    if kernel.kind is KernelKind.CUSTOM:
+        # (n, S, T) components
+        vals = kernel.evaluate_many(s[:, None] * b[:, 0, None, :], s[:, None] * b[:, 1, None, :])
+        return float(areas @ (vals.reshape(len(q), -1) @ w.ravel()))
+    p = 1.0 if kernel.kind is KernelKind.EUCLIDEAN else kernel.p
+    return float(areas @ (kernel.evaluate_many(b[:, 0], b[:, 1]) @ _radial_weights(panels, p)))
 
 
 def random_convex_polygon(rng, n_max=8, scale=1.0):

@@ -353,6 +353,11 @@ def _sliver(n, angle, height=1e-3):
     return s[:, None] * d + w[:, None] * np.array([-d[1], d[0]])
 
 
+# the angle of a sliver whose edges all project into one short interval
+# on (1, phi)
+_PERPENDICULAR = math.atan2(1.0, -geometry._PHI)
+
+
 def _flower(n):
     """n samples of the non-convex curve r = 1 + 0.4 cos(7 theta)."""
     t = np.arange(n) * (2.0 * np.pi / n)
@@ -471,6 +476,8 @@ def test_candidate_pairs_cover_every_pair_of_touching_boxes():
     # of 4 or more edges takes the sweep
     loops += [_star(rng, n) for n in (47, 48, 49) for _ in range(3)]
     loops += [_sliver(int(n), angle) for n, angle in zip(rng.integers(48, 400, 8), rng.uniform(0, 2 * np.pi, 8))]
+    # perpendicular to (1, phi): swept along (1, -phi)
+    loops += [_sliver(600, _PERPENDICULAR), _sliver(600, _PERPENDICULAR + math.pi)]
     loops.append(_huge_star())
     for c in loops:
         with np.errstate(over="ignore"):
@@ -480,27 +487,35 @@ def test_candidate_pairs_cover_every_pair_of_touching_boxes():
 def test_candidate_pairs_stay_near_linear_on_sampled_curves():
     # a count, not a timer, so a quadratic search fails on any machine:
     # every non-neighbour pair would be 2,003,000 pairs for the comb and
-    # 8,382,464 for the sliver
-    for c in (_fourier_curve(np.random.default_rng(65), 4096), _comb(1000, 1e-12, 500, 10.0),
-              _sliver(4096, 0.0), _slit_square(False), _flower(16384)):
+    # 8,382,464 for a 4096-edge sliver. A sliver perpendicular to (1, phi)
+    # gives 2,845,977 along (1, phi) and is swept across, along (1, -phi);
+    # at any other angle one of the two directions spreads it out
+    rng = np.random.default_rng(69)
+    loops = [_fourier_curve(np.random.default_rng(65), 4096), _comb(1000, 1e-12, 500, 10.0),
+             _sliver(4096, 0.0), _slit_square(False), _flower(16384), _sliver(4096, _PERPENDICULAR),
+             _sliver(600, _PERPENDICULAR + math.pi), _sliver(600, math.atan2(1.0, geometry._PHI))]
+    loops += [_sliver(int(n), angle) for n, angle in zip(rng.integers(48, 1200, 24), rng.uniform(0, 2 * np.pi, 24))]
+    for c in loops:
         blocks = geometry._candidate_edge_pairs(*_boxes(c))
         assert sum(len(i) for i, _ in blocks) < 16 * len(c), len(c)
 
 
 def test_crowded_loops_are_checked_in_bounded_blocks():
-    # the box of every tooth flank spans the comb's height and overlaps
-    # those of a dozen teeth around it; every edge of a sliver
-    # perpendicular to (1, phi) projects into one short interval, the
-    # sweep's quadratic case
-    comb = _comb(1000, -1e-12, 500, 10.0)
-    sliver = _sliver(600, math.atan2(1.0, -geometry._PHI))
-    _assert_candidates_cover_touching_boxes(comb)
-    assert _assert_candidates_cover_touching_boxes(sliver) > 4 * geometry._PAIR_BLOCK
-    assert _assert_same_verdict(comb)
+    # the box of every tooth flank spans the comb's height: a comb 200
+    # high with teeth 1 apart crowds (1, phi) and (1, -phi) alike, with
+    # more than four blocks of candidates whichever is swept
+    crossing = _comb(200, -1e-12, 100, 200.0)
+    near = _comb(200, 1e-12, 100, 200.0)
+    for comb in (crossing, near):
+        assert _assert_candidates_cover_touching_boxes(comb) > 4 * geometry._PAIR_BLOCK
+    assert _assert_same_verdict(crossing)
+    assert not _assert_same_verdict(near)
+    with pytest.raises(InvalidPolygonError, match="self-intersecting"):
+        Polygon(crossing)
+    Polygon(near)
+    sliver = _sliver(600, _PERPENDICULAR)
     assert not _assert_same_verdict(sliver)
     assert _assert_same_verdict(_pinched(sliver, np.random.default_rng(73)))
-    with pytest.raises(InvalidPolygonError, match="self-intersecting"):
-        Polygon(comb)
     Polygon(sliver)
 
 

@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import closed_value, interior_point, random_convex_polygon, random_star_polygon, tensor_star_integral
+from helpers import (
+    closed_value,
+    interior_point,
+    random_convex_polygon,
+    random_star_polygon,
+    star_integral_reference,
+    tensor_star_integral,
+)
 
 from regionmedian import Point2, Polygon, RadialKernel, SingularRegionError, cli, oracle
 from regionmedian.oracle import (
@@ -16,6 +23,7 @@ from regionmedian.oracle import (
     OracleConfig,
     OracleValue,
     _star_integral,
+    _star_layout,
     oracle_minimize,
     oracle_sigma,
     oracle_sigma_mc,
@@ -82,7 +90,7 @@ def test_error_estimate_covers_refinement():
     for poly, x in cases:
         for kernel in kernels:
             v = oracle_sigma(poly, Point2(*x), kernel)
-            finer = _star_integral(poly, (float(x[0]), float(x[1])), kernel, 4 * _PANELS)
+            finer = _star_integral(_star_layout(poly, kernel, 4 * _PANELS), (float(x[0]), float(x[1])))
             assert abs(float(v) - finer) <= 2.0 * v.error_estimate + 1e-14 * abs(finer), (poly, x, kernel)
 
 
@@ -180,7 +188,7 @@ def test_minimizer_probe_is_oracle_sigma_bit_for_bit(n_vertices):
     assert len(poly) == n_vertices
     for kernel in (RadialKernel.euclidean(), RadialKernel.power(1.5)):
         for x in points:
-            assert _star_integral(poly, x, kernel) == float(oracle_sigma(poly, Point2(*x), kernel))
+            assert _star_integral(_star_layout(poly, kernel), x) == float(oracle_sigma(poly, Point2(*x), kernel))
 
 
 HOMOGENEOUS_KERNELS = [RadialKernel.euclidean()] + [RadialKernel.power(p) for p in (0.5, 1.3, 1.5, 2.0, 3.0)]
@@ -206,7 +214,7 @@ def test_factored_rule_matches_the_tensor_rule(poly, kernel):
     for seed, panels in enumerate((_PANELS, 2 * _PANELS)):
         for x in _query_points(poly, seed):
             want = tensor_star_integral(poly, x, kernel, panels)
-            assert abs(_star_integral(poly, x, kernel, panels) - want) <= 1e-14 * abs(want), (x, panels)
+            assert abs(_star_integral(_star_layout(poly, kernel, panels), x) - want) <= 1e-14 * abs(want), (x, panels)
 
 
 def test_custom_kernel_keeps_the_tensor_rule_bit_for_bit():
@@ -214,7 +222,39 @@ def test_custom_kernel_keeps_the_tensor_rule_bit_for_bit():
     for poly in (T345, PENTAGON, OFFSET_QUAD):
         for x in _query_points(poly, 3):
             for panels in (_PANELS, 2 * _PANELS):
-                assert _star_integral(poly, x, kernel, panels) == tensor_star_integral(poly, x, kernel, panels)
+                assert _star_integral(_star_layout(poly, kernel, panels), x) == tensor_star_integral(poly, x, kernel, panels)
+
+
+def _layout_probe_points(poly, rng, count):
+    """Vertices, seeded points on the edges, inside the region and around
+    it, about a quarter each."""
+    c, e = poly.coords, poly.edge_vectors
+    lo, hi = c.min(axis=0), c.max(axis=0)
+    k = count // 4
+    edge = rng.integers(0, len(c), k)
+    points = [c[i % len(c)] for i in range(k)]
+    points += list(c[edge] + rng.uniform(0.0, 1.0, (k, 1)) * e[edge])
+    points += [np.asarray(interior_point(poly, rng)) for _ in range(k)]
+    outside = lo + rng.uniform(-0.5, 1.5, (8 * k, 2)) * (hi - lo)
+    points += list(outside[~poly.contains_many(outside, strict=False)][:count - 3 * k])
+    return [(float(x), float(y)) for x, y in points]
+
+
+def test_layout_route_matches_the_reference_bit_for_bit():
+    # the boundary layout built once holds only what every call of the
+    # reference forms again; the floats of each node are the same
+    rng = np.random.default_rng(41)
+    kernels = [RadialKernel.euclidean(), RadialKernel.power(1.5), RadialKernel.power(3.0),
+               RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy) + 0.25 * dx * dx * np.exp(-dy))]
+    polys = [T345, PENTAGON, OFFSET_QUAD, THIN_TRIANGLE, random_star_polygon(rng, n=9)]
+    points = {id(poly): _layout_probe_points(poly, rng, 40) for poly in polys}
+    assert sum(len(v) for v in points.values()) == 200
+    for kernel in kernels:
+        for panels in (_PANELS, 2 * _PANELS):
+            for poly in polys:
+                layout = _star_layout(poly, kernel, panels)
+                for x in points[id(poly)]:
+                    assert _star_integral(layout, x) == star_integral_reference(poly, x, kernel, panels), (x, panels)
 
 
 def test_kernel_evaluations_per_rule(monkeypatch):
@@ -233,7 +273,7 @@ def test_kernel_evaluations_per_rule(monkeypatch):
         n = len(poly)
         for kernel, per_edge in [(RadialKernel.euclidean(), 128), (RadialKernel.power(1.5), 128), (custom, 1280)]:
             seen.clear()
-            _star_integral(poly, (1.0, 0.5), kernel)
+            _star_integral(_star_layout(poly, kernel), (1.0, 0.5))
             assert seen == [n * per_edge]
             seen.clear()
             oracle_sigma(poly, Point2(1.0, 0.5), kernel)
@@ -259,6 +299,22 @@ def test_minimize_lands_on_symmetric_centers():
     assert math.hypot(m.x - 0.5, m.y - math.sqrt(3.0) / 6.0) < 1e-6
     msq = oracle_minimize(UNIT_SQUARE_CENTERED)
     assert math.hypot(msq.x, msq.y) < 1e-6
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e6, 1e8, 1e10, 1e12])
+@pytest.mark.parametrize("coords", [T345.coords, OFFSET_QUAD.coords - OFFSET_QUAD.coords[0]], ids=["t345", "quad"])
+def test_minimize_far_from_the_origin_in_the_solve_frame(monkeypatch, coords, offset):
+    # in absolute coordinates a simplex of 1e-10 of the diameter is below
+    # the float spacing from 1e7 diameters out, and the budget of 1200
+    # evaluations ran out there
+    poly = Polygon(coords + offset * Polygon(coords).diameter * np.array([1.0, -0.7]))
+    calls = []
+    star_integral = oracle._star_integral
+    monkeypatch.setattr(oracle, "_star_integral", lambda *args: calls.append(args) or star_integral(*args))
+    ora = oracle_minimize(poly)
+    med = solve_median(poly).median
+    assert len(calls) < 300
+    assert math.hypot(med.x - ora.x, med.y - ora.y) <= 1e-7 * poly.diameter
 
 
 def test_minimize_is_vertex_order_invariant():
@@ -337,6 +393,47 @@ def test_discrete_nelder_mead_is_scipys_bit_for_bit(monkeypatch, stem):
     # a zero coordinate steps to 0.00025 in the first simplex
     _assert_nelder_mead_is_scipys(objective, np.array([0.0, start[1]]), options)
     _assert_nelder_mead_is_scipys(objective, np.zeros(2), options)
+
+
+def _flat_disc(v):
+    # constant on the disc of radius 0.3 about (0.3, -0.2), a bowl outside it
+    return max(0.09, (v[0] - 0.3) ** 2 + (v[1] + 0.2) ** 2)
+
+
+def _bowl(v):
+    return (v[0] - 1.0) ** 2 + 2.0 * (v[1] - 0.5) ** 2 + 0.3 * v[0] * v[1]
+
+
+def _inf_beyond(v):
+    return math.inf if v[0] + v[1] > 1.0 else _bowl(v)
+
+
+def _nan_beyond(v):
+    return math.nan if v[0] + v[1] > 1.0 else _bowl(v)
+
+
+NELDER_MEAD_EDGE_CASES = {
+    # from outside the flat disc into it, where every value ties
+    "ties": (_flat_disc, (0.1, 0.2)),
+    # the bowl's minimum lies in the half-plane x + y > 1, where the
+    # objective is inf or NaN; from (0.5, 0.49) the first simplex has two
+    # vertices there, and from inside every value is inf or NaN, so the
+    # differences of the values are NaN and the loop runs to its budget
+    "inf": (_inf_beyond, (0.5, 0.49)),
+    "inf_inside": (_inf_beyond, (0.6, 0.6)),
+    "nan": (_nan_beyond, (0.5, 0.49)),
+    "nan_inside": (_nan_beyond, (0.6, 0.6)),
+    # a zero coordinate steps to 0.00025 in the first simplex
+    "zero": (_bowl, (0.0, 0.7)),
+}
+
+
+@pytest.mark.parametrize("case", list(NELDER_MEAD_EDGE_CASES))
+def test_nelder_mead_edge_cases_are_scipys(case):
+    objective, start = NELDER_MEAD_EDGE_CASES[case]
+    options = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 800, "maxfev": 1200}
+    with np.errstate(invalid="ignore"):
+        _assert_nelder_mead_is_scipys(objective, np.array(start), options)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 4, 7, 40])
