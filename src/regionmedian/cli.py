@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import Optional
 
@@ -359,6 +360,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with -digit, so --point -1,2 or -1e-3,2 is a value,
+        # where argparse's own pattern takes only numbers such as -1 or -.5
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits 2 on a usage error, but 2 means "did not converge"
     def error(self, message):
         self.print_usage(sys.stderr)

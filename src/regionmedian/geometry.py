@@ -250,15 +250,21 @@ def _edges_touch(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> bool:
     other's carrier line (min <= 0 <= max, as products of orientations can
     underflow) and their boxes overlap, which decides collinear pairs and
     keeps disjoint boxes apart however orientations round (Cormen et al.,
-    Introduction to Algorithms, 33.1). ``rows``: x, y of starts and ends."""
-    ax, ay, bx, by = (r[i] for r in rows)
-    cx, cy, dx, dy = (r[j] for r in rows)
+    Introduction to Algorithms, 33.1). Each pair sees c and d from the end
+    of a -> b nearer c, and a and b from the end of c -> d nearer a (L1,
+    ties to a and c), so that a short edge is not lost to the rounding of
+    a long difference. ``rows``: x, y of starts and ends."""
+    ax, ay, bx, by = rows[:, i]
+    cx, cy, dx, dy = rows[:, j]
     ex, ey = bx - ax, by - ay
     fx, fy = dx - cx, dy - cy
-    o1 = ex * (cy - ay) - ey * (cx - ax)
-    o2 = ex * (dy - ay) - ey * (dx - ax)
-    o3 = fx * (ay - cy) - fy * (ax - cx)
-    o4 = fx * (by - cy) - fy * (bx - cx)
+    to_a = np.abs(cx - ax) + np.abs(cy - ay)
+    p, q = np.abs(cx - bx) + np.abs(cy - by) < to_a, np.abs(dx - ax) + np.abs(dy - ay) < to_a
+    px, py, qx, qy = np.where(p, bx, ax), np.where(p, by, ay), np.where(q, dx, cx), np.where(q, dy, cy)
+    o1 = ex * (cy - py) - ey * (cx - px)
+    o2 = ex * (dy - py) - ey * (dx - px)
+    o3 = fx * (ay - qy) - fy * (ax - qx)
+    o4 = fx * (by - qy) - fy * (bx - qx)
     return bool(np.any(
         (np.minimum(o1, o2) <= 0.0) & (np.maximum(o1, o2) >= 0.0)
         & (np.minimum(o3, o4) <= 0.0) & (np.maximum(o3, o4) >= 0.0)
@@ -333,7 +339,7 @@ class Polygon:
     """
 
     __slots__ = ("_coords", "_edge_vectors", "_edge_lengths", "was_reversed",
-                 "_area", "_centroid", "_diameter", "_convex", "_certified_convex")
+                 "_area", "_centroid", "_diameter", "_certified_convex")
 
     def __init__(self, vertices: Iterable) -> None:
         coords = _coerce_coords(vertices)
@@ -346,7 +352,7 @@ class Polygon:
             raise InvalidPolygonError("polygon repeats a vertex on consecutive positions")
         with np.errstate(over="ignore", invalid="ignore"):
             edges = nxt - coords
-            turns, certified = _turns(edges)
+            certified = _turns(edges)[1]
             # intersection before area: a symmetric bowtie nets out to zero
             # shoelace area, and the intersection diagnostic is the useful one
             if not certified and _segments_intersect_any(coords, nxt):
@@ -360,9 +366,6 @@ class Polygon:
         if reversed_input:
             coords = coords[::-1].copy()
             edges = np.concatenate((coords[1:], coords[:1])) - coords
-            # the reversed loop turns the other way: the same crosses, in
-            # reverse order and negated exactly
-            turns = -turns
             area = -area
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         for arr in (coords, edges, lengths):
@@ -374,7 +377,6 @@ class Polygon:
         self._area = area
         self._centroid = None
         self._diameter = None
-        self._convex = bool(np.all(turns >= 0.0))
         self._certified_convex = certified
 
     def _local_frame(self) -> tuple:
@@ -440,12 +442,6 @@ class Polygon:
         if self._diameter is None:
             self._diameter = _max_pairwise_distance(self._coords, convex=self._certified_convex)
         return self._diameter
-
-    @property
-    def is_convex(self) -> bool:
-        """No turn of the counterclockwise loop is negative in floating
-        point (collinear vertices allowed)."""
-        return self._convex
 
     def contains(self, point, strict: bool = True) -> bool:
         p = _point_xy(point)

@@ -7,7 +7,7 @@ form along the radial direction for the homogeneous Euclidean and power
 kernels. Adds a Monte Carlo cross-check and a derivative-free minimizer
 (Nelder-Mead). Independent by design: nothing here shares code paths
 with the boundary residual solver it certifies, and the Monte Carlo
-estimate samples the area itself.
+estimate samples the area itself, on signed triangles from vertex 0.
 """
 from __future__ import annotations
 
@@ -275,19 +275,21 @@ def oracle_sigma_mc(
 ) -> MCEstimate:
     """Monte Carlo estimate of the area integral, with its standard error.
 
-    Samples points uniformly in the region by triangle-area-weighted
-    direct sampling (no rejection), using a seeded generator for full
-    reproducibility.
+    Draws the fan triangles of ``triangulate`` with probability
+    |A_i| / sum |A| and a point uniformly in each, from a seeded generator,
+    and negates the values drawn in negative triangles: sum |A| times their
+    mean is unbiased, with standard error sum |A| * std / sqrt(n).
     """
     kernel = kernel or RadialKernel.euclidean()
     cfg = cfg or OracleConfig()
     xv = (x.x, x.y) if isinstance(x, Point2) else (float(x[0]), float(x[1]))
     tris = triangulate(poly)
     areas = signed_areas(tris)
-    total = float(areas.sum())
+    weights = np.abs(areas)
+    total = float(weights.sum())
     rng = np.random.default_rng(cfg.seed)
     n = cfg.mc_samples
-    which = rng.choice(len(tris), size=n, p=areas / total)
+    which = rng.choice(len(tris), size=n, p=weights / total)
     u = rng.random(n)
     v = rng.random(n)
     flip = u + v > 1.0
@@ -297,6 +299,7 @@ def oracle_sigma_mc(
     px = a[:, 0] + u * (b[:, 0] - a[:, 0]) + v * (c[:, 0] - a[:, 0])
     py = a[:, 1] + u * (b[:, 1] - a[:, 1]) + v * (c[:, 1] - a[:, 1])
     vals = kernel.evaluate_many(px - xv[0], py - xv[1])
+    vals = np.where(areas[which] < 0.0, -vals, vals)
     mean = total * float(vals.mean())
     stderr = total * float(vals.std(ddof=1)) / math.sqrt(n)
     return MCEstimate(mean=mean, stderr=stderr)

@@ -90,53 +90,11 @@ def star_triangles(poly: Polygon, x) -> np.ndarray:
     return np.stack([xs, c, cn], axis=1)
 
 
-def _ear_clip(coords: np.ndarray) -> np.ndarray:
-    """Ear-clipping triangulation of a simple CCW polygon, O(n^2)."""
-    idx = list(range(len(coords)))
-    tris = []
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 4 * len(coords) * len(coords):
-            raise RuntimeError("ear clipping failed to make progress")
-        n = len(idx)
-        clipped = False
-        for k in range(n):
-            i0, i1, i2 = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
-            a, b, c = coords[i0], coords[i1], coords[i2]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= 0.0:
-                continue  # reflex or flat corner, not an ear
-            ok = True
-            for j in idx:
-                if j in (i0, i1, i2):
-                    continue
-                p = coords[j]
-                d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-                d2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
-                d3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
-                if d1 >= 0.0 and d2 >= 0.0 and d3 >= 0.0:
-                    ok = False
-                    break
-            if ok:
-                tris.append((i0, i1, i2))
-                del idx[k]
-                clipped = True
-                break
-        if not clipped:
-            raise RuntimeError("no ear found; polygon may be degenerate")
-    tris.append(tuple(idx))
-    return np.array([[coords[i], coords[j], coords[k]] for i, j, k in tris], dtype=float)
-
-
 def triangulate(poly: Polygon) -> np.ndarray:
-    """Partition the polygon into CCW triangles, (M, 3, 2).
-
-    Convex polygons fan from vertex 0; non-convex ones are ear-clipped.
-    """
+    """Fan of triangles (v_0, v_i, v_{i+1}), i = 1 .. n - 2, as (n - 2, 3, 2).
+    Their signed areas add up to the area of any simple loop; some are
+    negative where the loop is not star-shaped from v_0."""
     c = poly.coords
-    if poly.is_convex:
-        m = len(c) - 2
-        a = np.broadcast_to(c[0], (m, 2))
-        return np.stack([a, c[1:-1], c[2:]], axis=1)
-    return _ear_clip(c)
+    m = len(c) - 2
+    a = np.broadcast_to(c[0], (m, 2))
+    return np.stack([a, c[1:-1], c[2:]], axis=1)

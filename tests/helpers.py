@@ -8,7 +8,11 @@ import numpy as np
 from regionmedian import Polygon
 from regionmedian.kernels import _COLLINEAR_EPS, KernelKind, closed_values_batch
 from regionmedian.oracle import _radial_weights
-from regionmedian.triquad import star_rule
+from regionmedian.triquad import signed_areas, star_rule
+
+# two squares joined by a bar 0.1 wide and 4 long
+DUMBBELL = [(0, 0), (2, 0), (2, 0.95), (6, 0.95), (6, 0), (7, 0), (7, 1), (6, 1), (6, 1.05), (2, 1.05),
+            (2, 2), (0, 2)]
 
 
 def closed_value(a, b, x):
@@ -75,6 +79,38 @@ def star_integral_reference(poly, x, kernel, panels=4):
         return float(areas @ (vals.reshape(len(q), -1) @ w.ravel()))
     p = 1.0 if kernel.kind is KernelKind.EUCLIDEAN else kernel.p
     return float(areas @ (kernel.evaluate_many(b[:, 0], b[:, 1]) @ _radial_weights(panels, p)))
+
+
+def convex_monte_carlo_reference(poly, x, kernel, samples, seed):
+    """(mean, stderr) of the Monte Carlo sampler for convex loops as it was
+    before the signed fan: the fan triangles from vertex 0 drawn with
+    probability A_i / area, a point uniformly in each, no sign to apply."""
+    c = poly.coords
+    m = len(c) - 2
+    tris = np.stack([np.broadcast_to(c[0], (m, 2)), c[1:-1], c[2:]], axis=1)
+    areas = signed_areas(tris)
+    total = float(areas.sum())
+    rng = np.random.default_rng(seed)
+    which = rng.choice(m, size=samples, p=areas / total)
+    u = rng.random(samples)
+    v = rng.random(samples)
+    flip = u + v > 1.0
+    u[flip] = 1.0 - u[flip]
+    v[flip] = 1.0 - v[flip]
+    a, b, c = tris[which, 0], tris[which, 1], tris[which, 2]
+    px = a[:, 0] + u * (b[:, 0] - a[:, 0]) + v * (c[:, 0] - a[:, 0])
+    py = a[:, 1] + u * (b[:, 1] - a[:, 1]) + v * (c[:, 1] - a[:, 1])
+    vals = kernel.evaluate_many(px - x[0], py - x[1])
+    return total * float(vals.mean()), total * float(vals.std(ddof=1)) / math.sqrt(samples)
+
+
+def comb_polygon(teeth, width=0.5, height=4.0):
+    """The bar [0, teeth] x [-1, 0] with the teeth [k, k + width] x [0, height],
+    k = 0 .. teeth - 1, counterclockwise from (0, -1)."""
+    top = [(float(teeth), 0.0)]
+    for k in range(teeth - 1, -1, -1):
+        top += [(k + width, 0.0), (k + width, height), (float(k), height)]
+    return Polygon([(0.0, -1.0), (float(teeth), -1.0)] + top)
 
 
 def random_convex_polygon(rng, n_max=8, scale=1.0):
@@ -146,8 +182,8 @@ def quadratic_segments_intersect_any(coords):
     loop, one edge at a time, with the same rules as
     ``geometry._segments_intersect_any``: the loop scaled by the same power
     of two, then each edge meets the other's carrier line (min <= 0 <= max
-    over its two orientations) and the bounding boxes overlap. Quadratic
-    in n."""
+    over its two orientations, taken from the nearer end) and the bounding
+    boxes overlap. Quadratic in n."""
     coords = np.asarray(coords, dtype=float)
     exp = 500 - math.frexp(float(np.max(np.abs(coords))))[1]
     a = np.ldexp(coords, exp)
@@ -164,11 +200,16 @@ def quadratic_segments_intersect_any(coords):
         d = b[j0:j1]
         ai, bi = a[i], b[i]
         e = bi - ai
-        o1 = e[0] * (c[:, 1] - ai[1]) - e[1] * (c[:, 0] - ai[0])
-        o2 = e[0] * (d[:, 1] - ai[1]) - e[1] * (d[:, 0] - ai[0])
+        # c and d seen from the end of edge i nearer c, ai and bi from the
+        # end of edge j nearer ai (L1 distances; ties keep ai and c)
+        to_a = np.abs(c - ai).sum(axis=1)
+        p = np.where((np.abs(c - bi).sum(axis=1) < to_a)[:, None], bi, ai)
+        q = np.where((np.abs(d - ai).sum(axis=1) < to_a)[:, None], d, c)
+        o1 = e[0] * (c[:, 1] - p[:, 1]) - e[1] * (c[:, 0] - p[:, 0])
+        o2 = e[0] * (d[:, 1] - p[:, 1]) - e[1] * (d[:, 0] - p[:, 0])
         f = d - c
-        o3 = f[:, 0] * (ai[1] - c[:, 1]) - f[:, 1] * (ai[0] - c[:, 0])
-        o4 = f[:, 0] * (bi[1] - c[:, 1]) - f[:, 1] * (bi[0] - c[:, 0])
+        o3 = f[:, 0] * (ai[1] - q[:, 1]) - f[:, 1] * (ai[0] - q[:, 0])
+        o4 = f[:, 0] * (bi[1] - q[:, 1]) - f[:, 1] * (bi[0] - q[:, 0])
         straddle = ((np.minimum(o1, o2) <= 0) & (np.maximum(o1, o2) >= 0)
                     & (np.minimum(o3, o4) <= 0) & (np.maximum(o3, o4) >= 0))
         boxes = np.all((np.minimum(ai, bi) <= np.maximum(c, d)) & (np.minimum(c, d) <= np.maximum(ai, bi)), axis=1)

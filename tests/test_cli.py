@@ -424,6 +424,16 @@ def test_check_rejects_malformed_points(capsys):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("text,point", [("-1,2", [-1.0, 2.0]), ("1,-2", [1.0, -2.0]),
+                                        ("-1e-3,2", [-0.001, 2.0]), ("-.5,-2E+1", [-0.5, -20.0])])
+def test_check_takes_a_negative_point_after_a_space(capsys, text, point):
+    # argparse by itself reads a value such as -1,2 as an unknown option
+    code, out, err = run(capsys, "check", str(DATA / "t345.json"), "--point", text)
+    assert code == 0 and err == ""
+    assert json.loads(out)["point"] == point
+    assert run(capsys, "check", str(DATA / "t345.json"), f"--point={text}") == (0, out, "")
+
+
 def test_boundary_samples_region_solves(capsys):
     code, out, _ = run(capsys, "median", str(DATA / "boundary_loop.json"))
     assert code == 0

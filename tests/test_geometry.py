@@ -163,25 +163,6 @@ def test_centroid_matches_vertex_mean_for_triangles():
         assert np.allclose([c.x, c.y], coords.mean(axis=0), atol=1e-12)
 
 
-def test_convexity_flag():
-    assert Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]).is_convex
-    assert not Polygon([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)]).is_convex
-    # construction reads the flag off the turns of the input order, negated
-    # for clockwise input: the turns of the stored counterclockwise loop
-    # must all be nonnegative exactly when the flag is set
-    rng = np.random.default_rng(70)
-    loops = [random_convex_polygon(rng).coords for _ in range(20)] + [_star(rng, 8) for _ in range(20)]
-    loops.append(np.array([(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)], dtype=float))
-    flags = []
-    for c in loops:
-        for loop in (c, c[::-1]):
-            poly = Polygon(loop)
-            cross, _ = geometry._turns(poly.edge_vectors)
-            assert poly.is_convex == bool(np.all(cross >= 0.0))
-            flags.append(poly.is_convex)
-    assert all(flags[:40]) and all(flags[-2:]) and not all(flags)
-
-
 def test_contains_basics():
     sq = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert sq.contains((0.5, 0.5))
@@ -527,6 +508,25 @@ def test_loops_whose_extent_overflows_keep_the_reference_verdict():
         for loop in (c, _pinched(c, np.random.default_rng(68))):
             _assert_candidates_cover_touching_boxes(loop)
             assert _assert_same_verdict(loop) is (loop is not c)
+
+
+def test_a_far_vertex_keeps_the_exact_verdict_of_short_edges():
+    # star loops with one vertex pushed along its direction to 1e100 or
+    # 1e150, rolled to mid-loop (vertex 0 far is a zero shoelace area): a
+    # short edge near the far vertex's neighbour, seen from the far end of
+    # the long edge, rounded to a crossing in 11 of the 31 simple loops
+    rng = np.random.default_rng(5)
+    for n in range(6, 40):
+        c = random_star_polygon(rng, n).coords
+        for far in (1e100, 1e150):
+            d = c.copy()
+            d[0] *= far / np.hypot(*d[0])
+            d = np.roll(d, -(n // 2), axis=0)
+            touch = any(exact_segments_touch(d[i], d[(i + 1) % n], d[j], d[(j + 1) % n])
+                        for i in range(n) for j in range(i + 2, n - (i == 0)))
+            assert _assert_same_verdict(d) is touch, (n, far)
+            if not touch:
+                Polygon(d)
 
 
 def test_a_far_vertex_leaves_the_contacts_of_small_features_alone():

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    DUMBBELL,
     closed_value,
+    comb_polygon,
+    convex_monte_carlo_reference,
     interior_point,
     random_convex_polygon,
     random_star_polygon,
@@ -28,6 +31,7 @@ from regionmedian.oracle import (
     oracle_sigma,
     oracle_sigma_mc,
 )
+from regionmedian.triquad import signed_areas, triangulate
 from regionmedian.solver import solve_median
 
 DATA = Path(__file__).parent / "data"
@@ -149,6 +153,41 @@ def test_star_region_agrees_with_monte_carlo():
     v = oracle_sigma(poly, x)
     mc = oracle_sigma_mc(poly, x, cfg=OracleConfig(mc_samples=300_000, seed=8))
     assert abs(float(v) - mc.mean) <= 4.5 * mc.stderr
+
+
+def test_monte_carlo_on_convex_loops_is_the_unsigned_sampler_bit_for_bit():
+    rng = np.random.default_rng(90)
+    kernels = (RadialKernel.euclidean(), RadialKernel.power(1.5))
+    polys = [random_convex_polygon(rng) for _ in range(200)]
+    # a flat corner gives a fan triangle of area zero
+    polys.append(Polygon([(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)]))
+    for k, poly in enumerate(polys):
+        x = rng.uniform(-2.0, 2.0, 2)
+        seed = int(rng.integers(1 << 31))
+        mc = oracle_sigma_mc(poly, Point2(*x), kernels[k % 2], OracleConfig(mc_samples=2000, seed=seed))
+        assert (mc.mean, mc.stderr) == convex_monte_carlo_reference(poly, x, kernels[k % 2], 2000, seed)
+
+
+@pytest.mark.parametrize("region", [Polygon(DUMBBELL), comb_polygon(20)], ids=["dumbbell", "comb"])
+def test_monte_carlo_agrees_where_the_fan_overlaps_itself(region):
+    # the fan from vertex 0 covers the dumbbell about 2.8 times and the
+    # comb about 10 times over; the negative triangles cancel the excess
+    areas = signed_areas(triangulate(region))
+    assert np.abs(areas).sum() > 2.5 * region.area
+    x = region.centroid
+    mc = oracle_sigma_mc(region, x, cfg=OracleConfig(mc_samples=300_000, seed=12))
+    assert abs(float(oracle_sigma(region, x)) - mc.mean) <= 4.5 * mc.stderr
+
+
+def test_monte_carlo_on_a_4096_vertex_star_loop():
+    rng = np.random.default_rng(91)
+    poly = random_star_polygon(rng, n=4096)
+    areas = signed_areas(triangulate(poly))
+    assert len(areas) == 4094 and areas.min() < 0.0
+    assert math.isclose(areas.sum(), poly.area, rel_tol=1e-12)
+    x = Point2(*interior_point(poly, rng))
+    mc = oracle_sigma_mc(poly, x, cfg=OracleConfig(mc_samples=100_000, seed=13))
+    assert abs(float(oracle_sigma(poly, x)) - mc.mean) <= 4.5 * mc.stderr
 
 
 def test_monte_carlo_reports_sane_stderr():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_convex_polygon, random_star_polygon, random_triangle, similarity_transform
+from helpers import DUMBBELL, random_convex_polygon, random_star_polygon, random_triangle, similarity_transform
 
 from regionmedian import (
     InvalidTriangleError,
@@ -192,11 +192,6 @@ def test_custom_kernel_result_is_marked_local():
     res = solve_medianoid(T345, kern)
     assert res.local
     assert res.converged
-
-
-# two squares joined by a bar 0.1 wide and 4 long
-DUMBBELL = [(0, 0), (2, 0), (2, 0.95), (6, 0.95), (6, 0), (7, 0), (7, 1), (6, 1), (6, 1.05), (2, 1.05),
-            (2, 2), (0, 2)]
 
 
 @pytest.mark.parametrize("p,local", [(0.3, True), (0.9, True), (1.0, False), (1.5, False)])
