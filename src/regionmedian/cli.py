@@ -28,7 +28,7 @@ from .errors import OutputFileError, RegionFileError, RegionMedianError
 from .geometry import Point2, Polygon
 from .kernels import RadialKernel
 from .oracle import _brute_force_minimize, oracle_minimize
-from .residuals import general_boundary_residual, polygon_residual
+from .residuals import general_boundary_residual
 from .solver import SolveConfig, degenerate_limit_study, solve_median, solve_medianoid
 from .svg import region_figure
 from .weiszfeld import PointSet, weiszfeld
@@ -320,19 +320,18 @@ def cmd_check(args) -> int:
     inp = load_region_file(args.file)
     poly = _require_region(inp, "check")
     point = _parse_point(args.point)
-    # evaluated in the solver's frame and by its route (closed form with no
-    # kernel in the file, as ``median``, else quadrature, as ``medianoid``),
-    # so the point a solve reports gives the edge means it reported
+    # evaluated in the solver's frame and on the route of the file's
+    # kernel, or of the Euclidean one when the file has none, as the
+    # solves do, so the point a solve reports gives the edge means it
+    # reported
+    kernel = inp.kernel or RadialKernel.euclidean()
     local, ox, oy = poly._local_frame()
     at = Point2(point.x - ox, point.y - oy)
     # a point far enough out overflows the edge integrals; raising keeps
     # numpy's warnings off stderr and names the point in the one error line
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if inp.kernel is None:
-                rep = polygon_residual(local, at)
-            else:
-                rep = general_boundary_residual(local, at, inp.kernel)
+            rep = general_boundary_residual(local, at, kernel)
     except FloatingPointError as exc:
         raise RegionFileError(f"the residual at --point {point.x!r},{point.y!r} is out of range: {exc}") from exc
     report = {

@@ -1,13 +1,15 @@
 """Line integrals of radial cost kernels along straight segments.
 
-The central quantity is the arclength integral of f(P - x) over a segment,
-for f the Euclidean norm (closed form) or a general radial kernel
-(Gauss-Kronrod quadrature: one batched pass over stacked segments, or
-scipy's ``quad`` on one segment as an independent reference). Kernels
-evaluate whole arrays of displacement components, custom ones through
-an evaluator of (dx, dy) arrays. Both batched routes also return each
-integral's gradient in x: in closed form, or integrated at the same
-Gauss-Kronrod nodes as the values.
+The central quantity is the arclength integral of f(P - x) over a segment.
+The kernel picks how it is computed (``RadialKernel.values_batch``): in
+closed form for the Euclidean kernel and for the powers |P - x|^p with
+integer 1 <= p <= 16, by one batched Gauss-Kronrod pass over stacked
+segments for every other kernel. scipy's ``quad`` on one segment stays
+as an independent reference. Kernels evaluate whole arrays of
+displacement components, custom ones through an evaluator of (dx, dy)
+arrays. Both batched routes also return each integral's gradient in x:
+in closed form, or integrated at the same Gauss-Kronrod nodes as the
+values.
 """
 from __future__ import annotations
 
@@ -29,6 +31,14 @@ _COLLINEAR_EPS = 1e-12
 
 # edge quadrature tolerance of every solve and CLI command
 _QUAD_TOL = 1e-13
+
+# largest integer power whose edge integrals take the closed form, and
+# larger powers take quadrature. The reduction climbs p/2 steps in
+# parameter units, where an edge's integral reaches (D/L)^(p+1) for x at
+# distance D from an edge of length L: below the cap that overflows only
+# past D/L ~ 1e18, while at p = 32 an edge 1e-10 of the diameter long
+# already overflows a solve
+_MAX_CLOSED_POWER = 16
 
 
 class KernelKind(Enum):
@@ -78,6 +88,29 @@ class RadialKernel:
                              f"dx={dx.tolist()}, dy={dy.tolist()}")
         return cls(KernelKind.CUSTOM, evaluator=evaluator)
 
+    @property
+    def closed_power(self) -> Optional[int]:
+        """The integer p whose closed form ``closed_values_batch`` integrates
+        this kernel: 1 for the Euclidean kernel, p for a power kernel with
+        integer 1 <= p <= ``_MAX_CLOSED_POWER``; None for every other kernel."""
+        if self.kind is KernelKind.EUCLIDEAN:
+            return 1
+        if self.kind is KernelKind.POWER_LAW and self.p.is_integer() and 1.0 <= self.p <= _MAX_CLOSED_POWER:
+            return int(self.p)
+        return None
+
+    def values_batch(self, a, e, x) -> Tuple[np.ndarray, np.ndarray]:
+        """Integrals of the kernel along stacked segments and their gradients in x.
+
+        The kernel picks the route: ``closed_values_batch`` for the
+        Euclidean kernel and integer powers up to ``_MAX_CLOSED_POWER``,
+        ``quadrature_values_batch`` for every other kernel.
+        """
+        p = self.closed_power
+        if p is None:
+            return quadrature_values_batch(a, e, x, self)
+        return closed_values_batch(a, e, x, p)
+
     def evaluate_many(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on arrays of displacement components."""
         if self.kind is KernelKind.EUCLIDEAN:
@@ -103,17 +136,25 @@ class RadialKernel:
         return s * (dx * inv), s * (dy * inv)
 
 
-def closed_values_batch(a: np.ndarray, e: np.ndarray, x) -> Tuple[np.ndarray, np.ndarray]:
-    """Euclidean segment integrals and their gradients for stacked segments.
+def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrals of |P - x|^p along stacked segments and their gradients, integer p >= 1.
 
     a, e: (m, 2) arrays of segment starts and edge vectors, no edge
     vector zero; x: query point (length-2).
-    Returns the (m,) array of arclength integrals V_i of |P - x| over each
-    segment and the (m, 2) array of their gradients in x,
-    -integral of (P - x)/|P - x| ds. Parameterized by arclength fraction
-    so conditioning does not depend on absolute scale; a separate branch
-    handles query points on the carrier line of a segment, where the
-    logarithm degenerates.
+    Returns the (m,) array of arclength integrals V_i of |P - x|^p over
+    each segment and the (m, 2) array of their gradients in x,
+    -integral of p |P - x|^(p-2) (P - x) ds. Parameterized by arclength
+    fraction so conditioning does not depend on absolute scale; for odd
+    p a separate branch handles query points on the carrier line of a
+    segment, where the logarithm degenerates.
+
+    With u the parameter along the edge, c the offset of x from its line
+    and r = hypot(u, c), all in parameter units, V_i = L^(p+1) (I_p(u2) -
+    I_p(u1)) for I_k the antiderivative of r^k, from the reduction
+    I_k = (u r^k + k c^2 I_(k-2)) / (k + 1) started at I_-1 = asinh(u/|c|)
+    (odd p) or I_0 = u (even p) (Gradshteyn and Ryzhik, section 2.27). The
+    gradient's part along the edge is L^(p-1) (r2^p - r1^p), its part
+    normal to it p L^(p-1) c (I_(p-2)(u2) - I_(p-2)(u1)).
     """
     e = np.asarray(e, dtype=float)
     w = np.asarray(x, dtype=float).reshape(2) - np.asarray(a, dtype=float)
@@ -128,27 +169,64 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x) -> Tuple[np.ndarray, np
     u = np.empty((2, len(t0)))
     np.negative(t0, out=u[0])
     np.subtract(1.0, t0, out=u[1])
-    col = c < _COLLINEAR_EPS
-    any_col = bool(np.any(col))
-    if any_col:
-        # stand-in offset; these rows take the piecewise formulas below
-        c = np.where(col, 1.0, c)
+    # odd powers start from asinh(u/c), which degenerates on the carrier
+    # line; even ones are polynomials in u and c
+    any_col = False
+    if p % 2:
+        col = c < _COLLINEAR_EPS
+        any_col = bool(np.any(col))
+        if any_col:
+            # stand-in offset; these rows take the piecewise formulas below
+            c = np.where(col, 1.0, c)
     r = np.hypot(u, c)
-    s = np.arcsinh(u / c)
-    # antiderivative of hypot(u, c) in u: (u hypot(u, c) + c^2 asinh(u/c)) / 2
-    f = 0.5 * (u * r + c * c * s)
-    vals = f[1] - f[0]
-    # r2 - r1 without cancellation, since u2 - u1 = 1
+    c2 = c * c
+    # I_1 from I_-1 = asinh(u/c), or I_2 from I_0 = u, then up the
+    # reduction to I_p, keeping I_(p-2) for the normal part
+    if p % 2:
+        k, rk, low = 1, r, np.arcsinh(u / c)
+        high = 0.5 * (u * r + c2 * low)
+    else:
+        k, rk, low = 2, r * r, u
+        high = (u * rk + 2.0 * c2 * u) / 3.0
+    while k < p:
+        k, rk, low = k + 2, rk * r * r, high
+        high = (u * rk + k * c2 * low) / (k + 1)
+    vals = high[1] - high[0]
+    # r2 - r1 without cancellation, since u2 - u1 = 1; r2^p - r1^p is
+    # that times _power_sum
     along = (u[0] + u[1]) / (r[0] + r[1])
-    normal = cs * (s[1] - s[0])
+    normal = cs * (low[1] - low[0])
+    if p > 1:
+        along = along * _power_sum(r[0], r[1], p)
+        normal = p * normal
     if any_col:
         au = np.abs(u)
-        vals = np.where(col, 0.5 * (u[1] * au[1] - u[0] * au[0]), vals)
-        along = np.where(col, au[1] - au[0], along)
-        normal = np.where(col, 0.0, normal)
+        aup = au if p == 1 else au ** p
+        vals = np.where(col, (u[1] * aup[1] - u[0] * aup[0]) / (p + 1), vals)
+        along_col, normal_col = au[1] - au[0], 0.0
+        if p > 1:
+            along_col = along_col * _power_sum(au[0], au[1], p)
+            # I_(p-2) as c -> 0 is u |u|^(p-2) / (p - 1)
+            aum = au ** (p - 2)
+            normal_col = p * cs * (u[1] * aum[1] - u[0] * aum[0]) / (p - 1)
+        along = np.where(col, along_col, along)
+        normal = np.where(col, normal_col, normal)
+    if p > 1:
+        # L^(p-1) scales the gradient, L^(p+1) the values
+        scale = L2 ** (0.5 * (p - 1))
+        along, normal, L2 = scale * along, scale * normal, scale * L2
     grad = np.empty((len(t0), 2))
     grad[:, 0], grad[:, 1] = -(along * ex + normal * ey), normal * ex - along * ey
     return L2 * vals, grad
+
+
+def _power_sum(r1: np.ndarray, r2: np.ndarray, p: int) -> np.ndarray:
+    """sum of r2^k r1^(p-1-k) over k = 0 .. p-1 for p >= 2, so that
+    r2^p - r1^p = (r2 - r1) times it, with no difference of powers."""
+    total, r2k = r1 + r2, r2 * r2
+    for _ in range(p - 2):
+        total, r2k = r1 * total + r2k, r2k * r2
+    return total
 
 
 def _ladder_panels(t0: np.ndarray, layer: np.ndarray):

@@ -1,21 +1,22 @@
 """Boundary-integral residual fields whose roots are medians.
 
 One rule for every kernel k: with m_i the mean of k(P - x) along edge i
-of the counterclockwise loop and e_i its edge vector, both routes report
-the residual T = sum_i m_i e_i, and the gradient of the area objective
-(integral of k(P - x) dA) is rotate90(T, +1). The routes differ only in
-how the means are evaluated: ``polygon_residual`` uses the closed form
-(Euclidean kernel), ``general_boundary_residual`` (any kernel) one
-batched Gauss-Kronrod 10/21 pass over the panels of every edge
-(``kernels.quadrature_values_batch``). An edge passes when its QUADPACK
-error estimate err satisfies err <= tol * (1 + |value|) for its
-integral value, with the one tolerance tol = 1e-13 of every solve and
-CLI command; only the panels of failing edges are bisected, and an
-edge that does not pass raises NonConvergenceError. Both routes also
-report the Jacobian of the gradient, from the gradients of the edge
-integrals: closed-form, or integrated in the same Gauss-Kronrod pass
-as the values. T is summed correctly rounded (``math.fsum``), so it
-does not depend on where the loop starts.
+of the counterclockwise loop and e_i its edge vector, the residual is
+T = sum_i m_i e_i, and the gradient of the area objective (integral of
+k(P - x) dA) is rotate90(T, +1). ``general_boundary_residual`` takes the
+edge integrals from the kernel (``RadialKernel.values_batch``): in closed
+form for the Euclidean kernel and integer powers up to
+``kernels._MAX_CLOSED_POWER``, else by one batched Gauss-Kronrod 10/21
+pass over the panels of every edge (``kernels.quadrature_values_batch``).
+A quadrature edge passes when its QUADPACK error estimate err satisfies
+err <= tol * (1 + |value|) for its integral value, with the one
+tolerance tol = 1e-13 of every solve and CLI command; only the panels of
+failing edges are bisected, and an edge that does not pass raises
+NonConvergenceError. ``polygon_residual`` is the Euclidean closed form
+on its own. Every report carries the Jacobian of the gradient, from the
+gradients of the edge integrals: closed-form, or integrated in the same
+Gauss-Kronrod pass as the values. T is summed correctly rounded
+(``math.fsum``), so it does not depend on where the loop starts.
 
 For a triangle T vanishes exactly when the three means are equal, for
 any kernel; their spread is the certificate, ``ResidualReport.certificate``
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidTriangleError
 from .geometry import Point2, Polygon, Vector2, as_polygon, rotate90
-from .kernels import RadialKernel, closed_values_batch, quadrature_values_batch
+from .kernels import RadialKernel, closed_values_batch
 
 __all__ = [
     "ResidualReport",
@@ -52,7 +53,7 @@ class ResidualReport:
     squared region diameter, which makes solver tolerances scale-free for
     the Euclidean kernel. ``jacobian`` is the derivative of the gradient
     in x, R sum_i e_i (x) grad m_i with R the rotation by +90 degrees,
-    as rows ((dg_x/dx, dg_x/dy), (dg_y/dx, dg_y/dy)), on both routes.
+    as rows ((dg_x/dx, dg_x/dy), (dg_y/dx, dg_y/dy)), on every route.
     ``certificate`` is the spread of a triangle's three edge means.
     """
 
@@ -109,8 +110,9 @@ def _spread(means) -> float:
 def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
     """Residual T: sum of (mean edge distance) times edge vector.
 
-    Uses the closed-form segment integrals of the Euclidean kernel, and
-    their closed-form gradients for the report's ``jacobian``.
+    The Euclidean kernel's closed-form segment integrals, and their
+    closed-form gradients for the report's ``jacobian``: the route that
+    ``general_boundary_residual`` takes for ``RadialKernel.euclidean()``.
     """
     return _report(poly, *closed_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y)))
 
@@ -120,12 +122,12 @@ def general_boundary_residual(boundary, x: Point2, kernel: RadialKernel) -> Resi
 
     ``boundary`` may be a Polygon or any closed vertex loop (a sampled
     polyline approximating a curved boundary); loops are normalized to
-    counterclockwise order. All edge means come from one batched
-    Gauss-Kronrod quadrature, and the report's
-    ``jacobian`` from the kernel gradients at the same nodes.
+    counterclockwise order. All edge means and the gradients behind the
+    report's ``jacobian`` come from one call of the kernel's route,
+    ``RadialKernel.values_batch``.
     """
     poly = as_polygon(boundary)
-    return _report(poly, *quadrature_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y), kernel))
+    return _report(poly, *kernel.values_batch(poly.coords, poly.edge_vectors, (x.x, x.y)))
 
 
 class CertificateResult(NamedTuple):

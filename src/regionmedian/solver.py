@@ -2,10 +2,11 @@
 
 The median of a region is the unique root of the objective gradient
 (strict convexity of the underlying objective guarantees uniqueness for
-the Euclidean kernel). Both residual routes report that gradient; the
-solver drives it with Newton steps, backtracking damping, and a
-gradient-descent fallback when the Jacobian degenerates. Both routes
-report the Jacobian with the residual, so Newton makes one residual
+the Euclidean kernel). ``general_boundary_residual`` reports that
+gradient on the kernel's route (closed form or quadrature); the solver
+drives it with Newton steps, backtracking damping, and a
+gradient-descent fallback when the Jacobian degenerates. Every report
+carries the Jacobian with the residual, so Newton makes one residual
 call per trial point.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import InvalidTriangleError, SingularRegionError
 from .geometry import Point2, Polygon, as_polygon
 from .kernels import KernelKind, RadialKernel
-from .residuals import ResidualReport, general_boundary_residual, polygon_residual
+from .residuals import ResidualReport, general_boundary_residual
 
 __all__ = ["SolveConfig", "SolveResult", "solve_median", "solve_medianoid", "degenerate_limit_study"]
 
@@ -106,12 +107,12 @@ def _ill_conditioned(jac) -> bool:
 # one numpy error state for a whole solve: an overflow or an invalid
 # operation raises, instead of a warning, and ends it as a package error
 @np.errstate(over="raise", invalid="raise")
-def _newton_root(region, kernel: Optional[RadialKernel], cfg: Optional[SolveConfig]) -> SolveResult:
+def _newton_root(region, kernel: RadialKernel, cfg: Optional[SolveConfig]) -> SolveResult:
     """Damped Newton on the report gradient, from the area centroid.
 
-    Without a kernel the residual is ``polygon_residual`` (the Euclidean
-    closed form), with one ``general_boundary_residual``; both are looked
-    up in this module at every call. A custom kernel or a power p < 1
+    The residual is ``general_boundary_residual`` on the kernel's route
+    (``RadialKernel.values_batch``), looked up in this module at every
+    call. A custom kernel or a power p < 1
     marks the result ``local``. The median is translation-equivariant, so
     the iterate is x minus the origin of the region's solve frame, and the
     residual sees the region translated there: a region far from the
@@ -125,8 +126,6 @@ def _newton_root(region, kernel: Optional[RadialKernel], cfg: Optional[SolveConf
     def rep_at(v: np.ndarray) -> ResidualReport:
         p = Point2(float(v[0]), float(v[1]))
         try:
-            if kernel is None:
-                return polygon_residual(polygon, p)
             return general_boundary_residual(polygon, p, kernel)
         except FloatingPointError as exc:
             raise SingularRegionError(f"the kernel integrals overflow the float range: {exc}") from exc
@@ -164,7 +163,7 @@ def _newton_root(region, kernel: Optional[RadialKernel], cfg: Optional[SolveConf
         trace.append((absolute(x), rep.normalized_norm))
         converged = rep.normalized_norm <= cfg.tol_rel
     # an increasing radial kernel's roots lie in the hull, within diam of the centroid
-    custom = kernel is not None and kernel.kind is KernelKind.CUSTOM
+    custom = kernel.kind is KernelKind.CUSTOM
     if not custom and absolute(x).distance_to(trace[0][0]) > diam:
         converged = False
     return SolveResult(
@@ -175,7 +174,7 @@ def _newton_root(region, kernel: Optional[RadialKernel], cfg: Optional[SolveConf
         trace=tuple(trace),
         certificate=rep.certificate,
         converged=converged,
-        local=custom or (kernel is not None and kernel.kind is KernelKind.POWER_LAW and kernel.p < 1.0),
+        local=custom or (kernel.kind is KernelKind.POWER_LAW and kernel.p < 1.0),
         edge_means=rep.edge_means,
     )
 
@@ -183,17 +182,20 @@ def _newton_root(region, kernel: Optional[RadialKernel], cfg: Optional[SolveConf
 def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
     """Geometric median of a polygonal region (Euclidean kernel).
 
-    Newton on the closed-form residual's gradient and its closed-form
-    Jacobian, initialized at the area centroid.
+    ``solve_medianoid`` with ``RadialKernel.euclidean()``: Newton on the
+    closed-form residual's gradient and its closed-form Jacobian,
+    initialized at the area centroid.
     """
-    return _newton_root(poly, None, cfg)
+    return solve_medianoid(poly, RadialKernel.euclidean(), cfg)
 
 
 def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] = None) -> SolveResult:
     """Medianoid of a region for a general radial kernel.
 
-    Same Newton scheme, driven by the quadrature boundary residual and
-    the Jacobian integrated in the same quadrature pass.
+    Same Newton scheme, driven by the boundary residual on the kernel's
+    route: closed form for the Euclidean kernel and integer powers up to
+    ``kernels._MAX_CLOSED_POWER``, Gauss-Kronrod quadrature with the
+    Jacobian integrated in the same pass for every other kernel.
     Accepts a Polygon or a sampled polyline loop for the boundary.
     """
     return _newton_root(boundary, kernel, cfg)

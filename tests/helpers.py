@@ -1,6 +1,8 @@
 """Shared generators for randomized tests. All randomness flows through
 the caller's seeded Generator so every test is reproducible."""
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +46,52 @@ def two_endpoint_closed_values(a, e, x):
     normal = np.where(col, 0.0, normal)
     grad = np.stack((-(along * e[:, 0] + normal * e[:, 1]), normal * e[:, 0] - along * e[:, 1]), axis=1)
     return L2 * vals, grad
+
+
+def decimal_edge_integral(a, e, x, p):
+    """Reference for ``closed_values_batch(a, e, x, p)`` on one segment, in
+    50-digit decimal arithmetic from the floats as given.
+
+    With s the arclength from the foot of x on the segment's line, d the
+    signed offset of x from it and r = sqrt(s^2 + d^2), the integral of
+    r^p over the segment climbs K_k = (s r^k + k d^2 K_(k-2)) / (k + 1)
+    from K_-1 = asinh(s/|d|) = ln(s/|d| + sqrt(s^2/d^2 + 1)), taken odd in
+    s, or K_0 = s. The gradient in x is -(r2^p - r1^p) along the edge and
+    p d (K_(p-2)(s2) - K_(p-2)(s1)) along its normal. Returns the value
+    and the gradient as floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        (ax, ay), (ex, ey), (xx, xy) = ((Decimal(float(v[0])), Decimal(float(v[1]))) for v in (a, e, x))
+        length = (ex * ex + ey * ey).sqrt()
+        tx, ty = ex / length, ey / length
+        wx, wy = xx - ax, xy - ay
+        # P - x = s t - d n with n = (-ty, tx)
+        d = tx * wy - ty * wx
+        ends = (-(tx * wx + ty * wy), length - (tx * wx + ty * wy))
+
+        def asinh(z):
+            root = (z * z + 1).sqrt()
+            return (abs(z) + root).ln() if z >= 0 else -((-z + root).ln())
+
+        def reduction(s, k):
+            """K_k(s) and K_(k-2)(s); for d = 0, s |s|^k / (k + 1) and 0."""
+            if d == 0:
+                return s * abs(s) ** k / (k + 1), Decimal(0)
+            r = (s * s + d * d).sqrt()
+            low = asinh(s / abs(d)) if k % 2 else s
+            j = 1 if k % 2 else 2
+            high = (s * r ** j + j * d * d * low) / (j + 1)
+            while j < k:
+                j += 2
+                low, high = high, (s * r ** j + j * d * d * high) / (j + 1)
+            return high, low
+
+        (h1, l1), (h2, l2) = (reduction(s, p) for s in ends)
+        r1, r2 = ((s * s + d * d).sqrt() for s in ends)
+        along = -(r2 ** p - r1 ** p)
+        normal = p * d * (l2 - l1)
+        gx, gy = along * tx - normal * ty, along * ty + normal * tx
+        return float(h2 - h1), np.array([float(gx), float(gy)])
 
 
 def tensor_star_integral(poly, x, kernel, panels=4):
@@ -179,41 +227,45 @@ def interior_point(poly, rng):
 
 def quadratic_segments_intersect_any(coords):
     """Reference contact test: every non-adjacent edge pair of the closed
-    loop, one edge at a time, with the same rules as
-    ``geometry._segments_intersect_any``: the loop scaled by the same power
-    of two, then each edge meets the other's carrier line (min <= 0 <= max
-    over its two orientations, taken from the nearer end) and the bounding
-    boxes overlap. Quadratic in n."""
+    loop, with the same rules as ``geometry._segments_intersect_any``: the
+    loop scaled by the same power of two, then each edge meets the other's
+    carrier line (min <= 0 <= max over its two orientations, taken from
+    the nearer end) and the bounding boxes overlap. Quadratic in n: blocks
+    of edges i against the later edges j, each pair by the same
+    elementwise expressions, of which only the pairs j > i + 1 that are
+    not the wrap-around neighbours (0, n - 1) count."""
     coords = np.asarray(coords, dtype=float)
     exp = 500 - math.frexp(float(np.max(np.abs(coords))))[1]
     a = np.ldexp(coords, exp)
     b = np.roll(a, -1, axis=0)
     n = len(a)
-    for i in range(n - 2):
-        # partner edges j > i, skipping neighbours (and the wrap-around
-        # neighbour of edge 0)
-        j0 = i + 2
-        j1 = n - 1 if i == 0 else n
-        if j0 >= j1:
-            continue
-        c = a[j0:j1]
-        d = b[j0:j1]
-        ai, bi = a[i], b[i]
-        e = bi - ai
+    block = max(1, 2 ** 16 // n)
+    for i0 in range(0, n - 2, block):
+        # edges i = a -> b down the rows, edges j = c -> d from i0 + 2 on
+        # across the columns
+        i = np.arange(i0, min(i0 + block, n - 2))[:, None]
+        j = np.arange(i0 + 2, n)
+        pair = (j > i + 1) & ((i > 0) | (j < n - 1))
+        ax, ay, bx, by = a[i, 0], a[i, 1], b[i, 0], b[i, 1]
+        cx, cy, dx, dy = a[j, 0], a[j, 1], b[j, 0], b[j, 1]
+        fx, fy = dx - cx, dy - cy
+        ex, ey = bx - ax, by - ay
         # c and d seen from the end of edge i nearer c, ai and bi from the
         # end of edge j nearer ai (L1 distances; ties keep ai and c)
-        to_a = np.abs(c - ai).sum(axis=1)
-        p = np.where((np.abs(c - bi).sum(axis=1) < to_a)[:, None], bi, ai)
-        q = np.where((np.abs(d - ai).sum(axis=1) < to_a)[:, None], d, c)
-        o1 = e[0] * (c[:, 1] - p[:, 1]) - e[1] * (c[:, 0] - p[:, 0])
-        o2 = e[0] * (d[:, 1] - p[:, 1]) - e[1] * (d[:, 0] - p[:, 0])
-        f = d - c
-        o3 = f[:, 0] * (ai[1] - q[:, 1]) - f[:, 1] * (ai[0] - q[:, 0])
-        o4 = f[:, 0] * (bi[1] - q[:, 1]) - f[:, 1] * (bi[0] - q[:, 0])
+        to_a = np.abs(cx - ax) + np.abs(cy - ay)
+        near_b = np.abs(cx - bx) + np.abs(cy - by) < to_a
+        px, py = np.where(near_b, bx, ax), np.where(near_b, by, ay)
+        near_d = np.abs(dx - ax) + np.abs(dy - ay) < to_a
+        qx, qy = np.where(near_d, dx, cx), np.where(near_d, dy, cy)
+        o1 = ex * (cy - py) - ey * (cx - px)
+        o2 = ex * (dy - py) - ey * (dx - px)
+        o3 = fx * (ay - qy) - fy * (ax - qx)
+        o4 = fx * (by - qy) - fy * (bx - qx)
         straddle = ((np.minimum(o1, o2) <= 0) & (np.maximum(o1, o2) >= 0)
                     & (np.minimum(o3, o4) <= 0) & (np.maximum(o3, o4) >= 0))
-        boxes = np.all((np.minimum(ai, bi) <= np.maximum(c, d)) & (np.minimum(c, d) <= np.maximum(ai, bi)), axis=1)
-        if np.any(straddle & boxes):
+        boxes = ((np.minimum(ax, bx) <= np.maximum(cx, dx)) & (np.minimum(cx, dx) <= np.maximum(ax, bx))
+                 & (np.minimum(ay, by) <= np.maximum(cy, dy)) & (np.minimum(cy, dy) <= np.maximum(ay, by)))
+        if np.any(straddle & boxes & pair):
             return True
     return False
 

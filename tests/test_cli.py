@@ -47,6 +47,27 @@ def test_golden_reports_are_reproduced_byte_for_byte(capsys, tmp_path):
         assert out_path.read_bytes() == (GOLDEN / f"{stem}_report.json").read_bytes()
 
 
+def test_every_euclidean_medianoid_prints_the_golden_median_report(capsys, tmp_path):
+    # power:1, euclidean and a file's euclidean kernel take the closed form
+    # of median, so each prints its report byte for byte
+    for stem in ("equilateral", "t345", "pentagon", "boundary_loop"):
+        golden = (GOLDEN / f"{stem}_report.json").read_text()
+        data = DATA / f"{stem}.json"
+        explicit = tmp_path / f"{stem}.json"
+        explicit.write_text(json.dumps({**json.loads(data.read_text()), "kernel": {"kind": "euclidean"}}))
+        for argv in ([str(data), "--kernel", "power:1"], [str(data), "--kernel", "euclidean"], [str(explicit)]):
+            assert run(capsys, "medianoid", *argv) == (0, golden, ""), (stem, argv)
+
+
+def test_check_under_a_power_one_kernel_is_check_without_a_kernel(capsys, tmp_path):
+    path = tmp_path / "t345_power1.json"
+    path.write_text(json.dumps({**json.loads((DATA / "t345.json").read_text()), "kernel": {"kind": "power", "p": 1}}))
+    for point in ("1.2,1.1", "0,0", "1.5,0", "1e150,0"):
+        plain = run(capsys, "check", str(DATA / "t345.json"), "--point", point)
+        assert plain[0] == 0
+        assert run(capsys, "check", str(path), "--point", point) == plain, point
+
+
 def test_discrete_golden_reports_are_reproduced_byte_for_byte(capsys, tmp_path):
     for stem in ("obtuse_points", "weighted_points"):
         out_path = tmp_path / f"{stem}.json"
@@ -366,9 +387,9 @@ def test_check_at_a_reported_median_gives_the_solved_edge_means(capsys, tmp_path
 
 
 def test_check_takes_the_route_of_the_solve_it_checks(capsys, tmp_path):
-    # no kernel in the file: the closed form, as median; a kernel, the
-    # Euclidean one too: quadrature, as medianoid. Either way check at the
-    # reported median prints the solve's bits
+    # no kernel in the file: the Euclidean kernel, as median; a kernel:
+    # that kernel's route, as medianoid. Either way check at the reported
+    # median prints the solve's bits
     plain = DATA / "pentagon.json"
     explicit = tmp_path / "euclidean.json"
     explicit.write_text(json.dumps({**json.loads(plain.read_text()), "kernel": {"kind": "euclidean"}}))
@@ -385,7 +406,7 @@ def test_check_takes_the_route_of_the_solve_it_checks(capsys, tmp_path):
 
 
 def test_check_gradient_is_the_area_objective_slope(capsys):
-    # the file's power-2 kernel takes the quadrature residual route
+    # the file's power-2 kernel takes the closed-form residual route
     code, out, _ = run(capsys, "check", str(DATA / "power2_region.json"), "--point", "1.5,1.0")
     assert code == 0
     grad = json.loads(out)["gradient"]

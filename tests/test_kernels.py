@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     closed_value,
+    decimal_edge_integral,
     interior_point,
     random_convex_polygon,
     random_star_polygon,
@@ -20,7 +21,14 @@ from regionmedian import (
     general_boundary_residual,
     solve_medianoid,
 )
-from regionmedian.kernels import _COLLINEAR_EPS, _ladder_panels, closed_values_batch, quadrature_values_batch, segment_sigma_quadrature
+from regionmedian.kernels import (
+    _COLLINEAR_EPS,
+    _MAX_CLOSED_POWER,
+    _ladder_panels,
+    closed_values_batch,
+    quadrature_values_batch,
+    segment_sigma_quadrature,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -147,6 +155,100 @@ def test_closed_vs_quadrature_including_near_collinear():
         rel = abs(closed - quad) / max(abs(quad), 1e-30)
         worst = max(worst, rel)
     assert worst < 1e-12, f"worst relative mismatch {worst:.3e}"
+
+
+def _assert_matches_the_decimal_reference(a, e, x, p):
+    value, grad = closed_values_batch(np.array([a]), np.array([e]), x, p)
+    want, want_grad = decimal_edge_integral(a, e, x, p)
+    assert abs(value[0] - want) <= 1e-14 * abs(want), (a, e, x, p)
+    assert np.hypot(*(grad[0] - want_grad)) <= 1e-14 * np.hypot(*want_grad), (a, e, x, p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_closed_forms_match_the_decimal_reference(p):
+    """Values err by at most 1e-14 relative, gradients by 1e-14 of their
+    norm, at points within 10 edge lengths and at both ends."""
+    rng = np.random.default_rng(2600 + p)
+    for _ in range(50):
+        a, e = rng.uniform(-2.0, 2.0, (2, 2))
+        for x in (a + rng.uniform(-10.0, 10.0, 2) * math.hypot(*e), a, a + e):
+            _assert_matches_the_decimal_reference(a, e, x, p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_closed_forms_on_the_carrier_line_match_the_decimal_reference(p):
+    # integer coordinates put x exactly on the edge's line: before, at
+    # the ends, on the edge and beyond it; odd powers take the collinear
+    # branch there, even powers have no logarithm to avoid
+    rng = np.random.default_rng(2610 + p)
+    for _ in range(10):
+        a = rng.integers(-4, 5, 2).astype(float)
+        e = rng.integers(1, 5, 2).astype(float) * rng.choice([-1.0, 1.0], 2)
+        for k in (-3.0, -0.5, 0.0, 0.25, 0.75, 1.0, 1.5, 4.0):
+            _assert_matches_the_decimal_reference(a, e, a + k * e, p)
+    # for p >= 2 the first-order term in the offset of a point just off
+    # the line (below _COLLINEAR_EPS) is kept, so the gradient stays exact
+    if p > 1:
+        a, e = np.array([0.5, -1.0]), np.array([2.0, 1.5])
+        normal = np.array([-e[1], e[0]]) / math.hypot(*e)
+        for k in (-0.5, 0.3, 1.5):
+            for off in (1e-13, -3e-14):
+                _assert_matches_the_decimal_reference(a, e, a + k * e + off * math.hypot(*e) * normal, p)
+
+
+def test_the_kernel_picks_the_route_of_its_edge_integrals():
+    a, e, x = QUAD.coords, QUAD.edge_vectors, (1.7, 0.8)
+    closed = {"euclidean": (RadialKernel.euclidean(), 1), "power1": (RadialKernel.power(1.0), 1),
+              "power3": (RadialKernel.power(3), 3), "cap": (RadialKernel.power(_MAX_CLOSED_POWER), _MAX_CLOSED_POWER)}
+    for name, (kernel, p) in closed.items():
+        assert kernel.closed_power == p, name
+        got, want = kernel.values_batch(a, e, x), closed_values_batch(a, e, x, p)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), name
+    # above the cap, powers that are not integers and custom kernels take quadrature
+    bowl = RadialKernel.custom(lambda dx, dy: 1.0 + dx * dx + 0.5 * dy * dy)
+    for kernel in (RadialKernel.power(_MAX_CLOSED_POWER + 1), RadialKernel.power(1e20), RadialKernel.power(1.5),
+                   RadialKernel.power(0.5), bowl):
+        assert kernel.closed_power is None, kernel
+        if kernel.p != 1e20:
+            got, want = kernel.values_batch(a, e, x), quadrature_values_batch(a, e, x, kernel)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), kernel
+
+
+def test_the_closed_form_at_the_cap_solves_a_region_with_an_edge_of_1e_10():
+    # the parameter-unit reduction climbs to (D/L)^(p+1) = 1e170 on the
+    # short edge at p = 16, where p = 32 would overflow the solve
+    poly = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-10), (0.5, 1.0)])
+    kernel = RadialKernel.power(_MAX_CLOSED_POWER)
+    res = solve_medianoid(poly, kernel)
+    assert res.converged and res.iterations == 4
+    values, _ = quadrature_values_batch(poly.coords, poly.edge_vectors, (res.median.x, res.median.y), kernel)
+    # the short edge's mean loses about 1e-16 D/L to cancellation
+    # (ROADMAP item 2); the other three agree to rounding
+    assert res.edge_means == pytest.approx(list(values / poly.edge_lengths), rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_batched_quadrature_matches_the_closed_form_for_integer_powers(p):
+    """The quadrature route, which no integer power up to the cap takes in
+    a solve, against the closed form: values within 1e-13 relative and
+    gradients within 1e-12 of L^p, at interior points, vertices, points on
+    an edge and points 1e-9 and 1e-13 edge lengths off its line. The
+    closed form raises no floating-point error at any of them."""
+    rng = np.random.default_rng(2620 + p)
+    kernel = RadialKernel.power(p)
+    for make in (random_triangle, random_convex_polygon, random_star_polygon):
+        for _ in range(3):
+            poly = make(rng)
+            a, e, lengths = poly.coords, poly.edge_vectors, poly.edge_lengths
+            normal = np.stack([-e[:, 1], e[:, 0]], axis=1) / lengths[:, None]
+            points = [interior_point(poly, rng), *a, *(a + 0.3 * e), *(a + 0.5 * e),
+                      *(a + 0.7 * e + 1e-9 * normal), *(a + 1.5 * e - 1e-13 * normal)]
+            for x in points:
+                with np.errstate(all="raise"):
+                    values, grads = closed_values_batch(a, e, x, p)
+                quad, quad_grads = quadrature_values_batch(a, e, x, kernel)
+                assert np.all(np.abs(quad - values) <= 1e-13 * values), (make.__name__, x)
+                assert np.all(np.abs(quad_grads - grads) <= 1e-12 * lengths[:, None] ** p), (make.__name__, x)
 
 
 def test_quadrature_power2_from_endpoint():

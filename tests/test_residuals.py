@@ -27,11 +27,16 @@ from regionmedian import (
 )
 from regionmedian.kernels import quadrature_values_batch, segment_sigma_quadrature
 from regionmedian.oracle import oracle_sigma
-from regionmedian.residuals import _spread
+from regionmedian.residuals import _report, _spread
 
 
 T345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
 EQUILATERAL = Polygon([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
+
+
+def quadrature_residual(poly, x, kernel):
+    """The report of the quadrature route, whatever route the kernel takes."""
+    return _report(poly, *quadrature_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y), kernel))
 
 
 def test_equilateral_center_residual_vanishes():
@@ -74,9 +79,10 @@ def test_edge_means_and_gradient_follow_one_rule():
     """Every route reports its edge means, the residual T and the gradient
     rotate90(T, +1).
 
-    T is the sum of edge mean times edge vector. The closed-form route
-    and the quadrature route (Euclidean, power 1.5 and a custom kernel)
-    must agree with the single-segment integrals edge by edge.
+    T is the sum of edge mean times edge vector. The closed form
+    (``polygon_residual`` and the Euclidean kernel's route) and the
+    quadrature route (power 1.5 and a custom kernel) must agree with the
+    single-segment integrals edge by edge.
     """
     poly = Polygon([(0.0, 0.0), (3.0, 0.0), (3.5, 2.0), (1.0, 4.0), (-0.5, 1.5)])
     x = Point2(1.1, 1.3)
@@ -105,10 +111,10 @@ def test_edge_means_and_gradient_follow_one_rule():
 def test_gradient_matches_area_integral_slope():
     """Central differences of the area objective reproduce the gradient.
 
-    Both residual routes are checked: the closed-form one and the
-    quadrature one under a power-3 kernel. The step is 1e-5 of the
-    diameter; the area integrals come from the independent triangulated
-    quadrature route.
+    Both residual routes are checked: the closed form, Euclidean and
+    under a power-3 kernel, and quadrature under the power-3 kernel. The
+    step is 1e-5 of the diameter; the area integrals come from the
+    independent triangulated quadrature route.
     """
     c = T345.centroid
     h = 1e-5 * T345.diameter
@@ -116,6 +122,7 @@ def test_gradient_matches_area_integral_slope():
     routes = [
         (polygon_residual(T345, c), None),
         (general_boundary_residual(T345, c, power3), power3),
+        (quadrature_residual(T345, c, power3), power3),
     ]
     for rep, kernel in routes:
         gx = (oracle_sigma(T345, Point2(c.x + h, c.y), kernel) - oracle_sigma(T345, Point2(c.x - h, c.y), kernel)) / (2 * h)
@@ -144,7 +151,7 @@ def test_closed_form_and_quadrature_routes_report_the_same_residual():
         poly = random_convex_polygon(rng, n_max=6)
         x = Point2(*rng.uniform(-1.5, 1.5, 2))
         closed = polygon_residual(poly, x)
-        quad = general_boundary_residual(poly, x, kern)
+        quad = quadrature_residual(poly, x, kern)
         scale = max(closed.norm, 1e-12)
         assert abs(quad.residual.dx - closed.residual.dx) / scale < 1e-11
         assert abs(quad.residual.dy - closed.residual.dy) / scale < 1e-11
@@ -416,7 +423,7 @@ def test_quadrature_jacobian_matches_central_differences(name):
     kernel = QUADRATURE_KERNELS[name]
 
     def residual(poly, x):
-        return general_boundary_residual(poly, x, kernel)
+        return quadrature_residual(poly, x, kernel)
 
     rng = np.random.default_rng(4271)
     for make in (random_triangle, random_convex_polygon, random_star_polygon):
@@ -436,7 +443,7 @@ def test_quadrature_jacobian_of_the_euclidean_kernel_is_the_closed_form_one():
             poly = make(rng)
             for where, p in _probe_points(poly, rng).items():
                 closed = np.array(polygon_residual(poly, Point2(*p)).jacobian)
-                quad = np.array(general_boundary_residual(poly, Point2(*p), kernel).jacobian)
+                quad = np.array(quadrature_residual(poly, Point2(*p), kernel).jacobian)
                 assert np.max(np.abs(quad - closed)) < 1e-12 * np.max(np.abs(closed)), where
 
 
@@ -449,7 +456,7 @@ def test_quadrature_jacobian_is_finite_on_the_boundary(p):
     a, e = quad.coords, quad.edge_vectors
     for x in (*a, *(a + 0.5 * e), *(a + 0.3 * e)):
         with np.errstate(all="raise"):
-            rep = general_boundary_residual(quad, Point2(*x), kernel)
+            rep = quadrature_residual(quad, Point2(*x), kernel)
         assert np.all(np.isfinite(rep.jacobian)), x
 
 

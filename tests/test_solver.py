@@ -343,12 +343,13 @@ def test_medianoid_solves_without_scipy_quad(kernel, no_scipy_quad):
         assert solve_medianoid(region, kernel).converged
 
 
-def _record_calls(monkeypatch, name, rewrite=None):
+def _record_calls(monkeypatch, rewrite=None):
     """Record (query point, report, region's vertex 0) for every call of
-    the solver's residual function ``name``; ``rewrite(index, report)``
-    may replace a report. The point and vertex 0 are in the solve frame."""
+    the solver's residual function ``general_boundary_residual``;
+    ``rewrite(index, report)`` may replace a report. The point and vertex
+    0 are in the solve frame."""
     calls = []
-    inner = getattr(regionmedian.solver, name)
+    inner = regionmedian.solver.general_boundary_residual
 
     def recorded(poly, x, *args, **kwargs):
         rep = inner(poly, x, *args, **kwargs)
@@ -357,7 +358,7 @@ def _record_calls(monkeypatch, name, rewrite=None):
         calls.append((np.array([x.x, x.y]), rep, poly.coords[0]))
         return rep
 
-    monkeypatch.setattr(regionmedian.solver, name, recorded)
+    monkeypatch.setattr(regionmedian.solver, "general_boundary_residual", recorded)
     return calls
 
 
@@ -411,7 +412,7 @@ def _seeded_regions():
 def test_median_makes_one_residual_call_per_trial_point(monkeypatch):
     # the closed-form report carries the Jacobian, so the only calls are
     # the start, the accepted steps and the rejected backtracks
-    calls = _record_calls(monkeypatch, "polygon_residual")
+    calls = _record_calls(monkeypatch)
     for poly in _seeded_regions():
         calls.clear()
         res = solve_median(poly)
@@ -429,7 +430,7 @@ def test_median_steps_with_the_reported_jacobian(monkeypatch):
             return rep
         return dataclasses.replace(rep, jacobian=tuple(tuple(v / 3.0 for v in row) for row in rep.jacobian))
 
-    calls = _record_calls(monkeypatch, "polygon_residual", rewrite)
+    calls = _record_calls(monkeypatch, rewrite)
     poly = Polygon([(0.0, 0.0), (3.0, 0.0), (3.5, 2.0), (1.0, 4.0), (-0.5, 1.5)])
     res = solve_median(poly)
     assert res.converged
@@ -446,7 +447,7 @@ def test_median_steps_with_the_reported_jacobian(monkeypatch):
 def test_medianoid_makes_one_residual_call_per_trial_point(monkeypatch, kernel):
     # the quadrature report carries the Jacobian too, so the only calls
     # are the start, the accepted steps and the rejected backtracks
-    calls = _record_calls(monkeypatch, "general_boundary_residual")
+    calls = _record_calls(monkeypatch)
     for poly in list(_seeded_regions())[::3]:
         calls.clear()
         res = solve_medianoid(poly, kernel)
