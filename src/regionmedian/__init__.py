@@ -16,7 +16,7 @@ from .errors import (
     SingularRegionError,
 )
 from .geometry import Point2, Polygon, Vector2, as_polygon, rotate90
-from .kernels import KernelKind, RadialKernel
+from .kernels import RadialKernel
 from .oracle import MCEstimate, OracleConfig, OracleValue, oracle_minimize, oracle_sigma, oracle_sigma_mc
 from .residuals import (
     CertificateResult,
@@ -36,7 +36,6 @@ __all__ = [
     "Polygon",
     "rotate90",
     "as_polygon",
-    "KernelKind",
     "RadialKernel",
     "ResidualReport",
     "CertificateResult",

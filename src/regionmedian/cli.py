@@ -131,6 +131,10 @@ def _kernel_from_dict(d) -> RadialKernel:
     if kind == "power":
         if "p" not in d:
             raise RegionFileError("power kernel needs a 'p' exponent")
+        # float(True) is 1.0, but a flag is no exponent; strings pass, as
+        # --kernel power:P hands its exponent over as text
+        if isinstance(d["p"], bool):
+            raise RegionFileError(f"bad power kernel exponent: {json.dumps(d['p'])} is not a number")
         try:
             return RadialKernel.power(float(d["p"]))
         except (TypeError, ValueError) as exc:
@@ -175,6 +179,9 @@ def load_region_file(path: str) -> RegionInput:
             "region file must contain exactly one of 'polygon', 'points', 'boundary_samples'"
         )
     form = forms[0]
+    # the discrete command's objective is the Euclidean distance sum
+    if "kernel" in data and form == "points":
+        raise RegionFileError("'kernel' is only valid alongside 'polygon' or 'boundary_samples'")
     kernel = _kernel_from_dict(data["kernel"]) if "kernel" in data else None
     if "weights" in data and form != "points":
         raise RegionFileError("'weights' is only valid alongside 'points'")

@@ -1,28 +1,27 @@
 """Line integrals of radial cost kernels along straight segments.
 
-The central quantity is the arclength integral of f(P - x) over a segment.
-The kernel picks how it is computed (``RadialKernel.values_batch``): in
-closed form for the Euclidean kernel and for the powers |P - x|^p with
-integer 1 <= p <= 16, by one batched Gauss-Kronrod pass over stacked
-segments for every other kernel. scipy's ``quad`` on one segment stays
-as an independent reference. Kernels evaluate whole arrays of
-displacement components, custom ones through an evaluator of (dx, dy)
-arrays. Both batched routes also return each integral's gradient in x:
-in closed form, or integrated at the same Gauss-Kronrod nodes as the
-values.
+A kernel is a power |P - x|^p (the Euclidean kernel is p = 1) or, with
+``p`` None, a custom evaluator of (dx, dy) arrays; every decision that
+depends on the kernel is made in this module. The central quantity is
+the arclength integral of f(P - x) over a segment. The kernel picks how
+it is computed (``RadialKernel.values_batch``): in closed form for
+integer powers 1 <= p <= 16, by one batched Gauss-Kronrod pass over
+stacked segments for every other kernel. scipy's ``quad`` on one segment
+stays as an independent reference. Both batched routes also return each
+integral's gradient in x: in closed form, or integrated at the same
+Gauss-Kronrod nodes as the values.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import NonConvergenceError
 
-__all__ = ["KernelKind", "RadialKernel"]
+__all__ = ["RadialKernel"]
 
 # below this perpendicular offset (as a fraction of segment length) the
 # logarithmic term of the antiderivative degenerates; switch to the exact
@@ -41,34 +40,30 @@ _QUAD_TOL = 1e-13
 _MAX_CLOSED_POWER = 16
 
 
-class KernelKind(Enum):
-    EUCLIDEAN = "euclidean"
-    POWER_LAW = "power_law"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class RadialKernel:
     """A cost kernel evaluated on arrays of displacement components.
 
-    Use the factory classmethods; the constructor does not validate
-    cross-field consistency beyond what they set up.
+    ``p`` is the exponent of a power kernel |P - x|^p, and None exactly
+    when the kernel wraps a custom ``evaluator``. Use the factory
+    classmethods; the constructor does not validate cross-field
+    consistency beyond what they set up.
     """
 
-    kind: KernelKind
     p: Optional[float] = None
     evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     @classmethod
     def euclidean(cls) -> "RadialKernel":
-        return cls(KernelKind.EUCLIDEAN)
+        """The Euclidean kernel |P - x|, which is ``power(1)``."""
+        return cls.power(1.0)
 
     @classmethod
     def power(cls, p: float) -> "RadialKernel":
         p = float(p)
         if not (p > 0.0 and math.isfinite(p)):
             raise ValueError("power kernel exponent must be finite and > 0")
-        return cls(KernelKind.POWER_LAW, p=p)
+        return cls(p=p)
 
     @classmethod
     def custom(cls, evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "RadialKernel":
@@ -86,25 +81,23 @@ class RadialKernel:
         if not np.all(np.isfinite(val)):
             raise ValueError(f"custom kernel evaluator returned non-finite values {val.tolist()} at probes "
                              f"dx={dx.tolist()}, dy={dy.tolist()}")
-        return cls(KernelKind.CUSTOM, evaluator=evaluator)
+        return cls(evaluator=evaluator)
 
     @property
     def closed_power(self) -> Optional[int]:
         """The integer p whose closed form ``closed_values_batch`` integrates
-        this kernel: 1 for the Euclidean kernel, p for a power kernel with
-        integer 1 <= p <= ``_MAX_CLOSED_POWER``; None for every other kernel."""
-        if self.kind is KernelKind.EUCLIDEAN:
-            return 1
-        if self.kind is KernelKind.POWER_LAW and self.p.is_integer() and 1.0 <= self.p <= _MAX_CLOSED_POWER:
+        this kernel: p for a power kernel with integer 1 <= p <=
+        ``_MAX_CLOSED_POWER``; None for every other kernel."""
+        if self.p is not None and self.p.is_integer() and 1.0 <= self.p <= _MAX_CLOSED_POWER:
             return int(self.p)
         return None
 
     def values_batch(self, a, e, x) -> Tuple[np.ndarray, np.ndarray]:
         """Integrals of the kernel along stacked segments and their gradients in x.
 
-        The kernel picks the route: ``closed_values_batch`` for the
-        Euclidean kernel and integer powers up to ``_MAX_CLOSED_POWER``,
-        ``quadrature_values_batch`` for every other kernel.
+        The kernel picks the route: ``closed_values_batch`` for integer
+        powers up to ``_MAX_CLOSED_POWER``, ``quadrature_values_batch``
+        for every other kernel.
         """
         p = self.closed_power
         if p is None:
@@ -113,11 +106,11 @@ class RadialKernel:
 
     def evaluate_many(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on arrays of displacement components."""
-        if self.kind is KernelKind.EUCLIDEAN:
-            return np.hypot(dx, dy)
-        if self.kind is KernelKind.POWER_LAW:
-            return np.hypot(dx, dy) ** self.p
-        return np.asarray(self.evaluator(dx, dy), dtype=float)
+        if self.p is None:
+            return np.asarray(self.evaluator(dx, dy), dtype=float)
+        r = np.hypot(dx, dy)
+        # r ** 1.0 is r; skipping the power saves a pass over the array
+        return r if self.p == 1.0 else r ** self.p
 
     def gradient_many(self, dx: np.ndarray, dy: np.ndarray, values: np.ndarray, step: float):
         """Kernel gradient (d/ddx, d/ddy) at the displacements, given the values there.
@@ -126,13 +119,13 @@ class RadialKernel:
         custom kernels take central differences of ``step`` in one
         evaluator call.
         """
-        if self.kind is KernelKind.CUSTOM:
+        if self.p is None:
             f = np.asarray(self.evaluator(np.stack([dx + step, dx - step, dx, dx]),
                                           np.stack([dy, dy, dy + step, dy - step])), dtype=float)
             return (f[0] - f[1]) / (2.0 * step), (f[2] - f[3]) / (2.0 * step)
         r = np.hypot(dx, dy)
         inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
-        s = (1.0 if self.kind is KernelKind.EUCLIDEAN else self.p) * (values * inv)
+        s = self.p * (values * inv)
         return s * (dx * inv), s * (dy * inv)
 
 

@@ -3,11 +3,13 @@
 Evaluates the area integral of kernel(P - x) over a polygon with one
 rule for every query point x: a tensor Gauss rule on the Duffy-mapped
 signed star triangles from x (``triquad.star_rule``), summed in closed
-form along the radial direction for the homogeneous Euclidean and power
-kernels. Adds a Monte Carlo cross-check and a derivative-free minimizer
-(Nelder-Mead). Independent by design: nothing here shares code paths
-with the boundary residual solver it certifies, and the Monte Carlo
-estimate samples the area itself, on signed triangles from vertex 0.
+form along the radial direction for the power kernels, which are
+homogeneous (the Euclidean kernel is p = 1); a custom kernel
+(``kernel.p`` None) takes the full tensor rule. Adds a Monte Carlo
+cross-check and a derivative-free minimizer (Nelder-Mead). Independent
+by design: nothing here shares code paths with the boundary residual
+solver it certifies, and the Monte Carlo estimate samples the area
+itself, on signed triangles from vertex 0.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import SingularRegionError
 from .geometry import Point2, Polygon
-from .kernels import KernelKind, RadialKernel
+from .kernels import RadialKernel
 from .triquad import signed_areas, star_rule, triangulate
 
 __all__ = ["OracleConfig", "OracleValue", "MCEstimate", "oracle_sigma", "oracle_minimize", "oracle_sigma_mc"]
@@ -70,8 +72,9 @@ class _StarLayout(NamedTuple):
     """A polygon's boundary laid out for ``star_rule(panels)`` under one
     kernel: per edge i, the x and y of vertex i and of vertex i + 1, and
     t_j * e_i per component as (n, T), e_i the edge vector. ``weights`` is
-    the radial sum (T,) of the rule for a homogeneous kernel; a custom
-    kernel keeps the radial nodes ``s`` and the tensor weights (S * T,)."""
+    the radial sum (T,) of the rule for a power kernel of degree
+    ``kernel.p``; a custom kernel (``p`` None) keeps the radial nodes
+    ``s`` and the tensor weights (S * T,)."""
 
     kernel: RadialKernel
     ax: np.ndarray
@@ -90,10 +93,9 @@ def _star_layout(poly: Polygon, kernel: RadialKernel, panels: int = _PANELS) -> 
     ax, ay = a[:, 0].copy(), a[:, 1].copy()
     bx, by = np.concatenate((ax[1:], ax[:1])), np.concatenate((ay[1:], ay[:1]))
     tex, tey = t * e[:, 0, None], t * e[:, 1, None]
-    if kernel.kind is KernelKind.CUSTOM:
+    if kernel.p is None:
         return _StarLayout(kernel, ax, ay, bx, by, tex, tey, s, w.ravel())
-    p = 1.0 if kernel.kind is KernelKind.EUCLIDEAN else kernel.p
-    return _StarLayout(kernel, ax, ay, bx, by, tex, tey, None, _radial_weights(panels, p))
+    return _StarLayout(kernel, ax, ay, bx, by, tex, tey, None, _radial_weights(panels, kernel.p))
 
 
 def _star_integral(layout: _StarLayout, x) -> float:
@@ -102,11 +104,11 @@ def _star_integral(layout: _StarLayout, x) -> float:
     boundary of or outside any simple polygon.
 
     Each call forms q = a_i - x, the signed areas and the boundary nodes
-    b = q + t * e_i from the layout (``_star_layout``). The Euclidean and
-    power kernels are homogeneous, k(s * b) = s**p * k(b), so the rule
-    evaluates them once per boundary node and weights each by its radial
-    sum (Chin, Lasserre & Sukumar, Comput. Mech. 2015). A custom kernel is
-    evaluated at every node P - x = s * b of the rule.
+    b = q + t * e_i from the layout (``_star_layout``). Power kernels,
+    the Euclidean one among them, are homogeneous, k(s * b) = s**p * k(b),
+    so the rule evaluates them once per boundary node and weights each by
+    its radial sum (Chin, Lasserre & Sukumar, Comput. Mech. 2015). A
+    custom kernel is evaluated at every node P - x = s * b of the rule.
     """
     qx, qy = layout.ax - x[0], layout.ay - x[1]
     qnx, qny = layout.bx - x[0], layout.by - x[1]

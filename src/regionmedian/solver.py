@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidTriangleError, SingularRegionError
 from .geometry import Point2, Polygon, as_polygon
-from .kernels import KernelKind, RadialKernel
+from .kernels import RadialKernel
 from .residuals import ResidualReport, general_boundary_residual
 
 __all__ = ["SolveConfig", "SolveResult", "solve_median", "solve_medianoid", "degenerate_limit_study"]
@@ -104,29 +104,44 @@ def _ill_conditioned(jac) -> bool:
     return f + math.sqrt(max(f * f - 4.0 * det * det, 0.0)) > 2.0 * _SINGULAR_COND * det
 
 
+def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
+    """Geometric median of a polygonal region (Euclidean kernel).
+
+    ``solve_medianoid`` with ``RadialKernel.euclidean()``: Newton on the
+    closed-form residual's gradient and its closed-form Jacobian,
+    initialized at the area centroid.
+    """
+    return solve_medianoid(poly, RadialKernel.euclidean(), cfg)
+
+
 # one numpy error state for a whole solve: an overflow or an invalid
 # operation raises, instead of a warning, and ends it as a package error
 @np.errstate(over="raise", invalid="raise")
-def _newton_root(region, kernel: RadialKernel, cfg: Optional[SolveConfig]) -> SolveResult:
-    """Damped Newton on the report gradient, from the area centroid.
+def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] = None) -> SolveResult:
+    """Medianoid of a region for a radial kernel: damped Newton on the
+    report gradient, from the area centroid.
 
-    The residual is ``general_boundary_residual`` on the kernel's route
-    (``RadialKernel.values_batch``), looked up in this module at every
-    call. A custom kernel or a power p < 1
-    marks the result ``local``. The median is translation-equivariant, so
-    the iterate is x minus the origin of the region's solve frame, and the
+    Accepts a Polygon or a sampled polyline loop for the boundary. The
+    residual is ``general_boundary_residual`` on the kernel's route
+    (``RadialKernel.values_batch``): closed form for integer powers up to
+    ``kernels._MAX_CLOSED_POWER``, the Euclidean kernel among them,
+    Gauss-Kronrod quadrature with the Jacobian integrated in the same
+    pass for every other kernel. It is looked up in this module at every
+    call. A custom kernel (``kernel.p`` None) or a power p < 1 marks the
+    result ``local``. The median is translation-equivariant, so the
+    iterate is x minus the origin of the region's solve frame, and the
     residual sees the region translated there: a region far from the
     origin keeps the precision of one near it. The trace and the median
     are moved back by one add per coordinate. Triangles get the
     certificate of the final report (``ResidualReport.certificate``).
     """
     cfg = cfg or SolveConfig()
-    polygon, ox, oy, diam, x = _validated_region(region)
+    polygon, ox, oy, diam, x = _validated_region(boundary)
 
     def rep_at(v: np.ndarray) -> ResidualReport:
-        p = Point2(float(v[0]), float(v[1]))
+        at = Point2(float(v[0]), float(v[1]))
         try:
-            return general_boundary_residual(polygon, p, kernel)
+            return general_boundary_residual(polygon, at, kernel)
         except FloatingPointError as exc:
             raise SingularRegionError(f"the kernel integrals overflow the float range: {exc}") from exc
 
@@ -163,8 +178,8 @@ def _newton_root(region, kernel: RadialKernel, cfg: Optional[SolveConfig]) -> So
         trace.append((absolute(x), rep.normalized_norm))
         converged = rep.normalized_norm <= cfg.tol_rel
     # an increasing radial kernel's roots lie in the hull, within diam of the centroid
-    custom = kernel.kind is KernelKind.CUSTOM
-    if not custom and absolute(x).distance_to(trace[0][0]) > diam:
+    p = kernel.p
+    if p is not None and absolute(x).distance_to(trace[0][0]) > diam:
         converged = False
     return SolveResult(
         median=absolute(x),
@@ -174,31 +189,9 @@ def _newton_root(region, kernel: RadialKernel, cfg: Optional[SolveConfig]) -> So
         trace=tuple(trace),
         certificate=rep.certificate,
         converged=converged,
-        local=custom or (kernel.kind is KernelKind.POWER_LAW and kernel.p < 1.0),
+        local=p is None or p < 1.0,
         edge_means=rep.edge_means,
     )
-
-
-def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
-    """Geometric median of a polygonal region (Euclidean kernel).
-
-    ``solve_medianoid`` with ``RadialKernel.euclidean()``: Newton on the
-    closed-form residual's gradient and its closed-form Jacobian,
-    initialized at the area centroid.
-    """
-    return solve_medianoid(poly, RadialKernel.euclidean(), cfg)
-
-
-def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] = None) -> SolveResult:
-    """Medianoid of a region for a general radial kernel.
-
-    Same Newton scheme, driven by the boundary residual on the kernel's
-    route: closed form for the Euclidean kernel and integer powers up to
-    ``kernels._MAX_CLOSED_POWER``, Gauss-Kronrod quadrature with the
-    Jacobian integrated in the same pass for every other kernel.
-    Accepts a Polygon or a sampled polyline loop for the boundary.
-    """
-    return _newton_root(boundary, kernel, cfg)
 
 
 def degenerate_limit_study(

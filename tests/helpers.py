@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from regionmedian import Polygon
-from regionmedian.kernels import _COLLINEAR_EPS, KernelKind, closed_values_batch
+from regionmedian.kernels import _COLLINEAR_EPS, closed_values_batch
 from regionmedian.oracle import _radial_weights
 from regionmedian.triquad import signed_areas, star_rule
 
@@ -121,12 +121,11 @@ def star_integral_reference(poly, x, kernel, panels=4):
     areas = 0.5 * (q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0])
     # boundary nodes b = q + t * e, as (n, 2, T); P - x = s * b
     b = q[:, :, None] + t * e[:, :, None]
-    if kernel.kind is KernelKind.CUSTOM:
+    if kernel.p is None:
         # (n, S, T) components
         vals = kernel.evaluate_many(s[:, None] * b[:, 0, None, :], s[:, None] * b[:, 1, None, :])
         return float(areas @ (vals.reshape(len(q), -1) @ w.ravel()))
-    p = 1.0 if kernel.kind is KernelKind.EUCLIDEAN else kernel.p
-    return float(areas @ (kernel.evaluate_many(b[:, 0], b[:, 1]) @ _radial_weights(panels, p)))
+    return float(areas @ (kernel.evaluate_many(b[:, 0], b[:, 1]) @ _radial_weights(panels, kernel.p)))
 
 
 def convex_monte_carlo_reference(poly, x, kernel, samples, seed):

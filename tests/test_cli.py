@@ -281,6 +281,30 @@ def test_medianoid_rejects_bad_kernel_arguments(capsys):
         assert "error:" in err
 
 
+def test_points_file_with_a_kernel_exits_one(capsys, tmp_path):
+    # the discrete objective is the Euclidean distance sum; a kernel there
+    # would be ignored, so the file is rejected like 'weights' off 'points'
+    path = tmp_path / "points_kernel.json"
+    path.write_text(json.dumps({"points": [[0, 0], [3, 0], [3, 4]], "kernel": {"kind": "power", "p": 2}}))
+    code, out, err = run(capsys, "discrete", str(path))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "'kernel'" in lines[0], err
+
+
+def test_a_boolean_kernel_exponent_exits_one(capsys, tmp_path):
+    # float(true) is 1.0, but a JSON boolean is no exponent; the string
+    # form stays, as --kernel power:P passes it on as text
+    path = tmp_path / "bool_p.json"
+    for p, code_want in ((True, 1), (False, 1), ("2", 0)):
+        path.write_text(json.dumps({"polygon": [[0, 0], [3, 0], [3, 4]], "kernel": {"kind": "power", "p": p}}))
+        code, out, err = run(capsys, "medianoid", str(path))
+        assert code == code_want, (p, err)
+        if code_want == 1:
+            lines = err.splitlines()
+            assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 def test_discrete_lands_on_the_obtuse_vertex(capsys):
     code, out, _ = run(capsys, "discrete", str(DATA / "obtuse_points.json"))
     assert code == 0

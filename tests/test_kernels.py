@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from regionmedian import (
     Polygon,
     RadialKernel,
     general_boundary_residual,
+    solve_median,
     solve_medianoid,
 )
 from regionmedian.kernels import (
@@ -29,6 +32,7 @@ from regionmedian.kernels import (
     quadrature_values_batch,
     segment_sigma_quadrature,
 )
+from regionmedian.oracle import _star_layout
 
 SQRT2 = math.sqrt(2.0)
 
@@ -212,6 +216,37 @@ def test_the_kernel_picks_the_route_of_its_edge_integrals():
         if kernel.p != 1e20:
             got, want = kernel.values_batch(a, e, x), quadrature_values_batch(a, e, x, kernel)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), kernel
+
+
+def test_the_euclidean_kernel_is_the_power_one_kernel():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    euclidean, power1 = RadialKernel.euclidean(), RadialKernel.power(1)
+    assert euclidean == power1 and hash(euclidean) == hash(power1)
+    rng = np.random.default_rng(5)
+    dx, dy = rng.normal(size=(2, 7, 21)) * np.logspace(-200, 200, 21)
+    for kernel in (euclidean, power1):
+        assert np.array_equal(kernel.evaluate_many(dx, dy), np.hypot(dx, dy))
+    assert np.array_equal(_star_layout(QUAD, power1).weights, _star_layout(QUAD, euclidean).weights)
+
+    def fields(res):
+        return repr((res.median, res.iterations, res.trace, res.edge_means))
+
+    regions = []
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        regions += [workloads.unit_region(rng, j) for j in range(40)]
+    far = regions[0] + 1e8 * workloads.check.diameter(regions[0])
+    for coords in regions + [far]:
+        poly = Polygon(coords)
+        res = solve_median(poly)
+        assert res.converged and not res.local
+        assert fields(solve_medianoid(poly, power1)) == fields(res)
+    # only powers p < 1 and custom kernels leave convexity behind
+    bowl = RadialKernel.custom(lambda dx, dy: 1.0 + dx * dx + 0.5 * dy * dy)
+    for kernel, local in ((RadialKernel.power(0.5), True), (power1, False), (bowl, True)):
+        assert solve_medianoid(Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)]), kernel).local is local
 
 
 def test_the_closed_form_at_the_cap_solves_a_region_with_an_edge_of_1e_10():

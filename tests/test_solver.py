@@ -18,7 +18,6 @@ from regionmedian import (
     SingularRegionError,
 )
 import regionmedian.solver
-from regionmedian.kernels import KernelKind
 from regionmedian.oracle import oracle_sigma
 from regionmedian.residuals import mean_distance_certificate
 from regionmedian.solver import (
@@ -322,7 +321,7 @@ def test_medianoid_triangles_carry_the_certificate_for_every_kernel(kernel):
     res = solve_medianoid(T345, kernel)
     assert res.converged
     assert res.certificate is not None and res.certificate < 1e-12
-    assert res.local == (kernel.kind is KernelKind.CUSTOM)
+    assert res.local == (kernel.p is None)
 
 
 @pytest.mark.parametrize(
