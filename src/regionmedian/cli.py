@@ -189,6 +189,11 @@ def load_region_file(path: str) -> RegionInput:
     if form == "points":
         coords = _coord_list(data["points"], "points")
         weights = data.get("weights")
+        # PointSet takes any iterable, which would read "911" as the weights
+        # 9, 1, 1 and true as 1; null means no weights
+        if weights is not None and not (isinstance(weights, list) and all(
+                isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights)):
+            raise RegionFileError(f"'weights' must be a list of numbers, got {json.dumps(weights)}")
         try:
             ps = PointSet(coords, weights)
         except ValueError as exc:

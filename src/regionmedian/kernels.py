@@ -5,7 +5,8 @@ A kernel is a power |P - x|^p (the Euclidean kernel is p = 1) or, with
 depends on the kernel is made in this module. The central quantity is
 the arclength integral of f(P - x) over a segment. The kernel picks how
 it is computed (``RadialKernel.values_batch``): in closed form for
-integer powers 1 <= p <= 16, by one batched Gauss-Kronrod pass over
+integer powers 1 <= p <= 16, one formula for every query point on or
+off a segment's carrier line, by one batched Gauss-Kronrod pass over
 stacked segments for every other kernel. scipy's ``quad`` on one segment
 stays as an independent reference. Both batched routes also return each
 integral's gradient in x: in closed form, or integrated at the same
@@ -23,10 +24,13 @@ from .errors import NonConvergenceError
 
 __all__ = ["RadialKernel"]
 
-# below this perpendicular offset (as a fraction of segment length) the
-# logarithmic term of the antiderivative degenerates; switch to the exact
-# piecewise formula for a query point on the segment's line
-_COLLINEAR_EPS = 1e-12
+# floor of the offset c (in edge lengths) that odd powers divide by in
+# asinh(u/c), so that one formula covers x on an edge's carrier line. At
+# 2^-64, c^2 asinh(u/c) stays below half an ulp of u r and hypot(u, c) =
+# |u| for |u| above about 1e-10, so p = 1 values keep their bits; r^15 at
+# a vertex is 2^-960, a normal number, so no odd power up to
+# _MAX_CLOSED_POWER underflows; and u/c overflows only past |u| ~ 1e289
+_MIN_OFFSET = 2.0 ** -64
 
 # edge quadrature tolerance of every solve and CLI command
 _QUAD_TOL = 1e-13
@@ -138,8 +142,8 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: int = 1) -> Tuple[np
     each segment and the (m, 2) array of their gradients in x,
     -integral of p |P - x|^(p-2) (P - x) ds. Parameterized by arclength
     fraction so conditioning does not depend on absolute scale; for odd
-    p a separate branch handles query points on the carrier line of a
-    segment, where the logarithm degenerates.
+    p the offset is floored at ``_MIN_OFFSET`` inside the logarithm, so one
+    formula serves query points on a segment's carrier line too.
 
     With u the parameter along the edge, c the offset of x from its line
     and r = hypot(u, c), all in parameter units, V_i = L^(p+1) (I_p(u2) -
@@ -162,15 +166,10 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: int = 1) -> Tuple[np
     u = np.empty((2, len(t0)))
     np.negative(t0, out=u[0])
     np.subtract(1.0, t0, out=u[1])
-    # odd powers start from asinh(u/c), which degenerates on the carrier
-    # line; even ones are polynomials in u and c
-    any_col = False
+    # odd powers start from asinh(u/c), which the floor keeps finite on the
+    # carrier line; even ones are polynomials in u and c
     if p % 2:
-        col = c < _COLLINEAR_EPS
-        any_col = bool(np.any(col))
-        if any_col:
-            # stand-in offset; these rows take the piecewise formulas below
-            c = np.where(col, 1.0, c)
+        c = np.maximum(c, _MIN_OFFSET)
     r = np.hypot(u, c)
     c2 = c * c
     # I_1 from I_-1 = asinh(u/c), or I_2 from I_0 = u, then up the
@@ -190,24 +189,10 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: int = 1) -> Tuple[np
     along = (u[0] + u[1]) / (r[0] + r[1])
     normal = cs * (low[1] - low[0])
     if p > 1:
-        along = along * _power_sum(r[0], r[1], p)
-        normal = p * normal
-    if any_col:
-        au = np.abs(u)
-        aup = au if p == 1 else au ** p
-        vals = np.where(col, (u[1] * aup[1] - u[0] * aup[0]) / (p + 1), vals)
-        along_col, normal_col = au[1] - au[0], 0.0
-        if p > 1:
-            along_col = along_col * _power_sum(au[0], au[1], p)
-            # I_(p-2) as c -> 0 is u |u|^(p-2) / (p - 1)
-            aum = au ** (p - 2)
-            normal_col = p * cs * (u[1] * aum[1] - u[0] * aum[0]) / (p - 1)
-        along = np.where(col, along_col, along)
-        normal = np.where(col, normal_col, normal)
-    if p > 1:
         # L^(p-1) scales the gradient, L^(p+1) the values
         scale = L2 ** (0.5 * (p - 1))
-        along, normal, L2 = scale * along, scale * normal, scale * L2
+        along = scale * (along * _power_sum(r[0], r[1], p))
+        normal, L2 = scale * (p * normal), scale * L2
     grad = np.empty((len(t0), 2))
     grad[:, 0], grad[:, 1] = -(along * ex + normal * ey), normal * ex - along * ey
     return L2 * vals, grad

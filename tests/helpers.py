@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from regionmedian import Polygon
-from regionmedian.kernels import _COLLINEAR_EPS, closed_values_batch
+from regionmedian.kernels import _MIN_OFFSET, closed_values_batch
 from regionmedian.oracle import _radial_weights
 from regionmedian.triquad import signed_areas, star_rule
 
@@ -34,16 +34,12 @@ def two_endpoint_closed_values(a, e, x):
     c = np.abs(cs)
     u1 = -t0
     u2 = 1.0 - t0
-    col = c < _COLLINEAR_EPS
-    c = np.where(col, 1.0, c)
+    c = np.maximum(c, _MIN_OFFSET)
     r1, r2 = np.hypot(u1, c), np.hypot(u2, c)
     s1, s2 = np.arcsinh(u1 / c), np.arcsinh(u2 / c)
     vals = 0.5 * (u2 * r2 + c * c * s2) - 0.5 * (u1 * r1 + c * c * s1)
     along = (u1 + u2) / (r1 + r2)
     normal = cs * (s2 - s1)
-    vals = np.where(col, 0.5 * (u2 * np.abs(u2) - u1 * np.abs(u1)), vals)
-    along = np.where(col, np.abs(u2) - np.abs(u1), along)
-    normal = np.where(col, 0.0, normal)
     grad = np.stack((-(along * e[:, 0] + normal * e[:, 1]), normal * e[:, 0] - along * e[:, 1]), axis=1)
     return L2 * vals, grad
 

@@ -305,6 +305,18 @@ def test_a_boolean_kernel_exponent_exits_one(capsys, tmp_path):
             assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize("weights", [5, True, "911", {"a": 1}, [True, 1, 1]],
+                         ids=["number", "boolean", "string", "object", "list-with-boolean"])
+def test_weights_that_are_not_a_list_of_numbers_exit_one(capsys, tmp_path, weights):
+    # a string is no list of digits and a boolean is no weight
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"points": [[0, 0], [4, 0], [0, 3]], "weights": weights}))
+    code, out, err = run(capsys, "discrete", str(path))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "'weights'" in lines[0], err
+
+
 def test_discrete_lands_on_the_obtuse_vertex(capsys):
     code, out, _ = run(capsys, "discrete", str(DATA / "obtuse_points.json"))
     assert code == 0
