@@ -284,32 +284,57 @@ _TURN_ERRBOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 _TURN_FLOOR = 2.0 ** -969
 
 
-def _turns(edges: np.ndarray) -> tuple:
-    """(cross, certified) for the closed loop with edge vectors ``edges``.
+def _winds_once(u: np.ndarray, v: np.ndarray) -> tuple:
+    """(cross, certified) for vector pairs u[i], v[i], each the rounded
+    difference, in either order, between a float point and one float
+    point that the pair shares.
 
-    cross[i] = edges[i] x edges[i + 1] is the turn at vertex i + 1.
-    ``certified`` is True when the loop has at least 4 vertices, every
-    turn passes the orient2d filter with one sign, and the turns add up to
-    one revolution. Such a loop is convex, and so simple.
+    cross[i] = u[i] x v[i]. ``certified`` is True when every cross passes
+    the orient2d filter with one sign and the angles from u[i] to v[i] add
+    up to one revolution.
     """
-    en = np.concatenate((edges[1:], edges[:1]))
-    left = edges[:, 0] * en[:, 1]
-    right = edges[:, 1] * en[:, 0]
+    left = u[:, 0] * v[:, 1]
+    right = u[:, 1] * v[:, 0]
     cross = left - right
-    # min and max are NaN if any turn is, and NaN certifies nothing
-    if len(edges) < 4 or not (cross.min() > 0.0 or cross.max() < 0.0):
+    # min and max are NaN if any cross is, and NaN certifies nothing
+    if not (cross.min() > 0.0 or cross.max() < 0.0):
         return cross, False
     mag = np.abs(left) + np.abs(right)
     if not np.all((np.abs(cross) > _TURN_ERRBOUND * mag) & (mag >= _TURN_FLOOR)):
         return cross, False
-    # each exact turn lies strictly between 0 and pi, and together they
+    # each exact angle lies strictly between 0 and pi, and together they
     # make a whole number of revolutions: one for a convex loop, two for
     # the pentagram. A dot product that overflowed to +inf would read as
-    # no turn at all, so it does not certify.
-    dot = edges[:, 0] * en[:, 0] + edges[:, 1] * en[:, 1]
+    # no angle at all, so it does not certify.
+    dot = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
     if not np.all(np.isfinite(dot)):
         return cross, False
     return cross, float(np.sum(np.arctan2(np.abs(cross), dot))) < 3.0 * math.pi
+
+
+def _turns(edges: np.ndarray) -> tuple:
+    """(cross, certified) for the closed loop with edge vectors ``edges``.
+
+    cross[i] = edges[i] x edges[i + 1] is the turn at vertex i + 1, the
+    cross of two differences from that vertex. ``certified`` is True when
+    ``_winds_once`` certifies the turns: the loop is then convex, and so
+    simple.
+    """
+    return _winds_once(edges, np.concatenate((edges[1:], edges[:1])))
+
+
+def _star_shaped(coords: np.ndarray, nxt: np.ndarray) -> bool:
+    """True when the closed loop is certified star-shaped around the mean g
+    of its vertices; edge i runs from ``coords[i]`` to ``nxt[i]``.
+
+    ``_winds_once`` certifies the angles that the edges subtend at g. Each
+    edge then lies in its own wedge from g, of angle below pi, that meets
+    its neighbours' wedges along one ray and every other wedge only at g,
+    which no edge passes through. So non-adjacent edges cannot touch, and
+    adjacent ones meet only at their shared vertex: the loop is simple.
+    """
+    g = coords.sum(axis=0) / len(coords)
+    return _winds_once(coords - g, nxt - g)[1]
 
 
 # a polygon whose vertex 0 lies within this many diameters of the origin
@@ -329,9 +354,13 @@ class Polygon:
     One array pass over the turns at the vertices comes first. A loop of
     4 or more vertices whose turns all have one exactly known sign and
     make one revolution is convex, hence simple: it skips the search for
-    touching edge pairs and, for its diameter, the hull. Every other loop
-    takes the sort and sweep of its edge boxes, and beyond 8 vertices a hull.
-    Two edges touch when each meets the other's line and their boxes meet.
+    touching edge pairs and, for its diameter, the hull. A second pass
+    certifies star-shaped loops: seen from the mean of the vertices, the
+    angles that the edges subtend all have one exactly known sign and make
+    one revolution, so each edge keeps to its own wedge and the loop is
+    simple without the search. Every other loop takes the sort and sweep
+    of its edge boxes, and beyond 8 vertices a hull. Two edges touch when
+    each meets the other's line and their boxes meet.
 
     The edges, turns and area run under one numpy error state that ignores
     overflow: a loop past about 1e154 is rejected, at the latest for its
@@ -352,10 +381,12 @@ class Polygon:
             raise InvalidPolygonError("polygon repeats a vertex on consecutive positions")
         with np.errstate(over="ignore", invalid="ignore"):
             edges = nxt - coords
-            certified = _turns(edges)[1]
+            # every two edges of a triangle are neighbours, so none can cross
+            certified = len(coords) > 3 and _turns(edges)[1]
+            simple = len(coords) < 4 or certified or _star_shaped(coords, nxt)
             # intersection before area: a symmetric bowtie nets out to zero
             # shoelace area, and the intersection diagnostic is the useful one
-            if not certified and _segments_intersect_any(coords, nxt):
+            if not simple and _segments_intersect_any(coords, nxt):
                 raise InvalidPolygonError("polygon is self-intersecting")
             area = _shoelace(coords, nxt)
         if area == 0.0:

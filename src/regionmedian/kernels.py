@@ -32,6 +32,9 @@ __all__ = ["RadialKernel"]
 # _MAX_CLOSED_POWER underflows; and u/c overflows only past |u| ~ 1e289
 _MIN_OFFSET = 2.0 ** -64
 
+# smallest normal float, whose reciprocal is finite
+_MIN_NORMAL = 2.0 ** -1022
+
 # edge quadrature tolerance of every solve and CLI command
 _QUAD_TOL = 1e-13
 
@@ -119,16 +122,17 @@ class RadialKernel:
     def gradient_many(self, dx: np.ndarray, dy: np.ndarray, values: np.ndarray, step: float):
         """Kernel gradient (d/ddx, d/ddy) at the displacements, given the values there.
 
-        Power kernels use grad k(w) = p k(w) w / |w|^2, and 0 where w = 0;
-        custom kernels take central differences of ``step`` in one
-        evaluator call.
+        Power kernels use grad k(w) = p k(w) w / |w|^2, with |w| floored at
+        the smallest normal float so that its reciprocal stays finite; at
+        w = 0 the value and w are 0, and so is the gradient. Custom kernels
+        take central differences of ``step`` in one evaluator call.
         """
         if self.p is None:
             f = np.asarray(self.evaluator(np.stack([dx + step, dx - step, dx, dx]),
                                           np.stack([dy, dy, dy + step, dy - step])), dtype=float)
             return (f[0] - f[1]) / (2.0 * step), (f[2] - f[3]) / (2.0 * step)
         r = np.hypot(dx, dy)
-        inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
+        inv = 1.0 / np.maximum(r, _MIN_NORMAL)
         s = self.p * (values * inv)
         return s * (dx * inv), s * (dy * inv)
 
@@ -207,6 +211,11 @@ def _power_sum(r1: np.ndarray, r2: np.ndarray, p: int) -> np.ndarray:
     return total
 
 
+# the exponents 2k of the ladder's rungs 4^k, as many as the smallest
+# subnormal layer takes to reach 2
+_RUNG_EXPONENTS = np.arange(0, 1080, 2)
+
+
 def _ladder_panels(t0: np.ndarray, layer: np.ndarray):
     """Initial panels of every edge, as (edge index, start, end) arrays.
 
@@ -215,17 +224,21 @@ def _ladder_panels(t0: np.ndarray, layer: np.ndarray):
     (0, 2). ``segment_sigma_quadrature`` hands the same breakpoints to
     ``quad``.
     """
-    m = len(t0)
-    # layer*4^k < 2 fails once 2k exceeds 1 - exponent(layer); multiplying
-    # by a power of four is exact
-    k = (1 - int(np.frexp(layer)[1].min())) // 2 + 2
-    steps = layer[:, None] * (4.0 ** np.arange(k))
+    # layer*4^k = mant*2^(exp + 2k), exactly, is below 2 once exp + 2k <= 1;
+    # capping the exponent at 2 puts every other rung at 2 or more without
+    # forming a power past the float range, as a subnormal layer would need
+    mant, exp = np.frexp(layer)
+    k = max((1 - int(exp.min())) // 2 + 2, 0)
+    steps = np.ldexp(mant[:, None], np.minimum(exp[:, None] + _RUNG_EXPONENTS[:k], 2))
     steps[~(steps < 2.0)] = np.inf
-    t0 = t0[:, None]
-    # ascending along each row; clamping to [0, 1] (NaN to 0) keeps the
-    # order and turns every breakpoint outside (0, 1) into an empty panel
-    cand = np.concatenate([np.zeros((m, 1)), t0 - steps[:, ::-1], t0, t0 + steps, np.ones((m, 1))], axis=1)
-    cand = np.fmin(np.fmax(cand, 0.0), 1.0)
+    # one row per edge, ascending: 0, t0 - steps reversed, t0, t0 + steps,
+    # 1; clamping to [0, 1] (NaN to 0) keeps the order and turns every
+    # breakpoint outside (0, 1) into an empty panel
+    cand = np.empty((len(t0), 2 * k + 3))
+    cand[:, 0], cand[:, k + 1], cand[:, -1] = 0.0, t0, 1.0
+    np.subtract(t0[:, None], steps, out=cand[:, k:0:-1])
+    np.add(t0[:, None], steps, out=cand[:, k + 2:-1])
+    np.fmin(np.fmax(cand, 0.0, out=cand), 1.0, out=cand)
     lo, hi = cand[:, :-1], cand[:, 1:]
     keep = hi > lo
     return np.nonzero(keep)[0], lo[keep], hi[keep]
@@ -273,19 +286,20 @@ _MAX_SPLITS = 200
 _KERNEL_FD_STEP = 1e-5
 
 
-def _gk21(d: np.ndarray, e: np.ndarray, kernel: "RadialKernel", lo: np.ndarray, hi: np.ndarray, step: float):
+def _gk21(cols: np.ndarray, kernel: "RadialKernel", lo: np.ndarray, hi: np.ndarray, step: float):
     """qk21 integral, error estimate and integrated gradient of kernel(P - x) on each panel.
 
     Panel j spans parameters [lo[j], hi[j]] of the displacement
-    d[j] + t e[j], where d[j] is its segment's start minus x; one
-    ``evaluate_many`` call covers every node of every panel, and the
-    kernel gradient is taken at the same nodes (``step`` for custom
-    kernels). Returns an (n, 4) array: the integral of the kernel over t,
-    its error estimate, and the integral of each gradient component.
+    (cols[0, j], cols[1, j]) + t (cols[2, j], cols[3, j]): its segment's
+    start minus x, and its edge vector. One ``evaluate_many`` call covers
+    every node of every panel, and the kernel gradient is taken at the
+    same nodes (``step`` for custom kernels). Returns four (n,) arrays:
+    the integral of the kernel over t, its error estimate, and the
+    integral of each gradient component.
     """
     hlgth = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + hlgth[:, None] * _GK_NODES
-    dx, dy = d[:, :1] + t * e[:, :1], d[:, 1:] + t * e[:, 1:]
+    dx, dy = cols[:2, :, None] + t * cols[2:, :, None]
     f = kernel.evaluate_many(dx, dy)
     gx, gy = kernel.gradient_many(dx, dy, f, step)
     kg = f @ _GK_WEIGHTS
@@ -297,8 +311,8 @@ def _gk21(d: np.ndarray, e: np.ndarray, kernel: "RadialKernel", lo: np.ndarray, 
     flat = resasc == 0.0
     ratio = np.minimum(1.0, 200.0 * abserr / np.where(flat, 1.0, resasc))
     abserr = np.where(flat, abserr, resasc * ratio * np.sqrt(ratio))
-    return np.stack([resk * hlgth, np.maximum(_ROUNDOFF * resabs, abserr),
-                     gx @ _GK_WEIGHTS[:, 0] * hlgth, gy @ _GK_WEIGHTS[:, 0] * hlgth], axis=1)
+    return (resk * hlgth, np.maximum(_ROUNDOFF * resabs, abserr),
+            gx @ _GK_WEIGHTS[:, 0] * hlgth, gy @ _GK_WEIGHTS[:, 0] * hlgth)
 
 
 def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _QUAD_TOL) -> Tuple[np.ndarray, np.ndarray]:
@@ -322,32 +336,41 @@ def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _QUAD_
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
-    e = np.asarray(e, dtype=float)
-    d = np.asarray(a, dtype=float) - np.asarray(x, dtype=float).reshape(2)
-    m = len(d)
-    lengths = np.hypot(e[:, 0], e[:, 1])
+    # rows: segment start minus x and edge vector, by component
+    cols = np.concatenate((a, e), axis=1, dtype=float).T
+    cols[:2] -= np.asarray(x, dtype=float).reshape(2, 1)
+    dx, dy, ex, ey = cols
+    m = len(dx)
+    lengths = np.hypot(ex, ey)
     sq = lengths * lengths
-    t0 = -(e[:, 0] * d[:, 0] + e[:, 1] * d[:, 1]) / sq
-    layer = np.abs(e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]) / sq
+    t0 = -(ex * dx + ey * dy) / sq
+    layer = np.abs(ex * dy - ey * dx) / sq
     step = _KERNEL_FD_STEP * float(lengths.max())
     edge, lo, hi = _ladder_panels(t0, layer)
-    limit = np.bincount(edge, minlength=m) + _MAX_SPLITS
-    panels = _gk21(d[edge], e[edge], kernel, lo, hi, step)
+    panels = _gk21(cols[:, edge], kernel, lo, hi, step)
+    limit = None
     for passes in range(_MAX_PASSES + 1):
-        err = panels[:, 1]
-        value = lengths * np.bincount(edge, weights=panels[:, 0], minlength=m)
-        abserr = lengths * np.bincount(edge, weights=err, minlength=m)
+        value = lengths * np.bincount(edge, weights=panels[0], minlength=m)
+        abserr = lengths * np.bincount(edge, weights=panels[1], minlength=m)
         budget = tol * (1.0 + np.abs(value))
+        # every segment finite and within budget: a NaN error fails the
+        # comparison, and an infinite one passes it only beside an infinite
+        # value, and so an infinite budget
+        if ((abserr <= budget) & np.isfinite(value)).all():
+            grad = np.empty((m, 2))
+            grad[:, 0] = np.bincount(edge, weights=panels[2], minlength=m)
+            grad[:, 1] = np.bincount(edge, weights=panels[3], minlength=m)
+            return value, -lengths[:, None] * grad
         finite = np.isfinite(value) & np.isfinite(abserr)
         bad = ~(finite & (abserr <= budget))
-        if not bad.any():
-            grads = [np.bincount(edge, weights=panels[:, k], minlength=m) for k in (2, 3)]
-            return value, -lengths[:, None] * np.stack(grads, axis=1)
+        count = np.bincount(edge, minlength=m)
+        if limit is None:
+            # no panel has been bisected before the first failing pass
+            limit = count + _MAX_SPLITS
         # if a segment's error exceeds its budget, some panel's error
         # exceeds its equal share of it
-        count = np.bincount(edge, minlength=m)
         share = budget / (lengths * count)
-        split = bad[edge] & (err > share[edge])
+        split = bad[edge] & (panels[1] > share[edge])
         stuck = ~finite | (count + np.bincount(edge[split], minlength=m) > limit)
         if passes == _MAX_PASSES or stuck.any():
             i = int(np.argmax(stuck)) if stuck.any() else int(np.argmax(bad))
@@ -360,11 +383,11 @@ def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _QUAD_
         halves = np.concatenate([edge[split], edge[split]])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_panels = _gk21(d[halves], e[halves], kernel, new_lo, new_hi, step)
+        new_panels = _gk21(cols[:, halves], kernel, new_lo, new_hi, step)
         edge = np.concatenate([edge[keep], halves])
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
-        panels = np.concatenate([panels[keep], new_panels])
+        panels = [np.concatenate([old[keep], new]) for old, new in zip(panels, new_panels)]
 
 
 def segment_sigma_quadrature(a, e, x, kernel: RadialKernel, tol: float = _QUAD_TOL) -> float:

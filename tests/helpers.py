@@ -7,8 +7,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from regionmedian import Polygon
-from regionmedian.kernels import _MIN_OFFSET, closed_values_batch
+from regionmedian import NonConvergenceError, Polygon
+from regionmedian.kernels import (
+    _GK_NODES,
+    _GK_WEIGHTS,
+    _KERNEL_FD_STEP,
+    _MAX_PASSES,
+    _MAX_SPLITS,
+    _MIN_OFFSET,
+    _QUAD_TOL,
+    _ROUNDOFF,
+    closed_values_batch,
+)
 from regionmedian.oracle import _radial_weights
 from regionmedian.triquad import signed_areas, star_rule
 
@@ -88,6 +98,89 @@ def decimal_edge_integral(a, e, x, p):
         normal = p * d * (l2 - l1)
         gx, gy = along * tx - normal * ty, along * ty + normal * tx
         return float(h2 - h1), np.array([float(gx), float(gy)])
+
+
+def _reference_ladder_panels(t0, layer):
+    """``kernels._ladder_panels`` as one concatenation of five pieces, with
+    the rungs layer * 4.0 ** np.arange(k) (which overflow once k > 512)."""
+    m = len(t0)
+    k = (1 - int(np.frexp(layer)[1].min())) // 2 + 2
+    steps = layer[:, None] * (4.0 ** np.arange(k))
+    steps[~(steps < 2.0)] = np.inf
+    t0 = t0[:, None]
+    cand = np.concatenate([np.zeros((m, 1)), t0 - steps[:, ::-1], t0, t0 + steps, np.ones((m, 1))], axis=1)
+    cand = np.fmin(np.fmax(cand, 0.0), 1.0)
+    lo, hi = cand[:, :-1], cand[:, 1:]
+    keep = hi > lo
+    return np.nonzero(keep)[0], lo[keep], hi[keep]
+
+
+def _reference_gk21(d, e, kernel, lo, hi, step):
+    """``kernels._gk21`` on (n, 2) rows of starts minus x and edge vectors,
+    returning one (n, 4) stack of its four per-panel columns."""
+    hlgth = 0.5 * (hi - lo)
+    t = (0.5 * (lo + hi))[:, None] + hlgth[:, None] * _GK_NODES
+    dx, dy = d[:, :1] + t * e[:, :1], d[:, 1:] + t * e[:, 1:]
+    f = kernel.evaluate_many(dx, dy)
+    gx, gy = kernel.gradient_many(dx, dy, f, step)
+    kg = f @ _GK_WEIGHTS
+    resk = kg[:, 0]
+    resabs = np.abs(f) @ _GK_WEIGHTS[:, 0] * hlgth
+    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS[:, 0] * hlgth
+    abserr = np.abs((resk - kg[:, 1]) * hlgth)
+    flat = resasc == 0.0
+    ratio = np.minimum(1.0, 200.0 * abserr / np.where(flat, 1.0, resasc))
+    abserr = np.where(flat, abserr, resasc * ratio * np.sqrt(ratio))
+    return np.stack([resk * hlgth, np.maximum(_ROUNDOFF * resabs, abserr),
+                     gx @ _GK_WEIGHTS[:, 0] * hlgth, gy @ _GK_WEIGHTS[:, 0] * hlgth], axis=1)
+
+
+def reference_quadrature_values_batch(a, e, x, kernel, tol=_QUAD_TOL):
+    """Reference for ``kernels.quadrature_values_batch``: the same panels,
+    error test and float expressions, with the bisection bookkeeping built
+    on every pass and the panels' columns stacked, sliced and concatenated
+    again."""
+    e = np.asarray(e, dtype=float)
+    d = np.asarray(a, dtype=float) - np.asarray(x, dtype=float).reshape(2)
+    m = len(d)
+    lengths = np.hypot(e[:, 0], e[:, 1])
+    sq = lengths * lengths
+    t0 = -(e[:, 0] * d[:, 0] + e[:, 1] * d[:, 1]) / sq
+    layer = np.abs(e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]) / sq
+    step = _KERNEL_FD_STEP * float(lengths.max())
+    edge, lo, hi = _reference_ladder_panels(t0, layer)
+    limit = np.bincount(edge, minlength=m) + _MAX_SPLITS
+    panels = _reference_gk21(d[edge], e[edge], kernel, lo, hi, step)
+    for passes in range(_MAX_PASSES + 1):
+        err = panels[:, 1]
+        value = lengths * np.bincount(edge, weights=panels[:, 0], minlength=m)
+        abserr = lengths * np.bincount(edge, weights=err, minlength=m)
+        budget = tol * (1.0 + np.abs(value))
+        finite = np.isfinite(value) & np.isfinite(abserr)
+        bad = ~(finite & (abserr <= budget))
+        if not bad.any():
+            grads = [np.bincount(edge, weights=panels[:, k], minlength=m) for k in (2, 3)]
+            return value, -lengths[:, None] * np.stack(grads, axis=1)
+        count = np.bincount(edge, minlength=m)
+        share = budget / (lengths * count)
+        split = bad[edge] & (err > share[edge])
+        stuck = ~finite | (count + np.bincount(edge[split], minlength=m) > limit)
+        if passes == _MAX_PASSES or stuck.any():
+            i = int(np.argmax(stuck)) if stuck.any() else int(np.argmax(bad))
+            raise NonConvergenceError(
+                f"segment quadrature error {abserr[i]:.3e} exceeds tol*(1+|value|) "
+                f"= {budget[i]:.3e}"
+            )
+        keep = ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        halves = np.concatenate([edge[split], edge[split]])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_panels = _reference_gk21(d[halves], e[halves], kernel, new_lo, new_hi, step)
+        edge = np.concatenate([edge[keep], halves])
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        panels = np.concatenate([panels[keep], new_panels])
 
 
 def tensor_star_integral(poly, x, kernel, panels=4):
@@ -189,8 +282,9 @@ def random_triangle(rng, scale=1.0, min_area=0.15):
             return Polygon(coords)
 
 
-def random_star_polygon(rng, n=8, scale=1.0):
-    """Non-convex but simple polygon, star-shaped around its anchor point.
+def star_loop(rng, n=8):
+    """Vertices of a non-convex but simple loop, star-shaped around its
+    anchor point, as the benchmark draws its star 8-gons.
 
     Angles come from a jittered uniform grid so every angular gap stays
     strictly between 0 and pi; with positive radii that is enough to keep
@@ -198,8 +292,12 @@ def random_star_polygon(rng, n=8, scale=1.0):
     """
     angles = (np.arange(n) + rng.uniform(0.05, 0.95, n)) * (2.0 * np.pi / n)
     radii = rng.uniform(0.35, 1.5, n)
-    pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1) * scale
-    return Polygon(pts + rng.uniform(-0.5, 0.5, 2) * scale)
+    return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1) + rng.uniform(-0.5, 0.5, 2)
+
+
+def random_star_polygon(rng, n=8, scale=1.0):
+    """``star_loop`` as a Polygon, scaled by ``scale``."""
+    return Polygon(star_loop(rng, n) * scale)
 
 
 def similarity_transform(coords, angle, scale, shift):

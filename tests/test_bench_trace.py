@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import regionmedian as rm
+import regionmedian.cli  # noqa: F401  the tracer wraps rm.cli, which the package does not import
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 

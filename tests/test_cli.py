@@ -68,6 +68,22 @@ def test_check_under_a_power_one_kernel_is_check_without_a_kernel(capsys, tmp_pa
         assert run(capsys, "check", str(path), "--point", point) == plain, point
 
 
+def test_check_at_a_subnormal_offset_under_a_fractional_power(capsys, tmp_path):
+    # the breakpoint ladder of the bottom edge climbs from an offset of
+    # 1e-310 edge lengths; its rungs and the kernel gradient at nodes that
+    # close to the point stay finite
+    path = tmp_path / "square_power15.json"
+    path.write_text(json.dumps({"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]], "kernel": {"kind": "power", "p": 1.5}}))
+    reports = {}
+    for point in ("0.5,1e-306", "0.5,1e-310", "0.5,5e-324", "0.5,-1e-310"):
+        code, out, err = run(capsys, "check", str(path), "--point", point)
+        assert (code, err) == (0, ""), point
+        reports[point] = json.loads(out)["edge_means"]
+    want = reports.pop("0.5,1e-306")
+    for point, means in reports.items():
+        assert means == pytest.approx(want, rel=0.0, abs=1e-15), point
+
+
 def test_discrete_golden_reports_are_reproduced_byte_for_byte(capsys, tmp_path):
     for stem in ("obtuse_points", "weighted_points"):
         out_path = tmp_path / f"{stem}.json"

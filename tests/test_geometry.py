@@ -19,11 +19,13 @@ from regionmedian import geometry
 from regionmedian.weiszfeld import PointSet
 from helpers import (
     all_pairs_diameter,
+    comb_polygon,
     exact_segments_touch,
     quadratic_segments_intersect_any,
     random_convex_polygon,
     random_star_polygon,
     scaled_all_pairs_diameter,
+    star_loop,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -644,6 +646,11 @@ def _with_misrounded_vertex(c, rng):
     raise AssertionError("no misrounded point found")
 
 
+def _convex_route(c):
+    """Whether ``geometry._turns`` certifies the loop c convex."""
+    return geometry._turns(np.roll(c, -1, axis=0) - c)[1]
+
+
 def _star_polygon(n, k):
     """The regular star polygon {n/k}: every turn has one sign, and the
     turns add up to k revolutions."""
@@ -681,14 +688,25 @@ def test_convex_loops_skip_the_pair_search_and_keep_the_reference_verdict(monkey
     loops = [make(rng, n) for n in (4, 5, 8, 9, 64, 1000) for make in (_fourier_curve, _ellipse)]
     for curve in loops + [_fourier_curve(rng, 4096)]:
         assert verdict(curve) == (True, False), len(curve)
-        assert verdict(_with_extra_vertex(curve, False)) == (True, True), len(curve)
-        assert verdict(_with_extra_vertex(curve, True)) == (True, True), len(curve)
+        # a vertex on an edge, or one ulp inside it, makes a turn that the
+        # convex route refuses; the loop stays star-shaped around the mean
+        # of its vertices, and that certificate skips the search
+        for inward in (False, True):
+            c = _with_extra_vertex(curve, inward)
+            assert not _convex_route(c)
+            assert verdict(c) == (True, False), len(curve)
+    # the same vertex on a comb, which is star-shaped around no point,
+    # leaves the verdict to the search
+    for inward in (False, True):
+        assert verdict(_with_extra_vertex(comb_polygon(4).coords, inward)) == (True, True)
     # on edges as long as the coordinates, rounding the differences that
     # make the edges can give a reflex turn the convex sign: only the error
     # bound sees it
     for n in (5, 6, 7):
         curve = _fourier_curve(rng, n)
-        assert verdict(_with_misrounded_vertex(curve - curve.mean(axis=0), rng)) == (True, True)
+        c = _with_misrounded_vertex(curve - curve.mean(axis=0), rng)
+        assert not _convex_route(c)
+        assert verdict(c) == (True, False)
     # below about 1e-146 the turns' products may underflow and certify nothing
     curve = _fourier_curve(rng, 64)
     for scale in (1e-160, 1e-150, 1e-140, 1e-100, 1.0, 1e100, 1e150):
@@ -708,8 +726,100 @@ def test_convex_loops_skip_the_pair_search_and_keep_the_reference_verdict(monkey
     assert verdict(np.cumsum(e, axis=0)) == (False, True)
     # simple, with one certified reflex turn and four nearly collinear
     # vertices, whose rounded orientations read as a crossing of two edges
-    # with disjoint boxes; it must not take the convex route
-    assert verdict(NEARLY_COLLINEAR_PENTAGON) == (True, True)
+    # with disjoint boxes; it must not take the convex route, and it is
+    # star-shaped around the mean of its vertices
+    assert not _convex_route(NEARLY_COLLINEAR_PENTAGON)
+    assert verdict(NEARLY_COLLINEAR_PENTAGON) == (True, False)
+
+
+# ---------------------------------------------------------------- star-shaped loops
+#
+# A loop that, seen from the mean of its vertices, subtends angles that all
+# pass the orient2d filter with one sign and make one revolution is simple,
+# and it too is accepted without the edge-pair search.
+
+def _count_searches(monkeypatch):
+    """A list that gains an entry at every edge-pair search."""
+    real = geometry._segments_intersect_any
+    searched = []
+    monkeypatch.setattr(geometry, "_segments_intersect_any",
+                        lambda coords, nxt: searched.append(1) or real(coords, nxt))
+    return searched
+
+
+def _searched_verdict(c, searched):
+    """(self-intersecting, searched) for Polygon(c), which must be the
+    quadratic reference's verdict on c, and whether it searched the pairs
+    (``searched`` from ``_count_searches``). Any other rejection (an area
+    that overflows) counts as not self-intersecting."""
+    searched.clear()
+    c = np.ascontiguousarray(c, dtype=float)
+    try:
+        Polygon(c)
+        crossing = False
+    except InvalidPolygonError as exc:
+        crossing = "self-intersecting" in str(exc)
+    with np.errstate(all="ignore"):
+        assert crossing is quadratic_segments_intersect_any(c)
+    return crossing, bool(searched)
+
+
+def test_star_shaped_loops_keep_the_reference_verdict(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    rng = np.random.default_rng(29)
+    loops = [_star(rng, n) for n in (4, 5, 8, 8, 8, 16, 64, 300)]
+    loops += [star_loop(rng) for _ in range(40)]
+    loops += [comb_polygon(t).coords for t in (2, 5)] + [_comb(30, g, 1, 10.0) for g in (1e-12, -1e-12, 0.0)]
+    loops += [np.array([(0, 0), (1, 1), (1, 0), (0, 1)], dtype=float)]
+    # bowties: two vertices of a star swapped
+    for _ in range(20):
+        c = star_loop(rng, int(rng.integers(4, 9)))
+        i, j = rng.choice(len(c), 2, replace=False)
+        c[[i, j]] = c[[j, i]]
+        loops.append(c)
+    # the vertex mean on a vertex, on an edge and on an edge's line beyond
+    # it: that edge subtends no angle, and the search decides
+    on_the_mean = [np.array(c, dtype=float) for c in (
+        [(0, 0), (-1, -1), (2, 0), (-1, 1)],
+        [(-1, -1), (1, -1), (1, 1), (5, 3), (-1, 1)],
+        [(-1, -1), (1, -1), (1, 1), (5, 13), (-1, 1)])]
+    for c in on_the_mean:
+        assert _searched_verdict(c, searched) == (False, True)
+    loops += on_the_mean
+    # one vertex pushed far out along its ray from the anchor
+    for big in (1e100, 1e150, 1e200, 1e300):
+        c = star_loop(rng)
+        c[0] *= big / np.hypot(*c[0])
+        loops.append(c)
+    skipped = {}
+    for c in loops:
+        for scale in (1e-160, 1e-150, 1e-140, 1e-100, 1.0, 1e100, 1e150):
+            if math.log10(np.max(np.abs(c))) + math.log10(scale) < 308.0:
+                for loop in (c, c[::-1]):
+                    skipped[scale] = skipped.get(scale, 0) + (not _searched_verdict(loop * scale, searched)[1])
+    # below about 1e-146 the products may underflow and certify nothing;
+    # above it, every star of the list skips the search
+    assert skipped[1e-160] == skipped[1e-150] == 0
+    assert all(skipped[scale] >= 96 for scale in (1e-140, 1e-100, 1.0, 1e100, 1e150))
+    # a star that subtends angles too small for the products' exponent
+    # range certifies nothing, and the search decides
+    assert _searched_verdict(star_loop(rng) * 1e-160, searched) == (False, True)
+    # every edge of {5/2} and {7/3} subtends the same angle, with one sign,
+    # for two and three revolutions
+    for n, k in ((5, 2), (7, 3)):
+        c = _star_polygon(n, k)
+        g = c.mean(axis=0)
+        cross, certified = geometry._winds_once(c - g, np.roll(c, -1, axis=0) - g)
+        assert np.all(cross > 0.0) and not certified
+        assert _searched_verdict(c, searched) == (True, True)
+
+
+def test_almost_every_star_eight_gon_skips_the_pair_search(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    rng = np.random.default_rng(30)
+    for _ in range(1000):
+        Polygon(star_loop(rng))
+    assert len(searched) <= 10
 
 
 # ---------------------------------------------------------------- diameter

@@ -12,6 +12,7 @@ from helpers import (
     random_convex_polygon,
     random_star_polygon,
     random_triangle,
+    reference_quadrature_values_batch,
     two_endpoint_closed_values,
 )
 
@@ -24,6 +25,7 @@ from regionmedian import (
     solve_median,
     solve_medianoid,
 )
+from regionmedian import kernels
 from regionmedian.kernels import (
     _MAX_CLOSED_POWER,
     _ladder_panels,
@@ -412,6 +414,71 @@ def test_batched_quadrature_matches_the_per_segment_reference(p):
     # panels settle on the values' error only; at a vertex under p = 1.5
     # the gradient's integrand goes as s^(1/2) and errs by about 2e-10
     assert worst_grad < 1e-9, f"worst relative gradient mismatch {worst_grad:.3e}"
+
+
+def _offsets(a, e, x):
+    """(t0, layer) of ``quadrature_values_batch``: x's foot and offset on
+    every edge's carrier line, in edge lengths."""
+    d = a - np.asarray(x, dtype=float)
+    sq = np.sum(e * e, axis=1)
+    return -(e[:, 0] * d[:, 0] + e[:, 1] * d[:, 1]) / sq, np.abs(e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]) / sq
+
+
+def _reference_route_points(poly, rng):
+    """Query points for the reference route: inside, at the vertices, on
+    the edges, on their carrier lines beyond them, and so far out that
+    every edge's ladder is empty (offset above 8 edge lengths)."""
+    a, e = poly.coords, poly.edge_vectors
+    t = rng.uniform(0.0, 1.0, len(a))
+    beyond = rng.choice([-1.0, 1.0], len(a)) * rng.uniform(1.5, 3.0, len(a)) + 0.5
+    points = [interior_point(poly, rng), interior_point(poly, rng), *a, *(a + t[:, None] * e),
+              *(a + beyond[:, None] * e)]
+    far = 0
+    while far < 2:
+        x = poly.centroid.as_array() + 100.0 * poly.diameter * rng.normal(size=2)
+        if np.min(_offsets(a, e, x)[1]) > 8.0:
+            points.append(x)
+            far += 1
+    return points
+
+
+@pytest.mark.parametrize("kernel", [RadialKernel.power(0.5), RadialKernel.power(1.5), RadialKernel.power(2.5),
+                                    RadialKernel.power(17.0),
+                                    RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy) + 0.2 * dx * dy + 0.1 * dx)],
+                         ids=["p0.5", "p1.5", "p2.5", "p17", "custom"])
+def test_batched_quadrature_equals_the_reference_route_bit_for_bit(kernel, monkeypatch):
+    """Values and gradients equal, bit for bit, those of the route that
+    stacks and concatenates its panels on every pass."""
+    gk21 = kernels._gk21
+    passes = []
+    monkeypatch.setattr(kernels, "_gk21", lambda *args: passes.append(1) or gk21(*args))
+    rng = np.random.default_rng(29)
+    bisected = empty = 0
+    for poly in [random_triangle(rng), random_convex_polygon(rng), random_star_polygon(rng), QUAD]:
+        a, e = poly.coords, poly.edge_vectors
+        for x in _reference_route_points(poly, rng):
+            passes.clear()
+            got = quadrature_values_batch(a, e, x, kernel)
+            want = reference_quadrature_values_batch(a, e, x, kernel)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), x
+            bisected += len(passes) > 1
+            empty += len(_ladder_panels(*_offsets(a, e, x))[0]) == len(a)
+    # the far points take one panel per edge; at the vertices, where a
+    # fractional power below 3 is not smooth, some passes bisect
+    assert empty >= 8
+    assert bisected > 0 or kernel.p is None or kernel.p > 3.0
+
+
+def test_batched_quadrature_raises_as_the_reference_route_does():
+    t345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
+    nan_band = RadialKernel.custom(lambda dx, dy: np.where((0.2 < dy) & (dy < 1.0), np.nan, 1.0 + np.hypot(dx, dy)))
+    for poly, x, kernel, tol in ((t345, (1.0, 1.0), RadialKernel.power(2.0), 1e-15),
+                                 (QUAD, (1.5, 0.5), nan_band, 1e-13)):
+        with pytest.raises(NonConvergenceError) as got:
+            quadrature_values_batch(poly.coords, poly.edge_vectors, x, kernel, tol)
+        with pytest.raises(NonConvergenceError) as want:
+            reference_quadrature_values_batch(poly.coords, poly.edge_vectors, x, kernel, tol)
+        assert str(got.value) == str(want.value)
 
 
 def test_batched_quadrature_uses_the_displacement_from_the_query_point():
