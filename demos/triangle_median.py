@@ -5,7 +5,7 @@ three edges; the printed spread collapsing to zero is the certificate.
 A brute-force scan over the area objective confirms the location.
 """
 
-from regionmedian import Point2, Polygon, mean_distance_certificate, solve_median
+from regionmedian import Polygon, RadialKernel, general_boundary_residual, solve_median
 from regionmedian.oracle import oracle_minimize
 from regionmedian.svg import region_figure
 
@@ -16,14 +16,13 @@ print("median:            (%.12f, %.12f)" % (result.median.x, result.median.y))
 print("iterations:        %d" % result.iterations)
 print("normalized norm:   %.3e" % result.normalized_norm)
 
-cert = mean_distance_certificate(triangle, result.median)
-print("edge means:        %.12f  %.12f  %.12f" % cert.means)
-print("certificate spread: %.3e" % cert.spread)
+print("edge means:        %.12f  %.12f  %.12f" % result.edge_means)
+print("certificate spread: %.3e" % result.certificate)
 
 centroid = triangle.centroid
 print("\nfor contrast, the centroid (%.4f, %.4f) is not balanced:" % (centroid.x, centroid.y))
-off = mean_distance_certificate(triangle, centroid)
-print("centroid spread:   %.3e" % off.spread)
+off = general_boundary_residual(triangle, centroid, RadialKernel.euclidean())
+print("centroid spread:   %.3e" % off.certificate)
 
 print("\ncross-checking against the area-scan minimizer (slow, exact-ish)...")
 brute = oracle_minimize(triangle)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -137,16 +138,21 @@ def _kernel_from_dict(d) -> RadialKernel:
             raise RegionFileError(f"bad power kernel exponent: {json.dumps(d['p'])} is not a number")
         try:
             return RadialKernel.power(float(d["p"]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RegionFileError(f"bad power kernel exponent: {exc}") from exc
     raise RegionFileError(f"unknown kernel kind {kind!r}")
 
 
 def _coord_list(raw, label: str) -> np.ndarray:
     try:
+        # JSON numbers only: float() would also read "3" as 3.0 and true as 1.0
+        if not set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}:
+            raise TypeError("a coordinate is not a JSON number")
         arr = np.asarray(raw, dtype=float)
+    except OverflowError as exc:
+        raise RegionFileError(f"{label} contains a coordinate past the float range") from exc
     except (TypeError, ValueError) as exc:
-        raise RegionFileError(f"{label} must be a list of [x, y] pairs") from exc
+        raise RegionFileError(f"{label} must be a list of [x, y] pairs of numbers") from exc
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
         raise RegionFileError(f"{label} must be a nonempty list of [x, y] pairs")
     if not np.all(np.isfinite(arr)):
@@ -332,18 +338,15 @@ def cmd_check(args) -> int:
     inp = load_region_file(args.file)
     poly = _require_region(inp, "check")
     point = _parse_point(args.point)
-    # evaluated in the solver's frame and on the route of the file's
-    # kernel, or of the Euclidean one when the file has none, as the
-    # solves do, so the point a solve reports gives the edge means it
-    # reported
+    # the file's kernel, or the Euclidean one, in the solve frame that
+    # general_boundary_residual takes, as the solves do: the point a
+    # solve reports gives the edge means it reported
     kernel = inp.kernel or RadialKernel.euclidean()
-    local, ox, oy = poly._local_frame()
-    at = Point2(point.x - ox, point.y - oy)
     # a point far enough out overflows the edge integrals; raising keeps
     # numpy's warnings off stderr and names the point in the one error line
     try:
         with np.errstate(over="raise", invalid="raise"):
-            rep = general_boundary_residual(local, at, kernel)
+            rep = general_boundary_residual(poly, point, kernel)
     except FloatingPointError as exc:
         raise RegionFileError(f"the residual at --point {point.x!r},{point.y!r} is out of range: {exc}") from exc
     report = {

@@ -524,6 +524,8 @@ def _coerce_coords(vertices: Iterable) -> np.ndarray:
         vertices = [(v.x, v.y) if isinstance(v, Point2) else v for v in vertices]
     try:
         coords = np.array(vertices, dtype=float)
+    except OverflowError as exc:
+        raise InvalidPolygonError("vertices have a coordinate past the float range") from exc
     except (TypeError, ValueError) as exc:
         raise InvalidPolygonError("vertices must be a sequence of (x, y) pairs") from exc
     if coords.ndim != 2 or coords.shape[1] != 2:

@@ -12,9 +12,10 @@ A quadrature edge passes when its QUADPACK error estimate err satisfies
 err <= tol * (1 + |value|) for its integral value, with the one
 tolerance tol = 1e-13 of every solve and CLI command; only the panels of
 failing edges are bisected, and an edge that does not pass raises
-NonConvergenceError. ``polygon_residual`` is the Euclidean closed form
-on its own. Every report carries the Jacobian of the gradient, from the
-gradients of the edge integrals: closed-form, or integrated in the same
+NonConvergenceError. Every function here takes its edge integrals from
+one helper, in the region's solve frame (``Polygon._local_frame``).
+Every report carries the Jacobian of the gradient, from the gradients
+of the edge integrals: closed-form, or integrated in the same
 Gauss-Kronrod pass as the values. T is summed correctly rounded
 (``math.fsum``), so it does not depend on where the loop starts.
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidTriangleError
 from .geometry import Point2, Polygon, Vector2, as_polygon, rotate90
-from .kernels import RadialKernel, closed_values_batch
+from .kernels import RadialKernel
 
 __all__ = [
     "ResidualReport",
@@ -107,14 +108,10 @@ def _spread(means) -> float:
     return (hi - lo) / max(hi, -lo) if hi != lo else 0.0
 
 
-def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
-    """Residual T: sum of (mean edge distance) times edge vector.
-
-    The Euclidean kernel's closed-form segment integrals, and their
-    closed-form gradients for the report's ``jacobian``: the route that
-    ``general_boundary_residual`` takes for ``RadialKernel.euclidean()``.
-    """
-    return _report(poly, *closed_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y)))
+def _frame_values(boundary, x: Point2, kernel: RadialKernel) -> Tuple[Polygon, np.ndarray, np.ndarray]:
+    """(frame polygon, edge integrals, their (m, 2) gradients) at the absolute x."""
+    local, ox, oy = as_polygon(boundary)._local_frame()
+    return (local, *kernel.values_batch(local.coords, local.edge_vectors, (x.x - ox, x.y - oy)))
 
 
 def general_boundary_residual(boundary, x: Point2, kernel: RadialKernel) -> ResidualReport:
@@ -122,15 +119,21 @@ def general_boundary_residual(boundary, x: Point2, kernel: RadialKernel) -> Resi
 
     ``boundary`` may be a Polygon or any closed vertex loop (a sampled
     polyline approximating a curved boundary); loops are normalized to
-    counterclockwise order. All edge means and the gradients behind the
-    report's ``jacobian`` come from one call of the kernel's route,
-    ``RadialKernel.values_batch``.
+    counterclockwise order. x is absolute and evaluated in the region's
+    solve frame. All edge means and the gradients behind the report's
+    ``jacobian`` come from one call of ``RadialKernel.values_batch``.
     """
-    poly = as_polygon(boundary)
-    return _report(poly, *kernel.values_batch(poly.coords, poly.edge_vectors, (x.x, x.y)))
+    return _report(*_frame_values(boundary, x, kernel))
+
+
+def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
+    """``general_boundary_residual`` with ``RadialKernel.euclidean()``, kept
+    by name because it is public and the benchmark's traced run wraps it."""
+    return general_boundary_residual(poly, x, RadialKernel.euclidean())
 
 
 class CertificateResult(NamedTuple):
+    """The result of ``mean_distance_certificate``, public and kept with it."""
     means: Tuple[float, float, float]
     spread: float
 
@@ -140,12 +143,11 @@ def mean_distance_certificate(tri: Polygon, x: Point2) -> CertificateResult:
 
     Returns the three mean distances from x to the edges and their
     spread (max - min)/max. Zero spread certifies x as the geometric
-    median of the triangular region, independently of any solver. The
-    means are evaluated in the solver's frame (``Polygon._local_frame``).
+    median of the triangular region, independently of any solver. Kept
+    by name: it is public, and the benchmark's traced run wraps it.
     """
     if len(tri) != 3:
         raise InvalidTriangleError("certificate is defined for triangles only")
-    local, ox, oy = tri._local_frame()
-    values, _ = closed_values_batch(local.coords, local.edge_vectors, (x.x - ox, x.y - oy))
+    local, values, _ = _frame_values(tri, x, RadialKernel.euclidean())
     means = values / local.edge_lengths
     return CertificateResult(means=tuple(means.tolist()), spread=_spread(means))

@@ -28,16 +28,14 @@ class PointSet:
     __slots__ = ("coords", "weights")
 
     def __init__(self, points, weights: Optional[Sequence[float]] = None) -> None:
-        if isinstance(points, np.ndarray):
-            coords = np.asarray(points, dtype=float).copy()
-        else:
-            rows = []
-            for p in points:
-                if isinstance(p, Point2):
-                    rows.append((p.x, p.y))
-                else:
-                    rows.append((float(p[0]), float(p[1])))
-            coords = np.asarray(rows, dtype=float)
+        try:
+            if isinstance(points, np.ndarray):
+                coords = np.asarray(points, dtype=float).copy()
+            else:
+                coords = np.asarray([(p.x, p.y) if isinstance(p, Point2) else (float(p[0]), float(p[1]))
+                                     for p in points], dtype=float)
+        except OverflowError as exc:
+            raise ValueError("points have a coordinate past the float range") from exc
         if coords.ndim != 2 or coords.shape[1] != 2 or len(coords) < 1:
             raise ValueError("points must be a nonempty sequence of (x, y) pairs")
         if not np.all(np.isfinite(coords)):
@@ -45,7 +43,10 @@ class PointSet:
         if weights is None:
             w = np.ones(len(coords), dtype=float)
         else:
-            w = np.asarray(list(weights), dtype=float)
+            try:
+                w = np.asarray(list(weights), dtype=float)
+            except OverflowError as exc:
+                raise ValueError("weights have a value past the float range") from exc
             if w.shape != (len(coords),):
                 raise ValueError("weights must match points in length")
             if not np.all(np.isfinite(w)) or np.any(w <= 0.0):

@@ -719,6 +719,15 @@ NUMPY_EDGE_INPUTS = {
     "overflowing_objective": {"points": [[1.2e308, 0], [-0.5e308, 0], [0, 1.2e308]]},
     "kernel_overflow": {"polygon": [[0, 0], [30, 0], [30, 40]]},
     "subnormal_points": {"points": [[1e-320, 0], [0, 1e-320], [3e-320, 2e-320]]},
+    # JSON strings and booleans are no coordinates, and an integer past the
+    # float range is no float
+    "string_coordinates": {"polygon": [["0", "0"], ["3", "0"], ["3", "4"]]},
+    "boolean_polygon": {"polygon": [[False, False], [3, False], [3, 4]]},
+    "boolean_points": {"points": [[True, 0], [3, 0], [3, 4]]},
+    "huge_integer_polygon": {"polygon": [[0, 0], [10 ** 400, 0], [3, 4]]},
+    "huge_integer_points": {"points": [[0, 0], [10 ** 400, 0], [3, 4]]},
+    "huge_integer_weights": {"points": [[0, 0], [3, 0], [3, 4]], "weights": [1, 10 ** 400, 1]},
+    "huge_integer_exponent": {"polygon": [[0, 0], [3, 0], [3, 4]], "kernel": {"kind": "power", "p": 10 ** 400}},
 }
 
 
@@ -726,7 +735,7 @@ def _warning_test_commands(path):
     try:
         data = json.loads(path.read_text())
         coords = np.asarray(data.get("polygon") or data.get("boundary_samples") or data["points"], dtype=float)
-    except (ValueError, KeyError):
+    except (ValueError, KeyError, OverflowError):
         coords = np.zeros((1, 2))
     with np.errstate(over="ignore"):  # the mean of the overflowing sets
         mean = coords.mean(axis=0)
@@ -787,3 +796,61 @@ def test_an_overflowing_input_prints_one_error_line_naming_it(capsys, tmp_path, 
     path.write_text(json.dumps(NUMPY_EDGE_INPUTS[stem]))
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("stem,command,message", [
+    ("string_coordinates", "median", "polygon must be a list of [x, y] pairs of numbers"),
+    ("boolean_polygon", "median", "polygon must be a list of [x, y] pairs of numbers"),
+    ("boolean_points", "discrete", "points must be a list of [x, y] pairs of numbers"),
+    ("huge_integer_polygon", "median", "polygon contains a coordinate past the float range"),
+    ("huge_integer_points", "discrete", "points contains a coordinate past the float range"),
+    ("huge_integer_weights", "discrete", "weights have a value past the float range"),
+    ("huge_integer_exponent", "medianoid", "bad power kernel exponent: int too large to convert to float"),
+])
+def test_a_coordinate_that_is_no_float_prints_one_error_line(capsys, tmp_path, stem, command, message):
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(NUMPY_EDGE_INPUTS[stem]))
+    assert run(capsys, command, str(path)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text,argv,message", [
+    ('{"polygon": [[0, 0], [3, 0], [3, 4]], "kernel": 5}', ["medianoid"],
+     "kernel must be an object with a 'kind' field"),
+    ('{"polygon": [[0, 0], [3, 0], [3, 4]], "kernel": {"p": 2}}', ["medianoid"],
+     "kernel must be an object with a 'kind' field"),
+    ('{"polygon": [[0, 0], [3, 0], [3, 4]], "kernel": {"kind": "power"}}', ["medianoid"],
+     "power kernel needs a 'p' exponent"),
+    ('{"polygon": [[0, 0], [3, 0], [3]]}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
+    ('{"polygon": 5}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
+    ('{"polygon": []}', ["median"], "polygon must be a nonempty list of [x, y] pairs"),
+    ('{"boundary_samples": [[0, 0, 1], [3, 0, 1], [3, 4, 1]]}', ["median"],
+     "boundary_samples must be a nonempty list of [x, y] pairs"),
+    ('{"polygon": [[0, 0], [1e400, 0], [3, 4]]}', ["median"], "polygon contains non-finite coordinates"),
+    ('{"points": [[0, 0], [NaN, 0]]}', ["discrete"], "points contains non-finite coordinates"),
+    ("[[0, 0], [3, 0], [3, 4]]", ["median"], "region file must be a JSON object"),
+    ('{"points": [[0, 0], [3, 0]], "weights": [1, 0]}', ["discrete"], "weights must be finite and > 0"),
+    ('{"points": [[0, 0], [3, 0]], "weights": [1]}', ["discrete"], "weights must match points in length"),
+])
+def test_a_malformed_region_file_prints_one_error_line(capsys, tmp_path, text, argv, message):
+    path = tmp_path / "region.json"
+    path.write_text(text)
+    assert run(capsys, argv[0], str(path), *argv[1:]) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("gammas,message", [
+    ("4,x", "bad --gammas list: could not convert string to float: 'x'"),
+    (" , ", "--gammas must list at least one value"),
+])
+def test_a_bad_gammas_list_prints_one_error_line(capsys, gammas, message):
+    argv = ["degenerate", "--alpha", "3", "--beta", "2", "--gammas", gammas]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_a_stagnating_solve_exits_two_with_the_default_median(capsys):
+    # no step can bring the residual under a tolerance of 1e-300: the line
+    # search stagnates after 3 iterations at the default solve's median
+    code, out, err = run(capsys, "median", str(DATA / "t345.json"), "--tol", "1e-300")
+    report = json.loads(out)
+    golden = json.loads((GOLDEN / "t345_report.json").read_text())
+    assert (code, err) == (2, "")
+    assert report["median"] == golden["median"] and report["iterations"] == 3

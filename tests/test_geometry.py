@@ -227,6 +227,16 @@ def test_malformed_vertices_raise_invalid_polygon_error(vertices):
         Polygon(vertices)
 
 
+@pytest.mark.parametrize("vertices,message", [
+    ([(0.0, 0.0), (math.inf, 0.0), (3.0, 4.0)], "polygon has non-finite coordinates"),
+    ([(0.0, 0.0), (3.0, math.nan), (3.0, 4.0)], "polygon has non-finite coordinates"),
+    ([(0, 0), (10 ** 400, 0), (3, 4)], "vertices have a coordinate past the float range"),
+])
+def test_vertices_off_the_finite_floats_raise_invalid_polygon_error(vertices, message):
+    with pytest.raises(InvalidPolygonError, match=f"^{message}$"):
+        Polygon(vertices)
+
+
 # ---------------------------------------------------------------- contact test
 #
 # ``geometry._segments_intersect_any`` tests only candidate pairs from a sort

@@ -319,6 +319,45 @@ def test_report_certificate_is_the_spread_of_a_triangles_edge_means():
     assert polygon_residual(quad, quad.centroid).certificate is None
 
 
+def _offset_regions_and_queries():
+    """Seeded triangles and convex polygons offset by 0 to 1e12 diameters,
+    each with an interior point, vertex 0 and a point one diameter out."""
+    rng = np.random.default_rng(3131)
+    for k in range(12):
+        base = random_triangle(rng) if k % 2 else random_convex_polygon(rng)
+        inner = np.array(interior_point(base, rng))
+        for offset in (0.0, 3.0, 1e3, 1e6, 1e12):
+            shift = offset * base.diameter * np.array([1.0, -0.5])
+            poly = Polygon(base.coords + shift)
+            for q in (inner, base.coords[0], inner + base.diameter):
+                yield poly, Point2(*(q + shift))
+
+
+def test_every_residual_entry_point_evaluates_in_the_one_solve_frame():
+    # polygon_residual is general_boundary_residual with the Euclidean
+    # kernel, and a triangle's certificate reads the report's edge means,
+    # bit for bit at every offset
+    euclidean = RadialKernel.euclidean()
+    for poly, x in _offset_regions_and_queries():
+        rep = general_boundary_residual(poly, x, euclidean)
+        assert polygon_residual(poly, x) == rep
+        if len(poly) == 3:
+            cert = mean_distance_certificate(poly, x)
+            assert cert.means == rep.edge_means and cert.spread == rep.certificate
+
+
+def test_a_frame_view_is_its_own_frame():
+    # the solver passes its frame polygon, which the residual's frame
+    # leaves as it is, so no solve moves a bit
+    seen = 0
+    for poly, _ in _offset_regions_and_queries():
+        view, ox, oy = poly._local_frame()
+        seen += view is not poly
+        frame = view._local_frame()
+        assert frame[0] is view and frame[1:] == (0.0, 0.0)
+    assert seen > 0
+
+
 def _distance_to_boundary(poly, p):
     a = poly.coords
     e = poly.edge_vectors

@@ -193,6 +193,35 @@ def test_custom_kernel_result_is_marked_local():
     assert res.converged
 
 
+def test_a_singular_jacobian_takes_gradient_steps_to_the_halving_line(monkeypatch):
+    # k = |dx| does not depend on y, so every Jacobian is singular and
+    # every step is a gradient fallback step; the objective is minimized
+    # on the vertical line x = sqrt(4.5) that halves the area, and y
+    # stays at the centroid's 4/3
+    verdicts = []
+
+    def spy(jac):
+        verdicts.append(_ill_conditioned(jac))
+        return verdicts[-1]
+
+    monkeypatch.setattr(regionmedian.solver, "_ill_conditioned", spy)
+    res = solve_medianoid(T345, RadialKernel.custom(lambda dx, dy: np.abs(dx)))
+    assert res.converged and res.local
+    assert abs(res.median.x - math.sqrt(4.5)) <= 1e-10 * T345.diameter
+    assert abs(res.median.y - 4.0 / 3.0) <= 1e-10 * T345.diameter
+    assert len(verdicts) == res.iterations > 0 and all(verdicts)
+
+
+def test_a_solve_that_cannot_reach_its_tolerance_stops_by_stagnation():
+    # at a tolerance of 1e-300 no damped step lowers the residual after
+    # the default solve's 3 iterations, and the same median is reported
+    default = solve_median(T345)
+    res = solve_median(T345, SolveConfig(tol_rel=1e-300))
+    assert not res.converged
+    assert res.iterations == default.iterations == 3
+    assert res.median == default.median
+
+
 @pytest.mark.parametrize("p,local", [(0.3, True), (0.9, True), (1.0, False), (1.5, False)])
 def test_power_kernels_below_one_are_marked_local(p, local):
     # for p < 1 the objective need not be convex
@@ -245,6 +274,8 @@ def test_degenerate_family_rejects_impossible_sides():
         degenerate_limit_study(2.0, 1.0, [0.9])  # violates triangle inequality
     with pytest.raises(InvalidTriangleError):
         degenerate_limit_study(2.0, 1.0, [3.2])
+    with pytest.raises(InvalidTriangleError, match="need alpha >= beta > 0"):
+        degenerate_limit_study(2.0, 0.0, [2.0])
 
 
 def test_config_validation():

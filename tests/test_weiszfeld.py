@@ -125,6 +125,10 @@ def test_point_set_validation():
         PointSet([(0, 0), (1, 1)], weights=[1.0])
     with pytest.raises(ValueError):
         PointSet([(0, 0), (1, 1)], weights=[1.0, -2.0])
+    with pytest.raises(ValueError, match="^points have a coordinate past the float range$"):
+        PointSet([(0, 0), (10 ** 400, 1)])
+    with pytest.raises(ValueError, match="^weights have a value past the float range$"):
+        PointSet([(0, 0), (1, 1)], weights=[1, 10 ** 400])
     with pytest.raises(ValueError):
         weiszfeld(PointSet([(0, 0), (1, 1)]), tol=0.0)
     for bad in ({"tol": math.inf}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -5}):
