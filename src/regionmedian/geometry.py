@@ -73,15 +73,14 @@ def rotate90(v: Vector2) -> Vector2:
     return Vector2(-v.dy, v.dx)
 
 
-def _shoelace(coords: np.ndarray, nxt: np.ndarray) -> float:
-    # nxt holds each vertex's successor. The products are taken relative
-    # to vertex 0, which is exact for nearby vertices (Sterbenz), so a
-    # region far from the origin does not cancel its own area. Past about
-    # 1e154 the products overflow, and callers see a non-finite area
-    ox, oy = coords[0]
-    x, y = coords[:, 0] - ox, coords[:, 1] - oy
-    xn, yn = nxt[:, 0] - ox, nxt[:, 1] - oy
-    return 0.5 * float(np.sum(x * yn - xn * y))
+def _shoelace(coords: np.ndarray) -> float:
+    # The products are taken relative to vertex 0, which is exact for
+    # nearby vertices (Sterbenz), so a region far from the origin does not
+    # cancel its own area. Past about 1e154 the products overflow, and
+    # callers see a non-finite area
+    d = (coords - coords[0]).T
+    (x, y), (xn, yn) = d, np.concatenate((d[:, 1:], d[:, :1]), axis=1)
+    return 0.5 * float((x * yn - xn * y).sum())
 
 
 def _antipodal_pairs(hull: np.ndarray) -> tuple:
@@ -159,7 +158,7 @@ def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
     ``_turns`` certifies them. Every other set of rows takes all pairs by
     one broadcast in blocks of ``_PAIR_BLOCK // n`` rows.
     """
-    exp = math.frexp(float(np.max(np.abs(coords))))[1]
+    exp = math.frexp(float(np.abs(coords).max()))[1]
     coords = np.ldexp(coords, -exp)
     if len(coords) > 8 and not convex:
         coords = coords[_convex_hull(coords)]
@@ -168,13 +167,13 @@ def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
     x, y = coords.T
     if convex and len(coords) > 8:
         i, j = _antipodal_pairs(coords)
-        best = float(np.max((x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2))
+        best = float(((x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2).max())
     else:
         best = 0.0
         rows = max(1, _PAIR_BLOCK // len(coords))
         for r0 in range(0, len(coords), rows):
             dx, dy = x[r0:r0 + rows, None] - x[r0:], y[r0:r0 + rows, None] - y[r0:]
-            best = max(best, float(np.max(dx * dx + dy * dy)))
+            best = max(best, float((dx * dx + dy * dy).max()))
     return math.ldexp(math.sqrt(best), exp)
 
 
@@ -300,16 +299,16 @@ def _winds_once(u: np.ndarray, v: np.ndarray) -> tuple:
     if not (cross.min() > 0.0 or cross.max() < 0.0):
         return cross, False
     mag = np.abs(left) + np.abs(right)
-    if not np.all((np.abs(cross) > _TURN_ERRBOUND * mag) & (mag >= _TURN_FLOOR)):
+    if not ((np.abs(cross) > _TURN_ERRBOUND * mag) & (mag >= _TURN_FLOOR)).all():
         return cross, False
     # each exact angle lies strictly between 0 and pi, and together they
     # make a whole number of revolutions: one for a convex loop, two for
     # the pentagram. A dot product that overflowed to +inf would read as
     # no angle at all, so it does not certify.
     dot = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
-    if not np.all(np.isfinite(dot)):
+    if not np.isfinite(dot).all():
         return cross, False
-    return cross, float(np.sum(np.arctan2(np.abs(cross), dot))) < 3.0 * math.pi
+    return cross, float(np.arctan2(np.abs(cross), dot).sum()) < 3.0 * math.pi
 
 
 def _turns(edges: np.ndarray) -> tuple:
@@ -374,10 +373,10 @@ class Polygon:
         coords = _coerce_coords(vertices)
         if len(coords) < 3:
             raise InvalidPolygonError("polygon needs at least 3 vertices")
-        if not np.all(np.isfinite(coords)):
+        if not np.isfinite(coords).all():
             raise InvalidPolygonError("polygon has non-finite coordinates")
         nxt = np.concatenate((coords[1:], coords[:1]))
-        if np.any(np.all(coords == nxt, axis=1)):
+        if (coords == nxt).all(axis=1).any():
             raise InvalidPolygonError("polygon repeats a vertex on consecutive positions")
         with np.errstate(over="ignore", invalid="ignore"):
             edges = nxt - coords
@@ -388,7 +387,7 @@ class Polygon:
             # shoelace area, and the intersection diagnostic is the useful one
             if not simple and _segments_intersect_any(coords, nxt):
                 raise InvalidPolygonError("polygon is self-intersecting")
-            area = _shoelace(coords, nxt)
+            area = _shoelace(coords)
         if area == 0.0:
             raise InvalidPolygonError("polygon has zero area")
         if not math.isfinite(area):
@@ -460,11 +459,11 @@ class Polygon:
         if self._centroid is None:
             # relative to vertex 0, like the area, then moved back
             ox, oy = self._coords[0].tolist()
-            x, y = self._coords[:, 0] - ox, self._coords[:, 1] - oy
-            xn, yn = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
+            d = (self._coords - self._coords[0]).T
+            (x, y), (xn, yn) = d, np.concatenate((d[:, 1:], d[:, :1]), axis=1)
             cross = x * yn - xn * y
-            cx = float(np.sum((x + xn) * cross) / (6.0 * self._area))
-            cy = float(np.sum((y + yn) * cross) / (6.0 * self._area))
+            cx = float(((x + xn) * cross).sum() / (6.0 * self._area))
+            cy = float(((y + yn) * cross).sum() / (6.0 * self._area))
             self._centroid = Point2(cx + ox, cy + oy)
         return self._centroid
 
@@ -531,7 +530,7 @@ def _coerce_coords(vertices: Iterable) -> np.ndarray:
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise InvalidPolygonError("vertices must be a sequence of (x, y) pairs")
     # tolerate an explicitly closed loop (last vertex repeating the first)
-    if len(coords) > 3 and np.all(coords[0] == coords[-1]):
+    if len(coords) > 3 and (coords[0] == coords[-1]).all():
         coords = coords[:-1]
     return coords
 

@@ -67,7 +67,13 @@ class RadialKernel:
 
     @classmethod
     def power(cls, p: float) -> "RadialKernel":
-        p = float(p)
+        """The power kernel |P - x|^p for a real p > 0; a bool is no exponent."""
+        if isinstance(p, (bool, np.bool_)):
+            raise ValueError(f"power kernel exponent must be a number, not {p!r}")
+        try:
+            p = float(p)
+        except OverflowError:
+            p = math.inf  # an integer past the float range, rejected below
         if not (p > 0.0 and math.isfinite(p)):
             raise ValueError("power kernel exponent must be finite and > 0")
         return cls(p=p)

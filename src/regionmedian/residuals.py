@@ -12,12 +12,15 @@ A quadrature edge passes when its QUADPACK error estimate err satisfies
 err <= tol * (1 + |value|) for its integral value, with the one
 tolerance tol = 1e-13 of every solve and CLI command; only the panels of
 failing edges are bisected, and an edge that does not pass raises
-NonConvergenceError. Every function here takes its edge integrals from
-one helper, in the region's solve frame (``Polygon._local_frame``).
-Every report carries the Jacobian of the gradient, from the gradients
-of the edge integrals: closed-form, or integrated in the same
-Gauss-Kronrod pass as the values. T is summed correctly rounded
-(``math.fsum``), so it does not depend on where the loop starts.
+NonConvergenceError. Edge integrals are taken in the region's solve
+frame (``Polygon._local_frame``). ``_frame_residual`` turns them into
+plain floats and arrays: the edge means, T summed correctly rounded
+(``math.fsum``), so it does not depend on where the loop starts, and
+the rows of the Jacobian of the gradient, from the gradients of the
+edge integrals: closed-form, or integrated in the same Gauss-Kronrod
+pass as the values. The Newton loop of ``solver.solve_medianoid`` calls
+it once per trial point; ``general_boundary_residual`` wraps the same
+floats in a ``ResidualReport`` for callers outside the loop.
 
 For a triangle T vanishes exactly when the three means are equal, for
 any kernel; their spread is the certificate, ``ResidualReport.certificate``
@@ -32,7 +35,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidTriangleError
-from .geometry import Point2, Polygon, Vector2, as_polygon, rotate90
+from .geometry import Point2, Polygon, Vector2, _require_finite, as_polygon, rotate90
 from .kernels import RadialKernel
 
 __all__ = [
@@ -71,27 +74,24 @@ class ResidualReport:
         return _spread(self.edge_means) if len(self.edge_means) == 3 else None
 
 
-def _report(poly: Polygon, values: np.ndarray, grads: np.ndarray) -> ResidualReport:
-    """The report of the edge integrals ``values`` and their (m, 2) gradients in x."""
-    lengths = poly.edge_lengths
+def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
+    """(edge means, T_x, T_y, Jacobian rows) at the point x of the solve
+    frame polygon ``local``, from one call of ``RadialKernel.values_batch``.
+
+    T = sum of m_i e_i is correctly rounded, so it does not depend on the
+    edge order; a T that is not finite raises the ValueError of
+    ``Vector2``. The Jacobian rows are those of ``ResidualReport.jacobian``.
+    """
+    values, grads = kernel.values_batch(local.coords, local.edge_vectors, x)
+    lengths = local.edge_lengths
     means = values / lengths
-    # T = sum of m_i e_i, correctly rounded so it does not depend on the
-    # edge order; the gradient is rotate90(T, +1)
-    terms = means[:, None] * poly.edge_vectors
-    residual = Vector2(math.fsum(terms[:, 0].tolist()), math.fsum(terms[:, 1].tolist()))
-    norm = residual.norm
-    diam = poly.diameter
+    terms = means[:, None] * local.edge_vectors
+    tx, ty = map(math.fsum, terms.T.tolist())
+    _require_finite(tx, ty)
     # s[a, b] = sum_i e_i[a] dm_i/dx_b; rotating its rows by +90 degrees
     # gives the Jacobian of the gradient rotate90(T, +1)
-    (s00, s01), (s10, s11) = np.einsum("ia,ib->ab", poly.edge_vectors, grads / lengths[:, None]).tolist()
-    return ResidualReport(
-        residual=residual,
-        gradient=rotate90(residual),
-        edge_means=tuple(means.tolist()),
-        norm=norm,
-        normalized_norm=norm / (diam * diam),
-        jacobian=((-s10, -s11), (s00, s01)),
-    )
+    (s00, s01), (s10, s11) = np.einsum("ia,ib->ab", local.edge_vectors, grads / lengths[:, None]).tolist()
+    return means, tx, ty, ((-s10, -s11), (s00, s01))
 
 
 def _spread(means) -> float:
@@ -101,17 +101,10 @@ def _spread(means) -> float:
     all finite give inf, which certifies nothing.
     """
     m = np.asarray(means, dtype=float)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         return math.inf
-    hi = float(np.max(m))
-    lo = float(np.min(m))
+    hi, lo = float(m.max()), float(m.min())
     return (hi - lo) / max(hi, -lo) if hi != lo else 0.0
-
-
-def _frame_values(boundary, x: Point2, kernel: RadialKernel) -> Tuple[Polygon, np.ndarray, np.ndarray]:
-    """(frame polygon, edge integrals, their (m, 2) gradients) at the absolute x."""
-    local, ox, oy = as_polygon(boundary)._local_frame()
-    return (local, *kernel.values_batch(local.coords, local.edge_vectors, (x.x - ox, x.y - oy)))
 
 
 def general_boundary_residual(boundary, x: Point2, kernel: RadialKernel) -> ResidualReport:
@@ -121,9 +114,14 @@ def general_boundary_residual(boundary, x: Point2, kernel: RadialKernel) -> Resi
     polyline approximating a curved boundary); loops are normalized to
     counterclockwise order. x is absolute and evaluated in the region's
     solve frame. All edge means and the gradients behind the report's
-    ``jacobian`` come from one call of ``RadialKernel.values_batch``.
+    ``jacobian`` come from ``_frame_residual``, as in every solve.
     """
-    return _report(*_frame_values(boundary, x, kernel))
+    local, ox, oy = as_polygon(boundary)._local_frame()
+    means, tx, ty, jacobian = _frame_residual(local, (x.x - ox, x.y - oy), kernel)
+    residual = Vector2(tx, ty)
+    diam = local.diameter
+    return ResidualReport(residual=residual, gradient=rotate90(residual), edge_means=tuple(means.tolist()),
+                          norm=residual.norm, normalized_norm=residual.norm / (diam * diam), jacobian=jacobian)
 
 
 def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
@@ -148,6 +146,7 @@ def mean_distance_certificate(tri: Polygon, x: Point2) -> CertificateResult:
     """
     if len(tri) != 3:
         raise InvalidTriangleError("certificate is defined for triangles only")
-    local, values, _ = _frame_values(tri, x, RadialKernel.euclidean())
+    local, ox, oy = as_polygon(tri)._local_frame()
+    values, _ = RadialKernel.euclidean().values_batch(local.coords, local.edge_vectors, (x.x - ox, x.y - oy))
     means = values / local.edge_lengths
     return CertificateResult(means=tuple(means.tolist()), spread=_spread(means))

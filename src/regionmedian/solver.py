@@ -2,16 +2,18 @@
 
 The median of a region is the unique root of the objective gradient
 (strict convexity of the underlying objective guarantees uniqueness for
-the Euclidean kernel). ``general_boundary_residual`` reports that
+the Euclidean kernel). ``residuals._frame_residual`` evaluates that
 gradient on the kernel's route (closed form or quadrature); the solver
 drives it with Newton steps, backtracking damping, and a
-gradient-descent fallback when the Jacobian degenerates. Every report
-carries the Jacobian with the residual, so Newton makes one residual
-call per trial point.
+gradient-descent fallback when the Jacobian degenerates. Every
+evaluation carries the Jacobian with the residual, so Newton makes one
+residual call per trial point. The loop works on a (2,) iterate and
+plain floats; the report types are built once, for the result.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import InvalidTriangleError, SingularRegionError
 from .geometry import Point2, Polygon, as_polygon
 from .kernels import RadialKernel
-from .residuals import ResidualReport, general_boundary_residual
+from .residuals import _frame_residual, _spread
 
 __all__ = ["SolveConfig", "SolveResult", "solve_median", "solve_medianoid", "degenerate_limit_study"]
 
@@ -33,7 +35,8 @@ _MIN_STEP = 1e-10
 class SolveConfig:
     """Newton iteration controls.
 
-    tol_rel thresholds the scale-free normalized residual norm.
+    tol_rel thresholds the scale-free normalized residual norm; max_iter
+    is an integer (``operator.index``), not a bool.
     """
 
     tol_rel: float = 1e-12
@@ -42,7 +45,13 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol_rel < math.inf:
             raise ValueError("tol_rel must be finite and > 0")
-        if self.max_iter < 1:
+        try:
+            max_iter = operator.index(self.max_iter)
+        except TypeError:
+            max_iter = None
+        if max_iter is None or isinstance(self.max_iter, (bool, np.bool_)):
+            raise ValueError(f"max_iter must be an integer, not {self.max_iter!r}")
+        if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
 
@@ -121,76 +130,80 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
     """Medianoid of a region for a radial kernel: damped Newton on the
     report gradient, from the area centroid.
 
-    Accepts a Polygon or a sampled polyline loop for the boundary. The
-    residual is ``general_boundary_residual`` on the kernel's route
-    (``RadialKernel.values_batch``): closed form for integer powers up to
-    ``kernels._MAX_CLOSED_POWER``, the Euclidean kernel among them,
-    Gauss-Kronrod quadrature with the Jacobian integrated in the same
-    pass for every other kernel. It is looked up in this module at every
-    call. A custom kernel (``kernel.p`` None) or a power p < 1 marks the
-    result ``local``. The median is translation-equivariant, so the
-    iterate is x minus the origin of the region's solve frame, and the
-    residual sees the region translated there: a region far from the
-    origin keeps the precision of one near it. The trace and the median
-    are moved back by one add per coordinate. Triangles get the
-    certificate of the final report (``ResidualReport.certificate``).
+    Accepts a Polygon or a sampled polyline loop for the boundary. Each
+    trial point is evaluated by ``residuals._frame_residual`` on the
+    kernel's route (``RadialKernel.values_batch``): closed form for
+    integer powers up to ``kernels._MAX_CLOSED_POWER``, the Euclidean
+    kernel among them, Gauss-Kronrod quadrature with the Jacobian
+    integrated in the same pass for every other kernel. It is looked up
+    in this module at every call. A custom kernel (``kernel.p`` None) or
+    a power p < 1 marks the result ``local``. The median is
+    translation-equivariant, so the iterate is x minus the origin of the
+    region's solve frame, and the residual sees the region translated
+    there: a region far from the origin keeps the precision of one near
+    it. The loop carries that iterate as a (2,) array and the residual
+    as floats, and builds no ``Point2`` or ``ResidualReport``; the trace
+    and the median are moved back by one add per coordinate, once, at
+    the end. Triangles get the certificate of the final edge means, the
+    ``ResidualReport.certificate`` of the final point.
     """
     cfg = cfg or SolveConfig()
     polygon, ox, oy, diam, x = _validated_region(boundary)
+    scale = diam * diam
 
-    def rep_at(v: np.ndarray) -> ResidualReport:
-        at = Point2(float(v[0]), float(v[1]))
+    def evaluate(v: np.ndarray) -> tuple:
+        """(edge means, |T|, gradient rotate90(T, +1), Jacobian rows) at v."""
         try:
-            return general_boundary_residual(polygon, at, kernel)
+            means, tx, ty, jac = _frame_residual(polygon, v, kernel)
         except FloatingPointError as exc:
             raise SingularRegionError(f"the kernel integrals overflow the float range: {exc}") from exc
+        return means, math.hypot(tx, ty), np.array([-ty, tx]), jac
 
-    def absolute(v: np.ndarray) -> Point2:
-        return Point2(float(v[0]) + ox, float(v[1]) + oy)
-
-    rep = rep_at(x)
-    trace: List[Tuple[Point2, float]] = [(absolute(x), rep.normalized_norm)]
+    means, norm, g, jac = evaluate(x)
+    # iterates in the solve frame, with their normalized norms
+    visited: List[Tuple[np.ndarray, float]] = [(x, norm / scale)]
     iterations = 0
-    converged = rep.normalized_norm <= cfg.tol_rel
+    converged = visited[-1][1] <= cfg.tol_rel
     while not converged and iterations < cfg.max_iter:
-        g = rep.gradient.as_array()
-        if _ill_conditioned(rep.jacobian):
+        if _ill_conditioned(jac):
             # descend along minus the gradient; scale by the diameter to
             # get a step with length units
             gn = math.hypot(g[0], g[1])
             step = -g / max(gn, 1e-300) * min(0.25 * diam, gn / diam)
         else:
-            step = np.linalg.solve(np.array(rep.jacobian), -g)
+            step = np.linalg.solve(np.array(jac), -g)
 
         t = 1.0
         accepted = None
         while t >= _MIN_STEP:
             cand = x + t * step
-            cand_rep = rep_at(cand)
-            if cand_rep.norm < rep.norm:
-                accepted = (cand, cand_rep)
+            trial = evaluate(cand)
+            if trial[1] < norm:
+                accepted = cand, trial
                 break
             t *= _BACKTRACK_FACTOR
         if accepted is None:
             break  # stagnation: no damped step reduces the residual
-        x, rep = accepted
+        x, (means, norm, g, jac) = accepted
         iterations += 1
-        trace.append((absolute(x), rep.normalized_norm))
-        converged = rep.normalized_norm <= cfg.tol_rel
+        visited.append((x, norm / scale))
+        converged = visited[-1][1] <= cfg.tol_rel
+    trace = tuple((Point2(float(v[0]) + ox, float(v[1]) + oy), n) for v, n in visited)
+    median = trace[-1][0]
     # an increasing radial kernel's roots lie in the hull, within diam of the centroid
     p = kernel.p
-    if p is not None and absolute(x).distance_to(trace[0][0]) > diam:
+    if p is not None and median.distance_to(trace[0][0]) > diam:
         converged = False
     return SolveResult(
-        median=absolute(x),
+        median=median,
         iterations=iterations,
-        residual_norm=rep.norm,
-        normalized_norm=rep.normalized_norm,
-        trace=tuple(trace),
-        certificate=rep.certificate,
+        residual_norm=norm,
+        normalized_norm=visited[-1][1],
+        trace=trace,
+        certificate=_spread(means) if len(means) == 3 else None,
         converged=converged,
         local=p is None or p < 1.0,
-        edge_means=rep.edge_means,
+        edge_means=tuple(means.tolist()),
     )
 
 

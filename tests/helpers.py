@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from regionmedian import NonConvergenceError, Polygon
+from regionmedian import NonConvergenceError, Point2, Polygon, SingularRegionError, general_boundary_residual
 from regionmedian.kernels import (
     _GK_NODES,
     _GK_WEIGHTS,
@@ -20,6 +20,15 @@ from regionmedian.kernels import (
     closed_values_batch,
 )
 from regionmedian.oracle import _radial_weights
+from regionmedian.residuals import ResidualReport
+from regionmedian.solver import (
+    _BACKTRACK_FACTOR,
+    _MIN_STEP,
+    SolveConfig,
+    SolveResult,
+    _ill_conditioned,
+    _validated_region,
+)
 from regionmedian.triquad import signed_areas, star_rule
 
 # two squares joined by a bar 0.1 wide and 4 long
@@ -181,6 +190,71 @@ def reference_quadrature_values_batch(a, e, x, kernel, tol=_QUAD_TOL):
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         panels = np.concatenate([panels[keep], new_panels])
+
+
+# a copy of the report-object Newton loop that ``solver.solve_medianoid``
+# ran before it moved to plain floats; its results are the reference
+@np.errstate(over="raise", invalid="raise")
+def reference_solve_medianoid(boundary, kernel, cfg=None):
+    """Reference for ``solver.solve_medianoid``: the same damped Newton
+    loop on a ``ResidualReport`` and a ``Point2`` per trial point."""
+    cfg = cfg or SolveConfig()
+    polygon, ox, oy, diam, x = _validated_region(boundary)
+
+    def rep_at(v: np.ndarray) -> ResidualReport:
+        at = Point2(float(v[0]), float(v[1]))
+        try:
+            return general_boundary_residual(polygon, at, kernel)
+        except FloatingPointError as exc:
+            raise SingularRegionError(f"the kernel integrals overflow the float range: {exc}") from exc
+
+    def absolute(v: np.ndarray) -> Point2:
+        return Point2(float(v[0]) + ox, float(v[1]) + oy)
+
+    rep = rep_at(x)
+    trace = [(absolute(x), rep.normalized_norm)]
+    iterations = 0
+    converged = rep.normalized_norm <= cfg.tol_rel
+    while not converged and iterations < cfg.max_iter:
+        g = rep.gradient.as_array()
+        if _ill_conditioned(rep.jacobian):
+            # descend along minus the gradient; scale by the diameter to
+            # get a step with length units
+            gn = math.hypot(g[0], g[1])
+            step = -g / max(gn, 1e-300) * min(0.25 * diam, gn / diam)
+        else:
+            step = np.linalg.solve(np.array(rep.jacobian), -g)
+
+        t = 1.0
+        accepted = None
+        while t >= _MIN_STEP:
+            cand = x + t * step
+            cand_rep = rep_at(cand)
+            if cand_rep.norm < rep.norm:
+                accepted = (cand, cand_rep)
+                break
+            t *= _BACKTRACK_FACTOR
+        if accepted is None:
+            break  # stagnation: no damped step reduces the residual
+        x, rep = accepted
+        iterations += 1
+        trace.append((absolute(x), rep.normalized_norm))
+        converged = rep.normalized_norm <= cfg.tol_rel
+    # an increasing radial kernel's roots lie in the hull, within diam of the centroid
+    p = kernel.p
+    if p is not None and absolute(x).distance_to(trace[0][0]) > diam:
+        converged = False
+    return SolveResult(
+        median=absolute(x),
+        iterations=iterations,
+        residual_norm=rep.norm,
+        normalized_norm=rep.normalized_norm,
+        trace=tuple(trace),
+        certificate=rep.certificate,
+        converged=converged,
+        local=p is None or p < 1.0,
+        edge_means=rep.edge_means,
+    )
 
 
 def tensor_star_integral(poly, x, kernel, panels=4):

@@ -1,4 +1,5 @@
-"""The benchmark's traced run wraps package functions by name."""
+"""The benchmark's traced run wraps package functions by name, and its
+counters of work repeat exactly."""
 import sys
 from pathlib import Path
 
@@ -21,3 +22,35 @@ def test_the_traced_run_finds_every_name_it_wraps():
         tracer.uninstall()
     assert {"solver.solve_median", "residuals.polygon_residual", "kernels.closed_values_batch"} <= set(tracer.names)
     assert not hasattr(rm.residuals.polygon_residual, "__wrapped__")
+
+
+def _traced_counts(name: str) -> dict:
+    """Per-operation layer metrics of the seed-0 inputs of a library
+    workload, traced in process as the benchmark's worker traces them."""
+    import workloads
+
+    wl = workloads.WORKLOADS[name]
+    inputs = wl.make_inputs(0, "")
+    tracer = spans.Tracer()
+    iterations = 0
+    try:
+        tracer.install(rm)
+        for k, inp in enumerate(inputs):
+            tracer.current_op = k
+            iterations += wl.run(rm, inp).iterations
+    finally:
+        tracer.uninstall()
+    return spans.layer_metrics(tracer, len(inputs), iterations, 1.0)
+
+
+def test_the_work_of_a_solve_is_pinned_by_its_counters():
+    # counts of work, not times: they repeat exactly on any machine, so a
+    # change to the work a solve does fails here
+    m = _traced_counts("small_regions")
+    assert m["kernels.closed_values_batch.calls"] == 1835 / 512
+    assert m["kernels.evaluate_many.points"] == 0.0
+    assert m["solver.newton_iterations"] == 1323 / 512
+    m = _traced_counts("kernel_medianoid")
+    assert m["kernels.closed_values_batch.calls"] == 210 / 120
+    assert m["kernels.evaluate_many.points"] == 59178 / 120
+    assert m["solver.newton_iterations"] == 292 / 120

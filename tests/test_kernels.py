@@ -347,6 +347,20 @@ def test_power_kernel_validation():
         RadialKernel.power(-1.0)
 
 
+def test_an_exponent_past_the_float_range_is_a_value_error():
+    # float(10 ** 400) raises OverflowError; the exponent is not finite
+    for p in (10 ** 400, -(10 ** 400)):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            RadialKernel.power(p)
+
+
+def test_a_bool_is_no_power_exponent():
+    # float(True) is 1.0, but a flag is no exponent, as on the CLI
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="must be a number"):
+            RadialKernel.power(flag)
+
+
 def test_segment_integral_nonnegative_for_nonnegative_kernel():
     rng = np.random.default_rng(26)
     for _ in range(100):

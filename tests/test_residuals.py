@@ -1,6 +1,7 @@
 """Boundary residual assembly, route consistency, and certificates."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -27,16 +28,25 @@ from regionmedian import (
 )
 from regionmedian.kernels import quadrature_values_batch, segment_sigma_quadrature
 from regionmedian.oracle import oracle_sigma
-from regionmedian.residuals import _report, _spread
+from regionmedian.residuals import _spread
 
 
 T345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
 EQUILATERAL = Polygon([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
 
 
+class _QuadratureRoute(NamedTuple):
+    """A kernel whose edge integrals take the quadrature route, whatever
+    route ``kernel`` takes."""
+    kernel: RadialKernel
+
+    def values_batch(self, a, e, x):
+        return quadrature_values_batch(a, e, x, self.kernel)
+
+
 def quadrature_residual(poly, x, kernel):
     """The report of the quadrature route, whatever route the kernel takes."""
-    return _report(poly, *quadrature_values_batch(poly.coords, poly.edge_vectors, (x.x, x.y), kernel))
+    return general_boundary_residual(poly, x, _QuadratureRoute(kernel))
 
 
 def test_equilateral_center_residual_vanishes():

@@ -1,14 +1,23 @@
 """Newton solves: known medians, invariances, degenerate families."""
 
-import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from helpers import DUMBBELL, random_convex_polygon, random_star_polygon, random_triangle, similarity_transform
+from helpers import (
+    DUMBBELL,
+    random_convex_polygon,
+    random_star_polygon,
+    random_triangle,
+    reference_solve_medianoid,
+    similarity_transform,
+)
 
 from regionmedian import (
     InvalidTriangleError,
@@ -29,6 +38,10 @@ from regionmedian.solver import (
     solve_median,
     solve_medianoid,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from workloads import unit_region  # noqa: E402  the benchmark's seeded 3-8-gons
 
 T345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
 
@@ -288,6 +301,15 @@ def test_config_validation():
             SolveConfig(tol_rel=tol)
 
 
+def test_iteration_budgets_are_integers():
+    # 2.5 would run 3 iterations and True 1; numpy integers still pass
+    for bad in (2.5, True, np.True_, "3", np.float64(3.0)):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolveConfig(max_iter=bad)
+    res = solve_median(T345, SolveConfig(max_iter=np.int64(1)))
+    assert res.iterations == 1 and not res.converged
+
+
 def test_garbage_region_raises():
     with pytest.raises(SingularRegionError):
         solve_median([(0.0, 0.0), (1.0, 1.0)])
@@ -373,22 +395,34 @@ def test_medianoid_solves_without_scipy_quad(kernel, no_scipy_quad):
         assert solve_medianoid(region, kernel).converged
 
 
+class _Evaluation(NamedTuple):
+    """What the solver's residual helper ``_frame_residual`` returns."""
+    means: np.ndarray
+    tx: float
+    ty: float
+    jacobian: tuple
+
+    @property
+    def norm(self) -> float:
+        return math.hypot(self.tx, self.ty)
+
+
 def _record_calls(monkeypatch, rewrite=None):
-    """Record (query point, report, region's vertex 0) for every call of
-    the solver's residual function ``general_boundary_residual``;
-    ``rewrite(index, report)`` may replace a report. The point and vertex
-    0 are in the solve frame."""
+    """Record (query point, evaluation, region's vertex 0) for every call
+    of the solver's residual helper ``_frame_residual``;
+    ``rewrite(index, evaluation)`` may replace an evaluation. The point
+    and vertex 0 are in the solve frame."""
     calls = []
-    inner = regionmedian.solver.general_boundary_residual
+    inner = regionmedian.solver._frame_residual
 
     def recorded(poly, x, *args, **kwargs):
-        rep = inner(poly, x, *args, **kwargs)
+        rep = _Evaluation(*inner(poly, x, *args, **kwargs))
         if rewrite is not None:
             rep = rewrite(len(calls), rep)
-        calls.append((np.array([x.x, x.y]), rep, poly.coords[0]))
+        calls.append((np.array(x, dtype=float), rep, poly.coords[0]))
         return rep
 
-    monkeypatch.setattr(regionmedian.solver, "general_boundary_residual", recorded)
+    monkeypatch.setattr(regionmedian.solver, "_frame_residual", recorded)
     return calls
 
 
@@ -458,7 +492,7 @@ def test_median_steps_with_the_reported_jacobian(monkeypatch):
     def rewrite(index, rep):
         if index > 0:
             return rep
-        return dataclasses.replace(rep, jacobian=tuple(tuple(v / 3.0 for v in row) for row in rep.jacobian))
+        return rep._replace(jacobian=tuple(tuple(v / 3.0 for v in row) for row in rep.jacobian))
 
     calls = _record_calls(monkeypatch, rewrite)
     poly = Polygon([(0.0, 0.0), (3.0, 0.0), (3.5, 2.0), (1.0, 4.0), (-0.5, 1.5)])
@@ -568,3 +602,44 @@ def test_conditioning_near_the_threshold_of_rotated_matrices():
             assert got == _numpy_says_ill_conditioned(jac), jac
             checked += 1
     assert exact_checked > 1400 and checked > 1000
+
+
+# ---------------------------------------------------------------- the loop on floats
+
+def _outcome(solve, region, kernel, cfg=None) -> str:
+    """The repr of the result, or the type and message of the exception.
+    A float's repr round-trips, so equal reprs are equal bits."""
+    try:
+        return repr(solve(region, kernel, cfg))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_the_float_loop_matches_the_report_loop_bit_for_bit():
+    # every field of every result, and every error, as the report-object
+    # loop gives them
+    kernels = [RadialKernel.power(p) for p in (1.0, 1.5, 2.0, 3.0)]
+    kernels.append(RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy) + 0.1 * (dx * dx + dy * dy)))
+    rng = np.random.default_rng(3201)
+    regions = [Polygon(unit_region(rng, j)) for j in range(24)]
+    # the same region 1e8 diameters out, where the solve frame is translated
+    regions.append(Polygon(regions[4].coords + 1e8 * regions[4].diameter))
+    cases = [(region, kernel, None) for region in regions for kernel in kernels]
+    cases += [
+        # every step a gradient fallback step, and a stagnating solve
+        (T345, RadialKernel.custom(lambda dx, dy: np.abs(dx)), None),
+        (T345, RadialKernel.euclidean(), SolveConfig(tol_rel=1e-300)),
+        # a solve that runs off, and the error paths
+        (Polygon(DUMBBELL), RadialKernel.power(0.3), None),
+        ("not a region", RadialKernel.euclidean(), None),
+        ([(0.0, 0.0), (3e150, 0.0), (3e150, 4e150)], RadialKernel.power(3.0), None),
+        (Polygon([(0.0, 0.0), (30.0, 0.0), (30.0, 40.0)]), RadialKernel.power(400.0), None),
+        (T345, RadialKernel.custom(lambda dx, dy: np.where((dx < -1.2) & (dx > -2.9), np.nan, np.hypot(dx, dy))), None),
+    ]
+    outcomes = []
+    for region, kernel, cfg in cases:
+        got = _outcome(solve_medianoid, region, kernel, cfg)
+        assert got == _outcome(reference_solve_medianoid, region, kernel, cfg)
+        outcomes.append(got)
+    assert sum("converged=False" in o for o in outcomes) >= 2
+    assert [o.split(":")[0] for o in outcomes[-4:]] == ["SingularRegionError"] * 3 + ["NonConvergenceError"]
