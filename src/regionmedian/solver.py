@@ -7,8 +7,10 @@ gradient on the kernel's route (closed form or quadrature); the solver
 drives it with Newton steps, backtracking damping, and a
 gradient-descent fallback when the Jacobian degenerates. Every
 evaluation carries the Jacobian with the residual, so Newton makes one
-residual call per trial point. The loop works on a (2,) iterate and
-plain floats; the report types are built once, for the result.
+residual call per trial point. The loop, ``_damped_newton``, works on a
+(2,) iterate and plain floats, and is the package's only Newton loop:
+``weiszfeld`` drives it on point sets with its own evaluator. The
+report types are built once, for the result.
 """
 from __future__ import annotations
 
@@ -31,6 +33,16 @@ _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-10
 
 
+def _integer(value, name: str) -> int:
+    """``value`` by ``operator.index``; a bool or a non-integer raises ValueError."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Newton iteration controls.
@@ -45,13 +57,7 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol_rel < math.inf:
             raise ValueError("tol_rel must be finite and > 0")
-        try:
-            max_iter = operator.index(self.max_iter)
-        except TypeError:
-            max_iter = None
-        if max_iter is None or isinstance(self.max_iter, (bool, np.bool_)):
-            raise ValueError(f"max_iter must be an integer, not {self.max_iter!r}")
-        if max_iter < 1:
+        if _integer(self.max_iter, "max_iter") < 1:
             raise ValueError("max_iter must be >= 1")
 
 
@@ -113,6 +119,50 @@ def _ill_conditioned(jac) -> bool:
     return f + math.sqrt(max(f * f - 4.0 * det * det, 0.0)) > 2.0 * _SINGULAR_COND * det
 
 
+def _damped_newton(evaluate, x: np.ndarray, scale: float, cfg: SolveConfig, fallback, exact=None):
+    """The package's one Newton loop, from x; returns the visited (point,
+    norm / scale) pairs, the last state, the step count and whether the
+    run converged (norm / scale <= ``cfg.tol_rel``).
+
+    ``evaluate(v)`` gives a state (norm, gradient, Jacobian rows or None,
+    ...). The step solves the Jacobian system, or is ``fallback(x, state)``
+    where ``_ill_conditioned`` rejects it; backtracking halves it until the
+    norm drops, down to ``_MIN_STEP``, or the run stops. ``exact(x,
+    state)``, run before each step, may return an exact point and its
+    state, where the run ends converged.
+    """
+    state = evaluate(x)
+    visited: List[Tuple[np.ndarray, float]] = [(x, state[0] / scale)]
+    iterations = 0
+    converged = visited[-1][1] <= cfg.tol_rel
+    while not converged and iterations < cfg.max_iter:
+        hit = exact(x, state) if exact else None
+        if hit is not None:
+            x, state = hit
+            visited.append((x, state[0] / scale))
+            return visited, state, iterations, True
+        norm, g, jac = state[:3]
+        if jac is None or _ill_conditioned(jac):
+            step = fallback(x, state)
+        else:
+            step = np.linalg.solve(np.array(jac), -g)
+
+        t = 1.0
+        while t >= _MIN_STEP:
+            cand = x + t * step
+            trial = evaluate(cand)
+            if trial[0] < norm:
+                break
+            t *= _BACKTRACK_FACTOR
+        else:
+            break  # stagnation: no damped step reduces the norm
+        x, state = cand, trial
+        iterations += 1
+        visited.append((x, state[0] / scale))
+        converged = visited[-1][1] <= cfg.tol_rel
+    return visited, state, iterations, converged
+
+
 def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
     """Geometric median of a polygonal region (Euclidean kernel).
 
@@ -127,8 +177,9 @@ def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
 # operation raises, instead of a warning, and ends it as a package error
 @np.errstate(over="raise", invalid="raise")
 def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] = None) -> SolveResult:
-    """Medianoid of a region for a radial kernel: damped Newton on the
-    report gradient, from the area centroid.
+    """Medianoid of a region for a radial kernel: ``_damped_newton`` on
+    the report gradient, from the area centroid, with a gradient-descent
+    step where the Jacobian degenerates and a scale of diameter².
 
     Accepts a Polygon or a sampled polyline loop for the boundary. Each
     trial point is evaluated by ``residuals._frame_residual`` on the
@@ -149,45 +200,22 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
     """
     cfg = cfg or SolveConfig()
     polygon, ox, oy, diam, x = _validated_region(boundary)
-    scale = diam * diam
 
     def evaluate(v: np.ndarray) -> tuple:
-        """(edge means, |T|, gradient rotate90(T, +1), Jacobian rows) at v."""
+        """(|T|, gradient rotate90(T, +1), Jacobian rows, edge means) at v."""
         try:
             means, tx, ty, jac = _frame_residual(polygon, v, kernel)
         except FloatingPointError as exc:
             raise SingularRegionError(f"the kernel integrals overflow the float range: {exc}") from exc
-        return means, math.hypot(tx, ty), np.array([-ty, tx]), jac
+        return math.hypot(tx, ty), np.array([-ty, tx]), jac, means
 
-    means, norm, g, jac = evaluate(x)
-    # iterates in the solve frame, with their normalized norms
-    visited: List[Tuple[np.ndarray, float]] = [(x, norm / scale)]
-    iterations = 0
-    converged = visited[-1][1] <= cfg.tol_rel
-    while not converged and iterations < cfg.max_iter:
-        if _ill_conditioned(jac):
-            # descend along minus the gradient; scale by the diameter to
-            # get a step with length units
-            gn = math.hypot(g[0], g[1])
-            step = -g / max(gn, 1e-300) * min(0.25 * diam, gn / diam)
-        else:
-            step = np.linalg.solve(np.array(jac), -g)
+    def descend(v: np.ndarray, state: tuple) -> np.ndarray:
+        # minus the gradient, scaled by the diameter to a step with length units
+        g = state[1]
+        gn = math.hypot(g[0], g[1])
+        return -g / max(gn, 1e-300) * min(0.25 * diam, gn / diam)
 
-        t = 1.0
-        accepted = None
-        while t >= _MIN_STEP:
-            cand = x + t * step
-            trial = evaluate(cand)
-            if trial[1] < norm:
-                accepted = cand, trial
-                break
-            t *= _BACKTRACK_FACTOR
-        if accepted is None:
-            break  # stagnation: no damped step reduces the residual
-        x, (means, norm, g, jac) = accepted
-        iterations += 1
-        visited.append((x, norm / scale))
-        converged = visited[-1][1] <= cfg.tol_rel
+    visited, (norm, _, _, means), iterations, converged = _damped_newton(evaluate, x, diam * diam, cfg, descend)
     trace = tuple((Point2(float(v[0]) + ox, float(v[1]) + oy), n) for v, n in visited)
     median = trace[-1][0]
     # an increasing radial kernel's roots lie in the hull, within diam of the centroid

@@ -8,12 +8,12 @@ import numpy as np
 
 from .errors import EmptySampleError
 from .geometry import Point2, Polygon, _max_pairwise_distance
-from .solver import SolveResult
+from .solver import SolveConfig, SolveResult, _damped_newton, _integer
 
 __all__ = ["PointSet", "weiszfeld", "region_median_by_sampling"]
 
 # an iterate this close to a data point (relative to the set diameter)
-# triggers the exact vertex optimality test instead of the raw update
+# is on it: its gradient is the subgradient nearest 0, without a Hessian
 _COINCIDENCE_REL = 1e-14
 
 
@@ -67,127 +67,73 @@ class PointSet:
             raise ValueError("point set diameter overflows the float range") from None
 
 
-def _objective(w: np.ndarray, d: np.ndarray) -> float:
-    return float(np.sum(w * d))
-
-
-# a step that overflows (the weights 1/d of subnormal points do) fails the
-# objective test, so numpy's warnings about it are noise
+# subnormal points overflow the weights w/d of the Hessian and the step,
+# and the step then fails the norm test, so numpy's warnings are noise
 @np.errstate(over="ignore", invalid="ignore")
 def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveResult:
-    """Weighted geometric median by Weiszfeld iteration.
-
-    Starts at the weighted centroid; stops when successive iterates move
-    less than tol times the set diameter. An iterate that lands on a data
-    point is resolved by the exact optimality test there (the pull of the
-    remaining points against the point's own weight) and either stops at
-    the point or steps off along the descent direction. A step that
-    raises the objective (rounding at most, in exact arithmetic none
-    does) or makes it non-finite stops the run unconverged at the previous
-    iterate. Each step's one distance pass serves its objective, the
-    trace's subgradient, the coincidence test and the next step. The
-    reported residual_norm is the norm of the objective's (sub)gradient at
-    the result; normalized_norm divides it by the total weight. A set
-    whose weighted centroid or objective there overflows the float range
-    raises ValueError.
+    """Weighted geometric median: ``solver._damped_newton`` from the
+    weighted centroid on g = sum w_i u_i, u_i the unit vector from p_i to
+    x, and its Hessian sum (w_i / d_i)(I - u_i u_i^T). Within
+    ``_COINCIDENCE_REL`` diameters of a data point g is the subgradient
+    nearest 0, with no Newton step; there, or where the Hessian is
+    ill-conditioned, the step is Weiszfeld's, -g / sum (w_i / d_i) over the
+    points not at x. Before each step the exact vertex test (Vardi & Zhang)
+    runs at the data point nearest the iterate; a point that passes is the
+    median, with residual 0. ``tol`` and ``max_iter`` are validated as a
+    ``SolveConfig``; the run converges when normalized_norm = |g| / W <=
+    tol, W the total weight. A set whose weighted centroid or objective
+    there overflows the float range raises ValueError.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be finite and > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    cfg = SolveConfig(tol_rel=tol, max_iter=max_iter)
     pts = ps.coords
     w = ps.weights
     total_w = float(w.sum())
-    diam = ps.diameter
+    radius = _COINCIDENCE_REL * ps.diameter
     x = np.array([float(np.sum(w * pts[:, 0]) / total_w), float(np.sum(w * pts[:, 1]) / total_w)])
-    converged = False
-    iterations = 0
-
-    radius = _COINCIDENCE_REL * diam
-
-    def distances(v: np.ndarray) -> np.ndarray:
-        return np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])
-
-    def vertex_pull(v: np.ndarray, d: np.ndarray):
-        # the vertex optimality test at v: the points farther than radius
-        # pull with (rx, ry) against the weight anchored within it, and v
-        # is optimal when the pull is at most that weight; the pull is
-        # minus the smooth part of the subgradient, term by term
-        anchored = d <= radius
-        rest = ~anchored
-        rx = float(np.sum(w[rest] * (pts[rest, 0] - v[0]) / d[rest]))
-        ry = float(np.sum(w[rest] * (pts[rest, 1] - v[1]) / d[rest]))
-        return math.hypot(rx, ry), rx, ry, float(w[anchored].sum()), rest
-
-    def subgrad_norm(v: np.ndarray, d: np.ndarray) -> float:
-        pull, _, _, anchor, _ = vertex_pull(v, d)
-        return max(pull - anchor, 0.0)
-
-    # d holds the distances from the iterate x to the points throughout
-    d = distances(x)
-    obj = _objective(w, d)
-    if not (math.isfinite(x[0]) and math.isfinite(x[1]) and math.isfinite(obj)):
+    if not (math.isfinite(x[0]) and math.isfinite(x[1])
+            and math.isfinite(float(np.sum(w * np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1]))))):
         raise ValueError("point set sums overflow the float range")
-    trace = [(Point2(x[0], x[1]), subgrad_norm(x, d) / total_w)]
-    if diam == 0.0:
-        # all points coincide; the common location is the median
-        return SolveResult(
-            median=Point2(x[0], x[1]),
-            iterations=0,
-            residual_norm=0.0,
-            normalized_norm=0.0,
-            trace=tuple(trace),
-            certificate=None,
-            converged=True,
-        )
 
-    for iterations in range(1, max_iter + 1):
-        if np.any(d <= radius):
-            pull, rx, ry, anchor, rest = vertex_pull(x, d)
-            if pull <= anchor:
-                converged = True  # the data point itself is optimal
-                break
-            step = (pull - anchor) / float(np.sum(w[rest] / d[rest]))
-            x_new = np.array([x[0] + step * rx / pull, x[1] + step * ry / pull])
-        else:
-            inv = w / d
-            denom = float(inv.sum())
-            x_new = np.array(
-                [float(np.sum(inv * pts[:, 0]) / denom), float(np.sum(inv * pts[:, 1]) / denom)]
-            )
-        d_new = distances(x_new)
-        new_obj = _objective(w, d_new)
-        if not new_obj <= obj * (1.0 + 1e-12) + 1e-300:
-            # the objective rose: stop unconverged at the last good iterate
-            iterations -= 1
-            break
-        moved = math.hypot(x_new[0] - x[0], x_new[1] - x[1])
-        x, d, obj = x_new, d_new, new_obj
-        trace.append((Point2(x[0], x[1]), subgrad_norm(x, d) / total_w))
-        if moved < tol * diam:
-            converged = True
-            break
+    def evaluate(v: np.ndarray) -> tuple:
+        """(|g|, g, Hessian rows or None, distances to the points) at v."""
+        dx = v[0] - pts[:, 0]
+        dy = v[1] - pts[:, 1]
+        d = np.hypot(dx, dy)
+        near = d <= radius
+        if not near.any():
+            ux, uy, wd = dx / d, dy / d, w / d
+            g = np.array([float(w @ ux), float(w @ uy)])
+            hxy = -float((wd * ux) @ uy)
+            jac = ((float((wd * uy) @ uy), hxy), (hxy, float((wd * ux) @ ux)))
+            return math.hypot(g[0], g[1]), g, jac, d
+        # on a data point: the points within radius anchor their weight
+        # against the pull -g of the rest; the subgradient nearest 0
+        # shortens g by the anchor, down to 0
+        far = ~near
+        g = np.array([float(w[far] @ (dx[far] / d[far])), float(w[far] @ (dy[far] / d[far]))])
+        pull = math.hypot(g[0], g[1])
+        norm = max(pull - float(w[near].sum()), 0.0)
+        return norm, g * (norm / pull) if pull else g, None, d
 
-    # a run that stalls next to a data point usually means the point
-    # itself is the median; its optimality test is exact no matter how
-    # close the stall happened, so a pass lets us report the point with
-    # its true (zero) subgradient instead of a misleading smooth residual
-    k = int(np.argmin(d))
-    if 0.0 < d[k] <= 1e-6 * diam:
-        dv = distances(pts[k])
-        if subgrad_norm(pts[k], dv) == 0.0:
-            x, d = pts[k].copy(), dv
-            converged = True
-            trace.append((Point2(x[0], x[1]), 0.0))
+    def weiszfeld_step(v: np.ndarray, state: tuple) -> np.ndarray:
+        d = state[3]
+        far = d > radius
+        return -state[1] / float(np.sum(w[far] / d[far]))
 
-    res_norm = subgrad_norm(x, d)
+    def vertex_test(v: np.ndarray, state: tuple):
+        k = int(np.argmin(state[3]))
+        at = evaluate(pts[k])
+        return (pts[k], at) if at[0] == 0.0 else None
+
+    visited, state, iterations, converged = _damped_newton(
+        evaluate, x, total_w, cfg, weiszfeld_step, vertex_test)
+    trace = tuple((Point2(v[0], v[1]), n) for v, n in visited)
     return SolveResult(
-        median=Point2(x[0], x[1]),
+        median=trace[-1][0],
         iterations=iterations,
-        residual_norm=res_norm,
-        normalized_norm=res_norm / total_w,
-        trace=tuple(trace),
-        certificate=None,
+        residual_norm=state[0],
+        normalized_norm=trace[-1][1],
+        trace=trace,
         converged=converged,
     )
 
@@ -197,18 +143,21 @@ def region_median_by_sampling(poly: Polygon, grid_n: int) -> Point2:
 
     Lays a grid_n by grid_n lattice over the bounding box, keeps the cell
     centers strictly inside the polygon, and runs the discrete solver on
-    them. Converges to the region median as grid_n grows.
+    them. Converges to the region median as grid_n grows. grid_n is an
+    integer (``operator.index``), not a bool, and at least 2; ValueError
+    otherwise.
     """
-    if grid_n < 2:
+    n = _integer(grid_n, "grid_n")
+    if n < 2:
         raise ValueError("grid_n must be >= 2")
     lo = poly.coords.min(axis=0)
     hi = poly.coords.max(axis=0)
-    xs = lo[0] + (np.arange(grid_n) + 0.5) * (hi[0] - lo[0]) / grid_n
-    ys = lo[1] + (np.arange(grid_n) + 0.5) * (hi[1] - lo[1]) / grid_n
+    xs = lo[0] + (np.arange(n) + 0.5) * (hi[0] - lo[0]) / n
+    ys = lo[1] + (np.arange(n) + 0.5) * (hi[1] - lo[1]) / n
     gx, gy = np.meshgrid(xs, ys)
     lattice = np.stack([gx.ravel(), gy.ravel()], axis=1)
     keep = poly.contains_many(lattice, strict=True)
     if not np.any(keep):
-        raise EmptySampleError(f"no lattice point of the {grid_n}x{grid_n} grid falls inside")
+        raise EmptySampleError(f"no lattice point of the {n}x{n} grid falls inside")
     ps = PointSet(lattice[keep])
     return weiszfeld(ps, tol=1e-9, max_iter=5000).median

@@ -109,6 +109,46 @@ def decimal_edge_integral(a, e, x, p):
         return float(h2 - h1), np.array([float(gx), float(gy)])
 
 
+def decimal_point_median(points, weights, start):
+    """Reference weighted geometric median of a point set: Newton on
+    g = sum w_i (x - p_i) / |x - p_i| in 40-digit decimal arithmetic, from
+    the float point ``start``, with the floats as given.
+
+    At a data point the points there anchor their weight against the pull
+    of the rest, and |g| is the norm of the subgradient nearest 0,
+    max(pull - anchor, 0). Returns the point as floats once |g| / W <
+    1e-30, W the total weight; raises AssertionError if it does not get
+    there, or if a Newton step would start from a data point."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        pts = [(Decimal(float(a)), Decimal(float(b))) for a, b in points]
+        ws = [Decimal(float(w)) for w in weights]
+        total = sum(ws)
+        x, y = Decimal(float(start[0])), Decimal(float(start[1]))
+        for _ in range(20):
+            gx = gy = hxx = hxy = hyy = anchor = Decimal(0)
+            for (px, py), w in zip(pts, ws):
+                dx, dy = x - px, y - py
+                d = (dx * dx + dy * dy).sqrt()
+                if d == 0:
+                    anchor += w
+                    continue
+                ux, uy = dx / d, dy / d
+                gx += w * ux
+                gy += w * uy
+                wd = w / d
+                hxx += wd * uy * uy
+                hxy -= wd * ux * uy
+                hyy += wd * ux * ux
+            if max((gx * gx + gy * gy).sqrt() - anchor, 0) / total < Decimal("1e-30"):
+                return float(x), float(y)
+            if anchor:
+                raise AssertionError(f"the data point {float(x)!r}, {float(y)!r} is not the median")
+            det = hxx * hyy - hxy * hxy
+            x, y = x - (hyy * gx - hxy * gy) / det, y - (hxx * gy - hxy * gx) / det
+        raise AssertionError("the decimal Newton polish did not reach |g| / W < 1e-30")
+
+
 def _reference_ladder_panels(t0, layer):
     """``kernels._ladder_panels`` as one concatenation of five pieces, with
     the rungs layer * 4.0 ** np.arange(k) (which overflow once k > 512)."""

@@ -348,6 +348,14 @@ def test_discrete_respects_weights(capsys):
     assert math.hypot(*report["median"]) < 1e-9
 
 
+def test_discrete_converges_between_two_clusters(capsys):
+    # two clusters of 10 points; the objective is flat along their axis,
+    # where a linearly converging iteration spends its 100 iterations
+    code, out, _ = run(capsys, "discrete", str(DATA / "clustered_points.json"))
+    assert code == 0
+    assert json.loads(out)["normalized_norm"] <= 1e-12
+
+
 def test_discrete_oracle_agrees(capsys):
     code, out, _ = run(capsys, "discrete", str(DATA / "obtuse_points.json"), "--oracle")
     assert code == 0
