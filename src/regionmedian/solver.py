@@ -119,17 +119,18 @@ def _ill_conditioned(jac) -> bool:
     return f + math.sqrt(max(f * f - 4.0 * det * det, 0.0)) > 2.0 * _SINGULAR_COND * det
 
 
-def _damped_newton(evaluate, x: np.ndarray, scale: float, cfg: SolveConfig, fallback, exact=None):
+def _damped_newton(evaluate, x: np.ndarray, scale: float, cfg: SolveConfig, fallback, exact=None, accept=None):
     """The package's one Newton loop, from x; returns the visited (point,
     norm / scale) pairs, the last state, the step count and whether the
     run converged (norm / scale <= ``cfg.tol_rel``).
 
     ``evaluate(v)`` gives a state (norm, gradient, Jacobian rows or None,
     ...). The step solves the Jacobian system, or is ``fallback(x, state)``
-    where ``_ill_conditioned`` rejects it; backtracking halves it until the
-    norm drops, down to ``_MIN_STEP``, or the run stops. ``exact(x,
-    state)``, run before each step, may return an exact point and its
-    state, where the run ends converged.
+    where ``_ill_conditioned`` rejects it; backtracking halves it until
+    ``accept(trial, state)`` (by default, until the norm drops), down to
+    ``_MIN_STEP``, or the run stops. ``exact(x, state)``, run before each
+    step, may return an exact point and its state, where the run ends
+    converged.
     """
     state = evaluate(x)
     visited: List[Tuple[np.ndarray, float]] = [(x, state[0] / scale)]
@@ -151,7 +152,7 @@ def _damped_newton(evaluate, x: np.ndarray, scale: float, cfg: SolveConfig, fall
         while t >= _MIN_STEP:
             cand = x + t * step
             trial = evaluate(cand)
-            if trial[0] < norm:
+            if accept(trial, state) if accept else trial[0] < norm:
                 break
             t *= _BACKTRACK_FACTOR
         else:

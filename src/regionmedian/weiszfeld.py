@@ -68,7 +68,7 @@ class PointSet:
 
 
 # subnormal points overflow the weights w/d of the Hessian and the step,
-# and the step then fails the norm test, so numpy's warnings are noise
+# and the step then fails the backtracking test, so numpy's warnings are noise
 @np.errstate(over="ignore", invalid="ignore")
 def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveResult:
     """Weighted geometric median: ``solver._damped_newton`` from the
@@ -77,12 +77,15 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     ``_COINCIDENCE_REL`` diameters of a data point g is the subgradient
     nearest 0, with no Newton step; there, or where the Hessian is
     ill-conditioned, the step is Weiszfeld's, -g / sum (w_i / d_i) over the
-    points not at x. Before each step the exact vertex test (Vardi & Zhang)
-    runs at the data point nearest the iterate; a point that passes is the
-    median, with residual 0. ``tol`` and ``max_iter`` are validated as a
-    ``SolveConfig``; the run converges when normalized_norm = |g| / W <=
-    tol, W the total weight. A set whose weighted centroid or objective
-    there overflows the float range raises ValueError.
+    points not at x. A step passes when f = sum w_i d_i falls, or |g| falls
+    with f within its rounding, so f never rises and a Weiszfeld step
+    passes where |g| is piecewise constant, as along a line of data points.
+    Before each step the exact vertex test (Vardi & Zhang) runs at the
+    nearest data point p with (p - x) . g < 0, the side where convexity
+    puts the median; a point that passes is the median, with residual 0.
+    ``tol`` and ``max_iter`` are validated as a ``SolveConfig``; the run
+    converges when normalized_norm = |g| / W <= tol, W the total weight.
+    Overflow in the weighted centroid or the objective there: ValueError.
     """
     cfg = SolveConfig(tol_rel=tol, max_iter=max_iter)
     pts = ps.coords
@@ -90,22 +93,20 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     total_w = float(w.sum())
     radius = _COINCIDENCE_REL * ps.diameter
     x = np.array([float(np.sum(w * pts[:, 0]) / total_w), float(np.sum(w * pts[:, 1]) / total_w)])
-    if not (math.isfinite(x[0]) and math.isfinite(x[1])
-            and math.isfinite(float(np.sum(w * np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1]))))):
-        raise ValueError("point set sums overflow the float range")
 
     def evaluate(v: np.ndarray) -> tuple:
-        """(|g|, g, Hessian rows or None, distances to the points) at v."""
+        """(|g|, g, Hessian rows or None, distances to the points, objective) at v."""
         dx = v[0] - pts[:, 0]
         dy = v[1] - pts[:, 1]
         d = np.hypot(dx, dy)
+        f = float(w @ d)
         near = d <= radius
         if not near.any():
             ux, uy, wd = dx / d, dy / d, w / d
             g = np.array([float(w @ ux), float(w @ uy)])
             hxy = -float((wd * ux) @ uy)
             jac = ((float((wd * uy) @ uy), hxy), (hxy, float((wd * ux) @ ux)))
-            return math.hypot(g[0], g[1]), g, jac, d
+            return math.hypot(g[0], g[1]), g, jac, d, f
         # on a data point: the points within radius anchor their weight
         # against the pull -g of the rest; the subgradient nearest 0
         # shortens g by the anchor, down to 0
@@ -113,7 +114,10 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
         g = np.array([float(w[far] @ (dx[far] / d[far])), float(w[far] @ (dy[far] / d[far]))])
         pull = math.hypot(g[0], g[1])
         norm = max(pull - float(w[near].sum()), 0.0)
-        return norm, g * (norm / pull) if pull else g, None, d
+        return norm, g * (norm / pull) if pull else g, None, d, f
+
+    if not all(map(math.isfinite, (x[0], x[1], evaluate(x)[4]))):
+        raise ValueError("point set sums overflow the float range")
 
     def weiszfeld_step(v: np.ndarray, state: tuple) -> np.ndarray:
         d = state[3]
@@ -121,21 +125,20 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
         return -state[1] / float(np.sum(w[far] / d[far]))
 
     def vertex_test(v: np.ndarray, state: tuple):
-        k = int(np.argmin(state[3]))
+        k = int(np.argmin(np.where((pts - v) @ state[1] < 0.0, state[3], np.inf)))
         at = evaluate(pts[k])
         return (pts[k], at) if at[0] == 0.0 else None
 
+    rise = 1.0 + 2.0 * (len(w) + 1) * np.finfo(float).eps  # twice the rounding bound of f
+
+    def accept(trial: tuple, state: tuple) -> bool:
+        return trial[4] < state[4] or trial[0] < state[0] and trial[4] <= state[4] * rise
+
     visited, state, iterations, converged = _damped_newton(
-        evaluate, x, total_w, cfg, weiszfeld_step, vertex_test)
+        evaluate, x, total_w, cfg, weiszfeld_step, vertex_test, accept)
     trace = tuple((Point2(v[0], v[1]), n) for v, n in visited)
-    return SolveResult(
-        median=trace[-1][0],
-        iterations=iterations,
-        residual_norm=state[0],
-        normalized_norm=trace[-1][1],
-        trace=trace,
-        converged=converged,
-    )
+    return SolveResult(median=trace[-1][0], iterations=iterations, residual_norm=state[0],
+                       normalized_norm=trace[-1][1], trace=trace, converged=converged)
 
 
 def region_median_by_sampling(poly: Polygon, grid_n: int) -> Point2:

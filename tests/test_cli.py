@@ -356,6 +356,15 @@ def test_discrete_converges_between_two_clusters(capsys):
     assert json.loads(out)["normalized_norm"] <= 1e-12
 
 
+def test_discrete_converges_on_a_line_of_points(capsys):
+    # along a line of data points |g| is constant between the points, so
+    # the Weiszfeld steps must pass on the objective, not on |g|
+    code, out, _ = run(capsys, "discrete", str(DATA / "collinear_points.json"))
+    assert code == 0
+    report = json.loads(out)
+    assert report["median"] == [1.0, 0.0] and report["normalized_norm"] == 0.0
+
+
 def test_discrete_oracle_agrees(capsys):
     code, out, _ = run(capsys, "discrete", str(DATA / "obtuse_points.json"), "--oracle")
     assert code == 0
