@@ -17,7 +17,7 @@ from .errors import (
 )
 from .geometry import Point2, Polygon, Vector2, as_polygon, rotate90
 from .kernels import RadialKernel
-from .oracle import MCEstimate, OracleConfig, OracleValue, oracle_minimize, oracle_sigma, oracle_sigma_mc
+from .oracle import MCEstimate, OracleValue, oracle_minimize, oracle_minimize_points, oracle_sigma, oracle_sigma_mc
 from .residuals import (
     CertificateResult,
     ResidualReport,
@@ -47,11 +47,11 @@ __all__ = [
     "solve_median",
     "solve_medianoid",
     "degenerate_limit_study",
-    "OracleConfig",
     "OracleValue",
     "MCEstimate",
     "oracle_sigma",
     "oracle_minimize",
+    "oracle_minimize_points",
     "oracle_sigma_mc",
     "PointSet",
     "weiszfeld",

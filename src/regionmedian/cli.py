@@ -28,7 +28,7 @@ import numpy as np
 from .errors import OutputFileError, RegionFileError, RegionMedianError
 from .geometry import Point2, Polygon
 from .kernels import RadialKernel
-from .oracle import _brute_force_minimize, oracle_minimize
+from .oracle import oracle_minimize, oracle_minimize_points
 from .residuals import general_boundary_residual
 from .solver import SolveConfig, degenerate_limit_study, solve_median, solve_medianoid
 from .svg import region_figure
@@ -283,33 +283,13 @@ def cmd_medianoid(args) -> int:
     return _finish(args, result, lambda: oracle_minimize(poly, kernel), poly.coords)
 
 
-def _discrete_brute_force(ps: PointSet) -> Point2:
-    # independent minimizer for the point-set objective: the region
-    # oracle's Nelder-Mead, started from the weighted centroid, with a
-    # scale-free stop (simplex within 1e-12 of the diameter, values within
-    # 1e-15 of the starting value); a set of one repeated point is its own
-    # minimizer
-    pts, w = ps.coords, ps.weights
-    diam = ps.diameter
-    if diam == 0.0:
-        return Point2(float(pts[0, 0]), float(pts[0, 1]))
-
-    def objective(v):
-        return float(np.sum(w * np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])))
-
-    total = float(w.sum())
-    start = np.array([np.sum(w * pts[:, 0]) / total, np.sum(w * pts[:, 1]) / total])
-    options = {"xatol": 1e-12 * diam, "fatol": 1e-15 * objective(start), "maxiter": 2000, "maxfev": 3000}
-    return _brute_force_minimize(objective, start, options)
-
-
 def cmd_discrete(args) -> int:
     inp = load_region_file(args.file)
     if inp.point_set is None:
         raise RegionFileError("the discrete command needs a 'points' region file")
     ps = inp.point_set
     result = weiszfeld(ps, tol=args.tol, max_iter=args.max_iter)
-    return _finish(args, result, lambda: _discrete_brute_force(ps), points=ps.coords)
+    return _finish(args, result, lambda: oracle_minimize_points(ps), points=ps.coords)
 
 
 def cmd_degenerate(args) -> int:

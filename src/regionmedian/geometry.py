@@ -2,7 +2,8 @@
 
 Coordinates are plain float64 throughout. Polygons are validated at
 construction (simple, nonzero area) and stored in counterclockwise
-order, so everything downstream can rely on one orientation.
+order, so everything downstream can rely on one orientation. Polygons
+and point sets are solved in the translation frame of ``_frame_origin``.
 """
 from __future__ import annotations
 
@@ -336,9 +337,19 @@ def _star_shaped(coords: np.ndarray, nxt: np.ndarray) -> bool:
     return _winds_once(coords - g, nxt - g)[1]
 
 
-# a polygon whose vertex 0 lies within this many diameters of the origin
-# is its own solve frame (see ``Polygon._local_frame``)
+# a polygon or point set whose vertex 0 lies within this many diameters
+# of the origin is its own solve frame
 _NEAR_ORIGIN = 4.0
+
+
+def _frame_origin(coords: np.ndarray, diameter: float) -> tuple:
+    """(ox, oy), the origin of the frame in which the rows ``coords`` are
+    solved: row 0 once it lies more than ``_NEAR_ORIGIN`` diameters out,
+    so far points keep the float resolution of near ones, else (0, 0)."""
+    ox, oy = coords[0].tolist()
+    if max(abs(ox), abs(oy)) <= _NEAR_ORIGIN * diameter:
+        return 0.0, 0.0
+    return ox, oy
 
 
 class Polygon:
@@ -413,16 +424,17 @@ class Polygon:
         """(view, ox, oy): the polygon translated by minus (ox, oy), the
         frame in which solves and checks evaluate.
 
-        (ox, oy) is vertex 0 once it lies more than ``_NEAR_ORIGIN``
-        diameters from the origin. The view then shares this polygon's
-        edge vectors and lengths, area, diameter and convexity, which do
-        not change under translation, without validating again. Nearer,
-        the frame is the polygon itself at (0, 0): its floats resolve it
-        within three bits of a translated copy, and every point evaluated
-        is then exactly a point that can be reported.
+        (ox, oy) is ``_frame_origin``: vertex 0 once it lies more than
+        ``_NEAR_ORIGIN`` diameters from the origin. The view then shares
+        this polygon's edge vectors and lengths, area, diameter and
+        convexity, which do not change under translation, without
+        validating again. Nearer, the frame is the polygon itself at
+        (0, 0): its floats resolve it within three bits of a translated
+        copy, and every point evaluated is then exactly a point that can
+        be reported.
         """
-        ox, oy = self._coords[0].tolist()
-        if max(abs(ox), abs(oy)) <= _NEAR_ORIGIN * self.diameter:
+        ox, oy = _frame_origin(self._coords, self.diameter)
+        if ox == oy == 0.0:
             return self, 0.0, 0.0
         view = Polygon.__new__(Polygon)
         for name in Polygon.__slots__:

@@ -1,4 +1,4 @@
-"""Brute-force ground truth for region objectives.
+"""Brute-force ground truth for region and point-set objectives.
 
 Evaluates the area integral of kernel(P - x) over a polygon with one
 rule for every query point x: a tensor Gauss rule on the Duffy-mapped
@@ -6,40 +6,29 @@ signed star triangles from x (``triquad.star_rule``), summed in closed
 form along the radial direction for the power kernels, which are
 homogeneous (the Euclidean kernel is p = 1); a custom kernel
 (``kernel.p`` None) takes the full tensor rule. Adds a Monte Carlo
-cross-check and a derivative-free minimizer (Nelder-Mead). Independent
-by design: nothing here shares code paths with the boundary residual
-solver it certifies, and the Monte Carlo estimate samples the area
+cross-check and one derivative-free minimizer (Nelder-Mead) for both
+objectives. Independent by design: nothing here shares code paths with
+the solvers it certifies, and the Monte Carlo estimate samples the area
 itself, on signed triangles from vertex 0.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import SingularRegionError
-from .geometry import Point2, Polygon
+from .geometry import Point2, Polygon, _frame_origin, _point_xy
 from .kernels import RadialKernel
 from .triquad import signed_areas, star_rule, triangulate
 
-__all__ = ["OracleConfig", "OracleValue", "MCEstimate", "oracle_sigma", "oracle_minimize", "oracle_sigma_mc"]
+__all__ = ["OracleValue", "MCEstimate", "oracle_sigma", "oracle_minimize", "oracle_minimize_points", "oracle_sigma_mc"]
 
 # t-panels of the rule; the error estimate compares against twice as many
 _PANELS = 4
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    mc_samples: int = 1_000_000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mc_samples < 2:
-            raise ValueError("mc_samples must be >= 2")
 
 
 class OracleValue(float):
@@ -68,59 +57,39 @@ def _radial_weights(panels: int, p: float) -> np.ndarray:
     return c
 
 
-class _StarLayout(NamedTuple):
-    """A polygon's boundary laid out for ``star_rule(panels)`` under one
-    kernel: per edge i, the x and y of vertex i and of vertex i + 1, and
-    t_j * e_i per component as (n, T), e_i the edge vector. ``weights`` is
-    the radial sum (T,) of the rule for a power kernel of degree
-    ``kernel.p``; a custom kernel (``p`` None) keeps the radial nodes
-    ``s`` and the tensor weights (S * T,)."""
+def _star_objective(poly: Polygon, kernel: RadialKernel, panels: int = _PANELS):
+    """``integral(x)``: the area integral of kernel(P - x) by
+    ``star_rule(panels)`` over the signed star triangles (x, a_i, a_i+1),
+    for x inside, on the boundary of or outside any simple polygon.
 
-    kernel: RadialKernel
-    ax: np.ndarray
-    ay: np.ndarray
-    bx: np.ndarray
-    by: np.ndarray
-    tex: np.ndarray
-    tey: np.ndarray
-    s: Optional[np.ndarray]
-    weights: np.ndarray
-
-
-def _star_layout(poly: Polygon, kernel: RadialKernel, panels: int = _PANELS) -> _StarLayout:
+    The boundary is laid out once: per edge i, the x and y of vertex i and
+    of vertex i + 1, and t_j * e_i per component, e_i the edge vector.
+    Each call forms q = a_i - x, the signed areas and the boundary nodes
+    b = q + t * e_i. Power kernels, the Euclidean one among them, are
+    homogeneous, k(s * b) = s**p * k(b), so the rule evaluates them once
+    per boundary node, weighted by its radial sum ``_radial_weights``
+    (Chin, Lasserre & Sukumar, Comput. Mech. 2015). A custom kernel
+    (``kernel.p`` None) is evaluated at every node s * b of the rule.
+    """
     s, t, w = star_rule(panels)
     a, e = poly.coords, poly.edge_vectors
     ax, ay = a[:, 0].copy(), a[:, 1].copy()
     bx, by = np.concatenate((ax[1:], ax[:1])), np.concatenate((ay[1:], ay[:1]))
     tex, tey = t * e[:, 0, None], t * e[:, 1, None]
-    if kernel.p is None:
-        return _StarLayout(kernel, ax, ay, bx, by, tex, tey, s, w.ravel())
-    return _StarLayout(kernel, ax, ay, bx, by, tex, tey, None, _radial_weights(panels, kernel.p))
+    custom = kernel.p is None
+    weights = w.ravel() if custom else _radial_weights(panels, kernel.p)
 
+    def integral(x) -> float:
+        qx, qy = ax - x[0], ay - x[1]
+        qnx, qny = bx - x[0], by - x[1]
+        areas = 0.5 * (qx * qny - qy * qnx)
+        nx, ny = qx[:, None] + tex, qy[:, None] + tey
+        if custom:
+            # (n, S, T) components
+            nx, ny = s[:, None] * nx[:, None, :], s[:, None] * ny[:, None, :]
+        return float(areas @ (kernel.evaluate_many(nx, ny).reshape(len(qx), -1) @ weights))
 
-def _star_integral(layout: _StarLayout, x) -> float:
-    """Area integral of kernel(P - x) by the rule of ``layout`` over the
-    signed star triangles (x, a_i, a_i+1); valid for x inside, on the
-    boundary of or outside any simple polygon.
-
-    Each call forms q = a_i - x, the signed areas and the boundary nodes
-    b = q + t * e_i from the layout (``_star_layout``). Power kernels,
-    the Euclidean one among them, are homogeneous, k(s * b) = s**p * k(b),
-    so the rule evaluates them once per boundary node and weights each by
-    its radial sum (Chin, Lasserre & Sukumar, Comput. Mech. 2015). A
-    custom kernel is evaluated at every node P - x = s * b of the rule.
-    """
-    qx, qy = layout.ax - x[0], layout.ay - x[1]
-    qnx, qny = layout.bx - x[0], layout.by - x[1]
-    areas = 0.5 * (qx * qny - qy * qnx)
-    bx = qx[:, None] + layout.tex
-    by = qy[:, None] + layout.tey
-    if layout.s is not None:
-        # (n, S, T) components
-        s = layout.s[:, None]
-        vals = layout.kernel.evaluate_many(s * bx[:, None, :], s * by[:, None, :])
-        return float(areas @ (vals.reshape(len(qx), -1) @ layout.weights))
-    return float(areas @ (layout.kernel.evaluate_many(bx, by) @ layout.weights))
+    return integral
 
 
 def oracle_sigma(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None) -> OracleValue:
@@ -131,9 +100,9 @@ def oracle_sigma(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None
     same rule with twice the t-panels.
     """
     kernel = kernel or RadialKernel.euclidean()
-    xv = (x.x, x.y) if isinstance(x, Point2) else (float(x[0]), float(x[1]))
-    value = _star_integral(_star_layout(poly, kernel), xv)
-    finer = _star_integral(_star_layout(poly, kernel, 2 * _PANELS), xv)
+    xv = _point_xy(x)
+    value = _star_objective(poly, kernel)(xv)
+    finer = _star_objective(poly, kernel, 2 * _PANELS)(xv)
     return OracleValue(value, abs(value - finer))
 
 
@@ -239,7 +208,8 @@ def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Poi
     It runs in the polygon's solve frame (``Polygon._local_frame``), a
     translation only, so a region far from the origin keeps its float
     resolution; the frame's origin is added back to the result once. The
-    boundary layout of the star rule is built once per call.
+    boundary of the star rule is laid out once per call
+    (``_star_objective``).
 
     Raises ``SingularRegionError`` when the objective at the centroid is
     below the smallest normal float: on regions that small the objective
@@ -249,11 +219,7 @@ def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Poi
     """
     kernel = kernel or RadialKernel.euclidean()
     frame, ox, oy = poly._local_frame()
-    layout = _star_layout(frame, kernel)
-
-    def objective(p) -> float:
-        return _star_integral(layout, p)
-
+    objective = _star_objective(frame, kernel)
     c = frame.centroid
     start = (c.x, c.y)
     f0 = objective(start)
@@ -269,31 +235,52 @@ def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Poi
     return m if frame is poly else Point2(m.x + ox, m.y + oy)
 
 
-def oracle_sigma_mc(
-    poly: Polygon,
-    x: Point2,
-    kernel: Optional[RadialKernel] = None,
-    cfg: Optional[OracleConfig] = None,
-) -> MCEstimate:
+def oracle_minimize_points(ps) -> Point2:
+    """Brute-force minimizer of the point-set objective sum w_i |p_i - x|:
+    Nelder-Mead from the weighted centroid, stopping once its simplex is
+    within 1e-12 of the set's diameter and its values agree to 1e-15 of
+    the value at the start, in the frame ``weiszfeld`` solves in
+    (``geometry._frame_origin``). A set of one repeated point is its own
+    minimizer."""
+    pts, w = ps.coords, ps.weights
+    diam = ps.diameter
+    if diam == 0.0:
+        return Point2(float(pts[0, 0]), float(pts[0, 1]))
+    ox, oy = _frame_origin(pts, diam)
+    pts = pts - (ox, oy)
+
+    def objective(v):
+        return float(np.sum(w * np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])))
+
+    total = float(w.sum())
+    start = np.array([np.sum(w * pts[:, 0]) / total, np.sum(w * pts[:, 1]) / total])
+    options = {"xatol": 1e-12 * diam, "fatol": 1e-15 * objective(start), "maxiter": 2000, "maxfev": 3000}
+    m = _brute_force_minimize(objective, start, options)
+    return Point2(m.x + ox, m.y + oy)
+
+
+def oracle_sigma_mc(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None,
+                    samples: int = 1_000_000, seed: int = 0) -> MCEstimate:
     """Monte Carlo estimate of the area integral, with its standard error.
 
-    Draws the fan triangles of ``triangulate`` with probability
-    |A_i| / sum |A| and a point uniformly in each, from a seeded generator,
-    and negates the values drawn in negative triangles: sum |A| times their
-    mean is unbiased, with standard error sum |A| * std / sqrt(n).
+    Draws ``samples`` fan triangles of ``triangulate`` with probability
+    |A_i| / sum |A| and a point uniformly in each, from a generator seeded
+    with ``seed``, and negates the values drawn in negative triangles:
+    sum |A| times their mean is unbiased, with standard error
+    sum |A| * std / sqrt(samples). Fewer than 2 samples: ValueError.
     """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     kernel = kernel or RadialKernel.euclidean()
-    cfg = cfg or OracleConfig()
-    xv = (x.x, x.y) if isinstance(x, Point2) else (float(x[0]), float(x[1]))
+    xv = _point_xy(x)
     tris = triangulate(poly)
     areas = signed_areas(tris)
     weights = np.abs(areas)
     total = float(weights.sum())
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.mc_samples
-    which = rng.choice(len(tris), size=n, p=weights / total)
-    u = rng.random(n)
-    v = rng.random(n)
+    rng = np.random.default_rng(seed)
+    which = rng.choice(len(tris), size=samples, p=weights / total)
+    u = rng.random(samples)
+    v = rng.random(samples)
     flip = u + v > 1.0
     u[flip] = 1.0 - u[flip]
     v[flip] = 1.0 - v[flip]
@@ -303,5 +290,5 @@ def oracle_sigma_mc(
     vals = kernel.evaluate_many(px - xv[0], py - xv[1])
     vals = np.where(areas[which] < 0.0, -vals, vals)
     mean = total * float(vals.mean())
-    stderr = total * float(vals.std(ddof=1)) / math.sqrt(n)
+    stderr = total * float(vals.std(ddof=1)) / math.sqrt(samples)
     return MCEstimate(mean=mean, stderr=stderr)

@@ -128,7 +128,8 @@ def _damped_newton(evaluate, x: np.ndarray, scale: float, cfg: SolveConfig, fall
     ...). The step solves the Jacobian system, or is ``fallback(x, state)``
     where ``_ill_conditioned`` rejects it; backtracking halves it until
     ``accept(trial, state)`` (by default, until the norm drops), down to
-    ``_MIN_STEP``, or the run stops. ``exact(x, state)``, run before each
+    ``_MIN_STEP``, or the run stops, as it stops at once on a step that
+    is zero or not finite. ``exact(x, state)``, run before each
     step, may return an exact point and its state, where the run ends
     converged.
     """
@@ -147,7 +148,10 @@ def _damped_newton(evaluate, x: np.ndarray, scale: float, cfg: SolveConfig, fall
             step = fallback(x, state)
         else:
             step = np.linalg.solve(np.array(jac), -g)
-
+        # no damping makes a zero or non-finite step pass
+        sx, sy = step.tolist()
+        if sx == sy == 0.0 or not (math.isfinite(sx) and math.isfinite(sy)):
+            break
         t = 1.0
         while t >= _MIN_STEP:
             cand = x + t * step

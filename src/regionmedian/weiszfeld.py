@@ -1,4 +1,5 @@
-"""Geometric median of finite point sets, and region medians by sampling."""
+"""Geometric median of finite point sets, solved in the translation frame
+that regions use, and region medians by sampling."""
 from __future__ import annotations
 
 import math
@@ -7,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptySampleError
-from .geometry import Point2, Polygon, _max_pairwise_distance
+from .geometry import Point2, Polygon, _frame_origin, _max_pairwise_distance
 from .solver import SolveConfig, SolveResult, _damped_newton, _integer
 
 __all__ = ["PointSet", "weiszfeld", "region_median_by_sampling"]
@@ -20,22 +21,23 @@ _COINCIDENCE_REL = 1e-14
 class PointSet:
     """A weighted finite point set.
 
-    Accepts a sequence of Point2 or an (n, 2) array-like; weights default
-    to 1 and must be positive, one per point. ``diameter`` raises
-    ValueError when it overflows the float range.
+    Accepts a sequence of Point2 or (x, y) rows, or an (n, 2) array; any
+    other shape raises ValueError. Weights default to 1 and must be
+    positive, one per point. ``diameter`` raises ValueError when it
+    overflows the float range.
     """
 
     __slots__ = ("coords", "weights")
 
     def __init__(self, points, weights: Optional[Sequence[float]] = None) -> None:
+        if not isinstance(points, np.ndarray) or points.dtype == object:
+            points = [(p.x, p.y) if isinstance(p, Point2) else p for p in points]
         try:
-            if isinstance(points, np.ndarray):
-                coords = np.asarray(points, dtype=float).copy()
-            else:
-                coords = np.asarray([(p.x, p.y) if isinstance(p, Point2) else (float(p[0]), float(p[1]))
-                                     for p in points], dtype=float)
+            coords = np.array(points, dtype=float)
         except OverflowError as exc:
             raise ValueError("points have a coordinate past the float range") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError("points must be a nonempty sequence of (x, y) pairs") from exc
         if coords.ndim != 2 or coords.shape[1] != 2 or len(coords) < 1:
             raise ValueError("points must be a nonempty sequence of (x, y) pairs")
         if not np.all(np.isfinite(coords)):
@@ -68,7 +70,7 @@ class PointSet:
 
 
 # subnormal points overflow the weights w/d of the Hessian and the step,
-# and the step then fails the backtracking test, so numpy's warnings are noise
+# and the step is then 0, which ends the run, so numpy's warnings are noise
 @np.errstate(over="ignore", invalid="ignore")
 def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveResult:
     """Weighted geometric median: ``solver._damped_newton`` from the
@@ -86,12 +88,17 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     ``tol`` and ``max_iter`` are validated as a ``SolveConfig``; the run
     converges when normalized_norm = |g| / W <= tol, W the total weight.
     Overflow in the weighted centroid or the objective there: ValueError.
+    The median is translation-equivariant, so the set is solved in the
+    frame of ``geometry._frame_origin``, as a region is; the trace and the
+    median are moved back by one add per coordinate at the end.
     """
     cfg = SolveConfig(tol_rel=tol, max_iter=max_iter)
-    pts = ps.coords
     w = ps.weights
     total_w = float(w.sum())
-    radius = _COINCIDENCE_REL * ps.diameter
+    diam = ps.diameter
+    radius = _COINCIDENCE_REL * diam
+    ox, oy = _frame_origin(ps.coords, diam)
+    pts = ps.coords - (ox, oy)
     x = np.array([float(np.sum(w * pts[:, 0]) / total_w), float(np.sum(w * pts[:, 1]) / total_w)])
 
     def evaluate(v: np.ndarray) -> tuple:
@@ -136,7 +143,7 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
 
     visited, state, iterations, converged = _damped_newton(
         evaluate, x, total_w, cfg, weiszfeld_step, vertex_test, accept)
-    trace = tuple((Point2(v[0], v[1]), n) for v, n in visited)
+    trace = tuple((Point2(v[0] + ox, v[1] + oy), n) for v, n in visited)
     return SolveResult(median=trace[-1][0], iterations=iterations, residual_norm=state[0],
                        normalized_norm=trace[-1][1], trace=trace, converged=converged)
 

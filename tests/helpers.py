@@ -298,7 +298,7 @@ def reference_solve_medianoid(boundary, kernel, cfg=None):
 
 
 def tensor_star_integral(poly, x, kernel, panels=4):
-    """Reference for ``oracle._star_integral``: the area integral of
+    """Reference for ``oracle._star_objective``: the area integral of
     kernel(P - x) by ``star_rule(panels)`` with the kernel evaluated at
     every node of the tensor rule, S * T per edge, as for any kernel."""
     s, t, w = star_rule(panels)
@@ -314,8 +314,8 @@ def tensor_star_integral(poly, x, kernel, panels=4):
 
 
 def star_integral_reference(poly, x, kernel, panels=4):
-    """Reference for ``oracle._star_integral`` over ``oracle._star_layout``:
-    the rule as one routine that forms the boundary nodes
+    """Reference for ``oracle._star_objective`` and the boundary it lays
+    out once: the rule as one routine that forms the boundary nodes
     b = q[:, :, None] + t * e[:, :, None] from the polygon on every call."""
     s, t, w = star_rule(panels)
     q = poly.coords - np.asarray(x, dtype=float)  # a_i - x

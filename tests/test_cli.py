@@ -356,6 +356,15 @@ def test_discrete_converges_between_two_clusters(capsys):
     assert json.loads(out)["normalized_norm"] <= 1e-12
 
 
+def test_discrete_converges_on_far_clusters(capsys):
+    # the same clusters 1e6 out: solved in absolute coordinates, |g| / W
+    # rounded to 1.5e-11 and the run exited 2
+    for extra in ((), ("--oracle",)):
+        code, out, _ = run(capsys, "discrete", str(DATA / "clustered_points_far.json"), *extra)
+        assert code == 0
+        assert json.loads(out)["normalized_norm"] <= 1e-12
+
+
 def test_discrete_converges_on_a_line_of_points(capsys):
     # along a line of data points |g| is constant between the points, so
     # the Weiszfeld steps must pass on the objective, not on |g|

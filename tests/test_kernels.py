@@ -33,7 +33,7 @@ from regionmedian.kernels import (
     quadrature_values_batch,
     segment_sigma_quadrature,
 )
-from regionmedian.oracle import _star_layout
+from regionmedian.oracle import _star_objective
 
 SQRT2 = math.sqrt(2.0)
 
@@ -231,7 +231,9 @@ def test_the_euclidean_kernel_is_the_power_one_kernel():
     dx, dy = rng.normal(size=(2, 7, 21)) * np.logspace(-200, 200, 21)
     for kernel in (euclidean, power1):
         assert np.array_equal(kernel.evaluate_many(dx, dy), np.hypot(dx, dy))
-    assert np.array_equal(_star_layout(QUAD, power1).weights, _star_layout(QUAD, euclidean).weights)
+    by_power, by_name = _star_objective(QUAD, power1), _star_objective(QUAD, euclidean)
+    for x in QUAD.coords.tolist() + [[5.0, 3.0], [-1.0, 0.5]]:
+        assert by_power(x) == by_name(x)
 
     def fields(res):
         return repr((res.median, res.iterations, res.trace, res.edge_means))

@@ -23,11 +23,10 @@ from regionmedian import Point2, Polygon, RadialKernel, SingularRegionError, cli
 from regionmedian.oracle import (
     _PANELS,
     MCEstimate,
-    OracleConfig,
     OracleValue,
-    _star_integral,
-    _star_layout,
+    _star_objective,
     oracle_minimize,
+    oracle_minimize_points,
     oracle_sigma,
     oracle_sigma_mc,
 )
@@ -94,7 +93,7 @@ def test_error_estimate_covers_refinement():
     for poly, x in cases:
         for kernel in kernels:
             v = oracle_sigma(poly, Point2(*x), kernel)
-            finer = _star_integral(_star_layout(poly, kernel, 4 * _PANELS), (float(x[0]), float(x[1])))
+            finer = _star_objective(poly, kernel, 4 * _PANELS)((float(x[0]), float(x[1])))
             assert abs(float(v) - finer) <= 2.0 * v.error_estimate + 1e-14 * abs(finer), (poly, x, kernel)
 
 
@@ -140,7 +139,7 @@ def test_exterior_query_point_agrees_with_monte_carlo():
     poly = Polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
     x = Point2(4.0, 3.0)
     v = oracle_sigma(poly, x)
-    mc = oracle_sigma_mc(poly, x, cfg=OracleConfig(mc_samples=200_000, seed=4))
+    mc = oracle_sigma_mc(poly, x, samples=200_000, seed=4)
     assert abs(float(v) - mc.mean) <= 4.5 * mc.stderr
 
 
@@ -151,7 +150,7 @@ def test_star_region_agrees_with_monte_carlo():
     poly = random_star_polygon(rng, n=9)
     x = Point2(*interior_point(poly, rng))
     v = oracle_sigma(poly, x)
-    mc = oracle_sigma_mc(poly, x, cfg=OracleConfig(mc_samples=300_000, seed=8))
+    mc = oracle_sigma_mc(poly, x, samples=300_000, seed=8)
     assert abs(float(v) - mc.mean) <= 4.5 * mc.stderr
 
 
@@ -164,7 +163,7 @@ def test_monte_carlo_on_convex_loops_is_the_unsigned_sampler_bit_for_bit():
     for k, poly in enumerate(polys):
         x = rng.uniform(-2.0, 2.0, 2)
         seed = int(rng.integers(1 << 31))
-        mc = oracle_sigma_mc(poly, Point2(*x), kernels[k % 2], OracleConfig(mc_samples=2000, seed=seed))
+        mc = oracle_sigma_mc(poly, Point2(*x), kernels[k % 2], samples=2000, seed=seed)
         assert (mc.mean, mc.stderr) == convex_monte_carlo_reference(poly, x, kernels[k % 2], 2000, seed)
 
 
@@ -175,7 +174,7 @@ def test_monte_carlo_agrees_where_the_fan_overlaps_itself(region):
     areas = signed_areas(triangulate(region))
     assert np.abs(areas).sum() > 2.5 * region.area
     x = region.centroid
-    mc = oracle_sigma_mc(region, x, cfg=OracleConfig(mc_samples=300_000, seed=12))
+    mc = oracle_sigma_mc(region, x, samples=300_000, seed=12)
     assert abs(float(oracle_sigma(region, x)) - mc.mean) <= 4.5 * mc.stderr
 
 
@@ -186,12 +185,12 @@ def test_monte_carlo_on_a_4096_vertex_star_loop():
     assert len(areas) == 4094 and areas.min() < 0.0
     assert math.isclose(areas.sum(), poly.area, rel_tol=1e-12)
     x = Point2(*interior_point(poly, rng))
-    mc = oracle_sigma_mc(poly, x, cfg=OracleConfig(mc_samples=100_000, seed=13))
+    mc = oracle_sigma_mc(poly, x, samples=100_000, seed=13)
     assert abs(float(oracle_sigma(poly, x)) - mc.mean) <= 4.5 * mc.stderr
 
 
 def test_monte_carlo_reports_sane_stderr():
-    mc = oracle_sigma_mc(T345, Point2(1.0, 1.5), cfg=OracleConfig(mc_samples=200_000, seed=11))
+    mc = oracle_sigma_mc(T345, Point2(1.0, 1.5), samples=200_000, seed=11)
     assert isinstance(mc, MCEstimate)
     v = oracle_sigma(T345, Point2(1.0, 1.5))
     assert abs(mc.mean - float(v)) <= 4.0 * mc.stderr
@@ -201,9 +200,9 @@ def test_monte_carlo_reports_sane_stderr():
 def test_monte_carlo_translation_invariance_is_exact():
     """Integer shifts keep cell areas bit-identical, so the sample stream
     and both returned statistics reproduce exactly."""
-    base = oracle_sigma_mc(T345, Point2(1.0, 1.5), cfg=OracleConfig(mc_samples=50_000, seed=11))
+    base = oracle_sigma_mc(T345, Point2(1.0, 1.5), samples=50_000, seed=11)
     shifted_poly = Polygon([(7.0, -2.0), (10.0, -2.0), (10.0, 2.0)])
-    shifted = oracle_sigma_mc(shifted_poly, Point2(8.0, -0.5), cfg=OracleConfig(mc_samples=50_000, seed=11))
+    shifted = oracle_sigma_mc(shifted_poly, Point2(8.0, -0.5), samples=50_000, seed=11)
     assert base.mean == shifted.mean
     assert base.stderr == shifted.stderr
 
@@ -227,7 +226,7 @@ def test_minimizer_probe_is_oracle_sigma_bit_for_bit(n_vertices):
     assert len(poly) == n_vertices
     for kernel in (RadialKernel.euclidean(), RadialKernel.power(1.5)):
         for x in points:
-            assert _star_integral(_star_layout(poly, kernel), x) == float(oracle_sigma(poly, Point2(*x), kernel))
+            assert _star_objective(poly, kernel)(x) == float(oracle_sigma(poly, Point2(*x), kernel))
 
 
 HOMOGENEOUS_KERNELS = [RadialKernel.euclidean()] + [RadialKernel.power(p) for p in (0.5, 1.3, 1.5, 2.0, 3.0)]
@@ -253,7 +252,7 @@ def test_factored_rule_matches_the_tensor_rule(poly, kernel):
     for seed, panels in enumerate((_PANELS, 2 * _PANELS)):
         for x in _query_points(poly, seed):
             want = tensor_star_integral(poly, x, kernel, panels)
-            assert abs(_star_integral(_star_layout(poly, kernel, panels), x) - want) <= 1e-14 * abs(want), (x, panels)
+            assert abs(_star_objective(poly, kernel, panels)(x) - want) <= 1e-14 * abs(want), (x, panels)
 
 
 def test_custom_kernel_keeps_the_tensor_rule_bit_for_bit():
@@ -261,7 +260,7 @@ def test_custom_kernel_keeps_the_tensor_rule_bit_for_bit():
     for poly in (T345, PENTAGON, OFFSET_QUAD):
         for x in _query_points(poly, 3):
             for panels in (_PANELS, 2 * _PANELS):
-                assert _star_integral(_star_layout(poly, kernel, panels), x) == tensor_star_integral(poly, x, kernel, panels)
+                assert _star_objective(poly, kernel, panels)(x) == tensor_star_integral(poly, x, kernel, panels)
 
 
 def _layout_probe_points(poly, rng, count):
@@ -291,9 +290,9 @@ def test_layout_route_matches_the_reference_bit_for_bit():
     for kernel in kernels:
         for panels in (_PANELS, 2 * _PANELS):
             for poly in polys:
-                layout = _star_layout(poly, kernel, panels)
+                integral = _star_objective(poly, kernel, panels)
                 for x in points[id(poly)]:
-                    assert _star_integral(layout, x) == star_integral_reference(poly, x, kernel, panels), (x, panels)
+                    assert integral(x) == star_integral_reference(poly, x, kernel, panels), (x, panels)
 
 
 def test_kernel_evaluations_per_rule(monkeypatch):
@@ -312,7 +311,7 @@ def test_kernel_evaluations_per_rule(monkeypatch):
         n = len(poly)
         for kernel, per_edge in [(RadialKernel.euclidean(), 128), (RadialKernel.power(1.5), 128), (custom, 1280)]:
             seen.clear()
-            _star_integral(_star_layout(poly, kernel), (1.0, 0.5))
+            _star_objective(poly, kernel)((1.0, 0.5))
             assert seen == [n * per_edge]
             seen.clear()
             oracle_sigma(poly, Point2(1.0, 0.5), kernel)
@@ -348,8 +347,8 @@ def test_minimize_far_from_the_origin_in_the_solve_frame(monkeypatch, coords, of
     # evaluations ran out there
     poly = Polygon(coords + offset * Polygon(coords).diameter * np.array([1.0, -0.7]))
     calls = []
-    star_integral = oracle._star_integral
-    monkeypatch.setattr(oracle, "_star_integral", lambda *args: calls.append(args) or star_integral(*args))
+    evaluate_many = RadialKernel.evaluate_many
+    monkeypatch.setattr(RadialKernel, "evaluate_many", lambda *args: calls.append(args) or evaluate_many(*args))
     ora = oracle_minimize(poly)
     med = solve_median(poly).median
     assert len(calls) < 300
@@ -373,14 +372,15 @@ def test_minimize_finds_the_thin_triangle_median():
 def test_minimizers_run_nelder_mead_alone(monkeypatch):
     # objective evaluations, which do not drift with machine speed: three
     # 11 by 11 grid passes after Nelder-Mead would make 363 by themselves
+    # (each probe of the star rule makes one evaluate_many call)
     calls = []
-    star_integral = oracle._star_integral
+    evaluate_many = RadialKernel.evaluate_many
 
-    def counted_star_integral(*args):
+    def counted_evaluate_many(*args):
         calls.append(args)
-        return star_integral(*args)
+        return evaluate_many(*args)
 
-    monkeypatch.setattr(oracle, "_star_integral", counted_star_integral)
+    monkeypatch.setattr(RadialKernel, "evaluate_many", counted_evaluate_many)
     oracle_minimize(cli.load_region_file(str(DATA / "t345.json")).polygon)
     assert 0 < len(calls) < 363
 
@@ -390,18 +390,18 @@ def test_minimizers_run_nelder_mead_alone(monkeypatch):
     def counted_minimize(objective, *rest):
         return minimize(lambda v: calls.append(v) or objective(v), *rest)
 
-    monkeypatch.setattr(cli, "_brute_force_minimize", counted_minimize)
-    cli._discrete_brute_force(cli.load_region_file(str(DATA / "obtuse_points.json")).point_set)
+    monkeypatch.setattr(oracle, "_brute_force_minimize", counted_minimize)
+    oracle_minimize_points(cli.load_region_file(str(DATA / "obtuse_points.json")).point_set)
     assert 0 < len(calls) < 363
 
 
 
-def _problem(monkeypatch, module, run):
-    """The (objective, start, options) that ``run()`` hands to ``module``'s
-    ``_brute_force_minimize``."""
+def _problem(monkeypatch, run):
+    """The (objective, start, options) that ``run()`` hands to
+    ``oracle._brute_force_minimize``."""
     seen = []
     minimize = oracle._brute_force_minimize
-    monkeypatch.setattr(module, "_brute_force_minimize", lambda *args: seen.append(args) or minimize(*args))
+    monkeypatch.setattr(oracle, "_brute_force_minimize", lambda *args: seen.append(args) or minimize(*args))
     run()
     monkeypatch.undo()
     return seen[0]
@@ -421,13 +421,13 @@ def _assert_nelder_mead_is_scipys(objective, start, options):
 @pytest.mark.parametrize("kernel", [RadialKernel.euclidean(), RadialKernel.power(1.5)], ids=["euclidean", "p1.5"])
 @pytest.mark.parametrize("poly", [T345, THIN_TRIANGLE, PENTAGON, OFFSET_QUAD], ids=["t345", "thin", "pentagon", "offset"])
 def test_oracle_nelder_mead_is_scipys_bit_for_bit(monkeypatch, poly, kernel):
-    _assert_nelder_mead_is_scipys(*_problem(monkeypatch, oracle, lambda: oracle_minimize(poly, kernel)))
+    _assert_nelder_mead_is_scipys(*_problem(monkeypatch, lambda: oracle_minimize(poly, kernel)))
 
 
 @pytest.mark.parametrize("stem", ["obtuse_points", "weighted_points"])
 def test_discrete_nelder_mead_is_scipys_bit_for_bit(monkeypatch, stem):
     ps = cli.load_region_file(str(DATA / f"{stem}.json")).point_set
-    objective, start, options = _problem(monkeypatch, cli, lambda: cli._discrete_brute_force(ps))
+    objective, start, options = _problem(monkeypatch, lambda: oracle_minimize_points(ps))
     _assert_nelder_mead_is_scipys(objective, start, options)
     # a zero coordinate steps to 0.00025 in the first simplex
     _assert_nelder_mead_is_scipys(objective, np.array([0.0, start[1]]), options)
@@ -478,17 +478,17 @@ def test_nelder_mead_edge_cases_are_scipys(case):
 @pytest.mark.parametrize("budget", [1, 2, 3, 4, 7, 40])
 def test_nelder_mead_spends_its_budgets_as_scipy_does(monkeypatch, budget):
     # an evaluation budget can run out in the middle of a step
-    objective, start, options = _problem(monkeypatch, oracle, lambda: oracle_minimize(T345))
+    objective, start, options = _problem(monkeypatch, lambda: oracle_minimize(T345))
     _assert_nelder_mead_is_scipys(objective, start, dict(options, maxfev=budget))
     ps = cli.load_region_file(str(DATA / "obtuse_points.json")).point_set
-    objective, start, options = _problem(monkeypatch, cli, lambda: cli._discrete_brute_force(ps))
+    objective, start, options = _problem(monkeypatch, lambda: oracle_minimize_points(ps))
     _assert_nelder_mead_is_scipys(objective, start, dict(options, maxfev=budget))
     _assert_nelder_mead_is_scipys(objective, start, dict(options, maxiter=budget))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OracleConfig(mc_samples=1)
+        oracle_sigma_mc(T345, Point2(1.0, 1.5), samples=1)
 
 
 def test_oracle_value_floats_cleanly():

@@ -33,6 +33,7 @@ from regionmedian.solver import (
     _SINGULAR_COND,
     SolveConfig,
     SolveResult,
+    _damped_newton,
     _ill_conditioned,
     degenerate_limit_study,
     solve_median,
@@ -547,6 +548,23 @@ def _exactly_above(jac, threshold) -> bool:
 def _rotation(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize("step", [(0.0, 0.0), (-0.0, 0.0), (math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+def test_a_zero_or_non_finite_step_ends_the_run_at_once(step):
+    # no damping makes such a step pass, so the run stops without
+    # evaluating a trial point at every halving down to _MIN_STEP
+    calls = []
+
+    def evaluate(v):
+        calls.append(v)
+        return 1.0, np.array([1.0, 0.0]), None
+
+    x = np.array([0.5, 0.25])
+    visited, state, iterations, converged = _damped_newton(
+        evaluate, x, 1.0, SolveConfig(), lambda v, state: np.array(step))
+    assert len(calls) == 1 and iterations == 0 and not converged
+    assert len(visited) == 1 and visited[0][0] is x and state[0] == 1.0
 
 
 def test_conditioning_takes_the_decision_of_numpy_cond():

@@ -159,6 +159,11 @@ def test_point_set_validation():
         PointSet([(0, 0), (10 ** 400, 1)])
     with pytest.raises(ValueError, match="^weights have a value past the float range$"):
         PointSet([(0, 0), (1, 1)], weights=[1, 10 ** 400])
+    # rows that are not pairs: a third column is not dropped, a short row
+    # is not an IndexError
+    for rows in ([(0, 0, 9), (1, 0, 9)], [[0, 0], [1]], [[0, 0], [1, 1, 1]]):
+        with pytest.raises(ValueError, match=r"^points must be a nonempty sequence of \(x, y\) pairs$"):
+            PointSet(rows)
     with pytest.raises(ValueError):
         weiszfeld(PointSet([(0, 0), (1, 1)]), tol=0.0)
     for bad in ({"tol": math.inf}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -5},
@@ -220,7 +225,7 @@ def test_a_point_set_whose_sums_overflow_is_rejected(points):
 
 def test_subnormal_points_stop_unconverged_without_a_numpy_warning():
     # the weights w/d of the Hessian and of the Weiszfeld step overflow, so
-    # the step is 0 and fails the backtracking test, and the run stops at its start
+    # the step is 0, and the run stops at its start
     pts = np.array([[1e-320, 0.0], [0.0, 1e-320], [3e-320, 2e-320]])
     state = np.geterr()
     with warnings.catch_warnings():
@@ -280,3 +285,18 @@ def test_clustered_sets_converge_within_twelve_steps():
         assert res.converged, s
         iterations.append(res.iterations)
     assert max(iterations) <= 12
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e9, 1e12])
+def test_far_point_sets_solve_in_their_frame(offset):
+    # in absolute coordinates the rounding of |g| / W grows with the offset
+    # (2e-5 at 1e12), so far sets stopped unconverged at tol=1e-12; solved
+    # in their frame they keep the bits of the set moved to the origin
+    for s in range(4):
+        pts, w = _clustered_set(s)
+        far = pts + offset * np.array([1.0, -0.7])
+        for weights in (None, w):
+            res = weiszfeld(PointSet(far, weights), tol=1e-12)
+            local = weiszfeld(PointSet(far - far[0], weights), tol=1e-12)
+            assert res.converged, (s, offset)
+            assert res.median == Point2(local.median.x + far[0, 0], local.median.y + far[0, 1]), (s, offset)
