@@ -66,8 +66,13 @@ def _json(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        # a list of plain floats (the edge means) is formatted in one pass
+        # a list of plain floats (the edge means) takes one "%" call: "%.17g"
+        # writes a "." or an "e" into every float that is not integral, and
+        # only integral floats need _fmt_float's ".0" (inf and nan are not)
         if set(map(type, obj)) == {float}:
+            if len(obj) > 4 and not any(map(float.is_integer, obj)):
+                text = (",\n" + inner).join(["%.17g"] * len(obj)) % tuple(obj)
+                return "[\n" + inner + text + "\n" + pad + "]"
             items, numbers = map(_fmt_float, obj), True
         elif all(isinstance(v, (int, float)) for v in obj):
             items, numbers = map(_fmt_number, obj), True
@@ -144,17 +149,21 @@ def _kernel_from_dict(d) -> RadialKernel:
 
 
 def _coord_list(raw, label: str) -> np.ndarray:
+    # rows of one width, JSON numbers only: float() would also read "3" as
+    # 3.0 and true as 1.0, and an empty string or object is no empty row
+    if not (isinstance(raw, list) and set(map(type, raw)) <= {list}):
+        raise RegionFileError(f"{label} must be a list of [x, y] pairs of numbers")
+    widths = set(map(len, raw))
+    flat = list(itertools.chain.from_iterable(raw))
+    if len(widths) > 1 or not set(map(type, flat)) <= {int, float}:
+        raise RegionFileError(f"{label} must be a list of [x, y] pairs of numbers")
     try:
-        # JSON numbers only: float() would also read "3" as 3.0 and true as 1.0
-        if not set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}:
-            raise TypeError("a coordinate is not a JSON number")
-        arr = np.asarray(raw, dtype=float)
+        arr = np.array(flat, dtype=float)
     except OverflowError as exc:
         raise RegionFileError(f"{label} contains a coordinate past the float range") from exc
-    except (TypeError, ValueError) as exc:
-        raise RegionFileError(f"{label} must be a list of [x, y] pairs of numbers") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
+    if widths != {2}:
         raise RegionFileError(f"{label} must be a nonempty list of [x, y] pairs")
+    arr = arr.reshape(len(raw), 2)
     if not np.all(np.isfinite(arr)):
         raise RegionFileError(f"{label} contains non-finite coordinates")
     return arr
@@ -246,7 +255,7 @@ def _finish(args, result, brute_force, outline=None, points=None) -> int:
         "residual_norm": result.residual_norm,
         "normalized_norm": result.normalized_norm,
         "iterations": result.iterations,
-        "edge_means": list(result.edge_means),
+        "edge_means": result.edge_means,
     }
     if result.certificate is not None:
         report["certificate_spread"] = result.certificate
@@ -335,7 +344,7 @@ def cmd_check(args) -> int:
         "gradient": [rep.gradient.dx, rep.gradient.dy],
         "residual_norm": rep.norm,
         "normalized_norm": rep.normalized_norm,
-        "edge_means": list(rep.edge_means),
+        "edge_means": rep.edge_means,
     }
     if rep.certificate is not None:
         report["certificate_spread"] = rep.certificate

@@ -31,20 +31,22 @@ class _Frame:
         used = span * self.scale
         self.off = (_SIZE - used) / 2.0
 
-    def map(self, x: float, y: float):
-        sx = self.off[0] + (x - self.lo[0]) * self.scale
-        sy = _SIZE - (self.off[1] + (y - self.lo[1]) * self.scale)
-        return sx, sy
+    def map(self, coords: np.ndarray) -> tuple:
+        """Viewport coordinates of (n, 2) coordinates, flat: x0, y0, x1, y1, ..."""
+        sx = self.off[0] + (coords[:, 0] - self.lo[0]) * self.scale
+        sy = _SIZE - (self.off[1] + (coords[:, 1] - self.lo[1]) * self.scale)
+        return tuple(np.column_stack((sx, sy)).ravel().tolist())
 
+
+# each list takes one "%" call, whose "%.6f" writes a number as _fmt does
 
 def _path(frame: _Frame, coords: np.ndarray, close: bool) -> str:
-    parts = []
-    for i, (x, y) in enumerate(coords):
-        sx, sy = frame.map(float(x), float(y))
-        parts.append(f"{'M' if i == 0 else 'L'} {_fmt(sx)} {_fmt(sy)}")
-    if close:
-        parts.append("Z")
-    return " ".join(parts)
+    d = "M " + " L ".join(["%.6f %.6f"] * len(coords)) % frame.map(coords)
+    return d + " Z" if close else d
+
+
+def _circles(frame: _Frame, coords: np.ndarray, attrs: str) -> str:
+    return "\n".join([f'<circle cx="%.6f" cy="%.6f" {attrs}/>'] * len(coords)) % frame.map(coords)
 
 
 def region_figure(
@@ -76,19 +78,15 @@ def region_figure(
         d = _path(frame, np.asarray(outline, dtype=float), close=True)
         lines.append(f'<path d="{d}" fill="#eef3fa" stroke="#34495e" stroke-width="1.5"/>')
     if points is not None:
-        for x, y in np.asarray(points, dtype=float):
-            sx, sy = frame.map(float(x), float(y))
-            lines.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="#3a6ea5"/>')
+        lines.append(_circles(frame, np.asarray(points, dtype=float), 'r="3" fill="#3a6ea5"'))
     if trace and len(trace) > 1:
         coords = np.array([[p.x, p.y] for p, _ in trace], dtype=float)
         d = _path(frame, coords, close=False)
         lines.append(
             f'<path d="{d}" fill="none" stroke="#c0702a" stroke-width="1" stroke-dasharray="4 3"/>'
         )
-        for x, y in coords[:-1]:
-            sx, sy = frame.map(float(x), float(y))
-            lines.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="2" fill="#c0702a"/>')
-    mx, my = frame.map(median.x, median.y)
+        lines.append(_circles(frame, coords[:-1], 'r="2" fill="#c0702a"'))
+    mx, my = frame.map(np.array([[median.x, median.y]]))
     arm = 7.0
     lines.append(
         f'<line x1="{_fmt(mx - arm)}" y1="{_fmt(my)}" x2="{_fmt(mx + arm)}" y2="{_fmt(my)}" '

@@ -135,6 +135,27 @@ def test_float_lists_are_written_as_value_by_value_formatting_would_write_them()
         assert dumps_report({"edge_means": tuple(lst)}) == expected
 
 
+def test_long_float_lists_parse_back_to_the_same_floats():
+    # integral values would send the list to the value-by-value join
+    rng = np.random.default_rng(35)
+    spread = (rng.normal(size=4096) * 10.0 ** rng.uniform(-300.0, 20.0, 4096)).tolist()
+    values = [v for v in spread if not v.is_integer()][:2048]
+    assert len(values) == 2048
+    text = dumps_report({"edge_means": tuple(values)})
+    assert text == "{\n  \"edge_means\": " + _list_reference(values, "  ") + "\n}\n"
+    parsed = json.loads(text)["edge_means"]
+    assert [v.hex() for v in parsed] == [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("integral", [0.0, -0.0, 3.0, 2.0 ** 53])
+def test_long_float_lists_with_an_integral_value_keep_its_point_zero(integral):
+    rng = np.random.default_rng(7)
+    values = rng.uniform(-5.0, 5.0, 9).tolist()
+    for at in (0, 4, 9):
+        lst = values[:at] + [integral] + values[at:]
+        assert dumps_report({"edge_means": lst}) == "{\n  \"edge_means\": " + _list_reference(lst, "  ") + "\n}\n"
+
+
 def test_mixed_number_lists_keep_the_general_path():
     mixed = [1, True, 2.5, np.float64(0.1), -0.0]
     assert dumps_report(mixed) == "[\n  1,\n  true,\n  2.5,\n  0.10000000000000001,\n  -0.0\n]\n"
@@ -541,6 +562,18 @@ def test_boundary_samples_region_solves(capsys):
     assert report["median"][1] == pytest.approx(-0.2, abs=1e-9)
 
 
+@pytest.mark.parametrize("stem,command,golden", [
+    ("boundary_loop", "median", "boundary_loop.svg"),
+    ("weighted_points", "discrete", "weighted_points_discrete.svg"),
+])
+def test_golden_figures_are_reproduced_byte_for_byte(capsys, tmp_path, stem, command, golden):
+    # an outline; points with a trace path and its circles
+    out_path = tmp_path / golden
+    code, _, _ = run(capsys, command, str(DATA / f"{stem}.json"), "--svg-out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_svg_output_is_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     run(capsys, "median", str(DATA / "pentagon.json"), "--svg-out", str(a))
@@ -856,11 +889,38 @@ def test_a_coordinate_that_is_no_float_prints_one_error_line(capsys, tmp_path, s
     ("[[0, 0], [3, 0], [3, 4]]", ["median"], "region file must be a JSON object"),
     ('{"points": [[0, 0], [3, 0]], "weights": [1, 0]}', ["discrete"], "weights must be finite and > 0"),
     ('{"points": [[0, 0], [3, 0]], "weights": [1]}', ["discrete"], "weights must match points in length"),
+    ('{"polygon": ""}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
+    ('{"polygon": {}}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
+    ('{"polygon": null}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
+    ('{"polygon": [[]]}', ["median"], "polygon must be a nonempty list of [x, y] pairs"),
+    ('{"polygon": [[0, 0], [1, 2, 3]]}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
+    ('{"polygon": [[0, 0], 5]}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
+    ('{"polygon": [[[0], [1]]]}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
+    ('{"polygon": [["ab", "cd"]]}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
+    ('{"polygon": [{"x": 1, "y": 2}]}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
+    ('{"polygon": [{}, {}, {}]}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
+    ('{"polygon": [[], ""]}', ["median"], "polygon must be a list of [x, y] pairs of numbers"),
 ])
 def test_a_malformed_region_file_prints_one_error_line(capsys, tmp_path, text, argv, message):
     path = tmp_path / "region.json"
     path.write_text(text)
     assert run(capsys, argv[0], str(path), *argv[1:]) == (1, "", f"error: {message}\n")
+
+
+def test_coordinates_are_read_to_the_bits_of_a_nested_conversion():
+    rng = np.random.default_rng(53)
+    specials = [-0.0, 2 ** 53 + 1, 1e308, 5e-324, -(2 ** 63), 0]
+    for n in (3, 17, 2048):
+        floats = (rng.normal(size=2 * n) * 10.0 ** rng.uniform(-300.0, 300.0, 2 * n)).tolist()
+        # every other number is an int, as JSON integers load, many past 2**53
+        ints = [int(v) for v in rng.normal(size=2 * n) * 10.0 ** rng.uniform(0.0, 30.0, 2 * n)]
+        values = [ints[k] if k % 2 else floats[k] for k in range(2 * n)]
+        values[:6] = specials
+        raw = [values[2 * i: 2 * i + 2] for i in range(n)]
+        got = cli._coord_list(raw, "polygon")
+        want = np.asarray(raw, dtype=float)
+        assert got.shape == want.shape == (n, 2)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("gammas,message", [
