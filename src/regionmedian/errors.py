@@ -18,7 +18,7 @@ class InvalidTriangleError(RegionMedianError):
 
 
 class NonConvergenceError(RegionMedianError):
-    """An adaptive quadrature failed to reach the requested tolerance."""
+    """An adaptive quadrature or the oracle's Newton loop failed to reach its tolerance."""
 
 
 class EmptySampleError(RegionMedianError):

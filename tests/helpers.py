@@ -396,6 +396,14 @@ def random_triangle(rng, scale=1.0, min_area=0.15):
             return Polygon(coords)
 
 
+def criterion_04_regions():
+    """The 40 regions of acceptance criterion 04: 20 random triangles,
+    then 20 random convex polygons of up to 8 vertices, seed 404."""
+    rng = np.random.default_rng(404)
+    regions = [random_triangle(rng) for _ in range(20)]
+    return regions + [random_convex_polygon(rng, n_max=8) for _ in range(20)]
+
+
 def star_loop(rng, n=8):
     """Vertices of a non-convex but simple loop, star-shaped around its
     anchor point, as the benchmark draws its star 8-gons.

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import closed_value, interior_point, random_convex_polygon, random_triangle, similarity_transform
+from helpers import (closed_value, criterion_04_regions, interior_point, random_convex_polygon, random_triangle,
+                     similarity_transform)
 
 from regionmedian import Point2, Polygon, RadialKernel, Vector2, rotate90
 from regionmedian.cli import main
@@ -107,12 +108,9 @@ def test_criterion_03_triangles_converge_with_certificates(capsys):
 
 
 def test_criterion_04_solver_matches_brute_force_minimizer(capsys):
-    rng = np.random.default_rng(404)
     start = time.perf_counter()
     worst = 0.0
-    regions = [random_triangle(rng) for _ in range(20)]
-    regions += [random_convex_polygon(rng, n_max=8) for _ in range(20)]
-    for poly in regions:
+    for poly in criterion_04_regions():
         med = solve_median(poly).median
         ora = oracle_minimize(poly)
         rel = math.hypot(med.x - ora.x, med.y - ora.y) / poly.diameter

@@ -1,6 +1,7 @@
 """Area-integration oracle: anchors, closed forms, refinement estimates,
 Monte Carlo."""
 
+import ast
 import math
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from helpers import (
     closed_value,
     comb_polygon,
     convex_monte_carlo_reference,
+    criterion_04_regions,
     interior_point,
     random_convex_polygon,
     random_star_polygon,
@@ -19,7 +21,7 @@ from helpers import (
     tensor_star_integral,
 )
 
-from regionmedian import Point2, Polygon, RadialKernel, SingularRegionError, cli, oracle
+from regionmedian import NonConvergenceError, Point2, Polygon, RadialKernel, SingularRegionError, cli, oracle
 from regionmedian.oracle import (
     _PANELS,
     MCEstimate,
@@ -30,8 +32,8 @@ from regionmedian.oracle import (
     oracle_sigma,
     oracle_sigma_mc,
 )
-from regionmedian.triquad import signed_areas, triangulate
-from regionmedian.solver import solve_median
+from regionmedian.triquad import signed_areas, star_rule, triangulate
+from regionmedian.solver import solve_median, solve_medianoid
 
 DATA = Path(__file__).parent / "data"
 
@@ -369,21 +371,48 @@ def test_minimize_finds_the_thin_triangle_median():
     assert math.hypot(med.x - ora.x, med.y - ora.y) <= 1e-7 * THIN_TRIANGLE.diameter
 
 
-def test_minimizers_run_nelder_mead_alone(monkeypatch):
-    # objective evaluations, which do not drift with machine speed: three
-    # 11 by 11 grid passes after Nelder-Mead would make 363 by themselves
-    # (each probe of the star rule makes one evaluate_many call)
-    calls = []
+GOLDEN_REGIONS = [cli.load_region_file(str(DATA / f"{stem}.json")).polygon
+                  for stem in ("equilateral", "t345", "pentagon", "boundary_loop")]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_minimize_lands_on_the_solver_median(p):
+    # the root of the star-rule gradient; Nelder-Mead on the value stopped
+    # up to about 1e-8 of the diameter away
+    kernel = RadialKernel.power(p)
+    for poly in criterion_04_regions() + GOLDEN_REGIONS + [THIN_TRIANGLE]:
+        med = solve_medianoid(poly, kernel).median
+        ora = oracle_minimize(poly, kernel)
+        assert math.hypot(med.x - ora.x, med.y - ora.y) <= 1e-12 * poly.diameter
+
+
+def test_minimizers_stay_within_their_work_counts(monkeypatch):
+    # counts, which do not drift with machine speed: a region takes one
+    # value pass (the underflow check at the centroid) and a few Newton
+    # iterates of one five-point gradient pass each
+    calls, passes = [], []
     evaluate_many = RadialKernel.evaluate_many
+    star_gradient = oracle._star_gradient
 
     def counted_evaluate_many(*args):
         calls.append(args)
         return evaluate_many(*args)
 
-    monkeypatch.setattr(RadialKernel, "evaluate_many", counted_evaluate_many)
-    oracle_minimize(cli.load_region_file(str(DATA / "t345.json")).polygon)
-    assert 0 < len(calls) < 363
+    def counted_star_gradient(*args):
+        gradients = star_gradient(*args)
+        return lambda points: passes.append(len(points)) or gradients(points)
 
+    monkeypatch.setattr(RadialKernel, "evaluate_many", counted_evaluate_many)
+    monkeypatch.setattr(oracle, "_star_gradient", counted_star_gradient)
+    for poly in criterion_04_regions() + [cli.load_region_file(str(DATA / "t345.json")).polygon]:
+        calls.clear()
+        passes.clear()
+        oracle_minimize(poly)
+        assert len(calls) == 1
+        assert 0 < len(passes) <= 6 and set(passes) == {5}
+
+    # the point-set oracle stays Nelder-Mead: three 11 by 11 grid passes
+    # after it would make 363 objective evaluations by themselves
     calls.clear()
     minimize = oracle._brute_force_minimize
 
@@ -394,6 +423,86 @@ def test_minimizers_run_nelder_mead_alone(monkeypatch):
     oracle_minimize_points(cli.load_region_file(str(DATA / "obtuse_points.json")).point_set)
     assert 0 < len(calls) < 363
 
+
+def test_gradient_rule_is_exact_for_the_second_moment():
+    # grad of the integral of |P - x|**2 is 2 * area * (x - centroid), a
+    # polynomial the rule integrates exactly, inside the region or outside
+    for poly in (T345, PENTAGON, OFFSET_QUAD._local_frame()[0]):
+        c = poly.centroid
+        pts = np.array([(c.x, c.y), (c.x + 0.3, c.y - 0.2), (c.x + 5.0, c.y + 2.0)])
+        got = oracle._star_gradient(poly, 2.0)(pts)
+        want = 2.0 * poly.area * (pts - (c.x, c.y))
+        scale = 2.0 * poly.area * poly.diameter
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_gradient_is_finite_on_a_boundary_node(p):
+    # a Gauss node of the first edge: |P - x| is 0 there, and |P - x|**(p - 2)
+    # would be infinite without the floor
+    _, t, _ = star_rule(2 * _PANELS)
+    a, e = T345.coords[0], T345.edge_vectors[0]
+    x = a + t[7] * e
+    assert not np.any((a - x) + t[7] * e)
+    g = oracle._star_gradient(T345, p)(x[None, :])
+    assert np.all(np.isfinite(g))
+
+
+def _stand_in(rows):
+    """A stand-in for ``oracle._star_gradient`` whose pass returns
+    ``rows(points)``."""
+    return lambda poly, p: lambda points: np.array(rows(np.asarray(points)), dtype=float)
+
+
+NEWTON_FAILURES = {
+    # a non-finite Jacobian
+    "nan": (lambda pts: np.full(pts.shape, math.nan), "singular or not finite"),
+    # a constant gradient: the Jacobian is 0
+    "constant": (lambda pts: np.ones(pts.shape), "singular or not finite"),
+    # a Jacobian of rank one
+    "rank_one": (lambda pts: np.repeat(pts.sum(axis=1, keepdims=True), 2, axis=1), "singular or not finite"),
+    # a huge gradient over a tiny Jacobian: the step overflows
+    "overflow": (lambda pts: [(1e308, 1e308), (1e-300, 0.0), (-1e-300, 0.0), (0.0, 1e-300), (0.0, -1e-300)],
+                 "step is not finite"),
+    # a cube root: every Newton step lands twice as far on the other side
+    "diverging": (lambda pts: np.cbrt(pts - 10.0), "did not converge in 20 iterations"),
+}
+
+
+@pytest.mark.parametrize("case", list(NEWTON_FAILURES))
+def test_newton_failures_raise(monkeypatch, case):
+    rows, message = NEWTON_FAILURES[case]
+    monkeypatch.setattr(oracle, "_star_gradient", _stand_in(rows))
+    with pytest.raises(NonConvergenceError, match=message):
+        oracle_minimize(T345)
+
+
+def test_median_oracle_newton_failure_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_star_gradient", _stand_in(NEWTON_FAILURES["nan"][0]))
+    code = cli.main(["median", str(DATA / "t345.json"), "--oracle"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the oracle's Jacobian is singular or not finite") and err.count("\n") == 1
+
+
+def test_oracle_is_independent_of_the_solver():
+    # no import of the solver's modules and no edge route of the kernels
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not (modules | names) & {"residuals", "solver"}
+    edge_routes = {"closed_values_batch", "quadrature_values_batch", "gradient_many", "values_batch",
+                   "segment_sigma_quadrature"}
+    assert not names & edge_routes
 
 
 def _problem(monkeypatch, run):
@@ -418,10 +527,28 @@ def _assert_nelder_mead_is_scipys(objective, start, options):
     assert ours == theirs and len(ours) == res.nfev
 
 
+def _region_problem(poly, kernel):
+    """The (objective, start, options) of Nelder-Mead on the region, in
+    its solve frame."""
+    return oracle._value_problem(poly._local_frame()[0], kernel)
+
+
+REGIONS = pytest.mark.parametrize("poly", [T345, THIN_TRIANGLE, PENTAGON, OFFSET_QUAD],
+                                  ids=["t345", "thin", "pentagon", "offset"])
+
+
 @pytest.mark.parametrize("kernel", [RadialKernel.euclidean(), RadialKernel.power(1.5)], ids=["euclidean", "p1.5"])
-@pytest.mark.parametrize("poly", [T345, THIN_TRIANGLE, PENTAGON, OFFSET_QUAD], ids=["t345", "thin", "pentagon", "offset"])
-def test_oracle_nelder_mead_is_scipys_bit_for_bit(monkeypatch, poly, kernel):
-    _assert_nelder_mead_is_scipys(*_problem(monkeypatch, lambda: oracle_minimize(poly, kernel)))
+@REGIONS
+def test_oracle_nelder_mead_is_scipys_bit_for_bit(poly, kernel):
+    _assert_nelder_mead_is_scipys(*_region_problem(poly, kernel))
+
+
+@REGIONS
+def test_oracle_below_p1_runs_nelder_mead_as_scipy_does(monkeypatch, poly):
+    kernel = RadialKernel.power(0.5)
+    objective, start, options = _problem(monkeypatch, lambda: oracle_minimize(poly, kernel))
+    assert (start, options) == _region_problem(poly, kernel)[1:]
+    _assert_nelder_mead_is_scipys(objective, start, options)
 
 
 @pytest.mark.parametrize("stem", ["obtuse_points", "weighted_points"])
@@ -478,7 +605,7 @@ def test_nelder_mead_edge_cases_are_scipys(case):
 @pytest.mark.parametrize("budget", [1, 2, 3, 4, 7, 40])
 def test_nelder_mead_spends_its_budgets_as_scipy_does(monkeypatch, budget):
     # an evaluation budget can run out in the middle of a step
-    objective, start, options = _problem(monkeypatch, lambda: oracle_minimize(T345))
+    objective, start, options = _region_problem(T345, RadialKernel.euclidean())
     _assert_nelder_mead_is_scipys(objective, start, dict(options, maxfev=budget))
     ps = cli.load_region_file(str(DATA / "obtuse_points.json")).point_set
     objective, start, options = _problem(monkeypatch, lambda: oracle_minimize_points(ps))
