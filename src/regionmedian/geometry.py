@@ -352,12 +352,17 @@ def _frame_origin(coords: np.ndarray, diameter: float) -> tuple:
     return ox, oy
 
 
+# an edge at least this long has a normal squared length
+_SHORT_EDGE = 2.0 ** -500
+
+
 class Polygon:
     """A simple polygon with at least three vertices, stored counterclockwise.
 
     The constructor validates the loop (no repeated consecutive vertices,
-    no self-intersection, strictly nonzero area) and normalizes the vertex
-    order to counterclockwise. ``was_reversed`` records whether the input
+    no edge whose squared length underflows to zero, no self-intersection,
+    strictly nonzero area) and normalizes the vertex order to
+    counterclockwise. ``was_reversed`` records whether the input
     arrived clockwise. Instances are immutable; derived quantities (edge
     vectors and lengths, area, centroid, diameter) are computed once.
 
@@ -409,6 +414,12 @@ class Polygon:
             edges = np.concatenate((coords[1:], coords[:1])) - coords
             area = -area
         lengths = np.hypot(edges[:, 0], edges[:, 1])
+        # the closed form divides by every squared edge length, which only
+        # an edge shorter than _SHORT_EDGE can lose to underflow
+        if lengths.min() < _SHORT_EDGE:
+            short = edges[lengths < _SHORT_EDGE]
+            if not (short * short).sum(axis=1).all():
+                raise InvalidPolygonError("polygon has an edge whose squared length underflows to zero")
         for arr in (coords, edges, lengths):
             arr.setflags(write=False)
         self._coords = coords

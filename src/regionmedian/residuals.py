@@ -14,13 +14,15 @@ tolerance tol = 1e-13 of every solve and CLI command; only the panels of
 failing edges are bisected, and an edge that does not pass raises
 NonConvergenceError. Edge integrals are taken in the region's solve
 frame (``Polygon._local_frame``). ``_frame_residual`` turns them into
-plain floats and arrays: the edge means, T summed correctly rounded
+plain floats: the edge means, T summed correctly rounded
 (``math.fsum``), so it does not depend on where the loop starts, and
 the rows of the Jacobian of the gradient, from the gradients of the
 edge integrals: closed-form, or integrated in the same Gauss-Kronrod
-pass as the values. The Newton loop of ``solver.solve_medianoid`` calls
-it once per trial point; ``general_boundary_residual`` wraps the same
-floats in a ``ResidualReport`` for callers outside the loop.
+pass as the values. Small loops reduce on Python floats, longer ones
+on arrays, with the same bits. The Newton loop of
+``solver.solve_medianoid`` calls it once per trial point;
+``general_boundary_residual`` wraps the same floats in a
+``ResidualReport`` for callers outside the loop.
 
 For a triangle T vanishes exactly when the three means are equal, for
 any kernel; their spread is the certificate, ``ResidualReport.certificate``
@@ -30,13 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul, truediv
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidTriangleError
 from .geometry import Point2, Polygon, Vector2, _require_finite, as_polygon, rotate90
-from .kernels import RadialKernel
+from .kernels import _FLOAT_EDGES, RadialKernel
 
 __all__ = [
     "ResidualReport",
@@ -81,8 +84,15 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     T = sum of m_i e_i is correctly rounded, so it does not depend on the
     edge order; a T that is not finite raises the ValueError of
     ``Vector2``. The Jacobian rows are those of ``ResidualReport.jacobian``.
+    The means are a list of floats. Loops of up to
+    ``kernels._FLOAT_EDGES`` edges reduce on Python floats
+    (``_float_reduction``), longer ones on arrays, with the same bits.
     """
     values, grads = kernel.values_batch(local.coords, local.edge_vectors, x)
+    if len(values) <= _FLOAT_EDGES:
+        out = _float_reduction(local, values, grads)
+        if out is not None:
+            return out
     lengths = local.edge_lengths
     means = values / lengths
     terms = means[:, None] * local.edge_vectors
@@ -91,19 +101,45 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     # s[a, b] = sum_i e_i[a] dm_i/dx_b; rotating its rows by +90 degrees
     # gives the Jacobian of the gradient rotate90(T, +1)
     (s00, s01), (s10, s11) = np.einsum("ia,ib->ab", local.edge_vectors, grads / lengths[:, None]).tolist()
+    return means.tolist(), tx, ty, ((-s10, -s11), (s00, s01))
+
+
+def _float_reduction(local: Polygon, values: np.ndarray, grads: np.ndarray) -> Optional[tuple]:
+    """``_frame_residual``'s reduction of the edge integrals on Python
+    floats, or None where a mean, T or a Jacobian entry is not finite, or
+    ``math.fsum`` raises; the array reduction then raises or returns as
+    it always does. The Jacobian sums run in edge order from 0.0, as
+    ``np.einsum`` accumulates them."""
+    exs, eys = local.edge_vectors.T.tolist()
+    lengths = local.edge_lengths.tolist()
+    try:
+        means = list(map(truediv, values.tolist(), lengths))
+        tx, ty = math.fsum(map(mul, means, exs)), math.fsum(map(mul, means, eys))
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return None
+    s00 = s01 = s10 = s11 = 0.0
+    for ex, ey, (gx, gy), length in zip(exs, eys, grads.tolist(), lengths):
+        gx, gy = gx / length, gy / length
+        s00 += ex * gx
+        s01 += ex * gy
+        s10 += ey * gx
+        s11 += ey * gy
+    # an infinity or a NaN anywhere makes the sum one too
+    if not math.isfinite(sum(means) + tx + ty + s00 + s01 + s10 + s11):
+        return None
     return means, tx, ty, ((-s10, -s11), (s00, s01))
 
 
 def _spread(means) -> float:
-    """(max - min) / largest |m| of the edge means; zero certifies a triangle's median.
+    """(max - min) / largest |m| of the edge means, a sequence of floats;
+    zero certifies a triangle's median.
 
     The spread is 0.0 only for finite, equal means; means that are not
     all finite give inf, which certifies nothing.
     """
-    m = np.asarray(means, dtype=float)
-    if not np.isfinite(m).all():
+    if not all(map(math.isfinite, means)):
         return math.inf
-    hi, lo = float(m.max()), float(m.min())
+    hi, lo = max(means), min(means)
     return (hi - lo) / max(hi, -lo) if hi != lo else 0.0
 
 
@@ -120,7 +156,7 @@ def general_boundary_residual(boundary, x: Point2, kernel: RadialKernel) -> Resi
     means, tx, ty, jacobian = _frame_residual(local, (x.x - ox, x.y - oy), kernel)
     residual = Vector2(tx, ty)
     diam = local.diameter
-    return ResidualReport(residual=residual, gradient=rotate90(residual), edge_means=tuple(means.tolist()),
+    return ResidualReport(residual=residual, gradient=rotate90(residual), edge_means=tuple(means),
                           norm=residual.norm, normalized_norm=residual.norm / (diam * diam), jacobian=jacobian)
 
 
@@ -148,5 +184,5 @@ def mean_distance_certificate(tri: Polygon, x: Point2) -> CertificateResult:
         raise InvalidTriangleError("certificate is defined for triangles only")
     local, ox, oy = as_polygon(tri)._local_frame()
     values, _ = RadialKernel.euclidean().values_batch(local.coords, local.edge_vectors, (x.x - ox, x.y - oy))
-    means = values / local.edge_lengths
-    return CertificateResult(means=tuple(means.tolist()), spread=_spread(means))
+    means = (values / local.edge_lengths).tolist()
+    return CertificateResult(means=tuple(means), spread=_spread(means))

@@ -236,7 +236,7 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
         certificate=_spread(means) if len(means) == 3 else None,
         converged=converged,
         local=p is None or p < 1.0,
-        edge_means=tuple(means.tolist()),
+        edge_means=tuple(means),
     )
 
 

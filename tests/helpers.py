@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from regionmedian import NonConvergenceError, Point2, Polygon, SingularRegionError, general_boundary_residual
+from regionmedian import kernels, residuals
 from regionmedian.kernels import (
     _GK_NODES,
     _GK_WEIGHTS,
@@ -42,25 +43,54 @@ def closed_value(a, b, x):
     return float(closed_values_batch([a], [np.asarray(b, dtype=float) - a], x)[0][0])
 
 
-def two_endpoint_closed_values(a, e, x):
-    """Reference for ``kernels.closed_values_batch``: the same elementwise
-    formulas, evaluated at each segment end by its own numpy calls."""
+def two_endpoint_closed_values(a, e, x, p=1):
+    """Reference for ``kernels.closed_values_batch(a, e, x, p)``: the same
+    elementwise formulas, evaluated at each segment end by its own numpy
+    calls."""
     e = np.asarray(e, dtype=float)
     w = np.asarray(x, dtype=float).reshape(2) - np.asarray(a, dtype=float)
     L2 = np.sum(e * e, axis=1)
     t0 = (e[:, 0] * w[:, 0] + e[:, 1] * w[:, 1]) / L2
     cs = (e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]) / L2
     c = np.abs(cs)
-    u1 = -t0
-    u2 = 1.0 - t0
-    c = np.maximum(c, _MIN_OFFSET)
-    r1, r2 = np.hypot(u1, c), np.hypot(u2, c)
-    s1, s2 = np.arcsinh(u1 / c), np.arcsinh(u2 / c)
-    vals = 0.5 * (u2 * r2 + c * c * s2) - 0.5 * (u1 * r1 + c * c * s1)
+    if p % 2:
+        c = np.maximum(c, _MIN_OFFSET)
+
+    def end(u):
+        """r, I_(p-2) and I_p at the parameter u of every segment."""
+        r = np.hypot(u, c)
+        if p % 2:
+            k, rk, low = 1, r, np.arcsinh(u / c)
+            high = 0.5 * (u * r + c * c * low)
+        else:
+            k, rk, low = 2, r * r, u
+            high = (u * rk + 2.0 * (c * c) * u) / 3.0
+        while k < p:
+            k, rk, low = k + 2, rk * r * r, high
+            high = (u * rk + k * (c * c) * low) / (k + 1)
+        return r, low, high
+
+    u1, u2 = -t0, 1.0 - t0
+    (r1, low1, high1), (r2, low2, high2) = end(u1), end(u2)
+    vals = high2 - high1
     along = (u1 + u2) / (r1 + r2)
-    normal = cs * (s2 - s1)
+    normal = cs * (low2 - low1)
+    if p > 1:
+        scale = L2 ** (0.5 * (p - 1))
+        total, r2k = r1 + r2, r2 * r2
+        for _ in range(p - 2):
+            total, r2k = r1 * total + r2k, r2k * r2
+        along = scale * (along * total)
+        normal, L2 = scale * (p * normal), scale * L2
     grad = np.stack((-(along * e[:, 0] + normal * e[:, 1]), normal * e[:, 0] - along * e[:, 1]), axis=1)
     return L2 * vals, grad
+
+
+def use_array_routes(monkeypatch):
+    """Send loops of every size down the array routes of
+    ``kernels.closed_values_batch`` and ``residuals._frame_residual``."""
+    monkeypatch.setattr(kernels, "_FLOAT_EDGES", 0)
+    monkeypatch.setattr(residuals, "_FLOAT_EDGES", 0)
 
 
 def decimal_edge_integral(a, e, x, p):

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import use_array_routes
+
 import regionmedian
 from regionmedian import Point2, Polygon, RadialKernel
 from regionmedian import cli
@@ -39,12 +41,17 @@ def test_median_reports_a_converged_solve(capsys):
 
 
 def test_golden_reports_are_reproduced_byte_for_byte(capsys, tmp_path):
-    # boundary_loop has 32 edge means, so its report pins the one-per-line layout
-    for stem in ("equilateral", "t345", "pentagon", "boundary_loop"):
-        out_path = tmp_path / f"{stem}.json"
-        code, _, _ = run(capsys, "median", str(DATA / f"{stem}.json"), "--json-out", str(out_path))
+    # boundary_loop has 32 edge means, so its report pins the one-per-line
+    # layout; the p = 3 medianoid pins the closed form's reduction and its
+    # power of the squared lengths
+    runs = [(f"{stem}_report", ["median", str(DATA / f"{stem}.json")])
+            for stem in ("equilateral", "t345", "pentagon", "boundary_loop")]
+    runs.append(("t345_power3_report", ["medianoid", str(DATA / "t345.json"), "--kernel", "power:3"]))
+    for golden, argv in runs:
+        out_path = tmp_path / f"{golden}.json"
+        code, _, _ = run(capsys, *argv, "--json-out", str(out_path))
         assert code == 0
-        assert out_path.read_bytes() == (GOLDEN / f"{stem}_report.json").read_bytes()
+        assert out_path.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
 
 
 def test_every_euclidean_medianoid_prints_the_golden_median_report(capsys, tmp_path):
@@ -770,13 +777,15 @@ def test_check_output_is_byte_stable_at_a_vertex_an_edge_and_far_out(capsys, poi
 # inputs that once printed numpy warnings, a traceback or an error that
 # did not name the overflow: a point set whose diameter overflows, two
 # whose centroid or objective overflows, a kernel that overflows on a
-# 50-wide triangle, and subnormal points whose Weiszfeld weights 1/d
-# overflow
+# 50-wide triangle, a triangle with an edge of 5e-324 and subnormal
+# points whose Weiszfeld weights 1/d overflow
 NUMPY_EDGE_INPUTS = {
     "overflowing_points": {"points": [[1e308, 0], [-1e308, 0], [0, 1e308]]},
     "overflowing_sums": {"points": [[1e308, 0], [0, 0], [0, 1e308], [1e308, 1e308]]},
     "overflowing_objective": {"points": [[1.2e308, 0], [-0.5e308, 0], [0, 1.2e308]]},
     "kernel_overflow": {"polygon": [[0, 0], [30, 0], [30, 40]]},
+    # an edge whose squared length underflows to 0, the closed form's divisor
+    "underflowing_edge": {"polygon": [[0, 0], [3, 0], [3, 5e-324]]},
     "subnormal_points": {"points": [[1e-320, 0], [0, 1e-320], [3e-320, 2e-320]]},
     # JSON strings and booleans are no coordinates, and an integer past the
     # float range is no float
@@ -849,12 +858,41 @@ def test_no_command_prints_a_numpy_warning(capsys, tmp_path):
      "the kernel integrals overflow the float range: overflow encountered in power"),
     ("overflowing_sums", ["discrete"], "point set sums overflow the float range"),
     ("overflowing_objective", ["discrete", "--oracle"], "point set sums overflow the float range"),
+    ("underflowing_edge", ["median"], "polygon has an edge whose squared length underflows to zero"),
+    ("underflowing_edge", ["check", "--point", "1,1"], "polygon has an edge whose squared length underflows to zero"),
 ])
 def test_an_overflowing_input_prints_one_error_line_naming_it(capsys, tmp_path, stem, argv, message):
     path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps(NUMPY_EDGE_INPUTS[stem]))
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_overflowing_inputs_fail_alike_on_the_float_and_the_array_routes(capsys, tmp_path, monkeypatch):
+    # the float routes hand a point they cannot finish on finite floats to
+    # the array routes, which raise as they always did: a point 1e160 out
+    # (past the float route's bound), a point 1e19 out under p = 16 (whose
+    # float values overflow) and a region scaled to 1e103 under p = 3 (past
+    # the bound of its squared lengths; its centroid overflows too)
+    t345 = json.loads((DATA / "t345.json").read_text())
+    files = {}
+    for stem, data in (("power16", {**t345, "kernel": {"kind": "power", "p": 16}}),
+                       ("scaled", {"polygon": (1e103 * np.array(t345["polygon"])).tolist(),
+                                   "kernel": {"kind": "power", "p": 3}})):
+        files[stem] = tmp_path / f"{stem}.json"
+        files[stem].write_text(json.dumps(data))
+    runs = [["check", str(DATA / "t345.json"), "--point", "1e160,0"],
+            ["check", str(files["power16"]), "--point", "1e19,0"],
+            ["check", str(files["scaled"]), "--point", "1e103,1e103"],
+            ["medianoid", str(files["scaled"])]]
+    t345 = Polygon(t345["polygon"])
+    assert regionmedian.kernels._closed_values_floats(t345.coords, t345.edge_vectors, (1e19, 0.0), 16) is None
+    for argv in runs:
+        got = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            use_array_routes(patch)
+            assert run(capsys, *argv) == got, argv
+        assert got[0] == 1 and got[2].startswith("error: ") and "overflow" in got[2], (argv, got)
 
 
 @pytest.mark.parametrize("stem,command,message", [

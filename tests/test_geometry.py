@@ -135,6 +135,16 @@ def test_repeated_vertex_rejected():
         Polygon([(0, 0), (1, 0), (1, 0), (0, 1)])
 
 
+def test_an_edge_whose_squared_length_underflows_is_rejected():
+    # the closed form divides by ex*ex + ey*ey; an edge near 1e-160 keeps
+    # a subnormal square and its polygon, one of 5e-324 does not
+    for coords in ([(0, 0), (3, 0), (3, 5e-324)], [(0, 0), (1, 0), (1, 1e-170)]):
+        with pytest.raises(InvalidPolygonError, match="^polygon has an edge whose squared length underflows to zero$"):
+            Polygon(coords)
+    tiny = Polygon(np.array([(0, 0), (3, 0), (3, 4)]) * 1e-160)
+    assert (tiny.edge_vectors ** 2).sum(axis=1).all()
+
+
 def test_vertex_touching_edge_rejected():
     # the loop pinches: vertex 3 sits on the interior of edge 0-1
     with pytest.raises(InvalidPolygonError):

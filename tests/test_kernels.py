@@ -136,6 +136,24 @@ def test_closed_batch_equals_the_two_endpoint_reference_bit_for_bit():
             w = x - a
             collinear_rows += int(np.sum(np.abs(e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]) / np.sum(e * e, axis=1) < 1e-12))
     assert collinear_rows > 1000
+    # every closed power, on loops either side of kernels._FLOAT_EDGES and
+    # at it: at an interior point, two vertices, points on two carrier
+    # lines and a point a million diameters away; the loops up to the
+    # crossover finish on floats
+    for n in (3, 8, kernels._FLOAT_EDGES, kernels._FLOAT_EDGES + 1, 2 * kernels._FLOAT_EDGES + 3):
+        for _ in range(2):
+            poly = random_star_polygon(rng, n)
+            a, e = poly.coords, poly.edge_vectors
+            x0 = interior_point(poly, rng)
+            far = x0 + 1e6 * poly.diameter * np.array([0.6, -0.8])
+            points = [x0, a[0], a[n // 2], a[1] + 2.5 * e[1], a[2] - 0.75 * e[2], far]
+            for p in range(1, _MAX_CLOSED_POWER + 1):
+                for x in points:
+                    got = closed_values_batch(a, e, x, p)
+                    want = two_endpoint_closed_values(a, e, x, p)
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (n, p, x)
+                    if n <= kernels._FLOAT_EDGES:
+                        assert kernels._closed_values_floats(a, e, x, p) is not None
 
 
 def test_closed_vs_quadrature_including_near_collinear():

@@ -17,6 +17,7 @@ from helpers import (
     random_triangle,
     reference_solve_medianoid,
     similarity_transform,
+    use_array_routes,
 )
 
 from regionmedian import (
@@ -633,15 +634,20 @@ def _outcome(solve, region, kernel, cfg=None) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_the_float_loop_matches_the_report_loop_bit_for_bit():
+def test_the_float_loop_matches_the_report_loop_bit_for_bit(monkeypatch):
     # every field of every result, and every error, as the report-object
-    # loop gives them
+    # loop gives them on the array routes of the closed form and the
+    # residual; loops up to kernels._FLOAT_EDGES edges take the float
+    # routes in the float loop
     kernels = [RadialKernel.power(p) for p in (1.0, 1.5, 2.0, 3.0)]
     kernels.append(RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy) + 0.1 * (dx * dx + dy * dy)))
     rng = np.random.default_rng(3201)
     regions = [Polygon(unit_region(rng, j)) for j in range(24)]
     # the same region 1e8 diameters out, where the solve frame is translated
     regions.append(Polygon(regions[4].coords + 1e8 * regions[4].diameter))
+    # stars either side of the crossover and at it
+    crossover = regionmedian.kernels._FLOAT_EDGES
+    regions += [random_star_polygon(rng, n) for n in (3, 8, crossover, crossover + 1)]
     cases = [(region, kernel, None) for region in regions for kernel in kernels]
     cases += [
         # every step a gradient fallback step, and a stagnating solve
@@ -657,7 +663,9 @@ def test_the_float_loop_matches_the_report_loop_bit_for_bit():
     outcomes = []
     for region, kernel, cfg in cases:
         got = _outcome(solve_medianoid, region, kernel, cfg)
-        assert got == _outcome(reference_solve_medianoid, region, kernel, cfg)
+        with monkeypatch.context() as patch:
+            use_array_routes(patch)
+            assert got == _outcome(reference_solve_medianoid, region, kernel, cfg)
         outcomes.append(got)
     assert sum("converged=False" in o for o in outcomes) >= 2
     assert [o.split(":")[0] for o in outcomes[-4:]] == ["SingularRegionError"] * 3 + ["NonConvergenceError"]
