@@ -17,7 +17,7 @@ from .errors import (
 )
 from .geometry import Point2, Polygon, Vector2, as_polygon, rotate90
 from .kernels import RadialKernel
-from .oracle import MCEstimate, OracleValue, oracle_minimize, oracle_minimize_points, oracle_sigma, oracle_sigma_mc
+from .oracle import OracleValue, oracle_minimize, oracle_minimize_points, oracle_sigma
 from .residuals import (
     CertificateResult,
     ResidualReport,
@@ -48,11 +48,9 @@ __all__ = [
     "solve_medianoid",
     "degenerate_limit_study",
     "OracleValue",
-    "MCEstimate",
     "oracle_sigma",
     "oracle_minimize",
     "oracle_minimize_points",
-    "oracle_sigma_mc",
     "PointSet",
     "weiszfeld",
     "region_median_by_sampling",

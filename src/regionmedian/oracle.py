@@ -5,33 +5,35 @@ rule for every query point x: a tensor Gauss rule on the Duffy-mapped
 signed star triangles from x (``triquad.star_rule``), summed in closed
 form along the radial direction for the power kernels, which are
 homogeneous (the Euclidean kernel is p = 1); a custom kernel
-(``kernel.p`` None) takes the full tensor rule. Adds a Monte Carlo
-cross-check and two minimizers. For power kernels with p >= 1 the region
-minimizer is the root of the star-rule gradient, found by a short Newton
-loop on a central-difference Jacobian: within 1e-12 of the diameter of
-the solver's median on acceptance criterion 04's regions, in about a
-sixth of the time of Nelder-Mead on the value, which stopped up to 7e-9
-of the diameter away. Custom kernels, p < 1 and point sets take one
-derivative-free minimizer (Nelder-Mead). Independent by design: nothing
-here shares code paths with the solvers it certifies, no edge integral
-of ``kernels`` is used, and the Monte Carlo estimate samples the area
-itself, on signed triangles from vertex 0.
+(``kernel.p`` None) takes the full tensor rule. Adds two minimizers.
+Regions are a ``Polygon`` or a vertex loop, as for the solvers. For
+power kernels with p >= 1 the region minimizer is the root of the
+star-rule gradient, found by a short Newton loop on a central-difference
+Jacobian: within 1e-12 of the diameter of the solver's median on
+acceptance criterion 04's regions, in about a sixth of the time of
+Nelder-Mead on the value, which stopped up to 7e-9 of the diameter away.
+Custom kernels, p < 1 and point sets take one derivative-free minimizer
+(Nelder-Mead). Independent by design: nothing here shares code paths
+with the solvers it certifies, and no edge integral of ``kernels`` is
+used. The tests check the rule by the divergence theorem: the integral
+of |y|**p is (2 / (p + 2)) sum_i A_i m_i, m_i the mean of |y|**p on edge
+i and A_i the signed area of (x, a_i, a_i+1).
 """
 from __future__ import annotations
 
 import math
 import sys
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import NonConvergenceError, SingularRegionError
-from .geometry import Point2, Polygon, _frame_origin, _point_xy
+from .geometry import Point2, Polygon, _frame_origin, _point_xy, as_polygon
 from .kernels import RadialKernel
-from .triquad import signed_areas, star_rule, triangulate
+from .triquad import star_rule
 
-__all__ = ["OracleValue", "MCEstimate", "oracle_sigma", "oracle_minimize", "oracle_minimize_points", "oracle_sigma_mc"]
+__all__ = ["OracleValue", "oracle_sigma", "oracle_minimize", "oracle_minimize_points"]
 
 # t-panels of the rule; the error estimate compares against twice as many
 _PANELS = 4
@@ -59,11 +61,6 @@ class OracleValue(float):
         obj = super().__new__(cls, value)
         obj.error_estimate = float(error_estimate)
         return obj
-
-
-class MCEstimate(NamedTuple):
-    mean: float
-    stderr: float
 
 
 @lru_cache(maxsize=None)
@@ -111,14 +108,14 @@ def _star_objective(poly: Polygon, kernel: RadialKernel, panels: int = _PANELS):
     return integral
 
 
-def oracle_sigma(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None) -> OracleValue:
+def oracle_sigma(poly, x: Point2, kernel: Optional[RadialKernel] = None) -> OracleValue:
     """Area integral of kernel(P - x) over the polygon.
 
     Returns the value of the star rule as an ``OracleValue``; its
     ``error_estimate`` attribute is the absolute difference against the
     same rule with twice the t-panels.
     """
-    kernel = kernel or RadialKernel.euclidean()
+    poly, kernel = as_polygon(poly), kernel or RadialKernel.euclidean()
     xv = _point_xy(x)
     value = _star_objective(poly, kernel)(xv)
     finer = _star_objective(poly, kernel, 2 * _PANELS)(xv)
@@ -328,7 +325,7 @@ def _gradient_root(frame: Polygon, p: float, start) -> Point2:
     raise NonConvergenceError(f"the oracle's Newton loop did not converge in {_NEWTON_BUDGET} iterations")
 
 
-def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Point2:
+def oracle_minimize(poly, kernel: Optional[RadialKernel] = None) -> Point2:
     """Brute-force minimizer of the area objective, from the area centroid.
 
     For power kernels with p >= 1 (the Euclidean kernel among them) it is
@@ -349,7 +346,7 @@ def oracle_minimize(poly: Polygon, kernel: Optional[RadialKernel] = None) -> Poi
     scale-free frame for the oracle and for ``Polygon.centroid``), and
     ``NonConvergenceError`` when the Newton loop fails.
     """
-    kernel = kernel or RadialKernel.euclidean()
+    poly, kernel = as_polygon(poly), kernel or RadialKernel.euclidean()
     frame, ox, oy = poly._local_frame()
     objective, start, options = _value_problem(frame, kernel)
     if kernel.p is not None and kernel.p >= 1.0:
@@ -381,38 +378,3 @@ def oracle_minimize_points(ps) -> Point2:
     options = {"xatol": 1e-12 * diam, "fatol": 1e-15 * objective(start), "maxiter": 2000, "maxfev": 3000}
     m = _brute_force_minimize(objective, start, options)
     return Point2(m.x + ox, m.y + oy)
-
-
-def oracle_sigma_mc(poly: Polygon, x: Point2, kernel: Optional[RadialKernel] = None,
-                    samples: int = 1_000_000, seed: int = 0) -> MCEstimate:
-    """Monte Carlo estimate of the area integral, with its standard error.
-
-    Draws ``samples`` fan triangles of ``triangulate`` with probability
-    |A_i| / sum |A| and a point uniformly in each, from a generator seeded
-    with ``seed``, and negates the values drawn in negative triangles:
-    sum |A| times their mean is unbiased, with standard error
-    sum |A| * std / sqrt(samples). Fewer than 2 samples: ValueError.
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    kernel = kernel or RadialKernel.euclidean()
-    xv = _point_xy(x)
-    tris = triangulate(poly)
-    areas = signed_areas(tris)
-    weights = np.abs(areas)
-    total = float(weights.sum())
-    rng = np.random.default_rng(seed)
-    which = rng.choice(len(tris), size=samples, p=weights / total)
-    u = rng.random(samples)
-    v = rng.random(samples)
-    flip = u + v > 1.0
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
-    a, b, c = tris[which, 0], tris[which, 1], tris[which, 2]
-    px = a[:, 0] + u * (b[:, 0] - a[:, 0]) + v * (c[:, 0] - a[:, 0])
-    py = a[:, 1] + u * (b[:, 1] - a[:, 1]) + v * (c[:, 1] - a[:, 1])
-    vals = kernel.evaluate_many(px - xv[0], py - xv[1])
-    vals = np.where(areas[which] < 0.0, -vals, vals)
-    mean = total * float(vals.mean())
-    stderr = total * float(vals.std(ddof=1)) / math.sqrt(samples)
-    return MCEstimate(mean=mean, stderr=stderr)

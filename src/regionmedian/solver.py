@@ -15,6 +15,7 @@ report types are built once, for the result.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -47,14 +48,16 @@ def _integer(value, name: str) -> int:
 class SolveConfig:
     """Newton iteration controls.
 
-    tol_rel thresholds the scale-free normalized residual norm; max_iter
-    is an integer (``operator.index``), not a bool.
+    tol_rel, a real number, thresholds the scale-free normalized residual
+    norm; max_iter is an integer (``operator.index``); neither is a bool.
     """
 
     tol_rel: float = 1e-12
     max_iter: int = 100
 
     def __post_init__(self) -> None:
+        if isinstance(self.tol_rel, bool) or not isinstance(self.tol_rel, numbers.Real):
+            raise ValueError(f"tol_rel must be a number, not {self.tol_rel!r}")
         if not 0.0 < self.tol_rel < math.inf:
             raise ValueError("tol_rel must be finite and > 0")
         if _integer(self.max_iter, "max_iter") < 1:

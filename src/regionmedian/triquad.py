@@ -6,6 +6,8 @@ signed area A (Duffy, "Quadrature over a pyramid or cube of integrands
 with a singularity at a vertex", SIAM J. Numer. Anal. 1982). A radial
 integrand f(|P - x|) has its kink at s = 0, where the Jacobian cancels
 it, so a tensor Gauss-Legendre rule in (s, t) converges fast.
+
+Only ``star_rule`` runs in the package; the benchmark wraps the rest.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .geometry import Polygon
 
-__all__ = ["STAR_RULE_DEGREE", "star_rule", "subdivide4", "triangulate", "star_triangles", "signed_areas"]
+__all__ = ["STAR_RULE_DEGREE", "star_rule", "subdivide4", "triangulate", "star_triangles"]
 
 # Gauss-Legendre nodes in u, with s = u**2: then s**(p + 1) ds is a
 # polynomial in u for integer and half-integer p
@@ -68,11 +70,6 @@ def subdivide4(tris: np.ndarray) -> np.ndarray:
     )
 
 
-def signed_areas(tris: np.ndarray) -> np.ndarray:
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-
-
 def star_triangles(poly: Polygon, x) -> np.ndarray:
     """Fan of triangles (x, v_i, v_{i+1}) over the whole loop, as (n, 3, 2).
 
@@ -93,7 +90,8 @@ def star_triangles(poly: Polygon, x) -> np.ndarray:
 def triangulate(poly: Polygon) -> np.ndarray:
     """Fan of triangles (v_0, v_i, v_{i+1}), i = 1 .. n - 2, as (n - 2, 3, 2).
     Their signed areas add up to the area of any simple loop; some are
-    negative where the loop is not star-shaped from v_0."""
+    negative where the loop is not star-shaped from v_0. The benchmark's
+    traced run wraps this function by name."""
     c = poly.coords
     m = len(c) - 2
     a = np.broadcast_to(c[0], (m, 2))

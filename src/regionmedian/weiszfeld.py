@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptySampleError
-from .geometry import Point2, Polygon, _frame_origin, _max_pairwise_distance
+from .geometry import Point2, _frame_origin, _max_pairwise_distance, as_polygon
 from .solver import SolveConfig, SolveResult, _damped_newton, _integer
 
 __all__ = ["PointSet", "weiszfeld", "region_median_by_sampling"]
@@ -148,18 +148,19 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
                        normalized_norm=trace[-1][1], trace=trace, converged=converged)
 
 
-def region_median_by_sampling(poly: Polygon, grid_n: int) -> Point2:
+def region_median_by_sampling(poly, grid_n: int) -> Point2:
     """Approximate region median from a lattice of interior cell centers.
 
-    Lays a grid_n by grid_n lattice over the bounding box, keeps the cell
-    centers strictly inside the polygon, and runs the discrete solver on
-    them. Converges to the region median as grid_n grows. grid_n is an
-    integer (``operator.index``), not a bool, and at least 2; ValueError
-    otherwise.
+    Takes a ``Polygon`` or a vertex loop (``geometry.as_polygon``). Lays a
+    grid_n by grid_n lattice over the bounding box, keeps the cell centers
+    strictly inside the polygon, and runs the discrete solver on them.
+    Converges to the region median as grid_n grows. grid_n is an integer
+    (``operator.index``), not a bool, and at least 2; ValueError otherwise.
     """
     n = _integer(grid_n, "grid_n")
     if n < 2:
         raise ValueError("grid_n must be >= 2")
+    poly = as_polygon(poly)
     lo = poly.coords.min(axis=0)
     hi = poly.coords.max(axis=0)
     xs = lo[0] + (np.arange(n) + 0.5) * (hi[0] - lo[0]) / n

@@ -18,6 +18,7 @@ from regionmedian.kernels import (
     _MIN_OFFSET,
     _QUAD_TOL,
     _ROUNDOFF,
+    RadialKernel,
     closed_values_batch,
 )
 from regionmedian.oracle import _radial_weights
@@ -30,7 +31,7 @@ from regionmedian.solver import (
     _ill_conditioned,
     _validated_region,
 )
-from regionmedian.triquad import signed_areas, star_rule
+from regionmedian.triquad import star_rule
 
 # two squares joined by a bar 0.1 wide and 4 long
 DUMBBELL = [(0, 0), (2, 0), (2, 0.95), (6, 0.95), (6, 0), (7, 0), (7, 1), (6, 1), (6, 1.05), (2, 1.05),
@@ -137,6 +138,34 @@ def decimal_edge_integral(a, e, x, p):
         normal = p * d * (l2 - l1)
         gx, gy = along * tx - normal * ty, along * ty + normal * tx
         return float(h2 - h1), np.array([float(gx), float(gy)])
+
+
+def divergence_area_integral(poly, x, p):
+    """Reference for ``oracle.oracle_sigma(poly, x, RadialKernel.power(p))``
+    from the divergence theorem: div(|y|^p y) = (p + 2) |y|^p in the plane,
+    and y . n on edge i is twice the signed area A_i of the star triangle
+    (x, a_i, a_i+1) over the edge's length, so the area integral of
+    |P - x|^p is (2 / (p + 2)) sum_i A_i m_i, m_i the mean of |P - x|^p
+    along edge i. The edge integrals are ``decimal_edge_integral``'s for
+    integer p and ``kernels.quadrature_values_batch``'s otherwise."""
+    x = np.asarray(x, dtype=float).reshape(2)
+    a, e = poly.coords, poly.edge_vectors
+    q = a - x
+    qn = np.concatenate((q[1:], q[:1]))
+    areas = 0.5 * (q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0])
+    if float(p).is_integer():
+        integrals = np.array([decimal_edge_integral(ai, ei, x, int(p))[0] for ai, ei in zip(a, e)])
+    else:
+        integrals = kernels.quadrature_values_batch(a, e, x, RadialKernel.power(p))[0]
+    means = integrals / np.hypot(e[:, 0], e[:, 1])
+    return 2.0 / (p + 2.0) * float(areas @ means)
+
+
+def signed_areas(tris):
+    """Signed areas of an (M, 3, 2) stack of triangles, positive for
+    counterclockwise ones."""
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
 def decimal_point_median(points, weights, start):
@@ -359,29 +388,6 @@ def star_integral_reference(poly, x, kernel, panels=4):
         vals = kernel.evaluate_many(s[:, None] * b[:, 0, None, :], s[:, None] * b[:, 1, None, :])
         return float(areas @ (vals.reshape(len(q), -1) @ w.ravel()))
     return float(areas @ (kernel.evaluate_many(b[:, 0], b[:, 1]) @ _radial_weights(panels, kernel.p)))
-
-
-def convex_monte_carlo_reference(poly, x, kernel, samples, seed):
-    """(mean, stderr) of the Monte Carlo sampler for convex loops as it was
-    before the signed fan: the fan triangles from vertex 0 drawn with
-    probability A_i / area, a point uniformly in each, no sign to apply."""
-    c = poly.coords
-    m = len(c) - 2
-    tris = np.stack([np.broadcast_to(c[0], (m, 2)), c[1:-1], c[2:]], axis=1)
-    areas = signed_areas(tris)
-    total = float(areas.sum())
-    rng = np.random.default_rng(seed)
-    which = rng.choice(m, size=samples, p=areas / total)
-    u = rng.random(samples)
-    v = rng.random(samples)
-    flip = u + v > 1.0
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
-    a, b, c = tris[which, 0], tris[which, 1], tris[which, 2]
-    px = a[:, 0] + u * (b[:, 0] - a[:, 0]) + v * (c[:, 0] - a[:, 0])
-    py = a[:, 1] + u * (b[:, 1] - a[:, 1]) + v * (c[:, 1] - a[:, 1])
-    vals = kernel.evaluate_many(px - x[0], py - x[1])
-    return total * float(vals.mean()), total * float(vals.std(ddof=1)) / math.sqrt(samples)
 
 
 def comb_polygon(teeth, width=0.5, height=4.0):

@@ -1,5 +1,5 @@
 """Area-integration oracle: anchors, closed forms, refinement estimates,
-Monte Carlo."""
+the divergence theorem."""
 
 import ast
 import math
@@ -12,8 +12,8 @@ from helpers import (
     DUMBBELL,
     closed_value,
     comb_polygon,
-    convex_monte_carlo_reference,
     criterion_04_regions,
+    divergence_area_integral,
     interior_point,
     random_convex_polygon,
     random_star_polygon,
@@ -21,18 +21,26 @@ from helpers import (
     tensor_star_integral,
 )
 
-from regionmedian import NonConvergenceError, Point2, Polygon, RadialKernel, SingularRegionError, cli, oracle
+from regionmedian import (
+    InvalidPolygonError,
+    NonConvergenceError,
+    Point2,
+    Polygon,
+    RadialKernel,
+    SingularRegionError,
+    cli,
+    oracle,
+    region_median_by_sampling,
+)
 from regionmedian.oracle import (
     _PANELS,
-    MCEstimate,
     OracleValue,
     _star_objective,
     oracle_minimize,
     oracle_minimize_points,
     oracle_sigma,
-    oracle_sigma_mc,
 )
-from regionmedian.triquad import signed_areas, star_rule, triangulate
+from regionmedian.triquad import star_rule
 from regionmedian.solver import solve_median, solve_medianoid
 
 DATA = Path(__file__).parent / "data"
@@ -137,76 +145,51 @@ def test_sliver_limit_matches_segment_integral():
     assert devs[1] <= 0.2 * devs[0]
 
 
+def _assert_divergence_theorem(poly, x, kernel=None):
+    """``oracle_sigma`` at x within twice its error estimate, plus
+    rounding, of ``divergence_area_integral``."""
+    p = 1.0 if kernel is None else kernel.p
+    v = oracle_sigma(poly, Point2(*x), kernel)
+    want = divergence_area_integral(poly, x, p)
+    assert abs(float(v) - want) <= 2.0 * v.error_estimate + 1e-14 * abs(want), (x, p)
+
+
 def test_exterior_query_point_agrees_with_monte_carlo():
-    poly = Polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
-    x = Point2(4.0, 3.0)
-    v = oracle_sigma(poly, x)
-    mc = oracle_sigma_mc(poly, x, samples=200_000, seed=4)
-    assert abs(float(v) - mc.mean) <= 4.5 * mc.stderr
+    _assert_divergence_theorem(Polygon([(0, 0), (2, 0), (2, 1), (0, 1)]), (4.0, 3.0))
 
 
 def test_star_region_agrees_with_monte_carlo():
-    # non-convex regions exercise the signed-fan route; Monte Carlo does
-    # not triangulate the same way, so agreement is a real cross-check
+    # the star triangles of a non-convex region overlap with both signs;
+    # the reference integrates along the edges only
     rng = np.random.default_rng(23)
     poly = random_star_polygon(rng, n=9)
-    x = Point2(*interior_point(poly, rng))
-    v = oracle_sigma(poly, x)
-    mc = oracle_sigma_mc(poly, x, samples=300_000, seed=8)
-    assert abs(float(v) - mc.mean) <= 4.5 * mc.stderr
-
-
-def test_monte_carlo_on_convex_loops_is_the_unsigned_sampler_bit_for_bit():
-    rng = np.random.default_rng(90)
-    kernels = (RadialKernel.euclidean(), RadialKernel.power(1.5))
-    polys = [random_convex_polygon(rng) for _ in range(200)]
-    # a flat corner gives a fan triangle of area zero
-    polys.append(Polygon([(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)]))
-    for k, poly in enumerate(polys):
-        x = rng.uniform(-2.0, 2.0, 2)
-        seed = int(rng.integers(1 << 31))
-        mc = oracle_sigma_mc(poly, Point2(*x), kernels[k % 2], samples=2000, seed=seed)
-        assert (mc.mean, mc.stderr) == convex_monte_carlo_reference(poly, x, kernels[k % 2], 2000, seed)
+    _assert_divergence_theorem(poly, interior_point(poly, rng))
 
 
 @pytest.mark.parametrize("region", [Polygon(DUMBBELL), comb_polygon(20)], ids=["dumbbell", "comb"])
 def test_monte_carlo_agrees_where_the_fan_overlaps_itself(region):
-    # the fan from vertex 0 covers the dumbbell about 2.8 times and the
-    # comb about 10 times over; the negative triangles cancel the excess
-    areas = signed_areas(triangulate(region))
-    assert np.abs(areas).sum() > 2.5 * region.area
-    x = region.centroid
-    mc = oracle_sigma_mc(region, x, samples=300_000, seed=12)
-    assert abs(float(oracle_sigma(region, x)) - mc.mean) <= 4.5 * mc.stderr
+    # the dumbbell's reference differs by about 1e-9 relative, inside the
+    # oracle's own error estimate
+    c = region.centroid
+    _assert_divergence_theorem(region, (c.x, c.y))
 
 
 def test_monte_carlo_on_a_4096_vertex_star_loop():
     rng = np.random.default_rng(91)
     poly = random_star_polygon(rng, n=4096)
-    areas = signed_areas(triangulate(poly))
-    assert len(areas) == 4094 and areas.min() < 0.0
-    assert math.isclose(areas.sum(), poly.area, rel_tol=1e-12)
-    x = Point2(*interior_point(poly, rng))
-    mc = oracle_sigma_mc(poly, x, samples=100_000, seed=13)
-    assert abs(float(oracle_sigma(poly, x)) - mc.mean) <= 4.5 * mc.stderr
+    _assert_divergence_theorem(poly, interior_point(poly, rng))
 
 
-def test_monte_carlo_reports_sane_stderr():
-    mc = oracle_sigma_mc(T345, Point2(1.0, 1.5), samples=200_000, seed=11)
-    assert isinstance(mc, MCEstimate)
-    v = oracle_sigma(T345, Point2(1.0, 1.5))
-    assert abs(mc.mean - float(v)) <= 4.0 * mc.stderr
-    assert 0.0 < mc.stderr < 0.05
-
-
-def test_monte_carlo_translation_invariance_is_exact():
-    """Integer shifts keep cell areas bit-identical, so the sample stream
-    and both returned statistics reproduce exactly."""
-    base = oracle_sigma_mc(T345, Point2(1.0, 1.5), samples=50_000, seed=11)
-    shifted_poly = Polygon([(7.0, -2.0), (10.0, -2.0), (10.0, 2.0)])
-    shifted = oracle_sigma_mc(shifted_poly, Point2(8.0, -0.5), samples=50_000, seed=11)
-    assert base.mean == shifted.mean
-    assert base.stderr == shifted.stderr
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 0.5, 1.5, 2.5])
+@pytest.mark.parametrize("poly", [T345, comb_polygon(20), Polygon([(0, 0), (2, 0), (2, 1), (0, 1)])],
+                         ids=["t345", "comb", "rectangle"])
+def test_rule_matches_the_divergence_theorem(poly, p):
+    # integer p against the 50-digit edge integrals, fractional p against
+    # the adaptive edge quadrature
+    c = poly.coords
+    # a vertex, an edge midpoint, the centroid and a point outside
+    for x in (c[1], 0.5 * (c[1] + c[2]), poly.centroid.as_array(), c.max(axis=0) + (1.0, 0.5)):
+        _assert_divergence_theorem(poly, (float(x[0]), float(x[1])), RadialKernel.power(p))
 
 
 @pytest.mark.parametrize("n_vertices", [3, 5])
@@ -613,9 +596,21 @@ def test_nelder_mead_spends_its_budgets_as_scipy_does(monkeypatch, budget):
     _assert_nelder_mead_is_scipys(objective, start, dict(options, maxiter=budget))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        oracle_sigma_mc(T345, Point2(1.0, 1.5), samples=1)
+@pytest.mark.parametrize("kind", [list, np.array, Polygon], ids=["list", "array", "polygon"])
+def test_oracle_entries_take_the_regions_the_solvers_take(kind):
+    region, x = kind(T345.coords.tolist()), Point2(2.0, 1.0)
+    assert float(oracle_sigma(region, x)) == float(oracle_sigma(T345, x))
+    assert oracle_minimize(region) == oracle_minimize(T345)
+    assert region_median_by_sampling(region, 8) == region_median_by_sampling(T345, 8)
+
+
+def test_oracle_entries_refuse_a_loop_that_crosses_itself():
+    bowtie = [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
+    for loop in (bowtie, np.array(bowtie)):
+        for entry in (lambda r: oracle_sigma(r, Point2(0.5, 0.2)), oracle_minimize,
+                      lambda r: region_median_by_sampling(r, 8)):
+            with pytest.raises(InvalidPolygonError):
+                entry(loop)
 
 
 def test_oracle_value_floats_cleanly():

@@ -301,6 +301,11 @@ def test_config_validation():
     for tol in (math.inf, math.nan):
         with pytest.raises(ValueError):
             SolveConfig(tol_rel=tol)
+    # True would run with a tolerance of 1.0; numpy floats still pass
+    for bad in (True, np.True_, "1e-3", None):
+        with pytest.raises(ValueError, match="tol_rel must be a number"):
+            SolveConfig(tol_rel=bad)
+    assert SolveConfig(tol_rel=np.float64(1e-9)).tol_rel == 1e-9
 
 
 def test_iteration_budgets_are_integers():

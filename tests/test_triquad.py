@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from regionmedian import Polygon
-from regionmedian.triquad import (
-    STAR_RULE_DEGREE,
-    signed_areas,
-    star_rule,
-    star_triangles,
-    subdivide4,
-    triangulate,
-)
-from helpers import random_star_polygon
+from regionmedian.triquad import STAR_RULE_DEGREE, star_rule, star_triangles, subdivide4, triangulate
+from helpers import DUMBBELL, comb_polygon, random_star_polygon, signed_areas
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -78,6 +71,22 @@ def test_fan_random_star_polygons():
         poly = random_star_polygon(rng, n=int(rng.integers(5, 12)))
         tris = triangulate(poly)
         assert math.isclose(signed_areas(tris).sum(), poly.area, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("region", [Polygon(DUMBBELL), comb_polygon(20)], ids=["dumbbell", "comb"])
+def test_fan_overlaps_itself_and_still_sums_to_the_area(region):
+    # the fan from vertex 0 covers the dumbbell about 2.8 times and the
+    # comb about 10 times over; the negative triangles cancel the excess
+    areas = signed_areas(triangulate(region))
+    assert np.abs(areas).sum() > 2.5 * region.area
+    assert math.isclose(areas.sum(), region.area, rel_tol=1e-12)
+
+
+def test_fan_of_a_4096_vertex_star_loop():
+    poly = random_star_polygon(np.random.default_rng(91), n=4096)
+    areas = signed_areas(triangulate(poly))
+    assert len(areas) == 4094 and areas.min() < 0.0
+    assert math.isclose(areas.sum(), poly.area, rel_tol=1e-12)
 
 
 def test_star_triangles_telescope_from_any_point():

@@ -166,7 +166,7 @@ def test_point_set_validation():
             PointSet(rows)
     with pytest.raises(ValueError):
         weiszfeld(PointSet([(0, 0), (1, 1)]), tol=0.0)
-    for bad in ({"tol": math.inf}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -5},
+    for bad in ({"tol": math.inf}, {"tol": math.nan}, {"tol": True}, {"max_iter": 0}, {"max_iter": -5},
                 {"max_iter": 2.5}, {"max_iter": True}):
         with pytest.raises(ValueError):
             weiszfeld(PointSet([(0, 0), (1, 1)]), **bad)
