@@ -5,12 +5,12 @@ A kernel is a power |P - x|^p (the Euclidean kernel is p = 1) or, with
 depends on the kernel is made in this module. The central quantity is
 the arclength integral of f(P - x) over a segment. The kernel picks how
 it is computed (``RadialKernel.values_batch``): in closed form for
-integer powers 1 <= p <= 16, one formula for every query point on or
-off a segment's carrier line, by one batched Gauss-Kronrod pass over
-stacked segments for every other kernel. scipy's ``quad`` on one segment
-stays as an independent reference. Both batched routes also return each
-integral's gradient in x: in closed form, or integrated at the same
-Gauss-Kronrod nodes as the values.
+powers 1 <= p <= 16, integer or not, one formula for every query point
+on or off a segment's carrier line, by one batched Gauss-Kronrod pass
+over stacked segments for custom kernels, p < 1 and p > 16. scipy's
+``quad`` on one segment stays as an independent reference. Both batched
+routes also return each integral's gradient in x: in closed form, or
+integrated at the same Gauss-Kronrod nodes as the values.
 
 The closed form itself runs on one of two routes with the same bits.
 Loops of up to ``_FLOAT_EDGES`` segments (14, where the two routes
@@ -20,10 +20,13 @@ call costs about what its arithmetic does on dozens of floats. hypot,
 asinh and the power of the squared lengths stay numpy calls even there,
 one each: ``math.hypot``, ``math.asinh`` and Python's ``**`` round
 differently. Longer loops take one numpy call per step over every
-segment.
+segment. A fractional power's start (``_fractional_start``, a table of
+the integral of cosh^a and a 10-point Gauss-Legendre rule over its last
+piece) and its climb are numpy calls on both routes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -45,11 +48,14 @@ _MIN_OFFSET = 2.0 ** -64
 # smallest normal float, whose reciprocal is finite
 _MIN_NORMAL = 2.0 ** -1022
 
+# smallest subnormal float
+_MIN_SUBNORMAL = 2.0 ** -1074
+
 # edge quadrature tolerance of every solve and CLI command
 _QUAD_TOL = 1e-13
 
-# largest integer power whose edge integrals take the closed form, and
-# larger powers take quadrature. The reduction climbs p/2 steps in
+# largest power whose edge integrals take the closed form, and larger
+# powers take quadrature. The reduction climbs p/2 steps in
 # parameter units, where an edge's integral reaches (D/L)^(p+1) for x at
 # distance D from an edge of length L: below the cap that overflows only
 # past D/L ~ 1e18, while at p = 32 an edge 1e-10 of the diameter long
@@ -62,6 +68,13 @@ _MAX_CLOSED_POWER = 16
 # 2.3x faster on floats for 3 segments, 1.3x for 8, even at 14 and 0.9x
 # at 15-16 (Python 3.11, numpy 2.4, shared 2-core x86-64 machine)
 _FLOAT_EDGES = 14
+
+# the table of fractional powers' start: the integral of cosh^a at steps
+# of _TAU_STEP up to _TAU_FAR, where its far form takes over
+_TAU_STEP = 0.5
+_TAU_FAR = 20.0
+_SINH_FAR = math.sinh(_TAU_FAR)
+_EXP_FAR = math.exp(_TAU_FAR)
 
 # the float route's parameters, offsets and squared lengths stay below
 # this bound, so that its numpy calls cannot overflow: hypot stays below
@@ -119,20 +132,22 @@ class RadialKernel:
         return cls(evaluator=evaluator)
 
     @property
-    def closed_power(self) -> Optional[int]:
-        """The integer p whose closed form ``closed_values_batch`` integrates
-        this kernel: p for a power kernel with integer 1 <= p <=
-        ``_MAX_CLOSED_POWER``; None for every other kernel."""
-        if self.p is not None and self.p.is_integer() and 1.0 <= self.p <= _MAX_CLOSED_POWER:
-            return int(self.p)
+    def closed_power(self) -> Optional[float]:
+        """The p whose closed form ``closed_values_batch`` integrates this
+        kernel: p for a power kernel with 1 <= p <= ``_MAX_CLOSED_POWER``,
+        an int when p is an integer; None for custom kernels, p < 1 and
+        p > ``_MAX_CLOSED_POWER``."""
+        if self.p is not None and 1.0 <= self.p <= _MAX_CLOSED_POWER:
+            return int(self.p) if self.p.is_integer() else self.p
         return None
 
     def values_batch(self, a, e, x) -> Tuple[np.ndarray, np.ndarray]:
         """Integrals of the kernel along stacked segments and their gradients in x.
 
-        The kernel picks the route: ``closed_values_batch`` for integer
-        powers up to ``_MAX_CLOSED_POWER``, ``quadrature_values_batch``
-        for every other kernel.
+        The kernel picks the route: ``closed_values_batch`` for powers
+        1 <= p <= ``_MAX_CLOSED_POWER``, integer or not,
+        ``quadrature_values_batch`` for custom kernels and every other
+        power.
         """
         p = self.closed_power
         if p is None:
@@ -165,25 +180,28 @@ class RadialKernel:
         return s * (dx * inv), s * (dy * inv)
 
 
-def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: int = 1) -> Tuple[np.ndarray, np.ndarray]:
-    """Integrals of |P - x|^p along stacked segments and their gradients, integer p >= 1.
+def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: float = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrals of |P - x|^p along stacked segments and their gradients, p >= 1.
 
     a, e: (m, 2) arrays of segment starts and edge vectors, no edge
     vector zero; x: query point (length-2).
     Returns the (m,) array of arclength integrals V_i of |P - x|^p over
     each segment and the (m, 2) array of their gradients in x,
-    -integral of p |P - x|^(p-2) (P - x) ds. Parameterized by arclength
-    fraction so conditioning does not depend on absolute scale; for odd
-    p the offset is floored at ``_MIN_OFFSET`` inside the logarithm, so one
-    formula serves query points on a segment's carrier line too.
+    -integral of p |P - x|^(p-2) (P - x) ds. p is an int for integer
+    powers and a float otherwise. Parameterized by arclength fraction so
+    conditioning does not depend on absolute scale; for odd p the offset
+    is floored at ``_MIN_OFFSET`` inside the logarithm, so one formula
+    serves query points on a segment's carrier line too.
 
     With u the parameter along the edge, c the offset of x from its line
     and r = hypot(u, c), all in parameter units, V_i = L^(p+1) (I_p(u2) -
     I_p(u1)) for I_k the antiderivative of r^k, from the reduction
     I_k = (u r^k + k c^2 I_(k-2)) / (k + 1) started at I_-1 = asinh(u/|c|)
-    (odd p) or I_0 = u (even p) (Gradshteyn and Ryzhik, section 2.27). The
-    gradient's part along the edge is L^(p-1) (r2^p - r1^p), its part
-    normal to it p L^(p-1) c (I_(p-2)(u2) - I_(p-2)(u1)).
+    (odd p), I_0 = u (even p) or, for fractional p, ``_fractional_start``'s
+    I_q, q = p - 2 floor((p + 1) / 2) (Gradshteyn and Ryzhik, section
+    2.27; the reduction holds for real k). The gradient's part along the
+    edge is L^(p-1) (r2^p - r1^p), formed with no difference of powers,
+    its part normal to it p L^(p-1) c (I_(p-2)(u2) - I_(p-2)(u1)).
 
     Two routes give the same bits. Up to ``_FLOAT_EDGES`` segments take
     ``_closed_values_floats``, on Python floats; more take
@@ -207,7 +225,7 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: int = 1) -> Tuple[np
     return _closed_values_arrays(a, e, x, p)
 
 
-def _closed_values_arrays(a, e: np.ndarray, x, p: int) -> Tuple[np.ndarray, np.ndarray]:
+def _closed_values_arrays(a, e: np.ndarray, x, p: float) -> Tuple[np.ndarray, np.ndarray]:
     """``closed_values_batch`` on arrays: every step one numpy call over
     both ends of every segment."""
     w = np.asarray(x, dtype=float).reshape(2) - np.asarray(a, dtype=float)
@@ -223,14 +241,44 @@ def _closed_values_arrays(a, e: np.ndarray, x, p: int) -> Tuple[np.ndarray, np.n
     np.negative(t0, out=u[0])
     np.subtract(1.0, t0, out=u[1])
     # odd powers start from asinh(u/c), which the floor keeps finite on the
-    # carrier line; even ones are polynomials in u and c
-    if p % 2:
+    # carrier line; even and fractional ones need no floor
+    if p % 2 == 1:
         c = np.maximum(c, _MIN_OFFSET)
     r = np.hypot(u, c)
+    low, high = _ladder(u, c, r, p)
+    vals = high[1] - high[0]
+    # r2 - r1 without cancellation, since u2 - u1 = 1; r2^p - r1^p is
+    # that times _power_sum, or _fractional_power_difference of it
+    along = (u[0] + u[1]) / (r[0] + r[1])
+    normal = cs * (low[1] - low[0])
+    if p > 1:
+        # L^(p-1) scales the gradient, L^(p+1) the values
+        scale = L2 ** (0.5 * (p - 1))
+        if p % 1:
+            along = scale * _fractional_power_difference(along, r[0], r[1], p)
+        else:
+            along = scale * (along * _power_sum(r[0], r[1], p))
+        normal, L2 = scale * (p * normal), scale * L2
+    grad = np.empty((len(t0), 2))
+    grad[:, 0], grad[:, 1] = -(along * ex + normal * ey), normal * ex - along * ey
+    return L2 * vals, grad
+
+
+def _ladder(u, c, r, p):
+    """I_(p-2) and I_p at the parameters u, on arrays of any shape that
+    broadcast with the offsets c and the radii r = hypot(u, c).
+
+    I_1 from I_-1 = asinh(u/c), I_2 from I_0 = u, or, for fractional p,
+    I_(q+2) from ``_fractional_start``'s I_q, q = p - 2 floor((p + 1) / 2)
+    in (-1, 1); then up the reduction to I_p. Each rung k = p - 2j is
+    exact, so the climb ends at k = p.
+    """
     c2 = c * c
-    # I_1 from I_-1 = asinh(u/c), or I_2 from I_0 = u, then up the
-    # reduction to I_p, keeping I_(p-2) for the normal part
-    if p % 2:
+    if p % 1:
+        k = p - 2.0 * math.floor(0.5 * (p + 1.0)) + 2.0
+        rk, low = r ** k, _fractional_start(u, c, r, k - 1.0)
+        high = (u * rk + k * c2 * low) / (k + 1.0)
+    elif p % 2:
         k, rk, low = 1, r, np.arcsinh(u / c)
         high = 0.5 * (u * r + c2 * low)
     else:
@@ -239,22 +287,10 @@ def _closed_values_arrays(a, e: np.ndarray, x, p: int) -> Tuple[np.ndarray, np.n
     while k < p:
         k, rk, low = k + 2, rk * r * r, high
         high = (u * rk + k * c2 * low) / (k + 1)
-    vals = high[1] - high[0]
-    # r2 - r1 without cancellation, since u2 - u1 = 1; r2^p - r1^p is
-    # that times _power_sum
-    along = (u[0] + u[1]) / (r[0] + r[1])
-    normal = cs * (low[1] - low[0])
-    if p > 1:
-        # L^(p-1) scales the gradient, L^(p+1) the values
-        scale = L2 ** (0.5 * (p - 1))
-        along = scale * (along * _power_sum(r[0], r[1], p))
-        normal, L2 = scale * (p * normal), scale * L2
-    grad = np.empty((len(t0), 2))
-    grad[:, 0], grad[:, 1] = -(along * ex + normal * ey), normal * ex - along * ey
-    return L2 * vals, grad
+    return low, high
 
 
-def _closed_values_floats(a: np.ndarray, e: np.ndarray, x, p: int):
+def _closed_values_floats(a: np.ndarray, e: np.ndarray, x, p: float):
     """``closed_values_batch`` on Python floats, or None where it cannot
     end on finite values without overflow in a numpy call.
 
@@ -285,37 +321,51 @@ def _closed_values_floats(a: np.ndarray, e: np.ndarray, x, p: int):
     # and one they pass over warns in no numpy call and fails the check
     # at the end
     bound = _FLOAT_BOUND
+    if p % 1:
+        # fractional powers climb in numpy, whose u r^p must not overflow
+        bound = min(bound, 2.0 ** (900.0 / (p + 1.0)))
     if not (max(c) < bound and max(L2) < bound and -bound < min(u1) and max(u1) < bound):
         return None
-    if p % 2:
+    if p % 2 == 1:
         c = [_MIN_OFFSET if _MIN_OFFSET > v else v for v in c]
     # u1 of every segment, then u2, then c beside each
     flat = np.fromiter(u1 + u2 + c + c, float, 4 * m)
     u, cc = flat[:2 * m], flat[2 * m:]
-    r = np.hypot(u, cc).tolist()
-    low = np.arcsinh(u / cc).tolist() if p % 2 else u1 + u2
+    r = np.hypot(u, cc)
     # the scale L^(p-1), unread for p = 1
     scale = (np.array(L2) ** (0.5 * (p - 1))).tolist() if p > 1 else L2
     vals, grad = [], []
-    for (ex, ey), ua, ub, ra, rb, la, lb, ci, s, l2, sc in zip(edges, u1, u2, r, r[m:], low, low[m:], c, cs, L2, scale):
-        q = ci * ci
-        # the reduction of _closed_values_arrays at both ends
-        if p % 2:
-            k, rka, rkb = 1, ra, rb
-            ha, hb = 0.5 * (ua * ra + q * la), 0.5 * (ub * rb + q * lb)
-        else:
-            k, rka, rkb = 2, ra * ra, rb * rb
-            ha, hb = (ua * rka + 2.0 * q * ua) / 3.0, (ub * rkb + 2.0 * q * ub) / 3.0
-        while k < p:
-            k, rka, rkb, la, lb = k + 2, rka * ra * ra, rkb * rb * rb, ha, hb
-            ha, hb = (ua * rka + k * q * la) / (k + 1), (ub * rkb + k * q * lb) / (k + 1)
-        along = (ua + ub) / (ra + rb)
-        normal = s * (lb - la)
-        if p > 1:
-            along = sc * (along * _power_sum(ra, rb, p))
-            normal, l2 = sc * (p * normal), sc * l2
-        vals.append(l2 * (hb - ha))
-        grad += (-(along * ex + normal * ey), normal * ex - along * ey)
+    if p % 1:
+        # the start and the climb of fractional powers are numpy calls
+        # over every segment end, as on the array route; the rest is floats
+        low, high = (v.tolist() for v in _ladder(u, cc, r, p))
+        diff = _fractional_power_difference((u[:m] + u[m:]) / (r[:m] + r[m:]), r[:m], r[m:], p).tolist()
+        for (ex, ey), la, lb, ha, hb, s, l2, sc, d in zip(edges, low, low[m:], high, high[m:], cs, L2, scale, diff):
+            along, normal = sc * d, sc * (p * (s * (lb - la)))
+            vals.append((sc * l2) * (hb - ha))
+            grad += (-(along * ex + normal * ey), normal * ex - along * ey)
+    else:
+        r = r.tolist()
+        low = np.arcsinh(u / cc).tolist() if p % 2 else u1 + u2
+        for (ex, ey), ua, ub, ra, rb, la, lb, ci, s, l2, sc in zip(edges, u1, u2, r, r[m:], low, low[m:], c, cs, L2, scale):
+            q = ci * ci
+            # the reduction of _closed_values_arrays at both ends
+            if p % 2:
+                k, rka, rkb = 1, ra, rb
+                ha, hb = 0.5 * (ua * ra + q * la), 0.5 * (ub * rb + q * lb)
+            else:
+                k, rka, rkb = 2, ra * ra, rb * rb
+                ha, hb = (ua * rka + 2.0 * q * ua) / 3.0, (ub * rkb + 2.0 * q * ub) / 3.0
+            while k < p:
+                k, rka, rkb, la, lb = k + 2, rka * ra * ra, rkb * rb * rb, ha, hb
+                ha, hb = (ua * rka + k * q * la) / (k + 1), (ub * rkb + k * q * lb) / (k + 1)
+            along = (ua + ub) / (ra + rb)
+            normal = s * (lb - la)
+            if p > 1:
+                along = sc * (along * _power_sum(ra, rb, p))
+                normal, l2 = sc * (p * normal), sc * l2
+            vals.append(l2 * (hb - ha))
+            grad += (-(along * ex + normal * ey), normal * ex - along * ey)
     vals += grad
     # an infinity or a NaN anywhere makes the sum one too
     if not math.isfinite(sum(vals)):
@@ -332,6 +382,79 @@ def _power_sum(r1, r2, p: int):
     for _ in range(p - 2):
         total, r2k = r1 * total + r2k, r2k * r2
     return total
+
+
+def _fractional_power_difference(d, r1, r2, p: float):
+    """r2^p - r1^p on arrays for a fractional p > 1, given d = r2 - r1,
+    with no difference of powers: hi^p (1 - (1 - |d|/hi)^p) by expm1 and
+    log1p, hi the larger radius."""
+    hi = np.maximum(r1, r2)
+    # |d| = hi where the smaller radius is 0; below 1 the logarithm stays
+    # finite, and (2^-53)^p is below half an ulp of 1
+    t = np.minimum(np.abs(d) / hi, 1.0 - 2.0 ** -53)
+    return np.copysign(hi ** p * -np.expm1(p * np.log1p(-t)), d)
+
+
+@functools.lru_cache(maxsize=32)
+def _cosh_power_table(a: float):
+    """The start of ``_fractional_start`` for the exponent a: K(j h) for
+    j = 0 .. _TAU_FAR / h, h = ``_TAU_STEP``, as an array, where K(tau)
+    is e^(-a tau) times the integral of cosh^a over [0, tau]; the gap
+    K(_TAU_FAR) - 1 / (a 2^a) of its far form; and 2^-a.
+
+    The integral to j h is the exactly rounded sum of the steps over
+    [i h - h, i h], each ``_cosh_power_piece`` scaled by e^(a i h).
+    """
+    half = 2.0 ** -a
+    ends = _TAU_STEP * np.arange(round(_TAU_FAR / _TAU_STEP) + 1)
+    scale = np.exp(ends) ** a
+    steps = (scale[1:] * _cosh_power_piece(ends[1:], np.full(len(ends) - 1, _TAU_STEP), a, half)).tolist()
+    table = np.array([math.fsum(steps[:j]) for j in range(len(ends))]) / scale
+    return table, table[-1] - half / a, half
+
+
+def _cosh_power_piece(tau, nu, a: float, half: float):
+    """e^(-a tau) times the integral of cosh^a over [tau - nu, tau], on
+    arrays, by the 10-point Gauss-Legendre rule in s = tau - sigma;
+    half = 2^-a. The integrand (e^-s + e^(s - 2 tau))^a / 2^a is
+    cosh(tau - s)^a e^(-a tau), and cannot overflow."""
+    ns = nu[..., None] * _GL_NEGATIVE_NODES
+    e = np.exp(ns)
+    f = (e + np.exp(-2.0 * tau)[..., None] / e) ** a
+    return half * nu * np.add.reduce(f * _GL_WEIGHTS, axis=-1)
+
+
+def _fractional_start(u, c, r, a: float):
+    """I_q(u), the integral of (s^2 + c^2)^(q/2) over s from 0 to u, with
+    a = q + 1 in (0, 2), on arrays; r = hypot(u, c).
+
+    With X = |u| + r = c e^tau, tau = asinh(|u|/c), it is sign(u) X^a
+    K(tau), K(tau) = e^(-a tau) times the integral of cosh^a over
+    [0, tau]. Below tau = T = ``_TAU_FAR``, with tau = j h + nu, K(tau) is
+    K(j h) e^(-a nu) from the table of ``_cosh_power_table`` plus
+    ``_cosh_power_piece`` over [j h, tau]. From there on K(tau) =
+    K(T) + (e^(-a (tau - T)) - 1) (K(T) - 1 / (a 2^a)), with e^(-(tau - T))
+    = c e^T / X by ``expm1`` and ``log``, so that no power near 1 cancels
+    when a is small: it drops terms about e^(-2T) relative, and tends to
+    X^a / (a 2^a), the value at c = 0, as c does. The near side is chosen
+    by |u| < sinh(T) c, so that no division by c can overflow.
+    """
+    table, gap, half = _cosh_power_table(a)
+    au = np.abs(u)
+    x = au + r
+    # a NaN lane is far, and its NaN passes to the value
+    near = au < _SINH_FAR * c
+    all_near = np.count_nonzero(near) == near.size
+    # far lanes divide by 1 and stay within the table
+    tau = np.arcsinh(au / c) if all_near else np.fmin(np.arcsinh(au / np.where(near, c, 1.0)), _TAU_FAR)
+    j, nu = np.divmod(tau, _TAU_STEP)
+    value = table[j.astype(np.intp)] * np.exp(-a * nu) + _cosh_power_piece(tau, nu, a, half)
+    if not all_near:
+        # c <= x, and x = 0 only where c = 0; the floors keep the ratio a
+        # number and its logarithm finite there, and where it underflows
+        shrink = np.expm1(a * np.log(np.fmax(c / np.fmax(x, _MIN_SUBNORMAL) * _EXP_FAR, _MIN_SUBNORMAL)))
+        value = np.where(near, value, table[-1] + shrink * gap)
+    return np.copysign(x ** a * value, u)
 
 
 # the exponents 2k of the ladder's rungs 4^k, as many as the smallest
@@ -397,6 +520,10 @@ _GK_WEIGHTS = np.zeros((21, 2))
 _GK_WEIGHTS[:, 0] = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GK_WEIGHTS[1:10:2, 1] = _WG
 _GK_WEIGHTS[11:20:2, 1] = _WG[::-1]
+# the Gauss nodes of the pair, as a 10-point Gauss-Legendre rule on [0, 1]
+# with its nodes negated
+_GL_NEGATIVE_NODES = -0.5 - 0.5 * _GK_NODES[1::2]
+_GL_WEIGHTS = 0.5 * _GK_WEIGHTS[1::2, 1]
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 # bisection passes before a segment that still fails is reported
 _MAX_PASSES = 50
@@ -526,7 +653,9 @@ def segment_sigma_quadrature(a, e, x, kernel: RadialKernel, tol: float = _QUAD_T
 
     It needs scipy, from the ``test`` extra. No solve or CLI command
     takes it; it stays in the package only because ``bench/spans.py``
-    wraps it by name (ROADMAP item 1).
+    wraps it by name (ROADMAP item 1). Solves take the batched route only
+    for custom kernels, p < 1 and p > ``_MAX_CLOSED_POWER``; every other
+    power, fractional ones included, takes ``closed_values_batch``.
 
     Under p = 1.5, with x at an endpoint of the segment, ``quad`` cannot
     meet the tolerance: the derivative of the kernel is singular there,

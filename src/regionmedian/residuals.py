@@ -5,9 +5,10 @@ of the counterclockwise loop and e_i its edge vector, the residual is
 T = sum_i m_i e_i, and the gradient of the area objective (integral of
 k(P - x) dA) is rotate90(T, +1). ``general_boundary_residual`` takes the
 edge integrals from the kernel (``RadialKernel.values_batch``): in closed
-form for integer powers up to ``kernels._MAX_CLOSED_POWER``, the
-Euclidean kernel p = 1 among them, else by one batched Gauss-Kronrod 10/21
-pass over the panels of every edge (``kernels.quadrature_values_batch``).
+form for powers 1 <= p <= ``kernels._MAX_CLOSED_POWER``, integer or not,
+the Euclidean kernel p = 1 among them, else by one batched Gauss-Kronrod
+10/21 pass over the panels of every edge
+(``kernels.quadrature_values_batch``).
 A quadrature edge passes when its QUADPACK error estimate err satisfies
 err <= tol * (1 + |value|) for its integral value, with the one
 tolerance tol = 1e-13 of every solve and CLI command; only the panels of

@@ -192,9 +192,9 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
     Accepts a Polygon or a sampled polyline loop for the boundary. Each
     trial point is evaluated by ``residuals._frame_residual`` on the
     kernel's route (``RadialKernel.values_batch``): closed form for
-    integer powers up to ``kernels._MAX_CLOSED_POWER``, the Euclidean
-    kernel among them, Gauss-Kronrod quadrature with the Jacobian
-    integrated in the same pass for every other kernel. It is looked up
+    powers 1 <= p <= ``kernels._MAX_CLOSED_POWER``, the Euclidean kernel
+    among them, Gauss-Kronrod quadrature with the Jacobian integrated in
+    the same pass for custom kernels and every other power. It is looked up
     in this module at every call. A custom kernel (``kernel.p`` None) or
     a power p < 1 marks the result ``local``. The median is
     translation-equivariant, so the iterate is x minus the origin of the

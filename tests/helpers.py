@@ -1,6 +1,7 @@
 """Shared generators for randomized tests. All randomness flows through
 the caller's seeded Generator so every test is reproducible."""
 import decimal
+import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -99,12 +100,19 @@ def decimal_edge_integral(a, e, x, p):
     50-digit decimal arithmetic from the floats as given.
 
     With s the arclength from the foot of x on the segment's line, d the
-    signed offset of x from it and r = sqrt(s^2 + d^2), the integral of
-    r^p over the segment climbs K_k = (s r^k + k d^2 K_(k-2)) / (k + 1)
-    from K_-1 = asinh(s/|d|) = ln(s/|d| + sqrt(s^2/d^2 + 1)), taken odd in
-    s, or K_0 = s. The gradient in x is -(r2^p - r1^p) along the edge and
+    signed offset of x from it and r = sqrt(s^2 + d^2), the integral K_k
+    of r^k from the foot to s gives the value K_p(s2) - K_p(s1). For an
+    integer p it climbs K_k = (s r^k + k d^2 K_(k-2)) / (k + 1) from
+    K_-1 = asinh(s/|d|) = ln(s/|d| + sqrt(s^2/d^2 + 1)), taken odd in s,
+    or K_0 = s. For a fractional p, K_k(s) = |d|^(k+1) C_(k+1)(asinh(|s|/|d|)),
+    taken odd in s, with C from ``_decimal_cosh_power_integral``: the
+    integrals are split at the foot, and no reduction is climbed. The
+    gradient in x is -(r2^p - r1^p) along the edge and
     p d (K_(p-2)(s2) - K_(p-2)(s1)) along its normal. Returns the value
     and the gradient as floats."""
+    fractional = not float(p).is_integer()
+    if fractional:
+        p = Decimal(float(p))
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         (ax, ay), (ex, ey), (xx, xy) = ((Decimal(float(v[0])), Decimal(float(v[1]))) for v in (a, e, x))
@@ -123,6 +131,10 @@ def decimal_edge_integral(a, e, x, p):
             """K_k(s) and K_(k-2)(s); for d = 0, s |s|^k / (k + 1) and 0."""
             if d == 0:
                 return s * abs(s) ** k / (k + 1), Decimal(0)
+            if fractional:
+                tau = asinh(abs(s) / abs(d))
+                high, low = (abs(d) ** (j + 1) * _decimal_cosh_power_integral(j + 1, tau) for j in (k, k - 2))
+                return (high, low) if s >= 0 else (-high, -low)
             r = (s * s + d * d).sqrt()
             low = asinh(s / abs(d)) if k % 2 else s
             j = 1 if k % 2 else 2
@@ -138,6 +150,52 @@ def decimal_edge_integral(a, e, x, p):
         normal = p * d * (l2 - l1)
         gx, gy = along * tx - normal * ty, along * ty + normal * tx
         return float(h2 - h1), np.array([float(gx), float(gy)])
+
+
+@functools.lru_cache(maxsize=None)
+def _decimal_gauss_legendre(n, prec):
+    """The n-point Gauss-Legendre rule on [0, 1] at prec decimal digits:
+    Newton's method on the Legendre polynomial P_n from numpy's
+    nodes, with weights 1 / ((1 - x^2) P_n'(x)^2) for the nodes x of
+    [-1, 1]."""
+    rule = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        for guess in np.polynomial.legendre.leggauss(n)[0]:
+            x = Decimal(float(guess))
+            for _ in range(5):
+                prev, cur = Decimal(1), x
+                for k in range(2, n + 1):
+                    prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+                slope = n * (x * cur - prev) / (x * x - 1)
+                x -= cur / slope
+            rule.append(((1 + x) / 2, 1 / ((1 - x * x) * slope * slope)))
+    return tuple(rule)
+
+
+def _decimal_cosh_power_integral(alpha, tau):
+    """The integral of cosh^alpha over [0, tau], for a real alpha > 0 that
+    is not an integer, in the current decimal context: a 32-point
+    Gauss-Legendre rule over [0, min(tau, 1)], whose integrand is analytic
+    within pi/2 of the interval, then the binomial series cosh^alpha =
+    2^-alpha sum_n binom(alpha, n) e^((alpha - 2n) sigma), integrated
+    term by term over [1, tau]; its terms fall as e^-2n there."""
+    head = min(tau, Decimal(1))
+    total = Decimal(0)
+    for node, weight in _decimal_gauss_legendre(32, decimal.getcontext().prec):
+        grow = (head * node).exp()
+        total += weight * (alpha * ((grow + 1 / grow) / 2).ln()).exp()
+    total *= head
+    if tau > 1:
+        coef, n, series = Decimal(1), 0, Decimal(0)
+        at_tau, at_one = (alpha * tau).exp(), alpha.exp()
+        step_tau, step_one = (-2 * tau).exp(), Decimal(-2).exp()
+        while n <= alpha or abs(coef * at_one) > Decimal(10) ** -60 * abs(series):
+            series += coef * (at_tau - at_one) / (alpha - 2 * n)
+            coef = coef * (alpha - n) / (n + 1)
+            n, at_tau, at_one = n + 1, at_tau * step_tau, at_one * step_one
+        total += series / Decimal(2) ** alpha
+    return total
 
 
 def divergence_area_integral(poly, x, p):

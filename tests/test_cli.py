@@ -43,10 +43,10 @@ def test_median_reports_a_converged_solve(capsys):
 def test_golden_reports_are_reproduced_byte_for_byte(capsys, tmp_path):
     # boundary_loop has 32 edge means, so its report pins the one-per-line
     # layout; the p = 3 medianoid pins the closed form's reduction and its
-    # power of the squared lengths
+    # power of the squared lengths, the p = 1.5 one its fractional start
     runs = [(f"{stem}_report", ["median", str(DATA / f"{stem}.json")])
             for stem in ("equilateral", "t345", "pentagon", "boundary_loop")]
-    runs.append(("t345_power3_report", ["medianoid", str(DATA / "t345.json"), "--kernel", "power:3"]))
+    runs += [(f"t345_power{p}_report", ["medianoid", str(DATA / "t345.json"), "--kernel", f"power:{p}"]) for p in ("3", "1.5")]
     for golden, argv in runs:
         out_path = tmp_path / f"{golden}.json"
         code, _, _ = run(capsys, *argv, "--json-out", str(out_path))
@@ -76,13 +76,13 @@ def test_check_under_a_power_one_kernel_is_check_without_a_kernel(capsys, tmp_pa
 
 
 def test_check_at_a_subnormal_offset_under_a_fractional_power(capsys, tmp_path):
-    # the breakpoint ladder of the bottom edge climbs from an offset of
-    # 1e-310 edge lengths; its rungs and the kernel gradient at nodes that
-    # close to the point stay finite
+    # the closed form's start on the bottom edge takes its far form at
+    # offsets of 1e-310 edge lengths, 5e-324 and 0: no division by the
+    # offset overflows, and c^a may underflow
     path = tmp_path / "square_power15.json"
     path.write_text(json.dumps({"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]], "kernel": {"kind": "power", "p": 1.5}}))
     reports = {}
-    for point in ("0.5,1e-306", "0.5,1e-310", "0.5,5e-324", "0.5,-1e-310"):
+    for point in ("0.5,1e-306", "0.5,1e-310", "0.5,5e-324", "0.5,-1e-310", "0.5,0"):
         code, out, err = run(capsys, "check", str(path), "--point", point)
         assert (code, err) == (0, ""), point
         reports[point] = json.loads(out)["edge_means"]

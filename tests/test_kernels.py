@@ -14,6 +14,7 @@ from helpers import (
     random_triangle,
     reference_quadrature_values_batch,
     two_endpoint_closed_values,
+    use_array_routes,
 )
 
 from regionmedian import (
@@ -156,6 +157,55 @@ def test_closed_batch_equals_the_two_endpoint_reference_bit_for_bit():
                         assert kernels._closed_values_floats(a, e, x, p) is not None
 
 
+FRACTIONAL_POWERS = (1.05, 1.5, 2.5, 3.7, 7.25, 15.5)
+
+
+@pytest.mark.parametrize("p", FRACTIONAL_POWERS + (1.0 + 2.0 ** -52, 3.0 - 1e-9))
+def test_fractional_closed_forms_match_the_decimal_reference(p):
+    # values within 4e-15 relative and gradients within 1e-14 of their
+    # norm: inside, at the vertices, on an edge, 1e-9 and 1e-13 of an edge
+    # length off its line, on a carrier line beyond a vertex (c = 0) and
+    # at subnormal offsets, where c^a underflows but nothing overflows;
+    # next to an odd power the start's exponent a tends to 0 or 2
+    a = np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 4.0]])
+    e = np.roll(a, -1, axis=0) - a
+    length = math.hypot(*e[1])
+    normal = np.array([-e[1, 1], e[1, 0]]) / length
+    mid = a[1] + 0.4 * e[1]
+    points = [(1.2, 1.1), (2.1, 0.6), *a, mid, (1.8, 0.0), mid + 1e-9 * length * normal,
+              mid - 1e-13 * length * normal, (1.8, 3e-9), (-2.0, 0.0), a[2] + 0.5 * e[1], (0.7, 5e-324), (2.2, -1e-310)]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for x in points:
+            values, grads = closed_values_batch(a, e, x, p)
+            for i in range(3):
+                want, want_grad = decimal_edge_integral(a[i], e[i], x, p)
+                assert abs(values[i] - want) <= 4e-15 * abs(want), (x, i)
+                assert np.hypot(*(grads[i] - want_grad)) <= 1e-14 * np.hypot(*want_grad), (x, i)
+
+
+def test_fractional_closed_forms_take_the_bits_of_the_array_route(monkeypatch):
+    # the float route's start and climb are the array route's numpy calls
+    # on a flat layout; its sums are Python floats, with numpy's bits
+    rng = np.random.default_rng(3900)
+    cases = []
+    for n in (3, 8, kernels._FLOAT_EDGES):
+        poly = random_star_polygon(rng, n)
+        a, e = poly.coords, poly.edge_vectors
+        x0 = interior_point(poly, rng)
+        cases += [(a, e, x) for x in (x0, a[0], a[1] + 0.5 * e[1], a[2] - 0.75 * e[2], a[-1] + 0.3 * e[-1] + 1e-12 * e[-1, ::-1],
+                                      x0 + 1e3 * poly.diameter * np.array([0.6, -0.8]))]
+    got = []
+    for a, e, x in cases:
+        for p in FRACTIONAL_POWERS:
+            assert kernels._closed_values_floats(a, e, x, p) is not None, (len(a), p, x)
+            got.append(closed_values_batch(a, e, x, p))
+    with monkeypatch.context() as patch:
+        use_array_routes(patch)
+        want = [closed_values_batch(a, e, x, p) for a, e, x in cases for p in FRACTIONAL_POWERS]
+    for (v, g), (wv, wg) in zip(got, want):
+        assert np.array_equal(v, wv) and np.array_equal(g, wg)
+
+
 def test_closed_vs_quadrature_including_near_collinear():
     rng = np.random.default_rng(24)
     kernel = RadialKernel.euclidean()
@@ -224,15 +274,15 @@ def test_closed_forms_on_the_carrier_line_match_the_decimal_reference(p):
 def test_the_kernel_picks_the_route_of_its_edge_integrals():
     a, e, x = QUAD.coords, QUAD.edge_vectors, (1.7, 0.8)
     closed = {"euclidean": (RadialKernel.euclidean(), 1), "power1": (RadialKernel.power(1.0), 1),
-              "power3": (RadialKernel.power(3), 3), "cap": (RadialKernel.power(_MAX_CLOSED_POWER), _MAX_CLOSED_POWER)}
+              "power3": (RadialKernel.power(3), 3), "cap": (RadialKernel.power(_MAX_CLOSED_POWER), _MAX_CLOSED_POWER),
+              "power1.5": (RadialKernel.power(1.5), 1.5), "power2.5": (RadialKernel.power(2.5), 2.5)}
     for name, (kernel, p) in closed.items():
-        assert kernel.closed_power == p, name
+        assert kernel.closed_power == p and type(kernel.closed_power) is type(p), name
         got, want = kernel.values_batch(a, e, x), closed_values_batch(a, e, x, p)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), name
-    # above the cap, powers that are not integers and custom kernels take quadrature
+    # above the cap, below 1 and custom kernels take quadrature
     bowl = RadialKernel.custom(lambda dx, dy: 1.0 + dx * dx + 0.5 * dy * dy)
-    for kernel in (RadialKernel.power(_MAX_CLOSED_POWER + 1), RadialKernel.power(1e20), RadialKernel.power(1.5),
-                   RadialKernel.power(0.5), bowl):
+    for kernel in (RadialKernel.power(_MAX_CLOSED_POWER + 1), RadialKernel.power(1e20), RadialKernel.power(0.5), bowl):
         assert kernel.closed_power is None, kernel
         if kernel.p != 1e20:
             got, want = kernel.values_batch(a, e, x), quadrature_values_batch(a, e, x, kernel)
