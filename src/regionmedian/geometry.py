@@ -496,16 +496,13 @@ class Polygon:
             self._diameter = _max_pairwise_distance(self._coords, convex=self._certified_convex)
         return self._diameter
 
-    def contains(self, point, strict: bool = True) -> bool:
-        p = _point_xy(point)
-        mask = self.contains_many(np.array([p]), strict=strict)
-        return bool(mask[0])
+    def contains(self, point) -> bool:
+        return bool(self.contains_many(np.array([_point_xy(point)]))[0])
 
-    def contains_many(self, pts: np.ndarray, strict: bool = True) -> np.ndarray:
+    def contains_many(self, pts: np.ndarray) -> np.ndarray:
         """Crossing-parity point-in-polygon test for an (m, 2) array.
 
-        Points exactly on the boundary count as inside only when
-        ``strict`` is False.
+        Points exactly on the boundary count as outside.
         """
         pts = np.asarray(pts, dtype=float)
         px, py = pts[:, 0], pts[:, 1]
@@ -526,9 +523,7 @@ class Polygon:
                 hit = np.zeros(len(pts), dtype=bool)
                 hit[spans] = xt > px[spans]
                 inside ^= hit
-        if strict:
-            return inside & ~on_edge
-        return inside | on_edge
+        return inside & ~on_edge
 
     def __repr__(self) -> str:
         return f"Polygon({len(self._coords)} vertices, area={self._area:.6g})"

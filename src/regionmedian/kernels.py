@@ -51,7 +51,7 @@ _MIN_NORMAL = 2.0 ** -1022
 # smallest subnormal float
 _MIN_SUBNORMAL = 2.0 ** -1074
 
-# edge quadrature tolerance of every solve and CLI command
+# edge quadrature tolerance of every solve and route, read at each call
 _QUAD_TOL = 1e-13
 
 # largest power whose edge integrals take the closed form, and larger
@@ -552,20 +552,20 @@ def _gk21(cols: np.ndarray, kernel: "RadialKernel", lo: np.ndarray, hi: np.ndarr
     dx, dy = cols[:2, :, None] + t * cols[2:, :, None]
     f = kernel.evaluate_many(dx, dy)
     gx, gy = kernel.gradient_many(dx, dy, f, step)
-    kg = f @ _GK_WEIGHTS
-    resk = kg[:, 0]
-    resabs = np.abs(f) @ _GK_WEIGHTS[:, 0] * hlgth
-    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS[:, 0] * hlgth
-    abserr = np.abs((resk - kg[:, 1]) * hlgth)
+    kronrod, gauss = _GK_WEIGHTS.T
+    # sums along each panel's own nodes; unlike a matrix product's, they
+    # do not depend on the other panels of the pass
+    resk, resabs, sgx, sgy = np.add.reduce(np.stack((f, np.abs(f), gx, gy)) * kronrod, axis=-1)
+    resasc = np.add.reduce(np.abs(f - 0.5 * resk[:, None]) * kronrod, axis=-1) * hlgth
+    abserr = np.abs((resk - np.add.reduce(f * gauss, axis=-1)) * hlgth)
     # QUADPACK's scaling of |K - G|, floored at the roundoff of the sum
     flat = resasc == 0.0
     ratio = np.minimum(1.0, 200.0 * abserr / np.where(flat, 1.0, resasc))
     abserr = np.where(flat, abserr, resasc * ratio * np.sqrt(ratio))
-    return (resk * hlgth, np.maximum(_ROUNDOFF * resabs, abserr),
-            gx @ _GK_WEIGHTS[:, 0] * hlgth, gy @ _GK_WEIGHTS[:, 0] * hlgth)
+    return resk * hlgth, np.maximum(_ROUNDOFF * (resabs * hlgth), abserr), sgx * hlgth, sgy * hlgth
 
 
-def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _QUAD_TOL) -> Tuple[np.ndarray, np.ndarray]:
+def quadrature_values_batch(a, e, x, kernel: "RadialKernel") -> Tuple[np.ndarray, np.ndarray]:
     """Integrals of kernel(P - x) along stacked segments and their gradients, any kernel.
 
     a, e: (m, 2) arrays of segment starts and edge vectors, no edge
@@ -576,16 +576,14 @@ def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _QUAD_
     Each segment is cut at the breakpoints of ``segment_sigma_quadrature``
     and one Gauss-Kronrod 10/21 pass covers every panel of every segment.
     A segment passes when its summed error estimate satisfies
-    err <= tol * (1 + |value|). The panels of failing segments whose
-    error exceeds their share of that budget are bisected, for at most
-    ``_MAX_PASSES`` passes and ``_MAX_SPLITS`` new panels per segment. A
-    segment that still fails, or a value that is not finite, raises
-    NonConvergenceError. The gradients are integrated on the panels the
-    values settle on; custom kernels differentiate with a step of
-    ``_KERNEL_FD_STEP`` times the longest segment.
+    err <= tol * (1 + |value|), with tol = ``_QUAD_TOL``. The panels of
+    failing segments whose error exceeds their share of that budget are
+    bisected, for at most ``_MAX_PASSES`` passes and ``_MAX_SPLITS`` new
+    panels per segment. A segment that still fails, or a value that is
+    not finite, raises NonConvergenceError. The gradients are integrated
+    on the panels the values settle on; custom kernels differentiate
+    with a step of ``_KERNEL_FD_STEP`` times the longest segment.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
     # rows: segment start minus x and edge vector, by component
     cols = np.concatenate((a, e), axis=1, dtype=float).T
     cols[:2] -= np.asarray(x, dtype=float).reshape(2, 1)
@@ -602,7 +600,7 @@ def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _QUAD_
     for passes in range(_MAX_PASSES + 1):
         value = lengths * np.bincount(edge, weights=panels[0], minlength=m)
         abserr = lengths * np.bincount(edge, weights=panels[1], minlength=m)
-        budget = tol * (1.0 + np.abs(value))
+        budget = _QUAD_TOL * (1.0 + np.abs(value))
         # every segment finite and within budget: a NaN error fails the
         # comparison, and an infinite one passes it only beside an infinite
         # value, and so an infinite budget
@@ -640,12 +638,13 @@ def quadrature_values_batch(a, e, x, kernel: "RadialKernel", tol: float = _QUAD_
         panels = [np.concatenate([old[keep], new]) for old, new in zip(panels, new_panels)]
 
 
-def segment_sigma_quadrature(a, e, x, kernel: RadialKernel, tol: float = _QUAD_TOL) -> float:
+def segment_sigma_quadrature(a, e, x, kernel: RadialKernel) -> float:
     """Integral of kernel(P - x) along the segment a + t e, 0 <= t <= 1, by scipy's ``quad``.
 
     The independent per-segment reference for ``quadrature_values_batch``:
     a, e and x are length-2 arrays, e not zero. The reported absolute
-    error must satisfy err <= tol * (1 + |value|), otherwise
+    error must satisfy err <= tol * (1 + |value|), with tol =
+    ``_QUAD_TOL`` as on the batched route, otherwise
     NonConvergenceError is raised. ``quad`` gets the breakpoints of the
     batched route, so integrand curvature concentrated near the foot of
     the perpendicular (sharpest when x sits almost on the carrier line)
@@ -664,8 +663,7 @@ def segment_sigma_quadrature(a, e, x, kernel: RadialKernel, tol: float = _QUAD_T
     """
     from scipy.integrate import quad
 
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    tol = _QUAD_TOL
     (ax, ay), (ex, ey), (xx, xy) = (map(float, v) for v in (a, e, x))
     length = math.hypot(ex, ey)
 

@@ -10,8 +10,8 @@ the Euclidean kernel p = 1 among them, else by one batched Gauss-Kronrod
 10/21 pass over the panels of every edge
 (``kernels.quadrature_values_batch``).
 A quadrature edge passes when its QUADPACK error estimate err satisfies
-err <= tol * (1 + |value|) for its integral value, with the one
-tolerance tol = 1e-13 of every solve and CLI command; only the panels of
+err <= tol * (1 + |value|) for its integral value, with tol =
+``kernels._QUAD_TOL`` = 1e-13, the one tolerance; only the panels of
 failing edges are bisected, and an edge that does not pass raises
 NonConvergenceError. Edge integrals are taken in the region's solve
 frame (``Polygon._local_frame``). ``_frame_residual`` turns them into
@@ -19,8 +19,10 @@ plain floats: the edge means, T summed correctly rounded
 (``math.fsum``), so it does not depend on where the loop starts, and
 the rows of the Jacobian of the gradient, from the gradients of the
 edge integrals: closed-form, or integrated in the same Gauss-Kronrod
-pass as the values. Small loops reduce on Python floats, longer ones
-on arrays, with the same bits. The Newton loop of
+pass as the values. Loops of up to ``kernels._FLOAT_EDGES`` edges
+reduce on Python floats, longer ones on arrays, with the same bits; the
+crossover is read from ``kernels`` at each call, so the closed form and
+this reduction switch routes at one value. The Newton loop of
 ``solver.solve_medianoid`` calls it once per trial point;
 ``general_boundary_residual`` wraps the same floats in a
 ``ResidualReport`` for callers outside the loop.
@@ -38,9 +40,10 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import kernels
 from .errors import InvalidTriangleError
 from .geometry import Point2, Polygon, Vector2, _require_finite, as_polygon, rotate90
-from .kernels import _FLOAT_EDGES, RadialKernel
+from .kernels import RadialKernel
 
 __all__ = [
     "ResidualReport",
@@ -90,7 +93,7 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     (``_float_reduction``), longer ones on arrays, with the same bits.
     """
     values, grads = kernel.values_batch(local.coords, local.edge_vectors, x)
-    if len(values) <= _FLOAT_EDGES:
+    if len(values) <= kernels._FLOAT_EDGES:
         out = _float_reduction(local, values, grads)
         if out is not None:
             return out

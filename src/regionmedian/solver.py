@@ -243,19 +243,15 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
     )
 
 
-def degenerate_limit_study(
-    alpha: float,
-    beta: float,
-    gammas,
-    cfg: Optional[SolveConfig] = None,
-) -> List[Tuple[float, float]]:
+def degenerate_limit_study(alpha: float, beta: float, gammas) -> List[Tuple[float, float]]:
     """Medians of triangles with sides (alpha, beta, gamma) as gamma shrinks.
 
     The triangle is placed with the vertex common to the alpha and beta
     sides at the origin; each entry of the result is (gamma, distance of
     the solved median from that vertex). As gamma approaches
     |alpha - beta| from above, the distances approach sqrt(alpha*beta/2).
-    Sides are normalized so alpha >= beta.
+    Sides are normalized so alpha >= beta, and each triangle is solved
+    by ``solve_median`` with the default ``SolveConfig``.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -278,6 +274,6 @@ def degenerate_limit_study(
                 f"gamma={g} leaves no triangle height at floating point precision"
             )
         tri = Polygon([(0.0, 0.0), (alpha, 0.0), (bx, math.sqrt(by_sq))])
-        result = solve_median(tri, cfg)
+        result = solve_median(tri)
         out.append((g, math.hypot(result.median.x, result.median.y)))
     return out

@@ -167,7 +167,7 @@ def region_median_by_sampling(poly, grid_n: int) -> Point2:
     ys = lo[1] + (np.arange(n) + 0.5) * (hi[1] - lo[1]) / n
     gx, gy = np.meshgrid(xs, ys)
     lattice = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    keep = poly.contains_many(lattice, strict=True)
+    keep = poly.contains_many(lattice)
     if not np.any(keep):
         raise EmptySampleError(f"no lattice point of the {n}x{n} grid falls inside")
     ps = PointSet(lattice[keep])

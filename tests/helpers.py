@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from regionmedian import NonConvergenceError, Point2, Polygon, SingularRegionError, general_boundary_residual
-from regionmedian import kernels, residuals
+from regionmedian import kernels
 from regionmedian.kernels import (
     _GK_NODES,
     _GK_WEIGHTS,
@@ -17,7 +17,6 @@ from regionmedian.kernels import (
     _MAX_PASSES,
     _MAX_SPLITS,
     _MIN_OFFSET,
-    _QUAD_TOL,
     _ROUNDOFF,
     RadialKernel,
     closed_values_batch,
@@ -90,9 +89,9 @@ def two_endpoint_closed_values(a, e, x, p=1):
 
 def use_array_routes(monkeypatch):
     """Send loops of every size down the array routes of
-    ``kernels.closed_values_batch`` and ``residuals._frame_residual``."""
+    ``kernels.closed_values_batch`` and ``residuals._frame_residual``,
+    which both read the crossover ``kernels._FLOAT_EDGES``."""
     monkeypatch.setattr(kernels, "_FLOAT_EDGES", 0)
-    monkeypatch.setattr(residuals, "_FLOAT_EDGES", 0)
 
 
 def decimal_edge_integral(a, e, x, p):
@@ -289,23 +288,24 @@ def _reference_gk21(d, e, kernel, lo, hi, step):
     dx, dy = d[:, :1] + t * e[:, :1], d[:, 1:] + t * e[:, 1:]
     f = kernel.evaluate_many(dx, dy)
     gx, gy = kernel.gradient_many(dx, dy, f, step)
-    kg = f @ _GK_WEIGHTS
-    resk = kg[:, 0]
-    resabs = np.abs(f) @ _GK_WEIGHTS[:, 0] * hlgth
-    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS[:, 0] * hlgth
-    abserr = np.abs((resk - kg[:, 1]) * hlgth)
+    resk, resg = (np.add.reduce(f * w, axis=1) for w in _GK_WEIGHTS.T)
+    resabs = np.add.reduce(np.abs(f) * _GK_WEIGHTS[:, 0], axis=1) * hlgth
+    resasc = np.add.reduce(np.abs(f - 0.5 * resk[:, None]) * _GK_WEIGHTS[:, 0], axis=1) * hlgth
+    abserr = np.abs((resk - resg) * hlgth)
     flat = resasc == 0.0
     ratio = np.minimum(1.0, 200.0 * abserr / np.where(flat, 1.0, resasc))
     abserr = np.where(flat, abserr, resasc * ratio * np.sqrt(ratio))
     return np.stack([resk * hlgth, np.maximum(_ROUNDOFF * resabs, abserr),
-                     gx @ _GK_WEIGHTS[:, 0] * hlgth, gy @ _GK_WEIGHTS[:, 0] * hlgth], axis=1)
+                     np.add.reduce(gx * _GK_WEIGHTS[:, 0], axis=1) * hlgth,
+                     np.add.reduce(gy * _GK_WEIGHTS[:, 0], axis=1) * hlgth], axis=1)
 
 
-def reference_quadrature_values_batch(a, e, x, kernel, tol=_QUAD_TOL):
+def reference_quadrature_values_batch(a, e, x, kernel):
     """Reference for ``kernels.quadrature_values_batch``: the same panels,
-    error test and float expressions, with the bisection bookkeeping built
-    on every pass and the panels' columns stacked, sliced and concatenated
-    again."""
+    error test, tolerance ``kernels._QUAD_TOL`` read at the call, and float
+    expressions, with the bisection bookkeeping built on every pass and
+    the panels' columns stacked, sliced and concatenated again."""
+    tol = kernels._QUAD_TOL
     e = np.asarray(e, dtype=float)
     d = np.asarray(a, dtype=float) - np.asarray(x, dtype=float).reshape(2)
     m = len(d)
@@ -530,7 +530,7 @@ def interior_point(poly, rng):
     while True:
         v = coords[int(rng.integers(0, len(coords)))]
         p = c + rng.uniform(0.05, 0.85) * (v - c)
-        if poly.contains(p, strict=True):
+        if poly.contains(p):
             return p
 
 

@@ -50,7 +50,7 @@ def test_criterion_01_closed_vs_quadrature(capsys):
         else:
             x = rng.normal(size=2) * 3.0
         closed = closed_value(a, b, x)
-        quadv = segment_sigma_quadrature(a, b - a, x, kern, tol=1e-13)
+        quadv = segment_sigma_quadrature(a, b - a, x, kern)
         worst = max(worst, abs(closed - quadv) / max(abs(closed), 1e-300))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 5.0

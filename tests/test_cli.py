@@ -701,7 +701,10 @@ def test_no_scipy_quad_on_the_medianoid_and_check_paths(capsys, no_scipy_quad):
 def test_solves_checks_and_oracles_run_with_scipy_unimportable(tmp_path):
     # a fresh interpreter in which any scipy import fails: scipy is a test
     # dependency only. The 12-gon and the 9 points are cut to their hull
-    # for the diameter, in the package
+    # for the diameter, in the package. p = 0.5 and p = 17 take the batched
+    # Gauss-Kronrod route, and p = 0.5 with --oracle the Nelder-Mead
+    # oracle; p = 17 stalls above the stop test |T| / diam^2 <= 1e-12,
+    # since T grows as diam^(p+1), and exits 2
     t = np.arange(12) * (np.pi / 6)
     r = np.where(np.arange(12) % 2 == 0, 1.0, 0.5)  # non-convex
     star = tmp_path / "star12.json"
@@ -717,6 +720,8 @@ def test_solves_checks_and_oracles_run_with_scipy_unimportable(tmp_path):
         f"assert regionmedian.cli.main(['median', {str(DATA / 'boundary_loop.json')!r}]) == 0",
         f"assert regionmedian.cli.main(['median', {str(star)!r}]) == 0",
         f"assert regionmedian.cli.main(['median', {str(DATA / 't345.json')!r}, '--oracle']) == 0",
+        f"assert regionmedian.cli.main(['medianoid', {str(DATA / 't345.json')!r}, '--kernel', 'power:0.5', '--oracle']) == 0",
+        f"assert regionmedian.cli.main(['medianoid', {str(DATA / 't345.json')!r}, '--kernel', 'power:17']) == 2",
         f"assert regionmedian.cli.main(['discrete', {str(DATA / 'obtuse_points.json')!r}, '--oracle']) == 0",
         f"assert regionmedian.cli.main(['discrete', {str(points)!r}, '--oracle']) == 0",
         "print(sorted(m for m, mod in sys.modules.items() if m.startswith('scipy') and mod is not None))",

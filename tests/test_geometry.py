@@ -179,9 +179,8 @@ def test_contains_basics():
     sq = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert sq.contains((0.5, 0.5))
     assert not sq.contains((1.5, 0.5))
-    # boundary points: excluded strictly, included otherwise
-    assert not sq.contains((0.0, 0.5), strict=True)
-    assert sq.contains((0.0, 0.5), strict=False)
+    # points on the boundary count as outside
+    assert not sq.contains((0.0, 0.5))
 
 
 def test_contains_many_agrees_with_area_fraction():

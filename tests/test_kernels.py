@@ -224,7 +224,7 @@ def test_closed_vs_quadrature_including_near_collinear():
         else:
             px = rng.uniform(-3, 3, 2)
         closed = closed_value(pa, pb, px)
-        quad = segment_sigma_quadrature(pa, pb - pa, px, kernel, tol=1e-13)
+        quad = segment_sigma_quadrature(pa, pb - pa, px, kernel)
         rel = abs(closed - quad) / max(abs(quad), 1e-30)
         worst = max(worst, rel)
     assert worst < 1e-12, f"worst relative mismatch {worst:.3e}"
@@ -360,13 +360,8 @@ def test_batched_quadrature_matches_the_closed_form_for_integer_powers(p):
 
 
 def test_quadrature_power2_from_endpoint():
-    value = segment_sigma_quadrature((0, 0), (1, 0), (0, 0), RadialKernel.power(2), tol=1e-12)
-    assert math.isclose(value, 1.0 / 3.0, rel_tol=1e-12)
-
-
-def test_quadrature_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        segment_sigma_quadrature((0, 0), (1, 0), (0, 1), RadialKernel.euclidean(), tol=0.0)
+    value = segment_sigma_quadrature((0, 0), (1, 0), (0, 0), RadialKernel.power(2))
+    assert math.isclose(value, 1.0 / 3.0, rel_tol=1e-13)
 
 
 def test_custom_kernel_routes_through_quadrature():
@@ -478,7 +473,7 @@ def test_batched_quadrature_matches_the_per_segment_reference(p):
               *(a + 0.3 * e + 1e-9 * normal)]
     worst = worst_grad = 0.0
     for x in points:
-        got, grads = quadrature_values_batch(a, e, x, kernel, tol=1e-13)
+        got, grads = quadrature_values_batch(a, e, x, kernel)
         assert grads.shape == (len(a), 2)
         for j in range(len(a)):
             if np.array_equal(x, a[j]) or np.array_equal(x, a[j] + e[j]):
@@ -489,7 +484,7 @@ def test_batched_quadrature_matches_the_per_segment_reference(p):
                 sign = -1.0 if np.array_equal(x, a[j]) else 1.0
                 ref_grad = sign * lengths[j] ** (p - 1.0) * e[j]
             else:
-                ref = segment_sigma_quadrature(a[j], e[j], x, kernel, tol=1e-13)
+                ref = segment_sigma_quadrature(a[j], e[j], x, kernel)
                 ref_grad = _quad_gradient(a[j], e[j], x, p)
             worst = max(worst, abs(got[j] - ref) / ref)
             # relative to L^p, the size of the gradient; it vanishes at a midpoint
@@ -553,15 +548,33 @@ def test_batched_quadrature_equals_the_reference_route_bit_for_bit(kernel, monke
     assert bisected > 0 or kernel.p is None or kernel.p > 3.0
 
 
-def test_batched_quadrature_raises_as_the_reference_route_does():
+@pytest.mark.parametrize("kernel", [RadialKernel.power(0.5), RadialKernel.power(17.0),
+                                    RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy) + 0.2 * dx * dy + 0.1 * dx)],
+                         ids=["p0.5", "p17", "custom"])
+def test_batched_quadrature_does_not_depend_on_where_the_loop_starts(kernel):
+    """Each edge's integral and gradient are the same bits whichever
+    other edges share the pass: starting a star loop two vertices later
+    rotates them, bit for bit."""
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        poly = random_star_polygon(rng)
+        a, e, x = poly.coords, poly.edge_vectors, poly.centroid.as_array()
+        got = quadrature_values_batch(np.roll(a, -2, axis=0), np.roll(e, -2, axis=0), x, kernel)
+        for rotated, want in zip(got, quadrature_values_batch(a, e, x, kernel)):
+            assert np.array_equal(rotated, np.roll(want, -2, axis=0)), a
+
+
+def test_batched_quadrature_raises_as_the_reference_route_does(monkeypatch):
+    # the tolerance 1e-15 lies below the roundoff floor of a panel's error
     t345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
     nan_band = RadialKernel.custom(lambda dx, dy: np.where((0.2 < dy) & (dy < 1.0), np.nan, 1.0 + np.hypot(dx, dy)))
     for poly, x, kernel, tol in ((t345, (1.0, 1.0), RadialKernel.power(2.0), 1e-15),
                                  (QUAD, (1.5, 0.5), nan_band, 1e-13)):
+        monkeypatch.setattr(kernels, "_QUAD_TOL", tol)
         with pytest.raises(NonConvergenceError) as got:
-            quadrature_values_batch(poly.coords, poly.edge_vectors, x, kernel, tol)
+            quadrature_values_batch(poly.coords, poly.edge_vectors, x, kernel)
         with pytest.raises(NonConvergenceError) as want:
-            reference_quadrature_values_batch(poly.coords, poly.edge_vectors, x, kernel, tol)
+            reference_quadrature_values_batch(poly.coords, poly.edge_vectors, x, kernel)
         assert str(got.value) == str(want.value)
 
 
@@ -592,10 +605,11 @@ def test_batched_quadrature_rejects_a_kernel_that_turns_nan():
 
 
 def test_batched_quadrature_below_the_roundoff_floor_stops_refining(monkeypatch):
-    """A tol no bisection can meet raises instead of doubling the panels.
+    """A tolerance no bisection can meet raises instead of doubling the panels.
 
     Each panel's error is floored at the roundoff of its sum, and that
-    floor does not shrink under bisection: tol = 1e-15 under p = 2, and a
+    floor does not shrink under bisection: ``kernels._QUAD_TOL`` set to
+    1e-15 under p = 2, and, at the tolerance of every solve, a
     sign-changing kernel whose integral of |f| dwarfs that of f, cannot
     pass. Counting the kernel's nodes makes a runaway refinement fail
     here instead of exhausting memory.
@@ -610,15 +624,10 @@ def test_batched_quadrature_below_the_roundoff_floor_stops_refining(monkeypatch)
 
     monkeypatch.setattr(RadialKernel, "evaluate_many", counted)
     t345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
-    with pytest.raises(NonConvergenceError, match="segment quadrature error"):
-        quadrature_values_batch(t345.coords, t345.edge_vectors, (1.0, 1.0), RadialKernel.power(2.0), tol=1e-15)
+    with monkeypatch.context() as patch, pytest.raises(NonConvergenceError, match="segment quadrature error"):
+        patch.setattr(kernels, "_QUAD_TOL", 1e-15)
+        quadrature_values_batch(t345.coords, t345.edge_vectors, (1.0, 1.0), RadialKernel.power(2.0))
     wave = RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy) + 1e6 * np.sin(20.0 * dx))
     nodes[0] = 0
     with pytest.raises(NonConvergenceError, match="segment quadrature error"):
         solve_medianoid(t345, wave)
-
-
-def test_batched_quadrature_rejects_bad_tol():
-    a, e = QUAD.coords, QUAD.edge_vectors
-    with pytest.raises(ValueError):
-        quadrature_values_batch(a, e, (1.0, 1.0), RadialKernel.power(2.0), tol=0.0)

@@ -259,7 +259,7 @@ def _layout_probe_points(poly, rng, count):
     points += list(c[edge] + rng.uniform(0.0, 1.0, (k, 1)) * e[edge])
     points += [np.asarray(interior_point(poly, rng)) for _ in range(k)]
     outside = lo + rng.uniform(-0.5, 1.5, (8 * k, 2)) * (hi - lo)
-    points += list(outside[~poly.contains_many(outside, strict=False)][:count - 3 * k])
+    points += list(outside[~poly.contains_many(outside)][:count - 3 * k])
     return [(float(x), float(y)) for x, y in points]
 
 

@@ -26,6 +26,7 @@ from regionmedian import (
     polygon_residual,
     rotate90,
 )
+from regionmedian import kernels
 from regionmedian.kernels import quadrature_values_batch, segment_sigma_quadrature
 from regionmedian.oracle import oracle_sigma
 from regionmedian.residuals import _spread
@@ -271,25 +272,27 @@ def test_boundary_loop_accepts_raw_vertex_list():
     [(0.0, 0.0), (4.0, 0.0), (3.0, 2.0), (0.0, 1.0)],
 ], ids=["triangle", "quadrilateral"])
 @pytest.mark.parametrize("tol", [1e-10, 1e-13])
-def test_quadrature_residual_at_every_vertex_gives_the_exact_means(coords, tol):
+def test_quadrature_residual_at_every_vertex_gives_the_exact_means(coords, tol, monkeypatch):
     """At a vertex the edges through it have mean L^p/(p+1).
 
     The power-1.5 kernel's derivative is singular where the edge meets
     x; scipy's quad reports an error of about 7e-6 there and fails. Each
-    edge value L^(p+1)/(p+1) must be within tol * (1 + value).
+    edge value L^(p+1)/(p+1) must be within tol * (1 + value), with
+    ``kernels._QUAD_TOL`` set to tol.
     """
+    monkeypatch.setattr(kernels, "_QUAD_TOL", tol)
     p = 1.5
     poly = Polygon(coords)
     kernel = RadialKernel.power(p)
     n = len(coords)
     a, e = poly.coords, poly.edge_vectors
     for i, v in enumerate(coords):
-        values, _ = quadrature_values_batch(a, e, v, kernel, tol)
+        values, _ = quadrature_values_batch(a, e, v, kernel)
         for j in ((i - 1) % n, i):
             want = poly.edge_lengths[j] ** (p + 1.0) / (p + 1.0)
             assert abs(values[j] - want) <= tol * (1.0 + want)
     if n == 3:
-        values, _ = quadrature_values_batch(a, e, (0.0, 0.0), kernel, tol)
+        values, _ = quadrature_values_batch(a, e, (0.0, 0.0), kernel)
         assert values[2] / poly.edge_lengths[2] == pytest.approx(0.6727171322029717, rel=1e-12)
 
 
