@@ -2,7 +2,8 @@
 
 The median of a triangular region balances the mean distances to the
 three edges; the printed spread collapsing to zero is the certificate.
-A brute-force scan over the area objective confirms the location.
+The brute-force oracle, the root of the area objective's gradient by
+quadrature over the region, confirms the location.
 """
 
 from regionmedian import Polygon, RadialKernel, general_boundary_residual, solve_median
@@ -24,10 +25,10 @@ print("\nfor contrast, the centroid (%.4f, %.4f) is not balanced:" % (centroid.x
 off = general_boundary_residual(triangle, centroid, RadialKernel.euclidean())
 print("centroid spread:   %.3e" % off.certificate)
 
-print("\ncross-checking against the area-scan minimizer (slow, exact-ish)...")
+print("\ncross-checking against the brute-force oracle (root of the area gradient)...")
 brute = oracle_minimize(triangle)
 gap = ((result.median.x - brute.x) ** 2 + (result.median.y - brute.y) ** 2) ** 0.5
-print("scan minimizer:    (%.9f, %.9f)" % (brute.x, brute.y))
+print("oracle minimizer:  (%.9f, %.9f)" % (brute.x, brute.y))
 print("distance apart:    %.3e of a diameter-5 region" % gap)
 
 with open("triangle_median.svg", "w") as fh:

@@ -5,19 +5,17 @@ rule for every query point x: a tensor Gauss rule on the Duffy-mapped
 signed star triangles from x (``triquad.star_rule``), summed in closed
 form along the radial direction for the power kernels, which are
 homogeneous (the Euclidean kernel is p = 1); a custom kernel
-(``kernel.p`` None) takes the full tensor rule. Adds two minimizers.
-Regions are a ``Polygon`` or a vertex loop, as for the solvers. For
-power kernels with p >= 1 the region minimizer is the root of the
-star-rule gradient, found by a short Newton loop on a central-difference
-Jacobian: within 1e-12 of the diameter of the solver's median on
-acceptance criterion 04's regions, in about a sixth of the time of
-Nelder-Mead on the value, which stopped up to 7e-9 of the diameter away.
-Custom kernels, p < 1 and point sets take one derivative-free minimizer
-(Nelder-Mead). Independent by design: nothing here shares code paths
-with the solvers it certifies, and no edge integral of ``kernels`` is
-used. The tests check the rule by the divergence theorem: the integral
-of |y|**p is (2 / (p + 2)) sum_i A_i m_i, m_i the mean of |y|**p on edge
-i and A_i the signed area of (x, a_i, a_i+1).
+(``kernel.p`` None) takes the full tensor rule. Regions are a ``Polygon``
+or a vertex loop, as for the solvers. Both minimizers find the root of
+the objective's gradient with one Newton loop (``_gradient_root``): the
+star rule applied to a power kernel's gradient, central differences of
+the value rule for a custom kernel, and for a point set the fsum of its
+unit vectors, with the exact vertex test at the nearest data point.
+Independent by design: nothing here shares code paths with the solvers
+it certifies, and no edge integral of ``kernels`` is used. The tests
+check the rule by the divergence theorem: the integral of |y|**p is
+(2 / (p + 2)) sum_i A_i m_i, m_i the mean of |y|**p on edge i and A_i
+the signed area of (x, a_i, a_i+1).
 """
 from __future__ import annotations
 
@@ -38,17 +36,23 @@ __all__ = ["OracleValue", "oracle_sigma", "oracle_minimize", "oracle_minimize_po
 # t-panels of the rule; the error estimate compares against twice as many
 _PANELS = 4
 
-# Newton on the star-rule gradient: the central-difference step and the
-# stop, both in diameters, the iteration budget, and the relative
-# determinant below which a Jacobian counts as singular
+# Newton on the gradient: the central-difference step and the stop, both
+# in diameters, the iteration budget, and the relative determinant below
+# which a Jacobian counts as singular
 _FD_STEP = 1e-6
 _STEP_TOL = 1e-9
 _NEWTON_BUDGET = 20
 _SINGULAR_DET = 1e-12
 
+# the central-difference step of a custom kernel's gradient, in diameters
+_VALUE_STEP = 1e-5
+
+# halvings of a point set's step that overshoots: 2**-30 of a diameter is
+# below the Newton stop
+_BISECTIONS = 30
+
 # most boundary nodes per temporary of one gradient pass, which takes the
-# edges in blocks: a 2048-vertex region then peaks at the memory the value
-# rule's pass takes
+# edges in blocks, so its memory does not grow with the vertex count
 _BLOCK_NODES = 2 ** 16
 
 
@@ -122,128 +126,9 @@ def oracle_sigma(poly, x: Point2, kernel: Optional[RadialKernel] = None) -> Orac
     return OracleValue(value, abs(value - finer))
 
 
-class _BudgetSpent(Exception):
-    """The objective-evaluation budget ran out."""
-
-
-def _ordered(sim: list, fsim: list) -> tuple:
-    """The vertices and values by value, as numpy's argsort orders three:
-    stably, with NaN last."""
-    order = sorted(range(3), key=lambda k: (fsim[k] != fsim[k], fsim[k]))
-    return [sim[k] for k in order], [fsim[k] for k in order]
-
-
-def _brute_force_minimize(objective, start, options: dict) -> Point2:
-    """Nelder-Mead (Nelder & Mead, Comput. J. 1965) in the plane from
-    ``start``; fully deterministic. ``objective`` receives each point as a
-    tuple (x, y) of floats.
-
-    ``options`` holds ``xatol``, ``fatol``, ``maxiter`` and ``maxfev``.
-    The loop is scipy's ``_minimize_neldermead`` in two variables without
-    bounds, adaptive coefficients or a given first simplex, on Python
-    floats: every step is the float expression scipy's numpy step rounds
-    to, the vertices are ordered as its argsort orders them, and a NaN
-    fails the stop test as it fails ``np.max``. So it returns the bits
-    ``scipy.optimize.minimize`` would after the same objective evaluations
-    (``tests/test_oracle.py`` pins this).
-    """
-    xatol, fatol = options["xatol"], options["fatol"]
-    maxiter, maxfev = options["maxiter"], options["maxfev"]
-    x0, y0 = (float(v) for v in start)
-    # the first simplex: each coordinate in turn times 1.05, or 0.00025 if it is 0
-    sim = [(x0, y0), (1.05 * x0 if x0 != 0 else 0.00025, y0), (x0, 1.05 * y0 if y0 != 0 else 0.00025)]
-    fsim = [math.inf] * 3
-    fcalls = 0
-
-    def f(p):
-        # an evaluation past the budget ends the current step where it stands
-        nonlocal fcalls
-        if fcalls >= maxfev:
-            raise _BudgetSpent
-        fcalls += 1
-        return float(objective(p))
-
-    try:
-        for k in range(3):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
-    # scipy sorts twice here; a stable sort leaves the second a no-op
-    sim, fsim = _ordered(sim, fsim)
-    # coefficients: reflection 1, expansion 2, contraction 1/2, shrink 1/2
-    iterations = 1
-    while fcalls < maxfev and iterations < maxiter:
-        try:
-            (ax, ay), (bx, by), (cx, cy) = sim
-            # each difference within its tolerance: false on a NaN, as np.max is
-            if (abs(bx - ax) <= xatol and abs(by - ay) <= xatol and abs(cx - ax) <= xatol
-                    and abs(cy - ay) <= xatol and abs(fsim[0] - fsim[1]) <= fatol
-                    and abs(fsim[0] - fsim[2]) <= fatol):
-                break
-            xbar, ybar = (ax + bx) / 2, (ay + by) / 2
-            xr = (2 * xbar - cx, 2 * ybar - cy)
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = (3 * xbar - 2 * cx, 3 * ybar - 2 * cy)
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[2], fsim[2] = xe, fxe
-                else:
-                    sim[2], fsim[2] = xr, fxr
-            elif fxr < fsim[1]:
-                sim[2], fsim[2] = xr, fxr
-            else:
-                # contract outside the worst vertex if the reflection beat it, else inside
-                if fxr < fsim[2]:
-                    xc = (1.5 * xbar - 0.5 * cx, 1.5 * ybar - 0.5 * cy)
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:
-                    xc = (0.5 * xbar + 0.5 * cx, 0.5 * ybar + 0.5 * cy)
-                    fxc = f(xc)
-                    accept = fxc < fsim[2]
-                if accept:
-                    sim[2], fsim[2] = xc, fxc
-                else:
-                    for j in (1, 2):
-                        sx, sy = sim[j]
-                        sim[j] = (ax + 0.5 * (sx - ax), ay + 0.5 * (sy - ay))
-                        fsim[j] = f(sim[j])
-            iterations += 1
-        except _BudgetSpent:
-            pass
-        sim, fsim = _ordered(sim, fsim)
-    return Point2(*sim[0])
-
-
-def _value_problem(frame: Polygon, kernel: RadialKernel) -> tuple:
-    """(objective, start, options) of Nelder-Mead on a region in its solve
-    frame: the star-rule value ``_star_objective``, the area centroid, and
-    a stop once the simplex is within 1e-10 of the diameter and its values
-    agree to 1e-14 relative.
-
-    Raises ``SingularRegionError`` when the objective at the centroid is
-    below the smallest normal float: on regions that small the objective
-    has lost its digits and its minimizer would be noise.
-    """
-    objective = _star_objective(frame, kernel)
-    c = frame.centroid
-    start = (c.x, c.y)
-    f0 = objective(start)
-    if abs(f0) < sys.float_info.min:
-        raise SingularRegionError(f"the oracle's objective underflows on this region: {f0!r} at the area centroid")
-    options = {
-        "xatol": 1e-10 * frame.diameter,
-        "fatol": 1e-14 * (1.0 + abs(f0)),
-        "maxiter": 800,
-        "maxfev": 1200,
-    }
-    return objective, start, options
-
-
 def _star_gradient(poly: Polygon, p: float):
     """``gradients(points)``: the gradient in x of the area integral of
-    |P - x|**p, p >= 1, at each row x of ``points`` (m, 2), as (m, 2).
+    |P - x|**p, p > 0, at each row x of ``points`` (m, 2), as (m, 2).
 
     In the star triangle (x, a_i, a_i+1) of signed area A_i, P - x =
     s * b_i(t) with b_i(t) = a_i + t * e_i - x, so the radial integral is
@@ -283,25 +168,89 @@ def _star_gradient(poly: Polygon, p: float):
     return gradients
 
 
-def _gradient_root(frame: Polygon, p: float, start) -> Point2:
-    """The root of ``_star_gradient`` by Newton's method from ``start``.
+def _difference_gradient(integral, h: float):
+    """``gradients(points)``: the central differences of ``integral``, step
+    h along each axis over the step as rounded, at each row of ``points``."""
 
-    Each iterate takes one gradient pass over five points, x and x +- h
-    along each axis with h = ``_FD_STEP`` times the diameter: the gradient
-    at x and a central-difference Jacobian. The loop stops after a step
-    within ``_STEP_TOL`` of the diameter. A singular or non-finite
-    Jacobian, a non-finite step or ``_NEWTON_BUDGET`` iterations without
-    that stop raise ``NonConvergenceError``.
+    def gradients(points) -> np.ndarray:
+        return np.array([((integral((x + h, y)) - integral((x - h, y))) / ((x + h) - (x - h)),
+                          (integral((x, y + h)) - integral((x, y - h))) / ((y + h) - (y - h)))
+                         for x, y in points.tolist()])
+
+    return gradients
+
+
+def _point_gradient(pts: np.ndarray, w: np.ndarray):
+    """``gradients(points)``: sum w_i (x - p_i) / |x - p_i| at each row x
+    of ``points``, each component summed by ``math.fsum``. The data points
+    at x are left out, so at a data point it is the pull of the others. A
+    gradient within its rounding, 4 eps times the total weight, reads 0."""
+    floor = 4.0 * sys.float_info.epsilon * math.fsum(w)
+
+    def gradients(points) -> np.ndarray:
+        rows = []
+        for x, y in points.tolist():
+            dx, dy = x - pts[:, 0], y - pts[:, 1]
+            d = np.hypot(dx, dy)
+            d[d == 0.0] = math.inf
+            gx, gy = math.fsum(w * (dx / d)), math.fsum(w * (dy / d))
+            rows.append((gx, gy) if math.hypot(gx, gy) > floor else (0.0, 0.0))
+        return np.array(rows)
+
+    return gradients
+
+
+def _point_step(gradients, x: float, y: float, g: tuple, newton: tuple, diam: float) -> tuple:
+    """A point set's step from (x, y), where its gradient is g (not 0):
+    ``newton`` if it descends, cut to one diameter, else one diameter down
+    the gradient. The objective grows linearly far out and is flat along
+    a line of data points, so a Newton step can overshoot far. The step
+    is kept if |g| falls at its end, else cut where the derivative of the
+    objective along it turns from negative, by ``_BISECTIONS`` halvings.
     """
-    gradients = _star_gradient(frame, p)
-    diam = frame.diameter
+    (gx, gy), (dx, dy) = g, newton
+    if dx * gx + dy * gy < 0.0:
+        scale = min(1.0, diam / math.hypot(dx, dy))
+    else:
+        dx, dy, scale = -gx, -gy, diam / math.hypot(gx, gy)
+    dx, dy = scale * dx, scale * dy
+    lo, hi = 0.0, 1.0
+    if math.hypot(*gradients(np.array([(x + dx, y + dy)]))[0]) >= math.hypot(gx, gy):
+        for _ in range(_BISECTIONS):
+            t = 0.5 * (lo + hi)
+            fx, fy = gradients(np.array([(x + t * dx, y + t * dy)]))[0]
+            lo, hi = (t, hi) if fx * dx + fy * dy < 0.0 else (lo, t)
+    return hi * dx, hi * dy
+
+
+def _gradient_root(gradients, diam: float, start, vertex=None) -> Point2:
+    """The root of ``gradients`` by Newton's method from ``start``.
+
+    ``gradients(points)`` maps an (m, 2) array of points to the gradients
+    there. Each iterate takes one pass over five points, x and x +- h
+    along each axis with h = ``_FD_STEP`` times ``diam``: the gradient at
+    x and a central-difference Jacobian. The loop stops at a zero gradient
+    or after a step within ``_STEP_TOL`` of ``diam``. A singular or
+    non-finite Jacobian, a non-finite step or ``_NEWTON_BUDGET``
+    iterations without a stop raise ``NonConvergenceError``.
+
+    ``vertex(x, y)``, given for a point set, is the exact vertex test at
+    the data point nearest (x, y): that point if it is the median, else
+    None. It runs before each step, and each step, a singular Jacobian's
+    too, is a ``_point_step``.
+    """
     h = _FD_STEP * diam
     x, y = start
     for _ in range(_NEWTON_BUDGET):
+        if vertex is not None and (m := vertex(x, y)) is not None:
+            return m
         (xp, xm), (yp, ym) = (x + h, x - h), (y + h, y - h)
         # an overflow shows as a non-finite Jacobian or step below
         with np.errstate(over="ignore", invalid="ignore"):
             (gx, gy), g1, g2, g3, g4 = gradients(np.array([(x, y), (xp, y), (xm, y), (x, yp), (x, ym)])).tolist()
+        if gx == gy == 0.0:
+            return Point2(x, y)
+        g = gx, gy
         # columns: the derivatives along x and along y, over the steps as rounded
         hx, hy = xp - xm, yp - ym
         a, c = (g1[0] - g2[0]) / hx, (g1[1] - g2[1]) / hx
@@ -314,9 +263,11 @@ def _gradient_root(frame: Polygon, p: float, start) -> Point2:
             a, b, c, d, gx, gy = a / s, b / s, c / s, d / s, gx / s, gy / s
             det = a * d - b * c
             regular = abs(det) > _SINGULAR_DET * (abs(a * d) + abs(b * c))
-        if not regular:
+        dx, dy = ((b * gy - d * gx) / det, (c * gx - a * gy) / det) if regular else (0.0, 0.0)
+        if vertex is not None:
+            dx, dy = _point_step(gradients, x, y, g, (dx, dy), diam)
+        elif not regular:
             raise NonConvergenceError(f"the oracle's Jacobian is singular or not finite at ({x!r}, {y!r})")
-        dx, dy = (b * gy - d * gx) / det, (c * gx - a * gy) / det
         if not (math.isfinite(dx) and math.isfinite(dy)):
             raise NonConvergenceError(f"the oracle's Newton step is not finite at ({x!r}, {y!r})")
         x, y = x + dx, y + dy
@@ -326,55 +277,66 @@ def _gradient_root(frame: Polygon, p: float, start) -> Point2:
 
 
 def oracle_minimize(poly, kernel: Optional[RadialKernel] = None) -> Point2:
-    """Brute-force minimizer of the area objective, from the area centroid.
+    """Brute-force minimizer of the area objective: the root of its
+    gradient by ``_gradient_root`` from the area centroid, in the polygon's
+    solve frame (``Polygon._local_frame``, a translation only).
 
-    For power kernels with p >= 1 (the Euclidean kernel among them) it is
-    the root of the star-rule gradient (``_star_gradient``, 8 t-panels)
-    found by Newton's method (``_gradient_root``): within 1e-12 of the
-    diameter of the median on acceptance criterion 04's regions, where
-    Nelder-Mead on the value stopped up to 7e-9 of the diameter away. A
-    custom kernel or p < 1, where the objective need not be convex and a
-    root of its gradient need not be its minimum, takes Nelder-Mead on the
-    star-rule value (``_value_problem``).
+    A power kernel's gradient is ``_star_gradient`` (8 t-panels); a custom
+    kernel's is the central difference of the value rule
+    ``_star_objective`` (4 t-panels), step ``_VALUE_STEP`` times the
+    diameter. Where the objective is not convex, as it need not be for a
+    custom kernel, the root is the one Newton's method reaches.
 
-    It runs in the polygon's solve frame (``Polygon._local_frame``), a
-    translation only, so a region far from the origin keeps its float
-    resolution; the frame's origin is added back to the result once.
-
-    Raises ``SingularRegionError`` when the objective at the centroid is
-    below the smallest normal float (lifting this limit needs a
-    scale-free frame for the oracle and for ``Polygon.centroid``), and
-    ``NonConvergenceError`` when the Newton loop fails.
+    Raises ``SingularRegionError`` when the objective underflows: for a
+    power kernel when area * diameter**p, which bounds it, is below the
+    smallest normal float, for a custom kernel when its value at the
+    centroid is; and ``NonConvergenceError`` when the Newton loop fails.
     """
     poly, kernel = as_polygon(poly), kernel or RadialKernel.euclidean()
     frame, ox, oy = poly._local_frame()
-    objective, start, options = _value_problem(frame, kernel)
-    if kernel.p is not None and kernel.p >= 1.0:
-        m = _gradient_root(frame, kernel.p, start)
+    c, diam = frame.centroid, frame.diameter
+    if kernel.p is None:
+        integral = _star_objective(frame, kernel)
+        f0 = integral((c.x, c.y))
+        if abs(f0) < sys.float_info.min:
+            raise SingularRegionError(f"the oracle's objective underflows on this region: {f0!r} at the area centroid")
+        gradients = _difference_gradient(integral, _VALUE_STEP * diam)
     else:
-        m = _brute_force_minimize(objective, start, options)
+        bound = math.log2(frame.area) + kernel.p * math.log2(diam)
+        if bound < math.log2(sys.float_info.min):
+            raise SingularRegionError(
+                f"the oracle's objective underflows on this region: area * diameter**p is 2**{bound:.1f}")
+        gradients = _star_gradient(frame, kernel.p)
+    m = _gradient_root(gradients, diam, (c.x, c.y))
     return m if frame is poly else Point2(m.x + ox, m.y + oy)
 
 
 def oracle_minimize_points(ps) -> Point2:
     """Brute-force minimizer of the point-set objective sum w_i |p_i - x|:
-    Nelder-Mead from the weighted centroid, stopping once its simplex is
-    within 1e-12 of the set's diameter and its values agree to 1e-15 of
-    the value at the start, in the frame ``weiszfeld`` solves in
-    (``geometry._frame_origin``). A set of one repeated point is its own
+    the root of its gradient (``_point_gradient``) by ``_gradient_root``
+    from the weighted centroid. Before each step the exact vertex test
+    (Vardi & Zhang, PNAS 2000) runs at the nearest data point p: p is the
+    median when the pull of the others is at most the weight at p. It runs
+    in the frame ``weiszfeld`` solves in (``geometry._frame_origin``),
+    with the diameter and the largest weight scaled exactly into [0.5, 1)
+    by powers of two, which keeps the differences and sums of a subnormal
+    or huge set in range. A set of one repeated point is its own
     minimizer."""
     pts, w = ps.coords, ps.weights
     diam = ps.diameter
     if diam == 0.0:
         return Point2(float(pts[0, 0]), float(pts[0, 1]))
     ox, oy = _frame_origin(pts, diam)
-    pts = pts - (ox, oy)
+    e = math.frexp(diam)[1]
+    pts, w = np.ldexp(pts - (ox, oy), -e), np.ldexp(w, -math.frexp(w.max())[1])
+    gradients = _point_gradient(pts, w)
 
-    def objective(v):
-        return float(np.sum(w * np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])))
+    def vertex(x: float, y: float) -> Optional[Point2]:
+        p = pts[int(np.argmin(np.hypot(pts[:, 0] - x, pts[:, 1] - y)))]
+        pull = math.hypot(*gradients(p[None])[0])
+        return Point2(*p.tolist()) if pull <= math.fsum(w[(pts == p).all(axis=1)]) else None
 
     total = float(w.sum())
-    start = np.array([np.sum(w * pts[:, 0]) / total, np.sum(w * pts[:, 1]) / total])
-    options = {"xatol": 1e-12 * diam, "fatol": 1e-15 * objective(start), "maxiter": 2000, "maxfev": 3000}
-    m = _brute_force_minimize(objective, start, options)
-    return Point2(m.x + ox, m.y + oy)
+    start = (float(np.sum(w * pts[:, 0]) / total), float(np.sum(w * pts[:, 1]) / total))
+    m = _gradient_root(gradients, math.ldexp(diam, -e), start, vertex)
+    return Point2(math.ldexp(m.x, e) + ox, math.ldexp(m.y, e) + oy)

@@ -265,6 +265,32 @@ def decimal_point_median(points, weights, start):
         raise AssertionError("the decimal Newton polish did not reach |g| / W < 1e-30")
 
 
+def clustered_point_set(s):
+    """Weighted points in 2 or 3 clusters, the s-th of a seeded corpus."""
+    rng = np.random.default_rng(1000 + s)
+    k = 2 + s % 2
+    centres = rng.normal(size=(k, 2)) * 4.0
+    n = int(rng.integers(20, 400))
+    spread = rng.uniform(0.05, 0.5)
+    pts = centres[rng.integers(0, k, n)] + rng.normal(size=(n, 2)) * spread
+    return pts, rng.uniform(0.2, 3.0, n)
+
+
+def collinear_point_set(seed):
+    """Weighted points on a line through a random point, the line along
+    one of five directions, and the weighted median of their offsets."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 60))
+    t = rng.normal(size=n) * 10.0
+    w = rng.uniform(0.2, 3.0, n)
+    angle = (0.0, math.pi / 2.0, 0.3, 1.1, math.pi / 4.0)[seed % 5]
+    direction = np.array([math.cos(angle), math.sin(angle)])
+    base = rng.normal(size=2) * 5.0
+    order = np.argsort(t)
+    k = order[np.searchsorted(np.cumsum(w[order]), w.sum() / 2.0)]
+    return base + t[:, None] * direction, w, base + t[k] * direction
+
+
 def _reference_ladder_panels(t0, layer):
     """``kernels._ladder_panels`` as one concatenation of five pieces, with
     the rungs layer * 4.0 ** np.arange(k) (which overflow once k > 512)."""

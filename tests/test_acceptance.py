@@ -118,7 +118,7 @@ def test_criterion_04_solver_matches_brute_force_minimizer(capsys):
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-7 and elapsed < 60.0
     _verdict(capsys, 4, ok,
-             f"solver vs area-scan minimizer on 40 regions: worst {worst:.2e} of diameter "
+             f"solver vs oracle minimizer on 40 regions: worst {worst:.2e} of diameter "
              f"(limit 1e-7), {elapsed:.1f}s (limit 60s)")
     assert worst <= 1e-7
     assert elapsed < 60.0

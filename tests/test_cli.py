@@ -702,8 +702,8 @@ def test_solves_checks_and_oracles_run_with_scipy_unimportable(tmp_path):
     # a fresh interpreter in which any scipy import fails: scipy is a test
     # dependency only. The 12-gon and the 9 points are cut to their hull
     # for the diameter, in the package. p = 0.5 and p = 17 take the batched
-    # Gauss-Kronrod route, and p = 0.5 with --oracle the Nelder-Mead
-    # oracle; p = 17 stalls above the stop test |T| / diam^2 <= 1e-12,
+    # Gauss-Kronrod route, and p = 0.5 with --oracle the gradient oracle
+    # below p = 1; p = 17 stalls above the stop test |T| / diam^2 <= 1e-12,
     # since T grows as diam^(p+1), and exits 2
     t = np.arange(12) * (np.pi / 6)
     r = np.where(np.arange(12) % 2 == 0, 1.0, 0.5)  # non-convex

@@ -10,7 +10,7 @@ from regionmedian import EmptySampleError, Point2, Polygon
 from regionmedian.solver import solve_median
 from regionmedian.weiszfeld import PointSet, region_median_by_sampling, weiszfeld
 
-from helpers import decimal_point_median
+from helpers import clustered_point_set, collinear_point_set, decimal_point_median
 
 
 def _objective(ps, x, y):
@@ -32,21 +32,6 @@ def test_collinear_points_pick_the_middle():
     assert abs(res.median.y) < 1e-12
 
 
-def _collinear_set(seed):
-    """Weighted points on a line through a random point, the line along
-    one of five directions, and the weighted median of their offsets."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 60))
-    t = rng.normal(size=n) * 10.0
-    w = rng.uniform(0.2, 3.0, n)
-    angle = (0.0, math.pi / 2.0, 0.3, 1.1, math.pi / 4.0)[seed % 5]
-    direction = np.array([math.cos(angle), math.sin(angle)])
-    base = rng.normal(size=2) * 5.0
-    order = np.argsort(t)
-    k = order[np.searchsorted(np.cumsum(w[order]), w.sum() / 2.0)]
-    return base + t[:, None] * direction, w, base + t[k] * direction
-
-
 def test_collinear_sets_give_the_weighted_middle():
     # |g| is piecewise constant along a line of data points and the Hessian
     # singular; from the centroid (-18.8, 0) the first set takes Weiszfeld
@@ -55,7 +40,7 @@ def test_collinear_sets_give_the_weighted_middle():
     assert res.converged
     assert (res.median.x, res.median.y) == (1.0, 0.0)
     for seed in range(100):
-        pts, w, want = _collinear_set(seed)
+        pts, w, want = collinear_point_set(seed)
         ps = PointSet(pts, w)
         res = weiszfeld(ps)
         assert res.converged, seed
@@ -125,8 +110,8 @@ def test_objective_never_increases_along_the_trace():
     # on the clustered sets); such a step is halved until the objective falls
     rng = np.random.default_rng(53)
     sets = [PointSet(rng.normal(size=(15, 2)) * 3.0)]
-    sets += [PointSet(*_clustered_set(s)) for s in range(60)]
-    sets += [PointSet(*_collinear_set(s)[:2]) for s in range(20)]
+    sets += [PointSet(*clustered_point_set(s)) for s in range(60)]
+    sets += [PointSet(*collinear_point_set(s)[:2]) for s in range(20)]
     for i, ps in enumerate(sets):
         values = [_objective(ps, p.x, p.y) for p, _ in weiszfeld(ps).trace]
         for earlier, later in zip(values, values[1:]):
@@ -265,23 +250,12 @@ def test_point_medians_match_the_decimal_reference(kind):
         assert math.hypot(res.median.x - ref[0], res.median.y - ref[1]) <= 1e-12 * ps.diameter, n
 
 
-def _clustered_set(s):
-    """Weighted points in 2 or 3 clusters, the s-th of a seeded corpus."""
-    rng = np.random.default_rng(1000 + s)
-    k = 2 + s % 2
-    centres = rng.normal(size=(k, 2)) * 4.0
-    n = int(rng.integers(20, 400))
-    spread = rng.uniform(0.05, 0.5)
-    pts = centres[rng.integers(0, k, n)] + rng.normal(size=(n, 2)) * spread
-    return pts, rng.uniform(0.2, 3.0, n)
-
-
 def test_clustered_sets_converge_within_twelve_steps():
     # 300 weighted sets of 2-3 clusters; between clusters the objective is
     # flat along their axis, where a linearly converging iteration stalls
     iterations = []
     for s in range(300):
-        res = weiszfeld(PointSet(*_clustered_set(s)))
+        res = weiszfeld(PointSet(*clustered_point_set(s)))
         assert res.converged, s
         iterations.append(res.iterations)
     assert max(iterations) <= 12
@@ -293,7 +267,7 @@ def test_far_point_sets_solve_in_their_frame(offset):
     # (2e-5 at 1e12), so far sets stopped unconverged at tol=1e-12; solved
     # in their frame they keep the bits of the set moved to the origin
     for s in range(4):
-        pts, w = _clustered_set(s)
+        pts, w = clustered_point_set(s)
         far = pts + offset * np.array([1.0, -0.7])
         for weights in (None, w):
             res = weiszfeld(PointSet(far, weights), tol=1e-12)
