@@ -4,15 +4,24 @@ Coordinates are plain float64 throughout. Polygons are validated at
 construction (simple, nonzero area) and stored in counterclockwise
 order, so everything downstream can rely on one orientation. Polygons
 and point sets are solved in the translation frame of ``_frame_origin``.
+Up to ``kernels._FLOAT_EDGES`` vertices or rows, the crossover of the
+closed form, validation, area, edge vectors, diameter and centroid run
+on Python floats, whose + - * / give numpy's IEEE results, and whose
+sums keep numpy's order (``_float_sum``), so both routes give the same
+bits; a loop that the float route cannot certify or finish on finite
+floats takes the array route.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import reduce
+from operator import add, eq, gt, mul, sub
+from typing import Iterable, Optional
 
 import numpy as np
 
+from . import kernels
 from .errors import InvalidPolygonError
 
 __all__ = [
@@ -82,6 +91,31 @@ def _shoelace(coords: np.ndarray) -> float:
     d = (coords - coords[0]).T
     (x, y), (xn, yn) = d, np.concatenate((d[:, 1:], d[:, :1]), axis=1)
     return 0.5 * float((x * yn - xn * y).sum())
+
+
+def _float_sum(terms: list) -> float:
+    """``np.add.reduce`` of a contiguous float64 array of the floats
+    ``terms``, in its order up to numpy's block of 128 terms: one by one
+    from 0.0 below 8 terms, else 8 accumulators over blocks of 8,
+    combined pairwise, then the rest one by one, and 0.0 added last."""
+    n = len(terms)
+    if n < 8:
+        return reduce(add, terms, 0.0)
+    r, m = terms[:8], n - n % 8
+    for i in range(8, m, 8):
+        r = list(map(add, r, terms[i:i + 8]))
+    return 0.0 + reduce(add, terms[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
+def _cross_terms(xs: list, ys: list) -> tuple:
+    """(x, xn, y, yn, cross) for the float coordinate lists of a loop
+    taken relative to its vertex 0, as ``_shoelace`` and
+    ``Polygon.centroid`` form them: xn and yn the next vertex's, and
+    cross[i] = x[i] yn[i] - xn[i] y[i]."""
+    x0, y0 = xs[0], ys[0]
+    x, y = [v - x0 for v in xs], [v - y0 for v in ys]
+    xn, yn = x[1:] + x[:1], y[1:] + y[:1]
+    return x, xn, y, yn, list(map(sub, map(mul, x, yn), map(mul, xn, y)))
 
 
 def _antipodal_pairs(hull: np.ndarray) -> tuple:
@@ -157,8 +191,23 @@ def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
     pairs of the hull: the rows themselves with ``convex`` (a strictly
     convex counterclockwise loop), else the rows of ``_convex_hull`` when
     ``_turns`` certifies them. Every other set of rows takes all pairs by
-    one broadcast in blocks of ``_PAIR_BLOCK // n`` rows.
+    one broadcast in blocks of ``_PAIR_BLOCK // n`` rows. Up to
+    ``kernels._FLOAT_EDGES`` rows, the scan of every pair runs on Python
+    floats, with the same scaling and the same squares and sums.
     """
+    if len(coords) <= kernels._FLOAT_EDGES:
+        xs, ys = coords.T.tolist()
+        exp = math.frexp(max(map(abs, xs + ys)))[1]
+        xs, ys = [math.ldexp(v, -exp) for v in xs], [math.ldexp(v, -exp) for v in ys]
+        best = 0.0
+        for i in range(1, len(xs)):
+            xi, yi = xs[i], ys[i]
+            for xj, yj in zip(xs[:i], ys[:i]):
+                dx, dy = xi - xj, yi - yj
+                d2 = dx * dx + dy * dy
+                if d2 > best:
+                    best = d2
+        return math.ldexp(math.sqrt(best), exp)
     exp = math.frexp(float(np.abs(coords).max()))[1]
     coords = np.ldexp(coords, -exp)
     if len(coords) > 8 and not convex:
@@ -312,6 +361,28 @@ def _winds_once(u: np.ndarray, v: np.ndarray) -> tuple:
     return cross, float(np.arctan2(np.abs(cross), dot).sum()) < 3.0 * math.pi
 
 
+def _winds_once_floats(ux: list, uy: list) -> bool:
+    """``_winds_once``'s certificate for the pairs u[i], u[i + 1] of the
+    cyclic list of float vectors (ux[i], uy[i]): the same products,
+    differences and comparisons on Python floats. The revolution count
+    adds ``math.atan2``'s angles, which round differently from numpy's;
+    the exact angles of a cycle add up to a whole number of revolutions,
+    so it decides alike."""
+    vx, vy = ux[1:] + ux[:1], uy[1:] + uy[:1]
+    left, right = list(map(mul, ux, vy)), list(map(mul, uy, vx))
+    cross = list(map(sub, left, right))
+    # min and max may pass over a NaN cross, which fails the filter
+    if not (min(cross) > 0.0 or max(cross) < 0.0):
+        return False
+    mag = list(map(add, map(abs, left), map(abs, right)))
+    if not (min(mag) >= _TURN_FLOOR and all(map(gt, map(abs, cross), map(_TURN_ERRBOUND.__mul__, mag)))):
+        return False
+    dot = list(map(add, map(mul, ux, vx), map(mul, uy, vy)))
+    if not all(map(math.isfinite, dot)):
+        return False
+    return math.fsum(map(math.atan2, map(abs, cross), dot)) < 3.0 * math.pi
+
+
 def _turns(edges: np.ndarray) -> tuple:
     """(cross, certified) for the closed loop with edge vectors ``edges``.
 
@@ -335,6 +406,59 @@ def _star_shaped(coords: np.ndarray, nxt: np.ndarray) -> bool:
     """
     g = coords.sum(axis=0) / len(coords)
     return _winds_once(coords - g, nxt - g)[1]
+
+
+def _checked_loop_floats(xs: list, ys: list) -> Optional[tuple]:
+    """``_checked_loop`` on Python floats for the finite coordinate lists
+    of a loop: the repeated-vertex check, the turn and star-shaped
+    certificates and the shoelace area by the same IEEE operations, in
+    the same order. None where neither certificate holds, and the loop
+    needs the edge-pair search."""
+    n = len(xs)
+    pts = list(zip(xs, ys))
+    if any(map(eq, pts, pts[1:] + pts[:1])):
+        raise InvalidPolygonError("polygon repeats a vertex on consecutive positions")
+    certified = n > 3 and _winds_once_floats(_float_edges(xs), _float_edges(ys))
+    if n > 3 and not certified:
+        # the mean of the vertices, summed down the rows from 0.0 as numpy's axis-0 sum
+        gx, gy = reduce(add, xs, 0.0) / n, reduce(add, ys, 0.0) / n
+        if not _winds_once_floats([v - gx for v in xs], [v - gy for v in ys]):
+            return None
+    return certified, 0.5 * _float_sum(_cross_terms(xs, ys)[4])
+
+
+def _float_edges(v: list) -> list:
+    """Next coordinate minus this one, around the loop of floats ``v``."""
+    return list(map(sub, v[1:] + v[:1], v))
+
+
+def _checked_loop(coords: np.ndarray) -> tuple:
+    """(certified convex, signed area) of a loop of at least 3 rows;
+    raises InvalidPolygonError for a non-finite coordinate, a repeated
+    consecutive vertex or touching edges. Finite loops of up to
+    ``kernels._FLOAT_EDGES`` vertices that ``_checked_loop_floats``
+    certifies simple take it; every other loop takes the array passes
+    and, uncertified, the edge-pair search."""
+    if len(coords) <= kernels._FLOAT_EDGES:
+        xs, ys = coords.T.tolist()
+        if all(map(math.isfinite, xs + ys)):
+            checked = _checked_loop_floats(xs, ys)
+            if checked is not None:
+                return checked
+    if not np.isfinite(coords).all():
+        raise InvalidPolygonError("polygon has non-finite coordinates")
+    nxt = np.concatenate((coords[1:], coords[:1]))
+    if (coords == nxt).all(axis=1).any():
+        raise InvalidPolygonError("polygon repeats a vertex on consecutive positions")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # every two edges of a triangle are neighbours, so none can cross
+        certified = len(coords) > 3 and _turns(nxt - coords)[1]
+        simple = len(coords) < 4 or certified or _star_shaped(coords, nxt)
+        # intersection before area: a symmetric bowtie nets out to zero
+        # shoelace area, and the intersection diagnostic is the useful one
+        if not simple and _segments_intersect_any(coords, nxt):
+            raise InvalidPolygonError("polygon is self-intersecting")
+        return certified, _shoelace(coords)
 
 
 # a polygon or point set whose vertex 0 lies within this many diameters
@@ -366,20 +490,26 @@ class Polygon:
     arrived clockwise. Instances are immutable; derived quantities (edge
     vectors and lengths, area, centroid, diameter) are computed once.
 
-    One array pass over the turns at the vertices comes first. A loop of
-    4 or more vertices whose turns all have one exactly known sign and
-    make one revolution is convex, hence simple: it skips the search for
-    touching edge pairs and, for its diameter, the hull. A second pass
-    certifies star-shaped loops: seen from the mean of the vertices, the
-    angles that the edges subtend all have one exactly known sign and make
-    one revolution, so each edge keeps to its own wedge and the loop is
-    simple without the search. Every other loop takes the sort and sweep
-    of its edge boxes, and beyond 8 vertices a hull. Two edges touch when
-    each meets the other's line and their boxes meet.
+    One pass over the turns at the vertices comes first. A loop of 4 or
+    more vertices whose turns all have one exactly known sign and make one
+    revolution is convex, hence simple: it skips the search for touching
+    edge pairs and, for its diameter, the hull. A second pass certifies
+    star-shaped loops: seen from the mean of the vertices, the angles that
+    the edges subtend all have one exactly known sign and make one
+    revolution, so each edge keeps to its own wedge and the loop is simple
+    without the search. Every other loop takes the sort and sweep of its
+    edge boxes. Two edges touch when each meets the other's line and
+    their boxes meet.
 
-    The edges, turns and area run under one numpy error state that ignores
-    overflow: a loop past about 1e154 is rejected, at the latest for its
-    non-finite area, without a numpy warning.
+    Up to ``kernels._FLOAT_EDGES`` vertices, both passes, the area and the
+    edge vectors run on Python floats, and the diameter and the centroid
+    too, the diameter over every pair of vertices; a loop that neither
+    pass certifies is checked again on arrays before its search. Beyond,
+    each step is one numpy call, and the diameter of a loop not certified
+    convex takes a hull first. Both routes give the same bits. The arrays
+    run under one numpy error state that ignores overflow: a loop past
+    about 1e154 is rejected, at the latest for its non-finite area,
+    without a numpy warning.
     """
 
     __slots__ = ("_coords", "_edge_vectors", "_edge_lengths", "was_reversed",
@@ -389,21 +519,7 @@ class Polygon:
         coords = _coerce_coords(vertices)
         if len(coords) < 3:
             raise InvalidPolygonError("polygon needs at least 3 vertices")
-        if not np.isfinite(coords).all():
-            raise InvalidPolygonError("polygon has non-finite coordinates")
-        nxt = np.concatenate((coords[1:], coords[:1]))
-        if (coords == nxt).all(axis=1).any():
-            raise InvalidPolygonError("polygon repeats a vertex on consecutive positions")
-        with np.errstate(over="ignore", invalid="ignore"):
-            edges = nxt - coords
-            # every two edges of a triangle are neighbours, so none can cross
-            certified = len(coords) > 3 and _turns(edges)[1]
-            simple = len(coords) < 4 or certified or _star_shaped(coords, nxt)
-            # intersection before area: a symmetric bowtie nets out to zero
-            # shoelace area, and the intersection diagnostic is the useful one
-            if not simple and _segments_intersect_any(coords, nxt):
-                raise InvalidPolygonError("polygon is self-intersecting")
-            area = _shoelace(coords)
+        certified, area = _checked_loop(coords)
         if area == 0.0:
             raise InvalidPolygonError("polygon has zero area")
         if not math.isfinite(area):
@@ -411,8 +527,14 @@ class Polygon:
         reversed_input = area < 0.0
         if reversed_input:
             coords = coords[::-1].copy()
-            edges = np.concatenate((coords[1:], coords[:1])) - coords
             area = -area
+        if len(coords) <= kernels._FLOAT_EDGES:
+            xs, ys = coords.T.tolist()
+            edges = np.empty_like(coords)
+            edges[:, 0], edges[:, 1] = _float_edges(xs), _float_edges(ys)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                edges = np.concatenate((coords[1:], coords[:1])) - coords
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         # the closed form divides by every squared edge length, which only
         # an edge shorter than _SHORT_EDGE can lose to underflow
@@ -482,11 +604,19 @@ class Polygon:
         if self._centroid is None:
             # relative to vertex 0, like the area, then moved back
             ox, oy = self._coords[0].tolist()
-            d = (self._coords - self._coords[0]).T
-            (x, y), (xn, yn) = d, np.concatenate((d[:, 1:], d[:, :1]), axis=1)
-            cross = x * yn - xn * y
-            cx = float(((x + xn) * cross).sum() / (6.0 * self._area))
-            cy = float(((y + yn) * cross).sum() / (6.0 * self._area))
+            cx = cy = math.inf
+            if len(self._coords) <= kernels._FLOAT_EDGES:
+                # the same sums on Python floats; where one does not end
+                # finite, the arrays below raise or warn as they always do
+                x, xn, y, yn, cross = _cross_terms(*self._coords.T.tolist())
+                cx = _float_sum(list(map(mul, map(add, x, xn), cross))) / (6.0 * self._area)
+                cy = _float_sum(list(map(mul, map(add, y, yn), cross))) / (6.0 * self._area)
+            if not (math.isfinite(cx) and math.isfinite(cy)):
+                d = (self._coords - self._coords[0]).T
+                (x, y), (xn, yn) = d, np.concatenate((d[:, 1:], d[:, :1]), axis=1)
+                cross = x * yn - xn * y
+                cx = float(((x + xn) * cross).sum() / (6.0 * self._area))
+                cy = float(((y + yn) * cross).sum() / (6.0 * self._area))
             self._centroid = Point2(cx + ox, cy + oy)
         return self._centroid
 
@@ -548,7 +678,7 @@ def _coerce_coords(vertices: Iterable) -> np.ndarray:
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise InvalidPolygonError("vertices must be a sequence of (x, y) pairs")
     # tolerate an explicitly closed loop (last vertex repeating the first)
-    if len(coords) > 3 and (coords[0] == coords[-1]).all():
+    if len(coords) > 3 and coords[0].tolist() == coords[-1].tolist():
         coords = coords[:-1]
     return coords
 

@@ -7,10 +7,10 @@ gradient on the kernel's route (closed form or quadrature); the solver
 drives it with Newton steps, backtracking damping, and a
 gradient-descent fallback when the Jacobian degenerates. Every
 evaluation carries the Jacobian with the residual, so Newton makes one
-residual call per trial point. The loop, ``_damped_newton``, works on a
-(2,) iterate and plain floats, and is the package's only Newton loop:
-``weiszfeld`` drives it on point sets with its own evaluator. The
-report types are built once, for the result.
+residual call per trial point. The loop, ``_damped_newton``, works on
+plain floats, its trial points among them, and is the package's only
+Newton loop: ``weiszfeld`` drives it on point sets with its own
+evaluator. The report types are built once, for the result.
 """
 from __future__ import annotations
 
@@ -92,16 +92,17 @@ class SolveResult:
     edge_means: Tuple[float, ...] = ()
 
 
-def _validated_region(region) -> Tuple[Polygon, float, float, float, np.ndarray]:
+def _validated_region(region) -> Tuple[Polygon, float, float, float, Tuple[float, float]]:
     """The region in its solve frame (``Polygon._local_frame``): the
     translated polygon, the frame origin, the diameter and the area
-    centroid in that frame."""
+    centroid in that frame, as two floats."""
     # overflow in the diameter or the centroid, raised under the solve's
     # error state, is an unusable region too
     try:
         polygon = as_polygon(region)
         local, ox, oy = polygon._local_frame()
-        return local, ox, oy, local.diameter, local.centroid.as_array()
+        centroid = local.centroid
+        return local, ox, oy, local.diameter, (centroid.x, centroid.y)
     except Exception as exc:
         raise SingularRegionError(f"not a usable region: {exc}") from exc
 
@@ -122,10 +123,12 @@ def _ill_conditioned(jac) -> bool:
     return f + math.sqrt(max(f * f - 4.0 * det * det, 0.0)) > 2.0 * _SINGULAR_COND * det
 
 
-def _damped_newton(evaluate, x: np.ndarray, scale: float, cfg: SolveConfig, fallback, exact=None, accept=None):
-    """The package's one Newton loop, from x; returns the visited (point,
-    norm / scale) pairs, the last state, the step count and whether the
-    run converged (norm / scale <= ``cfg.tol_rel``).
+def _damped_newton(evaluate, x, scale: float, cfg: SolveConfig, fallback, exact=None, accept=None):
+    """The package's one Newton loop, from the point x (two floats or a
+    (2,) array); returns the visited (point, norm / scale) pairs, the last
+    state, the step count and whether the run converged (norm / scale <=
+    ``cfg.tol_rel``). Trial points are pairs of floats x + t step, the
+    IEEE operations of the (2,) array expression.
 
     ``evaluate(v)`` gives a state (norm, gradient, Jacobian rows or None,
     ...). The step solves the Jacobian system, or is ``fallback(x, state)``
@@ -137,7 +140,7 @@ def _damped_newton(evaluate, x: np.ndarray, scale: float, cfg: SolveConfig, fall
     converged.
     """
     state = evaluate(x)
-    visited: List[Tuple[np.ndarray, float]] = [(x, state[0] / scale)]
+    visited: List[Tuple[tuple, float]] = [(x, state[0] / scale)]
     iterations = 0
     converged = visited[-1][1] <= cfg.tol_rel
     while not converged and iterations < cfg.max_iter:
@@ -155,9 +158,10 @@ def _damped_newton(evaluate, x: np.ndarray, scale: float, cfg: SolveConfig, fall
         sx, sy = step.tolist()
         if sx == sy == 0.0 or not (math.isfinite(sx) and math.isfinite(sy)):
             break
+        x0, x1 = x
         t = 1.0
         while t >= _MIN_STEP:
-            cand = x + t * step
+            cand = (x0 + t * sx, x1 + t * sy)
             trial = evaluate(cand)
             if accept(trial, state) if accept else trial[0] < norm:
                 break
@@ -171,6 +175,11 @@ def _damped_newton(evaluate, x: np.ndarray, scale: float, cfg: SolveConfig, fall
     return visited, state, iterations, converged
 
 
+# the defaults, built once: both types are frozen
+_DEFAULT_CONFIG = SolveConfig()
+_EUCLIDEAN = RadialKernel.euclidean()
+
+
 def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
     """Geometric median of a polygonal region (Euclidean kernel).
 
@@ -178,7 +187,7 @@ def solve_median(poly, cfg: Optional[SolveConfig] = None) -> SolveResult:
     closed-form residual's gradient and its closed-form Jacobian,
     initialized at the area centroid.
     """
-    return solve_medianoid(poly, RadialKernel.euclidean(), cfg)
+    return solve_medianoid(poly, _EUCLIDEAN, cfg)
 
 
 # one numpy error state for a whole solve: an overflow or an invalid
@@ -200,16 +209,16 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
     translation-equivariant, so the iterate is x minus the origin of the
     region's solve frame, and the residual sees the region translated
     there: a region far from the origin keeps the precision of one near
-    it. The loop carries that iterate as a (2,) array and the residual
-    as floats, and builds no ``Point2`` or ``ResidualReport``; the trace
-    and the median are moved back by one add per coordinate, once, at
-    the end. Triangles get the certificate of the final edge means, the
+    it. The loop carries that iterate and the residual as floats, and
+    builds no ``Point2`` or ``ResidualReport``; the trace and the median
+    are moved back by one add per coordinate, once, at the end.
+    Triangles get the certificate of the final edge means, the
     ``ResidualReport.certificate`` of the final point.
     """
-    cfg = cfg or SolveConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     polygon, ox, oy, diam, x = _validated_region(boundary)
 
-    def evaluate(v: np.ndarray) -> tuple:
+    def evaluate(v) -> tuple:
         """(|T|, gradient rotate90(T, +1), Jacobian rows, edge means) at v."""
         try:
             means, tx, ty, jac = _frame_residual(polygon, v, kernel)
@@ -217,7 +226,7 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
             raise SingularRegionError(f"the kernel integrals overflow the float range: {exc}") from exc
         return math.hypot(tx, ty), np.array([-ty, tx]), jac, means
 
-    def descend(v: np.ndarray, state: tuple) -> np.ndarray:
+    def descend(v, state: tuple) -> np.ndarray:
         # minus the gradient, scaled by the diameter to a step with length units
         g = state[1]
         gn = math.hypot(g[0], g[1])

@@ -89,8 +89,10 @@ def two_endpoint_closed_values(a, e, x, p=1):
 
 def use_array_routes(monkeypatch):
     """Send loops of every size down the array routes of
-    ``kernels.closed_values_batch`` and ``residuals._frame_residual``,
-    which both read the crossover ``kernels._FLOAT_EDGES``."""
+    ``kernels.closed_values_batch``, ``residuals._frame_residual``, the
+    ``Polygon`` constructor, diameter and centroid and
+    ``geometry._max_pairwise_distance``, which all read the crossover
+    ``kernels._FLOAT_EDGES`` at each call."""
     monkeypatch.setattr(kernels, "_FLOAT_EDGES", 0)
 
 
@@ -234,7 +236,8 @@ def decimal_point_median(points, weights, start):
     of the rest, and |g| is the norm of the subgradient nearest 0,
     max(pull - anchor, 0). Returns the point as floats once |g| / W <
     1e-30, W the total weight; raises AssertionError if it does not get
-    there, or if a Newton step would start from a data point."""
+    there, if a Newton step would start from a data point, or if the
+    Hessian is singular, as off a data point on a line of points."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         pts = [(Decimal(float(a)), Decimal(float(b))) for a, b in points]
@@ -261,6 +264,8 @@ def decimal_point_median(points, weights, start):
             if anchor:
                 raise AssertionError(f"the data point {float(x)!r}, {float(y)!r} is not the median")
             det = hxx * hyy - hxy * hxy
+            if det == 0:
+                raise AssertionError(f"the Hessian at {float(x)!r}, {float(y)!r} is singular")
             x, y = x - (hyy * gx - hxy * gy) / det, y - (hxx * gy - hxy * gx) / det
         raise AssertionError("the decimal Newton polish did not reach |g| / W < 1e-30")
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -26,7 +27,12 @@ from helpers import (
     random_star_polygon,
     scaled_all_pairs_diameter,
     star_loop,
+    use_array_routes,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from workloads import unit_region  # noqa: E402  the benchmark's seeded 3-8-gons
 
 DATA = Path(__file__).parent / "data"
 
@@ -968,3 +974,105 @@ def test_fine_sampled_curve_constructs_in_near_linear_time():
     elapsed = time.perf_counter() - start
     assert 2.0 < d < 2.4
     assert elapsed < 2.0
+
+
+# ---------------------------------------------------------------- float and array routes
+#
+# Loops of up to kernels._FLOAT_EDGES vertices are validated, and their
+# area, diameter and centroid formed, on Python floats; every other loop,
+# and every loop under ``use_array_routes``, on arrays. Both must give the
+# same bits and the same errors.
+
+def _route_outcome(make):
+    """make()'s fields as exact bytes, or its exception's type and message,
+    with the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = make()
+        except Exception as exc:
+            got = (type(exc).__name__, str(exc))
+    return got, [str(w.message) for w in caught]
+
+
+def _polygon_fields(c):
+    def make():
+        p = Polygon(c)
+        fields = [p.was_reversed, p.area.hex(), p.coords.tobytes(), p.edge_vectors.tobytes(),
+                  p.edge_lengths.tobytes(), p.diameter.hex()]
+        try:
+            centroid = p.centroid
+        except ValueError as exc:
+            return fields + [str(exc)]
+        return fields + [centroid.x.hex(), centroid.y.hex()]
+    return make
+
+
+def _route_cases(rng):
+    """Loops of 3 to 14 vertices, and a few past the crossover, that reach
+    every branch of the constructor on both routes."""
+    loops = []
+    with np.errstate(over="ignore"):
+        for j in range(120):
+            c = unit_region(rng, j)
+            d = float(np.max(np.ptp(c, axis=0)))
+            offset = rng.choice([0.0, 1.0]) * rng.uniform(-1e6, 1e6, 2) * d
+            k = int(rng.integers(-1000, 1001)) if j % 3 == 0 else int(rng.integers(-480, 481))
+            loops.append(np.ldexp(c + offset, k))
+    loops += [unit_region(rng, j) * scale for j in range(6) for scale in (1e103, 1e154, 1e300)]
+    loops += [_ellipse(rng, n) for n in range(9, 16)] + [_star(rng, n) for n in range(9, 16)]
+    loops += [comb_polygon(t).coords for t in (2, 3)] + [_comb(t, g, 1, 10.0) for t in (4, 5) for g in (1e-3, -1e-3)]
+    # bowties: two vertices of a star swapped
+    for n in (4, 6, 8, 12):
+        c = star_loop(rng, n)
+        c[[0, n // 2]] = c[[n // 2, 0]]
+        loops.append(c)
+    loops += [
+        [(0, 0), (1, 1), (1, 0), (0, 1)],
+        [(0, 0), (1, 0), (1, 0), (0, 1)],  # a repeated vertex
+        [(0, 0), (1, 1), (2, 2)],  # zero area
+        [(0, 0), (1, 0), (2, 0), (1, 0)],
+        [(0, 0), (3, 0), (3, 5e-324)],  # an edge whose squared length underflows
+        [(0, 0), (1, 0), (1, 1e-170), (0, 1)],
+        [(0, 0), (1, 0), (math.nan, 1)],
+        [(0, 0), (1, 0)],
+        [(-1.5e308, 0), (1.5e308, 0), (0, 1e-300)],  # an edge that overflows
+    ]
+    loops = [np.array(c, dtype=float) for c in loops]
+    # clockwise, and explicitly closed
+    return loops + [c[::-1] for c in loops] + [np.concatenate((c, c[:1])) for c in loops[:40]]
+
+
+def test_polygons_take_the_same_bits_and_errors_on_the_float_and_the_array_routes(monkeypatch):
+    loops = _route_cases(np.random.default_rng(4201))
+    certified = []
+    real = geometry._checked_loop_floats
+    monkeypatch.setattr(geometry, "_checked_loop_floats", lambda xs, ys: certified.append(real(xs, ys)) or certified[-1])
+    floats = [_route_outcome(_polygon_fields(c)) for c in loops]
+    on_floats = sum(c is not None for c in certified)
+    with monkeypatch.context() as patch:
+        use_array_routes(patch)
+        for c, got in zip(loops, floats):
+            assert _route_outcome(_polygon_fields(c)) == got, c.tolist()
+    # most loops took the float route, and every outcome came up: each
+    # error of the constructor, and a centroid that overflows
+    assert on_floats > len(loops) // 2
+    messages = {got[1] for got, _ in floats if isinstance(got, tuple) and got[0] == "InvalidPolygonError"}
+    assert len(messages) == 7, messages
+    assert any(isinstance(got, list) and len(got) == 7 for got, _ in floats)
+
+
+def test_point_set_diameters_take_the_same_bits_on_the_float_and_the_array_routes(monkeypatch):
+    rng = np.random.default_rng(4202)
+    sets = [rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-300, 300) + rng.choice([0.0, 1.0]) * rng.normal(size=2)
+            for n in range(1, 15) for _ in range(30)]
+    sets += [np.array([(1e308, 0), (-1e308, 0), (0, 1e308)]), np.zeros((5, 2)), np.array([(5e-324, 0.0), (0.0, 0.0)])]
+
+    def diameters():
+        return [_route_outcome(lambda: PointSet(pts).diameter.hex()) for pts in sets]
+
+    floats = diameters()
+    with monkeypatch.context() as patch:
+        use_array_routes(patch)
+        assert diameters() == floats
+    assert floats[-3][0] == ("ValueError", "point set diameter overflows the float range")

@@ -250,6 +250,13 @@ def test_point_medians_match_the_decimal_reference(kind):
         assert math.hypot(res.median.x - ref[0], res.median.y - ref[1]) <= 1e-12 * ps.diameter, n
 
 
+def test_the_decimal_reference_names_a_singular_hessian():
+    # off a data point on a line of points, every unit vector lies along
+    # the line and the Hessian is singular
+    with pytest.raises(AssertionError, match="Hessian .* is singular"):
+        decimal_point_median([(0, 0), (1, 0), (2, 0), (3, 0), (7, 0)], [1] * 5, (0.5, 0.0))
+
+
 def test_clustered_sets_converge_within_twelve_steps():
     # 300 weighted sets of 2-3 clusters; between clusters the objective is
     # flat along their axis, where a linearly converging iteration stalls
