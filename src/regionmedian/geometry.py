@@ -484,11 +484,12 @@ class Polygon:
     """A simple polygon with at least three vertices, stored counterclockwise.
 
     The constructor validates the loop (no repeated consecutive vertices,
-    no edge whose squared length underflows to zero, no self-intersection,
-    strictly nonzero area) and normalizes the vertex order to
-    counterclockwise. ``was_reversed`` records whether the input
-    arrived clockwise. Instances are immutable; derived quantities (edge
-    vectors and lengths, area, centroid, diameter) are computed once.
+    no edge whose squared length underflows to zero or whose length
+    overflows, no self-intersection, strictly nonzero area) and normalizes
+    the vertex order to counterclockwise. ``was_reversed`` records whether
+    the input arrived clockwise. Instances are immutable; derived
+    quantities (edge vectors and lengths, area, centroid, diameter) are
+    computed once.
 
     One pass over the turns at the vertices comes first. A loop of 4 or
     more vertices whose turns all have one exactly known sign and make one
@@ -536,6 +537,10 @@ class Polygon:
             with np.errstate(over="ignore", invalid="ignore"):
                 edges = np.concatenate((coords[1:], coords[:1])) - coords
         lengths = np.hypot(edges[:, 0], edges[:, 1])
+        # an edge between finite vertices can still overflow, and the
+        # diameter and the solves need its length
+        if lengths.max() == math.inf:
+            raise InvalidPolygonError("polygon has an edge whose length overflows the float range")
         # the closed form divides by every squared edge length, which only
         # an edge shorter than _SHORT_EDGE can lose to underflow
         if lengths.min() < _SHORT_EDGE:

@@ -7,10 +7,13 @@ form along the radial direction for the power kernels, which are
 homogeneous (the Euclidean kernel is p = 1); a custom kernel
 (``kernel.p`` None) takes the full tensor rule. Regions are a ``Polygon``
 or a vertex loop, as for the solvers. Both minimizers find the root of
-the objective's gradient with one Newton loop (``_gradient_root``): the
-star rule applied to a power kernel's gradient, central differences of
-the value rule for a custom kernel, and for a point set the fsum of its
-unit vectors, with the exact vertex test at the nearest data point.
+the objective's gradient with one Newton loop (``_gradient_root``). For a
+power kernel the gradient is the star rule applied to the kernel's
+gradient, and one pass over the boundary nodes gives it with the rule's
+exact Jacobian. A custom kernel takes central differences of the value
+rule, and a point set the fsum of its unit vectors, with the exact
+vertex test at the nearest data point; both difference their Jacobian
+from five gradients.
 Independent by design: nothing here shares code paths with the solvers
 it certifies, and no edge integral of ``kernels`` is used. The tests
 check the rule by the divergence theorem: the integral of |y|**p is
@@ -36,9 +39,9 @@ __all__ = ["OracleValue", "oracle_sigma", "oracle_minimize", "oracle_minimize_po
 # t-panels of the rule; the error estimate compares against twice as many
 _PANELS = 4
 
-# Newton on the gradient: the central-difference step and the stop, both
-# in diameters, the iteration budget, and the relative determinant below
-# which a Jacobian counts as singular
+# Newton on the gradient: the central-difference step of a differenced
+# Jacobian and the stop, both in diameters, the iteration budget, and the
+# relative determinant below which a Jacobian counts as singular
 _FD_STEP = 1e-6
 _STEP_TOL = 1e-9
 _NEWTON_BUDGET = 20
@@ -127,45 +130,75 @@ def oracle_sigma(poly, x: Point2, kernel: Optional[RadialKernel] = None) -> Orac
 
 
 def _star_gradient(poly: Polygon, p: float):
-    """``gradients(points)``: the gradient in x of the area integral of
-    |P - x|**p, p > 0, at each row x of ``points`` (m, 2), as (m, 2).
+    """``newton(x, y)``: the gradient in x of the area integral of
+    |P - x|**p, p > 0, at (x, y) and its exact Jacobian, from one pass
+    over the boundary nodes, as ((gx, gy), ((a, b), (c, d))).
 
     In the star triangle (x, a_i, a_i+1) of signed area A_i, P - x =
     s * b_i(t) with b_i(t) = a_i + t * e_i - x, so the radial integral is
-    exact and the gradient is -(2p / (p + 1)) sum_i A_i * integral of
-    |b_i|**(p - 2) * b_i dt. The t-integral takes the nodes of
+    exact and the gradient is g = -p sum_i A_i G_i, with
+    G_i = sum_j w_j |b_ij|**(p - 2) * b_ij over the nodes of
     ``star_rule(2 * _PANELS)``, the rule of ``oracle_sigma``'s error
     estimate, weighted by its radial sum for the integrand s**(p - 1)
     (``_radial_weights``): the star rule applied to the gradient of the
-    kernel. |b|**2 is floored at the smallest normal float, so a point on
-    a boundary node has a finite gradient. The edges are taken in blocks of
-    at most ``_BLOCK_NODES`` nodes per temporary.
+    kernel. A_i is linear in x with gradient (-e_i,y, e_i,x) / 2, and each
+    node moves by -1 with x, so the Jacobian of the rule is exact (Griewank
+    & Walther, Evaluating Derivatives, SIAM 2008):
+    J = -p sum_i [G_i grad(A_i)^T
+                  - A_i sum_j w_j |b_ij|**(p - 2) (I + (p - 2) u_ij u_ij^T)],
+    u = b / |b|. Per edge the pass forms six node sums: G_x, G_y,
+    sum w |b|**(p - 2) and the three entries of the u u^T term. |b|**2 is
+    floored at the smallest normal float, and the u u^T term is formed as
+    (|b|**(p - 2) * b) * (b / |b|**2) on the floored |b|**2, so a point on
+    a boundary node has a finite gradient and Jacobian. The edges are
+    taken in blocks of at most ``_BLOCK_NODES`` nodes per temporary.
     """
     _, t, _ = star_rule(2 * _PANELS)
     weights = _radial_weights(2 * _PANELS, p - 1.0)
     a, e = poly.coords, poly.edge_vectors
-    an = np.concatenate((a[1:], a[:1]))
+    n = len(a)
+    # per component and edge, (a_i - x, e_i): times the rows (1, t_j), the
+    # boundary nodes b
+    layout, basis = np.empty((2, n, 2)), np.stack((np.ones_like(t), t))
+    layout[:, :, 1] = e.T
+    qx, qy = layout[0, :, 0], layout[1, :, 0]
+    # per edge, the weights of its six node sums in the gradient and the
+    # Jacobian: the signed area, set at each pass, and its gradient
+    area_grads = np.empty((n, 3))
+    area_grads[:, 1], area_grads[:, 2] = -0.5 * e[:, 1], 0.5 * e[:, 0]
+    block = max(1, _BLOCK_NODES // len(t))
+    nodes = np.empty((6, min(block, n), len(t)))
 
-    def gradients(points) -> np.ndarray:
-        x = np.asarray(points, dtype=float)[:, None, :]  # (m, 1, 2)
-        q, qn = a - x, an - x  # (m, n, 2)
-        areas = 0.5 * (q[..., 0] * qn[..., 1] - q[..., 1] * qn[..., 0])
-        gx, gy = np.empty_like(areas), np.empty_like(areas)
-        block = max(1, _BLOCK_NODES // (len(x) * len(t)))
-        for lo in range(0, len(a), block):
-            s = slice(lo, lo + block)
-            # the boundary nodes b (m, B, T) per component, times |b|**(p - 2)
-            bx = q[:, s, 0, None] + t * e[s, 0, None]
-            by = q[:, s, 1, None] + t * e[s, 1, None]
-            f = bx * bx
-            f += by * by
-            np.power(np.maximum(f, sys.float_info.min, out=f), 0.5 * p - 1.0, out=f)
-            bx *= f
-            by *= f
-            gx[:, s], gy[:, s] = bx @ weights, by @ weights
-        return -p * np.stack(((areas * gx).sum(axis=1), (areas * gy).sum(axis=1)), axis=1)
+    def newton(x: float, y: float) -> tuple:
+        np.subtract(a[:, 0], x, out=qx)
+        np.subtract(a[:, 1], y, out=qy)
+        sums = np.empty((6, n))
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            view = nodes[:, : hi - lo]
+            fx, fy, f, fxx, fxy, fyy = view
+            bx, by = layout[:, lo:hi] @ basis
+            r2 = bx * bx
+            r2 += by * by
+            np.maximum(r2, sys.float_info.min, out=r2)
+            np.power(r2, 0.5 * p - 1.0, out=f)
+            np.multiply(f, bx, out=fx)
+            np.multiply(f, by, out=fy)
+            bx /= r2
+            by /= r2
+            np.multiply(fx, bx, out=fxx)
+            np.multiply(fx, by, out=fxy)
+            np.multiply(fy, by, out=fyy)
+            np.matmul(view, weights, out=sums[:, lo:hi])
+        area_grads[:, 0] = 0.5 * (qx * e[:, 1] - qy * e[:, 0])
+        (gx, jxx, jxy), (gy, jyx, jyy), (s0, _, _), (sxx, _, _), (sxy, _, _), (syy, _, _) = (
+            (sums @ area_grads).tolist())
+        p2 = p - 2.0
+        return ((-p * gx, -p * gy),
+                ((-p * (jxx - s0 - p2 * sxx), -p * (jxy - p2 * sxy)),
+                 (-p * (jyx - p2 * sxy), -p * (jyy - s0 - p2 * syy))))
 
-    return gradients
+    return newton
 
 
 def _difference_gradient(integral, h: float):
@@ -178,6 +211,23 @@ def _difference_gradient(integral, h: float):
                          for x, y in points.tolist()])
 
     return gradients
+
+
+def _difference_jacobian(gradients, h: float):
+    """``newton(x, y)``: the gradient by ``gradients(points)`` at (x, y)
+    and its central-difference Jacobian, from one pass over five points,
+    (x, y) and x +- h along each axis, over the steps as rounded, as
+    ((gx, gy), ((a, b), (c, d)))."""
+
+    def newton(x: float, y: float) -> tuple:
+        (xp, xm), (yp, ym) = (x + h, x - h), (y + h, y - h)
+        g, g1, g2, g3, g4 = gradients(np.array([(x, y), (xp, y), (xm, y), (x, yp), (x, ym)])).tolist()
+        # columns: the derivatives along x and along y
+        hx, hy = xp - xm, yp - ym
+        return g, (((g1[0] - g2[0]) / hx, (g3[0] - g4[0]) / hy),
+                   ((g1[1] - g2[1]) / hx, (g3[1] - g4[1]) / hy))
+
+    return newton
 
 
 def _point_gradient(pts: np.ndarray, w: np.ndarray):
@@ -223,38 +273,33 @@ def _point_step(gradients, x: float, y: float, g: tuple, newton: tuple, diam: fl
     return hi * dx, hi * dy
 
 
-def _gradient_root(gradients, diam: float, start, vertex=None) -> Point2:
-    """The root of ``gradients`` by Newton's method from ``start``.
+def _gradient_root(newton, diam: float, start, vertex=None, gradients=None) -> Point2:
+    """The root of a gradient by Newton's method from ``start``.
 
-    ``gradients(points)`` maps an (m, 2) array of points to the gradients
-    there. Each iterate takes one pass over five points, x and x +- h
-    along each axis with h = ``_FD_STEP`` times ``diam``: the gradient at
-    x and a central-difference Jacobian. The loop stops at a zero gradient
-    or after a step within ``_STEP_TOL`` of ``diam``. A singular or
-    non-finite Jacobian, a non-finite step or ``_NEWTON_BUDGET``
+    ``newton(x, y)`` gives the gradient at (x, y) and its Jacobian, as
+    ((gx, gy), ((a, b), (c, d))) with the derivatives along x in the first
+    column: ``_star_gradient``'s one pass for a power kernel, else
+    ``_difference_jacobian``'s five points. The loop stops at a zero
+    gradient or after a step within ``_STEP_TOL`` of ``diam``. A singular
+    or non-finite Jacobian, a non-finite step or ``_NEWTON_BUDGET``
     iterations without a stop raise ``NonConvergenceError``.
 
-    ``vertex(x, y)``, given for a point set, is the exact vertex test at
-    the data point nearest (x, y): that point if it is the median, else
-    None. It runs before each step, and each step, a singular Jacobian's
-    too, is a ``_point_step``.
+    ``vertex(x, y)`` and ``gradients(points)``, given for a point set, are
+    the exact vertex test at the data point nearest (x, y), which returns
+    that point if it is the median, else None, and the gradient pass. The
+    test runs before each step, and each step, a singular Jacobian's too,
+    is a ``_point_step``.
     """
-    h = _FD_STEP * diam
     x, y = start
     for _ in range(_NEWTON_BUDGET):
         if vertex is not None and (m := vertex(x, y)) is not None:
             return m
-        (xp, xm), (yp, ym) = (x + h, x - h), (y + h, y - h)
         # an overflow shows as a non-finite Jacobian or step below
         with np.errstate(over="ignore", invalid="ignore"):
-            (gx, gy), g1, g2, g3, g4 = gradients(np.array([(x, y), (xp, y), (xm, y), (x, yp), (x, ym)])).tolist()
+            g, ((a, b), (c, d)) = newton(x, y)
+        gx, gy = g
         if gx == gy == 0.0:
             return Point2(x, y)
-        g = gx, gy
-        # columns: the derivatives along x and along y, over the steps as rounded
-        hx, hy = xp - xm, yp - ym
-        a, c = (g1[0] - g2[0]) / hx, (g1[1] - g2[1]) / hx
-        b, d = (g3[0] - g4[0]) / hy, (g3[1] - g4[1]) / hy
         s = max(abs(a), abs(b), abs(c), abs(d))
         regular = s > 0.0 and all(map(math.isfinite, (a, b, c, d)))
         if regular:
@@ -281,11 +326,14 @@ def oracle_minimize(poly, kernel: Optional[RadialKernel] = None) -> Point2:
     gradient by ``_gradient_root`` from the area centroid, in the polygon's
     solve frame (``Polygon._local_frame``, a translation only).
 
-    A power kernel's gradient is ``_star_gradient`` (8 t-panels); a custom
-    kernel's is the central difference of the value rule
-    ``_star_objective`` (4 t-panels), step ``_VALUE_STEP`` times the
-    diameter. Where the objective is not convex, as it need not be for a
-    custom kernel, the root is the one Newton's method reaches.
+    A power kernel's gradient and its exact Jacobian come from one pass of
+    ``_star_gradient`` (8 t-panels) per iterate. A custom kernel's gradient
+    is the central difference of the value rule ``_star_objective``
+    (4 t-panels), step ``_VALUE_STEP`` times the diameter, and its Jacobian
+    the five-point central difference of that gradient
+    (``_difference_jacobian``), step ``_FD_STEP`` times the diameter.
+    Where the objective is not convex, as it need not be for a custom
+    kernel, the root is the one Newton's method reaches.
 
     Raises ``SingularRegionError`` when the objective underflows: for a
     power kernel when area * diameter**p, which bounds it, is below the
@@ -300,14 +348,14 @@ def oracle_minimize(poly, kernel: Optional[RadialKernel] = None) -> Point2:
         f0 = integral((c.x, c.y))
         if abs(f0) < sys.float_info.min:
             raise SingularRegionError(f"the oracle's objective underflows on this region: {f0!r} at the area centroid")
-        gradients = _difference_gradient(integral, _VALUE_STEP * diam)
+        newton = _difference_jacobian(_difference_gradient(integral, _VALUE_STEP * diam), _FD_STEP * diam)
     else:
         bound = math.log2(frame.area) + kernel.p * math.log2(diam)
         if bound < math.log2(sys.float_info.min):
             raise SingularRegionError(
                 f"the oracle's objective underflows on this region: area * diameter**p is 2**{bound:.1f}")
-        gradients = _star_gradient(frame, kernel.p)
-    m = _gradient_root(gradients, diam, (c.x, c.y))
+        newton = _star_gradient(frame, kernel.p)
+    m = _gradient_root(newton, diam, (c.x, c.y))
     return m if frame is poly else Point2(m.x + ox, m.y + oy)
 
 
@@ -338,5 +386,6 @@ def oracle_minimize_points(ps) -> Point2:
 
     total = float(w.sum())
     start = (float(np.sum(w * pts[:, 0]) / total), float(np.sum(w * pts[:, 1]) / total))
-    m = _gradient_root(gradients, math.ldexp(diam, -e), start, vertex)
+    scaled = math.ldexp(diam, -e)
+    m = _gradient_root(_difference_jacobian(gradients, _FD_STEP * scaled), scaled, start, vertex, gradients)
     return Point2(math.ldexp(m.x, e) + ox, math.ldexp(m.y, e) + oy)

@@ -791,6 +791,8 @@ NUMPY_EDGE_INPUTS = {
     "kernel_overflow": {"polygon": [[0, 0], [30, 0], [30, 40]]},
     # an edge whose squared length underflows to 0, the closed form's divisor
     "underflowing_edge": {"polygon": [[0, 0], [3, 0], [3, 5e-324]]},
+    # an edge between finite vertices whose length overflows; its area does not
+    "overflowing_edge": {"polygon": [[0, 1e-300], [1.5e308, 0], [-1.5e308, 0]]},
     "subnormal_points": {"points": [[1e-320, 0], [0, 1e-320], [3e-320, 2e-320]]},
     # JSON strings and booleans are no coordinates, and an integer past the
     # float range is no float
@@ -865,6 +867,8 @@ def test_no_command_prints_a_numpy_warning(capsys, tmp_path):
     ("overflowing_objective", ["discrete", "--oracle"], "point set sums overflow the float range"),
     ("underflowing_edge", ["median"], "polygon has an edge whose squared length underflows to zero"),
     ("underflowing_edge", ["check", "--point", "1,1"], "polygon has an edge whose squared length underflows to zero"),
+    ("overflowing_edge", ["median"], "polygon has an edge whose length overflows the float range"),
+    ("overflowing_edge", ["median", "--oracle"], "polygon has an edge whose length overflows the float range"),
 ])
 def test_an_overflowing_input_prints_one_error_line_naming_it(capsys, tmp_path, stem, argv, message):
     path = tmp_path / f"{stem}.json"

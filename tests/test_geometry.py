@@ -1058,7 +1058,7 @@ def test_polygons_take_the_same_bits_and_errors_on_the_float_and_the_array_route
     # error of the constructor, and a centroid that overflows
     assert on_floats > len(loops) // 2
     messages = {got[1] for got, _ in floats if isinstance(got, tuple) and got[0] == "InvalidPolygonError"}
-    assert len(messages) == 7, messages
+    assert len(messages) == 8, messages
     assert any(isinstance(got, list) and len(got) == 7 for got, _ in floats)
 
 

@@ -180,7 +180,7 @@ def test_monte_carlo_agrees_where_the_fan_overlaps_itself(region):
     _assert_divergence_theorem(region, (c.x, c.y))
 
 
-def test_monte_carlo_on_a_4096_vertex_star_loop():
+def test_divergence_theorem_on_a_4096_vertex_star_loop():
     rng = np.random.default_rng(91)
     poly = random_star_polygon(rng, n=4096)
     _assert_divergence_theorem(poly, interior_point(poly, rng))
@@ -342,8 +342,8 @@ def test_minimize_far_from_the_origin_in_the_solve_frame(monkeypatch, coords, of
     star_gradient = oracle._star_gradient
 
     def counted_star_gradient(*args):
-        gradients = star_gradient(*args)
-        return lambda points: passes.append(points) or gradients(points)
+        newton = star_gradient(*args)
+        return lambda x, y: passes.append((x, y)) or newton(x, y)
 
     monkeypatch.setattr(oracle, "_star_gradient", counted_star_gradient)
     ora = oracle_minimize(poly)
@@ -380,6 +380,21 @@ def test_minimize_lands_on_the_solver_median(p):
         med = solve_medianoid(poly, kernel, SolveConfig(tol_rel=1e-15)).median
         ora = oracle_minimize(poly, kernel)
         assert math.hypot(med.x - ora.x, med.y - ora.y) <= 1e-12 * poly.diameter
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.9, 1.0, 1.5, 3.0])
+def test_exact_jacobian_lands_where_the_difference_jacobian_does(p):
+    # the reference iteration takes the five-point central difference of
+    # the same gradient pass, as custom kernels and point sets do
+    kernel = RadialKernel.power(p)
+    for poly in criterion_04_regions() + GOLDEN_REGIONS + [THIN_TRIANGLE]:
+        frame, ox, oy = poly._local_frame()
+        c, diam = frame.centroid, frame.diameter
+        newton = oracle._star_gradient(frame, p)
+        gradients = lambda points: np.array([newton(x, y)[0] for x, y in points.tolist()])
+        ref = oracle._gradient_root(oracle._difference_jacobian(gradients, oracle._FD_STEP * diam), diam, (c.x, c.y))
+        ora = oracle_minimize(poly, kernel)
+        assert math.hypot(ref.x + ox - ora.x, ref.y + oy - ora.y) <= 1e-15 * poly.diameter
 
 
 CUSTOM_KERNELS = {
@@ -453,25 +468,29 @@ def test_minimize_memory_stays_within_the_gradient_blocks():
 def test_minimizers_stay_within_their_work_counts(monkeypatch):
     # counts, which do not drift with machine speed: a region under a
     # power kernel takes no kernel value, only a few Newton iterates of one
-    # five-point gradient pass each; a point set adds one-point passes for
+    # gradient and Jacobian pass at one point each; a point set takes a
+    # five-point gradient pass per iterate and adds one-point passes for
     # the vertex test and the test of each step
     calls, passes = [], []
     evaluate_many = RadialKernel.evaluate_many
+    star_gradient, point_gradient = oracle._star_gradient, oracle._point_gradient
 
-    def counted(factory):
-        def counted_factory(*args):
-            gradients = factory(*args)
-            return lambda points: passes.append(len(points)) or gradients(points)
-        return counted_factory
+    def counted_star_gradient(*args):
+        newton = star_gradient(*args)
+        return lambda x, y: passes.append(1) or newton(x, y)
+
+    def counted_point_gradient(*args):
+        gradients = point_gradient(*args)
+        return lambda points: passes.append(len(points)) or gradients(points)
 
     monkeypatch.setattr(RadialKernel, "evaluate_many", lambda *args: calls.append(args) or evaluate_many(*args))
-    monkeypatch.setattr(oracle, "_star_gradient", counted(oracle._star_gradient))
-    monkeypatch.setattr(oracle, "_point_gradient", counted(oracle._point_gradient))
+    monkeypatch.setattr(oracle, "_star_gradient", counted_star_gradient)
+    monkeypatch.setattr(oracle, "_point_gradient", counted_point_gradient)
     for poly in criterion_04_regions() + [cli.load_region_file(str(DATA / "t345.json")).polygon]:
         for kernel in (RadialKernel.euclidean(), RadialKernel.power(0.5)):
             passes.clear()
             oracle_minimize(poly, kernel)
-            assert 0 < len(passes) <= 6 and set(passes) == {5}
+            assert 0 < len(passes) <= 6 and set(passes) == {1}
     assert calls == []
 
     # three Newton iterates between the clusters; on the line, one step
@@ -484,53 +503,79 @@ def test_minimizers_stay_within_their_work_counts(monkeypatch):
 
 def test_gradient_rule_is_exact_for_the_second_moment():
     # grad of the integral of |P - x|**2 is 2 * area * (x - centroid), a
-    # polynomial the rule integrates exactly, inside the region or outside
+    # polynomial the rule integrates exactly, inside the region or outside,
+    # and its Jacobian is 2 * area * I
     for poly in (T345, PENTAGON, OFFSET_QUAD._local_frame()[0]):
         c = poly.centroid
-        pts = np.array([(c.x, c.y), (c.x + 0.3, c.y - 0.2), (c.x + 5.0, c.y + 2.0)])
-        got = oracle._star_gradient(poly, 2.0)(pts)
-        want = 2.0 * poly.area * (pts - (c.x, c.y))
-        scale = 2.0 * poly.area * poly.diameter
-        assert np.abs(got - want).max() <= 1e-13 * scale
+        newton = oracle._star_gradient(poly, 2.0)
+        for x in [(c.x, c.y), (c.x + 0.3, c.y - 0.2), (c.x + 5.0, c.y + 2.0)]:
+            g, jac = newton(*x)
+            want = 2.0 * poly.area * (np.array(x) - (c.x, c.y))
+            assert np.abs(np.array(g) - want).max() <= 1e-13 * 2.0 * poly.area * poly.diameter
+            assert np.abs(np.array(jac) - 2.0 * poly.area * np.eye(2)).max() <= 1e-13 * 2.0 * poly.area
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 3.0])
+def test_jacobian_matches_central_differences_of_the_gradient(p):
+    # the exact Jacobian of the rule against central differences of its
+    # own gradient, step 1e-6 of the diameter, which differ by up to 3.1e-9
+    # relative, mostly the gradient's rounding over the step; inside the
+    # region and outside
+    rng = np.random.default_rng(43)
+    for poly in (T345, PENTAGON, random_star_polygon(rng, n=9)._local_frame()[0]):
+        newton = oracle._star_gradient(poly, p)
+        h = 1e-6 * poly.diameter
+        c = poly.centroid
+        for x, y in [(c.x, c.y), (c.x + 0.1 * poly.diameter, c.y - 0.05 * poly.diameter),
+                     (c.x + 2.0 * poly.diameter, c.y + poly.diameter)]:
+            jac = np.array(newton(x, y)[1])
+            cols = [(np.array(newton(x + h, y)[0]) - newton(x - h, y)[0]) / ((x + h) - (x - h)),
+                    (np.array(newton(x, y + h)[0]) - newton(x, y - h)[0]) / ((y + h) - (y - h))]
+            assert np.abs(jac - np.stack(cols, axis=1)).max() <= 1e-8 * np.abs(jac).max(), (p, x, y)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
 def test_gradient_is_finite_on_a_boundary_node(p):
     # a Gauss node of the first edge: |P - x| is 0 there, and |P - x|**(p - 2)
-    # would be infinite without the floor
+    # would be infinite without the floor, and its direction 0 / 0. The
+    # edge is (4, 0), so the node is exact however the pass rounds
+    poly = Polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)])
     _, t, _ = star_rule(2 * _PANELS)
-    a, e = T345.coords[0], T345.edge_vectors[0]
+    a, e = poly.coords[0], poly.edge_vectors[0]
     x = a + t[7] * e
     assert not np.any((a - x) + t[7] * e)
-    g = oracle._star_gradient(T345, p)(x[None, :])
-    assert np.all(np.isfinite(g))
+    g, jac = oracle._star_gradient(poly, p)(*x.tolist())
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(jac))
 
 
-def _stand_in(rows):
+def _stand_in(newton):
     """A stand-in for ``oracle._star_gradient`` whose pass returns
-    ``rows(points)``."""
-    return lambda poly, p: lambda points: np.array(rows(np.asarray(points)), dtype=float)
+    ``newton(x, y)``, the gradient and the Jacobian."""
+    return lambda poly, p: newton
 
 
 NEWTON_FAILURES = {
     # a non-finite Jacobian
-    "nan": (lambda pts: np.full(pts.shape, math.nan), "singular or not finite"),
+    "nan": (lambda x, y: ((math.nan, math.nan), ((math.nan, math.nan), (math.nan, math.nan))),
+            "singular or not finite"),
     # a constant gradient: the Jacobian is 0
-    "constant": (lambda pts: np.ones(pts.shape), "singular or not finite"),
+    "constant": (lambda x, y: ((1.0, 1.0), ((0.0, 0.0), (0.0, 0.0))), "singular or not finite"),
     # a Jacobian of rank one
-    "rank_one": (lambda pts: np.repeat(pts.sum(axis=1, keepdims=True), 2, axis=1), "singular or not finite"),
+    "rank_one": (lambda x, y: ((x + y, x + y), ((1.0, 1.0), (1.0, 1.0))), "singular or not finite"),
     # a huge gradient over a tiny Jacobian: the step overflows
-    "overflow": (lambda pts: [(1e308, 1e308), (1e-300, 0.0), (-1e-300, 0.0), (0.0, 1e-300), (0.0, -1e-300)],
-                 "step is not finite"),
+    "overflow": (lambda x, y: ((1e308, 1e308), ((1e-300, 0.0), (0.0, 1e-300))), "step is not finite"),
     # a cube root: every Newton step lands twice as far on the other side
-    "diverging": (lambda pts: np.cbrt(pts - 10.0), "did not converge in 20 iterations"),
+    "diverging": (lambda x, y: ((float(np.cbrt(x - 10.0)), float(np.cbrt(y - 10.0))),
+                                ((1.0 / (3.0 * float(np.cbrt(x - 10.0)) ** 2), 0.0),
+                                 (0.0, 1.0 / (3.0 * float(np.cbrt(y - 10.0)) ** 2)))),
+                  "did not converge in 20 iterations"),
 }
 
 
 @pytest.mark.parametrize("case", list(NEWTON_FAILURES))
 def test_newton_failures_raise(monkeypatch, case):
-    rows, message = NEWTON_FAILURES[case]
-    monkeypatch.setattr(oracle, "_star_gradient", _stand_in(rows))
+    newton, message = NEWTON_FAILURES[case]
+    monkeypatch.setattr(oracle, "_star_gradient", _stand_in(newton))
     with pytest.raises(NonConvergenceError, match=message):
         oracle_minimize(T345)
 
