@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, eq, gt, mul, sub
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -182,7 +182,7 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
         far[label[hit]] = rows[hit]
 
 
-def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
+def _max_pairwise_distance(coords: np.ndarray, convex: bool = False, xy: Optional[tuple] = None) -> float:
     """Largest distance between two rows of an (n, 2) array.
 
     The rows are first scaled by a power of two, exactly, so squares
@@ -193,10 +193,11 @@ def _max_pairwise_distance(coords: np.ndarray, convex: bool = False) -> float:
     ``_turns`` certifies them. Every other set of rows takes all pairs by
     one broadcast in blocks of ``_PAIR_BLOCK // n`` rows. Up to
     ``kernels._FLOAT_EDGES`` rows, the scan of every pair runs on Python
-    floats, with the same scaling and the same squares and sums.
+    floats, with the same scaling and the same squares and sums, on the
+    coordinate lists ``xy`` where the caller keeps them.
     """
     if len(coords) <= kernels._FLOAT_EDGES:
-        xs, ys = coords.T.tolist()
+        xs, ys = xy or coords.T.tolist()
         exp = math.frexp(max(map(abs, xs + ys)))[1]
         xs, ys = [math.ldexp(v, -exp) for v in xs], [math.ldexp(v, -exp) for v in ys]
         best = 0.0
@@ -432,15 +433,16 @@ def _float_edges(v: list) -> list:
     return list(map(sub, v[1:] + v[:1], v))
 
 
-def _checked_loop(coords: np.ndarray) -> tuple:
+def _checked_loop(coords: np.ndarray, xy: Optional[tuple]) -> tuple:
     """(certified convex, signed area) of a loop of at least 3 rows;
     raises InvalidPolygonError for a non-finite coordinate, a repeated
-    consecutive vertex or touching edges. Finite loops of up to
-    ``kernels._FLOAT_EDGES`` vertices that ``_checked_loop_floats``
-    certifies simple take it; every other loop takes the array passes
-    and, uncertified, the edge-pair search."""
-    if len(coords) <= kernels._FLOAT_EDGES:
-        xs, ys = coords.T.tolist()
+    consecutive vertex or touching edges. A loop given with its
+    coordinate lists ``xy`` (up to ``kernels._FLOAT_EDGES`` vertices) that
+    is finite and that ``_checked_loop_floats`` certifies simple takes it;
+    every other loop takes the array passes and, uncertified, the
+    edge-pair search."""
+    if xy is not None:
+        xs, ys = xy
         if all(map(math.isfinite, xs + ys)):
             checked = _checked_loop_floats(xs, ys)
             if checked is not None:
@@ -466,11 +468,12 @@ def _checked_loop(coords: np.ndarray) -> tuple:
 _NEAR_ORIGIN = 4.0
 
 
-def _frame_origin(coords: np.ndarray, diameter: float) -> tuple:
-    """(ox, oy), the origin of the frame in which the rows ``coords`` are
-    solved: row 0 once it lies more than ``_NEAR_ORIGIN`` diameters out,
-    so far points keep the float resolution of near ones, else (0, 0)."""
-    ox, oy = coords[0].tolist()
+def _frame_origin(first, diameter: float) -> tuple:
+    """(ox, oy), the origin of the frame in which a set of rows whose
+    row 0 is the two floats ``first`` is solved: row 0 once it lies more
+    than ``_NEAR_ORIGIN`` diameters out, so far points keep the float
+    resolution of near ones, else (0, 0)."""
+    ox, oy = first
     if max(abs(ox), abs(oy)) <= _NEAR_ORIGIN * diameter:
         return 0.0, 0.0
     return ox, oy
@@ -478,6 +481,27 @@ def _frame_origin(coords: np.ndarray, diameter: float) -> tuple:
 
 # an edge at least this long has a normal squared length
 _SHORT_EDGE = 2.0 ** -500
+
+
+class _FloatLoop(NamedTuple):
+    """A polygon's vertices and edges as Python floats, counterclockwise:
+    the coordinate lists of its vertices and edge vectors, the edge
+    lengths, and the vertex and edge rows that
+    ``kernels.closed_values_batch`` takes."""
+
+    xs: list
+    ys: list
+    exs: list
+    eys: list
+    lengths: list
+    starts: kernels._FloatRows
+    edges: kernels._FloatRows
+
+    def moved(self, ox: float, oy: float) -> "_FloatLoop":
+        """The loop translated by minus (ox, oy): the same subtractions
+        as the arrays', sharing the edge lists."""
+        xs, ys = [v - ox for v in self.xs], [v - oy for v in self.ys]
+        return _FloatLoop(xs, ys, self.exs, self.eys, self.lengths, kernels._FloatRows(zip(xs, ys)), self.edges)
 
 
 class Polygon:
@@ -511,16 +535,24 @@ class Polygon:
     run under one numpy error state that ignores overflow: a loop past
     about 1e154 is rejected, at the latest for its non-finite area,
     without a numpy warning.
+
+    Such a loop keeps the float lists its constructor forms, as a
+    ``_FloatLoop``: vertex and edge coordinates, counterclockwise, and the
+    edge lengths. The diameter, the centroid, the solve frame (whose
+    translated view carries translated vertex lists) and every residual
+    evaluation read them instead of converting the arrays again; the
+    closed form takes their rows. Longer loops build no lists.
     """
 
     __slots__ = ("_coords", "_edge_vectors", "_edge_lengths", "was_reversed",
-                 "_area", "_centroid", "_diameter", "_certified_convex")
+                 "_area", "_centroid", "_diameter", "_certified_convex", "_floats")
 
     def __init__(self, vertices: Iterable) -> None:
         coords = _coerce_coords(vertices)
         if len(coords) < 3:
             raise InvalidPolygonError("polygon needs at least 3 vertices")
-        certified, area = _checked_loop(coords)
+        xy = coords.T.tolist() if len(coords) <= kernels._FLOAT_EDGES else None
+        certified, area = _checked_loop(coords, xy)
         if area == 0.0:
             raise InvalidPolygonError("polygon has zero area")
         if not math.isfinite(area):
@@ -529,21 +561,33 @@ class Polygon:
         if reversed_input:
             coords = coords[::-1].copy()
             area = -area
-        if len(coords) <= kernels._FLOAT_EDGES:
-            xs, ys = coords.T.tolist()
+        if xy is not None:
+            xs, ys = xy
+            if reversed_input:
+                xs.reverse()
+                ys.reverse()
+            exs, eys = _float_edges(xs), _float_edges(ys)
             edges = np.empty_like(coords)
-            edges[:, 0], edges[:, 1] = _float_edges(xs), _float_edges(ys)
+            edges[:, 0], edges[:, 1] = exs, eys
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 edges = np.concatenate((coords[1:], coords[:1])) - coords
         lengths = np.hypot(edges[:, 0], edges[:, 1])
+        if xy is not None:
+            lens = lengths.tolist()
+            self._floats = _FloatLoop(xs, ys, exs, eys, lens, kernels._FloatRows(zip(xs, ys)),
+                                      kernels._FloatRows(zip(exs, eys)))
+            longest, shortest = max(lens), min(lens)
+        else:
+            self._floats = None
+            longest, shortest = lengths.max(), lengths.min()
         # an edge between finite vertices can still overflow, and the
         # diameter and the solves need its length
-        if lengths.max() == math.inf:
+        if longest == math.inf:
             raise InvalidPolygonError("polygon has an edge whose length overflows the float range")
         # the closed form divides by every squared edge length, which only
         # an edge shorter than _SHORT_EDGE can lose to underflow
-        if lengths.min() < _SHORT_EDGE:
+        if shortest < _SHORT_EDGE:
             short = edges[lengths < _SHORT_EDGE]
             if not (short * short).sum(axis=1).all():
                 raise InvalidPolygonError("polygon has an edge whose squared length underflows to zero")
@@ -558,6 +602,16 @@ class Polygon:
         self._diameter = None
         self._certified_convex = certified
 
+    def _float_loop(self) -> Optional[_FloatLoop]:
+        """The kept ``_FloatLoop``, or None where the array routes run:
+        above ``kernels._FLOAT_EDGES`` vertices, read at each call, or for
+        a loop built while it was lower."""
+        return self._floats if len(self._coords) <= kernels._FLOAT_EDGES else None
+
+    def _first_vertex(self, loop: Optional[_FloatLoop]) -> tuple:
+        """Vertex 0 as two floats, from ``loop`` where there is one."""
+        return (loop.xs[0], loop.ys[0]) if loop else self._coords[0].tolist()
+
     def _local_frame(self) -> tuple:
         """(view, ox, oy): the polygon translated by minus (ox, oy), the
         frame in which solves and checks evaluate.
@@ -566,12 +620,14 @@ class Polygon:
         ``_NEAR_ORIGIN`` diameters from the origin. The view then shares
         this polygon's edge vectors and lengths, area, diameter and
         convexity, which do not change under translation, without
-        validating again. Nearer, the frame is the polygon itself at
-        (0, 0): its floats resolve it within three bits of a translated
-        copy, and every point evaluated is then exactly a point that can
-        be reported.
+        validating again; its float lists are the translated vertex lists
+        with the shared edge lists. Nearer, the frame is the polygon
+        itself at (0, 0): its floats resolve it within three bits of a
+        translated copy, and every point evaluated is then exactly a
+        point that can be reported.
         """
-        ox, oy = _frame_origin(self._coords, self.diameter)
+        loop = self._float_loop()
+        ox, oy = _frame_origin(self._first_vertex(loop), self.diameter)
         if ox == oy == 0.0:
             return self, 0.0, 0.0
         view = Polygon.__new__(Polygon)
@@ -580,6 +636,7 @@ class Polygon:
         view._coords = self._coords - self._coords[0]
         view._coords.setflags(write=False)
         view._centroid = None
+        view._floats = loop.moved(ox, oy) if loop else None
         return view, ox, oy
 
     @property
@@ -608,12 +665,13 @@ class Polygon:
     def centroid(self) -> Point2:
         if self._centroid is None:
             # relative to vertex 0, like the area, then moved back
-            ox, oy = self._coords[0].tolist()
+            loop = self._float_loop()
+            ox, oy = self._first_vertex(loop)
             cx = cy = math.inf
-            if len(self._coords) <= kernels._FLOAT_EDGES:
+            if loop:
                 # the same sums on Python floats; where one does not end
                 # finite, the arrays below raise or warn as they always do
-                x, xn, y, yn, cross = _cross_terms(*self._coords.T.tolist())
+                x, xn, y, yn, cross = _cross_terms(loop.xs, loop.ys)
                 cx = _float_sum(list(map(mul, map(add, x, xn), cross))) / (6.0 * self._area)
                 cy = _float_sum(list(map(mul, map(add, y, yn), cross))) / (6.0 * self._area)
             if not (math.isfinite(cx) and math.isfinite(cy)):
@@ -628,7 +686,9 @@ class Polygon:
     @property
     def diameter(self) -> float:
         if self._diameter is None:
-            self._diameter = _max_pairwise_distance(self._coords, convex=self._certified_convex)
+            loop = self._float_loop()
+            self._diameter = _max_pairwise_distance(self._coords, self._certified_convex,
+                                                    (loop.xs, loop.ys) if loop else None)
         return self._diameter
 
     def contains(self, point) -> bool:

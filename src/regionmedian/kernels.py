@@ -22,7 +22,11 @@ one each: ``math.hypot``, ``math.asinh`` and Python's ``**`` round
 differently. Longer loops take one numpy call per step over every
 segment. A fractional power's start (``_fractional_start``, a table of
 the integral of cosh^a and a 10-point Gauss-Legendre rule over its last
-piece) and its climb are numpy calls on both routes.
+piece) and its climb are numpy calls on both routes. A ``Polygon`` of up
+to ``_FLOAT_EDGES`` vertices keeps its vertex and edge rows as Python
+floats (``_FloatRows``, built by its constructor only), and the float
+route reads them as they are; any other input is converted once per
+call, as an array of floats.
 """
 from __future__ import annotations
 
@@ -85,6 +89,16 @@ _EXP_FAR = math.exp(_TAU_FAR)
 # this bound, so that its numpy calls cannot overflow: hypot stays below
 # 2^130, and the scale L2^((p-1)/2) below 2^960
 _FLOAT_BOUND = 2.0 ** 128
+
+
+class _FloatRows(list):
+    """Rows (x, y) of Python floats: the segment starts or edge vectors
+    of a loop of up to ``_FLOAT_EDGES`` segments, as ``geometry.Polygon``
+    keeps them. Only a Polygon builds them, so the float route of
+    ``closed_values_batch`` takes their numbers as floats, where a
+    caller's list, of ints say, is read as an array of floats first."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -152,7 +166,8 @@ class RadialKernel:
         The kernel picks the route: ``closed_values_batch`` for powers
         1 <= p <= ``_MAX_CLOSED_POWER``, integer or not,
         ``quadrature_values_batch`` for custom kernels and every other
-        power.
+        power. a and e are (m, 2) arrays, or the ``_FloatRows`` that a
+        ``Polygon`` keeps, which quadrature reads as arrays.
         """
         p = self.closed_power
         if p is None:
@@ -189,7 +204,8 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: float = 1) -> Tuple[
     """Integrals of |P - x|^p along stacked segments and their gradients, p >= 1.
 
     a, e: (m, 2) arrays of segment starts and edge vectors, no edge
-    vector zero; x: query point (length-2).
+    vector zero, or the ``_FloatRows`` of both that a ``Polygon`` keeps;
+    x: query point (length-2).
     Returns the (m,) array of arclength integrals V_i of |P - x|^p over
     each segment and the (m, 2) array of their gradients in x,
     -integral of p |P - x|^(p-2) (P - x) ds. p is an int for integer
@@ -213,16 +229,20 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: float = 1) -> Tuple[
     ``_closed_values_arrays``, one numpy call per step over all of them.
     The crossover is where a residual measured even on both routes; on
     floats it was 2.3x faster for a triangle and 1.3x for an 8-gon. The
-    float route keeps numpy's hypot, asinh and power, one call each,
+    float route reads a polygon's ``_FloatRows`` and the point's two
+    numbers as they are, and converts other inputs to lists of floats.
+    It keeps numpy's hypot, asinh and power, one call each,
     because ``math.hypot``, ``math.asinh`` and Python's ``**`` round
     differently. It hands a point it cannot finish on finite floats, or
     a FloatingPointError or ZeroDivisionError, to the array route, which
-    then raises, warns or returns as it always does.
+    then raises, warns or returns as it always does. Both routes return
+    arrays, for every input.
     """
-    e = np.asarray(e, dtype=float)
+    if not (type(a) is type(e) is _FloatRows):
+        e = np.asarray(e, dtype=float)
     if len(e) <= _FLOAT_EDGES:
         try:
-            out = _closed_values_floats(np.asarray(a, dtype=float), e, x, p)
+            out = _closed_values_floats(a, e, x, p)
         except (FloatingPointError, ZeroDivisionError):
             out = None
         if out is not None:
@@ -234,6 +254,7 @@ def _closed_values_arrays(a, e: np.ndarray, x, p: float) -> Tuple[np.ndarray, np
     """``closed_values_batch`` on arrays: every step one numpy call over
     both ends of every segment."""
     w = np.asarray(x, dtype=float).reshape(2) - np.asarray(a, dtype=float)
+    e = np.asarray(e, dtype=float)
     ex, ey = e[:, 0], e[:, 1]
     L2 = ex * ex + ey * ey
     # with u = t - t0 and the signed offset cs, P - x = u e - cs rotate90(e)
@@ -295,7 +316,7 @@ def _ladder(u, c, r, p):
     return low, high
 
 
-def _closed_values_floats(a: np.ndarray, e: np.ndarray, x, p: float):
+def _closed_values_floats(a, e, x, p: float):
     """``closed_values_batch`` on Python floats, or None where it cannot
     end on finite values without overflow in a numpy call.
 
@@ -306,13 +327,19 @@ def _closed_values_floats(a: np.ndarray, e: np.ndarray, x, p: float):
     ``math.asinh`` and ``math.hypot`` round differently from numpy's, and
     so does Python's ``**``. Offsets, parameters and squared lengths past
     ``_FLOAT_BOUND`` are left to the array route before those calls, so
-    that none of them can overflow and warn.
+    that none of them can overflow and warn. A polygon's ``_FloatRows``
+    are read as they are, with x as two numbers; other a and e are
+    converted by one array each.
     """
-    xx, xy = np.asarray(x, dtype=float).reshape(2).tolist()
-    edges = e.tolist()
+    if type(a) is type(e) is _FloatRows:
+        starts, edges = a, e
+        xx, xy = map(float, x)
+    else:
+        starts, edges = np.asarray(a, dtype=float).tolist(), np.asarray(e, dtype=float).tolist()
+        xx, xy = np.asarray(x, dtype=float).reshape(2).tolist()
     m = len(edges)
     L2, cs, c, u1, u2 = [], [], [], [], []
-    for (ex, ey), (ax, ay) in zip(edges, a.tolist()):
+    for (ex, ey), (ax, ay) in zip(edges, starts):
         wx, wy = xx - ax, xy - ay
         l2 = ex * ex + ey * ey
         t0 = (ex * wx + ey * wy) / l2

@@ -374,7 +374,7 @@ def oracle_minimize_points(ps) -> Point2:
     diam = ps.diameter
     if diam == 0.0:
         return Point2(float(pts[0, 0]), float(pts[0, 1]))
-    ox, oy = _frame_origin(pts, diam)
+    ox, oy = _frame_origin(pts[0].tolist(), diam)
     e = math.frexp(diam)[1]
     pts, w = np.ldexp(pts - (ox, oy), -e), np.ldexp(w, -math.frexp(w.max())[1])
     gradients = _point_gradient(pts, w)

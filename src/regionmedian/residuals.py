@@ -22,7 +22,9 @@ edge integrals: closed-form, or integrated in the same Gauss-Kronrod
 pass as the values. Loops of up to ``kernels._FLOAT_EDGES`` edges
 reduce on Python floats, longer ones on arrays, with the same bits; the
 crossover is read from ``kernels`` at each call, so the closed form and
-this reduction switch routes at one value. The Newton loop of
+this reduction switch routes at one value. On floats both read the
+lists the polygon keeps (``Polygon._float_loop``), and the closed form
+takes its rows. The Newton loop of
 ``solver.solve_medianoid`` calls it once per trial point;
 ``general_boundary_residual`` wraps the same floats in a
 ``ResidualReport`` for callers outside the loop.
@@ -40,9 +42,8 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import kernels
 from .errors import InvalidTriangleError
-from .geometry import Point2, Polygon, Vector2, _require_finite, as_polygon, rotate90
+from .geometry import Polygon, Vector2, _FloatLoop, _point_xy, _require_finite, as_polygon, rotate90
 from .kernels import RadialKernel
 
 __all__ = [
@@ -89,14 +90,18 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     edge order; a T that is not finite raises the ValueError of
     ``Vector2``. The Jacobian rows are those of ``ResidualReport.jacobian``.
     The means are a list of floats. Loops of up to
-    ``kernels._FLOAT_EDGES`` edges reduce on Python floats
-    (``_float_reduction``), longer ones on arrays, with the same bits.
+    ``kernels._FLOAT_EDGES`` edges hand the kernel the rows of their
+    ``Polygon._float_loop`` and reduce on its lists (``_float_reduction``),
+    longer ones take the arrays, with the same bits.
     """
-    values, grads = kernel.values_batch(local.coords, local.edge_vectors, x)
-    if len(values) <= kernels._FLOAT_EDGES:
-        out = _float_reduction(local, values, grads)
+    loop = local._float_loop()
+    if loop:
+        values, grads = kernel.values_batch(loop.starts, loop.edges, x)
+        out = _float_reduction(loop, values, grads)
         if out is not None:
             return out
+    else:
+        values, grads = kernel.values_batch(local.coords, local.edge_vectors, x)
     lengths = local.edge_lengths
     means = values / lengths
     terms = means[:, None] * local.edge_vectors
@@ -108,14 +113,13 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     return means.tolist(), tx, ty, ((-s10, -s11), (s00, s01))
 
 
-def _float_reduction(local: Polygon, values: np.ndarray, grads: np.ndarray) -> Optional[tuple]:
+def _float_reduction(loop: _FloatLoop, values: np.ndarray, grads: np.ndarray) -> Optional[tuple]:
     """``_frame_residual``'s reduction of the edge integrals on Python
-    floats, or None where a mean, T or a Jacobian entry is not finite, or
-    ``math.fsum`` raises; the array reduction then raises or returns as
-    it always does. The Jacobian sums run in edge order from 0.0, as
-    ``np.einsum`` accumulates them."""
-    exs, eys = local.edge_vectors.T.tolist()
-    lengths = local.edge_lengths.tolist()
+    floats, with the edge lists of ``loop``; None where a mean, T or a
+    Jacobian entry is not finite, or ``math.fsum`` raises, and the array
+    reduction then raises or returns as it always does. The Jacobian
+    sums run in edge order from 0.0, as ``np.einsum`` accumulates them."""
+    exs, eys, lengths = loop.exs, loop.eys, loop.lengths
     try:
         means = list(map(truediv, values.tolist(), lengths))
         tx, ty = math.fsum(map(mul, means, exs)), math.fsum(map(mul, means, eys))
@@ -147,24 +151,26 @@ def _spread(means) -> float:
     return (hi - lo) / max(hi, -lo) if hi != lo else 0.0
 
 
-def general_boundary_residual(boundary, x: Point2, kernel: RadialKernel) -> ResidualReport:
+def general_boundary_residual(boundary, x, kernel: RadialKernel) -> ResidualReport:
     """Residual T: sum of (mean kernel value) times edge vector, any kernel.
 
     ``boundary`` may be a Polygon or any closed vertex loop (a sampled
     polyline approximating a curved boundary); loops are normalized to
-    counterclockwise order. x is absolute and evaluated in the region's
-    solve frame. All edge means and the gradients behind the report's
-    ``jacobian`` come from ``_frame_residual``, as in every solve.
+    counterclockwise order. x, a ``Point2`` or a pair of numbers, is
+    absolute and evaluated in the region's solve frame. All edge means
+    and the gradients behind the report's ``jacobian`` come from
+    ``_frame_residual``, as in every solve.
     """
     local, ox, oy = as_polygon(boundary)._local_frame()
-    means, tx, ty, jacobian = _frame_residual(local, (x.x - ox, x.y - oy), kernel)
+    px, py = _point_xy(x)
+    means, tx, ty, jacobian = _frame_residual(local, (px - ox, py - oy), kernel)
     residual = Vector2(tx, ty)
     diam = local.diameter
     return ResidualReport(residual=residual, gradient=rotate90(residual), edge_means=tuple(means),
                           norm=residual.norm, normalized_norm=residual.norm / (diam * diam), jacobian=jacobian)
 
 
-def polygon_residual(poly: Polygon, x: Point2) -> ResidualReport:
+def polygon_residual(poly: Polygon, x) -> ResidualReport:
     """``general_boundary_residual`` with ``RadialKernel.euclidean()``, kept
     by name because it is public and the benchmark's traced run wraps it."""
     return general_boundary_residual(poly, x, RadialKernel.euclidean())
@@ -176,17 +182,19 @@ class CertificateResult(NamedTuple):
     spread: float
 
 
-def mean_distance_certificate(tri: Polygon, x: Point2) -> CertificateResult:
+def mean_distance_certificate(tri: Polygon, x) -> CertificateResult:
     """Equal-mean-distance certificate for a triangle.
 
-    Returns the three mean distances from x to the edges and their
-    spread (max - min)/max. Zero spread certifies x as the geometric
-    median of the triangular region, independently of any solver. Kept
-    by name: it is public, and the benchmark's traced run wraps it.
+    Returns the three mean distances from x, a ``Point2`` or a pair of
+    numbers, to the edges and their spread (max - min)/max. Zero spread
+    certifies x as the geometric median of the triangular region,
+    independently of any solver. Kept by name: it is public, and the
+    benchmark's traced run wraps it.
     """
     if len(tri) != 3:
         raise InvalidTriangleError("certificate is defined for triangles only")
     local, ox, oy = as_polygon(tri)._local_frame()
-    values, _ = RadialKernel.euclidean().values_batch(local.coords, local.edge_vectors, (x.x - ox, x.y - oy))
+    px, py = _point_xy(x)
+    values, _ = RadialKernel.euclidean().values_batch(local.coords, local.edge_vectors, (px - ox, py - oy))
     means = (values / local.edge_lengths).tolist()
     return CertificateResult(means=tuple(means), spread=_spread(means))

@@ -97,7 +97,7 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
     total_w = float(w.sum())
     diam = ps.diameter
     radius = _COINCIDENCE_REL * diam
-    ox, oy = _frame_origin(ps.coords, diam)
+    ox, oy = _frame_origin(ps.coords[0].tolist(), diam)
     pts = ps.coords - (ox, oy)
     x = np.array([float(np.sum(w * pts[:, 0]) / total_w), float(np.sum(w * pts[:, 1]) / total_w)])
 

@@ -140,21 +140,36 @@ def test_closed_batch_equals_the_two_endpoint_reference_bit_for_bit():
     # every closed power, on loops either side of kernels._FLOAT_EDGES and
     # at it: at an interior point, two vertices, points on two carrier
     # lines and a point a million diameters away; the loops up to the
-    # crossover finish on floats
+    # crossover finish on floats, from the arrays and from the rows of
+    # float lists that the polygon keeps
     for n in (3, 8, kernels._FLOAT_EDGES, kernels._FLOAT_EDGES + 1, 2 * kernels._FLOAT_EDGES + 3):
         for _ in range(2):
             poly = random_star_polygon(rng, n)
             a, e = poly.coords, poly.edge_vectors
+            loop = poly._float_loop()
+            assert (loop is None) == (n > kernels._FLOAT_EDGES)
+            inputs = [(a, e)] + ([(loop.starts, loop.edges)] if loop else [])
             x0 = interior_point(poly, rng)
             far = x0 + 1e6 * poly.diameter * np.array([0.6, -0.8])
             points = [x0, a[0], a[n // 2], a[1] + 2.5 * e[1], a[2] - 0.75 * e[2], far]
             for p in range(1, _MAX_CLOSED_POWER + 1):
                 for x in points:
-                    got = closed_values_batch(a, e, x, p)
                     want = two_endpoint_closed_values(a, e, x, p)
-                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (n, p, x)
-                    if n <= kernels._FLOAT_EDGES:
-                        assert kernels._closed_values_floats(a, e, x, p) is not None
+                    for a_in, e_in in inputs:
+                        got = closed_values_batch(a_in, e_in, x, p)
+                        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (n, p, x)
+                        if loop:
+                            assert kernels._closed_values_floats(a_in, e_in, x, p) is not None
+    # a caller's lists of int pairs are read as floats: near 2^30 an int
+    # square is exact where the float square rounds, and these lists,
+    # taken as they are, give other bits at every power
+    a = [[-570691774, -508939824], [1019301536, -692763642], [854840150, 739952428]]
+    e = [[-1074436952, -1073805580], [1074747512, -1074324408], [1074689224, 1074026461]]
+    x = [-148693659, 407647343]
+    for p in range(1, _MAX_CLOSED_POWER + 1):
+        got = closed_values_batch(a, e, x, p)
+        want = closed_values_batch(np.array(a, dtype=float), np.array(e, dtype=float), np.array(x, dtype=float), p)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), p
 
 
 FRACTIONAL_POWERS = (1.05, 1.5, 2.5, 3.7, 7.25, 15.5)
@@ -191,19 +206,24 @@ def test_fractional_closed_forms_take_the_bits_of_the_array_route(monkeypatch):
     for n in (3, 8, kernels._FLOAT_EDGES):
         poly = random_star_polygon(rng, n)
         a, e = poly.coords, poly.edge_vectors
+        loop = poly._float_loop()
         x0 = interior_point(poly, rng)
-        cases += [(a, e, x) for x in (x0, a[0], a[1] + 0.5 * e[1], a[2] - 0.75 * e[2], a[-1] + 0.3 * e[-1] + 1e-12 * e[-1, ::-1],
-                                      x0 + 1e3 * poly.diameter * np.array([0.6, -0.8]))]
-    got = []
-    for a, e, x in cases:
+        cases += [(a, e, loop, x) for x in (x0, a[0], a[1] + 0.5 * e[1], a[2] - 0.75 * e[2], a[-1] + 0.3 * e[-1] + 1e-12 * e[-1, ::-1],
+                                            x0 + 1e3 * poly.diameter * np.array([0.6, -0.8]))]
+    # from the arrays, and from the rows of float lists the polygon keeps
+    got, got_from_lists = [], []
+    for a, e, loop, x in cases:
         for p in FRACTIONAL_POWERS:
             assert kernels._closed_values_floats(a, e, x, p) is not None, (len(a), p, x)
+            assert kernels._closed_values_floats(loop.starts, loop.edges, x, p) is not None, (len(a), p, x)
             got.append(closed_values_batch(a, e, x, p))
+            got_from_lists.append(closed_values_batch(loop.starts, loop.edges, x, p))
     with monkeypatch.context() as patch:
         use_array_routes(patch)
-        want = [closed_values_batch(a, e, x, p) for a, e, x in cases for p in FRACTIONAL_POWERS]
-    for (v, g), (wv, wg) in zip(got, want):
+        want = [closed_values_batch(a, e, x, p) for a, e, _, x in cases for p in FRACTIONAL_POWERS]
+    for (v, g), (lv, lg), (wv, wg) in zip(got, got_from_lists, want):
         assert np.array_equal(v, wv) and np.array_equal(g, wg)
+        assert np.array_equal(lv, wv) and np.array_equal(lg, wg)
 
 
 def test_closed_vs_quadrature_including_near_collinear():

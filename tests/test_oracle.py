@@ -160,11 +160,11 @@ def _assert_divergence_theorem(poly, x, kernel=None):
     assert abs(float(v) - want) <= 2.0 * v.error_estimate + 1e-14 * abs(want), (x, p)
 
 
-def test_exterior_query_point_agrees_with_monte_carlo():
+def test_exterior_query_point_agrees_with_the_divergence_theorem():
     _assert_divergence_theorem(Polygon([(0, 0), (2, 0), (2, 1), (0, 1)]), (4.0, 3.0))
 
 
-def test_star_region_agrees_with_monte_carlo():
+def test_star_region_agrees_with_the_divergence_theorem():
     # the star triangles of a non-convex region overlap with both signs;
     # the reference integrates along the edges only
     rng = np.random.default_rng(23)
@@ -173,7 +173,7 @@ def test_star_region_agrees_with_monte_carlo():
 
 
 @pytest.mark.parametrize("region", [Polygon(DUMBBELL), comb_polygon(20)], ids=["dumbbell", "comb"])
-def test_monte_carlo_agrees_where_the_fan_overlaps_itself(region):
+def test_divergence_theorem_agrees_where_the_fan_overlaps_itself(region):
     # the dumbbell's reference differs by about 1e-9 relative, inside the
     # oracle's own error estimate
     c = region.centroid

@@ -359,6 +359,19 @@ def test_every_residual_entry_point_evaluates_in_the_one_solve_frame():
             assert cert.means == rep.edge_means and cert.spread == rep.certificate
 
 
+def test_every_residual_entry_point_reads_a_tuple_a_point2_or_an_array_alike():
+    # the point is read as oracle_sigma and Polygon.contains read it, so
+    # each form gives the same report bits, at every offset of the frame
+    assert polygon_residual(T345, (1, 1)) == polygon_residual(T345, Point2(1.0, 1.0))
+    power = RadialKernel.power(2.5)
+    for poly, x in _offset_regions_and_queries():
+        forms = [(x.x, x.y), x, np.array([x.x, x.y])]
+        assert len({repr(general_boundary_residual(poly, q, power)) for q in forms}) == 1
+        assert len({repr(polygon_residual(poly, q)) for q in forms}) == 1
+        if len(poly) == 3:
+            assert len({repr(mean_distance_certificate(poly, q)) for q in forms}) == 1
+
+
 def test_a_frame_view_is_its_own_frame():
     # the solver passes its frame polygon, which the residual's frame
     # leaves as it is, so no solve moves a bit
