@@ -310,7 +310,10 @@ def cmd_degenerate(args) -> int:
         raise RegionFileError("--gammas must list at least one value")
     alpha, beta = max(args.alpha, args.beta), min(args.alpha, args.beta)
     rows = degenerate_limit_study(alpha, beta, gammas)
-    limit = math.sqrt(alpha * beta / 2.0)
+    # scaled by 2^-e each, so that the product neither overflows nor
+    # underflows, and the root scaled back by 2^e: both exact
+    e = math.frexp(alpha)[1]
+    limit = math.ldexp(math.sqrt(math.ldexp(alpha, -e) * math.ldexp(beta, -e) / 2.0), e)
     report = {
         "alpha": alpha,
         "beta": beta,

@@ -4,12 +4,15 @@ Coordinates are plain float64 throughout. Polygons are validated at
 construction (simple, nonzero area) and stored in counterclockwise
 order, so everything downstream can rely on one orientation. Polygons
 and point sets are solved in the translation frame of ``_frame_origin``.
-Up to ``kernels._FLOAT_EDGES`` vertices or rows, the crossover of the
-closed form, validation, area, edge vectors, diameter and centroid run
-on Python floats, whose + - * / give numpy's IEEE results, and whose
-sums keep numpy's order (``_float_sum``), so both routes give the same
-bits; a loop that the float route cannot certify or finish on finite
-floats takes the array route.
+A polygon of up to ``_FLOAT_EDGES`` vertices takes the float route,
+decided once by its constructor: validation, area, edge vectors,
+diameter, centroid and, through the lists the polygon keeps
+(``_FloatLoop``), its residuals run on Python floats, whose + - * / give
+numpy's IEEE results, and whose sums keep numpy's order
+(``_float_sum``), so both routes give the same bits; a step that the
+float route cannot certify or finish on finite floats takes the array
+route. The diameter of a point set of up to ``_FLOAT_EDGES`` rows runs
+on floats too.
 """
 from __future__ import annotations
 
@@ -81,6 +84,18 @@ class Vector2:
 def rotate90(v: Vector2) -> Vector2:
     """Rotate a vector counterclockwise by 90 degrees: (x, y) to (-y, x)."""
     return Vector2(-v.dy, v.dx)
+
+
+# largest number of vertices of a polygon, or rows of a point set, that
+# take the float route; the constructor reads it, and a polygon keeps the
+# route it was built with. A residual of the Euclidean kernel (closed
+# form and reduction) on a star loop measured 2.3x faster on floats for
+# 3 edges, 1.3x for 8, even at 14 and 0.9x at 15-16 (Python 3.11, numpy
+# 2.4, shared 2-core x86-64 machine). The constructor measured 1.7-2.0x
+# faster on floats at 3-5 vertices, 1.4-1.7x at 9-14 and even at 15-16,
+# its diameter and centroid 1.7-2.6x at 9-14 on convex loops and 7-10x
+# on star loops, which skip the hull
+_FLOAT_EDGES = 14
 
 
 def _shoelace(coords: np.ndarray) -> float:
@@ -191,13 +206,16 @@ def _max_pairwise_distance(coords: np.ndarray, convex: bool = False, xy: Optiona
     pairs of the hull: the rows themselves with ``convex`` (a strictly
     convex counterclockwise loop), else the rows of ``_convex_hull`` when
     ``_turns`` certifies them. Every other set of rows takes all pairs by
-    one broadcast in blocks of ``_PAIR_BLOCK // n`` rows. Up to
-    ``kernels._FLOAT_EDGES`` rows, the scan of every pair runs on Python
-    floats, with the same scaling and the same squares and sums, on the
-    coordinate lists ``xy`` where the caller keeps them.
+    one broadcast in blocks of ``_PAIR_BLOCK // n`` rows. The scan of
+    every pair runs on Python floats, with the same scaling and the same
+    squares and sums, for the coordinate lists ``xy`` of a polygon on the
+    float route, and for a point set (``xy`` None) of up to
+    ``_FLOAT_EDGES`` rows; a polygon on the arrays passes ``xy`` = ().
     """
-    if len(coords) <= kernels._FLOAT_EDGES:
-        xs, ys = xy or coords.T.tolist()
+    if xy is None and len(coords) <= _FLOAT_EDGES:
+        xy = coords.T.tolist()
+    if xy:
+        xs, ys = xy
         exp = math.frexp(max(map(abs, xs + ys)))[1]
         xs, ys = [math.ldexp(v, -exp) for v in xs], [math.ldexp(v, -exp) for v in ys]
         best = 0.0
@@ -409,17 +427,17 @@ def _star_shaped(coords: np.ndarray, nxt: np.ndarray) -> bool:
     return _winds_once(coords - g, nxt - g)[1]
 
 
-def _checked_loop_floats(xs: list, ys: list) -> Optional[tuple]:
+def _checked_loop_floats(xs: list, ys: list, exs: list, eys: list) -> Optional[tuple]:
     """``_checked_loop`` on Python floats for the finite coordinate lists
-    of a loop: the repeated-vertex check, the turn and star-shaped
-    certificates and the shoelace area by the same IEEE operations, in
-    the same order. None where neither certificate holds, and the loop
-    needs the edge-pair search."""
+    of a loop and its edge lists (``_float_edges``): the repeated-vertex
+    check, the turn and star-shaped certificates and the shoelace area by
+    the same IEEE operations, in the same order. None where neither
+    certificate holds, and the loop needs the edge-pair search."""
     n = len(xs)
     pts = list(zip(xs, ys))
     if any(map(eq, pts, pts[1:] + pts[:1])):
         raise InvalidPolygonError("polygon repeats a vertex on consecutive positions")
-    certified = n > 3 and _winds_once_floats(_float_edges(xs), _float_edges(ys))
+    certified = n > 3 and _winds_once_floats(exs, eys)
     if n > 3 and not certified:
         # the mean of the vertices, summed down the rows from 0.0 as numpy's axis-0 sum
         gx, gy = reduce(add, xs, 0.0) / n, reduce(add, ys, 0.0) / n
@@ -433,18 +451,17 @@ def _float_edges(v: list) -> list:
     return list(map(sub, v[1:] + v[:1], v))
 
 
-def _checked_loop(coords: np.ndarray, xy: Optional[tuple]) -> tuple:
+def _checked_loop(coords: np.ndarray, lists: Optional[tuple]) -> tuple:
     """(certified convex, signed area) of a loop of at least 3 rows;
     raises InvalidPolygonError for a non-finite coordinate, a repeated
-    consecutive vertex or touching edges. A loop given with its
-    coordinate lists ``xy`` (up to ``kernels._FLOAT_EDGES`` vertices) that
-    is finite and that ``_checked_loop_floats`` certifies simple takes it;
-    every other loop takes the array passes and, uncertified, the
-    edge-pair search."""
-    if xy is not None:
-        xs, ys = xy
+    consecutive vertex or touching edges. A loop on the float route,
+    given with its vertex and edge lists ``lists``, that is finite and
+    that ``_checked_loop_floats`` certifies simple takes it; every other
+    loop takes the array passes and, uncertified, the edge-pair search."""
+    if lists is not None:
+        xs, ys = lists[:2]
         if all(map(math.isfinite, xs + ys)):
-            checked = _checked_loop_floats(xs, ys)
+            checked = _checked_loop_floats(*lists)
             if checked is not None:
                 return checked
     if not np.isfinite(coords).all():
@@ -526,22 +543,20 @@ class Polygon:
     edge boxes. Two edges touch when each meets the other's line and
     their boxes meet.
 
-    Up to ``kernels._FLOAT_EDGES`` vertices, both passes, the area and the
-    edge vectors run on Python floats, and the diameter and the centroid
-    too, the diameter over every pair of vertices; a loop that neither
-    pass certifies is checked again on arrays before its search. Beyond,
-    each step is one numpy call, and the diameter of a loop not certified
-    convex takes a hull first. Both routes give the same bits. The arrays
-    run under one numpy error state that ignores overflow: a loop past
-    about 1e154 is rejected, at the latest for its non-finite area,
-    without a numpy warning.
-
-    Such a loop keeps the float lists its constructor forms, as a
-    ``_FloatLoop``: vertex and edge coordinates, counterclockwise, and the
-    edge lengths. The diameter, the centroid, the solve frame (whose
-    translated view carries translated vertex lists) and every residual
-    evaluation read them instead of converting the arrays again; the
-    closed form takes their rows. Longer loops build no lists.
+    The constructor picks the route once. Up to ``_FLOAT_EDGES``
+    vertices, both passes, the area and the edge vectors run on Python
+    floats, and the loop keeps the lists it forms, as a ``_FloatLoop``
+    (``_floats``): vertex and edge coordinates, counterclockwise, and the
+    edge lengths. The diameter, over every pair of vertices, the
+    centroid, the solve frame (whose translated view carries translated
+    vertex lists) and every residual evaluation read them, and the closed
+    form takes their rows; a loop that neither pass certifies is checked
+    again on arrays before its search. Longer loops build no lists
+    (``_floats`` None): each step is one numpy call, and the diameter of
+    a loop not certified convex takes a hull first. Both routes give the
+    same bits. The arrays run under one numpy error state that ignores
+    overflow: a loop past about 1e154 is rejected, at the latest for its
+    non-finite area, without a numpy warning.
     """
 
     __slots__ = ("_coords", "_edge_vectors", "_edge_lengths", "was_reversed",
@@ -551,8 +566,12 @@ class Polygon:
         coords = _coerce_coords(vertices)
         if len(coords) < 3:
             raise InvalidPolygonError("polygon needs at least 3 vertices")
-        xy = coords.T.tolist() if len(coords) <= kernels._FLOAT_EDGES else None
-        certified, area = _checked_loop(coords, xy)
+        lists = None
+        if len(coords) <= _FLOAT_EDGES:
+            xs, ys = coords.T.tolist()
+            exs, eys = _float_edges(xs), _float_edges(ys)
+            lists = xs, ys, exs, eys
+        certified, area = _checked_loop(coords, lists)
         if area == 0.0:
             raise InvalidPolygonError("polygon has zero area")
         if not math.isfinite(area):
@@ -561,19 +580,20 @@ class Polygon:
         if reversed_input:
             coords = coords[::-1].copy()
             area = -area
-        if xy is not None:
-            xs, ys = xy
+        if lists is not None:
             if reversed_input:
+                # formed again, not negated: x - y and -(y - x) differ in
+                # the sign of a zero
                 xs.reverse()
                 ys.reverse()
-            exs, eys = _float_edges(xs), _float_edges(ys)
+                exs, eys = _float_edges(xs), _float_edges(ys)
             edges = np.empty_like(coords)
             edges[:, 0], edges[:, 1] = exs, eys
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 edges = np.concatenate((coords[1:], coords[:1])) - coords
         lengths = np.hypot(edges[:, 0], edges[:, 1])
-        if xy is not None:
+        if lists is not None:
             lens = lengths.tolist()
             self._floats = _FloatLoop(xs, ys, exs, eys, lens, kernels._FloatRows(zip(xs, ys)),
                                       kernels._FloatRows(zip(exs, eys)))
@@ -602,14 +622,9 @@ class Polygon:
         self._diameter = None
         self._certified_convex = certified
 
-    def _float_loop(self) -> Optional[_FloatLoop]:
-        """The kept ``_FloatLoop``, or None where the array routes run:
-        above ``kernels._FLOAT_EDGES`` vertices, read at each call, or for
-        a loop built while it was lower."""
-        return self._floats if len(self._coords) <= kernels._FLOAT_EDGES else None
-
-    def _first_vertex(self, loop: Optional[_FloatLoop]) -> tuple:
-        """Vertex 0 as two floats, from ``loop`` where there is one."""
+    def _first_vertex(self) -> tuple:
+        """Vertex 0 as two floats, from ``_floats`` where there are some."""
+        loop = self._floats
         return (loop.xs[0], loop.ys[0]) if loop else self._coords[0].tolist()
 
     def _local_frame(self) -> tuple:
@@ -626,8 +641,7 @@ class Polygon:
         translated copy, and every point evaluated is then exactly a
         point that can be reported.
         """
-        loop = self._float_loop()
-        ox, oy = _frame_origin(self._first_vertex(loop), self.diameter)
+        ox, oy = _frame_origin(self._first_vertex(), self.diameter)
         if ox == oy == 0.0:
             return self, 0.0, 0.0
         view = Polygon.__new__(Polygon)
@@ -636,7 +650,7 @@ class Polygon:
         view._coords = self._coords - self._coords[0]
         view._coords.setflags(write=False)
         view._centroid = None
-        view._floats = loop.moved(ox, oy) if loop else None
+        view._floats = self._floats and self._floats.moved(ox, oy)
         return view, ox, oy
 
     @property
@@ -665,8 +679,8 @@ class Polygon:
     def centroid(self) -> Point2:
         if self._centroid is None:
             # relative to vertex 0, like the area, then moved back
-            loop = self._float_loop()
-            ox, oy = self._first_vertex(loop)
+            loop = self._floats
+            ox, oy = self._first_vertex()
             cx = cy = math.inf
             if loop:
                 # the same sums on Python floats; where one does not end
@@ -686,9 +700,9 @@ class Polygon:
     @property
     def diameter(self) -> float:
         if self._diameter is None:
-            loop = self._float_loop()
+            loop = self._floats
             self._diameter = _max_pairwise_distance(self._coords, self._certified_convex,
-                                                    (loop.xs, loop.ys) if loop else None)
+                                                    (loop.xs, loop.ys) if loop else ())
         return self._diameter
 
     def contains(self, point) -> bool:

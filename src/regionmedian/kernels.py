@@ -13,20 +13,17 @@ routes also return each integral's gradient in x: in closed form, or
 integrated at the same Gauss-Kronrod nodes as the values.
 
 The closed form itself runs on one of two routes with the same bits.
-Loops of up to ``_FLOAT_EDGES`` segments (14, where the two routes
-measured even) do the per-segment arithmetic on Python floats, whose
-+ - * / give numpy's IEEE results, because on a few elements each numpy
-call costs about what its arithmetic does on dozens of floats. hypot,
-asinh and the power of the squared lengths stay numpy calls even there,
-one each: ``math.hypot``, ``math.asinh`` and Python's ``**`` round
-differently. Longer loops take one numpy call per step over every
-segment. A fractional power's start (``_fractional_start``, a table of
-the integral of cosh^a and a 10-point Gauss-Legendre rule over its last
-piece) and its climb are numpy calls on both routes. A ``Polygon`` of up
-to ``_FLOAT_EDGES`` vertices keeps its vertex and edge rows as Python
-floats (``_FloatRows``, built by its constructor only), and the float
-route reads them as they are; any other input is converted once per
-call, as an array of floats.
+The rows that a ``Polygon`` of a few vertices keeps as Python floats
+(``_FloatRows``, built by its constructor, which picks the route) take
+the per-segment arithmetic on floats, whose + - * / give numpy's IEEE
+results, because on a few elements each numpy call costs about what its
+arithmetic does on dozens of floats. hypot, asinh and the power of the
+squared lengths stay numpy calls even there, one each: ``math.hypot``,
+``math.asinh`` and Python's ``**`` round differently. Every other
+input, arrays or a caller's lists, takes one numpy call per step over
+every segment. A fractional power's start (``_fractional_start``, a
+table of the integral of cosh^a and a 10-point Gauss-Legendre rule over
+its last piece) and its climb are numpy calls on both routes.
 """
 from __future__ import annotations
 
@@ -66,18 +63,6 @@ _QUAD_TOL = 1e-13
 # already overflows a solve
 _MAX_CLOSED_POWER = 16
 
-# largest number of segments whose closed form is evaluated on Python
-# floats; longer loops take one numpy call per step. A residual of the
-# Euclidean kernel (closed form and reduction) on a star loop measured
-# 2.3x faster on floats for 3 segments, 1.3x for 8, even at 14 and 0.9x
-# at 15-16 (Python 3.11, numpy 2.4, shared 2-core x86-64 machine). It is
-# also the crossover of the Polygon constructor, diameter and centroid
-# (geometry): the constructor measured 1.7-2.0x faster on floats at 3-5
-# vertices, 1.4-1.7x at 9-14 and even at 15-16, its diameter and
-# centroid 1.7-2.6x at 9-14 on convex loops and 7-10x on star loops,
-# which skip the hull
-_FLOAT_EDGES = 14
-
 # the table of fractional powers' start: the integral of cosh^a at steps
 # of _TAU_STEP up to _TAU_FAR, where its far form takes over
 _TAU_STEP = 0.5
@@ -93,10 +78,10 @@ _FLOAT_BOUND = 2.0 ** 128
 
 class _FloatRows(list):
     """Rows (x, y) of Python floats: the segment starts or edge vectors
-    of a loop of up to ``_FLOAT_EDGES`` segments, as ``geometry.Polygon``
-    keeps them. Only a Polygon builds them, so the float route of
-    ``closed_values_batch`` takes their numbers as floats, where a
-    caller's list, of ints say, is read as an array of floats first."""
+    of a polygon on the float route, as ``geometry.Polygon`` keeps them.
+    Only a Polygon builds them, and ``closed_values_batch`` takes its
+    float route exactly for them; a caller's list, of ints say, is read
+    as an array of floats."""
 
     __slots__ = ()
 
@@ -224,23 +209,17 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: float = 1) -> Tuple[
     edge is L^(p-1) (r2^p - r1^p), formed with no difference of powers,
     its part normal to it p L^(p-1) c (I_(p-2)(u2) - I_(p-2)(u1)).
 
-    Two routes give the same bits. Up to ``_FLOAT_EDGES`` segments take
-    ``_closed_values_floats``, on Python floats; more take
-    ``_closed_values_arrays``, one numpy call per step over all of them.
-    The crossover is where a residual measured even on both routes; on
-    floats it was 2.3x faster for a triangle and 1.3x for an 8-gon. The
-    float route reads a polygon's ``_FloatRows`` and the point's two
-    numbers as they are, and converts other inputs to lists of floats.
-    It keeps numpy's hypot, asinh and power, one call each,
-    because ``math.hypot``, ``math.asinh`` and Python's ``**`` round
-    differently. It hands a point it cannot finish on finite floats, or
-    a FloatingPointError or ZeroDivisionError, to the array route, which
-    then raises, warns or returns as it always does. Both routes return
-    arrays, for every input.
+    Two routes give the same bits. A polygon's ``_FloatRows`` take
+    ``_closed_values_floats``, on Python floats, with the point's two
+    numbers as they are; every other input takes ``_closed_values_arrays``,
+    one numpy call per step over all segments. The float route keeps
+    numpy's hypot, asinh and power, one call each, because ``math.hypot``,
+    ``math.asinh`` and Python's ``**`` round differently. It hands a
+    point it cannot finish on finite floats, or a FloatingPointError or
+    ZeroDivisionError, to the array route, which then raises, warns or
+    returns as it always does. Both routes return arrays, for every input.
     """
-    if not (type(a) is type(e) is _FloatRows):
-        e = np.asarray(e, dtype=float)
-    if len(e) <= _FLOAT_EDGES:
+    if type(a) is type(e) is _FloatRows:
         try:
             out = _closed_values_floats(a, e, x, p)
         except (FloatingPointError, ZeroDivisionError):
@@ -316,9 +295,10 @@ def _ladder(u, c, r, p):
     return low, high
 
 
-def _closed_values_floats(a, e, x, p: float):
-    """``closed_values_batch`` on Python floats, or None where it cannot
-    end on finite values without overflow in a numpy call.
+def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
+    """``closed_values_batch`` on a polygon's ``_FloatRows`` and the two
+    numbers of x, or None where it cannot end on finite values without
+    overflow in a numpy call.
 
     Each step is the elementwise expression of ``_closed_values_arrays``
     in the same order, and Python's + - * / and abs give the IEEE results
@@ -327,16 +307,9 @@ def _closed_values_floats(a, e, x, p: float):
     ``math.asinh`` and ``math.hypot`` round differently from numpy's, and
     so does Python's ``**``. Offsets, parameters and squared lengths past
     ``_FLOAT_BOUND`` are left to the array route before those calls, so
-    that none of them can overflow and warn. A polygon's ``_FloatRows``
-    are read as they are, with x as two numbers; other a and e are
-    converted by one array each.
+    that none of them can overflow and warn.
     """
-    if type(a) is type(e) is _FloatRows:
-        starts, edges = a, e
-        xx, xy = map(float, x)
-    else:
-        starts, edges = np.asarray(a, dtype=float).tolist(), np.asarray(e, dtype=float).tolist()
-        xx, xy = np.asarray(x, dtype=float).reshape(2).tolist()
+    xx, xy = map(float, x)
     m = len(edges)
     L2, cs, c, u1, u2 = [], [], [], [], []
     for (ex, ey), (ax, ay) in zip(edges, starts):

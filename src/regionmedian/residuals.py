@@ -19,12 +19,10 @@ plain floats: the edge means, T summed correctly rounded
 (``math.fsum``), so it does not depend on where the loop starts, and
 the rows of the Jacobian of the gradient, from the gradients of the
 edge integrals: closed-form, or integrated in the same Gauss-Kronrod
-pass as the values. Loops of up to ``kernels._FLOAT_EDGES`` edges
-reduce on Python floats, longer ones on arrays, with the same bits; the
-crossover is read from ``kernels`` at each call, so the closed form and
-this reduction switch routes at one value. On floats both read the
-lists the polygon keeps (``Polygon._float_loop``), and the closed form
-takes its rows. The Newton loop of
+pass as the values. A polygon built on the float route (its
+``_floats``, a ``geometry._FloatLoop``) hands the closed form its rows
+and reduces on its lists, on Python floats; any other polygon takes the
+arrays, with the same bits. The Newton loop of
 ``solver.solve_medianoid`` calls it once per trial point;
 ``general_boundary_residual`` wraps the same floats in a
 ``ResidualReport`` for callers outside the loop.
@@ -89,12 +87,11 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     T = sum of m_i e_i is correctly rounded, so it does not depend on the
     edge order; a T that is not finite raises the ValueError of
     ``Vector2``. The Jacobian rows are those of ``ResidualReport.jacobian``.
-    The means are a list of floats. Loops of up to
-    ``kernels._FLOAT_EDGES`` edges hand the kernel the rows of their
-    ``Polygon._float_loop`` and reduce on its lists (``_float_reduction``),
-    longer ones take the arrays, with the same bits.
+    The means are a list of floats. A polygon on the float route hands
+    the kernel the rows of its ``_floats`` and reduces on its lists
+    (``_float_reduction``); any other takes the arrays, with the same bits.
     """
-    loop = local._float_loop()
+    loop = local._floats
     if loop:
         values, grads = kernel.values_batch(loop.starts, loop.edges, x)
         out = _float_reduction(loop, values, grads)
@@ -195,6 +192,8 @@ def mean_distance_certificate(tri: Polygon, x) -> CertificateResult:
         raise InvalidTriangleError("certificate is defined for triangles only")
     local, ox, oy = as_polygon(tri)._local_frame()
     px, py = _point_xy(x)
-    values, _ = RadialKernel.euclidean().values_batch(local.coords, local.edge_vectors, (px - ox, py - oy))
+    loop = local._floats
+    a, e = (loop.starts, loop.edges) if loop else (local.coords, local.edge_vectors)
+    values, _ = RadialKernel.euclidean().values_batch(a, e, (px - ox, py - oy))
     means = (values / local.edge_lengths).tolist()
     return CertificateResult(means=tuple(means), spread=_spread(means))

@@ -260,7 +260,11 @@ def degenerate_limit_study(alpha: float, beta: float, gammas) -> List[Tuple[floa
     the solved median from that vertex). As gamma approaches
     |alpha - beta| from above, the distances approach sqrt(alpha*beta/2).
     Sides are normalized so alpha >= beta, and each triangle is solved
-    by ``solve_median`` with the default ``SolveConfig``.
+    by ``solve_median`` with the default ``SolveConfig``. The triangle is
+    built and solved from the sides divided by 2^e, e the exponent of
+    alpha (``math.frexp``), and each distance is multiplied back: both
+    exact while the distances are normal floats, so sides scaled by a
+    power of two give the rows scaled by it, bit for bit.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -268,6 +272,8 @@ def degenerate_limit_study(alpha: float, beta: float, gammas) -> List[Tuple[floa
         alpha, beta = beta, alpha
     if not (alpha >= beta > 0.0):
         raise InvalidTriangleError("need alpha >= beta > 0 after normalization")
+    e = math.frexp(alpha)[1]
+    a, b = math.ldexp(alpha, -e), math.ldexp(beta, -e)
     out: List[Tuple[float, float]] = []
     for gamma in gammas:
         g = float(gamma)
@@ -276,13 +282,14 @@ def degenerate_limit_study(alpha: float, beta: float, gammas) -> List[Tuple[floa
                 f"gamma={g} violates the strict triangle inequality for "
                 f"alpha={alpha}, beta={beta}"
             )
-        bx = (alpha * alpha + beta * beta - g * g) / (2.0 * alpha)
-        by_sq = beta * beta - bx * bx
+        c = math.ldexp(g, -e)
+        bx = (a * a + b * b - c * c) / (2.0 * a)
+        by_sq = b * b - bx * bx
         if by_sq <= 0.0:
             raise InvalidTriangleError(
                 f"gamma={g} leaves no triangle height at floating point precision"
             )
-        tri = Polygon([(0.0, 0.0), (alpha, 0.0), (bx, math.sqrt(by_sq))])
+        tri = Polygon([(0.0, 0.0), (a, 0.0), (bx, math.sqrt(by_sq))])
         result = solve_median(tri)
-        out.append((g, math.hypot(result.median.x, result.median.y)))
+        out.append((g, math.ldexp(math.hypot(result.median.x, result.median.y), e)))
     return out

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from regionmedian import NonConvergenceError, Point2, Polygon, SingularRegionError, general_boundary_residual
-from regionmedian import kernels
+from regionmedian import geometry, kernels
 from regionmedian.kernels import (
     _GK_NODES,
     _GK_WEIGHTS,
@@ -88,12 +88,14 @@ def two_endpoint_closed_values(a, e, x, p=1):
 
 
 def use_array_routes(monkeypatch):
-    """Send loops of every size down the array routes of
-    ``kernels.closed_values_batch``, ``residuals._frame_residual``, the
-    ``Polygon`` constructor, diameter and centroid and
-    ``geometry._max_pairwise_distance``, which all read the crossover
-    ``kernels._FLOAT_EDGES`` at each call."""
-    monkeypatch.setattr(kernels, "_FLOAT_EDGES", 0)
+    """Build every ``Polygon`` on the array routes: its constructor,
+    diameter and centroid, ``residuals._frame_residual`` and
+    ``kernels.closed_values_batch`` then run on arrays for loops of every
+    size, and so does the diameter of a point set. The constructor reads
+    the crossover ``geometry._FLOAT_EDGES``, so a polygon keeps the route
+    it was built with: build the polygons of a comparison inside the
+    patch."""
+    monkeypatch.setattr(geometry, "_FLOAT_EDGES", 0)
 
 
 def decimal_edge_integral(a, e, x, p):

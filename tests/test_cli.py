@@ -453,6 +453,18 @@ def test_degenerate_distances_approach_the_limit(capsys):
     assert all(row["limit"] == 1.0 for row in report["rows"])
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_degenerate_rows_and_limit_hold_at_extreme_scales(capsys, scale):
+    # the sides are scaled into [0.5, 1) to be solved, and the limit's
+    # product too, so neither the height nor alpha * beta leaves the range
+    argv = ["--alpha", repr(2.0 * scale), "--beta", repr(scale), "--gammas", repr(1.5 * scale)]
+    code, out, err = run(capsys, "degenerate", *argv)
+    assert (code, err) == (0, "")
+    (row,) = json.loads(out)["rows"]
+    assert math.isfinite(row["limit"]) and row["limit"] == pytest.approx(scale, rel=1e-15)
+    assert row["distance"] / scale == pytest.approx(0.9107128429634224, rel=1e-15)
+
+
 def test_degenerate_side_order_does_not_matter(capsys):
     _, out_a, _ = run(capsys, "degenerate", "--alpha", "1", "--beta", "2", "--gammas", "1.05")
     _, out_b, _ = run(capsys, "degenerate", "--alpha", "2", "--beta", "1", "--gammas", "1.05")
@@ -895,7 +907,7 @@ def test_overflowing_inputs_fail_alike_on_the_float_and_the_array_routes(capsys,
             ["check", str(files["scaled"]), "--point", "1e103,1e103"],
             ["medianoid", str(files["scaled"])]]
     t345 = Polygon(t345["polygon"])
-    assert regionmedian.kernels._closed_values_floats(t345.coords, t345.edge_vectors, (1e19, 0.0), 16) is None
+    assert regionmedian.kernels._closed_values_floats(t345._floats.starts, t345._floats.edges, (1e19, 0.0), 16) is None
     for argv in runs:
         got = run(capsys, *argv)
         with monkeypatch.context() as patch:

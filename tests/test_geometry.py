@@ -978,9 +978,9 @@ def test_fine_sampled_curve_constructs_in_near_linear_time():
 
 # ---------------------------------------------------------------- float and array routes
 #
-# Loops of up to kernels._FLOAT_EDGES vertices are validated, and their
+# Loops of up to geometry._FLOAT_EDGES vertices are validated, and their
 # area, diameter and centroid formed, on Python floats; every other loop,
-# and every loop under ``use_array_routes``, on arrays. Both must give the
+# and every loop built under ``use_array_routes``, on arrays. Both must give the
 # same bits and the same errors.
 
 def _route_outcome(make):
@@ -1037,6 +1037,9 @@ def _route_cases(rng):
         [(0, 0), (1, 0), (math.nan, 1)],
         [(0, 0), (1, 0)],
         [(-1.5e308, 0), (1.5e308, 0), (0, 1e-300)],  # an edge that overflows
+        # signed zeros: clockwise, the edge from -0.0 to 0.0 (x = 0.0)
+        # turns into one from 0.0 to -0.0, whose x is -0.0, not 0.0 - 0.0
+        [(-0.0, 0), (0.0, 1), (1, 1), (1, 0)],
     ]
     loops = [np.array(c, dtype=float) for c in loops]
     # clockwise, and explicitly closed
@@ -1047,7 +1050,7 @@ def test_polygons_take_the_same_bits_and_errors_on_the_float_and_the_array_route
     loops = _route_cases(np.random.default_rng(4201))
     certified = []
     real = geometry._checked_loop_floats
-    monkeypatch.setattr(geometry, "_checked_loop_floats", lambda xs, ys: certified.append(real(xs, ys)) or certified[-1])
+    monkeypatch.setattr(geometry, "_checked_loop_floats", lambda *lists: certified.append(real(*lists)) or certified[-1])
     floats = [_route_outcome(_polygon_fields(c)) for c in loops]
     on_floats = sum(c is not None for c in certified)
     with monkeypatch.context() as patch:

@@ -13,6 +13,7 @@ from helpers import (
     random_star_polygon,
     random_triangle,
     reference_quadrature_values_batch,
+    star_loop,
     two_endpoint_closed_values,
     use_array_routes,
 )
@@ -26,7 +27,7 @@ from regionmedian import (
     solve_median,
     solve_medianoid,
 )
-from regionmedian import kernels
+from regionmedian import geometry, kernels
 from regionmedian.kernels import (
     _MAX_CLOSED_POWER,
     _ladder_panels,
@@ -137,17 +138,17 @@ def test_closed_batch_equals_the_two_endpoint_reference_bit_for_bit():
             w = x - a
             collinear_rows += int(np.sum(np.abs(e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]) / np.sum(e * e, axis=1) < 1e-12))
     assert collinear_rows > 1000
-    # every closed power, on loops either side of kernels._FLOAT_EDGES and
+    # every closed power, on loops either side of geometry._FLOAT_EDGES and
     # at it: at an interior point, two vertices, points on two carrier
     # lines and a point a million diameters away; the loops up to the
-    # crossover finish on floats, from the arrays and from the rows of
-    # float lists that the polygon keeps
-    for n in (3, 8, kernels._FLOAT_EDGES, kernels._FLOAT_EDGES + 1, 2 * kernels._FLOAT_EDGES + 3):
+    # crossover finish on floats from the rows of float lists that the
+    # polygon keeps, and every loop on the arrays
+    for n in (3, 8, geometry._FLOAT_EDGES, geometry._FLOAT_EDGES + 1, 2 * geometry._FLOAT_EDGES + 3):
         for _ in range(2):
             poly = random_star_polygon(rng, n)
             a, e = poly.coords, poly.edge_vectors
-            loop = poly._float_loop()
-            assert (loop is None) == (n > kernels._FLOAT_EDGES)
+            loop = poly._floats
+            assert (loop is None) == (n > geometry._FLOAT_EDGES)
             inputs = [(a, e)] + ([(loop.starts, loop.edges)] if loop else [])
             x0 = interior_point(poly, rng)
             far = x0 + 1e6 * poly.diameter * np.array([0.6, -0.8])
@@ -158,8 +159,8 @@ def test_closed_batch_equals_the_two_endpoint_reference_bit_for_bit():
                     for a_in, e_in in inputs:
                         got = closed_values_batch(a_in, e_in, x, p)
                         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (n, p, x)
-                        if loop:
-                            assert kernels._closed_values_floats(a_in, e_in, x, p) is not None
+                    if loop:
+                        assert kernels._closed_values_floats(loop.starts, loop.edges, x, p) is not None
     # a caller's lists of int pairs are read as floats: near 2^30 an int
     # square is exact where the float square rounds, and these lists,
     # taken as they are, give other bits at every power
@@ -198,32 +199,65 @@ def test_fractional_closed_forms_match_the_decimal_reference(p):
                 assert np.hypot(*(grads[i] - want_grad)) <= 1e-14 * np.hypot(*want_grad), (x, i)
 
 
-def test_fractional_closed_forms_take_the_bits_of_the_array_route(monkeypatch):
+def test_fractional_closed_forms_take_the_bits_of_the_array_route():
     # the float route's start and climb are the array route's numpy calls
     # on a flat layout; its sums are Python floats, with numpy's bits
     rng = np.random.default_rng(3900)
     cases = []
-    for n in (3, 8, kernels._FLOAT_EDGES):
+    for n in (3, 8, geometry._FLOAT_EDGES):
         poly = random_star_polygon(rng, n)
         a, e = poly.coords, poly.edge_vectors
-        loop = poly._float_loop()
+        loop = poly._floats
         x0 = interior_point(poly, rng)
         cases += [(a, e, loop, x) for x in (x0, a[0], a[1] + 0.5 * e[1], a[2] - 0.75 * e[2], a[-1] + 0.3 * e[-1] + 1e-12 * e[-1, ::-1],
                                             x0 + 1e3 * poly.diameter * np.array([0.6, -0.8]))]
-    # from the arrays, and from the rows of float lists the polygon keeps
-    got, got_from_lists = [], []
+    # from the arrays, and from the rows of float lists the polygon keeps,
+    # against the array route
     for a, e, loop, x in cases:
         for p in FRACTIONAL_POWERS:
-            assert kernels._closed_values_floats(a, e, x, p) is not None, (len(a), p, x)
             assert kernels._closed_values_floats(loop.starts, loop.edges, x, p) is not None, (len(a), p, x)
-            got.append(closed_values_batch(a, e, x, p))
-            got_from_lists.append(closed_values_batch(loop.starts, loop.edges, x, p))
+            wv, wg = kernels._closed_values_arrays(a, e, x, p)
+            for v, g in (closed_values_batch(a, e, x, p), closed_values_batch(loop.starts, loop.edges, x, p)):
+                assert np.array_equal(v, wv) and np.array_equal(g, wg)
+
+
+def test_a_polygon_keeps_the_route_it_was_built_with(monkeypatch):
+    # the constructor picks the route once: a polygon built before the
+    # patch keeps its floats under it, and one built under it keeps the
+    # arrays after it, with the same bits; arrays and a caller's lists,
+    # ints included, take the array route at every length
+    rng = np.random.default_rng(4501)
+    loop = star_loop(rng, 8)
+    x = (0.1, -0.2)
+    calls = []
+    real = kernels._closed_values_floats
+    monkeypatch.setattr(kernels, "_closed_values_floats", lambda *args: calls.append(len(args[0])) or real(*args))
+    on_floats = Polygon(loop)
     with monkeypatch.context() as patch:
         use_array_routes(patch)
-        want = [closed_values_batch(a, e, x, p) for a, e, _, x in cases for p in FRACTIONAL_POWERS]
-    for (v, g), (lv, lg), (wv, wg) in zip(got, got_from_lists, want):
-        assert np.array_equal(v, wv) and np.array_equal(g, wg)
-        assert np.array_equal(lv, wv) and np.array_equal(lg, wg)
+        on_arrays = Polygon(loop)
+        want = general_boundary_residual(on_floats, x, RadialKernel.euclidean())
+        centroid = on_floats.centroid
+    assert on_floats._floats is not None and on_arrays._floats is None
+    assert calls == [8]
+
+    def refuse(*args):
+        raise AssertionError("the float route ran")
+
+    # the float closed form, and the float centroid's cross terms
+    monkeypatch.setattr(kernels, "_closed_values_floats", refuse)
+    monkeypatch.setattr(geometry, "_cross_terms", refuse)
+    assert general_boundary_residual(on_arrays, x, RadialKernel.euclidean()) == want
+    assert on_arrays.centroid == centroid
+    for n in range(3, geometry._FLOAT_EDGES + 1):
+        a = star_loop(rng, n)
+        e = np.roll(a, -1, axis=0) - a
+        ints = np.rint(1e3 * a).astype(int)
+        for p in (1, 3, 1.5):
+            for a_in, e_in in ((a, e), (a.tolist(), e.tolist()), (ints.tolist(), (np.roll(ints, -1, axis=0) - ints).tolist())):
+                got = closed_values_batch(a_in, e_in, x, p)
+                wv, wg = kernels._closed_values_arrays(np.array(a_in, dtype=float), np.array(e_in, dtype=float), x, p)
+                assert np.array_equal(got[0], wv) and np.array_equal(got[1], wg), (n, p)
 
 
 def test_closed_vs_quadrature_including_near_collinear():

@@ -17,6 +17,7 @@ from helpers import (
     random_triangle,
     reference_solve_medianoid,
     similarity_transform,
+    star_loop,
     use_array_routes,
 )
 
@@ -282,6 +283,18 @@ def test_degenerate_family_normalizes_side_order():
     a = degenerate_limit_study(1.0, 2.0, [1.05])
     b = degenerate_limit_study(2.0, 1.0, [1.05])
     assert a[0][1] == pytest.approx(b[0][1], rel=1e-12)
+
+
+def test_degenerate_family_scales_exactly_by_powers_of_two():
+    # sides scaled by 2^k give the rows scaled by 2^k, bit for bit, from
+    # 2^-1000 to 2^1000, where an unscaled triangle loses its height or
+    # overflows its solve
+    gammas = [1.5, 1.1, 1.01]
+    base = degenerate_limit_study(2.0, 1.0, gammas)
+    for k in (-1000, -900, -530, -200, 200, 530, 900, 1000):
+        s = math.ldexp(1.0, k)
+        rows = degenerate_limit_study(2.0 * s, s, [g * s for g in gammas])
+        assert rows == [(math.ldexp(g, k), math.ldexp(d, k)) for g, d in base], k
 
 
 def test_degenerate_family_rejects_impossible_sides():
@@ -642,28 +655,30 @@ def _outcome(solve, region, kernel, cfg=None) -> str:
 def test_the_float_loop_matches_the_report_loop_bit_for_bit(monkeypatch):
     # every field of every result, and every error, as the report-object
     # loop gives them on the array routes of the closed form and the
-    # residual; loops up to kernels._FLOAT_EDGES edges take the float
-    # routes in the float loop
+    # residual; loops up to geometry._FLOAT_EDGES edges take the float
+    # routes in the float loop. Each solve gets a vertex loop, so that its
+    # polygon is built on the routes under test
     kernels = [RadialKernel.power(p) for p in (1.0, 1.5, 2.0, 3.0)]
     kernels.append(RadialKernel.custom(lambda dx, dy: np.hypot(dx, dy) + 0.1 * (dx * dx + dy * dy)))
     rng = np.random.default_rng(3201)
-    regions = [Polygon(unit_region(rng, j)) for j in range(24)]
+    regions = [unit_region(rng, j) for j in range(24)]
     # the same region 1e8 diameters out, where the solve frame is translated
-    regions.append(Polygon(regions[4].coords + 1e8 * regions[4].diameter))
+    far = Polygon(regions[4])
+    regions.append(far.coords + 1e8 * far.diameter)
     # stars either side of the crossover and at it
-    crossover = regionmedian.kernels._FLOAT_EDGES
-    regions += [random_star_polygon(rng, n) for n in (3, 8, crossover, crossover + 1)]
+    crossover = regionmedian.geometry._FLOAT_EDGES
+    regions += [star_loop(rng, n) for n in (3, 8, crossover, crossover + 1)]
     cases = [(region, kernel, None) for region in regions for kernel in kernels]
     cases += [
         # every step a gradient fallback step, and a stagnating solve
-        (T345, RadialKernel.custom(lambda dx, dy: np.abs(dx)), None),
-        (T345, RadialKernel.euclidean(), SolveConfig(tol_rel=1e-300)),
+        (T345.coords, RadialKernel.custom(lambda dx, dy: np.abs(dx)), None),
+        (T345.coords, RadialKernel.euclidean(), SolveConfig(tol_rel=1e-300)),
         # a solve that runs off, and the error paths
-        (Polygon(DUMBBELL), RadialKernel.power(0.3), None),
+        (DUMBBELL, RadialKernel.power(0.3), None),
         ("not a region", RadialKernel.euclidean(), None),
         ([(0.0, 0.0), (3e150, 0.0), (3e150, 4e150)], RadialKernel.power(3.0), None),
-        (Polygon([(0.0, 0.0), (30.0, 0.0), (30.0, 40.0)]), RadialKernel.power(400.0), None),
-        (T345, RadialKernel.custom(lambda dx, dy: np.where((dx < -1.2) & (dx > -2.9), np.nan, np.hypot(dx, dy))), None),
+        ([(0.0, 0.0), (30.0, 0.0), (30.0, 40.0)], RadialKernel.power(400.0), None),
+        (T345.coords, RadialKernel.custom(lambda dx, dy: np.where((dx < -1.2) & (dx > -2.9), np.nan, np.hypot(dx, dy))), None),
     ]
     outcomes = []
     for region, kernel, cfg in cases:
