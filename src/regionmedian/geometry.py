@@ -596,7 +596,7 @@ class Polygon:
         if lists is not None:
             lens = lengths.tolist()
             self._floats = _FloatLoop(xs, ys, exs, eys, lens, kernels._FloatRows(zip(xs, ys)),
-                                      kernels._FloatRows(zip(exs, eys)))
+                                      kernels._edge_rows(exs, eys))
             longest, shortest = max(lens), min(lens)
         else:
             self._floats = None

@@ -19,7 +19,9 @@ the per-segment arithmetic on floats, whose + - * / give numpy's IEEE
 results, because on a few elements each numpy call costs about what its
 arithmetic does on dozens of floats. hypot, asinh and the power of the
 squared lengths stay numpy calls even there, one each: ``math.hypot``,
-``math.asinh`` and Python's ``**`` round differently. Every other
+``math.asinh`` and Python's ``**`` round differently. The squared
+lengths are formed once per polygon, with the edge rows, and their
+power once per polygon and power, not at every point. Every other
 input, arrays or a caller's lists, takes one numpy call per step over
 every segment. A fractional power's start (``_fractional_start``, a
 table of the integral of cosh^a and a 10-point Gauss-Legendre rule over
@@ -81,9 +83,22 @@ class _FloatRows(list):
     of a polygon on the float route, as ``geometry.Polygon`` keeps them.
     Only a Polygon builds them, and ``closed_values_batch`` takes its
     float route exactly for them; a caller's list, of ints say, is read
-    as an array of floats."""
+    as an array of floats. Edge rows, from ``_edge_rows``, also carry
+    what the float closed form reads at every point: the squared lengths
+    ``squares``, their largest, ``top``, and ``scale``, the pair (p, the
+    scales L^(p-1)) of the last power p > 1 it took, or None."""
 
-    __slots__ = ()
+    __slots__ = ("squares", "top", "scale")
+
+
+def _edge_rows(exs: list, eys: list) -> _FloatRows:
+    """A polygon's edge vectors as ``_FloatRows``, their squared lengths
+    formed once, as ``_closed_values_arrays`` forms them."""
+    rows = _FloatRows(zip(exs, eys))
+    rows.squares = [ex * ex + ey * ey for ex, ey in rows]
+    rows.top = max(rows.squares)
+    rows.scale = None
+    return rows
 
 
 @dataclass(frozen=True)
@@ -307,17 +322,18 @@ def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
     ``math.asinh`` and ``math.hypot`` round differently from numpy's, and
     so does Python's ``**``. Offsets, parameters and squared lengths past
     ``_FLOAT_BOUND`` are left to the array route before those calls, so
-    that none of them can overflow and warn.
+    that none of them can overflow and warn. The squared lengths and
+    their largest come from ``edges``, formed once per polygon, and so
+    does the scale, once per power.
     """
     xx, xy = map(float, x)
     m = len(edges)
-    L2, cs, c, u1, u2 = [], [], [], [], []
-    for (ex, ey), (ax, ay) in zip(edges, starts):
+    L2 = edges.squares
+    cs, c, u1, u2 = [], [], [], []
+    for (ex, ey), (ax, ay), l2 in zip(edges, starts, L2):
         wx, wy = xx - ax, xy - ay
-        l2 = ex * ex + ey * ey
         t0 = (ex * wx + ey * wy) / l2
         s = (ex * wy - ey * wx) / l2
-        L2.append(l2)
         cs.append(s)
         c.append(abs(s))
         u1.append(-t0)
@@ -329,7 +345,7 @@ def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
     if p % 1:
         # fractional powers climb in numpy, whose u r^p must not overflow
         bound = min(bound, 2.0 ** (900.0 / (p + 1.0)))
-    if not (max(c) < bound and max(L2) < bound and -bound < min(u1) and max(u1) < bound):
+    if not (max(c) < bound and edges.top < bound and -bound < min(u1) and max(u1) < bound):
         return None
     if p % 2 == 1:
         c = [_MIN_OFFSET if _MIN_OFFSET > v else v for v in c]
@@ -338,7 +354,11 @@ def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
     u, cc = flat[:2 * m], flat[2 * m:]
     r = np.hypot(u, cc)
     # the scale L^(p-1), unread for p = 1
-    scale = (np.array(L2) ** (0.5 * (p - 1))).tolist() if p > 1 else L2
+    scale = L2
+    if p > 1:
+        if edges.scale is None or edges.scale[0] != p:
+            edges.scale = p, (np.array(L2) ** (0.5 * (p - 1))).tolist()
+        scale = edges.scale[1]
     vals, grad = [], []
     if p % 1:
         # the start and the climb of fractional powers are numpy calls

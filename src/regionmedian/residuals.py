@@ -15,14 +15,16 @@ err <= tol * (1 + |value|) for its integral value, with tol =
 failing edges are bisected, and an edge that does not pass raises
 NonConvergenceError. Edge integrals are taken in the region's solve
 frame (``Polygon._local_frame``). ``_frame_residual`` turns them into
-plain floats: the edge means, T summed correctly rounded
-(``math.fsum``), so it does not depend on where the loop starts, and
-the rows of the Jacobian of the gradient, from the gradients of the
-edge integrals: closed-form, or integrated in the same Gauss-Kronrod
-pass as the values. A polygon built on the float route (its
-``_floats``, a ``geometry._FloatLoop``) hands the closed form its rows
-and reduces on its lists, on Python floats; any other polygon takes the
-arrays, with the same bits. The Newton loop of
+the edge means, T summed correctly rounded, so it does not depend on
+where the loop starts, and the rows of the Jacobian of the gradient,
+from the gradients of the edge integrals: closed-form, or integrated in
+the same Gauss-Kronrod pass as the values. A polygon built on the float
+route (its ``_floats``, a ``geometry._FloatLoop``) hands the closed form
+its rows and reduces on its lists, on Python floats, T by ``math.fsum``;
+any other polygon takes the arrays, with the same bits, and T by the
+error-free extraction of ``_column_fsums``, whose exact level sums
+``math.fsum`` rounds to the float it gives over the terms, since a
+correctly rounded sum is unique. The Newton loop of
 ``solver.solve_medianoid`` calls it once per trial point;
 ``general_boundary_residual`` wraps the same floats in a
 ``ResidualReport`` for callers outside the loop.
@@ -80,6 +82,14 @@ class ResidualReport:
         return _spread(self.edge_means) if len(self.edge_means) == 3 else None
 
 
+# fewest terms whose column sums take the extraction of _column_fsums,
+# whose numpy calls cost about 17 us however few the terms, against about
+# 0.06 us a term for math.fsum: on T of sampled curves (2 shared x86-64
+# cores, Python 3.11, numpy 2.4) the two break even near 384 terms, and
+# at 2048 the extraction takes 37 us against 122 us
+_EXTRACT_TERMS = 384
+
+
 def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     """(edge means, T_x, T_y, Jacobian rows) at the point x of the solve
     frame polygon ``local``, from one call of ``RadialKernel.values_batch``.
@@ -87,9 +97,12 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     T = sum of m_i e_i is correctly rounded, so it does not depend on the
     edge order; a T that is not finite raises the ValueError of
     ``Vector2``. The Jacobian rows are those of ``ResidualReport.jacobian``.
-    The means are a list of floats. A polygon on the float route hands
-    the kernel the rows of its ``_floats`` and reduces on its lists
-    (``_float_reduction``); any other takes the arrays, with the same bits.
+    A polygon on the float route hands the kernel the rows of its
+    ``_floats`` and reduces on its lists (``_float_reduction``), with
+    ``math.fsum``; any other takes the arrays, with the same bits, and
+    ``_column_fsums`` for T. The means are a list of floats on the float
+    route and the float64 array on the array route, which stays an array
+    until ``_mean_tuple`` turns the final point's into a result's floats.
     """
     loop = local._floats
     if loop:
@@ -101,13 +114,71 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
         values, grads = kernel.values_batch(local.coords, local.edge_vectors, x)
     lengths = local.edge_lengths
     means = values / lengths
-    terms = means[:, None] * local.edge_vectors
-    tx, ty = map(math.fsum, terms.T.tolist())
+    # the terms m_i e_i as the columns of a (2, n) product's transpose,
+    # each column contiguous, as _column_fsums reads them
+    tx, ty = _column_fsums(np.multiply(local.edge_vectors.T, means, order="C").T)
     _require_finite(tx, ty)
     # s[a, b] = sum_i e_i[a] dm_i/dx_b; rotating its rows by +90 degrees
     # gives the Jacobian of the gradient rotate90(T, +1)
     (s00, s01), (s10, s11) = np.einsum("ia,ib->ab", local.edge_vectors, grads / lengths[:, None]).tolist()
-    return means.tolist(), tx, ty, ((-s10, -s11), (s00, s01))
+    return means, tx, ty, ((-s10, -s11), (s00, s01))
+
+
+def _column_fsums(terms: np.ndarray) -> list:
+    """``math.fsum`` of each column of the (n, k) float64 array ``terms``,
+    n >= 1, bit for bit, by error-free extraction (Rump, Ogita and Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput.
+    31(1), 2008).
+
+    With M = ceil(log2(n + 2)) and sigma = 2^(e + M) for max|p| < 2^e,
+    q = (sigma + p) - sigma is exact and lies on the grid of sigma 2^-53;
+    every partial sum of the q's stays below sigma, so q.sum() is exact in
+    any order, and p - q is exact too. Each level keeps that sum and goes
+    on with p - q, at least 52 - M bits lower, until nothing is left. The
+    few level sums add up exactly to the column's sum, so ``math.fsum``
+    over them rounds it correctly, and a correctly rounded sum is unique:
+    it is the float ``math.fsum`` gives over the terms. No level sum is
+    -0.0, since x - x is +0.0. A column of zeros, whose sign
+    ``math.fsum`` decides, a non-finite term, a sigma past the float range
+    or a grid that reaches the subnormals hands the column to
+    ``math.fsum`` itself, with its infinities, NaN, ValueError and
+    OverflowError. So do columns of fewer than ``_EXTRACT_TERMS`` terms.
+    """
+    if len(terms) < _EXTRACT_TERMS:
+        return [math.fsum(column) for column in terms.T.tolist()]
+    m = (len(terms) + 1).bit_length()
+    done = [None] * terms.shape[1]
+    levels = [[] for _ in done]
+    # a contiguous row per column: numpy's passes along n terms are
+    # several times faster than across k columns
+    rest = np.array(terms.T, order="C")
+    while True:
+        sigma = []
+        for j, top in enumerate(np.abs(rest).max(axis=1).tolist()):
+            e = math.frexp(top)[1] + m
+            if done[j] is not None or (top == 0.0 and levels[j]):
+                sigma.append(0.0)
+            elif top == 0.0 or not math.isfinite(top) or not -1022 + 53 <= e <= 1023:
+                # sigma = 2^e would be infinite, or its grid 2^(e - 53) subnormal
+                done[j] = math.fsum(terms[:, j].tolist())
+                rest[j] = 0.0
+                sigma.append(0.0)
+            else:
+                sigma.append(math.ldexp(1.0, e))
+        if not any(sigma):
+            return [math.fsum(sums) if total is None else total for total, sums in zip(done, levels)]
+        s = np.array(sigma)[:, None]
+        q = s + rest
+        q -= s
+        for sums, t in zip(levels, q.sum(axis=1).tolist()):
+            sums.append(t)
+        rest -= q
+
+
+def _mean_tuple(means) -> tuple:
+    """The edge means of ``_frame_residual`` as a tuple of floats: the
+    array route's array by one ``tolist``."""
+    return tuple(means.tolist() if isinstance(means, np.ndarray) else means)
 
 
 def _float_reduction(loop: _FloatLoop, values: np.ndarray, grads: np.ndarray) -> Optional[tuple]:
@@ -163,7 +234,7 @@ def general_boundary_residual(boundary, x, kernel: RadialKernel) -> ResidualRepo
     means, tx, ty, jacobian = _frame_residual(local, (px - ox, py - oy), kernel)
     residual = Vector2(tx, ty)
     diam = local.diameter
-    return ResidualReport(residual=residual, gradient=rotate90(residual), edge_means=tuple(means),
+    return ResidualReport(residual=residual, gradient=rotate90(residual), edge_means=_mean_tuple(means),
                           norm=residual.norm, normalized_norm=residual.norm / (diam * diam), jacobian=jacobian)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidTriangleError, SingularRegionError
 from .geometry import Point2, Polygon, as_polygon
 from .kernels import RadialKernel
-from .residuals import _frame_residual, _spread
+from .residuals import _frame_residual, _mean_tuple, _spread
 
 __all__ = ["SolveConfig", "SolveResult", "solve_median", "solve_medianoid", "degenerate_limit_study"]
 
@@ -233,6 +233,7 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
         return -g / max(gn, 1e-300) * min(0.25 * diam, gn / diam)
 
     visited, (norm, _, _, means), iterations, converged = _damped_newton(evaluate, x, diam * diam, cfg, descend)
+    means = _mean_tuple(means)
     trace = tuple((Point2(float(v[0]) + ox, float(v[1]) + oy), n) for v, n in visited)
     median = trace[-1][0]
     # an increasing radial kernel's roots lie in the hull, within diam of the centroid
@@ -248,7 +249,7 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
         certificate=_spread(means) if len(means) == 3 else None,
         converged=converged,
         local=p is None or p < 1.0,
-        edge_means=tuple(means),
+        edge_means=means,
     )
 
 

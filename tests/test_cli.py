@@ -42,10 +42,12 @@ def test_median_reports_a_converged_solve(capsys):
 
 def test_golden_reports_are_reproduced_byte_for_byte(capsys, tmp_path):
     # boundary_loop has 32 edge means, so its report pins the one-per-line
-    # layout; the p = 3 medianoid pins the closed form's reduction and its
-    # power of the squared lengths, the p = 1.5 one its fractional start
+    # layout; sampled_curve, 512 seeded samples of a smooth asymmetric
+    # curve, pins a long loop's T, summed by extraction; the p = 3
+    # medianoid pins the closed form's reduction and its power of the
+    # squared lengths, the p = 1.5 one its fractional start
     runs = [(f"{stem}_report", ["median", str(DATA / f"{stem}.json")])
-            for stem in ("equilateral", "t345", "pentagon", "boundary_loop")]
+            for stem in ("equilateral", "t345", "pentagon", "boundary_loop", "sampled_curve")]
     runs += [(f"t345_power{p}_report", ["medianoid", str(DATA / "t345.json"), "--kernel", f"power:{p}"]) for p in ("3", "1.5")]
     for golden, argv in runs:
         out_path = tmp_path / f"{golden}.json"

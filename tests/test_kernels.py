@@ -221,6 +221,28 @@ def test_fractional_closed_forms_take_the_bits_of_the_array_route():
                 assert np.array_equal(v, wv) and np.array_equal(g, wg)
 
 
+def test_the_float_route_forms_the_squared_lengths_once_and_each_scale_once_per_power():
+    # the rows keep the squared lengths of _closed_values_arrays, and the
+    # scale of the last power p > 1; a new power replaces it, with the bits
+    # of the array route for every power in turn
+    rng = np.random.default_rng(4601)
+    poly = random_star_polygon(rng, 8)
+    edges, starts = poly._floats.edges, poly._floats.starts
+    e = poly.edge_vectors
+    assert edges.squares == (e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]).tolist()
+    assert edges.top == max(edges.squares) and edges.scale is None
+    x = interior_point(poly, rng)
+    for p in (1, 3, 3, 1.5, 3, 1):
+        kept = edges.scale
+        got = closed_values_batch(starts, edges, x, p)
+        want = kernels._closed_values_arrays(poly.coords, e, x, p)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), p
+        if p == 1 or (kept and kept[0] == p):
+            assert edges.scale is kept, p
+        else:
+            assert edges.scale[0] == p, p
+
+
 def test_a_polygon_keeps_the_route_it_was_built_with(monkeypatch):
     # the constructor picks the route once: a polygon built before the
     # patch keeps its floats under it, and one built under it keeps the

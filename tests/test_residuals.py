@@ -13,6 +13,8 @@ from helpers import (
     random_star_polygon,
     random_triangle,
     similarity_transform,
+    star_loop,
+    use_array_routes,
 )
 
 from regionmedian import (
@@ -25,11 +27,13 @@ from regionmedian import (
     mean_distance_certificate,
     polygon_residual,
     rotate90,
+    solve_medianoid,
 )
 from regionmedian import kernels
 from regionmedian.kernels import quadrature_values_batch, segment_sigma_quadrature
 from regionmedian.oracle import oracle_sigma
-from regionmedian.residuals import _spread
+from regionmedian import residuals
+from regionmedian.residuals import _column_fsums, _spread
 
 
 T345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
@@ -525,10 +529,73 @@ def test_quadrature_jacobian_is_finite_on_the_boundary(p):
         assert np.all(np.isfinite(rep.jacobian)), x
 
 
+def _sum_columns(sums, terms):
+    """The hex of each column sum, or the repr of the first error raised."""
+    try:
+        return [v.hex() for v in sums(terms)]
+    except (ValueError, OverflowError) as exc:
+        return repr(exc)
+
+
+def _summand_arrays(rng, count):
+    """``count`` seeded (n, k) arrays of 1-20,000 terms (log-uniform n) and
+    1-3 columns, in turn from each family: normal terms, exponents over
+    +-60 and over -1070..1000, mirrored pairs that cancel to about 1e-15,
+    subnormal terms, columns of zeros of either sign, and terms that are
+    infinite, NaN or large enough to overflow a partial sum."""
+    for j in range(count):
+        n = int(math.exp(rng.uniform(0.0, math.log(20000.0))))
+        k = int(rng.integers(1, 4))
+        family = j % 7
+        a = rng.standard_normal((n, k))
+        if family == 1:
+            a *= 2.0 ** rng.integers(-60, 61, (n, k))
+        elif family == 2:
+            a = np.ldexp(a / 8.0, rng.integers(-1067, 1004, (n, k)))
+        elif family == 3:
+            half = a[: (n + 1) // 2] * 2.0 ** rng.integers(-30, 31, ((n + 1) // 2, k))
+            a = np.concatenate((half, -half))[rng.permutation(2 * len(half))]
+            a[0] += 1e-15 * rng.standard_normal(k)
+        elif family == 4:
+            a *= 2.0 ** -1060
+        elif family == 5:
+            a[:, rng.integers(k)] = rng.choice([0.0, -0.0], n)
+        elif family == 6:
+            for _ in range(int(rng.integers(1, 4))):
+                a[rng.integers(n), rng.integers(k)] = rng.choice([math.inf, -math.inf, math.nan, 1.5e308, -1.5e308])
+        yield a
+
+
+def test_column_sums_are_math_fsum_bit_for_bit(monkeypatch):
+    # every size takes the extraction, not only those past the crossover
+    monkeypatch.setattr(residuals, "_EXTRACT_TERMS", 1)
+    rng = np.random.default_rng(46)
+    for terms in _summand_arrays(rng, 3000):
+        with np.errstate(over="raise", invalid="raise"):
+            got = _sum_columns(_column_fsums, terms)
+        want = _sum_columns(lambda a: [math.fsum(c) for c in a.T.tolist()], terms)
+        assert got == want, (terms.shape, got, want)
+
+
+def test_column_sums_leave_their_terms_as_they_were():
+    for terms in (np.array([[1.0, math.inf], [2.0, 3.0]] * 300), np.ones((3, 400)).T):
+        copy = terms.copy()
+        assert _column_fsums(terms) == [math.fsum(c) for c in copy.T.tolist()]
+        assert np.array_equal(terms, copy)
+
+
 def test_residual_is_the_correctly_rounded_sum_in_any_edge_order():
+    # 15 vertices is the shortest loop on the arrays, where T takes
+    # math.fsum; 2048 and 16384 take the extraction of _column_fsums, on
+    # wavy loops that the star certificate validates without the sweep
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        poly = random_star_polygon(rng, n=int(rng.integers(5, 40)))
+    for n in [None] * 20 + [15, 2048, 16384]:
+        if n is None or n < 1000:
+            poly = random_star_polygon(rng, n=n or int(rng.integers(5, 40)))
+        else:
+            theta = (np.arange(n) + rng.uniform(0.05, 0.95, n)) * (2.0 * np.pi / n)
+            r = 1.0 + 0.3 * np.sin(5.0 * theta + rng.uniform(0.0, 2.0 * np.pi))
+            poly = Polygon(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1) + rng.uniform(-0.5, 0.5, 2))
         x = Point2(*interior_point(poly, rng))
         rep = polygon_residual(poly, x)
         terms = np.asarray(rep.edge_means)[:, None] * poly.edge_vectors
@@ -537,3 +604,22 @@ def test_residual_is_the_correctly_rounded_sum_in_any_edge_order():
         shift = int(rng.integers(1, len(poly)))
         rolled = polygon_residual(Polygon(np.roll(poly.coords, shift, axis=0)), x)
         assert rolled.residual == rep.residual
+
+
+def test_results_carry_python_floats_from_the_array_route(monkeypatch):
+    # the array route's means stay a float64 array across the trial points;
+    # each result turns its final point's into Python floats once
+    rng = np.random.default_rng(47)
+    loops = [star_loop(rng, 15), star_loop(rng, 2048)]
+    use_array_routes(monkeypatch)
+    loops.append(Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)]))
+    for loop in loops:
+        for kernel in (RadialKernel.euclidean(), RadialKernel.power(1.5)):
+            result = solve_medianoid(loop, kernel)
+            rep = general_boundary_residual(loop, result.median, kernel)
+            assert len(result.edge_means) == len(rep.edge_means) == len(loop)
+            assert all(type(v) is float for v in result.edge_means + rep.edge_means)
+            if len(loop) == 3:
+                assert type(result.certificate) is type(rep.certificate) is float
+            for out in (result, rep):
+                assert "float64" not in repr(out)
