@@ -25,7 +25,9 @@ power once per polygon and power, not at every point. Every other
 input, arrays or a caller's lists, takes one numpy call per step over
 every segment. A fractional power's start (``_fractional_start``, a
 table of the integral of cosh^a and a 10-point Gauss-Legendre rule over
-its last piece) and its climb are numpy calls on both routes.
+its last piece) and its climb are numpy calls on both routes. The float
+route returns its lists, which the residual's reduction reads as they
+are.
 """
 from __future__ import annotations
 
@@ -167,7 +169,8 @@ class RadialKernel:
         1 <= p <= ``_MAX_CLOSED_POWER``, integer or not,
         ``quadrature_values_batch`` for custom kernels and every other
         power. a and e are (m, 2) arrays, or the ``_FloatRows`` that a
-        ``Polygon`` keeps, which quadrature reads as arrays.
+        ``Polygon`` keeps, which quadrature reads as arrays and the closed
+        form answers with lists (``closed_values_batch``).
         """
         p = self.closed_power
         if p is None:
@@ -208,8 +211,8 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: float = 1) -> Tuple[
     x: query point (length-2).
     Returns the (m,) array of arclength integrals V_i of |P - x|^p over
     each segment and the (m, 2) array of their gradients in x,
-    -integral of p |P - x|^(p-2) (P - x) ds. p is an int for integer
-    powers and a float otherwise. Parameterized by arclength fraction so
+    -integral of p |P - x|^(p-2) (P - x) ds. An integral p, int or
+    float, is taken as its int. Parameterized by arclength fraction so
     conditioning does not depend on absolute scale; for odd p the offset
     is floored at ``_MIN_OFFSET`` inside the logarithm, so one formula
     serves query points on a segment's carrier line too.
@@ -232,8 +235,11 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: float = 1) -> Tuple[
     ``math.asinh`` and Python's ``**`` round differently. It hands a
     point it cannot finish on finite floats, or a FloatingPointError or
     ZeroDivisionError, to the array route, which then raises, warns or
-    returns as it always does. Both routes return arrays, for every input.
+    returns as it always does. The float route returns lists, the values
+    and the gradients flat, (x, y) of each segment in turn; arrays, a
+    caller's lists and a point handed back get arrays.
     """
+    p = int(p) if p % 1 == 0 else p
     if type(a) is type(e) is _FloatRows:
         try:
             out = _closed_values_floats(a, e, x, p)
@@ -312,8 +318,9 @@ def _ladder(u, c, r, p):
 
 def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
     """``closed_values_batch`` on a polygon's ``_FloatRows`` and the two
-    numbers of x, or None where it cannot end on finite values without
-    overflow in a numpy call.
+    numbers of x: the list of values and the flat list of gradients, or
+    None where it cannot end on finite values without overflow in a
+    numpy call.
 
     Each step is the elementwise expression of ``_closed_values_arrays``
     in the same order, and Python's + - * / and abs give the IEEE results
@@ -391,12 +398,10 @@ def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
                 normal, l2 = sc * (p * normal), sc * l2
             vals.append(l2 * (hb - ha))
             grad += (-(along * ex + normal * ey), normal * ex - along * ey)
-    vals += grad
     # an infinity or a NaN anywhere makes the sum one too
-    if not math.isfinite(sum(vals)):
+    if not math.isfinite(sum(grad, sum(vals))):
         return None
-    out = np.fromiter(vals, float, 3 * m)
-    return out[:m], out[m:].reshape(m, 2)
+    return vals, grad
 
 
 def _power_sum(r1, r2, p: int):

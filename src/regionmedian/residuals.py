@@ -20,8 +20,9 @@ where the loop starts, and the rows of the Jacobian of the gradient,
 from the gradients of the edge integrals: closed-form, or integrated in
 the same Gauss-Kronrod pass as the values. A polygon built on the float
 route (its ``_floats``, a ``geometry._FloatLoop``) hands the closed form
-its rows and reduces on its lists, on Python floats, T by ``math.fsum``;
-any other polygon takes the arrays, with the same bits, and T by the
+its rows and reduces on the lists it returns, on Python floats, T by
+``math.fsum``; any other polygon, and a float reduction that gives up,
+takes the arrays, with the same bits, and T by the
 error-free extraction of ``_column_fsums``, whose exact level sums
 ``math.fsum`` rounds to the float it gives over the terms, since a
 correctly rounded sum is unique. The Newton loop of
@@ -98,8 +99,9 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     edge order; a T that is not finite raises the ValueError of
     ``Vector2``. The Jacobian rows are those of ``ResidualReport.jacobian``.
     A polygon on the float route hands the kernel the rows of its
-    ``_floats`` and reduces on its lists (``_float_reduction``), with
-    ``math.fsum``; any other takes the arrays, with the same bits, and
+    ``_floats`` and reduces on the lists the closed form returns
+    (``_float_reduction``), with ``math.fsum``; any other, and a float
+    reduction that gives up, takes the arrays, with the same bits, and
     ``_column_fsums`` for T. The means are a list of floats on the float
     route and the float64 array on the array route, which stays an array
     until ``_mean_tuple`` turns the final point's into a result's floats.
@@ -107,9 +109,12 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     loop = local._floats
     if loop:
         values, grads = kernel.values_batch(loop.starts, loop.edges, x)
+        if type(values) is not list:  # quadrature, or a point handed back
+            values, grads = values.tolist(), grads.ravel().tolist()
         out = _float_reduction(loop, values, grads)
         if out is not None:
             return out
+        values, grads = np.array(values), np.array(grads).reshape(-1, 2)
     else:
         values, grads = kernel.values_batch(local.coords, local.edge_vectors, x)
     lengths = local.edge_lengths
@@ -181,20 +186,22 @@ def _mean_tuple(means) -> tuple:
     return tuple(means.tolist() if isinstance(means, np.ndarray) else means)
 
 
-def _float_reduction(loop: _FloatLoop, values: np.ndarray, grads: np.ndarray) -> Optional[tuple]:
+def _float_reduction(loop: _FloatLoop, values: list, grads: list) -> Optional[tuple]:
     """``_frame_residual``'s reduction of the edge integrals on Python
-    floats, with the edge lists of ``loop``; None where a mean, T or a
-    Jacobian entry is not finite, or ``math.fsum`` raises, and the array
-    reduction then raises or returns as it always does. The Jacobian
-    sums run in edge order from 0.0, as ``np.einsum`` accumulates them."""
+    floats, with the edge lists of ``loop``: the list of values and the
+    flat list of gradients, as the float closed form returns them; None
+    where a mean, T or a Jacobian entry is not finite, or ``math.fsum``
+    raises, and the array reduction then raises or returns as it always
+    does. The Jacobian sums run in edge order from 0.0, as ``np.einsum``
+    accumulates them."""
     exs, eys, lengths = loop.exs, loop.eys, loop.lengths
     try:
-        means = list(map(truediv, values.tolist(), lengths))
+        means = list(map(truediv, values, lengths))
         tx, ty = math.fsum(map(mul, means, exs)), math.fsum(map(mul, means, eys))
     except (ZeroDivisionError, OverflowError, ValueError):
         return None
     s00 = s01 = s10 = s11 = 0.0
-    for ex, ey, (gx, gy), length in zip(exs, eys, grads.tolist(), lengths):
+    for ex, ey, gx, gy, length in zip(exs, eys, grads[::2], grads[1::2], lengths):
         gx, gy = gx / length, gy / length
         s00 += ex * gx
         s01 += ex * gy
@@ -266,5 +273,8 @@ def mean_distance_certificate(tri: Polygon, x) -> CertificateResult:
     loop = local._floats
     a, e = (loop.starts, loop.edges) if loop else (local.coords, local.edge_vectors)
     values, _ = RadialKernel.euclidean().values_batch(a, e, (px - ox, py - oy))
-    means = (values / local.edge_lengths).tolist()
+    if type(values) is list:
+        means = list(map(truediv, values, loop.lengths))
+    else:
+        means = (values / local.edge_lengths).tolist()
     return CertificateResult(means=tuple(means), spread=_spread(means))

@@ -10,7 +10,10 @@ evaluation carries the Jacobian with the residual, so Newton makes one
 residual call per trial point. The loop, ``_damped_newton``, works on
 plain floats, its trial points among them, and is the package's only
 Newton loop: ``weiszfeld`` drives it on point sets with its own
-evaluator. The report types are built once, for the result.
+evaluator. Its step solves the 2x2 Jacobian system on floats
+(``_solve2``), replaying the operations of LAPACK's solve with
+correctly rounded fused products (``_fma``), so the step has the bits
+of ``np.linalg.solve``. The report types are built once, for the result.
 """
 from __future__ import annotations
 
@@ -32,6 +35,11 @@ __all__ = ["SolveConfig", "SolveResult", "solve_median", "solve_medianoid", "deg
 _SINGULAR_COND = 1e12
 _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-10
+# Veltkamp's splitter 2^27 + 1, which cuts a float into halves of 26 bits
+_SPLIT = 134217729.0
+# _solve2's operands stay within these bounds, or zero: the products in
+# its _fma then neither overflow nor lose their error terms to underflow
+_SOLVE_MIN, _SOLVE_MAX = 2.0 ** -450, 2.0 ** 450
 
 
 def _integer(value, name: str) -> int:
@@ -123,6 +131,49 @@ def _ill_conditioned(jac) -> bool:
     return f + math.sqrt(max(f * f - 4.0 * det * det, 0.0)) > 2.0 * _SINGULAR_COND * det
 
 
+def _fma(a: float, b: float, c: float) -> float:
+    """a b + c rounded once, for a b neither overflowing nor underflowing:
+    Dekker's exact product p + e = a b (Numer. Math. 18, 1971), then
+    ``math.fsum``, which rounds correctly. Where p is zero it is p + c,
+    with the fused sign of zero, which ``math.fsum`` does not give."""
+    p = a * b
+    if p == 0.0:
+        return p + c
+    t = _SPLIT * a
+    ah = t - (t - a)
+    t = _SPLIT * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
+
+
+def _in_solve_range(v: float) -> bool:
+    """v is zero or within ``_SOLVE_MIN``..``_SOLVE_MAX`` in size."""
+    return v == 0.0 or _SOLVE_MIN <= abs(v) <= _SOLVE_MAX
+
+
+def _solve2(jac, b0: float, b1: float) -> tuple:
+    """The solution of the 2x2 system jac x = (b0, b1) as two floats, with
+    the bits of ``np.linalg.solve``: OpenBLAS's dgesv for n = 2 swaps the
+    rows only where |a10| > |a00|, rounds l = a10 (1 / a00) and u11 = a11
+    - l a01 twice each, then fuses y1 = fma(-b0, l, b1), x1 = y1 / u11
+    and x0 = fma(-x1, a01, b0) / a00. A zero pivot, or a00, a01, l, u11,
+    b0, b1 or x1 nonzero outside ``_SOLVE_MIN``..``_SOLVE_MAX``, hands the
+    system to ``np.linalg.solve`` itself."""
+    (a00, a01), (a10, a11) = jac
+    c0, c1 = b0, b1
+    if abs(a10) > abs(a00):
+        a00, a01, a10, a11, c0, c1 = a10, a11, a00, a01, b1, b0
+    if a00 != 0.0:
+        l = a10 * (1.0 / a00)
+        u11 = a11 - l * a01
+        if u11 != 0.0 and all(map(_in_solve_range, (a00, a01, l, u11, c0, c1))):
+            x1 = _fma(-c0, l, c1) / u11
+            if _in_solve_range(x1):
+                return _fma(-x1, a01, c0) / a00, x1
+    return tuple(np.linalg.solve(np.array(jac), np.array([b0, b1])).tolist())
+
+
 def _damped_newton(evaluate, x, scale: float, cfg: SolveConfig, fallback, exact=None, accept=None):
     """The package's one Newton loop, from the point x (two floats or a
     (2,) array); returns the visited (point, norm / scale) pairs, the last
@@ -130,9 +181,10 @@ def _damped_newton(evaluate, x, scale: float, cfg: SolveConfig, fallback, exact=
     ``cfg.tol_rel``). Trial points are pairs of floats x + t step, the
     IEEE operations of the (2,) array expression.
 
-    ``evaluate(v)`` gives a state (norm, gradient, Jacobian rows or None,
-    ...). The step solves the Jacobian system, or is ``fallback(x, state)``
-    where ``_ill_conditioned`` rejects it; backtracking halves it until
+    ``evaluate(v)`` gives a state (norm, gradient as two floats, Jacobian
+    rows or None, ...). The step solves the Jacobian system (``_solve2``),
+    or is ``fallback(x, state)``, two floats, where ``_ill_conditioned``
+    rejects it; backtracking halves it until
     ``accept(trial, state)`` (by default, until the norm drops), down to
     ``_MIN_STEP``, or the run stops, as it stops at once on a step that
     is zero or not finite. ``exact(x, state)``, run before each
@@ -149,13 +201,12 @@ def _damped_newton(evaluate, x, scale: float, cfg: SolveConfig, fallback, exact=
             x, state = hit
             visited.append((x, state[0] / scale))
             return visited, state, iterations, True
-        norm, g, jac = state[:3]
+        norm, (gx, gy), jac = state[:3]
         if jac is None or _ill_conditioned(jac):
-            step = fallback(x, state)
+            sx, sy = fallback(x, state)
         else:
-            step = np.linalg.solve(np.array(jac), -g)
+            sx, sy = _solve2(jac, -gx, -gy)
         # no damping makes a zero or non-finite step pass
-        sx, sy = step.tolist()
         if sx == sy == 0.0 or not (math.isfinite(sx) and math.isfinite(sy)):
             break
         x0, x1 = x
@@ -224,13 +275,14 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
             means, tx, ty, jac = _frame_residual(polygon, v, kernel)
         except FloatingPointError as exc:
             raise SingularRegionError(f"the kernel integrals overflow the float range: {exc}") from exc
-        return math.hypot(tx, ty), np.array([-ty, tx]), jac, means
+        return math.hypot(tx, ty), (-ty, tx), jac, means
 
-    def descend(v, state: tuple) -> np.ndarray:
+    def descend(v, state: tuple) -> tuple:
         # minus the gradient, scaled by the diameter to a step with length units
-        g = state[1]
-        gn = math.hypot(g[0], g[1])
-        return -g / max(gn, 1e-300) * min(0.25 * diam, gn / diam)
+        gx, gy = state[1]
+        gn = math.hypot(gx, gy)
+        d, s = max(gn, 1e-300), min(0.25 * diam, gn / diam)
+        return -gx / d * s, -gy / d * s
 
     visited, (norm, _, _, means), iterations, converged = _damped_newton(evaluate, x, diam * diam, cfg, descend)
     means = _mean_tuple(means)

@@ -110,7 +110,7 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
         near = d <= radius
         if not near.any():
             ux, uy, wd = dx / d, dy / d, w / d
-            g = np.array([float(w @ ux), float(w @ uy)])
+            g = float(w @ ux), float(w @ uy)
             hxy = -float((wd * ux) @ uy)
             jac = ((float((wd * uy) @ uy), hxy), (hxy, float((wd * ux) @ ux)))
             return math.hypot(g[0], g[1]), g, jac, d, f
@@ -118,18 +118,21 @@ def weiszfeld(ps: PointSet, tol: float = 1e-10, max_iter: int = 1000) -> SolveRe
         # against the pull -g of the rest; the subgradient nearest 0
         # shortens g by the anchor, down to 0
         far = ~near
-        g = np.array([float(w[far] @ (dx[far] / d[far])), float(w[far] @ (dy[far] / d[far]))])
-        pull = math.hypot(g[0], g[1])
+        gx, gy = float(w[far] @ (dx[far] / d[far])), float(w[far] @ (dy[far] / d[far]))
+        pull = math.hypot(gx, gy)
         norm = max(pull - float(w[near].sum()), 0.0)
-        return norm, g * (norm / pull) if pull else g, None, d, f
+        s = norm / pull if pull else 1.0
+        return norm, (gx * s, gy * s), None, d, f
 
     if not all(map(math.isfinite, (x[0], x[1], evaluate(x)[4]))):
         raise ValueError("point set sums overflow the float range")
 
-    def weiszfeld_step(v: np.ndarray, state: tuple) -> np.ndarray:
+    def weiszfeld_step(v: np.ndarray, state: tuple) -> tuple:
         d = state[3]
         far = d > radius
-        return -state[1] / float(np.sum(w[far] / d[far]))
+        gx, gy = state[1]
+        s = float(np.sum(w[far] / d[far]))
+        return -gx / s, -gy / s
 
     def vertex_test(v: np.ndarray, state: tuple):
         k = int(np.argmin(np.where((pts - v) @ state[1] < 0.0, state[3], np.inf)))

@@ -54,3 +54,23 @@ def test_the_work_of_a_solve_is_pinned_by_its_counters():
     assert m["kernels.closed_values_batch.calls"] == 412 / 120
     assert m["kernels.evaluate_many.points"] == 0.0
     assert m["solver.newton_iterations"] == 292 / 120
+
+
+def test_a_traced_solve_gives_the_untraced_result():
+    # the traced closed_values_batch passes the float route's lists through
+    # as they are, so tracing moves no bit of a seed-0 small_regions solve
+    import workloads
+
+    inputs = workloads.WORKLOADS["small_regions"].make_inputs(0, "")
+
+    def results() -> list:
+        return [repr(rm.solver.solve_median(rm.geometry.Polygon(inp["coords"]))) for inp in inputs]
+
+    untraced = results()
+    tracer = spans.Tracer()
+    try:
+        tracer.install(rm)
+        traced = results()
+    finally:
+        tracer.uninstall()
+    assert "kernels.closed_values_batch" in tracer.names and traced == untraced

@@ -118,6 +118,23 @@ def test_closed_mean_bounds():
         assert mean >= d_min - 1e-12
 
 
+def _bits(out):
+    """The hex of the values and of the flat gradients of a
+    ``closed_values_batch`` result, lists or arrays; hex keeps the sign of
+    zero."""
+    return [list(map(float.hex, np.ravel(v).tolist())) for v in out]
+
+
+def _assert_same_bits(got, want, *context):
+    """A ``closed_values_batch`` result ``got`` has the bits of the array
+    route's ``want``: arrays equal as arrays, the float route's lists
+    equal, bit by bit, to its values and its flat gradients."""
+    if type(got[0]) is list:
+        assert _bits(got) == _bits(want), context
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), context
+
+
 def test_closed_batch_equals_the_two_endpoint_reference_bit_for_bit():
     # one pass over both segment ends changes no float: interior points,
     # vertices, edge midpoints, points on an edge's carrier line (where
@@ -158,7 +175,8 @@ def test_closed_batch_equals_the_two_endpoint_reference_bit_for_bit():
                     want = two_endpoint_closed_values(a, e, x, p)
                     for a_in, e_in in inputs:
                         got = closed_values_batch(a_in, e_in, x, p)
-                        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (n, p, x)
+                        assert (type(got[0]) is list) == (a_in is not a)
+                        _assert_same_bits(got, want, n, p, x)
                     if loop:
                         assert kernels._closed_values_floats(loop.starts, loop.edges, x, p) is not None
     # a caller's lists of int pairs are read as floats: near 2^30 an int
@@ -217,8 +235,8 @@ def test_fractional_closed_forms_take_the_bits_of_the_array_route():
         for p in FRACTIONAL_POWERS:
             assert kernels._closed_values_floats(loop.starts, loop.edges, x, p) is not None, (len(a), p, x)
             wv, wg = kernels._closed_values_arrays(a, e, x, p)
-            for v, g in (closed_values_batch(a, e, x, p), closed_values_batch(loop.starts, loop.edges, x, p)):
-                assert np.array_equal(v, wv) and np.array_equal(g, wg)
+            for got in (closed_values_batch(a, e, x, p), closed_values_batch(loop.starts, loop.edges, x, p)):
+                _assert_same_bits(got, (wv, wg), len(a), p, x)
 
 
 def test_the_float_route_forms_the_squared_lengths_once_and_each_scale_once_per_power():
@@ -235,12 +253,53 @@ def test_the_float_route_forms_the_squared_lengths_once_and_each_scale_once_per_
     for p in (1, 3, 3, 1.5, 3, 1):
         kept = edges.scale
         got = closed_values_batch(starts, edges, x, p)
-        want = kernels._closed_values_arrays(poly.coords, e, x, p)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), p
+        assert type(got[0]) is type(got[1]) is list, p
+        _assert_same_bits(got, kernels._closed_values_arrays(poly.coords, e, x, p), p)
         if p == 1 or (kept and kept[0] == p):
             assert edges.scale is kept, p
         else:
             assert edges.scale[0] == p, p
+
+
+def test_the_float_rows_get_lists_and_every_other_input_arrays():
+    # a polygon's _FloatRows get the float route's lists, the values and
+    # the flat gradients; arrays, a caller's lists of ints and a point
+    # that hands the float route back get arrays, with the same bits
+    rng = np.random.default_rng(4703)
+    poly = random_star_polygon(rng, 6)
+    loop = poly._floats
+    a, e = poly.coords, poly.edge_vectors
+    ints = np.rint(1e3 * a).astype(int)
+    x = interior_point(poly, rng)
+    for p in (1, 2, 3, 1.5):
+        got = closed_values_batch(loop.starts, loop.edges, x, p)
+        assert type(got[0]) is type(got[1]) is list and len(got[0]) == 6 and len(got[1]) == 12, p
+        _assert_same_bits(got, kernels._closed_values_arrays(a, e, x, p), p)
+        for a_in, e_in in ((a, e), (ints.tolist(), (np.roll(ints, -1, axis=0) - ints).tolist())):
+            got = closed_values_batch(a_in, e_in, x, p)
+            assert type(got[0]) is type(got[1]) is np.ndarray and got[1].shape == (6, 2), p
+        # parameters past kernels._FLOAT_BOUND: the float route hands back
+        far = (1e40, -3e39)
+        assert kernels._closed_values_floats(loop.starts, loop.edges, far, p) is None
+        got = closed_values_batch(loop.starts, loop.edges, far, p)
+        assert type(got[0]) is type(got[1]) is np.ndarray, p
+        _assert_same_bits(got, kernels._closed_values_arrays(a, e, far, p), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 16])
+def test_an_integral_float_power_takes_the_integer_power(p):
+    # a float p with an integer value takes the integer power's formulas,
+    # with the bits of its int, on both routes: _power_sum's range(p - 2)
+    # needs the int
+    rng = np.random.default_rng(4704)
+    poly = random_star_polygon(rng, 7)
+    loop = poly._floats
+    for x in (interior_point(poly, rng), poly.coords[2], poly.coords[1] + 2.5 * poly.edge_vectors[1]):
+        for a_in, e_in in ((poly.coords, poly.edge_vectors), (loop.starts, loop.edges)):
+            want = closed_values_batch(a_in, e_in, x, p)
+            for q in (float(p), np.float64(p)):
+                got = closed_values_batch(a_in, e_in, x, q)
+                assert type(got[0]) is type(want[0]) and _bits(got) == _bits(want), (p, x)
 
 
 def test_a_polygon_keeps_the_route_it_was_built_with(monkeypatch):

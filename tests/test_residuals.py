@@ -623,3 +623,51 @@ def test_results_carry_python_floats_from_the_array_route(monkeypatch):
                 assert type(result.certificate) is type(rep.certificate) is float
             for out in (result, rep):
                 assert "float64" not in repr(out)
+
+
+def _residual_outcome(poly, x, kernel) -> str:
+    """The repr of the report, or the type and message of the exception."""
+    try:
+        return repr(general_boundary_residual(poly, x, kernel))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_a_float_reduction_that_gives_up_takes_the_array_route_with_one_call(monkeypatch):
+    # the closed form's lists become arrays only where the float reduction
+    # gives up: the report, or the error, is then the array route's, from
+    # one closed_values_batch call. The reduction is made to give up on
+    # seeded loops; on a triangle of sides near 2^60 under p = 16 the
+    # closed form hands its point back and the reduction gives up on its
+    # own, and the array route raises
+    rng = np.random.default_rng(4705)
+    big = (np.array([(0.0, 0.0), (3.0, 0.0), (1.0, 2.5)]) * 2.0 ** 58.57).tolist()
+    cases = [(star_loop(rng, n), kernel) for n in (3, 6, 14)
+             for kernel in (RadialKernel.euclidean(), RadialKernel.power(3), RadialKernel.power(1.5))]
+    calls, gave_up = [], []
+    real_closed, real_reduction = kernels.closed_values_batch, residuals._float_reduction
+    monkeypatch.setattr(kernels, "closed_values_batch", lambda *args: calls.append(1) or real_closed(*args))
+
+    def outcomes(loop, kernel, x):
+        on_floats = Polygon(loop)
+        calls.clear()
+        got = _residual_outcome(on_floats, x, kernel)
+        assert on_floats._floats is not None and len(calls) == 1
+        with monkeypatch.context() as patch:
+            use_array_routes(patch)
+            return got, _residual_outcome(Polygon(loop), x, kernel)
+
+    def watched(*args):
+        out = real_reduction(*args)
+        gave_up.append(out is None)
+        return out
+
+    monkeypatch.setattr(residuals, "_float_reduction", watched)
+    with np.errstate(all="ignore"):
+        got, want = outcomes(big, RadialKernel.power(16), (1.2 * 2.0 ** 58.57, 0.9 * 2.0 ** 58.57))
+    assert gave_up == [True] and got == want and want.startswith("ValueError")
+    monkeypatch.setattr(residuals, "_float_reduction", lambda *args: None)
+    for loop, kernel in cases:
+        for x in (interior_point(Polygon(loop), rng), tuple(loop[1])):
+            got, want = outcomes(loop, kernel, x)
+            assert got == want and want.startswith("ResidualReport"), (len(loop), kernel, x)

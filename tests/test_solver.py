@@ -1,5 +1,6 @@
 """Newton solves: known medians, invariances, degenerate families."""
 
+import itertools
 import math
 import sys
 import warnings
@@ -33,10 +34,14 @@ from regionmedian.oracle import oracle_sigma
 from regionmedian.residuals import mean_distance_certificate
 from regionmedian.solver import (
     _SINGULAR_COND,
+    _SOLVE_MAX,
+    _SOLVE_MIN,
     SolveConfig,
     SolveResult,
     _damped_newton,
+    _fma,
     _ill_conditioned,
+    _solve2,
     degenerate_limit_study,
     solve_median,
     solve_medianoid,
@@ -44,6 +49,7 @@ from regionmedian.solver import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+import workloads  # noqa: E402
 from workloads import unit_region  # noqa: E402  the benchmark's seeded 3-8-gons
 
 T345 = Polygon([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
@@ -639,6 +645,97 @@ def test_conditioning_near_the_threshold_of_rotated_matrices():
             assert got == _numpy_says_ill_conditioned(jac), jac
             checked += 1
     assert exact_checked > 1400 and checked > 1000
+
+
+# ---------------------------------------------------------------- the 2x2 step
+
+def _solve_outcome(solve, jac, b0, b1):
+    """The hex of both components, which keeps the sign of zero, or the
+    exception's type and message."""
+    try:
+        return [float(v).hex() for v in solve(jac, b0, b1)]
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _numpy_solve(jac, b0, b1):
+    return np.linalg.solve(np.array(jac), np.array([b0, b1])).tolist()
+
+
+def test_the_float_step_has_the_bits_of_numpy_solve(monkeypatch):
+    # seeded systems at scales 2^-420..2^420, near-singular ones up to
+    # cond 1e12, integer and tied entries, and every system of small
+    # entries with zeros of both signs, singular ones included; entries
+    # past 2^+-450 hand the system to np.linalg.solve, and so do zero pivots
+    rng = np.random.default_rng(4701)
+    systems = []
+    for _ in range(3000):
+        scale = 2.0 ** int(rng.integers(-420, 421))
+        a, b = rng.uniform(-1, 1, (2, 2)) * scale, rng.uniform(-1, 1, 2) * 2.0 ** int(rng.integers(-420, 421))
+        systems.append((a, b))
+        u, v = rng.uniform(-1, 1, 2)
+        w = rng.uniform(-1, 1)
+        near = 10.0 ** -rng.uniform(0, 12)
+        systems.append((np.array([[u, v], [w * u, w * v * (1.0 + near)]]), rng.uniform(-1, 1, 2)))
+        systems.append((rng.integers(-4, 5, (2, 2)).astype(float), rng.integers(-4, 5, 2).astype(float)))
+        t = rng.uniform(-1, 1)
+        systems.append((np.array([[t, rng.uniform(-1, 1)], [rng.choice([t, -t]), t]]), np.array([t, -t])))
+    for k, (a, b) in enumerate(systems[::40]):
+        systems.append((a * 2.0 ** (460 if k % 2 else -470), b))
+    entries, rhs = (0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5), (0.0, -0.0, 1.0, -3.0)
+    for a00, a01, a10, a11 in itertools.product(entries, repeat=4):
+        systems += [(np.array([[a00, a01], [a10, a11]]), np.array(b)) for b in itertools.product(rhs, repeat=2)]
+    cases = [(tuple(map(tuple, a.tolist())), *b.tolist()) for a, b in systems]
+    with np.errstate(all="ignore"):
+        want = [_solve_outcome(_numpy_solve, *case) for case in cases]
+        handed = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: handed.append(1) or real(*args))
+        got = [_solve_outcome(_solve2, *case) for case in cases]
+    for case, g, w in zip(cases, got, want):
+        assert g == w, case
+    assert sum(isinstance(w, str) for w in want) > 1000
+    assert 3000 < len(handed) < len(cases) // 4
+
+
+def test_fma_rounds_once():
+    # against the exact rational result, and Python 3.13's math.fma bit
+    # for bit where there is one: products and sums within the bounds of
+    # _solve2, near-cancelling sums and zeros of both signs
+    rng = np.random.default_rng(4702)
+    lo, hi = math.frexp(_SOLVE_MIN)[1], math.frexp(_SOLVE_MAX)[1] - 1
+    triples = []
+    for k in range(6000):
+        a = rng.uniform(-1, 1) * 2.0 ** int(rng.integers(lo, hi))
+        b = rng.uniform(-1, 1) * 2.0 ** int(rng.integers(lo, hi))
+        c = (-(a * b), -(a * b) * (1.0 + rng.uniform(-1e-15, 1e-15)),
+             rng.uniform(-1, 1) * 2.0 ** int(rng.integers(lo, hi)))[k % 3]
+        triples.append((a, b, c))
+    triples += list(itertools.product((0.0, -0.0, 1.5, -3.0), repeat=3))
+    for a, b, c in triples:
+        got = _fma(a, b, c)
+        exact = Fraction(a) * Fraction(b) + Fraction(c)
+        assert got == float(exact), (a, b, c)
+        if hasattr(math, "fma"):
+            assert got.hex() == math.fma(a, b, c).hex(), (a, b, c)
+
+
+def test_the_newton_steps_of_the_bench_inputs_never_hand_back(monkeypatch):
+    # every step of the seed-0 small_regions and kernel_medianoid solves
+    # is solved on floats; np.linalg.solve is never called
+    steps = []
+    real = regionmedian.solver._solve2
+    monkeypatch.setattr(regionmedian.solver, "_solve2", lambda *args: steps.append(1) or real(*args))
+
+    def refuse(*args):
+        raise AssertionError("a step was handed back")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for name in ("small_regions", "kernel_medianoid"):
+        wl = workloads.WORKLOADS[name]
+        for inp in wl.make_inputs(0, ""):
+            wl.run(regionmedian, inp)
+    assert len(steps) > 1500
 
 
 # ---------------------------------------------------------------- the loop on floats
