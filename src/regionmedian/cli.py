@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutputFileError, RegionFileError, RegionMedianError
+from .errors import OutputFileError, RegionFileError, RegionMedianError, SingularRegionError
 from .geometry import Point2, Polygon
 from .kernels import RadialKernel
 from .oracle import oracle_minimize, oracle_minimize_points
@@ -330,17 +330,15 @@ def cmd_check(args) -> int:
     inp = load_region_file(args.file)
     poly = _require_region(inp, "check")
     point = _parse_point(args.point)
-    # the file's kernel, or the Euclidean one, in the solve frame that
-    # general_boundary_residual takes, as the solves do: the point a
-    # solve reports gives the edge means it reported
+    # the file's kernel, or the Euclidean one, in the solves' frame and
+    # error state: the point a solve reports gives the edge means it
+    # reported, and one far enough out a SingularRegionError, whose numpy
+    # cause the one error line names
     kernel = inp.kernel or RadialKernel.euclidean()
-    # a point far enough out overflows the edge integrals; raising keeps
-    # numpy's warnings off stderr and names the point in the one error line
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            rep = general_boundary_residual(poly, point, kernel)
-    except FloatingPointError as exc:
-        raise RegionFileError(f"the residual at --point {point.x!r},{point.y!r} is out of range: {exc}") from exc
+        rep = general_boundary_residual(poly, point, kernel)
+    except SingularRegionError as exc:
+        raise RegionFileError(f"the residual at --point {point.x!r},{point.y!r} is out of range: {exc.__cause__}") from exc
     report = {
         "point": [point.x, point.y],
         "residual": [rep.residual.dx, rep.residual.dy],

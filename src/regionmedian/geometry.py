@@ -739,10 +739,10 @@ class Polygon:
 
 
 def _point_xy(point) -> tuple:
-    if isinstance(point, Point2):
-        return (point.x, point.y)
-    x, y = point
-    return (float(x), float(y))
+    if not isinstance(point, Point2):
+        x, y = point
+        point = Point2(x, y)
+    return (point.x, point.y)
 
 
 def _coerce_coords(vertices: Iterable) -> np.ndarray:

@@ -14,25 +14,25 @@ err <= tol * (1 + |value|) for its integral value, with tol =
 ``kernels._QUAD_TOL`` = 1e-13, the one tolerance; only the panels of
 failing edges are bisected, and an edge that does not pass raises
 NonConvergenceError. Edge integrals are taken in the region's solve
-frame (``Polygon._local_frame``). ``_frame_residual`` turns them into
-the edge means, T summed correctly rounded, so it does not depend on
-where the loop starts, and the rows of the Jacobian of the gradient,
-from the gradients of the edge integrals: closed-form, or integrated in
-the same Gauss-Kronrod pass as the values. A polygon built on the float
-route (its ``_floats``, a ``geometry._FloatLoop``) hands the closed form
-its rows and reduces on the lists it returns, on Python floats, T by
-``math.fsum``; any other polygon, and a float reduction that gives up,
-takes the arrays, with the same bits, and T by the
-error-free extraction of ``_column_fsums``, whose exact level sums
-``math.fsum`` rounds to the float it gives over the terms, since a
-correctly rounded sum is unique. The Newton loop of
-``solver.solve_medianoid`` calls it once per trial point;
-``general_boundary_residual`` wraps the same floats in a
-``ResidualReport`` for callers outside the loop.
+frame (``Polygon._local_frame``). ``_frame_residual``, the one evaluator
+of every residual, turns them into the edge means, T summed correctly
+rounded, so it does not depend on where the loop starts, and the rows of
+the Jacobian of the gradient, from the gradients of the edge integrals:
+closed-form, or integrated in the same Gauss-Kronrod pass as the values.
+It owns the overflow rule: under the solves' numpy error state, edge
+integrals that overflow the float range raise SingularRegionError. The
+closed form's lists on a polygon's float rows (``_floats``, a
+``geometry._FloatLoop``) are reduced on Python floats, T by ``math.fsum``;
+arrays, and a float reduction that gives up, take the array reduction,
+with the same bits, and T by the error-free extraction of
+``_column_fsums``. The Newton loop of ``solver.solve_medianoid`` calls it
+once per trial point; ``general_boundary_residual`` wraps the same floats
+in a ``ResidualReport``, which ``polygon_residual`` and
+``mean_distance_certificate`` read.
 
 For a triangle T vanishes exactly when the three means are equal, for
 any kernel; their spread is the certificate, ``ResidualReport.certificate``
-on every report and ``mean_distance_certificate`` on its own.
+on every report and ``mean_distance_certificate`` for the Euclidean one.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidTriangleError
+from .errors import InvalidTriangleError, SingularRegionError
 from .geometry import Polygon, Vector2, _FloatLoop, _point_xy, _require_finite, as_polygon, rotate90
 from .kernels import RadialKernel
 
@@ -95,37 +95,40 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     """(edge means, T_x, T_y, Jacobian rows) at the point x of the solve
     frame polygon ``local``, from one call of ``RadialKernel.values_batch``.
 
+    A FloatingPointError of the edge integrals or their reduction, raised
+    under the solves' error state, becomes a chained SingularRegionError.
     T = sum of m_i e_i is correctly rounded, so it does not depend on the
     edge order; a T that is not finite raises the ValueError of
     ``Vector2``. The Jacobian rows are those of ``ResidualReport.jacobian``.
-    A polygon on the float route hands the kernel the rows of its
-    ``_floats`` and reduces on the lists the closed form returns
-    (``_float_reduction``), with ``math.fsum``; any other, and a float
-    reduction that gives up, takes the arrays, with the same bits, and
-    ``_column_fsums`` for T. The means are a list of floats on the float
-    route and the float64 array on the array route, which stays an array
-    until ``_mean_tuple`` turns the final point's into a result's floats.
+    The closed form's lists take ``_float_reduction``, with ``math.fsum``;
+    arrays (quadrature, any other polygon, a point handed back), and a
+    float reduction that gives up, the array reduction, with the same
+    bits, and ``_column_fsums`` for T. The means are a list of floats on
+    the float route and the float64 array on the array route, which stays
+    an array until ``_mean_tuple`` turns the final point's into floats.
     """
     loop = local._floats
-    if loop:
-        values, grads = kernel.values_batch(loop.starts, loop.edges, x)
-        if type(values) is not list:  # quadrature, or a point handed back
-            values, grads = values.tolist(), grads.ravel().tolist()
-        out = _float_reduction(loop, values, grads)
-        if out is not None:
-            return out
-        values, grads = np.array(values), np.array(grads).reshape(-1, 2)
-    else:
-        values, grads = kernel.values_batch(local.coords, local.edge_vectors, x)
-    lengths = local.edge_lengths
-    means = values / lengths
-    # the terms m_i e_i as the columns of a (2, n) product's transpose,
-    # each column contiguous, as _column_fsums reads them
-    tx, ty = _column_fsums(np.multiply(local.edge_vectors.T, means, order="C").T)
-    _require_finite(tx, ty)
-    # s[a, b] = sum_i e_i[a] dm_i/dx_b; rotating its rows by +90 degrees
-    # gives the Jacobian of the gradient rotate90(T, +1)
-    (s00, s01), (s10, s11) = np.einsum("ia,ib->ab", local.edge_vectors, grads / lengths[:, None]).tolist()
+    try:
+        if loop:
+            values, grads = kernel.values_batch(loop.starts, loop.edges, x)
+            if type(values) is list:
+                out = _float_reduction(loop, values, grads)
+                if out is not None:
+                    return out
+                values, grads = np.array(values), np.array(grads).reshape(-1, 2)
+        else:
+            values, grads = kernel.values_batch(local.coords, local.edge_vectors, x)
+        lengths = local.edge_lengths
+        means = values / lengths
+        # the terms m_i e_i as the columns of a (2, n) product's transpose,
+        # each column contiguous, as _column_fsums reads them
+        tx, ty = _column_fsums(np.multiply(local.edge_vectors.T, means, order="C").T)
+        _require_finite(tx, ty)
+        # s[a, b] = sum_i e_i[a] dm_i/dx_b; rotating its rows by +90 degrees
+        # gives the Jacobian of the gradient rotate90(T, +1)
+        (s00, s01), (s10, s11) = np.einsum("ia,ib->ab", local.edge_vectors, grads / lengths[:, None]).tolist()
+    except FloatingPointError as exc:
+        raise SingularRegionError(f"the kernel integrals overflow the float range: {exc}") from exc
     return means, tx, ty, ((-s10, -s11), (s00, s01))
 
 
@@ -226,15 +229,17 @@ def _spread(means) -> float:
     return (hi - lo) / max(hi, -lo) if hi != lo else 0.0
 
 
+@np.errstate(over="raise", invalid="raise")
 def general_boundary_residual(boundary, x, kernel: RadialKernel) -> ResidualReport:
     """Residual T: sum of (mean kernel value) times edge vector, any kernel.
 
     ``boundary`` may be a Polygon or any closed vertex loop (a sampled
     polyline approximating a curved boundary); loops are normalized to
-    counterclockwise order. x, a ``Point2`` or a pair of numbers, is
-    absolute and evaluated in the region's solve frame. All edge means
+    counterclockwise order. x, a ``Point2`` or a pair of finite numbers,
+    is absolute and evaluated in the region's solve frame. All edge means
     and the gradients behind the report's ``jacobian`` come from
-    ``_frame_residual``, as in every solve.
+    ``_frame_residual``, as in every solve and under the solves' numpy
+    error state: integrals that overflow raise SingularRegionError.
     """
     local, ox, oy = as_polygon(boundary)._local_frame()
     px, py = _point_xy(x)
@@ -261,20 +266,17 @@ def mean_distance_certificate(tri: Polygon, x) -> CertificateResult:
     """Equal-mean-distance certificate for a triangle.
 
     Returns the three mean distances from x, a ``Point2`` or a pair of
-    numbers, to the edges and their spread (max - min)/max. Zero spread
+    finite numbers, to the edges and their spread (max - min)/max: the
+    Euclidean ``general_boundary_residual``'s edge means and certificate,
+    or NaN means and spread inf where its integrals overflow. Zero spread
     certifies x as the geometric median of the triangular region,
     independently of any solver. Kept by name: it is public, and the
     benchmark's traced run wraps it.
     """
     if len(tri) != 3:
         raise InvalidTriangleError("certificate is defined for triangles only")
-    local, ox, oy = as_polygon(tri)._local_frame()
-    px, py = _point_xy(x)
-    loop = local._floats
-    a, e = (loop.starts, loop.edges) if loop else (local.coords, local.edge_vectors)
-    values, _ = RadialKernel.euclidean().values_batch(a, e, (px - ox, py - oy))
-    if type(values) is list:
-        means = list(map(truediv, values, loop.lengths))
-    else:
-        means = (values / local.edge_lengths).tolist()
-    return CertificateResult(means=tuple(means), spread=_spread(means))
+    try:
+        means = general_boundary_residual(tri, x, RadialKernel.euclidean()).edge_means
+    except SingularRegionError:
+        means = (math.nan,) * 3
+    return CertificateResult(means=means, spread=_spread(means))

@@ -250,12 +250,13 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
     step where the Jacobian degenerates and a scale of diameter².
 
     Accepts a Polygon or a sampled polyline loop for the boundary. Each
-    trial point is evaluated by ``residuals._frame_residual`` on the
-    kernel's route (``RadialKernel.values_batch``): closed form for
-    powers 1 <= p <= ``kernels._MAX_CLOSED_POWER``, the Euclidean kernel
-    among them, Gauss-Kronrod quadrature with the Jacobian integrated in
-    the same pass for custom kernels and every other power. It is looked up
-    in this module at every call. A custom kernel (``kernel.p`` None) or
+    trial point is evaluated by ``residuals._frame_residual``, looked up
+    in this module at every call, on the kernel's route
+    (``RadialKernel.values_batch``): closed form for powers 1 <= p <=
+    ``kernels._MAX_CLOSED_POWER``, the Euclidean kernel among them,
+    Gauss-Kronrod quadrature with the Jacobian integrated in the same pass
+    for custom kernels and every other power; edge integrals that overflow
+    raise its SingularRegionError. A custom kernel (``kernel.p`` None) or
     a power p < 1 marks the result ``local``. The median is
     translation-equivariant, so the iterate is x minus the origin of the
     region's solve frame, and the residual sees the region translated
@@ -271,10 +272,7 @@ def solve_medianoid(boundary, kernel: RadialKernel, cfg: Optional[SolveConfig] =
 
     def evaluate(v) -> tuple:
         """(|T|, gradient rotate90(T, +1), Jacobian rows, edge means) at v."""
-        try:
-            means, tx, ty, jac = _frame_residual(polygon, v, kernel)
-        except FloatingPointError as exc:
-            raise SingularRegionError(f"the kernel integrals overflow the float range: {exc}") from exc
+        means, tx, ty, jac = _frame_residual(polygon, v, kernel)
         return math.hypot(tx, ty), (-ty, tx), jac, means
 
     def descend(v, state: tuple) -> tuple:

@@ -701,6 +701,8 @@ def test_check_far_point_prints_one_error_line(stem):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: the residual at --point 1e+300,1e+300 is out of range")
+    # the one line, with no RuntimeWarning, names numpy's message
+    assert proc.stderr == "error: the residual at --point 1e+300,1e+300 is out of range: overflow encountered in multiply\n"
 
 
 def test_no_scipy_quad_on_the_medianoid_and_check_paths(capsys, no_scipy_quad):
@@ -916,6 +918,11 @@ def test_overflowing_inputs_fail_alike_on_the_float_and_the_array_routes(capsys,
             use_array_routes(patch)
             assert run(capsys, *argv) == got, argv
         assert got[0] == 1 and got[2].startswith("error: ") and "overflow" in got[2], (argv, got)
+        assert len(got[2].splitlines()) == 1 and "Warning" not in got[2], (argv, got)
+    # in a fresh process, whose stderr would also carry numpy's warnings
+    proc = subprocess.run([sys.executable, "-m", "regionmedian", *runs[0]], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: the residual at --point 1e+160,0.0 is out of range: overflow encountered in multiply\n"
 
 
 @pytest.mark.parametrize("stem,command,message", [

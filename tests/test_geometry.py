@@ -189,6 +189,13 @@ def test_contains_basics():
     assert not sq.contains((0.0, 0.5))
 
 
+def test_contains_rejects_a_point_that_is_not_finite():
+    sq = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    for x, shown in (((math.inf, 0.5), "inf"), ((0.5, math.nan), "nan")):
+        with pytest.raises(ValueError, match=f"^coordinate is not finite: {shown}$"):
+            sq.contains(x)
+
+
 def test_contains_many_agrees_with_area_fraction():
     rng = np.random.default_rng(77)
     poly = random_convex_polygon(rng)

@@ -1,6 +1,7 @@
 """Boundary residual assembly, route consistency, and certificates."""
 
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from regionmedian import (
     Point2,
     Polygon,
     RadialKernel,
+    SingularRegionError,
     Vector2,
     general_boundary_residual,
     mean_distance_certificate,
@@ -317,11 +319,54 @@ def test_certificate_of_a_far_point_certifies_nothing():
         cert = mean_distance_certificate(tri, Point2(1e300, 1e300))
     assert not all(math.isfinite(m) for m in cert.means)
     assert cert.spread == math.inf
+    # outside any error state of the caller's, and with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = mean_distance_certificate(tri, Point2(1e300, 1e300))
+    assert not any(math.isfinite(m) for m in cert.means)
+    assert cert.spread == math.inf
+
+
+def _overflowing_residuals():
+    """(loop, point, kernel) whose edge integrals overflow: the triangle
+    (0, 0), (3s, 0), (s, 2.5s), s = 2^58.57, under p = 16 at (1.2s, 0.9s),
+    where the float closed form hands its point back, and the 3-4-5
+    triangle at (1e160, 0) and at (1e308, 1e308) under the Euclidean
+    kernel."""
+    s = 2.0 ** 58.57
+    t345 = [(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)]
+    return [([(0.0, 0.0), (3.0 * s, 0.0), (s, 2.5 * s)], (1.2 * s, 0.9 * s), RadialKernel.power(16)),
+            (t345, (1e160, 0.0), RadialKernel.euclidean()),
+            (t345, (1e308, 1e308), RadialKernel.euclidean())]
+
+
+@pytest.mark.parametrize("routes", ["float", "array"])
+def test_overflowing_edge_integrals_raise_the_package_error_with_no_warning(monkeypatch, routes):
+    # the residual owns the solves' overflow rule: no numpy warning, no
+    # bare ValueError, and the solver's message, chained to numpy's error.
+    # polygon_residual is Euclidean, so it overflows only at the far points
+    if routes == "array":
+        use_array_routes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loop, x, kernel in _overflowing_residuals():
+            poly = Polygon(loop)
+            assert (poly._floats is not None) == (routes == "float")
+            calls = [lambda: general_boundary_residual(poly, x, kernel)]
+            if kernel.p == 1:  # polygon_residual and the certificate are Euclidean
+                calls.append(lambda: polygon_residual(poly, x))
+            for call in calls:
+                with pytest.raises(SingularRegionError, match="^the kernel integrals overflow the float range: ") as info:
+                    call()
+                assert isinstance(info.value.__cause__, FloatingPointError)
+            if kernel.p == 1:
+                cert = mean_distance_certificate(poly, x)
+                assert all(map(math.isnan, cert.means)) and cert.spread == math.inf
 
 
 def test_report_certificate_is_the_spread_of_a_triangles_edge_means():
-    # both routes carry it; mean_distance_certificate computes the same
-    # spread on its own path
+    # both routes carry it; mean_distance_certificate reads it from the
+    # Euclidean report
     rng = np.random.default_rng(63)
     for _ in range(20):
         tri = random_triangle(rng)
@@ -334,6 +379,37 @@ def test_report_certificate_is_the_spread_of_a_triangles_edge_means():
     while len(quad) == 3:
         quad = random_convex_polygon(rng)
     assert polygon_residual(quad, quad.centroid).certificate is None
+
+
+@pytest.mark.parametrize("routes", ["float", "array"])
+def test_certificate_means_are_the_euclidean_reports_bit_for_bit(monkeypatch, routes):
+    # at interior, vertex, edge and exterior points of seeded triangles
+    if routes == "array":
+        use_array_routes(monkeypatch)
+    rng = np.random.default_rng(4801)
+    for _ in range(12):
+        tri = random_triangle(rng)
+        assert (tri._floats is not None) == (routes == "float")
+        a, b = tri.coords[0], tri.coords[1]
+        # a vertex is within one diameter of every point of the region
+        for x in (interior_point(tri, rng), tuple(a), tuple(0.5 * (a + b)), tuple(a + tri.diameter)):
+            cert = mean_distance_certificate(tri, x)
+            rep = general_boundary_residual(tri, x, RadialKernel.euclidean())
+            assert [m.hex() for m in cert.means] == [m.hex() for m in rep.edge_means], (routes, x)
+            assert cert.spread == rep.certificate
+
+
+@pytest.mark.parametrize("call", [lambda x: general_boundary_residual(T345, x, RadialKernel.euclidean()),
+                                  lambda x: mean_distance_certificate(T345, x),
+                                  lambda x: oracle_sigma(T345, x)],
+                         ids=["general_boundary_residual", "mean_distance_certificate", "oracle_sigma"])
+def test_a_point_that_is_not_finite_is_rejected_up_front(call):
+    # Point2's error, before any numpy warning or a message about T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, shown in (((math.inf, 0.0), "inf"), ((math.nan, 1.0), "nan"), (np.array([0.0, -math.inf]), "-inf")):
+            with pytest.raises(ValueError, match=f"^coordinate is not finite: {shown}$"):
+                call(x)
 
 
 def _offset_regions_and_queries():
@@ -638,8 +714,9 @@ def test_a_float_reduction_that_gives_up_takes_the_array_route_with_one_call(mon
     # gives up: the report, or the error, is then the array route's, from
     # one closed_values_batch call. The reduction is made to give up on
     # seeded loops; on a triangle of sides near 2^60 under p = 16 the
-    # closed form hands its point back and the reduction gives up on its
-    # own, and the array route raises
+    # closed form hands its point back, the arrays it returns skip the
+    # float reduction, and the overflow of its integrals raises the
+    # package error on both routes
     rng = np.random.default_rng(4705)
     big = (np.array([(0.0, 0.0), (3.0, 0.0), (1.0, 2.5)]) * 2.0 ** 58.57).tolist()
     cases = [(star_loop(rng, n), kernel) for n in (3, 6, 14)
@@ -665,7 +742,8 @@ def test_a_float_reduction_that_gives_up_takes_the_array_route_with_one_call(mon
     monkeypatch.setattr(residuals, "_float_reduction", watched)
     with np.errstate(all="ignore"):
         got, want = outcomes(big, RadialKernel.power(16), (1.2 * 2.0 ** 58.57, 0.9 * 2.0 ** 58.57))
-    assert gave_up == [True] and got == want and want.startswith("ValueError")
+    assert gave_up == [] and got == want
+    assert want.startswith("SingularRegionError: the kernel integrals overflow the float range")
     monkeypatch.setattr(residuals, "_float_reduction", lambda *args: None)
     for loop, kernel in cases:
         for x in (interior_point(Polygon(loop), rng), tuple(loop[1])):
