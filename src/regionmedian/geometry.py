@@ -50,9 +50,12 @@ class Point2:
     y: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        _require_finite(self.x, self.y)
+        # two finite floats, as every solve's points are, are kept as they are
+        x, y = self.x, self.y
+        if type(x) is not float or type(y) is not float or not -math.inf < x + y < math.inf:
+            object.__setattr__(self, "x", float(x))
+            object.__setattr__(self, "y", float(y))
+            _require_finite(self.x, self.y)
 
     def distance_to(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -431,8 +434,9 @@ def _checked_loop_floats(xs: list, ys: list, exs: list, eys: list) -> Optional[t
     """``_checked_loop`` on Python floats for the finite coordinate lists
     of a loop and its edge lists (``_float_edges``): the repeated-vertex
     check, the turn and star-shaped certificates and the shoelace area by
-    the same IEEE operations, in the same order. None where neither
-    certificate holds, and the loop needs the edge-pair search."""
+    the same IEEE operations, in the same order, with the area's
+    ``_cross_terms``. None where neither certificate holds, and the loop
+    needs the edge-pair search."""
     n = len(xs)
     pts = list(zip(xs, ys))
     if any(map(eq, pts, pts[1:] + pts[:1])):
@@ -443,7 +447,8 @@ def _checked_loop_floats(xs: list, ys: list, exs: list, eys: list) -> Optional[t
         gx, gy = reduce(add, xs, 0.0) / n, reduce(add, ys, 0.0) / n
         if not _winds_once_floats([v - gx for v in xs], [v - gy for v in ys]):
             return None
-    return certified, 0.5 * _float_sum(_cross_terms(xs, ys)[4])
+    terms = _cross_terms(xs, ys)
+    return certified, 0.5 * _float_sum(terms[4]), terms
 
 
 def _float_edges(v: list) -> list:
@@ -452,7 +457,8 @@ def _float_edges(v: list) -> list:
 
 
 def _checked_loop(coords: np.ndarray, lists: Optional[tuple]) -> tuple:
-    """(certified convex, signed area) of a loop of at least 3 rows;
+    """(certified convex, signed area, cross terms of the float route or
+    None) of a loop of at least 3 rows;
     raises InvalidPolygonError for a non-finite coordinate, a repeated
     consecutive vertex or touching edges. A loop on the float route,
     given with its vertex and edge lists ``lists``, that is finite and
@@ -477,7 +483,7 @@ def _checked_loop(coords: np.ndarray, lists: Optional[tuple]) -> tuple:
         # shoelace area, and the intersection diagnostic is the useful one
         if not simple and _segments_intersect_any(coords, nxt):
             raise InvalidPolygonError("polygon is self-intersecting")
-        return certified, _shoelace(coords)
+        return certified, _shoelace(coords), None
 
 
 # a polygon or point set whose vertex 0 lies within this many diameters
@@ -560,7 +566,7 @@ class Polygon:
     """
 
     __slots__ = ("_coords", "_edge_vectors", "_edge_lengths", "was_reversed",
-                 "_area", "_centroid", "_diameter", "_certified_convex", "_floats")
+                 "_area", "_centroid", "_diameter", "_certified_convex", "_floats", "_terms")
 
     def __init__(self, vertices: Iterable) -> None:
         coords = _coerce_coords(vertices)
@@ -571,7 +577,7 @@ class Polygon:
             xs, ys = coords.T.tolist()
             exs, eys = _float_edges(xs), _float_edges(ys)
             lists = xs, ys, exs, eys
-        certified, area = _checked_loop(coords, lists)
+        certified, area, terms = _checked_loop(coords, lists)
         if area == 0.0:
             raise InvalidPolygonError("polygon has zero area")
         if not math.isfinite(area):
@@ -583,10 +589,11 @@ class Polygon:
         if lists is not None:
             if reversed_input:
                 # formed again, not negated: x - y and -(y - x) differ in
-                # the sign of a zero
+                # the sign of a zero; the centroid forms its cross terms
                 xs.reverse()
                 ys.reverse()
                 exs, eys = _float_edges(xs), _float_edges(ys)
+                terms = None
             edges = np.empty_like(coords)
             edges[:, 0], edges[:, 1] = exs, eys
         else:
@@ -621,6 +628,7 @@ class Polygon:
         self._centroid = None
         self._diameter = None
         self._certified_convex = certified
+        self._terms = terms
 
     def _first_vertex(self) -> tuple:
         """Vertex 0 as two floats, from ``_floats`` where there are some."""
@@ -636,10 +644,11 @@ class Polygon:
         this polygon's edge vectors and lengths, area, diameter and
         convexity, which do not change under translation, without
         validating again; its float lists are the translated vertex lists
-        with the shared edge lists. Nearer, the frame is the polygon
-        itself at (0, 0): its floats resolve it within three bits of a
-        translated copy, and every point evaluated is then exactly a
-        point that can be reported.
+        with the shared edge lists, and the cross terms of its centroid,
+        taken relative to vertex 0, the origin, are the same floats.
+        Nearer, the frame is the polygon itself at (0, 0): its floats
+        resolve it within three bits of a translated copy, and every point
+        evaluated is then exactly a point that can be reported.
         """
         ox, oy = _frame_origin(self._first_vertex(), self.diameter)
         if ox == oy == 0.0:
@@ -685,7 +694,7 @@ class Polygon:
             if loop:
                 # the same sums on Python floats; where one does not end
                 # finite, the arrays below raise or warn as they always do
-                x, xn, y, yn, cross = _cross_terms(loop.xs, loop.ys)
+                x, xn, y, yn, cross = self._terms or _cross_terms(loop.xs, loop.ys)
                 cx = _float_sum(list(map(mul, map(add, x, xn), cross))) / (6.0 * self._area)
                 cy = _float_sum(list(map(mul, map(add, y, yn), cross))) / (6.0 * self._area)
             if not (math.isfinite(cx) and math.isfinite(cy)):

@@ -25,9 +25,11 @@ power once per polygon and power, not at every point. Every other
 input, arrays or a caller's lists, takes one numpy call per step over
 every segment. A fractional power's start (``_fractional_start``, a
 table of the integral of cosh^a and a 10-point Gauss-Legendre rule over
-its last piece) and its climb are numpy calls on both routes. The float
-route returns its lists, which the residual's reduction reads as they
-are.
+its last piece) and its climb are numpy calls on both routes. The
+Euclidean kernel p = 1 has a float loop of its own, with no climb and
+no scale. The float route returns its lists, which the residual's
+reduction reads as they are. A kernel resolves its route
+(``closed_power``) once.
 """
 from __future__ import annotations
 
@@ -152,12 +154,13 @@ class RadialKernel:
                              f"dx={dx.tolist()}, dy={dy.tolist()}")
         return cls(evaluator=evaluator)
 
-    @property
+    @functools.cached_property
     def closed_power(self) -> Optional[float]:
         """The p whose closed form ``closed_values_batch`` integrates this
         kernel: p for a power kernel with 1 <= p <= ``_MAX_CLOSED_POWER``,
         an int when p is an integer; None for custom kernels, p < 1 and
-        p > ``_MAX_CLOSED_POWER``."""
+        p > ``_MAX_CLOSED_POWER``. Resolved once per kernel, at its first
+        evaluation."""
         if self.p is not None and 1.0 <= self.p <= _MAX_CLOSED_POWER:
             return int(self.p) if self.p.is_integer() else self.p
         return None
@@ -375,6 +378,15 @@ def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
         for (ex, ey), la, lb, ha, hb, s, l2, sc, d in zip(edges, low, low[m:], high, high[m:], cs, L2, scale, diff):
             along, normal = sc * d, sc * (p * (s * (lb - la)))
             vals.append((sc * l2) * (hb - ha))
+            grad += (-(along * ex + normal * ey), normal * ex - along * ey)
+    elif p == 1:
+        # the Euclidean kernel: I_1 from I_-1, with no climb and no scale
+        r = r.tolist()
+        low = np.arcsinh(u / cc).tolist()
+        for (ex, ey), ua, ub, ra, rb, la, lb, ci, s, l2 in zip(edges, u1, u2, r, r[m:], low, low[m:], c, cs, L2):
+            q = ci * ci
+            along, normal = (ua + ub) / (ra + rb), s * (lb - la)
+            vals.append(l2 * (0.5 * (ub * rb + q * lb) - 0.5 * (ua * ra + q * la)))
             grad += (-(along * ex + normal * ey), normal * ex - along * ey)
     else:
         r = r.tolist()

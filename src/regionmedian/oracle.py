@@ -39,6 +39,9 @@ __all__ = ["OracleValue", "oracle_sigma", "oracle_minimize", "oracle_minimize_po
 # t-panels of the rule; the error estimate compares against twice as many
 _PANELS = 4
 
+# the spacing of floats at 1, which scales the rounding floor of the areas
+_EPS = sys.float_info.epsilon
+
 # Newton on the gradient: the central-difference step of a differenced
 # Jacobian and the stop, both in diameters, the iteration budget, and the
 # relative determinant below which a Jacobian counts as singular
@@ -93,6 +96,11 @@ def _star_objective(poly: Polygon, kernel: RadialKernel, panels: int = _PANELS):
     per boundary node, weighted by its radial sum ``_radial_weights``
     (Chin, Lasserre & Sukumar, Comput. Mech. 2015). A custom kernel
     (``kernel.p`` None) is evaluated at every node s * b of the rule.
+    With ``floor``, ``integral(x, True)`` also gives the rounding floor of
+    the signed areas, eps sum_i (|q_x q'_y| + |q_y q'_x|) |K_i|, q and q'
+    the vertices of edge i from x and K_i the rule's sum over triangle i:
+    far from the region the products cancel to the areas, and their
+    rounding, not the rule, bounds the error.
     """
     s, t, w = star_rule(panels)
     a, e = poly.coords, poly.edge_vectors
@@ -102,7 +110,7 @@ def _star_objective(poly: Polygon, kernel: RadialKernel, panels: int = _PANELS):
     custom = kernel.p is None
     weights = w.ravel() if custom else _radial_weights(panels, kernel.p)
 
-    def integral(x) -> float:
+    def integral(x, floor: bool = False):
         qx, qy = ax - x[0], ay - x[1]
         qnx, qny = bx - x[0], by - x[1]
         areas = 0.5 * (qx * qny - qy * qnx)
@@ -110,7 +118,11 @@ def _star_objective(poly: Polygon, kernel: RadialKernel, panels: int = _PANELS):
         if custom:
             # (n, S, T) components
             nx, ny = s[:, None] * nx[:, None, :], s[:, None] * ny[:, None, :]
-        return float(areas @ (kernel.evaluate_many(nx, ny).reshape(len(qx), -1) @ weights))
+        sums = kernel.evaluate_many(nx, ny).reshape(len(qx), -1) @ weights
+        value = float(areas @ sums)
+        if floor:
+            return value, _EPS * float((np.abs(qx * qny) + np.abs(qy * qnx)) @ np.abs(sums))
+        return value
 
     return integral
 
@@ -120,13 +132,15 @@ def oracle_sigma(poly, x: Point2, kernel: Optional[RadialKernel] = None) -> Orac
 
     Returns the value of the star rule as an ``OracleValue``; its
     ``error_estimate`` attribute is the absolute difference against the
-    same rule with twice the t-panels.
+    same rule with twice the t-panels, plus the rounding floor of the
+    signed areas (``_star_objective``), which dominates far from the
+    region.
     """
     poly, kernel = as_polygon(poly), kernel or RadialKernel.euclidean()
     xv = _point_xy(x)
-    value = _star_objective(poly, kernel)(xv)
+    value, floor = _star_objective(poly, kernel)(xv, True)
     finer = _star_objective(poly, kernel, 2 * _PANELS)(xv)
-    return OracleValue(value, abs(value - finer))
+    return OracleValue(value, abs(value - finer) + floor)
 
 
 def _star_gradient(poly: Polygon, p: float):

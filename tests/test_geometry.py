@@ -196,6 +196,21 @@ def test_contains_rejects_a_point_that_is_not_finite():
             sq.contains(x)
 
 
+def test_a_point_keeps_two_finite_floats_and_converts_or_rejects_the_rest():
+    # two finite floats are kept as they are, the largest among them,
+    # whose sum overflows; numpy scalars, ints and bools become floats;
+    # a NaN or an infinity in either coordinate is rejected
+    for x, y in ((0.25, -3.0), (1.5e308, 1.7e308), (-1.7e308, -1.5e308), (5e-324, -0.0)):
+        p = Point2(x, y)
+        assert (p.x, p.y) == (x, y) and p.x is x and p.y is y
+    for x, y in ((np.float64(0.5), 2), (1, np.float32(0.25)), (True, 0.5)):
+        p = Point2(x, y)
+        assert type(p.x) is type(p.y) is float and (p.x, p.y) == (float(x), float(y))
+    for x, y in ((math.nan, 0.0), (0.0, -math.inf), (math.inf, -math.inf), (np.float64(math.nan), 1.0)):
+        with pytest.raises(ValueError, match="^coordinate is not finite: "):
+            Point2(x, y)
+
+
 def test_contains_many_agrees_with_area_fraction():
     rng = np.random.default_rng(77)
     poly = random_convex_polygon(rng)

@@ -217,26 +217,34 @@ def test_fractional_closed_forms_match_the_decimal_reference(p):
                 assert np.hypot(*(grads[i] - want_grad)) <= 1e-14 * np.hypot(*want_grad), (x, i)
 
 
-def test_fractional_closed_forms_take_the_bits_of_the_array_route():
-    # the float route's start and climb are the array route's numpy calls
-    # on a flat layout; its sums are Python floats, with numpy's bits
+def test_every_closed_form_loop_takes_the_bits_of_the_array_route():
+    # each loop of the float route (p = 1, the other integer powers, even
+    # and odd, the top closed power and the fractional ones, whose start
+    # and climb are the array route's numpy calls on a flat layout) gives
+    # the array route's values and gradients bit for bit, on seeded loops
+    # of every length up to the crossover: at interior points, vertices,
+    # edge midpoints, points on edge carrier lines inside and beyond the
+    # edge (where the odd powers' offset takes its floor) or 1e-12 of an
+    # edge off one, and points a thousand and a million diameters away;
+    # arrays in take the array route
     rng = np.random.default_rng(3900)
-    cases = []
-    for n in (3, 8, geometry._FLOAT_EDGES):
+    powers = (1, 2, 3, _MAX_CLOSED_POWER, 1.5) + FRACTIONAL_POWERS
+    for n in range(3, geometry._FLOAT_EDGES + 1):
         poly = random_star_polygon(rng, n)
         a, e = poly.coords, poly.edge_vectors
         loop = poly._floats
         x0 = interior_point(poly, rng)
-        cases += [(a, e, loop, x) for x in (x0, a[0], a[1] + 0.5 * e[1], a[2] - 0.75 * e[2], a[-1] + 0.3 * e[-1] + 1e-12 * e[-1, ::-1],
-                                            x0 + 1e3 * poly.diameter * np.array([0.6, -0.8]))]
-    # from the arrays, and from the rows of float lists the polygon keeps,
-    # against the array route
-    for a, e, loop, x in cases:
-        for p in FRACTIONAL_POWERS:
-            assert kernels._closed_values_floats(loop.starts, loop.edges, x, p) is not None, (len(a), p, x)
-            wv, wg = kernels._closed_values_arrays(a, e, x, p)
-            for got in (closed_values_batch(a, e, x, p), closed_values_batch(loop.starts, loop.edges, x, p)):
-                _assert_same_bits(got, (wv, wg), len(a), p, x)
+        points = [x0, interior_point(poly, rng), *a, *(a + 0.5 * e), a[0] + 0.3 * e[0], a[1] - 0.75 * e[1],
+                  a[-1] + 2.5 * e[-1], a[-1] + 0.3 * e[-1] + 1e-12 * e[-1, ::-1],
+                  x0 + 1e3 * poly.diameter * np.array([0.6, -0.8]), x0 + 1e6 * poly.diameter * np.array([0.6, -0.8])]
+        for p in powers:
+            for x in points:
+                assert kernels._closed_values_floats(loop.starts, loop.edges, x, p) is not None, (n, p, x)
+                got = closed_values_batch(loop.starts, loop.edges, x, p)
+                assert type(got[0]) is list, (n, p, x)
+                want = kernels._closed_values_arrays(a, e, x, p)
+                _assert_same_bits(got, want, n, p, x)
+                _assert_same_bits(closed_values_batch(a, e, x, p), want, n, p, x)
 
 
 def test_the_float_route_forms_the_squared_lengths_once_and_each_scale_once_per_power():

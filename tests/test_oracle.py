@@ -113,6 +113,33 @@ def test_error_estimate_covers_refinement():
             assert abs(float(v) - finer) <= 2.0 * v.error_estimate + 1e-14 * abs(finer), (poly, x, kernel)
 
 
+def test_error_estimate_covers_the_value_far_from_the_region():
+    # far out the signed areas of the star triangles are differences of
+    # products about |x|^2 that cancel to about |x| diam, so their
+    # rounding, not the rule, sets the error: on the 3-4-5 triangle the
+    # value errs by 2.5e19 at (1e12, 5e11) and is 0.0 at (1e17, 5e16).
+    # Against 6 |x - c|, which the integral approaches within
+    # 6 diam^2 / |x - c|, the estimate covers the error at every distance
+    c = T345.centroid
+    euclidean = RadialKernel.euclidean()
+    for k in range(3, 18):
+        for angle in (math.atan2(1.0, 2.0), 0.0, 2.5):
+            x = Point2(10.0 ** k * math.cos(angle), 10.0 ** k * math.sin(angle))
+            v = oracle_sigma(T345, x)
+            d = math.hypot(x.x - c.x, x.y - c.y)
+            assert abs(float(v) - 6.0 * d) <= v.error_estimate + 6.0 * 25.0 / d, (x, float(v))
+    # at interior points the rounding floor adds a few eps |value|:
+    # the estimate stays within 10x of the rule's own difference, or of
+    # eps |value| where the rules agree to the last bit
+    rng = np.random.default_rng(4903)
+    for poly in (T345, PENTAGON, THIN_TRIANGLE):
+        for _ in range(5):
+            x = interior_point(poly, rng)
+            v = oracle_sigma(poly, Point2(*x))
+            rule = abs(float(v) - _star_objective(poly, euclidean, 2 * _PANELS)((float(x[0]), float(x[1]))))
+            assert rule <= v.error_estimate <= 10.0 * max(rule, np.finfo(float).eps * abs(float(v))), (poly, x)
+
+
 def _second_moment(coords, x):
     """Integral of |P - x|**2 over the polygon: the polar moment about the
     centroid plus area times the squared centroid offset, all from the

@@ -625,6 +625,25 @@ def test_conditioning_takes_the_decision_of_numpy_cond():
     assert near > 3000
 
 
+def test_conditioning_of_subnormal_jacobians_is_that_of_the_scaled_matrix():
+    # the entries are scaled by a power of two, exactly, also when the
+    # largest is below 2^-1022, where 2^-e of the exponent e overflows:
+    # integer matrices times 2^-1074 and 2^-1040 take the decision of the
+    # integers, near-singular ones among them
+    rng = np.random.default_rng(4902)
+    cases = [rng.integers(-2 ** 20, 2 ** 20, (2, 2)) for _ in range(500)]
+    # singular, and with condition numbers about 1e12 and 1e15
+    cases += [np.array([[1, 0], [0, 0]]), np.array([[3, 6], [1, 2]]), np.array([[10 ** 6, 1], [1, 0]]),
+              np.array([[2 ** 24, 1], [2 ** 24 - 1, 1]])]
+    ill = 0
+    for j in cases:
+        want = _ill_conditioned(tuple(map(tuple, j.astype(float).tolist())))
+        for e in (-1074, -1040):
+            assert _ill_conditioned(tuple(map(tuple, np.ldexp(j.astype(float), e).tolist()))) == want, (j, e)
+        ill += want
+    assert 0 < ill < len(cases)
+
+
 def test_conditioning_near_the_threshold_of_rotated_matrices():
     # rotated near-singular matrices: rounding in det = ad - bc moves the
     # closed form's condition number by up to about 2^-53 cond relative,
@@ -696,6 +715,71 @@ def test_the_float_step_has_the_bits_of_numpy_solve(monkeypatch):
         assert g == w, case
     assert sum(isinstance(w, str) for w in want) > 1000
     assert 3000 < len(handed) < len(cases) // 4
+
+
+def _in_solve_range(v: float) -> bool:
+    """v is zero or within ``_SOLVE_MIN``..``_SOLVE_MAX`` in size."""
+    return v == 0.0 or _SOLVE_MIN <= abs(v) <= _SOLVE_MAX
+
+
+def _hands_back(jac, b0, b1) -> bool:
+    """The decision of the range test that ``_solve2``'s one-pass test
+    replaced: a zero pivot, or one of the six operands or x1 nonzero
+    outside the range, each by its own ``_in_solve_range`` call."""
+    (a00, a01), (a10, a11) = jac
+    c0, c1 = b0, b1
+    if abs(a10) > abs(a00):
+        a00, a01, a10, a11, c0, c1 = a10, a11, a00, a01, b1, b0
+    if a00 == 0.0:
+        return True
+    l = a10 * (1.0 / a00)
+    u11 = a11 - l * a01
+    if u11 == 0.0 or not all(map(_in_solve_range, (a00, a01, l, u11, c0, c1))):
+        return True
+    return not _in_solve_range(_fma(-c0, l, c1) / u11)
+
+
+def test_the_one_pass_range_test_hands_back_where_each_operand_test_did(monkeypatch):
+    # zeros of both signs, 2^+-450 and their float neighbours, subnormals,
+    # the smallest normal, infinities and NaN in each of the six inputs, in
+    # systems that keep or swap their rows, then a seeded sweep of entries
+    # near the bounds and past them: np.linalg.solve gets the system
+    # exactly where the per-operand test handed it back, and everywhere
+    # else the float step has its bits
+    bounds = (_SOLVE_MIN, _SOLVE_MAX)
+    specials = [0.0, 5e-324, 2.0 ** -1030, 2.0 ** -1022, math.inf, math.nan, 1.5]
+    specials += [math.nextafter(b, t) for b in bounds for t in (0.0, math.inf)] + list(bounds)
+    specials += [-v for v in specials]
+    cases = []
+    for base in ((1.25, -0.5, 0.75, 2.0, 0.3, -1.1), (0.75, 2.0, -1.25, -0.5, -1.1, 0.3)):
+        for k, v in itertools.product(range(6), specials):
+            a00, a01, a10, a11, b0, b1 = base[:k] + (v,) + base[k + 1:]
+            cases.append((((a00, a01), (a10, a11)), b0, b1))
+    rng = np.random.default_rng(4901)
+    inside, outside = np.arange(-449, 451), np.concatenate([np.arange(-1076, -1018), np.arange(-460, -449),
+                                                            np.arange(451, 460), np.arange(1018, 1024)])
+    for k in range(4000):
+        exponents = rng.choice(inside, 6)
+        out = rng.uniform(size=6) < (0.3 if k % 2 else 0.05)
+        exponents[out] = rng.choice(outside, int(out.sum()))
+        v = rng.uniform(0.5, 1.0, 6) * rng.choice([-1.0, 1.0], 6) * np.ldexp(1.0, exponents)
+        v[rng.uniform(size=6) < 0.1] = 0.0
+        v[rng.uniform(size=6) < 0.02] = rng.choice([math.inf, -math.inf, math.nan])
+        a00, a01, a10, a11, b0, b1 = v.tolist()
+        cases.append((((a00, a01), (a10, a11)), b0, b1))
+    handed = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: handed.append(1) or real(*args))
+    kept = 0
+    with np.errstate(all="ignore"):
+        for case in cases:
+            handed.clear()
+            got = _solve_outcome(_solve2, *case)
+            assert bool(handed) == _hands_back(*case), case
+            if not handed:
+                assert got == _solve_outcome(_numpy_solve, *case), case
+                kept += 1
+    assert 1000 < kept < len(cases) - 1000
 
 
 def test_fma_rounds_once():
