@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from . import kernels
 from .errors import InvalidPolygonError
 
 __all__ = [
@@ -508,23 +507,25 @@ _SHORT_EDGE = 2.0 ** -500
 
 class _FloatLoop(NamedTuple):
     """A polygon's vertices and edges as Python floats, counterclockwise:
-    the coordinate lists of its vertices and edge vectors, the edge
-    lengths, and the vertex and edge rows that
-    ``kernels.closed_values_batch`` takes."""
+    the one layout of the float route. Vertex and edge coordinate lists,
+    edge lengths, squared lengths and their largest, the scales L^(p-1)
+    that ``kernels.closed_values_batch`` fills by power p at its first
+    use, and the area's ``_cross_terms`` (None after a reversal)."""
 
     xs: list
     ys: list
     exs: list
     eys: list
     lengths: list
-    starts: kernels._FloatRows
-    edges: kernels._FloatRows
+    squares: list
+    top: float
+    scales: dict
+    terms: Optional[tuple]
 
     def moved(self, ox: float, oy: float) -> "_FloatLoop":
         """The loop translated by minus (ox, oy): the same subtractions
-        as the arrays', sharing the edge lists."""
-        xs, ys = [v - ox for v in self.xs], [v - oy for v in self.ys]
-        return _FloatLoop(xs, ys, self.exs, self.eys, self.lengths, kernels._FloatRows(zip(xs, ys)), self.edges)
+        as the arrays', sharing everything else."""
+        return self._replace(xs=[v - ox for v in self.xs], ys=[v - oy for v in self.ys])
 
 
 class Polygon:
@@ -552,12 +553,12 @@ class Polygon:
     The constructor picks the route once. Up to ``_FLOAT_EDGES``
     vertices, both passes, the area and the edge vectors run on Python
     floats, and the loop keeps the lists it forms, as a ``_FloatLoop``
-    (``_floats``): vertex and edge coordinates, counterclockwise, and the
-    edge lengths. The diameter, over every pair of vertices, the
-    centroid, the solve frame (whose translated view carries translated
-    vertex lists) and every residual evaluation read them, and the closed
-    form takes their rows; a loop that neither pass certifies is checked
-    again on arrays before its search. Longer loops build no lists
+    (``_floats``): vertex and edge coordinates, counterclockwise, the
+    edge lengths and what the closed form and the centroid read. The
+    diameter, over every pair of vertices, the centroid, the solve frame
+    (whose translated view carries translated vertex lists) and every
+    residual evaluation read them; a loop that neither pass certifies is
+    checked again on arrays before its search. Longer loops build no lists
     (``_floats`` None): each step is one numpy call, and the diameter of
     a loop not certified convex takes a hull first. Both routes give the
     same bits. The arrays run under one numpy error state that ignores
@@ -566,7 +567,7 @@ class Polygon:
     """
 
     __slots__ = ("_coords", "_edge_vectors", "_edge_lengths", "was_reversed",
-                 "_area", "_centroid", "_diameter", "_certified_convex", "_floats", "_terms")
+                 "_area", "_centroid", "_diameter", "_certified_convex", "_floats")
 
     def __init__(self, vertices: Iterable) -> None:
         coords = _coerce_coords(vertices)
@@ -602,8 +603,9 @@ class Polygon:
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         if lists is not None:
             lens = lengths.tolist()
-            self._floats = _FloatLoop(xs, ys, exs, eys, lens, kernels._FloatRows(zip(xs, ys)),
-                                      kernels._edge_rows(exs, eys))
+            # squared as _closed_values_arrays squares them
+            squares = [ex * ex + ey * ey for ex, ey in zip(exs, eys)]
+            self._floats = _FloatLoop(xs, ys, exs, eys, lens, squares, max(squares), {}, terms)
             longest, shortest = max(lens), min(lens)
         else:
             self._floats = None
@@ -628,7 +630,6 @@ class Polygon:
         self._centroid = None
         self._diameter = None
         self._certified_convex = certified
-        self._terms = terms
 
     def _first_vertex(self) -> tuple:
         """Vertex 0 as two floats, from ``_floats`` where there are some."""
@@ -643,8 +644,8 @@ class Polygon:
         ``_NEAR_ORIGIN`` diameters from the origin. The view then shares
         this polygon's edge vectors and lengths, area, diameter and
         convexity, which do not change under translation, without
-        validating again; its float lists are the translated vertex lists
-        with the shared edge lists, and the cross terms of its centroid,
+        validating again; its ``_FloatLoop`` holds the translated vertex
+        lists and shares the rest, and the cross terms of its centroid,
         taken relative to vertex 0, the origin, are the same floats.
         Nearer, the frame is the polygon itself at (0, 0): its floats
         resolve it within three bits of a translated copy, and every point
@@ -694,7 +695,7 @@ class Polygon:
             if loop:
                 # the same sums on Python floats; where one does not end
                 # finite, the arrays below raise or warn as they always do
-                x, xn, y, yn, cross = self._terms or _cross_terms(loop.xs, loop.ys)
+                x, xn, y, yn, cross = loop.terms or _cross_terms(loop.xs, loop.ys)
                 cx = _float_sum(list(map(mul, map(add, x, xn), cross))) / (6.0 * self._area)
                 cy = _float_sum(list(map(mul, map(add, y, yn), cross))) / (6.0 * self._area)
             if not (math.isfinite(cx) and math.isfinite(cy)):

@@ -13,16 +13,16 @@ routes also return each integral's gradient in x: in closed form, or
 integrated at the same Gauss-Kronrod nodes as the values.
 
 The closed form itself runs on one of two routes with the same bits.
-The rows that a ``Polygon`` of a few vertices keeps as Python floats
-(``_FloatRows``, built by its constructor, which picks the route) take
-the per-segment arithmetic on floats, whose + - * / give numpy's IEEE
-results, because on a few elements each numpy call costs about what its
-arithmetic does on dozens of floats. hypot, asinh and the power of the
-squared lengths stay numpy calls even there, one each: ``math.hypot``,
-``math.asinh`` and Python's ``**`` round differently. The squared
-lengths are formed once per polygon, with the edge rows, and their
-power once per polygon and power, not at every point. Every other
-input, arrays or a caller's lists, takes one numpy call per step over
+A caller that passes the float lists of a ``Polygon`` of a few vertices
+(``geometry._FloatLoop``, built by its constructor, which picks the
+route) gets the per-segment arithmetic on floats, whose + - * / give
+numpy's IEEE results, because on a few elements each numpy call costs
+about what its arithmetic does on dozens of floats. hypot, asinh and the
+power of the squared lengths stay numpy calls even there, one each:
+``math.hypot``, ``math.asinh`` and Python's ``**`` round differently.
+The squared lengths are formed once per polygon, with its lists, and
+their power once per polygon and power, not at every point. Without the
+lists, arrays or a caller's lists take one numpy call per step over
 every segment. A fractional power's start (``_fractional_start``, a
 table of the integral of cosh^a and a 10-point Gauss-Legendre rule over
 its last piece) and its climb are numpy calls on both routes. The
@@ -80,29 +80,6 @@ _EXP_FAR = math.exp(_TAU_FAR)
 # this bound, so that its numpy calls cannot overflow: hypot stays below
 # 2^130, and the scale L2^((p-1)/2) below 2^960
 _FLOAT_BOUND = 2.0 ** 128
-
-
-class _FloatRows(list):
-    """Rows (x, y) of Python floats: the segment starts or edge vectors
-    of a polygon on the float route, as ``geometry.Polygon`` keeps them.
-    Only a Polygon builds them, and ``closed_values_batch`` takes its
-    float route exactly for them; a caller's list, of ints say, is read
-    as an array of floats. Edge rows, from ``_edge_rows``, also carry
-    what the float closed form reads at every point: the squared lengths
-    ``squares``, their largest, ``top``, and ``scale``, the pair (p, the
-    scales L^(p-1)) of the last power p > 1 it took, or None."""
-
-    __slots__ = ("squares", "top", "scale")
-
-
-def _edge_rows(exs: list, eys: list) -> _FloatRows:
-    """A polygon's edge vectors as ``_FloatRows``, their squared lengths
-    formed once, as ``_closed_values_arrays`` forms them."""
-    rows = _FloatRows(zip(exs, eys))
-    rows.squares = [ex * ex + ey * ey for ex, ey in rows]
-    rows.top = max(rows.squares)
-    rows.scale = None
-    return rows
 
 
 @dataclass(frozen=True)
@@ -165,20 +142,20 @@ class RadialKernel:
             return int(self.p) if self.p.is_integer() else self.p
         return None
 
-    def values_batch(self, a, e, x) -> Tuple[np.ndarray, np.ndarray]:
+    def values_batch(self, a, e, x, loop=None) -> Tuple[np.ndarray, np.ndarray]:
         """Integrals of the kernel along stacked segments and their gradients in x.
 
         The kernel picks the route: ``closed_values_batch`` for powers
         1 <= p <= ``_MAX_CLOSED_POWER``, integer or not,
         ``quadrature_values_batch`` for custom kernels and every other
-        power. a and e are (m, 2) arrays, or the ``_FloatRows`` that a
-        ``Polygon`` keeps, which quadrature reads as arrays and the closed
-        form answers with lists (``closed_values_batch``).
+        power. a and e are (m, 2) arrays; ``loop``, the same polygon's
+        ``geometry._FloatLoop`` or None, is read by the closed form only,
+        which then answers with lists (``closed_values_batch``).
         """
         p = self.closed_power
         if p is None:
             return quadrature_values_batch(a, e, x, self)
-        return closed_values_batch(a, e, x, p)
+        return closed_values_batch(a, e, x, p, loop)
 
     def evaluate_many(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on arrays of displacement components."""
@@ -206,12 +183,12 @@ class RadialKernel:
         return s * (dx * inv), s * (dy * inv)
 
 
-def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: float = 1) -> Tuple[np.ndarray, np.ndarray]:
+def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: float = 1, loop=None) -> Tuple[np.ndarray, np.ndarray]:
     """Integrals of |P - x|^p along stacked segments and their gradients, p >= 1.
 
     a, e: (m, 2) arrays of segment starts and edge vectors, no edge
-    vector zero, or the ``_FloatRows`` of both that a ``Polygon`` keeps;
-    x: query point (length-2).
+    vector zero; x: query point (length-2); ``loop``: None, or the
+    ``geometry._FloatLoop`` of the polygon whose arrays a and e are.
     Returns the (m,) array of arclength integrals V_i of |P - x|^p over
     each segment and the (m, 2) array of their gradients in x,
     -integral of p |P - x|^(p-2) (P - x) ds. An integral p, int or
@@ -230,22 +207,22 @@ def closed_values_batch(a: np.ndarray, e: np.ndarray, x, p: float = 1) -> Tuple[
     edge is L^(p-1) (r2^p - r1^p), formed with no difference of powers,
     its part normal to it p L^(p-1) c (I_(p-2)(u2) - I_(p-2)(u1)).
 
-    Two routes give the same bits. A polygon's ``_FloatRows`` take
-    ``_closed_values_floats``, on Python floats, with the point's two
-    numbers as they are; every other input takes ``_closed_values_arrays``,
-    one numpy call per step over all segments. The float route keeps
+    Two routes give the same bits. A call with ``loop`` takes
+    ``_closed_values_floats``, on its Python floats, with the point's two
+    numbers as they are; one without takes ``_closed_values_arrays``, one
+    numpy call per step over all segments. The float route keeps
     numpy's hypot, asinh and power, one call each, because ``math.hypot``,
     ``math.asinh`` and Python's ``**`` round differently. It hands a
     point it cannot finish on finite floats, or a FloatingPointError or
     ZeroDivisionError, to the array route, which then raises, warns or
     returns as it always does. The float route returns lists, the values
-    and the gradients flat, (x, y) of each segment in turn; arrays, a
-    caller's lists and a point handed back get arrays.
+    and the gradients flat, (x, y) of each segment in turn; a call
+    without ``loop`` and a point handed back get arrays.
     """
     p = int(p) if p % 1 == 0 else p
-    if type(a) is type(e) is _FloatRows:
+    if loop is not None:
         try:
-            out = _closed_values_floats(a, e, x, p)
+            out = _closed_values_floats(loop, x, p)
         except (FloatingPointError, ZeroDivisionError):
             out = None
         if out is not None:
@@ -319,11 +296,11 @@ def _ladder(u, c, r, p):
     return low, high
 
 
-def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
-    """``closed_values_batch`` on a polygon's ``_FloatRows`` and the two
-    numbers of x: the list of values and the flat list of gradients, or
-    None where it cannot end on finite values without overflow in a
-    numpy call.
+def _closed_values_floats(loop, x, p: float):
+    """``closed_values_batch`` on a polygon's ``geometry._FloatLoop`` and
+    the two numbers of x: the list of values and the flat list of
+    gradients, or None where it cannot end on finite values without
+    overflow in a numpy call.
 
     Each step is the elementwise expression of ``_closed_values_arrays``
     in the same order, and Python's + - * / and abs give the IEEE results
@@ -333,14 +310,14 @@ def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
     so does Python's ``**``. Offsets, parameters and squared lengths past
     ``_FLOAT_BOUND`` are left to the array route before those calls, so
     that none of them can overflow and warn. The squared lengths and
-    their largest come from ``edges``, formed once per polygon, and so
-    does the scale, once per power.
+    their largest come from ``loop``, formed once per polygon, and so
+    does the scale of each power p > 1, formed at its first use.
     """
     xx, xy = map(float, x)
-    m = len(edges)
-    L2 = edges.squares
+    xs, ys, exs, eys, _, L2, top, scales, _ = loop
+    m = len(exs)
     cs, c, u1, u2 = [], [], [], []
-    for (ex, ey), (ax, ay), l2 in zip(edges, starts, L2):
+    for ex, ey, ax, ay, l2 in zip(exs, eys, xs, ys, L2):
         wx, wy = xx - ax, xy - ay
         t0 = (ex * wx + ey * wy) / l2
         s = (ex * wy - ey * wx) / l2
@@ -355,7 +332,7 @@ def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
     if p % 1:
         # fractional powers climb in numpy, whose u r^p must not overflow
         bound = min(bound, 2.0 ** (900.0 / (p + 1.0)))
-    if not (max(c) < bound and edges.top < bound and -bound < min(u1) and max(u1) < bound):
+    if not (max(c) < bound and top < bound and -bound < min(u1) and max(u1) < bound):
         return None
     if p % 2 == 1:
         c = [_MIN_OFFSET if _MIN_OFFSET > v else v for v in c]
@@ -363,19 +340,16 @@ def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
     flat = np.fromiter(u1 + u2 + c + c, float, 4 * m)
     u, cc = flat[:2 * m], flat[2 * m:]
     r = np.hypot(u, cc)
-    # the scale L^(p-1), unread for p = 1
-    scale = L2
-    if p > 1:
-        if edges.scale is None or edges.scale[0] != p:
-            edges.scale = p, (np.array(L2) ** (0.5 * (p - 1))).tolist()
-        scale = edges.scale[1]
+    if p != 1 and p not in scales:
+        # the scale L^(p-1), formed at the power's first use
+        scales[p] = (np.array(L2) ** (0.5 * (p - 1))).tolist()
     vals, grad = [], []
     if p % 1:
         # the start and the climb of fractional powers are numpy calls
         # over every segment end, as on the array route; the rest is floats
         low, high = (v.tolist() for v in _ladder(u, cc, r, p))
         diff = _fractional_power_difference((u[:m] + u[m:]) / (r[:m] + r[m:]), r[:m], r[m:], p).tolist()
-        for (ex, ey), la, lb, ha, hb, s, l2, sc, d in zip(edges, low, low[m:], high, high[m:], cs, L2, scale, diff):
+        for ex, ey, la, lb, ha, hb, s, l2, sc, d in zip(exs, eys, low, low[m:], high, high[m:], cs, L2, scales[p], diff):
             along, normal = sc * d, sc * (p * (s * (lb - la)))
             vals.append((sc * l2) * (hb - ha))
             grad += (-(along * ex + normal * ey), normal * ex - along * ey)
@@ -383,7 +357,7 @@ def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
         # the Euclidean kernel: I_1 from I_-1, with no climb and no scale
         r = r.tolist()
         low = np.arcsinh(u / cc).tolist()
-        for (ex, ey), ua, ub, ra, rb, la, lb, ci, s, l2 in zip(edges, u1, u2, r, r[m:], low, low[m:], c, cs, L2):
+        for ex, ey, ua, ub, ra, rb, la, lb, ci, s, l2 in zip(exs, eys, u1, u2, r, r[m:], low, low[m:], c, cs, L2):
             q = ci * ci
             along, normal = (ua + ub) / (ra + rb), s * (lb - la)
             vals.append(l2 * (0.5 * (ub * rb + q * lb) - 0.5 * (ua * ra + q * la)))
@@ -391,7 +365,8 @@ def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
     else:
         r = r.tolist()
         low = np.arcsinh(u / cc).tolist() if p % 2 else u1 + u2
-        for (ex, ey), ua, ub, ra, rb, la, lb, ci, s, l2, sc in zip(edges, u1, u2, r, r[m:], low, low[m:], c, cs, L2, scale):
+        for ex, ey, ua, ub, ra, rb, la, lb, ci, s, l2, sc in zip(exs, eys, u1, u2, r, r[m:], low, low[m:], c, cs, L2,
+                                                                 scales[p]):
             q = ci * ci
             # the reduction of _closed_values_arrays at both ends
             if p % 2:
@@ -403,12 +378,9 @@ def _closed_values_floats(starts: _FloatRows, edges: _FloatRows, x, p: float):
             while k < p:
                 k, rka, rkb, la, lb = k + 2, rka * ra * ra, rkb * rb * rb, ha, hb
                 ha, hb = (ua * rka + k * q * la) / (k + 1), (ub * rkb + k * q * lb) / (k + 1)
-            along = (ua + ub) / (ra + rb)
-            normal = s * (lb - la)
-            if p > 1:
-                along = sc * (along * _power_sum(ra, rb, p))
-                normal, l2 = sc * (p * normal), sc * l2
-            vals.append(l2 * (hb - ha))
+            along = sc * ((ua + ub) / (ra + rb) * _power_sum(ra, rb, p))
+            normal = sc * (p * (s * (lb - la)))
+            vals.append((sc * l2) * (hb - ha))
             grad += (-(along * ex + normal * ey), normal * ex - along * ey)
     # an infinity or a NaN anywhere makes the sum one too
     if not math.isfinite(sum(grad, sum(vals))):

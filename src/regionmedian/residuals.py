@@ -21,7 +21,7 @@ the Jacobian of the gradient, from the gradients of the edge integrals:
 closed-form, or integrated in the same Gauss-Kronrod pass as the values.
 It owns the overflow rule: under the solves' numpy error state, edge
 integrals that overflow the float range raise SingularRegionError. The
-closed form's lists on a polygon's float rows (``_floats``, a
+closed form's lists on a polygon's float lists (``_floats``, a
 ``geometry._FloatLoop``) are reduced on Python floats, T by ``math.fsum``;
 arrays, and a float reduction that gives up, take the array reduction,
 with the same bits, and T by the error-free extraction of
@@ -93,7 +93,8 @@ _EXTRACT_TERMS = 384
 
 def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     """(edge means, T_x, T_y, Jacobian rows) at the point x of the solve
-    frame polygon ``local``, from one call of ``RadialKernel.values_batch``.
+    frame polygon ``local``, from one call of ``RadialKernel.values_batch``
+    with its arrays and its ``_FloatLoop`` or None.
 
     A FloatingPointError of the edge integrals or their reduction, raised
     under the solves' error state, becomes a chained SingularRegionError.
@@ -109,15 +110,12 @@ def _frame_residual(local: Polygon, x, kernel: RadialKernel) -> tuple:
     """
     loop = local._floats
     try:
-        if loop:
-            values, grads = kernel.values_batch(loop.starts, loop.edges, x)
-            if type(values) is list:
-                out = _float_reduction(loop, values, grads)
-                if out is not None:
-                    return out
-                values, grads = np.array(values), np.array(grads).reshape(-1, 2)
-        else:
-            values, grads = kernel.values_batch(local.coords, local.edge_vectors, x)
+        values, grads = kernel.values_batch(local.coords, local.edge_vectors, x, loop)
+        if type(values) is list:
+            out = _float_reduction(loop, values, grads)
+            if out is not None:
+                return out
+            values, grads = np.array(values), np.array(grads).reshape(-1, 2)
         lengths = local.edge_lengths
         means = values / lengths
         # the terms m_i e_i as the columns of a (2, n) product's transpose,

@@ -23,8 +23,8 @@ class PointSet:
 
     Accepts a sequence of Point2 or (x, y) rows, or an (n, 2) array; any
     other shape raises ValueError. Weights default to 1 and must be
-    positive, one per point. ``diameter`` raises ValueError when it
-    overflows the float range.
+    positive numbers, one per point; a bool is no weight. ``diameter``
+    raises ValueError when it overflows the float range.
     """
 
     __slots__ = ("coords", "weights")
@@ -45,8 +45,11 @@ class PointSet:
         if weights is None:
             w = np.ones(len(coords), dtype=float)
         else:
+            weights = list(weights)
+            if any(isinstance(v, (bool, np.bool_)) for v in weights):
+                raise ValueError("weights must be numbers, not bools")
             try:
-                w = np.asarray(list(weights), dtype=float)
+                w = np.asarray(weights, dtype=float)
             except OverflowError as exc:
                 raise ValueError("weights have a value past the float range") from exc
             if w.shape != (len(coords),):

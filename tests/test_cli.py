@@ -46,13 +46,15 @@ def test_golden_reports_are_reproduced_byte_for_byte(capsys, tmp_path):
     # curve, pins a long loop's T, summed by extraction; the p = 3
     # medianoid pins the closed form's reduction and its power of the
     # squared lengths, the p = 1.5 one its fractional start, p = 2 the even
-    # loop and p = 16, the top closed power, the longest climb. The p = 16
-    # solve stops on a stagnating line search at 1.7e-11 of the diameter
-    # squared, above the default tol_rel, and exits 2
+    # loop and p = 16, the top closed power, the longest climb; p = 0.5
+    # pins the quadrature route on a polygon of the float route, which
+    # reads its arrays. The p = 16 solve stops on a stagnating line search
+    # at 1.7e-11 of the diameter squared, above the default tol_rel, and
+    # exits 2
     runs = [(f"{stem}_report", ["median", str(DATA / f"{stem}.json")], 0)
             for stem in ("equilateral", "t345", "pentagon", "boundary_loop", "sampled_curve")]
     runs += [(f"t345_power{p}_report", ["medianoid", str(DATA / "t345.json"), "--kernel", f"power:{p}"], int(p == "16"))
-             for p in ("3", "1.5", "2", "16")]
+             for p in ("3", "1.5", "2", "16", "0.5")]
     for golden, argv, failed in runs:
         out_path = tmp_path / f"{golden}.json"
         code, _, _ = run(capsys, *argv, "--json-out", str(out_path))
@@ -915,7 +917,7 @@ def test_overflowing_inputs_fail_alike_on_the_float_and_the_array_routes(capsys,
             ["check", str(files["scaled"]), "--point", "1e103,1e103"],
             ["medianoid", str(files["scaled"])]]
     t345 = Polygon(t345["polygon"])
-    assert regionmedian.kernels._closed_values_floats(t345._floats.starts, t345._floats.edges, (1e19, 0.0), 16) is None
+    assert regionmedian.kernels._closed_values_floats(t345._floats, (1e19, 0.0), 16) is None
     for argv in runs:
         got = run(capsys, *argv)
         with monkeypatch.context() as patch:

@@ -1087,6 +1087,25 @@ def test_polygons_take_the_same_bits_and_errors_on_the_float_and_the_array_route
     assert any(isinstance(got, list) and len(got) == 7 for got, _ in floats)
 
 
+def test_a_far_polygons_frame_view_shares_its_float_layout():
+    # vertex 0 lies 1e8 diameters out, so the solves run in a translated
+    # view: its _FloatLoop holds the translated vertex lists, the bits of
+    # the view's arrays, and shares every other field with the polygon's,
+    # the cross terms taken relative to vertex 0 and the dict of scales
+    # that the closed form fills included
+    rng = np.random.default_rng(5001)
+    c = random_star_polygon(rng, 7).coords
+    poly = Polygon(c + 1e8 * float(np.ptp(c, axis=0).max()) * np.array([0.6, -0.8]))
+    view, ox, oy = poly._local_frame()
+    assert view is not poly and [ox, oy] == poly.coords[0].tolist()
+    loop, moved = poly._floats, view._floats
+    assert loop.terms is not None
+    for name in ("exs", "eys", "lengths", "squares", "top", "terms", "scales"):
+        assert getattr(moved, name) is getattr(loop, name), name
+    assert moved.xs == view.coords[:, 0].tolist() and moved.ys == view.coords[:, 1].tolist()
+    assert moved.xs != loop.xs and moved.ys != loop.ys
+
+
 def test_point_set_diameters_take_the_same_bits_on_the_float_and_the_array_routes(monkeypatch):
     rng = np.random.default_rng(4202)
     sets = [rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-300, 300) + rng.choice([0.0, 1.0]) * rng.normal(size=2)

@@ -158,27 +158,27 @@ def test_closed_batch_equals_the_two_endpoint_reference_bit_for_bit():
     # every closed power, on loops either side of geometry._FLOAT_EDGES and
     # at it: at an interior point, two vertices, points on two carrier
     # lines and a point a million diameters away; the loops up to the
-    # crossover finish on floats from the rows of float lists that the
-    # polygon keeps, and every loop on the arrays
+    # crossover finish on floats from the float lists that the polygon
+    # keeps, and every loop on the arrays
     for n in (3, 8, geometry._FLOAT_EDGES, geometry._FLOAT_EDGES + 1, 2 * geometry._FLOAT_EDGES + 3):
         for _ in range(2):
             poly = random_star_polygon(rng, n)
             a, e = poly.coords, poly.edge_vectors
             loop = poly._floats
             assert (loop is None) == (n > geometry._FLOAT_EDGES)
-            inputs = [(a, e)] + ([(loop.starts, loop.edges)] if loop else [])
+            inputs = [None] + ([loop] if loop else [])
             x0 = interior_point(poly, rng)
             far = x0 + 1e6 * poly.diameter * np.array([0.6, -0.8])
             points = [x0, a[0], a[n // 2], a[1] + 2.5 * e[1], a[2] - 0.75 * e[2], far]
             for p in range(1, _MAX_CLOSED_POWER + 1):
                 for x in points:
                     want = two_endpoint_closed_values(a, e, x, p)
-                    for a_in, e_in in inputs:
-                        got = closed_values_batch(a_in, e_in, x, p)
-                        assert (type(got[0]) is list) == (a_in is not a)
+                    for loop_in in inputs:
+                        got = closed_values_batch(a, e, x, p, loop_in)
+                        assert (type(got[0]) is list) == (loop_in is not None)
                         _assert_same_bits(got, want, n, p, x)
                     if loop:
-                        assert kernels._closed_values_floats(loop.starts, loop.edges, x, p) is not None
+                        assert kernels._closed_values_floats(loop, x, p) is not None
     # a caller's lists of int pairs are read as floats: near 2^30 an int
     # square is exact where the float square rounds, and these lists,
     # taken as they are, give other bits at every power
@@ -239,8 +239,8 @@ def test_every_closed_form_loop_takes_the_bits_of_the_array_route():
                   x0 + 1e3 * poly.diameter * np.array([0.6, -0.8]), x0 + 1e6 * poly.diameter * np.array([0.6, -0.8])]
         for p in powers:
             for x in points:
-                assert kernels._closed_values_floats(loop.starts, loop.edges, x, p) is not None, (n, p, x)
-                got = closed_values_batch(loop.starts, loop.edges, x, p)
+                assert kernels._closed_values_floats(loop, x, p) is not None, (n, p, x)
+                got = closed_values_batch(a, e, x, p, loop)
                 assert type(got[0]) is list, (n, p, x)
                 want = kernels._closed_values_arrays(a, e, x, p)
                 _assert_same_bits(got, want, n, p, x)
@@ -248,31 +248,35 @@ def test_every_closed_form_loop_takes_the_bits_of_the_array_route():
 
 
 def test_the_float_route_forms_the_squared_lengths_once_and_each_scale_once_per_power():
-    # the rows keep the squared lengths of _closed_values_arrays, and the
-    # scale of the last power p > 1; a new power replaces it, with the bits
-    # of the array route for every power in turn
+    # the loop keeps the squared lengths of _closed_values_arrays, and the
+    # scale of each power p > 1, formed at its first use and read again
+    # after other powers, with the bits of the array route for every power
+    # in turn
     rng = np.random.default_rng(4601)
     poly = random_star_polygon(rng, 8)
-    edges, starts = poly._floats.edges, poly._floats.starts
-    e = poly.edge_vectors
-    assert edges.squares == (e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]).tolist()
-    assert edges.top == max(edges.squares) and edges.scale is None
+    loop = poly._floats
+    a, e = poly.coords, poly.edge_vectors
+    assert loop.squares == (e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]).tolist()
+    assert loop.top == max(loop.squares) and loop.scales == {}
     x = interior_point(poly, rng)
     for p in (1, 3, 3, 1.5, 3, 1):
-        kept = edges.scale
-        got = closed_values_batch(starts, edges, x, p)
+        kept = dict(loop.scales)
+        got = closed_values_batch(a, e, x, p, loop)
         assert type(got[0]) is type(got[1]) is list, p
-        _assert_same_bits(got, kernels._closed_values_arrays(poly.coords, e, x, p), p)
-        if p == 1 or (kept and kept[0] == p):
-            assert edges.scale is kept, p
+        _assert_same_bits(got, kernels._closed_values_arrays(a, e, x, p), p)
+        if p == 1 or p in kept:
+            assert loop.scales.get(p) is kept.get(p), p
         else:
-            assert edges.scale[0] == p, p
+            assert loop.scales[p] == (np.array(loop.squares) ** (0.5 * (p - 1))).tolist(), p
+        assert all(loop.scales[q] is kept[q] for q in kept), p
+    assert sorted(loop.scales) == [1.5, 3]
 
 
-def test_the_float_rows_get_lists_and_every_other_input_arrays():
-    # a polygon's _FloatRows get the float route's lists, the values and
-    # the flat gradients; arrays, a caller's lists of ints and a point
-    # that hands the float route back get arrays, with the same bits
+def test_the_float_loop_gets_lists_and_every_other_input_arrays():
+    # a call with a polygon's _FloatLoop gets the float route's lists, the
+    # values and the flat gradients; arrays, a caller's lists of ints and
+    # a point that hands the float route back get arrays, with the same
+    # bits
     rng = np.random.default_rng(4703)
     poly = random_star_polygon(rng, 6)
     loop = poly._floats
@@ -280,7 +284,7 @@ def test_the_float_rows_get_lists_and_every_other_input_arrays():
     ints = np.rint(1e3 * a).astype(int)
     x = interior_point(poly, rng)
     for p in (1, 2, 3, 1.5):
-        got = closed_values_batch(loop.starts, loop.edges, x, p)
+        got = closed_values_batch(a, e, x, p, loop)
         assert type(got[0]) is type(got[1]) is list and len(got[0]) == 6 and len(got[1]) == 12, p
         _assert_same_bits(got, kernels._closed_values_arrays(a, e, x, p), p)
         for a_in, e_in in ((a, e), (ints.tolist(), (np.roll(ints, -1, axis=0) - ints).tolist())):
@@ -288,8 +292,8 @@ def test_the_float_rows_get_lists_and_every_other_input_arrays():
             assert type(got[0]) is type(got[1]) is np.ndarray and got[1].shape == (6, 2), p
         # parameters past kernels._FLOAT_BOUND: the float route hands back
         far = (1e40, -3e39)
-        assert kernels._closed_values_floats(loop.starts, loop.edges, far, p) is None
-        got = closed_values_batch(loop.starts, loop.edges, far, p)
+        assert kernels._closed_values_floats(loop, far, p) is None
+        got = closed_values_batch(a, e, far, p, loop)
         assert type(got[0]) is type(got[1]) is np.ndarray, p
         _assert_same_bits(got, kernels._closed_values_arrays(a, e, far, p), p)
 
@@ -303,10 +307,10 @@ def test_an_integral_float_power_takes_the_integer_power(p):
     poly = random_star_polygon(rng, 7)
     loop = poly._floats
     for x in (interior_point(poly, rng), poly.coords[2], poly.coords[1] + 2.5 * poly.edge_vectors[1]):
-        for a_in, e_in in ((poly.coords, poly.edge_vectors), (loop.starts, loop.edges)):
-            want = closed_values_batch(a_in, e_in, x, p)
+        for loop_in in (None, loop):
+            want = closed_values_batch(poly.coords, poly.edge_vectors, x, p, loop_in)
             for q in (float(p), np.float64(p)):
-                got = closed_values_batch(a_in, e_in, x, q)
+                got = closed_values_batch(poly.coords, poly.edge_vectors, x, q, loop_in)
                 assert type(got[0]) is type(want[0]) and _bits(got) == _bits(want), (p, x)
 
 
@@ -320,7 +324,7 @@ def test_a_polygon_keeps_the_route_it_was_built_with(monkeypatch):
     x = (0.1, -0.2)
     calls = []
     real = kernels._closed_values_floats
-    monkeypatch.setattr(kernels, "_closed_values_floats", lambda *args: calls.append(len(args[0])) or real(*args))
+    monkeypatch.setattr(kernels, "_closed_values_floats", lambda *args: calls.append(len(args[0].xs)) or real(*args))
     on_floats = Polygon(loop)
     with monkeypatch.context() as patch:
         use_array_routes(patch)

@@ -47,7 +47,7 @@ class _QuadratureRoute(NamedTuple):
     route ``kernel`` takes."""
     kernel: RadialKernel
 
-    def values_batch(self, a, e, x):
+    def values_batch(self, a, e, x, loop=None):
         return quadrature_values_batch(a, e, x, self.kernel)
 
 

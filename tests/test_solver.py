@@ -870,3 +870,22 @@ def test_the_float_loop_matches_the_report_loop_bit_for_bit(monkeypatch):
         outcomes.append(got)
     assert sum("converged=False" in o for o in outcomes) >= 2
     assert [o.split(":")[0] for o in outcomes[-4:]] == ["SingularRegionError"] * 3 + ["NonConvergenceError"]
+
+
+def test_each_powers_scale_is_formed_once_per_polygon(monkeypatch):
+    # solves under p = 3, 1.5, 3 and 1 on one polygon: the float closed
+    # form forms the scale L^(p-1) of each power p > 1 at its first use,
+    # the second p = 3 solve reads the same list, and every solve has the
+    # bits of the array route
+    rng = np.random.default_rng(5002)
+    loop = star_loop(rng, 9)
+    poly = Polygon(loop)
+    scales, seen = poly._floats.scales, {}
+    for p in (3, 1.5, 3, 1):
+        got = repr(solve_medianoid(poly, RadialKernel.power(p)))
+        if p != 1:
+            assert scales[p] is seen.setdefault(p, scales[p]), p
+        with monkeypatch.context() as patch:
+            use_array_routes(patch)
+            assert repr(solve_medianoid(Polygon(loop), RadialKernel.power(p))) == got, p
+    assert list(scales) == [3, 1.5]

@@ -144,6 +144,10 @@ def test_point_set_validation():
         PointSet([(0, 0), (10 ** 400, 1)])
     with pytest.raises(ValueError, match="^weights have a value past the float range$"):
         PointSet([(0, 0), (1, 1)], weights=[1, 10 ** 400])
+    # a bool is no weight, a Python one or numpy's, alone or among numbers
+    for weights in ([True, True], [1.0, True], np.array([True, True]), [np.True_, 2.0], (w for w in [2, False])):
+        with pytest.raises(ValueError, match="^weights must be numbers, not bools$"):
+            PointSet([(0, 0), (1, 0)], weights)
     # rows that are not pairs: a third column is not dropped, a short row
     # is not an IndexError
     for rows in ([(0, 0, 9), (1, 0, 9)], [[0, 0], [1]], [[0, 0], [1, 1, 1]]):
